@@ -28,7 +28,6 @@ from .fieldmodel import (
     Gaussian,
     SoftLennardJones,
     Zero,
-    contact_tensor,
     hamiltonian,
     mode_energies,
     modes_from_numbers,
@@ -37,7 +36,6 @@ from .fieldmodel import (
 from .fock import Statistics, build_basis
 from .generator import (
     Lprime,
-    build_coefficients,
     coefficients_from_potential,
     conservation_report,
     negative_tau_witness,
@@ -85,7 +83,7 @@ class RunContext:
 def _potential_from_config(pcfg: dict):
     kind = pcfg["kind"]
     if kind == "none":
-        return None
+        return Zero()
     if kind == "contact":
         return Contact(pcfg["strength"])
     if kind == "gaussian":
@@ -101,14 +99,8 @@ def _build_context(cfg: dict) -> RunContext:
     basis = build_basis(len(modes), cfg["basis"]["n_max"], statistics)
     grid = CellGrid(geom, tuple(cfg["grid"]["cells"]))
     potential = _potential_from_config(cfg["potential"])
-    n = len(modes)
-    if potential is None:
-        vtensor = np.zeros((n, n, n, n))
-    elif isinstance(potential, Contact):
-        vtensor = contact_tensor(modes, potential, geom)
-    else:
-        vtensor = potential_tensor(modes, potential, geom,
-                                   order=cfg["potential"]["order"])
+    vtensor = potential_tensor(modes, potential, geom,
+                               order=cfg["potential"]["order"])
     n_cells = grid.n_cells
     fields = LagrangeFields(
         beta=np.asarray(cfg["fields"]["beta"], dtype=float),
@@ -121,18 +113,13 @@ def _build_context(cfg: dict) -> RunContext:
 
 def _coefficients(ctx: RunContext):
     cfg = ctx.cfg
-    if ctx.potential is None:
-        n_pairs = len(pair_basis(len(ctx.modes), ctx.statistics))
-        return build_coefficients(ctx.modes, np.zeros((n_pairs, n_pairs)),
-                                  ctx.statistics, delta=cfg["generator"]["delta"])
     return coefficients_from_potential(ctx.modes, ctx.vtensor, ctx.statistics,
                                        eps=cfg["scattering"]["eps"],
                                        delta=cfg["generator"]["delta"])
 
 
 def _observables(ctx: RunContext):
-    potential = ctx.potential if ctx.potential is not None else Zero()
-    return cell_observables(ctx.basis, ctx.modes, ctx.grid, potential, ctx.geom,
+    return cell_observables(ctx.basis, ctx.modes, ctx.grid, ctx.potential, ctx.geom,
                             order=ctx.cfg["potential"]["order"])
 
 

@@ -217,6 +217,9 @@ def _check_shapes(cfg: dict) -> None:
                 f"{dim}-dimensional box")
     if len(set(map(tuple, cfg["modes"]["numbers"]))) != len(cfg["modes"]["numbers"]):
         raise ConfigError("mode numbers contain duplicates")
+    if cfg["potential"]["kind"] == "contact" and dim != 1:
+        raise ConfigError(
+            f"potential kind 'contact' is 1D only; the box is {dim}-dimensional")
     if len(cfg["grid"]["cells"]) != dim:
         raise ConfigError(
             f"cell grid has {len(cfg['grid']['cells'])} axes for a "

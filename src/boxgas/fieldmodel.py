@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis, creation_op, ladder_ops, one_body_operator, two_body_operator
+from .fock import FockBasis, one_body_operator, two_body_operator
 
 HBAR = 1.0
 MASS = 1.0
@@ -501,10 +501,28 @@ def total_mass_op(basis: FockBasis, mass: float = MASS) -> np.ndarray:
     return mass * one_body_operator(basis, np.eye(basis.n_modes, dtype=complex))
 
 
+def cell_kernels(modes, grid: CellGrid, cell: int, velocity: VelocityField | None = None,
+                 hbar: float = HBAR, mass: float = MASS):
+    """One-body kernels (kinetic energy, mass) of one cell, over the mode pairs (h, k).
+
+    The kernel K stands for sum_hk K[h, k] a†_h a_k.  The kinetic energy is
+    taken in the frame moving with the cell velocity: |(-i hbar grad - m v) psi|^2
+    / 2m expanded into analytic overlaps.
+    """
+    s_cell, g_cell, x_cell = cell_overlaps(modes, grid, cell)
+    d = grid.geom.dimension
+    v = np.zeros(d) if velocity is None else velocity.values[cell]
+    energy = (hbar ** 2 / (2.0 * mass)) * g_cell.astype(complex)
+    for ax in range(d):
+        energy += 0.5j * hbar * v[ax] * (x_cell[ax] - x_cell[ax].T)
+    energy += 0.5 * mass * float(v @ v) * s_cell
+    return energy, (mass * s_cell).astype(complex)
+
+
 def mass_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int, mass: float = MASS) -> np.ndarray:
     """Mass content of one cell; cells sum to the total mass operator."""
-    s_cell, _, _ = cell_overlaps(modes, grid, cell)
-    return mass * one_body_operator(basis, s_cell.astype(complex))
+    _, kernel = cell_kernels(modes, grid, cell, mass=mass)
+    return one_body_operator(basis, kernel)
 
 
 def momentum_density_op(
@@ -521,10 +539,9 @@ def momentum_density_op(
     d = grid.geom.dimension
     v = np.zeros(d) if velocity is None else velocity.values[cell]
     out = np.empty((d, basis.dim, basis.dim), dtype=complex)
-    ladders = ladder_ops(basis)
     for ax in range(d):
         kernel = 0.5j * hbar * (x_cell[ax].T - x_cell[ax]) - mass * v[ax] * s_cell
-        out[ax] = one_body_operator(basis, kernel.astype(complex), ladders)
+        out[ax] = one_body_operator(basis, kernel.astype(complex))
     return out
 
 
@@ -542,18 +559,12 @@ def energy_density_op(
 ) -> np.ndarray:
     """Cell energy in the locally-at-rest frame.
 
-    Kinetic part expands |(-i hbar grad - m v) psi|^2 / 2m into analytic
-    overlaps; the pair part restricts one interaction coordinate to the cell
-    (symmetrized, so cells split shared pair energy evenly).  At v = 0 the
-    sum over all cells reproduces hamiltonian() built with the same grid.
+    Kinetic part is the cell_kernels energy kernel; the pair part restricts
+    one interaction coordinate to the cell (symmetrized, so cells split
+    shared pair energy evenly).  At v = 0 the sum over all cells reproduces
+    hamiltonian() built with the same grid.
     """
-    s_cell, g_cell, x_cell = cell_overlaps(modes, grid, cell)
-    d = grid.geom.dimension
-    v = np.zeros(d) if velocity is None else velocity.values[cell]
-    kernel = (hbar ** 2 / (2.0 * mass)) * g_cell.astype(complex)
-    for ax in range(d):
-        kernel += 0.5j * hbar * v[ax] * (x_cell[ax] - x_cell[ax].T)
-    kernel += 0.5 * mass * float(v @ v) * s_cell
+    kernel, _ = cell_kernels(modes, grid, cell, velocity, hbar=hbar, mass=mass)
     out = one_body_operator(basis, kernel)
     if isinstance(potential, Contact):
         cell_tensor = _contact_cell_tensor(modes, potential, geom, grid, cell)

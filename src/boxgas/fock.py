@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
@@ -74,6 +75,13 @@ class FockBasis:
     def totals(self) -> np.ndarray:
         return self.states.sum(axis=1)
 
+    @cached_property
+    def ladders(self) -> np.ndarray:
+        """All annihilators stacked as a read-only (n_modes, dim, dim) array."""
+        stack = np.stack([annihilation_op(self, f) for f in range(self.n_modes)])
+        stack.setflags(write=False)
+        return stack
+
 
 def build_basis(n_modes: int, n_max: int, statistics: Statistics,
                 dim_cap: int = DIM_CAP) -> FockBasis:
@@ -127,28 +135,26 @@ def creation_op(basis: FockBasis, mode: int) -> np.ndarray:
 
 
 def ladder_ops(basis: FockBasis) -> np.ndarray:
-    """All annihilators stacked as an (n_modes, dim, dim) array."""
-    return np.stack([annihilation_op(basis, f) for f in range(basis.n_modes)])
+    """All annihilators stacked as an (n_modes, dim, dim) array, built once per basis."""
+    return basis.ladders
 
 
 def number_op(basis: FockBasis) -> np.ndarray:
     return np.diag(basis.totals().astype(float)).astype(complex)
 
 
-def one_body_operator(basis: FockBasis, kernel: np.ndarray,
-                      ladders: np.ndarray | None = None) -> np.ndarray:
+def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> np.ndarray:
     """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k."""
     kernel = np.asarray(kernel, dtype=complex)
     f = basis.n_modes
     if kernel.shape != (f, f):
         raise ValueError(f"kernel shape {kernel.shape} does not match mode count {f}")
-    a = ladder_ops(basis) if ladders is None else ladders
+    a = basis.ladders
     adag = a.conj().transpose(0, 2, 1)
     return np.einsum("hk,hab,kbc->ac", kernel, adag, a, optimize=True)
 
 
 def two_body_operator(basis: FockBasis, tensor: np.ndarray,
-                      ladders: np.ndarray | None = None,
                       herm_tol: float = 1e-12) -> np.ndarray:
     """Second-quantized two-body operator.
 
@@ -163,7 +169,7 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray,
     defect = np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0)))
     if defect > herm_tol:
         raise ValueError(f"two-body tensor fails hermiticity: {defect:.3e} > {herm_tol:.1e}")
-    a = ladder_ops(basis) if ladders is None else ladders
+    a = basis.ladders
     dim = basis.dim
     # pair annihilators P[f2, f1] = a_f2 a_f1; creation pairs are their adjoints
     pairs = np.einsum("fab,gbc->fgac", a, a, optimize=True)

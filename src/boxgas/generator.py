@@ -3,6 +3,9 @@
 The generator is assembled from on-shell pair amplitudes: a hermitian
 effective two-body kernel plus energy-smeared jump amplitudes whose width
 delta sets the window inside which a pair collision counts as resonant.
+Observables in the family are carried as n x n one-body kernels K, standing
+for sum_hk K[h, k] a†_h a_k, the same reduction the tracked particle gets in
+`microsystem`; the generator maps a kernel straight to its dim x dim image.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .scattering import onshell_tmatrix, pair_basis, tensor_from_pair_matrix
 
 SUPPORT_FACTOR = 4.0
 MASS_TOL = 1e-10
-DOMAIN_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 
 
@@ -100,10 +102,21 @@ def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: flo
     return build_coefficients(modes, t_on, statistics, delta, hbar=hbar)
 
 
-def channel_ops(basis: FockBasis, coeffs: GeneratorCoefficients,
-                ladders: np.ndarray | None = None) -> np.ndarray:
+def _dagger_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_i left[i]^dagger right[i] over the leading axes of two operator stacks."""
+    dim = left.shape[-1]
+    return left.reshape(-1, dim).conj().T @ right.reshape(-1, dim)
+
+
+def _lower(stack: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """sum_k stack[k] psi[k], flattened, for an operator stack led by the index k."""
+    n, dim = psi.shape
+    return (stack.reshape(n, -1, dim) @ psi[:, :, None]).sum(axis=0).ravel()
+
+
+def channel_ops(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
     """Jump operators R[k, l] = sum jump[k, l, f2, f1] a_{f2} a_{f1}."""
-    a = ladder_ops(basis) if ladders is None else ladders
+    a = ladder_ops(basis)
     prod = np.einsum("fab,gbc->fgac", a, a)
     return np.einsum("klfg,fgac->klac", coeffs.jump, prod)
 
@@ -112,7 +125,7 @@ def gamma_op(basis: FockBasis, coeffs: GeneratorCoefficients,
              channels: np.ndarray | None = None) -> np.ndarray:
     """Loss operator: one quarter of the channel-summed R†R."""
     ch = channels if channels is not None else channel_ops(basis, coeffs)
-    return 0.25 * np.einsum("klba,klbc->ac", ch.conj(), ch)
+    return 0.25 * _dagger_sum(ch, ch)
 
 
 def effective_hamiltonian(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
@@ -122,7 +135,7 @@ def effective_hamiltonian(basis: FockBasis, coeffs: GeneratorCoefficients) -> np
 
 
 class Lprime:
-    """Generator action on the bilinear family, with streaming/loss/gain split."""
+    """Generator action on one-body kernels, with streaming/loss/gain split."""
 
     def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients,
                  hbar: float = HBAR):
@@ -132,63 +145,50 @@ class Lprime:
         self.coeffs = coeffs
         self.hbar = float(hbar)
         self.a = ladder_ops(basis)
-        self.adag = self.a.conj().transpose(0, 2, 1)
         self.h_eff = effective_hamiltonian(basis, coeffs)
-        self.channels = channel_ops(basis, coeffs, ladders=self.a)
+        self.channels = channel_ops(basis, coeffs)
         self.gamma = gamma_op(basis, coeffs, channels=self.channels)
-        self._bilinears = np.einsum("hab,kbc->hkac", self.adag, self.a)
-        self._images: np.ndarray | None = None
 
-    def bilinear(self, h: int, k: int) -> np.ndarray:
-        return self._bilinears[h, k]
-
-    def parts(self, h: int, k: int):
-        """Streaming, loss, and gain contributions for a†_h a_k."""
-        x = self._bilinears[h, k]
+    def parts(self, kernel: np.ndarray):
+        """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k."""
+        kernel = np.asarray(kernel, dtype=complex)
+        ka = np.tensordot(kernel, self.a, axes=1)  # [h] sum_k K[h,k] a_k
+        x = _dagger_sum(self.a, ka)
         stream = (1j / self.hbar) * comm(self.h_eff, x)
         loss = (-1.0 / self.hbar) * (
-            comm(self.gamma, self.adag[h]) @ self.a[k]
-            - self.adag[h] @ comm(self.gamma, self.a[k])
+            self.gamma @ x + x @ self.gamma
+            - 2.0 * _dagger_sum(self.a, self.gamma @ ka)
         )
-        gain = (1.0 / self.hbar) * np.einsum(
-            "lba,lbc->ac", self.channels[h].conj(), self.channels[k]
-        )
+        kr = np.tensordot(kernel, self.channels, axes=1)  # [h, l] sum_k K[h,k] R_kl
+        gain = (1.0 / self.hbar) * _dagger_sum(self.channels, kr)
         return stream, loss, gain
 
-    def apply_bilinear(self, h: int, k: int) -> np.ndarray:
-        stream, loss, gain = self.parts(h, k)
+    def apply(self, kernel: np.ndarray) -> np.ndarray:
+        stream, loss, gain = self.parts(kernel)
         return stream + loss + gain
 
-    def images(self) -> np.ndarray:
-        """All bilinear images, indexed [h, k]."""
-        if self._images is None:
-            n = self.basis.n_modes
-            dim = self.basis.dim
-            out = np.empty((n, n, dim, dim), dtype=complex)
-            for h in range(n):
-                for k in range(n):
-                    out[h, k] = self.apply_bilinear(h, k)
-            self._images = out
-        return self._images
+    def apply_bilinear(self, h: int, k: int) -> np.ndarray:
+        unit = np.zeros((self.basis.n_modes,) * 2)
+        unit[h, k] = 1.0
+        return self.apply(unit)
 
-    def bilinear_coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Expand x over a†_h a_k by a Gram solve; reject operators outside the span."""
-        n = self.basis.n_modes
-        flat = self._bilinears.reshape(n * n, -1)
-        gram = flat.conj() @ flat.T
-        coeff = np.linalg.solve(gram, flat.conj() @ x.ravel())
-        residual = frob(x - (coeff @ flat).reshape(x.shape))
-        scale = max(frob(x), 1.0)
-        if residual > DOMAIN_TOL * scale:
-            raise ValueError(
-                f"operator lies outside the bilinear family: relative residual "
-                f"{residual / scale:.3e}"
-            )
-        return coeff.reshape(n, n)
+    def images(self, kernels) -> np.ndarray:
+        """Images of a list of kernels, stacked in order."""
+        return np.array([self.apply(kernel) for kernel in kernels])
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        coeff = self.bilinear_coefficients(x)
-        return np.einsum("hk,hkac->ac", coeff, self.images())
+    def family_form(self, psi: np.ndarray):
+        """q0 = |sum_k a_k psi_k|^2, q1 = sum_hk <psi_h| L'(a†_h a_k) psi_k>
+        and its gain part, for a family psi of shape (n_modes, dim)."""
+        phi = _lower(self.a, psi)
+        u = _lower(self.a, psi @ self.h_eff.T)
+        g = _lower(self.a, psi @ self.gamma.T)
+        r = _lower(self.channels, psi)
+        gain = float(np.sum(np.abs(r) ** 2)) / self.hbar
+        stream = (1j / self.hbar) * (np.vdot(u, phi) - np.vdot(phi, u))
+        loss = (-1.0 / self.hbar) * (np.vdot(g, phi) + np.vdot(phi, g)
+                                    - 2.0 * np.vdot(phi, self.gamma @ phi))
+        q0 = float(np.real(np.vdot(phi, phi)))
+        return q0, complex(stream + loss + gain), gain
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,6 @@ def positivity_check(basis: FockBasis, coeffs: GeneratorCoefficients,
         raise ValueError("tau_max must be positive")
     if lp is None:
         lp = Lprime(basis, coeffs, hbar=hbar)
-    imgs = lp.images()
     rng = np.random.default_rng(seed)
     n = basis.n_modes
     min_real = math.inf
@@ -226,9 +225,7 @@ def positivity_check(basis: FockBasis, coeffs: GeneratorCoefficients,
         psi = rng.standard_normal((n, basis.dim)) + 1j * rng.standard_normal((n, basis.dim))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         tau = tau_max * (1.0 - rng.uniform())
-        phi = np.einsum("kab,kb->a", lp.a, psi)
-        q0 = float(np.real(np.vdot(phi, phi)))
-        q1 = complex(np.einsum("ha,hkab,kb->", psi.conj(), imgs, psi))
+        q0, q1, _ = lp.family_form(psi)
         q = q0 + tau * q1
         if q.real < min_real:
             min_real = q.real
@@ -267,18 +264,13 @@ def negative_tau_witness(basis: FockBasis, coeffs: GeneratorCoefficients,
     if kernel.size == 0:
         raise ValueError("annihilator stack has no kernel to probe")
     rng = np.random.default_rng(seed)
-    imgs = lp.images()
     for _ in range(tries):
         combo = kernel @ (rng.standard_normal(kernel.shape[1])
                           + 1j * rng.standard_normal(kernel.shape[1]))
         psi = combo.reshape(n, basis.dim)
         psi = psi / np.linalg.norm(psi)
-        phi_r = np.einsum("klab,kb->la", lp.channels, psi)
-        gain_form = float(np.sum(np.abs(phi_r) ** 2)) / hbar
+        q0, q1, gain_form = lp.family_form(psi)
         if gain_form > 1e-12:
-            phi = np.einsum("kab,kb->a", lp.a, psi)
-            q0 = float(np.real(np.vdot(phi, phi)))
-            q1 = complex(np.einsum("ha,hkab,kb->", psi.conj(), imgs, psi))
             q = q0 + tau * q1
             return NegativeTauWitness(tau, q.real, gain_form, psi)
     raise ValueError(
@@ -307,14 +299,8 @@ def conservation_report(basis: FockBasis, coeffs: GeneratorCoefficients,
     """
     if lp is None:
         lp = Lprime(basis, coeffs, hbar=hbar)
-    n = basis.n_modes
     w = mode_energies(coeffs.modes)
-    number_image = np.zeros((basis.dim, basis.dim), dtype=complex)
-    energy_image = np.zeros_like(number_image)
-    for h in range(n):
-        img = lp.apply_bilinear(h, h)
-        number_image += img
-        energy_image += w[h] * img
+    number_image, energy_image = lp.images([np.eye(basis.n_modes), np.diag(w)])
     mass_residual = mass * frob(number_image)
     if mass_residual > MASS_TOL:
         raise ValueError(f"mass conservation violated: residual {mass_residual:.3e}")

@@ -1,8 +1,9 @@
 """Closed moment evolution on the generalized Gibbs manifold.
 
-The moment set is the kinetic cell energy and the cell mass in every cell,
-which keeps each observable inside the generator's bilinear domain; the
-interaction enters through the generator coefficients only.  Time stepping
+The moment set is the kinetic cell energy and the cell mass in every cell.
+Both are one-body operators, carried as their n x n mode kernels, so the
+generator maps each moment straight to its image; the interaction enters
+through the generator coefficients only.  Time stepping
 integrates the moments with classical RK4 and re-fits the Lagrange fields
 at every stage, so the state never leaves the manifold.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import HBAR, Zero
+from .fieldmodel import HBAR, Zero, cell_kernels
 from .fock import FockBasis
 from .gibbs import (
     ConstraintSet,
@@ -37,7 +38,11 @@ MAX_HALVINGS = 10
 
 
 class ClosureSystem:
-    """Bilinear cell moments driven by the coarse-grained generator."""
+    """Cell moments driven by the coarse-grained generator.
+
+    `operators` and `kernels` hold the same moments, as dense operators for
+    the Gibbs states and as one-body kernels for the generator `images`.
+    """
 
     def __init__(self, basis: FockBasis, modes, grid, coeffs: GeneratorCoefficients,
                  fields: LagrangeFields, hbar: float = HBAR):
@@ -55,16 +60,11 @@ class ClosureSystem:
         self.operators = constraint_operator_list(self.obs, fields.velocity)
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
+        per_cell = [cell_kernels(modes, grid, c, hbar=hbar) for c in range(grid.n_cells)]
+        self.kernels = [e for e, _ in per_cell] + [m for _, m in per_cell]
         self.lp = Lprime(basis, coeffs, hbar=hbar)
         self.tau0 = collision_time_estimate(coeffs, hbar=hbar)
-        self.images = []
-        for label, op in zip(self.labels, self.operators):
-            try:
-                self.images.append(self.lp.apply(op))
-            except ValueError as exc:
-                raise ValueError(
-                    f"observable {label} is outside the bilinear family"
-                ) from exc
+        self.images = self.lp.images(self.kernels)
 
     @property
     def n_cells(self) -> int:
@@ -80,12 +80,12 @@ class ClosureSystem:
         return np.array([expectation(state, op) for op in self.operators])
 
 
-def _moment_rates(sys: ClosureSystem, weight: np.ndarray) -> np.ndarray:
+def _moment_rates(weight: np.ndarray, images, name: str = "moment") -> np.ndarray:
     rates = []
-    for image in sys.images:
+    for image in images:
         value = complex(np.trace(weight @ image))
         if abs(value.imag) > RATE_IMAG_TOL * (1.0 + abs(value)):
-            raise ValueError(f"moment rate has imaginary part {value.imag:.3e}")
+            raise ValueError(f"{name} rate has imaginary part {value.imag:.3e}")
         rates.append(value.real)
     return np.array(rates)
 
@@ -102,7 +102,7 @@ def closure_rhs(sys: ClosureSystem, fields: LagrangeFields | None = None) -> Rhs
     """Moment rates b and the multiplier rates solving (-chi) dlambda/dt = b."""
     fields = sys.fields if fields is None else fields
     state = sys.state_for(fields)
-    b = _moment_rates(sys, state.weight)
+    b = _moment_rates(state.weight, sys.images)
     chi = chi_matrix(state, sys.operators)
     evals, vecs = np.linalg.eigh(chi)
     top = float(evals[-1])
@@ -146,7 +146,7 @@ def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
     n = sys.n_cells
     targets = ConstraintSet(moments[:n], moments[n:])
     fit = maxent_fit(sys.basis, sys.obs, targets, init=warm)
-    return _moment_rates(sys, fit.state.weight), fit
+    return _moment_rates(fit.state.weight, sys.images), fit
 
 
 def _rk4_step(sys: ClosureSystem, fields: LagrangeFields, moments: np.ndarray,
@@ -274,33 +274,17 @@ class GainLossReport:
 
 
 def gain_loss_report(sys: ClosureSystem, weight: np.ndarray | None = None,
-                     operators=None, labels=None) -> GainLossReport:
-    """Split each moment rate into streaming, loss, and gain contributions."""
+                     kernels=None, labels=None) -> GainLossReport:
+    """Split the rates of one-body kernels (default: the moment set) into
+    streaming, loss, and gain contributions."""
     if weight is None:
         weight = sys.state_for(sys.fields).weight
-    if operators is None:
-        operators = sys.operators
+    if kernels is None:
+        kernels = sys.kernels
         labels = sys.labels
     elif labels is None:
-        labels = tuple(f"observable[{i}]" for i in range(len(operators)))
-    n = sys.basis.n_modes
-    streams = np.empty((n, n) + weight.shape, dtype=complex)
-    losses = np.empty_like(streams)
-    gains = np.empty_like(streams)
-    for h in range(n):
-        for k in range(n):
-            streams[h, k], losses[h, k], gains[h, k] = sys.lp.parts(h, k)
-    out = {"streaming": [], "loss": [], "gain": []}
-    for op in operators:
-        coeff = sys.lp.bilinear_coefficients(op)
-        for key, family in (("streaming", streams), ("loss", losses),
-                            ("gain", gains)):
-            image = np.einsum("hk,hkab->ab", coeff, family)
-            value = complex(np.trace(weight @ image))
-            if abs(value.imag) > RATE_IMAG_TOL * (1.0 + abs(value)):
-                raise ValueError(
-                    f"{key} rate has imaginary part {value.imag:.3e}"
-                )
-            out[key].append(value.real)
-    return GainLossReport(tuple(labels), np.array(out["streaming"]),
-                          np.array(out["loss"]), np.array(out["gain"]))
+        labels = tuple(f"observable[{i}]" for i in range(len(kernels)))
+    parts = zip(*(sys.lp.parts(kernel) for kernel in kernels))
+    streaming, loss, gain = (_moment_rates(weight, images, key) for key, images
+                             in zip(("streaming", "loss", "gain"), parts))
+    return GainLossReport(tuple(labels), streaming, loss, gain)

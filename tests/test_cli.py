@@ -214,6 +214,16 @@ def test_exit_codes():
     assert run_cli(["not-a-command"]).exit_code == 2
 
 
+def test_contact_in_3d_box_exits_two(tmp_path):
+    result = run_cli(["build", "--out", str(tmp_path), "--quiet",
+                      "--set", "geometry.lengths=[1.0, 1.0, 1.0]",
+                      "--set", "modes.numbers=[[1, 1, 1], [2, 1, 1]]",
+                      "--set", "grid.cells=[1, 1, 1]",
+                      "--set", "fields.beta=[0.2]", "--set", "fields.mu=[0.0]"])
+    assert result.exit_code == 2
+    assert "contact' is 1D only" in result.output
+
+
 def test_bad_yaml_exits_two(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("geometry: [unclosed\n")

@@ -219,3 +219,12 @@ def test_two_body_number_conservation():
     op = two_body_operator(basis, tensor)
     n_tot = number_op(basis)
     assert np.max(np.abs(op @ n_tot - n_tot @ op)) < 1e-12
+
+
+def test_ladder_stack_built_once_and_read_only():
+    basis = build_basis(3, 2, Statistics.BOSE)
+    a = ladder_ops(basis)
+    assert a is ladder_ops(basis)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0, 0] = 1.0

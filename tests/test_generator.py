@@ -31,6 +31,7 @@ from boxgas.generator import (
 )
 from boxgas.matrixutil import frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
+from test_kinetics import oracle_bilinear_image
 
 GEOM = BoxGeometry((1.0,))
 U = 0.5 * math.pi**2
@@ -220,7 +221,14 @@ def test_free_generator_is_pure_streaming():
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
 def test_hermiticity_compatible_action(statistics):
-    _, _, coeffs = contact_coefficients(g=1.5, statistics=statistics)
+    if statistics is Statistics.BOSE:
+        _, _, coeffs = contact_coefficients(g=1.5, statistics=statistics)
+    else:
+        # a contact tensor vanishes for spinless fermions; give them a range
+        modes = modes_1d((1, 2, 3))
+        vt = potential_tensor(modes, Gaussian(1.5, 0.25), GEOM)
+        coeffs = coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
+        assert frob(coeffs.jump) > 0.0
     basis = build_basis(3, 2, statistics)
     lp = Lprime(basis, coeffs)
     for h in range(3):
@@ -228,6 +236,22 @@ def test_hermiticity_compatible_action(statistics):
             left = lp.apply_bilinear(h, k).conj().T
             right = lp.apply_bilinear(k, h)
             assert frob(left - right) < 1e-12 * max(1.0, frob(right))
+    # matrix-free family form against the dense contraction over the images,
+    # at n_max 3 where the loss term a†_h Gamma a_k does not vanish
+    basis = build_basis(3, 3, statistics)
+    lp = Lprime(basis, coeffs)
+    images = np.array([[lp.apply_bilinear(h, k) for k in range(3)] for h in range(3)])
+    a = ladder_ops(basis)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        psi = rng.standard_normal((3, basis.dim)) + 1j * rng.standard_normal((3, basis.dim))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        phi = np.einsum("kab,kb->a", a, psi)
+        q1 = np.einsum("ha,hkab,kb->", psi.conj(), images, psi)
+        q0_form, q1_form, gain = lp.family_form(psi)
+        assert q0_form == pytest.approx(np.vdot(phi, phi).real, rel=1e-12)
+        assert abs(q1_form - q1) <= 1e-12 * max(1.0, abs(q1))
+        assert gain >= 0.0
 
 
 def test_mass_conserved_by_collisions():
@@ -292,20 +316,22 @@ def test_apply_expands_over_bilinears():
     basis = build_basis(3, 2, Statistics.BOSE)
     lp = Lprime(basis, coeffs)
     w = np.array([m.w for m in modes])
-    a = ladder_ops(basis)
-    adag = a.conj().transpose(0, 2, 1)
-    h0 = sum(w[h] * adag[h] @ a[h] for h in range(3))
-    coeff = lp.bilinear_coefficients(h0)
-    assert np.allclose(coeff, np.diag(w), atol=1e-10)
     rng = np.random.default_rng(5)
     c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x = np.einsum("hk,hab,kbc->ac", c, adag, a)
-    direct = np.einsum("hk,hkac->ac", c, lp.images())
-    assert frob(lp.apply(x) - direct) < 1e-10 * max(1.0, frob(direct))
-    # a two-particle projector has no bilinear expansion
-    q = two_particle_state(basis, 0, 1)
-    with pytest.raises(ValueError, match="bilinear"):
-        lp.apply(np.outer(q, q.conj()))
+    for kernel in (np.diag(w), c):
+        direct = sum(kernel[h, k] * lp.apply_bilinear(h, k)
+                     for h in range(3) for k in range(3))
+        assert frob(lp.apply(kernel) - direct) < 1e-10 * max(1.0, frob(direct))
+    stacked = lp.images([np.diag(w), c])
+    assert frob(stacked[1] - lp.apply(c)) == 0.0
+    # against the loop-built oracle, for a kernel with no symmetry, at n_max 3
+    deep = build_basis(3, 3, Statistics.BOSE)
+    oracle = sum(c[h, k] * oracle_bilinear_image(deep, modes, coeffs, h, k)
+                 for h in range(3) for k in range(3))
+    got = Lprime(deep, coeffs).apply(c)
+    assert frob(got - oracle) < 1e-10 * max(1.0, frob(oracle))
+    with pytest.raises(ValueError):
+        lp.apply(np.eye(4))
 
 
 def test_lprime_rejects_mismatched_basis():
