@@ -50,7 +50,7 @@ from .gibbs import (
     maxent_fit,
 )
 from .kinetics import ClosureSystem, integrate, trajectory_table
-from .matrixutil import frob, hermiticity_defect
+from .matrixutil import frob, hermiticity_defect, trace_product
 from .microsystem import (
     MicroModeSet,
     charge_op,
@@ -65,6 +65,9 @@ from .scattering import (
     pair_energies,
     pair_matrix_from_tensor,
 )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -170,6 +173,8 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
+        # bit-identical reports hold for one BLAS thread count (README)
+        **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},
     }
 
 
@@ -365,7 +370,10 @@ def _payload_maxent(cfg):
     fit = maxent_fit(ctx.basis, obs, targets, tol=mcfg["tol"],
                      max_iter=mcfg["max_iter"])
     residual = fit.residual_norms[-1]
-    checks = {"fit_residual": _max_check(residual, mcfg["tol"])}
+    checks = {
+        "fit_residual": _max_check(residual, mcfg["tol"]),
+        "velocity_self_consistent": _check(float(fit.converged), 1.0, fit.converged),
+    }
     values = {
         "iterations": fit.iterations,
         "beta_fit": [float(b) for b in fit.fields.beta],
@@ -449,7 +457,7 @@ def _payload_micro_demo(cfg):
     worst = 0.0
     for label, a in observables:
         ahat = one_body_micro(a, mset, joint.macro_dim)
-        full = complex(np.trace(ahat @ joint.weight))
+        full = complex(trace_product(ahat, joint.weight))
         reduced = reduce_expectation(a, joint)
         diff = abs(full - reduced)
         worst = max(worst, diff)

@@ -579,28 +579,24 @@ def energy_density_op(
 
 def _contact_cell_tensor(modes, potential: Contact, geom: BoxGeometry, grid: CellGrid, cell: int) -> np.ndarray:
     # delta interaction localizes both coordinates, so restrict the single
-    # integration variable to the cell: sin products integrated per cell
+    # integration variable to the cell: the four-sine product over [a, b]
+    # expands to eight cosines, summed here over every mode quadruple at once
     length = geom.lengths[0]
     numbers = mode_numbers(modes)[:, 0]
     (lo, hi), = grid.bounds(cell)
     a, b = lo / length, hi / length
-    nf = len(modes)
+    m1, m2, m3, m4 = np.ix_(numbers, numbers, numbers, numbers)
 
-    def quad_sin(m1, m2, m3, m4):
-        # integral over [a,b] of the four-sine product, expanded to cosines
-        total = 0.0
-        for s2, k2 in ((1.0, m1 - m4), (-1.0, m1 + m4)):
-            for s3, k3 in ((1.0, m2 - m3), (-1.0, m2 + m3)):
-                for s4, k4 in ((0.5, k2 - k3), (0.5, k2 + k3)):
-                    total += 0.25 * s2 * s3 * s4 * _sin_primitive(abs(k4), a, b)
-        return total
+    def cos_integral(k):
+        # integral over [a, b] of cos(k pi theta) d theta, k >= 0
+        safe = np.where(k == 0, 1, k) * np.pi
+        return np.where(k == 0, b - a, (np.sin(safe * b) - np.sin(safe * a)) / safe)
 
-    tensor = np.empty((nf, nf, nf, nf))
-    for i1, m1 in enumerate(numbers):
-        for i2, m2 in enumerate(numbers):
-            for j2, m3 in enumerate(numbers):
-                for j1, m4 in enumerate(numbers):
-                    tensor[i1, i2, j2, j1] = quad_sin(m1, m2, m3, m4)
+    tensor = 0.0
+    for s2, k2 in ((1.0, m1 - m4), (-1.0, m1 + m4)):
+        for s3, k3 in ((1.0, m2 - m3), (-1.0, m2 + m3)):
+            for s4, k4 in ((0.5, k2 - k3), (0.5, k2 + k3)):
+                tensor = tensor + 0.25 * s2 * s3 * s4 * cos_integral(np.abs(k4))
     return 4.0 * potential.g / length * tensor
 
 

@@ -76,6 +76,12 @@ class FockBasis:
         return self.states.sum(axis=1)
 
     @cached_property
+    def sectors(self) -> tuple[slice, ...]:
+        """One index slice per total number 0..n_max; the graded order keeps each contiguous."""
+        edges = np.cumsum(np.bincount(self.totals(), minlength=self.n_max + 1))
+        return tuple(slice(int(lo), int(hi)) for lo, hi in zip((0, *edges[:-1]), edges))
+
+    @cached_property
     def ladders(self) -> np.ndarray:
         """All annihilators stacked as a read-only (n_modes, dim, dim) array."""
         stack = np.stack([annihilation_op(self, f) for f in range(self.n_modes)])

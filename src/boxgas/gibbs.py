@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.special
 
 from .fieldmodel import (
     HBAR,
@@ -23,12 +23,22 @@ from .fieldmodel import (
     momentum_density_op,
 )
 from .fock import FockBasis
-from .matrixutil import frob, require_hermitian
+from .matrixutil import (
+    BlockDiagonal,
+    frob,
+    require_hermitian,
+    split_blocks,
+    trace_product,
+)
 
 FIT_TOL = 1e-8
 MAX_ITER = 200
 CHI_PSD_TOL = 1e-10
 STEP_CAP = 1e8
+
+
+class FitError(ValueError):
+    """A maximum-entropy fit failed to meet its targets; a closer start may succeed."""
 
 
 @dataclass(frozen=True)
@@ -91,13 +101,18 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class CellObservables:
-    """Rest-frame cell operators; boosted variants are exact linear combinations."""
+    """Rest-frame cell operators; boosted variants are exact linear combinations.
+
+    `blocks` holds the same operators split once into number-sector blocks,
+    stacked as energy0[c], then momentum0[c, ax] (cell-major), then mass[c].
+    """
 
     grid: CellGrid
     energy0: np.ndarray
     momentum0: np.ndarray
     mass: np.ndarray
     mass_unit: float
+    blocks: BlockDiagonal
 
     @property
     def n_cells(self) -> int:
@@ -106,6 +121,22 @@ class CellObservables:
     @property
     def dimension(self) -> int:
         return self.momentum0.shape[1]
+
+    def momentum_index(self, cell: int, ax: int) -> int:
+        return self.n_cells + cell * self.dimension + ax
+
+    def mass_index(self, cell: int) -> int:
+        return self.n_cells * (1 + self.dimension) + cell
+
+    @cached_property
+    def mass_bounds(self) -> np.ndarray:
+        """(lowest, highest) eigenvalue of each cell mass operator, per sector block."""
+        bounds = np.empty((self.n_cells, 2))
+        for c in range(self.n_cells):
+            evals = np.concatenate([np.linalg.eigvalsh(b) for b
+                                    in self.blocks[self.mass_index(c)].blocks])
+            bounds[c] = evals.min(), evals.max()
+        return bounds
 
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
@@ -120,8 +151,15 @@ def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
         momentum0.append(momentum_density_op(basis, modes, grid, cell,
                                              hbar=hbar, mass=mass))
         mass_ops.append(mass_density_op(basis, modes, grid, cell, mass=mass))
-    return CellObservables(grid, np.array(energy0), np.array(momentum0),
-                           np.array(mass_ops), float(mass))
+    energy0, momentum0, mass_ops = map(np.array, (energy0, momentum0, mass_ops))
+    n, d = momentum0.shape[:2]
+    names = ([f"energy[{c}]" for c in range(n)]
+             + [f"momentum[{c}][{ax}]" for c in range(n) for ax in range(d)]
+             + [f"mass[{c}]" for c in range(n)])
+    stack = np.concatenate([energy0, momentum0.reshape(n * d, basis.dim, basis.dim),
+                            mass_ops])
+    blocks = split_blocks(stack, basis.sectors, names)
+    return CellObservables(grid, energy0, momentum0, mass_ops, float(mass), blocks)
 
 
 def boosted_energy(obs: CellObservables, cell: int, velocity) -> np.ndarray:
@@ -146,6 +184,25 @@ def constraint_operator_list(obs: CellObservables, velocity) -> list[np.ndarray]
     return ops
 
 
+def _constraint_coefficients(obs: CellObservables, velocity) -> np.ndarray:
+    """Rows write the constraint operators (boosted energies, then masses)
+    as combinations of the `obs.blocks` stack."""
+    n, d = obs.n_cells, obs.dimension
+    v = np.asarray(velocity, dtype=float).reshape(n, d)
+    coeff = np.zeros((2 * n, n * (d + 2)))
+    for c in range(n):
+        coeff[c, c] = 1.0
+        coeff[c, obs.momentum_index(c, 0):obs.momentum_index(c, 0) + d] = -v[c]
+        coeff[c, obs.mass_index(c)] = 0.5 * float(v[c] @ v[c])
+        coeff[n + c, obs.mass_index(c)] = 1.0
+    return coeff
+
+
+def constraint_blocks(obs: CellObservables, velocity) -> BlockDiagonal:
+    """`constraint_operator_list` as one stack of number-sector blocks."""
+    return obs.blocks.combine(_constraint_coefficients(obs, velocity))
+
+
 def targets_vector(targets: ConstraintSet) -> np.ndarray:
     return np.concatenate([targets.energy, targets.mass])
 
@@ -159,29 +216,62 @@ def multipliers_to_fields(y: np.ndarray, velocity: np.ndarray) -> LagrangeFields
     n = y.size // 2
     alpha = y[:n]
     if np.any(alpha <= 0.0):
-        raise ValueError("fit landed at a non-positive inverse temperature")
+        raise FitError("fit landed at a non-positive inverse temperature")
     return LagrangeFields(beta=alpha, mu=-y[n:] / alpha, velocity=velocity)
 
 
 @dataclass(frozen=True)
 class GibbsState:
-    weight: np.ndarray
+    """exp(-K)/Z kept per diagonal block of K (the number sectors).
+
+    `probabilities[s]` and `vector_blocks[i]` are the eigenpairs of
+    `k.blocks[i]`, with `s = k.slices[i]`; eigenpairs are grouped by block,
+    ascending in K within each.  The dense `weight`, `k_matrix` and
+    `vectors` are assembled from the blocks on first use.
+    """
+
     fields: LagrangeFields | None
     log_z: float
-    k_matrix: np.ndarray
+    k: BlockDiagonal
     probabilities: np.ndarray
-    vectors: np.ndarray
+    vector_blocks: tuple
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return BlockDiagonal(self.k.slices, tuple(
+            (v * self.probabilities[s]) @ v.conj().T
+            for s, v in zip(self.k.slices, self.vector_blocks))).dense()
+
+    @cached_property
+    def k_matrix(self) -> np.ndarray:
+        return self.k.dense()
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return BlockDiagonal(self.k.slices, self.vector_blocks).dense()
 
 
-def gibbs_from_operator(k: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
-    """exp(-k)/Z by spectral calculus, shift-guarded against overflow."""
-    require_hermitian(k, name="exponent")
-    evals, vecs = np.linalg.eigh(k)
-    shifted = np.exp(-(evals - evals[0]))
-    probs = shifted / shifted.sum()
-    weight = (vecs * probs) @ vecs.conj().T
-    log_z = float(scipy.special.logsumexp(-evals))
-    return GibbsState(weight, fields, log_z, np.asarray(k), probs, vecs)
+def gibbs_from_operator(k, fields: LagrangeFields | None = None) -> GibbsState:
+    """exp(-k)/Z by spectral calculus per block, shift-guarded against overflow.
+
+    `k` is a BlockDiagonal over number sectors or, as its one-block case, a
+    dense hermitian matrix.  Probabilities are shifted by the lowest
+    eigenvalue over all blocks and normalised over all of them; ln Z is the
+    log-sum-exp of -eigenvalue with the same shift.
+    """
+    if not isinstance(k, BlockDiagonal):
+        k = np.asarray(k)
+        k = BlockDiagonal((slice(0, k.shape[0]),), (k,))
+    for block in k.blocks:
+        require_hermitian(block, name="exponent")
+    pairs = [np.linalg.eigh(block) for block in k.blocks]
+    evals = np.concatenate([e for e, _ in pairs])
+    low = evals.min()
+    shifted = np.exp(-(evals - low))
+    total = shifted.sum()
+    probs = shifted / total
+    log_z = float(np.log(total) - low)
+    return GibbsState(fields, log_z, k, probs, tuple(v for _, v in pairs))
 
 
 def gibbs_state(basis: FockBasis, obs: CellObservables,
@@ -190,17 +280,16 @@ def gibbs_state(basis: FockBasis, obs: CellObservables,
         raise ValueError("observables were built on a different basis")
     if fields.n_cells != obs.n_cells:
         raise ValueError("field cell count does not match the observables")
-    k = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c in range(obs.n_cells):
-        k += fields.beta[c] * (boosted_energy(obs, c, fields.velocity[c])
-                               - fields.mu[c] * obs.mass[c])
+    y = fields_to_multipliers(fields)
+    k = obs.blocks.combine(y @ _constraint_coefficients(obs, fields.velocity))
     return gibbs_from_operator(k, fields)
 
 
-def expectation(state, op: np.ndarray) -> float:
-    """Tr(w A) for hermitian A; rejects values with a non-real trace."""
+def expectation(state, op) -> float:
+    """Tr(w A) for hermitian A, dense or in blocks; rejects a non-real trace."""
     weight = getattr(state, "weight", state)
-    value = complex(np.trace(weight @ op))
+    value = complex(op.trace_with(weight) if isinstance(op, BlockDiagonal)
+                    else trace_product(weight, op))
     if abs(value.imag) > 1e-9 * (1.0 + abs(value)):
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)
@@ -255,15 +344,32 @@ def kubo_mori_susceptibility(state: GibbsState, a: np.ndarray, b: np.ndarray) ->
     bt = state.vectors.conj().T @ b @ state.vectors
     kernel = _km_kernel(state.probabilities)
     corr = np.einsum("ab,ab,ba->", kernel, at, bt)
-    return float((corr - np.trace(state.weight @ a) * np.trace(state.weight @ b)).real)
+    means = trace_product(state.weight, a) * trace_product(state.weight, b)
+    return float((corr - means).real)
+
+
+def _on_blocks(ops, slices) -> BlockDiagonal:
+    """A stack of operators as blocks over `slices`; dense ones are split and checked."""
+    if isinstance(ops, BlockDiagonal) and ops.slices == slices:
+        return ops
+    dense = ops.dense() if isinstance(ops, BlockDiagonal) else np.asarray(ops)
+    return split_blocks(dense, slices, [f"operator {i}" for i in range(len(dense))])
 
 
 def chi_matrix(state: GibbsState, ops) -> np.ndarray:
-    """Symmetric susceptibility matrix over a list of hermitian operators."""
-    transformed = np.array([state.vectors.conj().T @ op @ state.vectors for op in ops])
-    kernel = _km_kernel(state.probabilities)
-    corr = np.einsum("ab,iab,jba->ij", kernel, transformed, transformed)
-    means = np.array([np.trace(state.weight @ op) for op in ops])
+    """Symmetric susceptibility matrix over a list of hermitian operators.
+
+    The operators must keep the blocks of the state's exponent: the
+    Kubo-Mori transform runs per block and the correlations are summed.
+    """
+    ops = _on_blocks(ops, state.k.slices)
+    m = len(ops)
+    corr = 0.0
+    for s, vecs, block in zip(ops.slices, state.vector_blocks, ops.blocks):
+        t = vecs.conj().T @ block @ vecs
+        weighted = _km_kernel(state.probabilities[s]) * t
+        corr = corr + weighted.reshape(m, -1) @ t.transpose(0, 2, 1).reshape(m, -1).T
+    means = ops.trace_with(state.weight)
     chi = corr - np.outer(means, means)
     chi = 0.5 * (chi + chi.conj().T)
     return chi.real
@@ -282,14 +388,13 @@ def _dual_value(log_z: float, y: np.ndarray, targets: np.ndarray) -> float:
     return log_z + float(y @ targets)
 
 
-def _newton_fit(ops, targets: np.ndarray, y0: np.ndarray, tol: float,
+def _newton_fit(ops: BlockDiagonal, targets: np.ndarray, y0: np.ndarray, tol: float,
                 max_iter: int) -> tuple[np.ndarray, GibbsState, int, list]:
     """Damped Newton on the dual potential ln Z + y . targets."""
-    ops = np.asarray(ops)
     scales = np.maximum(1.0, np.abs(targets))
     y = np.asarray(y0, dtype=float).copy()
     trace = []
-    state = gibbs_from_operator(np.einsum("i,iab->ab", y, ops))
+    state = gibbs_from_operator(ops.combine(y))
     dual = _dual_value(state.log_z, y, targets)
     best = None
     for iteration in range(1, max_iter + 1):
@@ -310,38 +415,36 @@ def _newton_fit(ops, targets: np.ndarray, y0: np.ndarray, tol: float,
         chi = chi_matrix(state, ops)
         low = float(np.min(np.linalg.eigvalsh(chi)))
         if low < -CHI_PSD_TOL * max(1.0, float(np.max(np.abs(chi)))):
-            raise ValueError(f"susceptibility matrix not positive semidefinite ({low:.3e})")
+            raise FitError(f"susceptibility matrix not positive semidefinite ({low:.3e})")
         # lstsq keeps consistent-but-degenerate constraint sets workable
         # (proportional observables); inconsistent ones fail to converge.
         step, *_ = np.linalg.lstsq(chi, residual, rcond=1e-12)
         if float(residual @ step) < -1e-12 * float(np.abs(residual) @ np.abs(step) + 1e-300):
-            raise ValueError("Newton direction failed the descent check")
+            raise FitError("Newton direction failed the descent check")
         if np.linalg.norm(step) > STEP_CAP * (1.0 + np.linalg.norm(y)):
-            raise ValueError(
+            raise FitError(
                 "unbounded dual step: targets are infeasible for this observable set"
             )
         size = 1.0
         for _ in range(40):
             y_trial = y + size * step
-            state_trial = gibbs_from_operator(np.einsum("i,iab->ab", y_trial, ops))
+            state_trial = gibbs_from_operator(ops.combine(y_trial))
             dual_trial = _dual_value(state_trial.log_z, y_trial, targets)
             if dual_trial <= dual + 1e-12 * max(1.0, abs(dual)):
                 break
             size *= 0.5
         y, state, dual = y_trial, state_trial, dual_trial
-    raise ValueError(
+    raise FitError(
         f"maximum-entropy fit did not converge in {max_iter} iterations; "
         f"last scaled residual {trace[-1]:.3e}"
     )
 
 
 def _feasibility_check(obs: CellObservables, targets: ConstraintSet) -> None:
-    for c in range(obs.n_cells):
-        bounds = np.linalg.eigvalsh(obs.mass[c])
-        lo, hi = float(bounds[0]), float(bounds[-1])
+    for c, (lo, hi) in enumerate(obs.mass_bounds):
         margin = 1e-9 * max(1.0, abs(hi))
         if not (lo - margin <= targets.mass[c] <= hi + margin):
-            raise ValueError(
+            raise FitError(
                 f"infeasible mass target {targets.mass[c]:.6g} for cell {c}: "
                 f"attainable range [{lo:.6g}, {hi:.6g}]"
             )
@@ -354,7 +457,8 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
 
     Newton runs on the (energy, mass) multipliers at fixed velocity; the
     velocity is then re-solved from the rest-frame momentum expectations
-    until self-consistent.
+    until self-consistent.  `converged` is False when `outer_iter` passes
+    end before the velocity settles.
     """
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
@@ -362,7 +466,9 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
     t_vec = targets_vector(targets)
     n = obs.n_cells
     if init is None:
-        total_ops = [obs.energy0.sum(axis=0), obs.mass.sum(axis=0)]
+        rest = _constraint_coefficients(obs, np.zeros((n, obs.dimension)))
+        total_ops = obs.blocks.combine(np.stack([rest[:n].sum(axis=0),
+                                                 rest[n:].sum(axis=0)]))
         total_targets = np.array([targets.energy.sum(), targets.mass.sum()])
         y2, _, _, _ = _newton_fit(total_ops, total_targets, np.array([1e-2, 0.0]),
                                   tol=1e-6, max_iter=max_iter)
@@ -375,24 +481,27 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
         velocity = init.velocity.copy()
     iterations = 0
     trace: list = []
+    converged = False
     for _ in range(outer_iter):
-        ops = constraint_operator_list(obs, velocity)
+        ops = constraint_blocks(obs, velocity)
         y, state, used, inner_trace = _newton_fit(ops, t_vec, y, tol, max_iter)
         iterations += used
         trace.extend(inner_trace)
         v_new = np.zeros_like(velocity)
         for c in range(n):
-            mass_val = expectation(state, obs.mass[c])
+            mass_val = expectation(state, obs.blocks[obs.mass_index(c)])
             if mass_val > 1e-12:
                 for ax in range(obs.dimension):
-                    v_new[c, ax] = expectation(state, obs.momentum0[c, ax]) / mass_val
-        if np.max(np.abs(v_new - velocity)) <= 1e-12 * (1.0 + np.max(np.abs(velocity))):
-            velocity = v_new
-            break
+                    v_new[c, ax] = expectation(
+                        state, obs.blocks[obs.momentum_index(c, ax)]) / mass_val
+        converged = bool(np.max(np.abs(v_new - velocity))
+                         <= 1e-12 * (1.0 + np.max(np.abs(velocity))))
         velocity = v_new
+        if converged:
+            break
     fields = multipliers_to_fields(y, velocity)
     final = gibbs_state(basis, obs, fields)
-    return FitResult(fields, final, iterations, trace, True)
+    return FitResult(fields, final, iterations, trace, converged)
 
 
 def constrained_perturbation(state: GibbsState, ops, rng,

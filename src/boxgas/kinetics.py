@@ -19,10 +19,11 @@ from .fieldmodel import HBAR, Zero, cell_kernels
 from .fock import FockBasis
 from .gibbs import (
     ConstraintSet,
+    FitError,
     LagrangeFields,
     cell_observables,
     chi_matrix,
-    constraint_operator_list,
+    constraint_blocks,
     entropy,
     expectation,
     fields_to_multipliers,
@@ -30,6 +31,7 @@ from .gibbs import (
     maxent_fit,
 )
 from .generator import GeneratorCoefficients, Lprime
+from .matrixutil import trace_product
 from .scattering import collision_time_estimate
 
 RATE_IMAG_TOL = 1e-9
@@ -40,8 +42,9 @@ MAX_HALVINGS = 10
 class ClosureSystem:
     """Cell moments driven by the coarse-grained generator.
 
-    `operators` and `kernels` hold the same moments, as dense operators for
-    the Gibbs states and as one-body kernels for the generator `images`.
+    `operators` and `kernels` hold the same moments, as a stack of
+    number-sector blocks for the Gibbs states and as one-body kernels for the
+    generator `images`.
     """
 
     def __init__(self, basis: FockBasis, modes, grid, coeffs: GeneratorCoefficients,
@@ -57,7 +60,7 @@ class ClosureSystem:
         self.fields = fields
         self.hbar = float(hbar)
         self.obs = cell_observables(basis, modes, grid, Zero(), grid.geom, hbar=hbar)
-        self.operators = constraint_operator_list(self.obs, fields.velocity)
+        self.operators = constraint_blocks(self.obs, fields.velocity)
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
         per_cell = [cell_kernels(modes, grid, c, hbar=hbar) for c in range(grid.n_cells)]
@@ -71,9 +74,8 @@ class ClosureSystem:
         return self.grid.n_cells
 
     def state_for(self, fields: LagrangeFields):
-        y = fields_to_multipliers(fields)
-        k = np.einsum("i,iab->ab", y, np.asarray(self.operators))
-        return gibbs_from_operator(k, fields)
+        return gibbs_from_operator(self.operators.combine(fields_to_multipliers(fields)),
+                                   fields)
 
     def moments_of(self, fields: LagrangeFields) -> np.ndarray:
         state = self.state_for(fields)
@@ -83,7 +85,7 @@ class ClosureSystem:
 def _moment_rates(weight: np.ndarray, images, name: str = "moment") -> np.ndarray:
     rates = []
     for image in images:
-        value = complex(np.trace(weight @ image))
+        value = complex(trace_product(weight, image))
         if abs(value.imag) > RATE_IMAG_TOL * (1.0 + abs(value)):
             raise ValueError(f"{name} rate has imaginary part {value.imag:.3e}")
         rates.append(value.real)
@@ -142,10 +144,17 @@ class StateTrajectory:
         return self.times.size - 1
 
 
-def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
+def _fit(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
     n = sys.n_cells
-    targets = ConstraintSet(moments[:n], moments[n:])
-    fit = maxent_fit(sys.basis, sys.obs, targets, init=warm)
+    fit = maxent_fit(sys.basis, sys.obs, ConstraintSet(moments[:n], moments[n:]),
+                     init=warm)
+    if not fit.converged:
+        raise FitError("maximum-entropy velocity loop did not reach self-consistency")
+    return fit
+
+
+def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
+    fit = _fit(sys, moments, warm)
     return _moment_rates(fit.state.weight, sys.images), fit
 
 
@@ -156,10 +165,7 @@ def _rk4_step(sys: ClosureSystem, fields: LagrangeFields, moments: np.ndarray,
     k3, f3 = _fitted_rate(sys, moments + 0.5 * step * k2, f2.fields)
     k4, f4 = _fitted_rate(sys, moments + step * k3, f3.fields)
     new_moments = moments + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    n = sys.n_cells
-    fit = maxent_fit(sys.basis, sys.obs,
-                     ConstraintSet(new_moments[:n], new_moments[n:]),
-                     init=f4.fields)
+    fit = _fit(sys, new_moments, f4.fields)
     return fit.fields, new_moments, fit
 
 
@@ -168,7 +174,8 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
 
     The step must respect the coarse-graining window: dt >= 5 tau0 (hard
     error) and dt <= t_span / 4.  Rejected steps are halved, never past the
-    window floor and at most ten times, then the run aborts.
+    window floor and at most ten times, then the run aborts.  Only a failed
+    maximum-entropy fit (FitError) rejects a step; any other error propagates.
     """
     if t_span <= 0.0 or dt <= 0.0:
         raise ValueError("t_span and dt must be positive")
@@ -201,7 +208,7 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
             try:
                 new_fields, new_moments, fit = _rk4_step(sys, fields, moments, step)
                 break
-            except ValueError as exc:
+            except FitError as exc:
                 halvings += 1
                 if halvings > MAX_HALVINGS:
                     raise ValueError(

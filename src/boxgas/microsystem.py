@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixutil import dagger, frob, require_hermitian
+from .matrixutil import dagger, frob, require_hermitian, trace_product
 
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-8
@@ -153,9 +153,9 @@ def reduce_expectation(a_matrix: np.ndarray, joint: JointState) -> complex:
     the full joint-space trace before handing it back.
     """
     a = np.asarray(a_matrix, dtype=complex)
-    reduced = complex(np.trace(a @ joint.micro_matrix))
+    reduced = complex(trace_product(a, joint.micro_matrix))
     ahat = one_body_micro(a, joint.mset, joint.macro_dim)
-    full = complex(np.trace(ahat @ joint.weight))
+    full = complex(trace_product(ahat, joint.weight))
     if abs(full - reduced) > REDUCTION_TOL * (1.0 + abs(reduced)):
         raise ValueError(
             f"reduction identity violated: joint trace {full:.12g} vs "

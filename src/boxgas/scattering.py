@@ -64,13 +64,6 @@ def heisenberg_evolve(
     return q @ (np.outer(phase, phase.conj()) * x_tilde) @ q.conj().T
 
 
-def liouvillian(h: np.ndarray, hbar: float = HBAR) -> np.ndarray:
-    """Superoperator matrix of X -> (i/hbar)[H, X] on row-major vec(X)."""
-    n = h.shape[0]
-    eye = np.eye(n)
-    return (1j / hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
 def resolvent_apply(
     h: np.ndarray,
     z: complex,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from boxgas import cli
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 
@@ -156,6 +158,32 @@ def test_maxent_round_trip(tmp_path):
     header, rows = read_csv(tmp_path / "fit_trace.csv")
     assert header == ["iteration", "residual"]
     assert float(rows[-1][1]) <= 1e-8
+
+
+def test_maxent_unsettled_velocity_exits_one(tmp_path, monkeypatch):
+    real_fit = cli.maxent_fit
+
+    def unsettled_fit(*args, **kwargs):
+        return dataclasses.replace(real_fit(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(cli, "maxent_fit", unsettled_fit)
+    result = run_cli(["maxent", "--config", str(CONFIGS / "maxent_roundtrip.yaml"),
+                      "--out", str(tmp_path), "--quiet"])
+    assert result.exit_code == 1
+    report = read_report(tmp_path)
+    assert report["passed"] is False
+    assert report["checks"]["velocity_self_consistent"]["passed"] is False
+    assert "failed invariant: velocity_self_consistent" in result.output
+
+
+def test_report_records_blas_thread_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    result = run_cli(["modes", "--out", str(tmp_path), "--quiet"])
+    assert result.exit_code == 0
+    versions = read_report(tmp_path)["versions"]
+    assert versions["OPENBLAS_NUM_THREADS"] == "3"
+    assert versions["OMP_NUM_THREADS"] == "unset"
 
 
 def test_maxent_infeasible_exits_one(tmp_path):

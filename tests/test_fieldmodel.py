@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from boxgas.fieldmodel import (
+    _contact_cell_tensor,
+    _sin_primitive,
     BoxGeometry,
     CellGrid,
     Contact,
@@ -17,6 +19,7 @@ from boxgas.fieldmodel import (
     hamiltonian,
     mass_density_op,
     mode_energies,
+    mode_numbers,
     modes_from_numbers,
     momentum_density_op,
     overlap_g,
@@ -113,6 +116,45 @@ def test_contact_tensor_matches_quadrature():
         assert tensor[idx] == pytest.approx(ref, abs=1e-12)
     assert np.max(np.abs(tensor - tensor.transpose(1, 0, 3, 2))) < 1e-13
     assert np.max(np.abs(tensor - tensor.transpose(3, 2, 1, 0))) < 1e-13
+
+
+def loop_contact_cell_tensor(modes, potential, geom, grid, cell):
+    """Oracle: the cell-restricted contact tensor, one mode quadruple at a time."""
+    length = geom.lengths[0]
+    numbers = mode_numbers(modes)[:, 0]
+    (lo, hi), = grid.bounds(cell)
+    a, b = lo / length, hi / length
+
+    def quad_sin(m1, m2, m3, m4):
+        total = 0.0
+        for s2, k2 in ((1.0, m1 - m4), (-1.0, m1 + m4)):
+            for s3, k3 in ((1.0, m2 - m3), (-1.0, m2 + m3)):
+                for s4, k4 in ((0.5, k2 - k3), (0.5, k2 + k3)):
+                    total += 0.25 * s2 * s3 * s4 * _sin_primitive(abs(k4), a, b)
+        return total
+
+    nf = len(modes)
+    tensor = np.empty((nf, nf, nf, nf))
+    for i1, m1 in enumerate(numbers):
+        for i2, m2 in enumerate(numbers):
+            for j2, m3 in enumerate(numbers):
+                for j1, m4 in enumerate(numbers):
+                    tensor[i1, i2, j2, j1] = quad_sin(m1, m2, m3, m4)
+    return 4.0 * potential.g / length * tensor
+
+
+@pytest.mark.parametrize("numbers,cells", [((1, 2, 3), 2), ((1, 2, 3, 4, 5), 2),
+                                           ((2, 3, 5, 7), 3)])
+def test_contact_cell_tensor_matches_loop_oracle(numbers, cells):
+    geom = BoxGeometry((1.3,))
+    modes = modes_from_numbers(geom, [(k,) for k in numbers])
+    grid = CellGrid(geom, (cells,))
+    pot = Contact(g=0.7)
+    for cell in range(cells):
+        got = _contact_cell_tensor(modes, pot, geom, grid, cell)
+        want = loop_contact_cell_tensor(modes, pot, geom, grid, cell)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_zero_potential_tensor():

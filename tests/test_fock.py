@@ -228,3 +228,17 @@ def test_ladder_stack_built_once_and_read_only():
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("statistics,n_modes,n_max", [
+    (Statistics.BOSE, 3, 2), (Statistics.BOSE, 5, 4), (Statistics.FERMI, 4, 3)])
+def test_sectors_are_contiguous_number_slices(statistics, n_modes, n_max):
+    basis = build_basis(n_modes, n_max, statistics)
+    sectors = basis.sectors
+    assert len(sectors) == n_max + 1
+    assert sectors[0].start == 0 and sectors[-1].stop == basis.dim
+    totals = basis.totals()
+    for n, s in enumerate(sectors):
+        assert s.stop - s.start == sector_dimension(n_modes, n, statistics)
+        assert np.all(totals[s] == n)
+    assert basis.sectors is sectors

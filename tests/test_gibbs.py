@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
+from boxgas import gibbs as gibbs_module
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -19,10 +23,12 @@ from boxgas.fieldmodel import (
     total_mass_op,
     whole_box_grid,
 )
-from boxgas.fock import Statistics, build_basis
+from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
 from boxgas.gibbs import (
+    _km_kernel,
     CellObservables,
     ConstraintSet,
+    FitError,
     FitResult,
     LagrangeFields,
     boosted_energy,
@@ -30,6 +36,7 @@ from boxgas.gibbs import (
     cell_observables,
     chi_matrix,
     constrained_perturbation,
+    constraint_blocks,
     constraint_operator_list,
     constraint_values,
     entropy,
@@ -41,7 +48,7 @@ from boxgas.gibbs import (
     targets_vector,
     uniform_fields,
 )
-from boxgas.matrixutil import frob
+from boxgas.matrixutil import BlockDiagonal, frob, split_blocks
 
 GEOM = BoxGeometry((1.0,))
 UNIT = 0.5 * math.pi ** 2  # lowest box level for L = m = hbar = 1
@@ -107,6 +114,13 @@ def test_boosted_operators_match_field_builders():
         scale = max(frob(direct_e), 1.0)
         assert frob(boosted_energy(obs, cell, vel.values[cell]) - direct_e) <= 1e-12 * scale
         assert frob(boosted_momentum(obs, cell, vel.values[cell]) - direct_p) <= 1e-12 * scale
+    # the sector-block stack and the Gibbs exponent carry the same boost
+    dense = np.array(constraint_operator_list(obs, vel.values))
+    scale = max(frob(dense), 1.0)
+    assert frob(constraint_blocks(obs, vel.values).dense() - dense) <= 1e-13 * scale
+    fields = LagrangeFields(np.array([0.7, 1.2]), np.array([0.1, -0.2]), vel.values)
+    want = sum(fields.beta[c] * (dense[c] - fields.mu[c] * dense[2 + c]) for c in range(2))
+    assert frob(gibbs_state(basis, obs, fields).k_matrix - want) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +403,133 @@ def test_maximality_against_constrained_perturbations():
         values = np.array([float(np.trace(w_prime @ op).real) for op in ops])
         assert np.max(np.abs(values - t_vec) / np.maximum(1.0, np.abs(t_vec))) <= 1e-8
         assert s_star >= entropy(w_prime) - 1e-9
+
+
+
+def test_maxent_reports_unsettled_velocity_loop():
+    # the velocity fixed point contracts slowly from a start at 0.3; the fit
+    # must say so instead of claiming convergence
+    _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
+    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]),
+                                 np.zeros((2, 1)))
+    energy, mass_vals, _ = constraint_values(gibbs_state(basis, obs, true_fields), obs)
+    targets = ConstraintSet(energy, mass_vals)
+    assert maxent_fit(basis, obs, targets).converged
+    moving = LagrangeFields(true_fields.beta, true_fields.mu, np.full((2, 1), 0.3))
+    assert not maxent_fit(basis, obs, targets, init=moving).converged
+
+
+def test_fit_failures_raise_fit_error():
+    _, basis, _, obs = make_system()
+    with pytest.raises(FitError, match="infeasible mass target"):
+        maxent_fit(basis, obs, ConstraintSet(np.array([1.0]), np.array([100.0])))
+    with pytest.raises(FitError, match="unbounded dual step|did not converge"):
+        maxent_fit(basis, obs, ConstraintSet(np.array([1e4]), np.array([1.0])))
+
+
+def test_mass_bounds_match_dense_spectrum():
+    _, _, _, obs = make_system(cells=2, potential=Contact(0.8))
+    for c in range(obs.n_cells):
+        evals = np.linalg.eigvalsh(obs.mass[c])
+        assert np.allclose(obs.mass_bounds[c], [evals[0], evals[-1]], atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# number-sector blocks against the dense oracle
+
+SECTOR_CASES = [(Statistics.BOSE, 2, 3), (Statistics.BOSE, 3, 2), (Statistics.BOSE, 3, 3),
+                (Statistics.BOSE, 4, 2), (Statistics.FERMI, 3, 2), (Statistics.FERMI, 4, 3),
+                (Statistics.FERMI, 5, 2)]
+
+
+def random_conserving(basis, rng, two_body=True):
+    """Random hermitian one-body plus two-body operator; commutes with N."""
+    f = basis.n_modes
+    op = one_body_operator(basis, random_hermitian(rng, f))
+    if two_body:
+        raw = rng.standard_normal((f,) * 4) + 1j * rng.standard_normal((f,) * 4)
+        op = op + two_body_operator(basis, 0.5 * (raw + raw.conj().transpose(3, 2, 1, 0)))
+    return op
+
+
+def dense_gibbs_oracle(k):
+    """The single-eigh construction: weight, ln Z and probabilities."""
+    evals, vecs = np.linalg.eigh(k)
+    probs = np.exp(-(evals - evals[0]))
+    probs /= probs.sum()
+    return (vecs * probs) @ vecs.conj().T, float(scipy.special.logsumexp(-evals)), probs, vecs
+
+
+def dense_chi_oracle(k, ops):
+    weight, _, probs, vecs = dense_gibbs_oracle(k)
+    transformed = np.array([vecs.conj().T @ op @ vecs for op in ops])
+    corr = np.einsum("ab,iab,jba->ij", _km_kernel(probs), transformed, transformed)
+    means = np.array([np.trace(weight @ op) for op in ops])
+    chi = corr - np.outer(means, means)
+    return (0.5 * (chi + chi.conj().T)).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SECTOR_CASES), seed=st.integers(0, 2 ** 32 - 1))
+def test_sector_blocks_match_dense_oracle(case, seed):
+    statistics, n_modes, n_max = case
+    basis = build_basis(n_modes, n_max, statistics)
+    rng = np.random.default_rng(seed)
+    k = random_conserving(basis, rng)
+    ops = [random_conserving(basis, rng, two_body=False) for _ in range(3)]
+    state = gibbs_from_operator(split_blocks(k, basis.sectors, ["K"]))
+    weight, log_z, probs, _ = dense_gibbs_oracle(k)
+    assert np.max(np.abs(state.weight - weight)) <= 1e-12
+    assert abs(state.log_z - log_z) <= 1e-12 * (1.0 + abs(log_z))
+    assert np.max(np.abs(np.sort(state.probabilities) - np.sort(probs))) <= 1e-12
+    assert np.max(np.abs(state.k_matrix - k)) == 0.0
+    chi_want = dense_chi_oracle(k, ops)
+    scale = max(1.0, float(np.max(np.abs(chi_want))))
+    for given_ops in (ops, split_blocks(np.array(ops), basis.sectors, ["A0", "A1", "A2"])):
+        assert np.max(np.abs(chi_matrix(state, given_ops) - chi_want)) <= 1e-12 * scale
+    for i, op in enumerate(ops):
+        want = float(np.trace(weight @ op).real)
+        blocks = split_blocks(op, basis.sectors, [f"A{i}"])
+        for given_op in (op, blocks):
+            assert abs(expectation(state, given_op) - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_off_sector_entries_are_rejected():
+    basis = build_basis(3, 2, Statistics.BOSE)
+    rng = np.random.default_rng(8)
+    k = random_conserving(basis, rng)
+    leak = k.copy()
+    leak[0, 1] += 1e-15
+    leak[1, 0] += 1e-15
+    with pytest.raises(ValueError, match=r"K has entries outside its number sectors"):
+        split_blocks(leak, basis.sectors, ["K"])
+    state = gibbs_from_operator(split_blocks(k, basis.sectors, ["K"]))
+    with pytest.raises(ValueError, match="operator 1 has entries outside"):
+        chi_matrix(state, [k, leak])
+    # on one block (a general exponent) the same operator is accepted
+    assert np.isfinite(chi_matrix(gibbs_from_operator(k), [k, leak])).all()
+
+
+def test_cell_observables_reject_off_sector_operator(monkeypatch):
+    real_mass = gibbs_module.mass_density_op
+
+    def leaking_mass(basis, *args, **kwargs):
+        op = real_mass(basis, *args, **kwargs).copy()
+        op[0, -1] = op[-1, 0] = 1e-3
+        return op
+
+    monkeypatch.setattr(gibbs_module, "mass_density_op", leaking_mass)
+    with pytest.raises(ValueError, match=r"mass\[0\] has entries outside its number sectors"):
+        make_system(cells=2)
+
+
+def test_block_stack_combine_and_dense():
+    basis = build_basis(3, 2, Statistics.FERMI)
+    rng = np.random.default_rng(9)
+    ops = np.array([random_conserving(basis, rng) for _ in range(3)])
+    blocks = split_blocks(ops, basis.sectors, ["a", "b", "c"])
+    assert isinstance(blocks, BlockDiagonal) and len(blocks) == 3
+    assert np.array_equal(blocks.dense(), ops)
+    y = rng.standard_normal(3)
+    assert np.max(np.abs(blocks.combine(y).dense() - np.einsum("i,iab->ab", y, ops))) <= 1e-13
+    assert np.array_equal(blocks[1].dense(), ops[1])

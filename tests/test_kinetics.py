@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from boxgas import kinetics
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -25,7 +27,7 @@ from boxgas.fock import (
     two_body_operator,
 )
 from boxgas.generator import build_coefficients, coefficients_from_potential, smearing_kernel
-from boxgas.gibbs import LagrangeFields
+from boxgas.gibbs import FitError, LagrangeFields
 from boxgas.kinetics import (
     ClosureSystem,
     GainLossReport,
@@ -202,6 +204,54 @@ def test_integrate_step_validation():
         integrate(sys, t_span=8.0 * floor, dt=4.0 * floor)
     with pytest.raises(ValueError, match="positive"):
         integrate(sys, t_span=-1.0, dt=1.0)
+
+
+def test_integrate_halves_step_on_fit_error(monkeypatch):
+    sys = make_system()
+    dt = 20.2 * sys.tau0
+    real_step = kinetics._rk4_step
+    steps = []
+
+    def flaky_step(sys_, fields, moments, step):
+        steps.append(step)
+        if len(steps) == 1:
+            raise FitError("synthetic fit failure")
+        return real_step(sys_, fields, moments, step)
+
+    monkeypatch.setattr(kinetics, "_rk4_step", flaky_step)
+    traj = integrate(sys, t_span=4.0 * dt, dt=dt)
+    assert steps[:2] == [dt, 0.5 * dt]
+    assert traj.times[1] == pytest.approx(0.5 * dt, rel=1e-15)
+
+
+def test_integrate_propagates_non_fit_errors(monkeypatch):
+    sys = make_system()
+    dt = 20.2 * sys.tau0
+    calls = []
+
+    def broken_step(sys_, fields, moments, step):
+        calls.append(step)
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(kinetics, "_rk4_step", broken_step)
+    with pytest.raises(ValueError, match="could not be broadcast") as info:
+        integrate(sys, t_span=4.0 * dt, dt=dt)
+    assert calls == [dt]
+    assert not isinstance(info.value, FitError)
+
+
+def test_unsettled_velocity_fit_rejects_step(monkeypatch):
+    sys = make_system()
+    dt = 20.2 * sys.tau0
+    real_fit = kinetics.maxent_fit
+
+    def unsettled_fit(*args, **kwargs):
+        return dataclasses.replace(real_fit(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(kinetics, "maxent_fit", unsettled_fit)
+    with pytest.raises(ValueError, match="velocity loop") as info:
+        integrate(sys, t_span=4.0 * dt, dt=dt)
+    assert isinstance(info.value.__cause__, FitError)
 
 
 def test_interacting_equilibrium_stays_fixed():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from boxgas.fieldmodel import BoxGeometry, Contact, box_modes, contact_tensor, hamiltonian, mode_energies
+from boxgas.fieldmodel import HBAR, BoxGeometry, Contact, box_modes, contact_tensor, hamiltonian, mode_energies
 from boxgas.fock import Statistics, build_basis, creation_op, annihilation_op, two_body_operator
-from boxgas.matrixutil import comm, vec, unvec
+from boxgas.matrixutil import comm
 from boxgas.scattering import (
     CoarseWindow,
     SingularQuery,
@@ -13,7 +13,6 @@ from boxgas.scattering import (
     coarse_window,
     collision_time_estimate,
     heisenberg_evolve,
-    liouvillian,
     onshell_tmatrix,
     pair_basis,
     pair_energies,
@@ -27,6 +26,22 @@ from boxgas.scattering import (
 )
 
 GEOM = BoxGeometry((1.0,))
+
+
+def vec(a):
+    """Row-major flattening, the order `liouvillian` acts on."""
+    return a.reshape(-1)
+
+
+def unvec(v, dim):
+    return v.reshape(dim, dim)
+
+
+def liouvillian(h, hbar=HBAR):
+    """Superoperator matrix of X -> (i/hbar)[H, X] on row-major vec(X)."""
+    n = h.shape[0]
+    eye = np.eye(n)
+    return (1j / hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 def random_hermitian(rng, n):
