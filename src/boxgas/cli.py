@@ -299,7 +299,7 @@ def _payload_tmatrix(cfg):
     t_norm = frob(t_on)
     v_norm = frob(v_pair)
     energies = pair_energies(ctx.modes, pairs)
-    # symmetry is an on-shell statement: equal-energy entries share one solve
+    # symmetry is an on-shell statement: equal-energy columns share one z
     onshell = np.abs(energies[:, None] - energies[None, :]) < 1e-9
     sym_defect = (frob((t_on - t_on.T) * onshell)
                   / max(frob(t_on * onshell), 1e-300))

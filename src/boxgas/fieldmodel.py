@@ -417,11 +417,19 @@ def potential_tensor(
     """Two-body interaction tensor V[l1, l2, f2, f1] by product Gauss-Legendre.
 
     Panels follow `grid` when given, so per-cell restrictions tile the result.
-    With `err_tol` set, an order-doubled estimate is compared against it and a
-    warning carries the estimate when it is exceeded.
+    With `err_tol` set, the `potential_tensor_error` estimate is compared
+    against it and a warning carries the estimate when it is exceeded.
     """
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
+    if err_tol is not None:
+        tensor, estimate = _tensor_and_error(modes, potential, geom, order, grid)
+        if estimate > err_tol:
+            warnings.warn(
+                f"quadrature error estimate {estimate:.3e} exceeds tolerance {err_tol:.3e}",
+                stacklevel=2,
+            )
+        return tensor
     if isinstance(potential, Contact):
         if geom.dimension != 1:
             raise ValueError("contact potential is 1D only")
@@ -430,27 +438,19 @@ def potential_tensor(
         nf = len(modes)
         return np.zeros((nf, nf, nf, nf))
     grid = grid if grid is not None else whole_box_grid(geom)
-    tensor = _symmetrize_tensor(_quad_tensor(modes, potential, grid, order))
-    if err_tol is not None:
-        estimate = float(
-            np.max(np.abs(tensor - _symmetrize_tensor(_quad_tensor(modes, potential, grid, 2 * order))))
-        )
-        if estimate > err_tol:
-            warnings.warn(
-                f"quadrature error estimate {estimate:.3e} exceeds tolerance {err_tol:.3e}",
-                stacklevel=2,
-            )
-    return tensor
+    return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order))
+
+
+def _tensor_and_error(modes, potential, geom: BoxGeometry, order: int, grid: CellGrid | None):
+    tensor = potential_tensor(modes, potential, geom, order, grid)
+    finer = potential_tensor(modes, potential, geom, 2 * order, grid)
+    return tensor, float(np.max(np.abs(tensor - finer)))
 
 
 def potential_tensor_error(modes, potential, geom: BoxGeometry, order: int = 8, grid: CellGrid | None = None) -> float:
-    """Max-norm difference between orders q and 2q; crude error estimate."""
-    if isinstance(potential, (Zero, Contact)):
-        return 0.0
-    grid = grid if grid is not None else whole_box_grid(geom)
-    a = _symmetrize_tensor(_quad_tensor(modes, potential, grid, order))
-    b = _symmetrize_tensor(_quad_tensor(modes, potential, grid, 2 * order))
-    return float(np.max(np.abs(a - b)))
+    """Max-norm difference between orders q and 2q; crude error estimate (zero
+    for the contact and zero potentials, whose tensors do not depend on q)."""
+    return _tensor_and_error(modes, potential, geom, order, grid)[1]
 
 
 def contact_tensor(modes, potential: Contact, geom: BoxGeometry) -> np.ndarray:

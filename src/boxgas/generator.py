@@ -19,7 +19,7 @@ import scipy.linalg
 from .fieldmodel import HBAR, MASS, mode_energies
 from .fock import FockBasis, Statistics, ladder_ops, one_body_operator, two_body_operator
 from .matrixutil import comm, frob
-from .scattering import onshell_tmatrix, pair_basis, tensor_from_pair_matrix
+from .scattering import onshell_tmatrix, pair_basis, pair_energies, tensor_from_pair_matrix
 
 SUPPORT_FACTOR = 4.0
 MASS_TOL = 1e-10
@@ -37,9 +37,7 @@ def smearing_kernel(mismatch, delta: float):
 
 def default_delta(modes, statistics: Statistics) -> float:
     """Mean spacing of the distinct two-particle energies."""
-    w = mode_energies(modes)
-    pairs = pair_basis(len(modes), statistics)
-    energies = np.sort([w[p1] + w[p2] for p1, p2 in pairs])
+    energies = np.sort(pair_energies(modes, pair_basis(len(modes), statistics)))
     gaps = np.diff(energies)
     gaps = gaps[gaps > 1e-9 * max(1.0, float(energies[-1]))]
     if gaps.size == 0:
@@ -93,10 +91,10 @@ def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
 
 
 def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: float,
-                                delta: float | None = None, hbar: float = HBAR,
-                                extrapolate: bool = True) -> GeneratorCoefficients:
+                                delta: float | None = None,
+                                hbar: float = HBAR) -> GeneratorCoefficients:
     """On-shell solve followed by coefficient assembly."""
-    t_on = onshell_tmatrix(modes, vtensor, statistics, eps, extrapolate=extrapolate)
+    t_on = onshell_tmatrix(modes, vtensor, statistics, eps)
     if delta is None:
         delta = default_delta(modes, statistics)
     return build_coefficients(modes, t_on, statistics, delta, hbar=hbar)

@@ -8,7 +8,7 @@ and is eliminated from the multiplier set by an outer consistency loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -274,10 +274,14 @@ def gibbs_from_operator(k, fields: LagrangeFields | None = None) -> GibbsState:
     return GibbsState(fields, log_z, k, probs, tuple(v for _, v in pairs))
 
 
-def gibbs_state(basis: FockBasis, obs: CellObservables,
-                fields: LagrangeFields) -> GibbsState:
+def _check_basis(basis: FockBasis, obs: CellObservables) -> None:
     if obs.energy0.shape[-1] != basis.dim:
         raise ValueError("observables were built on a different basis")
+
+
+def gibbs_state(basis: FockBasis, obs: CellObservables,
+                fields: LagrangeFields) -> GibbsState:
+    _check_basis(basis, obs)
     if fields.n_cells != obs.n_cells:
         raise ValueError("field cell count does not match the observables")
     y = fields_to_multipliers(fields)
@@ -460,8 +464,11 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
     until self-consistent.  `converged` is False when `outer_iter` passes
     end before the velocity settles.
     """
+    _check_basis(basis, obs)
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
+    if outer_iter < 1:
+        raise ValueError("outer_iter must be at least 1")
     _feasibility_check(obs, targets)
     t_vec = targets_vector(targets)
     n = obs.n_cells
@@ -496,12 +503,12 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
                         state, obs.blocks[obs.momentum_index(c, ax)]) / mass_val
         converged = bool(np.max(np.abs(v_new - velocity))
                          <= 1e-12 * (1.0 + np.max(np.abs(velocity))))
-        velocity = v_new
+        fit_velocity, velocity = velocity, v_new
         if converged:
             break
-    fields = multipliers_to_fields(y, velocity)
-    final = gibbs_state(basis, obs, fields)
-    return FitResult(fields, final, iterations, trace, converged)
+    # the last Newton state is the fit: its fields carry the velocity it was built at
+    fields = multipliers_to_fields(y, fit_velocity)
+    return FitResult(fields, replace(state, fields=fields), iterations, trace, converged)
 
 
 def constrained_perturbation(state: GibbsState, ops, rng,

@@ -20,6 +20,7 @@ from .fock import FockBasis
 from .gibbs import (
     ConstraintSet,
     FitError,
+    GibbsState,
     LagrangeFields,
     cell_observables,
     chi_matrix,
@@ -77,10 +78,6 @@ class ClosureSystem:
         return gibbs_from_operator(self.operators.combine(fields_to_multipliers(fields)),
                                    fields)
 
-    def moments_of(self, fields: LagrangeFields) -> np.ndarray:
-        state = self.state_for(fields)
-        return np.array([expectation(state, op) for op in self.operators])
-
 
 def _moment_rates(weight: np.ndarray, images, name: str = "moment") -> np.ndarray:
     rates = []
@@ -100,10 +97,10 @@ class RhsReport:
     chi: np.ndarray
 
 
-def closure_rhs(sys: ClosureSystem, fields: LagrangeFields | None = None) -> RhsReport:
-    """Moment rates b and the multiplier rates solving (-chi) dlambda/dt = b."""
-    fields = sys.fields if fields is None else fields
-    state = sys.state_for(fields)
+def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsReport:
+    """Moment rates b and the multiplier rates solving (-chi) dlambda/dt = b
+    at a Gibbs state of the system (default: the state of `sys.fields`)."""
+    state = sys.state_for(sys.fields) if state is None else state
     b = _moment_rates(state.weight, sys.images)
     chi = chi_matrix(state, sys.operators)
     evals, vecs = np.linalg.eigh(chi)
@@ -188,13 +185,14 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
         raise ValueError("dt must fit at least four steps into t_span")
     n = sys.n_cells
     fields = sys.fields
-    moments = sys.moments_of(fields)
+    state = sys.state_for(fields)
+    moments = np.array([expectation(state, op) for op in sys.operators])
     times = [0.0]
     field_rows = [fields]
     moment_rows = [moments]
     multiplier_rows = [fields_to_multipliers(fields)]
-    rep = closure_rhs(sys, fields)
-    entropy_rows = [entropy(sys.state_for(fields))]
+    rep = closure_rhs(sys, state)
+    entropy_rows = [entropy(state)]
     mass_rows = [float(moments[n:].sum())]
     energy_rows = [float(moments[:n].sum())]
     energy_rate_rows = [float(rep.moment_rates[:n].sum())]
@@ -223,7 +221,7 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
                 step /= 2.0
         t += step
         fields, moments = new_fields, new_moments
-        rep = closure_rhs(sys, fields)
+        rep = closure_rhs(sys, fit.state)
         times.append(t)
         field_rows.append(fields)
         moment_rows.append(moments)

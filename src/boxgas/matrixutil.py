@@ -22,7 +22,7 @@ def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - a.conj().T), initial=0.0))
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> None:

@@ -42,7 +42,7 @@ def spectral_decomposition(h: np.ndarray, tol: float = RECONSTRUCT_TOL) -> Spect
     require_hermitian(h, name="hamiltonian")
     energies, vectors = np.linalg.eigh(h)
     dec = SpectralDecomposition(energies, vectors)
-    scale = max(1.0, float(np.max(np.abs(energies))))
+    scale = max(1.0, float(np.max(np.abs(energies), initial=0.0)))
     residual = np.linalg.norm(dec.reconstruct() - h)
     if residual > tol * scale:
         raise ValueError(f"eigendecomposition residual {residual:.3e} exceeds {tol:.1e}")
@@ -120,6 +120,12 @@ def _pair_norms(pairs, statistics: Statistics) -> np.ndarray:
     return np.array([1.0 / np.sqrt(2.0) if p1 == p2 else 1.0 for p1, p2 in pairs])
 
 
+def _pair_indices(pairs):
+    """Mode indices of the pairs as (p1, p2) columns and (q1, q2) rows."""
+    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    return idx[:, :1], idx[:, 1:], idx[:, 0], idx[:, 1]
+
+
 def pair_matrix_from_tensor(tensor: np.ndarray, pairs, statistics: Statistics) -> np.ndarray:
     """Matrix elements of the two-body operator between normalized pair states.
 
@@ -127,15 +133,10 @@ def pair_matrix_from_tensor(tensor: np.ndarray, pairs, statistics: Statistics) -
     the tensor is.
     """
     norms = _pair_norms(pairs, statistics)
-    n = len(pairs)
-    m = np.empty((n, n), dtype=complex)
+    p1, p2, q1, q2 = _pair_indices(pairs)
     sign = -1.0 if statistics is Statistics.FERMI else 1.0
-    for i, (p1, p2) in enumerate(pairs):
-        for j, (q1, q2) in enumerate(pairs):
-            m[i, j] = norms[i] * norms[j] * (
-                tensor[p1, p2, q2, q1] + sign * tensor[p1, p2, q1, q2]
-            )
-    return m
+    m = np.outer(norms, norms) * (tensor[p1, p2, q2, q1] + sign * tensor[p1, p2, q1, q2])
+    return m.astype(complex)
 
 
 def tensor_from_pair_matrix(m: np.ndarray, pairs, statistics: Statistics, n_modes: int) -> np.ndarray:
@@ -145,20 +146,14 @@ def tensor_from_pair_matrix(m: np.ndarray, pairs, statistics: Statistics, n_mode
     in both pairs.  Inverse of pair_matrix_from_tensor on its image.
     """
     norms = _pair_norms(pairs, statistics)
+    p1, p2, q1, q2 = _pair_indices(pairs)
+    sign = -1.0 if statistics is Statistics.FERMI else 1.0
+    val = 0.5 * np.asarray(m) / np.outer(norms, norms)
     tensor = np.zeros((n_modes,) * 4, dtype=complex)
-    fermi = statistics is Statistics.FERMI
-    for i, (p1, p2) in enumerate(pairs):
-        for j, (q1, q2) in enumerate(pairs):
-            if fermi:
-                half = 0.5 * m[i, j]
-                for la, lb, ls in ((p1, p2, 1.0), (p2, p1, -1.0)):
-                    for fa, fb, fs in ((q1, q2, 1.0), (q2, q1, -1.0)):
-                        tensor[la, lb, fb, fa] = ls * fs * half
-            else:
-                val = 0.5 * m[i, j] / (norms[i] * norms[j])
-                for la, lb in {(p1, p2), (p2, p1)}:
-                    for fa, fb in {(q1, q2), (q2, q1)}:
-                        tensor[la, lb, fb, fa] = val
+    tensor[p1, p2, q2, q1] = val
+    tensor[p2, p1, q1, q2] = val
+    tensor[p1, p2, q1, q2] = sign * val
+    tensor[p2, p1, q2, q1] = sign * val
     return tensor
 
 
@@ -174,54 +169,53 @@ class TwoBodyTMatrix:
 COND_CAP = 1e10
 
 
-def two_body_tmatrix(modes, vtensor, statistics: Statistics, z: complex,
-                     cond_cap: float = COND_CAP) -> TwoBodyTMatrix:
-    """Dense Lippmann-Schwinger solve T = V + V G0(z) T on the pair basis."""
+def _spectral_tmatrix(v_pair: np.ndarray, energies: np.ndarray, zs) -> list[np.ndarray]:
+    """T(z) = V + V (z - H_pair)^{-1} V with H_pair = diag(E) + V, for each z in zs.
+
+    A z may be one number or one value per column; column q is then taken at
+    z[q].  One eigendecomposition of H_pair serves every z.  The condition
+    number of z - H_pair is bounded by max_j |z - lambda_j| / Im z, and that
+    bound must stay below COND_CAP.
+    """
+    dec = spectral_decomposition(np.diag(energies) + v_pair)
+    vu = v_pair @ dec.vectors
+    uv = dec.vectors.conj().T @ v_pair
+    out = []
+    for z in zs:
+        gap = np.broadcast_to(z, energies.shape)[None, :] - dec.energies[:, None]
+        bound = float(np.max(np.abs(gap) / gap.imag, initial=0.0))
+        if bound > COND_CAP:
+            raise ValueError(
+                f"resolvent condition bound {bound:.3e} exceeds {COND_CAP:.1e}; "
+                "increase epsilon or weaken the coupling"
+            )
+        out.append(v_pair + vu @ (uv / gap))
+    return out
+
+
+def two_body_tmatrix(modes, vtensor, statistics: Statistics, z: complex) -> TwoBodyTMatrix:
+    """T(z) = V + V (z - H_pair)^{-1} V on the pair basis, the Lippmann-Schwinger
+    solution T = V + V G0(z) T."""
     if np.imag(z) <= 0:
         raise ValueError("z must lie in the upper half plane")
     pairs = pair_basis(len(modes), statistics)
     energies = pair_energies(modes, pairs)
     v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
-    t = _solve_tmatrix(v_pair, energies, z, cond_cap)
+    (t,) = _spectral_tmatrix(v_pair, energies, [z])
     return TwoBodyTMatrix(tuple(pairs), energies, z, t, v_pair)
 
 
-def _solve_tmatrix(v_pair: np.ndarray, energies: np.ndarray, z: complex, cond_cap: float) -> np.ndarray:
-    g0 = 1.0 / (z - energies)
-    lhs = np.eye(len(energies)) - v_pair * g0[None, :]
-    cond = np.linalg.cond(lhs)
-    if cond > cond_cap:
-        raise ValueError(
-            f"Lippmann-Schwinger system condition {cond:.3e} exceeds {cond_cap:.1e}; "
-            "increase epsilon or weaken the coupling"
-        )
-    return np.linalg.solve(lhs, v_pair)
-
-
-def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float,
-                    extrapolate: bool = True, cond_cap: float = COND_CAP) -> np.ndarray:
-    """On-shell T: column q solved at z = E_q + i eps.
-
-    With extrapolate=True the linear-in-eps bias is removed from two samples,
-    T_on = 2 T(eps/2) - T(eps).
-    """
+def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float) -> np.ndarray:
+    """On-shell T: column q taken at z = E_q + i eps, with the linear-in-eps
+    bias removed from two samples, T_on = 2 T(eps/2) - T(eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     pairs = pair_basis(len(modes), statistics)
     energies = pair_energies(modes, pairs)
     v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
-
-    def solve_at(e: float) -> np.ndarray:
-        t = np.empty_like(v_pair)
-        for col_energy in np.unique(energies):
-            cols = np.flatnonzero(np.abs(energies - col_energy) < 1e-12)
-            full = _solve_tmatrix(v_pair, energies, col_energy + 1j * e, cond_cap)
-            t[:, cols] = full[:, cols]
-        return t
-
-    if not extrapolate:
-        return solve_at(eps)
-    return 2.0 * solve_at(0.5 * eps) - solve_at(eps)
+    half, full = _spectral_tmatrix(v_pair, energies,
+                                   [energies + 0.5j * eps, energies + 1j * eps])
+    return 2.0 * half - full
 
 
 def collision_time_estimate(coeffs, hbar: float = HBAR) -> float:

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from boxgas.fieldmodel import HBAR, BoxGeometry, Contact, box_modes, contact_tensor, hamiltonian, mode_energies
+from boxgas.fieldmodel import (
+    HBAR,
+    BoxGeometry,
+    Contact,
+    Gaussian,
+    box_modes,
+    contact_tensor,
+    hamiltonian,
+    mode_energies,
+    potential_tensor,
+)
 from boxgas.fock import Statistics, build_basis, creation_op, annihilation_op, two_body_operator
 from boxgas.matrixutil import comm
 from boxgas.scattering import (
@@ -42,6 +52,59 @@ def liouvillian(h, hbar=HBAR):
     n = h.shape[0]
     eye = np.eye(n)
     return (1j / hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
+def loop_pair_matrix(tensor, pairs, stats):
+    """Pair-basis matrix element by element; oracle for pair_matrix_from_tensor."""
+    norms = [1.0 if stats is Statistics.FERMI or p1 != p2 else 1.0 / np.sqrt(2.0)
+             for p1, p2 in pairs]
+    sign = -1.0 if stats is Statistics.FERMI else 1.0
+    m = np.empty((len(pairs), len(pairs)), dtype=complex)
+    for i, (p1, p2) in enumerate(pairs):
+        for j, (q1, q2) in enumerate(pairs):
+            m[i, j] = norms[i] * norms[j] * (
+                tensor[p1, p2, q2, q1] + sign * tensor[p1, p2, q1, q2]
+            )
+    return m
+
+
+def loop_pair_tensor(m, pairs, stats, n_modes):
+    """Rank-4 tensor entry by entry; oracle for tensor_from_pair_matrix."""
+    norms = [1.0 if stats is Statistics.FERMI or p1 != p2 else 1.0 / np.sqrt(2.0)
+             for p1, p2 in pairs]
+    tensor = np.zeros((n_modes,) * 4, dtype=complex)
+    for i, (p1, p2) in enumerate(pairs):
+        for j, (q1, q2) in enumerate(pairs):
+            if stats is Statistics.FERMI:
+                half = 0.5 * m[i, j]
+                for la, lb, ls in ((p1, p2, 1.0), (p2, p1, -1.0)):
+                    for fa, fb, fs in ((q1, q2, 1.0), (q2, q1, -1.0)):
+                        tensor[la, lb, fb, fa] = ls * fs * half
+            else:
+                val = 0.5 * m[i, j] / (norms[i] * norms[j])
+                for la, lb in {(p1, p2), (p2, p1)}:
+                    for fa, fb in {(q1, q2), (q2, q1)}:
+                        tensor[la, lb, fb, fa] = val
+    return tensor
+
+
+def ls_onshell_oracle(modes, vtensor, stats, eps):
+    """Dense Lippmann-Schwinger solve T = V + V G0(z) T once per distinct pair
+    energy, column q at z = E_q + i eps, extrapolated as 2 T(eps/2) - T(eps)."""
+    pairs = pair_basis(len(modes), stats)
+    energies = pair_energies(modes, pairs)
+    v_pair = loop_pair_matrix(vtensor, pairs, stats)
+
+    def solve_at(e):
+        t = np.empty_like(v_pair)
+        for col_energy in np.unique(energies):
+            cols = np.flatnonzero(np.abs(energies - col_energy) < 1e-12)
+            g0 = 1.0 / (col_energy + 1j * e - energies)
+            lhs = np.eye(len(energies)) - v_pair * g0[None, :]
+            t[:, cols] = np.linalg.solve(lhs, v_pair)[:, cols]
+        return t
+
+    return 2.0 * solve_at(0.5 * eps) - solve_at(eps)
 
 
 def random_hermitian(rng, n):
@@ -213,6 +276,53 @@ def test_pair_tensor_round_trip():
         assert np.max(np.abs(back - m)) < 1e-12
         assert np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0))) < 1e-12
         assert np.max(np.abs(tensor - tensor.transpose(1, 0, 3, 2))) < 1e-12
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSE, Statistics.FERMI])
+@pytest.mark.parametrize("n_modes", [3, 6])
+def test_pair_maps_equal_loop_oracles(stats, n_modes):
+    rng = np.random.default_rng(11)
+    pairs = pair_basis(n_modes, stats)
+    n = len(pairs)
+    tensor = rng.normal(size=(n_modes,) * 4) + 1j * rng.normal(size=(n_modes,) * 4)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert np.array_equal(pair_matrix_from_tensor(tensor, pairs, stats),
+                          loop_pair_matrix(tensor, pairs, stats))
+    assert np.array_equal(tensor_from_pair_matrix(m, pairs, stats, n_modes),
+                          loop_pair_tensor(m, pairs, stats, n_modes))
+
+
+@pytest.mark.parametrize("eps", [0.1, 5.0])
+@pytest.mark.parametrize("potential, stats, n_modes", [
+    (Contact(0.6), Statistics.BOSE, 3),
+    (Gaussian(1.0, 0.25), Statistics.BOSE, 4),
+    (Gaussian(1.0, 0.25), Statistics.FERMI, 4),
+    (Gaussian(1.0, 0.25), Statistics.BOSE, 8),
+    (Gaussian(1.0, 0.25), Statistics.FERMI, 8),
+])
+def test_onshell_tmatrix_matches_ls_oracle(potential, stats, n_modes, eps):
+    # a contact tensor vanishes for spinless fermions, so Fermi runs gaussian only
+    modes = box_modes(GEOM, n_modes)
+    tensor = potential_tensor(modes, potential, GEOM, order=32)
+    oracle = ls_onshell_oracle(modes, tensor, stats, eps)
+    t_on = onshell_tmatrix(modes, tensor, stats, eps)
+    scale = np.max(np.abs(oracle))
+    assert scale > 0.0
+    assert np.max(np.abs(t_on - oracle)) <= 1e-9 * scale
+
+
+def test_onshell_tmatrix_condition_guard():
+    modes = box_modes(GEOM, 3)
+    tensor = contact_tensor(modes, Contact(g=0.6), GEOM)
+    with pytest.raises(ValueError, match="epsilon"):
+        onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=1e-13)
+
+
+def test_tmatrix_empty_pair_basis():
+    # one fermionic mode holds no pair state
+    modes = box_modes(GEOM, 1)
+    t_on = onshell_tmatrix(modes, np.zeros((1, 1, 1, 1)), Statistics.FERMI, eps=0.1)
+    assert t_on.shape == (0, 0)
 
 
 def test_tmatrix_zero_potential():
