@@ -323,18 +323,17 @@ def _payload_generator_check(cfg):
     ctx = _build_context(cfg)
     coeffs = _coefficients(ctx)
     lp = Lprime(ctx.basis, coeffs)
-    cons = conservation_report(ctx.basis, coeffs, lp=lp)
+    cons = conservation_report(lp)
     gcfg = cfg["generator"]
-    pos = positivity_check(ctx.basis, coeffs, n_samples=gcfg["n_samples"],
-                           tau_max=gcfg["tau_max"], seed=cfg["run"]["seed"],
-                           lp=lp)
+    pos = positivity_check(lp, n_samples=gcfg["n_samples"],
+                           tau_max=gcfg["tau_max"], seed=cfg["run"]["seed"])
     checks = {
         "mass_conservation": _max_check(cons.mass_residual, 1e-10),
         "positivity_min_real": _check(pos.min_real, -1e-10,
                                       pos.min_real > -1e-10),
         "positivity_max_imag": _max_check(pos.max_imag, 1e-10),
     }
-    tau0 = collision_time_estimate(coeffs)
+    tau0 = collision_time_estimate(coeffs.t_onshell)
     values = {
         "delta": coeffs.delta,
         "energy_residual": cons.energy_residual,
@@ -345,8 +344,7 @@ def _payload_generator_check(cfg):
         "collision_time": tau0 if math.isfinite(tau0) else None,
     }
     if frob(coeffs.jump) > 0.0:
-        wit = negative_tau_witness(ctx.basis, coeffs, seed=cfg["run"]["seed"],
-                                   lp=lp)
+        wit = negative_tau_witness(lp, seed=cfg["run"]["seed"])
         values["witness_tau"] = wit.tau
         values["witness_q"] = wit.q_value
         checks["negative_tau_witness"] = _check(wit.q_value, 0.0,

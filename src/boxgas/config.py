@@ -12,6 +12,8 @@ from typing import Any, Iterable
 import jsonschema
 import yaml
 
+from .fock import DIM_CAP, Statistics, sector_dimension
+
 
 class ConfigError(Exception):
     """Unusable configuration: bad syntax, bad schema, or bad shape."""
@@ -217,6 +219,14 @@ def _check_shapes(cfg: dict) -> None:
                 f"{dim}-dimensional box")
     if len(set(map(tuple, cfg["modes"]["numbers"]))) != len(cfg["modes"]["numbers"]):
         raise ConfigError("mode numbers contain duplicates")
+    n_modes = len(cfg["modes"]["numbers"])
+    n_max = cfg["basis"]["n_max"]
+    statistics = Statistics(cfg["basis"]["statistics"])
+    if statistics is Statistics.FERMI and n_max > n_modes:
+        raise ConfigError(f"fermionic n_max {n_max} exceeds mode count {n_modes}")
+    basis_dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
+    if basis_dim > DIM_CAP:
+        raise ConfigError(f"basis dimension {basis_dim} exceeds cap {DIM_CAP}")
     if cfg["potential"]["kind"] == "contact" and dim != 1:
         raise ConfigError(
             f"potential kind 'contact' is 1D only; the box is {dim}-dimensional")

@@ -17,8 +17,11 @@ import numpy as np
 
 from .fock import FockBasis, one_body_operator, two_body_operator
 
+# Units are fixed at hbar = m = 1; every formula reads these two constants.
 HBAR = 1.0
 MASS = 1.0
+# phase_space_op warns when less of the packet norm than this lies in the box
+PACKET_NORM_FLOOR = 0.99
 
 
 @dataclass(frozen=True)
@@ -54,24 +57,24 @@ class Mode:
             raise ValueError("mode energy must be positive")
 
 
-def mode_energy(geom: BoxGeometry, numbers, hbar: float = HBAR, mass: float = MASS) -> float:
+def mode_energy(geom: BoxGeometry, numbers) -> float:
     acc = 0.0
     for n, length in zip(numbers, geom.lengths):
         acc += (n / length) ** 2
-    return (hbar * np.pi) ** 2 / (2.0 * mass) * acc
+    return (HBAR * np.pi) ** 2 / (2.0 * MASS) * acc
 
 
-def modes_from_numbers(geom: BoxGeometry, numbers_list, hbar: float = HBAR, mass: float = MASS) -> list[Mode]:
+def modes_from_numbers(geom: BoxGeometry, numbers_list) -> list[Mode]:
     out = []
     for numbers in numbers_list:
         numbers = tuple(int(n) for n in numbers)
         if len(numbers) != geom.dimension:
             raise ValueError("mode numbers do not match geometry dimension")
-        out.append(Mode(numbers, mode_energy(geom, numbers, hbar, mass)))
+        out.append(Mode(numbers, mode_energy(geom, numbers)))
     return out
 
 
-def box_modes(geom: BoxGeometry, count: int, hbar: float = HBAR, mass: float = MASS) -> list[Mode]:
+def box_modes(geom: BoxGeometry, count: int) -> list[Mode]:
     """Lowest `count` modes ordered by energy, ties by lexicographic numbers."""
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -82,21 +85,16 @@ def box_modes(geom: BoxGeometry, count: int, hbar: float = HBAR, mass: float = M
             tuple(c)
             for c in itertools.product(range(1, cap + 1), repeat=geom.dimension)
         ]
-        candidates.sort(key=lambda c: (mode_energy(geom, c, hbar, mass), c))
+        candidates.sort(key=lambda c: (mode_energy(geom, c), c))
         if len(candidates) < count:
             continue
         # enumeration is complete below the cheapest mode outside the cap
         boundary = min(
-            mode_energy(
-                geom,
-                tuple(cap + 1 if i == ax else 1 for i in range(geom.dimension)),
-                hbar,
-                mass,
-            )
+            mode_energy(geom, tuple(cap + 1 if i == ax else 1 for i in range(geom.dimension)))
             for ax in range(geom.dimension)
         )
-        if mode_energy(geom, candidates[count - 1], hbar, mass) < boundary:
-            return modes_from_numbers(geom, candidates[:count], hbar, mass)
+        if mode_energy(geom, candidates[count - 1]) < boundary:
+            return modes_from_numbers(geom, candidates[:count])
 
 
 def mode_numbers(modes) -> np.ndarray:
@@ -447,10 +445,10 @@ def _tensor_and_error(modes, potential, geom: BoxGeometry, order: int, grid: Cel
     return tensor, float(np.max(np.abs(tensor - finer)))
 
 
-def potential_tensor_error(modes, potential, geom: BoxGeometry, order: int = 8, grid: CellGrid | None = None) -> float:
+def potential_tensor_error(modes, potential, geom: BoxGeometry, order: int = 8) -> float:
     """Max-norm difference between orders q and 2q; crude error estimate (zero
     for the contact and zero potentials, whose tensors do not depend on q)."""
-    return _tensor_and_error(modes, potential, geom, order, grid)[1]
+    return _tensor_and_error(modes, potential, geom, order, None)[1]
 
 
 def contact_tensor(modes, potential: Contact, geom: BoxGeometry) -> np.ndarray:
@@ -489,20 +487,18 @@ def contact_tensor(modes, potential: Contact, geom: BoxGeometry) -> np.ndarray:
 def hamiltonian(basis: FockBasis, modes, vtensor: np.ndarray) -> np.ndarray:
     if basis.n_modes != len(modes):
         raise ValueError("basis and mode list disagree on mode count")
-    h0 = one_body_operator(basis, np.diag(mode_energies(modes)).astype(complex))
-    return h0 + two_body_operator(basis, vtensor.astype(complex))
+    return free_hamiltonian(basis, modes) + two_body_operator(basis, vtensor.astype(complex))
 
 
 def free_hamiltonian(basis: FockBasis, modes) -> np.ndarray:
     return one_body_operator(basis, np.diag(mode_energies(modes)).astype(complex))
 
 
-def total_mass_op(basis: FockBasis, mass: float = MASS) -> np.ndarray:
-    return mass * one_body_operator(basis, np.eye(basis.n_modes, dtype=complex))
+def total_mass_op(basis: FockBasis) -> np.ndarray:
+    return MASS * one_body_operator(basis, np.eye(basis.n_modes, dtype=complex))
 
 
-def cell_kernels(modes, grid: CellGrid, cell: int, velocity: VelocityField | None = None,
-                 hbar: float = HBAR, mass: float = MASS):
+def cell_kernels(modes, grid: CellGrid, cell: int, velocity: VelocityField | None = None):
     """One-body kernels (kinetic energy, mass) of one cell, over the mode pairs (h, k).
 
     The kernel K stands for sum_hk K[h, k] a†_h a_k.  The kinetic energy is
@@ -512,16 +508,16 @@ def cell_kernels(modes, grid: CellGrid, cell: int, velocity: VelocityField | Non
     s_cell, g_cell, x_cell = cell_overlaps(modes, grid, cell)
     d = grid.geom.dimension
     v = np.zeros(d) if velocity is None else velocity.values[cell]
-    energy = (hbar ** 2 / (2.0 * mass)) * g_cell.astype(complex)
+    energy = (HBAR ** 2 / (2.0 * MASS)) * g_cell.astype(complex)
     for ax in range(d):
-        energy += 0.5j * hbar * v[ax] * (x_cell[ax] - x_cell[ax].T)
-    energy += 0.5 * mass * float(v @ v) * s_cell
-    return energy, (mass * s_cell).astype(complex)
+        energy += 0.5j * HBAR * v[ax] * (x_cell[ax] - x_cell[ax].T)
+    energy += 0.5 * MASS * float(v @ v) * s_cell
+    return energy, (MASS * s_cell).astype(complex)
 
 
-def mass_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int, mass: float = MASS) -> np.ndarray:
+def mass_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> np.ndarray:
     """Mass content of one cell; cells sum to the total mass operator."""
-    _, kernel = cell_kernels(modes, grid, cell, mass=mass)
+    _, kernel = cell_kernels(modes, grid, cell)
     return one_body_operator(basis, kernel)
 
 
@@ -531,8 +527,6 @@ def momentum_density_op(
     grid: CellGrid,
     cell: int,
     velocity: VelocityField | None = None,
-    hbar: float = HBAR,
-    mass: float = MASS,
 ) -> np.ndarray:
     """Cell momentum in the frame moving with the cell velocity; shape (d, dim, dim)."""
     s_cell, _, x_cell = cell_overlaps(modes, grid, cell)
@@ -540,7 +534,7 @@ def momentum_density_op(
     v = np.zeros(d) if velocity is None else velocity.values[cell]
     out = np.empty((d, basis.dim, basis.dim), dtype=complex)
     for ax in range(d):
-        kernel = 0.5j * hbar * (x_cell[ax].T - x_cell[ax]) - mass * v[ax] * s_cell
+        kernel = 0.5j * HBAR * (x_cell[ax].T - x_cell[ax]) - MASS * v[ax] * s_cell
         out[ax] = one_body_operator(basis, kernel.astype(complex))
     return out
 
@@ -554,8 +548,6 @@ def energy_density_op(
     geom: BoxGeometry,
     velocity: VelocityField | None = None,
     order: int = 8,
-    hbar: float = HBAR,
-    mass: float = MASS,
 ) -> np.ndarray:
     """Cell energy in the locally-at-rest frame.
 
@@ -564,7 +556,7 @@ def energy_density_op(
     shared pair energy evenly).  At v = 0 the sum over all cells reproduces
     hamiltonian() built with the same grid.
     """
-    kernel, _ = cell_kernels(modes, grid, cell, velocity, hbar=hbar, mass=mass)
+    kernel, _ = cell_kernels(modes, grid, cell, velocity)
     out = one_body_operator(basis, kernel)
     if isinstance(potential, Contact):
         cell_tensor = _contact_cell_tensor(modes, potential, geom, grid, cell)
@@ -608,15 +600,12 @@ def phase_space_op(
     p,
     sigma: float,
     order: int = 48,
-    hbar: float = HBAR,
-    mass: float = MASS,
-    norm_floor: float = 0.99,
 ) -> np.ndarray:
     """Husimi-style phase-space density at (x, p), smeared at width sigma.
 
     Built from a Gaussian packet truncated to the box and renormalized;
     positive semidefinite by construction.  Warns when the truncation
-    removes more than 1 - norm_floor of the packet mass.
+    removes more than 1 - PACKET_NORM_FLOOR of the packet mass.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -631,25 +620,24 @@ def phase_space_op(
     for ax in range(d):
         nodes, wts = _gauss_panels(np.array([0.0, geom.lengths[ax]]), order)
         packet = (np.pi * sigma ** 2) ** -0.25 * np.exp(
-            -((nodes - x[ax]) ** 2) / (2.0 * sigma ** 2) + 1j * p[ax] * nodes / hbar
+            -((nodes - x[ax]) ** 2) / (2.0 * sigma ** 2) + 1j * p[ax] * nodes / HBAR
         )
         mass_inside *= float(np.sum(wts * np.abs(packet) ** 2))
         u_vals = _axis_mode_values(numbers[:, ax], nodes, geom.lengths[ax])
         coeff *= u_vals @ (wts * packet)
-    if mass_inside < norm_floor:
+    if mass_inside < PACKET_NORM_FLOOR:
         warnings.warn(
             f"packet mass inside the box is {mass_inside:.4f}; "
             f"deficit {1.0 - mass_inside:.3e}",
             stacklevel=2,
         )
     coeff = coeff / np.sqrt(mass_inside)
-    kernel = (mass / (2.0 * np.pi * hbar) ** d) * np.outer(coeff, coeff.conj())
+    kernel = (MASS / (2.0 * np.pi * HBAR) ** d) * np.outer(coeff, coeff.conj())
     return one_body_operator(basis, kernel)
 
 
-def quadrature_gram_defect(modes, geom: BoxGeometry, order: int = 8, grid: CellGrid | None = None) -> float:
+def quadrature_gram_defect(modes, geom: BoxGeometry, order: int = 8) -> float:
     """Max deviation of the quadrature Gram matrix of the modes from identity."""
-    grid = grid if grid is not None else whole_box_grid(geom)
-    _, wts, values = _quadrature_grid(modes, grid, order)
+    _, wts, values = _quadrature_grid(modes, whole_box_grid(geom), order)
     gram = (values * wts[None, :]) @ values.T
     return float(np.max(np.abs(gram - np.eye(len(modes)))))

@@ -17,6 +17,7 @@ from math import comb, sqrt
 import numpy as np
 
 DIM_CAP = 200_000
+HERM_TOL = 1e-12
 
 
 class Statistics(Enum):
@@ -89,8 +90,7 @@ class FockBasis:
         return stack
 
 
-def build_basis(n_modes: int, n_max: int, statistics: Statistics,
-                dim_cap: int = DIM_CAP) -> FockBasis:
+def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
     if n_modes < 1:
         raise ValueError("need at least one mode")
     if n_max < 0:
@@ -99,8 +99,8 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics,
         raise ValueError(f"fermionic n_max {n_max} exceeds mode count {n_modes}")
     per_mode_cap = 1 if statistics is Statistics.FERMI else n_max
     dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
-    if dim > dim_cap:
-        raise ValueError(f"basis dimension {dim} exceeds cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise ValueError(f"basis dimension {dim} exceeds cap {DIM_CAP}")
     rows = []
     for total in range(n_max + 1):
         shell = sorted(_occupations(n_modes, total, per_mode_cap))
@@ -160,8 +160,7 @@ def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("hk,hab,kbc->ac", kernel, adag, a, optimize=True)
 
 
-def two_body_operator(basis: FockBasis, tensor: np.ndarray,
-                      herm_tol: float = 1e-12) -> np.ndarray:
+def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> np.ndarray:
     """Second-quantized two-body operator.
 
     Returns (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1.  The
@@ -173,8 +172,8 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray,
     if tensor.shape != (f, f, f, f):
         raise ValueError(f"tensor shape {tensor.shape} does not match mode count {f}")
     defect = np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0)))
-    if defect > herm_tol:
-        raise ValueError(f"two-body tensor fails hermiticity: {defect:.3e} > {herm_tol:.1e}")
+    if defect > HERM_TOL:
+        raise ValueError(f"two-body tensor fails hermiticity: {defect:.3e} > {HERM_TOL:.1e}")
     a = basis.ladders
     dim = basis.dim
     # pair annihilators P[f2, f1] = a_f2 a_f1; creation pairs are their adjoints

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fieldmodel import HBAR, MASS, mode_energies
-from .fock import FockBasis, Statistics, ladder_ops, one_body_operator, two_body_operator
+from .fieldmodel import HBAR, MASS, free_hamiltonian, hamiltonian, mode_energies
+from .fock import FockBasis, Statistics, ladder_ops
 from .matrixutil import comm, frob
 from .scattering import onshell_tmatrix, pair_basis, pair_energies, tensor_from_pair_matrix
 
 SUPPORT_FACTOR = 4.0
 MASS_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
+WITNESS_TRIES = 64
 
 
 def smearing_kernel(mismatch, delta: float):
@@ -67,7 +68,7 @@ class GeneratorCoefficients:
 
 
 def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
-                       delta: float, hbar: float = HBAR) -> GeneratorCoefficients:
+                       delta: float) -> GeneratorCoefficients:
     if delta <= 0:
         raise ValueError("delta must be positive")
     modes = tuple(modes)
@@ -85,19 +86,18 @@ def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
     w = mode_energies(modes)
     mismatch = (w[:, None, None, None] + w[None, :, None, None]
                 - w[None, None, :, None] - w[None, None, None, :])
-    jump = np.sqrt((2.0 * np.pi / hbar) * smearing_kernel(mismatch, delta)) * t4
+    jump = np.sqrt((2.0 * np.pi / HBAR) * smearing_kernel(mismatch, delta)) * t4
     return GeneratorCoefficients(modes, statistics, veff, jump, float(delta),
                                  t_onshell.copy())
 
 
 def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: float,
-                                delta: float | None = None,
-                                hbar: float = HBAR) -> GeneratorCoefficients:
+                                delta: float | None = None) -> GeneratorCoefficients:
     """On-shell solve followed by coefficient assembly."""
     t_on = onshell_tmatrix(modes, vtensor, statistics, eps)
     if delta is None:
         delta = default_delta(modes, statistics)
-    return build_coefficients(modes, t_on, statistics, delta, hbar=hbar)
+    return build_coefficients(modes, t_on, statistics, delta)
 
 
 def _dagger_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -119,46 +119,36 @@ def channel_ops(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
     return np.einsum("klfg,fgac->klac", coeffs.jump, prod)
 
 
-def gamma_op(basis: FockBasis, coeffs: GeneratorCoefficients,
-             channels: np.ndarray | None = None) -> np.ndarray:
+def gamma_op(channels: np.ndarray) -> np.ndarray:
     """Loss operator: one quarter of the channel-summed R†R."""
-    ch = channels if channels is not None else channel_ops(basis, coeffs)
-    return 0.25 * _dagger_sum(ch, ch)
-
-
-def effective_hamiltonian(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
-    w = mode_energies(coeffs.modes)
-    return (one_body_operator(basis, np.diag(w).astype(complex))
-            + two_body_operator(basis, coeffs.veff))
+    return 0.25 * _dagger_sum(channels, channels)
 
 
 class Lprime:
     """Generator action on one-body kernels, with streaming/loss/gain split."""
 
-    def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients,
-                 hbar: float = HBAR):
+    def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients):
         if basis.n_modes != coeffs.n_modes or basis.statistics is not coeffs.statistics:
             raise ValueError("basis does not match the coefficient set")
         self.basis = basis
         self.coeffs = coeffs
-        self.hbar = float(hbar)
         self.a = ladder_ops(basis)
-        self.h_eff = effective_hamiltonian(basis, coeffs)
+        self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
         self.channels = channel_ops(basis, coeffs)
-        self.gamma = gamma_op(basis, coeffs, channels=self.channels)
+        self.gamma = gamma_op(self.channels)
 
     def parts(self, kernel: np.ndarray):
         """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k."""
         kernel = np.asarray(kernel, dtype=complex)
         ka = np.tensordot(kernel, self.a, axes=1)  # [h] sum_k K[h,k] a_k
         x = _dagger_sum(self.a, ka)
-        stream = (1j / self.hbar) * comm(self.h_eff, x)
-        loss = (-1.0 / self.hbar) * (
+        stream = (1j / HBAR) * comm(self.h_eff, x)
+        loss = (-1.0 / HBAR) * (
             self.gamma @ x + x @ self.gamma
             - 2.0 * _dagger_sum(self.a, self.gamma @ ka)
         )
         kr = np.tensordot(kernel, self.channels, axes=1)  # [h, l] sum_k K[h,k] R_kl
-        gain = (1.0 / self.hbar) * _dagger_sum(self.channels, kr)
+        gain = (1.0 / HBAR) * _dagger_sum(self.channels, kr)
         return stream, loss, gain
 
     def apply(self, kernel: np.ndarray) -> np.ndarray:
@@ -181,9 +171,9 @@ class Lprime:
         u = _lower(self.a, psi @ self.h_eff.T)
         g = _lower(self.a, psi @ self.gamma.T)
         r = _lower(self.channels, psi)
-        gain = float(np.sum(np.abs(r) ** 2)) / self.hbar
-        stream = (1j / self.hbar) * (np.vdot(u, phi) - np.vdot(phi, u))
-        loss = (-1.0 / self.hbar) * (np.vdot(g, phi) + np.vdot(phi, g)
+        gain = float(np.sum(np.abs(r) ** 2)) / HBAR
+        stream = (1j / HBAR) * (np.vdot(u, phi) - np.vdot(phi, u))
+        loss = (-1.0 / HBAR) * (np.vdot(g, phi) + np.vdot(phi, g)
                                     - 2.0 * np.vdot(phi, self.gamma @ phi))
         q0 = float(np.real(np.vdot(phi, phi)))
         return q0, complex(stream + loss + gain), gain
@@ -200,10 +190,8 @@ class PositivityReport:
     worst_tau: float
 
 
-def positivity_check(basis: FockBasis, coeffs: GeneratorCoefficients,
-                     n_samples: int = 1000, tau_max: float = 1e-3,
-                     seed: int = 0, hbar: float = HBAR,
-                     lp: Lprime | None = None) -> PositivityReport:
+def positivity_check(lp: Lprime, n_samples: int = 1000, tau_max: float = 1e-3,
+                     seed: int = 0) -> PositivityReport:
     """Sampled positivity of I + tau L' on random normalized vector families.
 
     Q = sum_hk <psi_h | [(I + tau L')(a†_h a_k)] psi_k> must stay real and
@@ -211,8 +199,7 @@ def positivity_check(basis: FockBasis, coeffs: GeneratorCoefficients,
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
-    if lp is None:
-        lp = Lprime(basis, coeffs, hbar=hbar)
+    basis = lp.basis
     rng = np.random.default_rng(seed)
     n = basis.n_modes
     min_real = math.inf
@@ -243,10 +230,8 @@ class NegativeTauWitness:
     family: np.ndarray
 
 
-def negative_tau_witness(basis: FockBasis, coeffs: GeneratorCoefficients,
-                         tau: float = -1e-3, seed: int = 0, tries: int = 64,
-                         hbar: float = HBAR,
-                         lp: Lprime | None = None) -> NegativeTauWitness:
+def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
+                         seed: int = 0) -> NegativeTauWitness:
     """Family with Q < 0 at negative tau, built in the kernel of the a-stack.
 
     There Q reduces to tau times the non-negative gain form, so any family
@@ -254,15 +239,14 @@ def negative_tau_witness(basis: FockBasis, coeffs: GeneratorCoefficients,
     """
     if tau >= 0:
         raise ValueError("tau must be negative")
-    if lp is None:
-        lp = Lprime(basis, coeffs, hbar=hbar)
+    basis = lp.basis
     n = basis.n_modes
     stack = np.concatenate(list(lp.a), axis=1)
     kernel = scipy.linalg.null_space(stack)
     if kernel.size == 0:
         raise ValueError("annihilator stack has no kernel to probe")
     rng = np.random.default_rng(seed)
-    for _ in range(tries):
+    for _ in range(WITNESS_TRIES):
         combo = kernel @ (rng.standard_normal(kernel.shape[1])
                           + 1j * rng.standard_normal(kernel.shape[1]))
         psi = combo.reshape(n, basis.dim)
@@ -286,24 +270,20 @@ class ConservationReport:
     energy_collision: float
 
 
-def conservation_report(basis: FockBasis, coeffs: GeneratorCoefficients,
-                        hbar: float = HBAR, mass: float = MASS,
-                        lp: Lprime | None = None) -> ConservationReport:
+def conservation_report(lp: Lprime) -> ConservationReport:
     """Residual norms of the generator on total mass and free energy.
 
     Mass must be conserved structurally; the energy residual is reported,
     split into the delta-independent streaming part and the collision part
     that shrinks as the smearing narrows onto resonant channels.
     """
-    if lp is None:
-        lp = Lprime(basis, coeffs, hbar=hbar)
+    coeffs = lp.coeffs
     w = mode_energies(coeffs.modes)
-    number_image, energy_image = lp.images([np.eye(basis.n_modes), np.diag(w)])
-    mass_residual = mass * frob(number_image)
+    number_image, energy_image = lp.images([np.eye(lp.basis.n_modes), np.diag(w)])
+    mass_residual = MASS * frob(number_image)
     if mass_residual > MASS_TOL:
         raise ValueError(f"mass conservation violated: residual {mass_residual:.3e}")
-    h0 = one_body_operator(basis, np.diag(w).astype(complex))
-    streaming = (1j / hbar) * comm(lp.h_eff, h0)
+    streaming = (1j / HBAR) * comm(lp.h_eff, free_hamiltonian(lp.basis, coeffs.modes))
     collision = energy_image - streaming
     return ConservationReport(
         delta=coeffs.delta,

@@ -14,8 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .fieldmodel import (
-    HBAR,
-    MASS,
     BoxGeometry,
     CellGrid,
     energy_density_op,
@@ -35,6 +33,7 @@ FIT_TOL = 1e-8
 MAX_ITER = 200
 CHI_PSD_TOL = 1e-10
 STEP_CAP = 1e8
+OUTER_ITER = 25
 
 
 class FitError(ValueError):
@@ -111,7 +110,6 @@ class CellObservables:
     energy0: np.ndarray
     momentum0: np.ndarray
     mass: np.ndarray
-    mass_unit: float
     blocks: BlockDiagonal
 
     @property
@@ -140,17 +138,15 @@ class CellObservables:
 
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
-                     geom: BoxGeometry, order: int = 8, hbar: float = HBAR,
-                     mass: float = MASS) -> CellObservables:
+                     geom: BoxGeometry, order: int = 8) -> CellObservables:
     energy0 = []
     momentum0 = []
     mass_ops = []
     for cell in range(grid.n_cells):
         energy0.append(energy_density_op(basis, modes, grid, cell, potential, geom,
-                                         order=order, hbar=hbar, mass=mass))
-        momentum0.append(momentum_density_op(basis, modes, grid, cell,
-                                             hbar=hbar, mass=mass))
-        mass_ops.append(mass_density_op(basis, modes, grid, cell, mass=mass))
+                                         order=order))
+        momentum0.append(momentum_density_op(basis, modes, grid, cell))
+        mass_ops.append(mass_density_op(basis, modes, grid, cell))
     energy0, momentum0, mass_ops = map(np.array, (energy0, momentum0, mass_ops))
     n, d = momentum0.shape[:2]
     names = ([f"energy[{c}]" for c in range(n)]
@@ -159,7 +155,7 @@ def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
     stack = np.concatenate([energy0, momentum0.reshape(n * d, basis.dim, basis.dim),
                             mass_ops])
     blocks = split_blocks(stack, basis.sectors, names)
-    return CellObservables(grid, energy0, momentum0, mass_ops, float(mass), blocks)
+    return CellObservables(grid, energy0, momentum0, mass_ops, blocks)
 
 
 def boosted_energy(obs: CellObservables, cell: int, velocity) -> np.ndarray:
@@ -456,19 +452,17 @@ def _feasibility_check(obs: CellObservables, targets: ConstraintSet) -> None:
 
 def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
                init: LagrangeFields | None = None, tol: float = FIT_TOL,
-               max_iter: int = MAX_ITER, outer_iter: int = 25) -> FitResult:
+               max_iter: int = MAX_ITER) -> FitResult:
     """Fit Lagrange fields so the Gibbs state meets the cell targets.
 
     Newton runs on the (energy, mass) multipliers at fixed velocity; the
     velocity is then re-solved from the rest-frame momentum expectations
-    until self-consistent.  `converged` is False when `outer_iter` passes
+    until self-consistent.  `converged` is False when OUTER_ITER passes
     end before the velocity settles.
     """
     _check_basis(basis, obs)
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
-    if outer_iter < 1:
-        raise ValueError("outer_iter must be at least 1")
     _feasibility_check(obs, targets)
     t_vec = targets_vector(targets)
     n = obs.n_cells
@@ -489,7 +483,7 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
     iterations = 0
     trace: list = []
     converged = False
-    for _ in range(outer_iter):
+    for _ in range(OUTER_ITER):
         ops = constraint_blocks(obs, velocity)
         y, state, used, inner_trace = _newton_fit(ops, t_vec, y, tol, max_iter)
         iterations += used

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import HBAR, Zero, cell_kernels
+from .fieldmodel import Zero, cell_kernels
 from .fock import FockBasis
 from .gibbs import (
     ConstraintSet,
@@ -49,7 +49,7 @@ class ClosureSystem:
     """
 
     def __init__(self, basis: FockBasis, modes, grid, coeffs: GeneratorCoefficients,
-                 fields: LagrangeFields, hbar: float = HBAR):
+                 fields: LagrangeFields):
         if fields.n_cells != grid.n_cells:
             raise ValueError("field cell count does not match the grid")
         if np.any(fields.velocity != 0.0):
@@ -59,15 +59,14 @@ class ClosureSystem:
         self.grid = grid
         self.coeffs = coeffs
         self.fields = fields
-        self.hbar = float(hbar)
-        self.obs = cell_observables(basis, modes, grid, Zero(), grid.geom, hbar=hbar)
+        self.obs = cell_observables(basis, modes, grid, Zero(), grid.geom)
         self.operators = constraint_blocks(self.obs, fields.velocity)
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
-        per_cell = [cell_kernels(modes, grid, c, hbar=hbar) for c in range(grid.n_cells)]
+        per_cell = [cell_kernels(modes, grid, c) for c in range(grid.n_cells)]
         self.kernels = [e for e, _ in per_cell] + [m for _, m in per_cell]
-        self.lp = Lprime(basis, coeffs, hbar=hbar)
-        self.tau0 = collision_time_estimate(coeffs, hbar=hbar)
+        self.lp = Lprime(basis, coeffs)
+        self.tau0 = collision_time_estimate(coeffs.t_onshell)
         self.images = self.lp.images(self.kernels)
 
     @property

@@ -19,6 +19,7 @@ RECONSTRUCT_TOL = 1e-10
 SINGULAR_GAP = 1e-12
 WINDOW_FACTOR = 5.0
 WINDOW_CAP = 50.0
+WINDOW_SAMPLES = 5
 
 
 class SingularQuery(ValueError):
@@ -38,14 +39,15 @@ class SpectralDecomposition:
         return (self.vectors * self.energies) @ self.vectors.conj().T
 
 
-def spectral_decomposition(h: np.ndarray, tol: float = RECONSTRUCT_TOL) -> SpectralDecomposition:
+def spectral_decomposition(h: np.ndarray) -> SpectralDecomposition:
     require_hermitian(h, name="hamiltonian")
     energies, vectors = np.linalg.eigh(h)
     dec = SpectralDecomposition(energies, vectors)
     scale = max(1.0, float(np.max(np.abs(energies), initial=0.0)))
     residual = np.linalg.norm(dec.reconstruct() - h)
-    if residual > tol * scale:
-        raise ValueError(f"eigendecomposition residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > RECONSTRUCT_TOL * scale:
+        raise ValueError(
+            f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCT_TOL:.1e}")
     return dec
 
 
@@ -53,29 +55,22 @@ def heisenberg_evolve(
     h: np.ndarray,
     x: np.ndarray,
     t: float,
-    hbar: float = HBAR,
     decomp: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """exp(+iHt/hbar) X exp(-iHt/hbar)."""
     dec = spectral_decomposition(h) if decomp is None else decomp
     q = dec.vectors
     x_tilde = q.conj().T @ x @ q
-    phase = np.exp(1j * dec.energies * t / hbar)
+    phase = np.exp(1j * dec.energies * t / HBAR)
     return q @ (np.outer(phase, phase.conj()) * x_tilde) @ q.conj().T
 
 
-def resolvent_apply(
-    h: np.ndarray,
-    z: complex,
-    x: np.ndarray,
-    hbar: float = HBAR,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
+def resolvent_apply(h: np.ndarray, z: complex, x: np.ndarray) -> np.ndarray:
     """Solve (z - (i/hbar)[H, .]) Y = X spectrally."""
-    dec = spectral_decomposition(h) if decomp is None else decomp
+    dec = spectral_decomposition(h)
     q = dec.vectors
     x_tilde = q.conj().T @ x @ q
-    freq = 1j * (dec.energies[:, None] - dec.energies[None, :]) / hbar
+    freq = 1j * (dec.energies[:, None] - dec.energies[None, :]) / HBAR
     denom = z - freq
     gap = float(np.min(np.abs(denom)))
     if gap <= SINGULAR_GAP:
@@ -85,18 +80,11 @@ def resolvent_apply(
     return q @ (x_tilde / denom) @ q.conj().T
 
 
-def scattering_map_apply(
-    h0: np.ndarray,
-    v: np.ndarray,
-    z: complex,
-    x: np.ndarray,
-    hbar: float = HBAR,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
+def scattering_map_apply(h0: np.ndarray, v: np.ndarray, z: complex, x: np.ndarray) -> np.ndarray:
     """T(z) X = V' X + V' (z - H')^{-1} V' X with V' = (i/hbar)[V, .]."""
-    vx = (1j / hbar) * (v @ x - x @ v)
-    inner = resolvent_apply(h0 + v, z, vx, hbar, decomp)
-    return vx + (1j / hbar) * (v @ inner - inner @ v)
+    vx = (1j / HBAR) * (v @ x - x @ v)
+    inner = resolvent_apply(h0 + v, z, vx)
+    return vx + (1j / HBAR) * (v @ inner - inner @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +206,12 @@ def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float) -> np.nd
     return 2.0 * half - full
 
 
-def collision_time_estimate(coeffs, hbar: float = HBAR) -> float:
+def collision_time_estimate(t_onshell: np.ndarray) -> float:
     """tau0 = hbar / max |on-shell T|; infinite when there are no collisions."""
-    t_on = np.asarray(getattr(coeffs, "t_onshell", coeffs))
-    peak = float(np.max(np.abs(t_on))) if t_on.size else 0.0
+    peak = float(np.max(np.abs(t_onshell))) if t_onshell.size else 0.0
     if peak == 0.0:
         return float("inf")
-    return hbar / peak
+    return HBAR / peak
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +228,26 @@ class CoarseWindow:
         return float(np.exp(np.mean(np.log(self.times))))
 
 
-def coarse_window(
-    tau0: float,
-    w_h: float,
-    w_k: float,
-    hbar: float = HBAR,
-    n_samples: int = 5,
-    factor: float = WINDOW_FACTOR,
-    cap: float = WINDOW_CAP,
-) -> CoarseWindow:
-    """Sample times with factor*tau0 <= t <= t_max/factor, t_max = hbar/|W_h - W_k|.
+def coarse_window(tau0: float, w_h: float, w_k: float) -> CoarseWindow:
+    """WINDOW_SAMPLES times with WINDOW_FACTOR*tau0 <= t <= t_max/WINDOW_FACTOR,
+    t_max = hbar/|W_h - W_k|.
 
     Degenerate bilinears have no phase scale; their window is capped at
-    cap*tau0.  An empty window raises WindowError.
+    WINDOW_CAP*tau0.  An empty window raises WindowError.
     """
     if not np.isfinite(tau0) or tau0 <= 0:
         raise WindowError("no coarse-grained regime at these parameters: no collision scale")
     gap = abs(w_h - w_k)
-    t_max = float("inf") if gap == 0.0 else hbar / gap
-    lo = factor * tau0
-    hi = min(t_max / factor, cap * tau0)
+    t_max = float("inf") if gap == 0.0 else HBAR / gap
+    lo = WINDOW_FACTOR * tau0
+    hi = min(t_max / WINDOW_FACTOR, WINDOW_CAP * tau0)
     if lo >= hi:
         raise WindowError(
             "no coarse-grained regime at these parameters: "
-            f"{factor}*tau0 = {lo:.3e} is not below t_max/{factor} = {t_max / factor:.3e}"
+            f"{WINDOW_FACTOR}*tau0 = {lo:.3e} is not below "
+            f"t_max/{WINDOW_FACTOR} = {t_max / WINDOW_FACTOR:.3e}"
         )
-    times = np.exp(np.linspace(np.log(lo), np.log(hi), n_samples))
+    times = np.exp(np.linspace(np.log(lo), np.log(hi), WINDOW_SAMPLES))
     return CoarseWindow(tau0, t_max, times)
 
 
@@ -287,7 +268,6 @@ def coarse_grained_check(
     k: int,
     window: CoarseWindow,
     lprime_image: np.ndarray,
-    hbar: float = HBAR,
 ) -> CoarseReport:
     """Compare exact Heisenberg motion of adag_h a_k against its generator image.
 
@@ -301,7 +281,7 @@ def coarse_grained_check(
         raise ValueError("generator image vanishes; discrepancy is undefined")
     deltas = []
     for t in window.times:
-        drift = heisenberg_evolve(h_full, x, float(t), hbar, dec) - x - t * lprime_image
+        drift = heisenberg_evolve(h_full, x, float(t), dec) - x - t * lprime_image
         deltas.append(float(np.linalg.norm(drift) / (t * scale)))
     return CoarseReport(h, k, window, window.times, np.array(deltas))
 

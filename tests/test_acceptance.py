@@ -168,7 +168,7 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
                                              eps=5.0, delta=5.0)
         lp = Lprime(basis, coeffs)
         v_op = hamiltonian(basis, modes, vt) - h0
-        runs.append((g, lp, v_op, collision_time_estimate(coeffs)))
+        runs.append((g, lp, v_op, collision_time_estimate(coeffs.t_onshell)))
 
     # off-diagonal bilinears have no coarse window here: the phase time
     # hbar/|W_h - W_k| sits far below 5*tau0, so diagonals are the tested set
@@ -213,9 +213,9 @@ def test_acceptance_4_positivity(capsys):
     vt = contact_tensor(modes, Contact(1.0), GEOM)
     coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                          eps=10.0, delta=2.0)
-    report = positivity_check(basis, coeffs, n_samples=1000, tau_max=1e-3,
-                              seed=11)
-    witness = negative_tau_witness(basis, coeffs)
+    lp = Lprime(basis, coeffs)
+    report = positivity_check(lp, n_samples=1000, tau_max=1e-3, seed=11)
+    witness = negative_tau_witness(lp)
     passed = (report.passed and report.n_samples == 1000
               and report.min_real > -1e-10 and report.max_imag <= 1e-10
               and 0.0 < report.worst_tau <= 1e-3
@@ -236,7 +236,7 @@ def test_acceptance_5_conservation(capsys):
     vt = contact_tensor(modes, Contact(1.0), GEOM)
     coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                          eps=10.0, delta=2.0)
-    mass_residual = conservation_report(basis, coeffs).mass_residual
+    mass_residual = conservation_report(Lprime(basis, coeffs)).mass_residual
 
     numbers = (1, 4, 7, 8)
     rmodes = modes_from_numbers(GEOM, [(k,) for k in numbers])
@@ -246,7 +246,7 @@ def test_acceptance_5_conservation(capsys):
     collisions = []
     for delta in (48.0, 24.0, 12.0):
         rcoeffs = build_coefficients(rmodes, t_on, Statistics.BOSE, delta)
-        collisions.append(conservation_report(rbasis, rcoeffs).energy_collision)
+        collisions.append(conservation_report(Lprime(rbasis, rcoeffs)).energy_collision)
     ratios = [collisions[i] / collisions[i + 1] for i in range(2)]
     passed = mass_residual <= 1e-10 and all(r >= 2.0 for r in ratios)
     announce(capsys, 5, "mass and energy conservation", passed,

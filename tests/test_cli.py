@@ -2,11 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxgas import cli
 from boxgas.cli import main
@@ -211,6 +214,18 @@ def test_evolve_two_cell_relaxation(tmp_path):
     assert all(b < a for a, b in zip(contrast, contrast[1:]))
 
 
+def test_evolve_on_maxent_roundtrip_fails_contrast_check(tmp_path):
+    # the config is for `maxent`; under `evolve` its fields drift apart (README)
+    result = run_cli(["evolve", "--config", str(CONFIGS / "maxent_roundtrip.yaml"),
+                      "--out", str(tmp_path), "--quiet"])
+    assert result.exit_code == 1
+    assert "failed invariant: beta_contrast_monotone" in result.output
+    report = read_report(tmp_path)
+    assert report["passed"] is False
+    failed = sorted(k for k, c in report["checks"].items() if not c["passed"])
+    assert failed == ["beta_contrast_monotone"]
+
+
 def test_evolve_free_gas_requires_explicit_dt(tmp_path):
     result = run_cli(["evolve", "--config", str(CONFIGS / "free_gas.yaml"),
                       "--out", str(tmp_path), "--quiet",
@@ -252,6 +267,21 @@ def test_contact_in_3d_box_exits_two(tmp_path):
     assert "contact' is 1D only" in result.output
 
 
+def test_fermi_n_max_above_mode_count_exits_two(tmp_path):
+    result = run_cli(["build", "--out", str(tmp_path), "--quiet",
+                      "--set", "basis.statistics=fermi", "--set", "basis.n_max=4"])
+    assert result.exit_code == 2
+    assert "fermionic n_max 4 exceeds mode count 3" in result.output
+
+
+def test_basis_above_dimension_cap_exits_two(tmp_path):
+    numbers = "[" + ", ".join(f"[{n}]" for n in range(1, 21)) + "]"
+    result = run_cli(["build", "--out", str(tmp_path), "--quiet",
+                      "--set", f"modes.numbers={numbers}", "--set", "basis.n_max=8"])
+    assert result.exit_code == 2
+    assert "basis dimension 3108105 exceeds cap 200000" in result.output
+
+
 def test_bad_yaml_exits_two(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("geometry: [unclosed\n")
@@ -285,3 +315,57 @@ def test_override_changes_physics(tmp_path):
     _, rows = read_csv(tmp_path / "modes.csv")
     unit = 0.5 * math.pi ** 2
     assert float(rows[0][2]) == pytest.approx(unit / 4.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# random small configs through every subcommand
+
+SUBCOMMANDS = ("modes", "build", "tmatrix", "generator-check", "maxent",
+               "evolve", "micro-demo")
+
+
+def plain_floats(lo, hi):
+    # three decimals keep every value in plain notation, which YAML reads as a float
+    return st.floats(lo, hi).map(lambda x: round(x, 3))
+
+
+@st.composite
+def small_configs(draw):
+    """--set overrides of a small valid config: 1-4 modes, 1D or 3D, Bose or
+    Fermi, n_max <= 3, every potential kind the box admits, 1 or 2 cells."""
+    dim = draw(st.sampled_from((1, 3)))
+    numbers = draw(st.lists(st.lists(st.integers(1, 3), min_size=dim, max_size=dim),
+                            min_size=1, max_size=4, unique_by=tuple))
+    statistics = draw(st.sampled_from(("bose", "fermi")))
+    n_max = draw(st.integers(1, 3 if statistics == "bose" else min(3, len(numbers))))
+    kinds = ("none", "gaussian", "soft-lennard-jones") + (("contact",) if dim == 1 else ())
+    n_cells = draw(st.integers(1, 2))
+    beta = draw(st.lists(plain_floats(0.1, 2.0), min_size=n_cells, max_size=n_cells))
+    mu = draw(st.lists(plain_floats(-0.5, 0.5), min_size=n_cells, max_size=n_cells))
+    return [
+        f"geometry.lengths={[1.0] * dim}",
+        f"modes.numbers={numbers}",
+        f"basis.n_max={n_max}",
+        f"basis.statistics={statistics}",
+        f"potential.kind={draw(st.sampled_from(kinds))}",
+        f"potential.strength={draw(plain_floats(-1.0, 1.0))}",
+        f"potential.range={draw(plain_floats(0.1, 0.5))}",
+        "potential.order=4",
+        f"grid.cells={[n_cells] + [1] * (dim - 1)}",
+        f"fields.beta={beta}",
+        f"fields.mu={mu}",
+        "evolve.steps=4",
+        "generator.n_samples=20",
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(overrides=small_configs())
+def test_every_subcommand_exits_cleanly_on_random_configs(overrides):
+    args = [item for o in overrides for item in ("--set", o)]
+    with tempfile.TemporaryDirectory() as out:
+        for command in SUBCOMMANDS:
+            result = run_cli([command, "--out", out, "--quiet", *args])
+            assert result.exit_code in (0, 1, 2), (command, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (command, result.exc_info)

@@ -10,6 +10,7 @@ from boxgas.fieldmodel import (
     BoxGeometry,
     Contact,
     Gaussian,
+    hamiltonian,
     modes_from_numbers,
     potential_tensor,
 )
@@ -23,7 +24,6 @@ from boxgas.generator import (
     coefficients_from_potential,
     conservation_report,
     default_delta,
-    effective_hamiltonian,
     gamma_op,
     negative_tau_witness,
     positivity_check,
@@ -129,7 +129,7 @@ def test_veff_hermitian_exchange_symmetric_and_born():
     assert frob(v - v.transpose(1, 0, 3, 2)) < 1e-12 * max(1.0, frob(v))
     # weak coupling at finite eps: effective kernel reduces to the bare one
     assert frob(v - vt) < 0.05 * frob(vt)
-    h_eff = effective_hamiltonian(build_basis(3, 2, Statistics.BOSE), coeffs)
+    h_eff = hamiltonian(build_basis(3, 2, Statistics.BOSE), coeffs.modes, coeffs.veff)
     assert frob(h_eff - h_eff.conj().T) < 1e-11
 
 
@@ -163,7 +163,7 @@ def test_channel_norms_match_pair_amplitudes(statistics):
 def test_gamma_golden_rule_diagonal(statistics):
     modes, t_on, coeffs = contact_coefficients(statistics=statistics)
     basis = build_basis(3, 2, statistics)
-    gamma = gamma_op(basis, coeffs)
+    gamma = gamma_op(channel_ops(basis, coeffs))
     assert frob(gamma - gamma.conj().T) < 1e-12 * max(1.0, frob(gamma))
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-12
     pairs = pair_basis(3, statistics)
@@ -191,7 +191,7 @@ def test_channel_trace_balance():
             assert op_trace == pytest.approx(rate_sum, rel=1e-9, abs=1e-12)
             total_operator += op_trace
             total_rates += rate_sum
-    gamma = gamma_op(basis, coeffs, channels=channels)
+    gamma = gamma_op(channels)
     assert 4.0 * np.trace(gamma).real == pytest.approx(total_operator, rel=1e-12)
     assert total_operator == pytest.approx(total_rates, rel=1e-9)
 
@@ -210,13 +210,13 @@ def test_free_generator_is_pure_streaming():
         for k in range(3):
             expected = (1j / HBAR) * (w[h] - w[k]) * (adag[h] @ a[k])
             assert frob(lp.apply_bilinear(h, k) - expected) < 1e-12 * max(1.0, frob(expected))
-    report = conservation_report(basis, coeffs)
+    report = conservation_report(lp)
     assert report.mass_residual == 0.0
     assert report.energy_residual < 1e-12
     assert report.energy_collision < 1e-12
-    assert positivity_check(basis, coeffs, n_samples=100, tau_max=1e-3, seed=3, lp=lp).passed
+    assert positivity_check(lp, n_samples=100, tau_max=1e-3, seed=3).passed
     with pytest.raises(ValueError, match="vanish"):
-        negative_tau_witness(basis, coeffs, lp=lp)
+        negative_tau_witness(lp)
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
@@ -260,7 +260,7 @@ def test_mass_conserved_by_collisions():
     lp = Lprime(basis, coeffs)
     image = sum(lp.apply_bilinear(h, h) for h in range(3))
     assert frob(image) < 1e-10
-    report = conservation_report(basis, coeffs, lp=lp)
+    report = conservation_report(lp)
     assert report.mass_residual < 1e-10
     assert report.energy_residual > 0.0
     assert isinstance(report, ConservationReport)
@@ -278,7 +278,7 @@ def test_energy_residual_shrinks_with_smearing_width():
     reports = []
     for delta in (48.0, 24.0, 12.0):
         coeffs = build_coefficients(modes, t_on, Statistics.BOSE, delta)
-        reports.append(conservation_report(basis, coeffs))
+        reports.append(conservation_report(Lprime(basis, coeffs)))
     streams = [r.energy_streaming for r in reports]
     assert streams[0] > 0.0
     assert max(streams) - min(streams) < 1e-12 * streams[0]
@@ -291,24 +291,26 @@ def test_energy_residual_shrinks_with_smearing_width():
 def test_positivity_sampled_families():
     _, _, coeffs = contact_coefficients(g=1.0)
     basis = build_basis(3, 2, Statistics.BOSE)
-    report = positivity_check(basis, coeffs, n_samples=300, tau_max=1e-3, seed=7)
+    lp = Lprime(basis, coeffs)
+    report = positivity_check(lp, n_samples=300, tau_max=1e-3, seed=7)
     assert report.passed
     assert report.min_real > -1e-10
     assert report.max_imag <= 1e-10
     assert 0.0 < report.worst_tau <= 1e-3
     with pytest.raises(ValueError):
-        positivity_check(basis, coeffs, n_samples=10, tau_max=0.0)
+        positivity_check(lp, n_samples=10, tau_max=0.0)
 
 
 def test_negative_tau_witness_flips_sign():
     _, _, coeffs = contact_coefficients(g=1.0)
     basis = build_basis(3, 2, Statistics.BOSE)
-    witness = negative_tau_witness(basis, coeffs, tau=-1e-3, seed=11)
+    lp = Lprime(basis, coeffs)
+    witness = negative_tau_witness(lp, tau=-1e-3, seed=11)
     assert witness.gain_form > 0.0
     assert witness.q_value < -1e-12
     assert witness.q_value == pytest.approx(-1e-3 * witness.gain_form, rel=1e-6)
     with pytest.raises(ValueError):
-        negative_tau_witness(basis, coeffs, tau=0.5)
+        negative_tau_witness(lp, tau=0.5)
 
 
 def test_apply_expands_over_bilinears():
