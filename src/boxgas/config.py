@@ -7,6 +7,7 @@ by the schema before any physics object is built.
 from __future__ import annotations
 
 import copy
+import re
 from typing import Any, Iterable
 
 import jsonschema
@@ -178,6 +179,20 @@ SCHEMA: dict[str, Any] = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads the YAML 1.2 float forms `1e-3` and `-2E+1`.
+
+    YAML 1.1 wants a dot and a signed exponent, so plain SafeLoader takes
+    `1e-3` for a string.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def _deep_merge(base: dict, extra: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in extra.items():
@@ -204,7 +219,7 @@ def _apply_override(cfg: dict, item: str) -> None:
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config key '{path.strip()}'")
     try:
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"override '{item}' has unparseable value: {exc}") from exc
     node[leaf] = value
@@ -257,7 +272,7 @@ def load_config(path: str | None = None,
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                loaded = yaml.safe_load(handle)
+                loaded = yaml.load(handle, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,7 +157,7 @@ class Contact:
 
 
 # ---------------------------------------------------------------------------
-# cells and velocity fields
+# cells
 
 @dataclass(frozen=True)
 class CellGrid:
@@ -197,26 +197,6 @@ class CellGrid:
 
 def whole_box_grid(geom: BoxGeometry) -> CellGrid:
     return CellGrid(geom, (1,) * geom.dimension)
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """One velocity vector per cell."""
-
-    grid: CellGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_cells, self.grid.geom.dimension):
-            raise ValueError("velocity field shape must be (n_cells, dimension)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("velocity values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zero(cls, grid: CellGrid) -> "VelocityField":
-        return cls(grid, np.zeros((grid.n_cells, grid.geom.dimension)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +478,14 @@ def total_mass_op(basis: FockBasis) -> np.ndarray:
     return MASS * one_body_operator(basis, np.eye(basis.n_modes, dtype=complex))
 
 
-def cell_kernels(modes, grid: CellGrid, cell: int, velocity: VelocityField | None = None):
+def cell_kernels(modes, grid: CellGrid, cell: int):
     """One-body kernels (kinetic energy, mass) of one cell, over the mode pairs (h, k).
 
     The kernel K stands for sum_hk K[h, k] a†_h a_k.  The kinetic energy is
-    taken in the frame moving with the cell velocity: |(-i hbar grad - m v) psi|^2
-    / 2m expanded into analytic overlaps.
+    |-i hbar grad psi|^2 / 2m over the cell, from the analytic gradient overlaps.
     """
-    s_cell, g_cell, x_cell = cell_overlaps(modes, grid, cell)
-    d = grid.geom.dimension
-    v = np.zeros(d) if velocity is None else velocity.values[cell]
+    s_cell, g_cell, _ = cell_overlaps(modes, grid, cell)
     energy = (HBAR ** 2 / (2.0 * MASS)) * g_cell.astype(complex)
-    for ax in range(d):
-        energy += 0.5j * HBAR * v[ax] * (x_cell[ax] - x_cell[ax].T)
-    energy += 0.5 * MASS * float(v @ v) * s_cell
     return energy, (MASS * s_cell).astype(complex)
 
 
@@ -521,22 +495,10 @@ def mass_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> np.nd
     return one_body_operator(basis, kernel)
 
 
-def momentum_density_op(
-    basis: FockBasis,
-    modes,
-    grid: CellGrid,
-    cell: int,
-    velocity: VelocityField | None = None,
-) -> np.ndarray:
-    """Cell momentum in the frame moving with the cell velocity; shape (d, dim, dim)."""
-    s_cell, _, x_cell = cell_overlaps(modes, grid, cell)
-    d = grid.geom.dimension
-    v = np.zeros(d) if velocity is None else velocity.values[cell]
-    out = np.empty((d, basis.dim, basis.dim), dtype=complex)
-    for ax in range(d):
-        kernel = 0.5j * HBAR * (x_cell[ax].T - x_cell[ax]) - MASS * v[ax] * s_cell
-        out[ax] = one_body_operator(basis, kernel.astype(complex))
-    return out
+def momentum_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> np.ndarray:
+    """Cell momentum, one operator per axis; shape (d, dim, dim)."""
+    _, _, x_cell = cell_overlaps(modes, grid, cell)
+    return np.array([one_body_operator(basis, 0.5j * HBAR * (x.T - x)) for x in x_cell])
 
 
 def energy_density_op(
@@ -546,17 +508,16 @@ def energy_density_op(
     cell: int,
     potential,
     geom: BoxGeometry,
-    velocity: VelocityField | None = None,
     order: int = 8,
 ) -> np.ndarray:
-    """Cell energy in the locally-at-rest frame.
+    """Cell energy.
 
     Kinetic part is the cell_kernels energy kernel; the pair part restricts
     one interaction coordinate to the cell (symmetrized, so cells split
-    shared pair energy evenly).  At v = 0 the sum over all cells reproduces
+    shared pair energy evenly).  The sum over all cells reproduces
     hamiltonian() built with the same grid.
     """
-    kernel, _ = cell_kernels(modes, grid, cell, velocity)
+    kernel, _ = cell_kernels(modes, grid, cell)
     out = one_body_operator(basis, kernel)
     if isinstance(potential, Contact):
         cell_tensor = _contact_cell_tensor(modes, potential, geom, grid, cell)

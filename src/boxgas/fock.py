@@ -3,8 +3,9 @@
 The truncation keeps every occupation vector whose total particle number does
 not exceed ``n_max``.  Canonical commutation relations therefore hold exactly
 only on the subspace of total number below ``n_max`` (the annihilator of the
-top shell leaves the space, its adjoint re-enters it); anticommutation
-relations for fermions are exact everywhere because no shell is cut.
+top shell leaves the space, its adjoint re-enters it).  The same holds for
+the fermion anticommutation relations, which are exact everywhere once
+n_max equals the mode count and no shell is cut.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Generalized Gibbs states on cell observables and maximum-entropy fitting.
 
-States have the form exp(-K)/Z with K a weighted sum of cell energy and
-mass operators; the velocity field enters through the boosted cell energy
-and is eliminated from the multiplier set by an outer consistency loop.
+States have the form exp(-K)/Z with K = sum_c beta_c (E_c - mu_c N_c), a
+weighted sum of cell energy and mass operators: (beta, mu) per cell is the
+whole field set.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -18,7 +17,6 @@ from .fieldmodel import (
     CellGrid,
     energy_density_op,
     mass_density_op,
-    momentum_density_op,
 )
 from .fock import FockBasis
 from .matrixutil import (
@@ -33,7 +31,6 @@ FIT_TOL = 1e-8
 MAX_ITER = 200
 CHI_PSD_TOL = 1e-10
 STEP_CAP = 1e8
-OUTER_ITER = 25
 
 
 class FitError(ValueError):
@@ -42,43 +39,35 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class LagrangeFields:
-    """Per-cell inverse temperature, chemical potential, and velocity."""
+    """Per-cell inverse temperature and chemical potential."""
 
     beta: np.ndarray
     mu: np.ndarray
-    velocity: np.ndarray
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
-        velocity = np.atleast_2d(np.asarray(self.velocity, dtype=float))
-        if beta.ndim != 1 or mu.shape != beta.shape or velocity.shape[0] != beta.size:
+        if beta.ndim != 1 or mu.shape != beta.shape:
             raise ValueError("field arrays must share one entry per cell")
-        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(mu))
-                and np.all(np.isfinite(velocity))):
+        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(mu))):
             raise ValueError("fields must be finite")
         if np.any(beta <= 0.0):
             raise ValueError("beta must be positive in every cell")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "velocity", velocity)
 
     @property
     def n_cells(self) -> int:
         return self.beta.size
 
 
-def uniform_fields(n_cells: int, dimension: int, beta: float, mu: float) -> LagrangeFields:
-    return LagrangeFields(
-        beta=np.full(n_cells, float(beta)),
-        mu=np.full(n_cells, float(mu)),
-        velocity=np.zeros((n_cells, dimension)),
-    )
+def uniform_fields(n_cells: int, beta: float, mu: float) -> LagrangeFields:
+    return LagrangeFields(beta=np.full(n_cells, float(beta)), mu=np.full(n_cells, float(mu)))
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Per-cell energy and mass targets; momentum targets are zero by design."""
+    """Per-cell energy and mass targets."""
 
     energy: np.ndarray
     mass: np.ndarray
@@ -100,31 +89,21 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class CellObservables:
-    """Rest-frame cell operators; boosted variants are exact linear combinations.
+    """Cell energy and mass operators, dense and as the constraint stack.
 
     `blocks` holds the same operators split once into number-sector blocks,
-    stacked as energy0[c], then momentum0[c, ax] (cell-major), then mass[c].
+    stacked as energy[c], then mass[c]: the operators conjugate to the
+    multipliers of `fields_to_multipliers`.
     """
 
     grid: CellGrid
-    energy0: np.ndarray
-    momentum0: np.ndarray
+    energy: np.ndarray
     mass: np.ndarray
     blocks: BlockDiagonal
 
     @property
     def n_cells(self) -> int:
-        return self.energy0.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.momentum0.shape[1]
-
-    def momentum_index(self, cell: int, ax: int) -> int:
-        return self.n_cells + cell * self.dimension + ax
-
-    def mass_index(self, cell: int) -> int:
-        return self.n_cells * (1 + self.dimension) + cell
+        return self.energy.shape[0]
 
     @cached_property
     def mass_bounds(self) -> np.ndarray:
@@ -132,71 +111,25 @@ class CellObservables:
         bounds = np.empty((self.n_cells, 2))
         for c in range(self.n_cells):
             evals = np.concatenate([np.linalg.eigvalsh(b) for b
-                                    in self.blocks[self.mass_index(c)].blocks])
+                                    in self.blocks[self.n_cells + c].blocks])
             bounds[c] = evals.min(), evals.max()
         return bounds
 
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
                      geom: BoxGeometry, order: int = 8) -> CellObservables:
-    energy0 = []
-    momentum0 = []
-    mass_ops = []
-    for cell in range(grid.n_cells):
-        energy0.append(energy_density_op(basis, modes, grid, cell, potential, geom,
-                                         order=order))
-        momentum0.append(momentum_density_op(basis, modes, grid, cell))
-        mass_ops.append(mass_density_op(basis, modes, grid, cell))
-    energy0, momentum0, mass_ops = map(np.array, (energy0, momentum0, mass_ops))
-    n, d = momentum0.shape[:2]
-    names = ([f"energy[{c}]" for c in range(n)]
-             + [f"momentum[{c}][{ax}]" for c in range(n) for ax in range(d)]
-             + [f"mass[{c}]" for c in range(n)])
-    stack = np.concatenate([energy0, momentum0.reshape(n * d, basis.dim, basis.dim),
-                            mass_ops])
-    blocks = split_blocks(stack, basis.sectors, names)
-    return CellObservables(grid, energy0, momentum0, mass_ops, blocks)
-
-
-def boosted_energy(obs: CellObservables, cell: int, velocity) -> np.ndarray:
-    """Cell energy in the frame moving with `velocity`."""
-    v = np.asarray(velocity, dtype=float)
-    out = obs.energy0[cell].copy()
-    for ax in range(obs.dimension):
-        out -= v[ax] * obs.momentum0[cell, ax]
-    out += 0.5 * float(v @ v) * obs.mass[cell]
-    return out
-
-
-def boosted_momentum(obs: CellObservables, cell: int, velocity) -> np.ndarray:
-    v = np.asarray(velocity, dtype=float)
-    return obs.momentum0[cell] - v[:, None, None] * obs.mass[cell][None]
-
-
-def constraint_operator_list(obs: CellObservables, velocity) -> list[np.ndarray]:
-    """Multiplier-conjugate operators, cell energies first, then cell masses."""
-    ops = [boosted_energy(obs, c, velocity[c]) for c in range(obs.n_cells)]
-    ops.extend(obs.mass[c] for c in range(obs.n_cells))
-    return ops
-
-
-def _constraint_coefficients(obs: CellObservables, velocity) -> np.ndarray:
-    """Rows write the constraint operators (boosted energies, then masses)
-    as combinations of the `obs.blocks` stack."""
-    n, d = obs.n_cells, obs.dimension
-    v = np.asarray(velocity, dtype=float).reshape(n, d)
-    coeff = np.zeros((2 * n, n * (d + 2)))
-    for c in range(n):
-        coeff[c, c] = 1.0
-        coeff[c, obs.momentum_index(c, 0):obs.momentum_index(c, 0) + d] = -v[c]
-        coeff[c, obs.mass_index(c)] = 0.5 * float(v[c] @ v[c])
-        coeff[n + c, obs.mass_index(c)] = 1.0
-    return coeff
-
-
-def constraint_blocks(obs: CellObservables, velocity) -> BlockDiagonal:
-    """`constraint_operator_list` as one stack of number-sector blocks."""
-    return obs.blocks.combine(_constraint_coefficients(obs, velocity))
+    n = grid.n_cells
+    energy = np.array([energy_density_op(basis, modes, grid, c, potential, geom, order=order)
+                       for c in range(n)])
+    mass_ops = np.array([mass_density_op(basis, modes, grid, c) for c in range(n)])
+    names = [f"energy[{c}]" for c in range(n)] + [f"mass[{c}]" for c in range(n)]
+    blocks = split_blocks(np.concatenate([energy, mass_ops]), basis.sectors, names)
+    # the cell kernels are real: each block keeps the float64 view of its
+    # real part, exactly as `BlockDiagonal.combine` keeps a complex result
+    # whose imaginary part is zero, so every product over the stack rounds
+    # the same way
+    real = tuple(b if b.imag.any() else b.real for b in blocks.blocks)
+    return CellObservables(grid, energy, mass_ops, BlockDiagonal(blocks.slices, real))
 
 
 def targets_vector(targets: ConstraintSet) -> np.ndarray:
@@ -208,12 +141,12 @@ def fields_to_multipliers(fields: LagrangeFields) -> np.ndarray:
     return np.concatenate([fields.beta, -fields.beta * fields.mu])
 
 
-def multipliers_to_fields(y: np.ndarray, velocity: np.ndarray) -> LagrangeFields:
+def multipliers_to_fields(y: np.ndarray) -> LagrangeFields:
     n = y.size // 2
     alpha = y[:n]
     if np.any(alpha <= 0.0):
         raise FitError("fit landed at a non-positive inverse temperature")
-    return LagrangeFields(beta=alpha, mu=-y[n:] / alpha, velocity=velocity)
+    return LagrangeFields(beta=alpha, mu=-y[n:] / alpha)
 
 
 @dataclass(frozen=True)
@@ -271,7 +204,7 @@ def gibbs_from_operator(k, fields: LagrangeFields | None = None) -> GibbsState:
 
 
 def _check_basis(basis: FockBasis, obs: CellObservables) -> None:
-    if obs.energy0.shape[-1] != basis.dim:
+    if obs.energy.shape[-1] != basis.dim:
         raise ValueError("observables were built on a different basis")
 
 
@@ -280,9 +213,7 @@ def gibbs_state(basis: FockBasis, obs: CellObservables,
     _check_basis(basis, obs)
     if fields.n_cells != obs.n_cells:
         raise ValueError("field cell count does not match the observables")
-    y = fields_to_multipliers(fields)
-    k = obs.blocks.combine(y @ _constraint_coefficients(obs, fields.velocity))
-    return gibbs_from_operator(k, fields)
+    return gibbs_from_operator(obs.blocks.combine(fields_to_multipliers(fields)), fields)
 
 
 def expectation(state, op) -> float:
@@ -296,20 +227,10 @@ def expectation(state, op) -> float:
 
 
 def constraint_values(state: GibbsState, obs: CellObservables):
-    """Boosted-frame energy, mass, and momentum expectations per cell."""
-    fields = state.fields
-    if fields is None:
-        raise ValueError("state carries no fields; build it with gibbs_state")
-    energy = np.empty(obs.n_cells)
-    mass_vals = np.empty(obs.n_cells)
-    momentum = np.empty((obs.n_cells, obs.dimension))
-    for c in range(obs.n_cells):
-        energy[c] = expectation(state, boosted_energy(obs, c, fields.velocity[c]))
-        mass_vals[c] = expectation(state, obs.mass[c])
-        boosted = boosted_momentum(obs, c, fields.velocity[c])
-        for ax in range(obs.dimension):
-            momentum[c, ax] = expectation(state, boosted[ax])
-    return energy, mass_vals, momentum
+    """Energy and mass expectations per cell."""
+    energy = np.array([expectation(state, op) for op in obs.energy])
+    mass_vals = np.array([expectation(state, op) for op in obs.mass])
+    return energy, mass_vals
 
 
 def entropy(state) -> float:
@@ -381,7 +302,6 @@ class FitResult:
     state: GibbsState
     iterations: int
     residual_norms: list
-    converged: bool
 
 
 def _dual_value(log_z: float, y: np.ndarray, targets: np.ndarray) -> float:
@@ -453,56 +373,30 @@ def _feasibility_check(obs: CellObservables, targets: ConstraintSet) -> None:
 def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
                init: LagrangeFields | None = None, tol: float = FIT_TOL,
                max_iter: int = MAX_ITER) -> FitResult:
-    """Fit Lagrange fields so the Gibbs state meets the cell targets.
+    """Fit (beta, mu) per cell so the Gibbs state meets the cell targets.
 
-    Newton runs on the (energy, mass) multipliers at fixed velocity; the
-    velocity is then re-solved from the rest-frame momentum expectations
-    until self-consistent.  `converged` is False when OUTER_ITER passes
-    end before the velocity settles.
+    A cold start first fits one (beta, mu) to the box totals.  Newton either
+    meets `tol` or raises FitError.
     """
     _check_basis(basis, obs)
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
     _feasibility_check(obs, targets)
-    t_vec = targets_vector(targets)
     n = obs.n_cells
     if init is None:
-        rest = _constraint_coefficients(obs, np.zeros((n, obs.dimension)))
-        total_ops = obs.blocks.combine(np.stack([rest[:n].sum(axis=0),
-                                                 rest[n:].sum(axis=0)]))
+        total_ops = obs.blocks.combine(np.kron(np.eye(2), np.ones(n)))
         total_targets = np.array([targets.energy.sum(), targets.mass.sum()])
         y2, _, _, _ = _newton_fit(total_ops, total_targets, np.array([1e-2, 0.0]),
                                   tol=1e-6, max_iter=max_iter)
-        y = np.concatenate([np.full(n, y2[0]), np.full(n, y2[1])])
-        velocity = np.zeros((n, obs.dimension))
+        y = np.repeat(y2, n)
     else:
         if init.n_cells != n:
             raise ValueError("initial fields cell count does not match")
         y = fields_to_multipliers(init)
-        velocity = init.velocity.copy()
-    iterations = 0
-    trace: list = []
-    converged = False
-    for _ in range(OUTER_ITER):
-        ops = constraint_blocks(obs, velocity)
-        y, state, used, inner_trace = _newton_fit(ops, t_vec, y, tol, max_iter)
-        iterations += used
-        trace.extend(inner_trace)
-        v_new = np.zeros_like(velocity)
-        for c in range(n):
-            mass_val = expectation(state, obs.blocks[obs.mass_index(c)])
-            if mass_val > 1e-12:
-                for ax in range(obs.dimension):
-                    v_new[c, ax] = expectation(
-                        state, obs.blocks[obs.momentum_index(c, ax)]) / mass_val
-        converged = bool(np.max(np.abs(v_new - velocity))
-                         <= 1e-12 * (1.0 + np.max(np.abs(velocity))))
-        fit_velocity, velocity = velocity, v_new
-        if converged:
-            break
-    # the last Newton state is the fit: its fields carry the velocity it was built at
-    fields = multipliers_to_fields(y, fit_velocity)
-    return FitResult(fields, replace(state, fields=fields), iterations, trace, converged)
+    y, state, iterations, trace = _newton_fit(obs.blocks, targets_vector(targets), y,
+                                              tol, max_iter)
+    fields = multipliers_to_fields(y)
+    return FitResult(fields, replace(state, fields=fields), iterations, trace)
 
 
 def constrained_perturbation(state: GibbsState, ops, rng,

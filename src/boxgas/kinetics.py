@@ -24,7 +24,6 @@ from .gibbs import (
     LagrangeFields,
     cell_observables,
     chi_matrix,
-    constraint_blocks,
     entropy,
     expectation,
     fields_to_multipliers,
@@ -52,15 +51,13 @@ class ClosureSystem:
                  fields: LagrangeFields):
         if fields.n_cells != grid.n_cells:
             raise ValueError("field cell count does not match the grid")
-        if np.any(fields.velocity != 0.0):
-            raise ValueError("closure runs with a frozen zero velocity field")
         self.basis = basis
         self.modes = modes
         self.grid = grid
         self.coeffs = coeffs
         self.fields = fields
         self.obs = cell_observables(basis, modes, grid, Zero(), grid.geom)
-        self.operators = constraint_blocks(self.obs, fields.velocity)
+        self.operators = self.obs.blocks
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
         per_cell = [cell_kernels(modes, grid, c) for c in range(grid.n_cells)]
@@ -142,11 +139,8 @@ class StateTrajectory:
 
 def _fit(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
     n = sys.n_cells
-    fit = maxent_fit(sys.basis, sys.obs, ConstraintSet(moments[:n], moments[n:]),
-                     init=warm)
-    if not fit.converged:
-        raise FitError("maximum-entropy velocity loop did not reach self-consistency")
-    return fit
+    return maxent_fit(sys.basis, sys.obs, ConstraintSet(moments[:n], moments[n:]),
+                      init=warm)
 
 
 def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):

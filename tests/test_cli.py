@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import tempfile
@@ -11,7 +10,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgas import cli
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 
@@ -66,6 +64,22 @@ def test_override_parsing():
         load_config(None, ["fields.beta"])
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(None, ["fields.gamma=1.0"])
+
+
+@pytest.mark.parametrize("raw, value", [("1e-3", 1e-3), ("-2E+1", -20.0)])
+def test_scientific_notation_reads_as_number(tmp_path, raw, value):
+    # YAML 1.1 takes these for strings; overrides and files read them as floats
+    cfg = load_config(None, [f"potential.strength={raw}"])
+    assert cfg["potential"]["strength"] == value
+    path = tmp_path / "sci.yaml"
+    path.write_text(f"potential:\n  strength: {raw}\ngenerator:\n  tau_max: 1e-3\n")
+    cfg = load_config(str(path))
+    assert cfg["potential"]["strength"] == value
+    assert cfg["generator"]["tau_max"] == 1e-3
+    result = run_cli(["modes", "--out", str(tmp_path), "--quiet",
+                      "--set", f"potential.strength={raw}"])
+    assert result.exit_code == 0
+    assert read_report(tmp_path)["config"]["potential"]["strength"] == value
 
 
 def test_shape_mismatches_rejected():
@@ -139,6 +153,16 @@ def test_generator_check_free_gas_exact_zero(tmp_path):
     assert "negative_tau_witness" not in report["checks"]
 
 
+def test_generator_check_without_pair_sector_skips_witness(tmp_path):
+    # at n_max 1 every channel vanishes, so no witness can be found or claimed
+    result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
+                      "--set", "basis.n_max=1", "--set", "generator.n_samples=20"])
+    assert result.exit_code == 0
+    report = read_report(tmp_path)
+    assert report["passed"] is True
+    assert "negative_tau_witness" not in report["checks"]
+
+
 def test_generator_check_interacting(tmp_path):
     result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
                       "--set", "generator.n_samples=50"])
@@ -161,22 +185,6 @@ def test_maxent_round_trip(tmp_path):
     header, rows = read_csv(tmp_path / "fit_trace.csv")
     assert header == ["iteration", "residual"]
     assert float(rows[-1][1]) <= 1e-8
-
-
-def test_maxent_unsettled_velocity_exits_one(tmp_path, monkeypatch):
-    real_fit = cli.maxent_fit
-
-    def unsettled_fit(*args, **kwargs):
-        return dataclasses.replace(real_fit(*args, **kwargs), converged=False)
-
-    monkeypatch.setattr(cli, "maxent_fit", unsettled_fit)
-    result = run_cli(["maxent", "--config", str(CONFIGS / "maxent_roundtrip.yaml"),
-                      "--out", str(tmp_path), "--quiet"])
-    assert result.exit_code == 1
-    report = read_report(tmp_path)
-    assert report["passed"] is False
-    assert report["checks"]["velocity_self_consistent"]["passed"] is False
-    assert "failed invariant: velocity_self_consistent" in result.output
 
 
 def test_report_records_blas_thread_environment(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from boxgas.fieldmodel import (
     Contact,
     Gaussian,
     SoftLennardJones,
-    VelocityField,
     Zero,
     box_modes,
     cell_overlaps,
@@ -272,43 +271,26 @@ def test_energy_density_cells_tile_hamiltonian():
     assert np.max(np.abs(free_total - free_hamiltonian(basis, modes))) < 1e-11
 
 
-def test_energy_density_velocity_shift_identity():
-    modes = box_modes(GEOM_1D, 3)
-    basis = build_basis(3, 2, Statistics.BOSE)
-    grid = CellGrid(GEOM_1D, (2,))
-    v = VelocityField(grid, np.array([[0.4], [-0.2]]))
-    pot = Zero()
-    for c in range(2):
-        e_v = energy_density_op(basis, modes, grid, c, pot, GEOM_1D, velocity=v)
-        e_0 = energy_density_op(basis, modes, grid, c, pot, GEOM_1D)
-        p_0 = momentum_density_op(basis, modes, grid, c)
-        m_c = mass_density_op(basis, modes, grid, c)
-        vc = v.values[c]
-        expected = e_0 - vc[0] * p_0[0] + 0.5 * float(vc @ vc) * m_c
-        assert np.max(np.abs(e_v - expected)) < 1e-12
-
-
 def test_energy_density_kinetic_kernel_matches_quadrature():
-    # oracle: numerically integrate |(-i d/dx - v) u|^2 / 2 over the cell
+    # oracle: numerically integrate |-i d/dx u|^2 / 2 over the cell
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 1, Statistics.BOSE)
     grid = CellGrid(GEOM_1D, (2,))
-    v = VelocityField(grid, np.array([[0.7], [0.7]]))
     cell = 0
     lo, hi = grid.bounds(cell)[0]
     singles = [basis.state_index(tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
-    built = energy_density_op(basis, modes, grid, cell, Zero(), GEOM_1D, velocity=v)
+    built = energy_density_op(basis, modes, grid, cell, Zero(), GEOM_1D)
     for i, h_idx in enumerate(singles):
         for j, k_idx in enumerate(singles):
             def integrand(x, fi=i + 1, fj=j + 1):
-                dh = -1j * du(fi, 1.0)(x) - 0.7 * u(fi, 1.0)(x)
-                dk = -1j * du(fj, 1.0)(x) - 0.7 * u(fj, 1.0)(x)
+                dh = -1j * du(fi, 1.0)(x)
+                dk = -1j * du(fj, 1.0)(x)
                 return (np.conj(dh) * dk).real / 2.0
             ref_re = gl_integral(integrand, lo, hi)
 
             def integrand_im(x, fi=i + 1, fj=j + 1):
-                dh = -1j * du(fi, 1.0)(x) - 0.7 * u(fi, 1.0)(x)
-                dk = -1j * du(fj, 1.0)(x) - 0.7 * u(fj, 1.0)(x)
+                dh = -1j * du(fi, 1.0)(x)
+                dk = -1j * du(fj, 1.0)(x)
                 return (np.conj(dh) * dk).imag / 2.0
             ref_im = gl_integral(integrand_im, lo, hi)
             assert built[h_idx, k_idx] == pytest.approx(ref_re + 1j * ref_im, abs=1e-10)
@@ -443,16 +425,6 @@ def test_3d_tensor_small_case_runs_and_is_symmetric():
     assert np.max(np.abs(tensor - tensor.transpose(1, 0, 3, 2))) == 0.0
     assert np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0))) == 0.0
     assert abs(tensor[0, 0, 0, 0]) > 1e-4
-
-
-def test_velocity_field_validation():
-    grid = CellGrid(GEOM_1D, (2,))
-    with pytest.raises(ValueError):
-        VelocityField(grid, np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        VelocityField(grid, np.array([[np.nan], [0.0]]))
-    vf = VelocityField.zero(grid)
-    assert vf.values.shape == (2, 1)
 
 
 def test_cell_grid_bounds_cover_box():

@@ -15,9 +15,10 @@ from boxgas.fieldmodel import (
     BoxGeometry,
     CellGrid,
     Contact,
-    VelocityField,
+    Gaussian,
     Zero,
     energy_density_op,
+    mass_density_op,
     modes_from_numbers,
     momentum_density_op,
     total_mass_op,
@@ -31,13 +32,9 @@ from boxgas.gibbs import (
     FitError,
     FitResult,
     LagrangeFields,
-    boosted_energy,
-    boosted_momentum,
     cell_observables,
     chi_matrix,
     constrained_perturbation,
-    constraint_blocks,
-    constraint_operator_list,
     constraint_values,
     entropy,
     expectation,
@@ -87,11 +84,11 @@ def diagonal_oracle(basis, beta, mu, mass=MASS):
 
 def test_field_validation():
     with pytest.raises(ValueError, match="positive"):
-        LagrangeFields(np.array([1.0, 0.0]), np.zeros(2), np.zeros((2, 1)))
+        LagrangeFields(np.array([1.0, 0.0]), np.zeros(2))
     with pytest.raises(ValueError, match="cell"):
-        LagrangeFields(np.array([1.0]), np.zeros(2), np.zeros((2, 1)))
-    f = uniform_fields(3, 1, beta=2.0, mu=-0.5)
-    assert f.n_cells == 3 and f.velocity.shape == (3, 1)
+        LagrangeFields(np.array([1.0]), np.zeros(2))
+    f = uniform_fields(3, beta=2.0, mu=-0.5)
+    assert f.n_cells == 3
 
 
 def test_constraint_set_validation():
@@ -104,22 +101,17 @@ def test_constraint_set_validation():
 
 
 def test_boosted_operators_match_field_builders():
-    # the velocity dependence must coincide with the direct overlap builders
-    modes, basis, grid, obs = make_system(cells=2)
-    vel = VelocityField(grid, np.array([[0.3], [-0.2]]))
-    for cell in range(2):
-        direct_e = energy_density_op(basis, modes, grid, cell, Zero(), GEOM,
-                                     velocity=vel)
-        direct_p = momentum_density_op(basis, modes, grid, cell, velocity=vel)
-        scale = max(frob(direct_e), 1.0)
-        assert frob(boosted_energy(obs, cell, vel.values[cell]) - direct_e) <= 1e-12 * scale
-        assert frob(boosted_momentum(obs, cell, vel.values[cell]) - direct_p) <= 1e-12 * scale
-    # the sector-block stack and the Gibbs exponent carry the same boost
-    dense = np.array(constraint_operator_list(obs, vel.values))
-    scale = max(frob(dense), 1.0)
-    assert frob(constraint_blocks(obs, vel.values).dense() - dense) <= 1e-13 * scale
-    fields = LagrangeFields(np.array([0.7, 1.2]), np.array([0.1, -0.2]), vel.values)
-    want = sum(fields.beta[c] * (dense[c] - fields.mu[c] * dense[2 + c]) for c in range(2))
+    # the constraint stack is the direct cell energies, then the cell masses,
+    # and the Gibbs exponent is sum_c beta_c E_c - beta_c mu_c N_c on them
+    modes, basis, grid, obs = make_system(cells=2, potential=Contact(0.8))
+    direct = np.array([energy_density_op(basis, modes, grid, c, Contact(0.8), GEOM)
+                       for c in range(2)]
+                      + [mass_density_op(basis, modes, grid, c) for c in range(2)])
+    scale = max(frob(direct), 1.0)
+    assert frob(obs.blocks.dense() - direct) <= 1e-12 * scale
+    fields = LagrangeFields(np.array([0.7, 1.2]), np.array([0.1, -0.2]))
+    want = sum(fields.beta[c] * direct[c] - fields.beta[c] * fields.mu[c] * direct[2 + c]
+               for c in range(2))
     assert frob(gibbs_state(basis, obs, fields).k_matrix - want) <= 1e-13 * scale
 
 
@@ -129,7 +121,7 @@ def test_boosted_operators_match_field_builders():
 
 def test_weight_invariants_and_commutation():
     _, basis, _, obs = make_system(potential=Contact(0.7))
-    fields = uniform_fields(1, 1, beta=0.8, mu=0.1)
+    fields = uniform_fields(1, beta=0.8, mu=0.1)
     state = gibbs_state(basis, obs, fields)
     w = state.weight
     assert abs(np.trace(w).real - 1.0) <= 1e-12
@@ -141,7 +133,7 @@ def test_weight_invariants_and_commutation():
 
 def test_infinite_temperature_limit():
     _, basis, _, obs = make_system()
-    fields = uniform_fields(1, 1, beta=1e-9, mu=0.0)
+    fields = uniform_fields(1, beta=1e-9, mu=0.0)
     state = gibbs_state(basis, obs, fields)
     assert frob(state.weight - np.eye(basis.dim) / basis.dim) <= 1e-6
 
@@ -150,7 +142,7 @@ def test_infinite_temperature_limit():
 def test_free_gas_matches_diagonal_oracle(statistics):
     _, basis, _, obs = make_system(statistics=statistics)
     beta, mu = 0.4, -0.2
-    state = gibbs_state(basis, obs, uniform_fields(1, 1, beta, mu))
+    state = gibbs_state(basis, obs, uniform_fields(1, beta, mu))
     probs, energies = diagonal_oracle(basis, beta, mu)
     for f in range(3):
         op = np.diag(basis.states[:, f].astype(complex))
@@ -164,10 +156,10 @@ def test_state_basis_mismatch_errors():
     _, basis, _, obs = make_system()
     other = build_basis(3, 1, Statistics.BOSE)
     with pytest.raises(ValueError, match="different basis"):
-        gibbs_state(other, obs, uniform_fields(1, 1, 1.0, 0.0))
+        gibbs_state(other, obs, uniform_fields(1, 1.0, 0.0))
     with pytest.raises(ValueError, match="cell count"):
         gibbs_state(build_basis(3, 2, Statistics.BOSE), obs,
-                    uniform_fields(2, 1, 1.0, 0.0))
+                    uniform_fields(2, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +168,7 @@ def test_state_basis_mismatch_errors():
 
 def test_expectation_reality_guard():
     _, basis, _, obs = make_system()
-    state = gibbs_state(basis, obs, uniform_fields(1, 1, 0.5, 0.0))
+    state = gibbs_state(basis, obs, uniform_fields(1, 0.5, 0.0))
     rng = np.random.default_rng(0)
     h = random_hermitian(rng, basis.dim)
     val = expectation(state, h)
@@ -194,12 +186,24 @@ def test_mass_on_maximally_mixed():
 
 
 def test_momentum_vanishes_at_zero_velocity():
-    _, basis, _, obs = make_system(cells=2, potential=Contact(0.9))
-    fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]),
-                            np.zeros((2, 1)))
-    state = gibbs_state(basis, obs, fields)
-    _, _, momentum = constraint_values(state, obs)
-    assert np.max(np.abs(momentum)) <= 1e-12
+    # why no velocity field is carried: every cell of a fitted (beta, mu)
+    # state holds zero momentum, so a velocity re-solved from it stays zero
+    geom_3d = BoxGeometry((1.0, 1.07, 1.13))
+    cases = [(GEOM, [(1,), (2,), (3,)], (2,), Contact(0.9)),
+             (geom_3d, [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)], (2, 1, 1),
+              Gaussian(0.8, 0.25))]
+    true_fields = LagrangeFields(np.array([0.3, 0.2]), np.array([0.2, -0.1]))
+    for geom, numbers, cells, potential in cases:
+        modes = modes_from_numbers(geom, numbers)
+        grid = CellGrid(geom, cells)
+        for statistics in (Statistics.BOSE, Statistics.FERMI):
+            basis = build_basis(len(numbers), 2, statistics)
+            obs = cell_observables(basis, modes, grid, potential, geom)
+            targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, true_fields), obs))
+            state = maxent_fit(basis, obs, targets).state
+            for c in range(grid.n_cells):
+                for p_op in momentum_density_op(basis, modes, grid, c):
+                    assert abs(expectation(state, p_op)) <= 1e-12
 
 
 def test_entropy_limits_and_blocks():
@@ -223,7 +227,7 @@ def test_entropy_limits_and_blocks():
 
 def test_entropy_of_gibbs_state_object():
     _, basis, _, obs = make_system()
-    state = gibbs_state(basis, obs, uniform_fields(1, 1, 0.7, 0.0))
+    state = gibbs_state(basis, obs, uniform_fields(1, 0.7, 0.0))
     assert abs(entropy(state) - entropy(state.weight)) <= 1e-10
 
 
@@ -233,7 +237,7 @@ def test_entropy_of_gibbs_state_object():
 
 def test_chi_metric_properties():
     _, basis, _, obs = make_system(potential=Contact(0.5))
-    state = gibbs_state(basis, obs, uniform_fields(1, 1, 0.6, -0.1))
+    state = gibbs_state(basis, obs, uniform_fields(1, 0.6, -0.1))
     rng = np.random.default_rng(11)
     eye = np.eye(basis.dim, dtype=complex)
     for _ in range(5):
@@ -248,7 +252,7 @@ def test_chi_metric_properties():
 
 def test_chi_matches_finite_difference():
     _, basis, _, obs = make_system(potential=Contact(0.5))
-    state = gibbs_state(basis, obs, uniform_fields(1, 1, 0.6, -0.1))
+    state = gibbs_state(basis, obs, uniform_fields(1, 0.6, -0.1))
     rng = np.random.default_rng(21)
     a = random_hermitian(rng, basis.dim)
     b = random_hermitian(rng, basis.dim)
@@ -287,11 +291,9 @@ def test_chi_matches_integral_definition():
 
 def test_chi_matrix_symmetric_psd():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    fields = LagrangeFields(np.array([1.0, 0.8]), np.array([0.1, 0.0]),
-                            np.zeros((2, 1)))
+    fields = LagrangeFields(np.array([1.0, 0.8]), np.array([0.1, 0.0]))
     state = gibbs_state(basis, obs, fields)
-    ops = constraint_operator_list(obs, fields.velocity)
-    chi = chi_matrix(state, ops)
+    chi = chi_matrix(state, obs.blocks.dense())
     assert np.allclose(chi, chi.T, atol=1e-12 * (1 + np.max(np.abs(chi))))
     assert np.min(np.linalg.eigvalsh(chi)) >= -1e-10 * max(1.0, np.max(np.abs(chi)))
 
@@ -302,10 +304,9 @@ def test_chi_matrix_symmetric_psd():
 
 def test_maxent_round_trip_two_cells():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]),
-                                 np.zeros((2, 1)))
+    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
     true_state = gibbs_state(basis, obs, true_fields)
-    energy, mass_vals, _ = constraint_values(true_state, obs)
+    energy, mass_vals = constraint_values(true_state, obs)
     targets = ConstraintSet(energy, mass_vals)
     result = maxent_fit(basis, obs, targets)
     assert isinstance(result, FitResult)
@@ -315,21 +316,17 @@ def test_maxent_round_trip_two_cells():
                   / true_fields.beta) <= 1e-6
     assert np.max(np.abs(result.fields.mu - true_fields.mu)) <= 1e-6 * (
         1.0 + np.max(np.abs(true_fields.mu)))
-    assert np.max(np.abs(result.fields.velocity)) <= 1e-12
     assert frob(result.state.weight - true_state.weight) <= 1e-8
-    fit_e, fit_m, fit_p = constraint_values(result.state, obs)
+    fit_e, fit_m = constraint_values(result.state, obs)
     assert np.max(np.abs(fit_e - energy)) <= 1e-8 * (1 + np.max(np.abs(energy)))
     assert np.max(np.abs(fit_m - mass_vals)) <= 1e-8
-    assert np.max(np.abs(fit_p)) <= 1e-8
 
 
 def test_maxent_warm_start_round_trip():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.3, 0.7]), np.array([0.0, 0.1]),
-                                 np.zeros((2, 1)))
-    energy, mass_vals, _ = constraint_values(gibbs_state(basis, obs, true_fields), obs)
-    init = LagrangeFields(np.array([1.2, 0.8]), np.array([0.05, 0.05]),
-                          np.zeros((2, 1)))
+    true_fields = LagrangeFields(np.array([1.3, 0.7]), np.array([0.0, 0.1]))
+    energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
+    init = LagrangeFields(np.array([1.2, 0.8]), np.array([0.05, 0.05]))
     result = maxent_fit(basis, obs, ConstraintSet(energy, mass_vals), init=init)
     assert np.max(np.abs(result.fields.beta - true_fields.beta)) <= 1e-6 * 1.3
     assert result.iterations <= 50
@@ -388,13 +385,12 @@ def test_maxent_unattainable_energy_target():
 
 def test_maximality_against_constrained_perturbations():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]),
-                                 np.zeros((2, 1)))
-    energy, mass_vals, _ = constraint_values(gibbs_state(basis, obs, true_fields), obs)
+    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
+    energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
     targets = ConstraintSet(energy, mass_vals)
     result = maxent_fit(basis, obs, targets)
     state = result.state
-    ops = constraint_operator_list(obs, result.fields.velocity)
+    ops = obs.blocks.dense()
     t_vec = targets_vector(targets)
     s_star = entropy(state)
     rng = np.random.default_rng(3)
@@ -404,19 +400,6 @@ def test_maximality_against_constrained_perturbations():
         assert np.max(np.abs(values - t_vec) / np.maximum(1.0, np.abs(t_vec))) <= 1e-8
         assert s_star >= entropy(w_prime) - 1e-9
 
-
-
-def test_maxent_reports_unsettled_velocity_loop():
-    # the velocity fixed point contracts slowly from a start at 0.3; the fit
-    # must say so instead of claiming convergence
-    _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]),
-                                 np.zeros((2, 1)))
-    energy, mass_vals, _ = constraint_values(gibbs_state(basis, obs, true_fields), obs)
-    targets = ConstraintSet(energy, mass_vals)
-    assert maxent_fit(basis, obs, targets).converged
-    moving = LagrangeFields(true_fields.beta, true_fields.mu, np.full((2, 1), 0.3))
-    assert not maxent_fit(basis, obs, targets, init=moving).converged
 
 
 def test_fit_failures_raise_fit_error():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -58,7 +57,7 @@ def make_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
     coeffs = coefficients_from_potential(modes, vt, statistics,
                                          eps=eps, delta=delta)
     mu = np.zeros(cells) if mu is None else np.asarray(mu, float)
-    fields = LagrangeFields(np.asarray(beta, float), mu, np.zeros((cells, 1)))
+    fields = LagrangeFields(np.asarray(beta, float), mu)
     return ClosureSystem(basis, modes, grid, coeffs, fields)
 
 
@@ -69,8 +68,7 @@ def free_system(cells=1, beta=(0.3,), numbers=(1, 2, 3), n_max=2):
     n_pairs = len(pair_basis(len(numbers), Statistics.BOSE))
     coeffs = build_coefficients(modes, np.zeros((n_pairs, n_pairs)),
                                 Statistics.BOSE, delta=1.0)
-    fields = LagrangeFields(np.asarray(beta, float), np.zeros(cells),
-                            np.zeros((cells, 1)))
+    fields = LagrangeFields(np.asarray(beta, float), np.zeros(cells))
     return ClosureSystem(basis, modes, grid, coeffs, fields)
 
 
@@ -106,13 +104,9 @@ def test_system_validation():
     sys_ok = make_system()
     assert sys_ok.n_cells == 2 and len(sys_ok.operators) == 4
     modes = sys_ok.modes
-    with pytest.raises(ValueError, match="velocity"):
-        ClosureSystem(sys_ok.basis, modes, sys_ok.grid, sys_ok.coeffs,
-                      LagrangeFields(np.array([0.2, 0.2]), np.zeros(2),
-                                     np.full((2, 1), 0.1)))
     with pytest.raises(ValueError, match="cell count"):
         ClosureSystem(sys_ok.basis, modes, sys_ok.grid, sys_ok.coeffs,
-                      LagrangeFields(np.array([0.2]), np.zeros(1), np.zeros((1, 1))))
+                      LagrangeFields(np.array([0.2]), np.zeros(1)))
     other = build_basis(3, 2, Statistics.FERMI)
     with pytest.raises(ValueError, match="does not match"):
         ClosureSystem(other, modes, sys_ok.grid, sys_ok.coeffs, sys_ok.fields)
@@ -177,7 +171,7 @@ def test_singular_response_names_combination():
     modes = modes_from_numbers(GEOM, [(1,)])
     basis = build_basis(1, 3, Statistics.BOSE)
     coeffs = build_coefficients(modes, np.zeros((1, 1)), Statistics.BOSE, delta=1.0)
-    fields = LagrangeFields(np.array([0.4]), np.zeros(1), np.zeros((1, 1)))
+    fields = LagrangeFields(np.array([0.4]), np.zeros(1))
     sys = ClosureSystem(basis, modes, whole_box_grid(GEOM), coeffs, fields)
     with pytest.raises(ValueError, match=r"singular response matrix.*energy\[0\]"):
         closure_rhs(sys)
@@ -240,20 +234,6 @@ def test_integrate_propagates_non_fit_errors(monkeypatch):
     assert not isinstance(info.value, FitError)
 
 
-def test_unsettled_velocity_fit_rejects_step(monkeypatch):
-    sys = make_system()
-    dt = 20.2 * sys.tau0
-    real_fit = kinetics.maxent_fit
-
-    def unsettled_fit(*args, **kwargs):
-        return dataclasses.replace(real_fit(*args, **kwargs), converged=False)
-
-    monkeypatch.setattr(kinetics, "maxent_fit", unsettled_fit)
-    with pytest.raises(ValueError, match="velocity loop") as info:
-        integrate(sys, t_span=4.0 * dt, dt=dt)
-    assert isinstance(info.value.__cause__, FitError)
-
-
 def test_interacting_equilibrium_stays_fixed():
     # single cell, resonant-only smearing: collision residual vanishes exactly
     sys = make_system(cells=1, beta=(0.2,), g=0.1, delta=2.0)
@@ -308,7 +288,7 @@ def test_energy_rate_scales_down_with_delta():
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     basis = build_basis(4, 2, Statistics.BOSE)
     vt = potential_tensor(modes, Gaussian(1.0, 0.25), GEOM, order=32)
-    fields = LagrangeFields(np.array([0.005]), np.zeros(1), np.zeros((1, 1)))
+    fields = LagrangeFields(np.array([0.005]), np.zeros(1))
     rates = []
     for delta in (48.0, 24.0, 12.0):
         coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,

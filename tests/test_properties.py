@@ -1,0 +1,85 @@
+"""Structural invariants on random small systems.
+
+Hypothesis draws the mode set (1D or 3D, 1-4 modes), the statistics, n_max
+<= 3, the cell grid and the coupling, and every draw must keep: hermitian H
+and cell operators, the number-sector block structure, mass conservation of
+L', and the ladder algebra of acceptance check 1.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxgas.fieldmodel import (
+    BoxGeometry,
+    CellGrid,
+    Contact,
+    Gaussian,
+    hamiltonian,
+    modes_from_numbers,
+    momentum_density_op,
+    potential_tensor,
+)
+from boxgas.fock import Statistics, build_basis, ladder_ops
+from boxgas.generator import Lprime, coefficients_from_potential
+from boxgas.gibbs import cell_observables
+from boxgas.matrixutil import frob, hermiticity_defect, split_blocks
+
+
+@st.composite
+def systems(draw):
+    dim = draw(st.sampled_from((1, 3)))
+    numbers = draw(st.lists(st.lists(st.integers(1, 3), min_size=dim, max_size=dim),
+                            min_size=1, max_size=4, unique_by=tuple))
+    statistics = draw(st.sampled_from(tuple(Statistics)))
+    n_max = draw(st.integers(1, 3 if statistics is Statistics.BOSE else min(3, len(numbers))))
+    cells = (draw(st.integers(1, 2)),) + (1,) * (dim - 1)
+    strength = draw(st.floats(-1.0, 1.0))
+    if dim == 1 and draw(st.booleans()):
+        potential = Contact(strength)
+    else:
+        potential = Gaussian(strength, draw(st.floats(0.1, 0.5)))
+    return BoxGeometry((1.0,) * dim), numbers, statistics, n_max, cells, potential
+
+
+def ladder_algebra_defect(basis):
+    """Largest violation of the CCR or CAR; [a, a†] is read below n_max
+    unless the truncation cuts no shell (fermions with n_max = mode count)."""
+    a = ladder_ops(basis)
+    adag = a.conj().transpose(0, 2, 1)
+    sign = 1.0 if basis.statistics is Statistics.BOSE else -1.0
+    cut = sign > 0 or basis.n_max < basis.n_modes
+    cols = basis.totals() < basis.n_max if cut else np.ones(basis.dim, dtype=bool)
+    eye = np.eye(basis.dim)
+    worst = 0.0
+    for f in range(basis.n_modes):
+        for g in range(basis.n_modes):
+            mixed = a[f] @ adag[g] - sign * adag[g] @ a[f] - (f == g) * eye
+            pair = a[f] @ a[g] - sign * a[g] @ a[f]
+            worst = max(worst, np.max(np.abs(mixed[:, cols])), np.max(np.abs(pair)))
+    return worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=systems())
+def test_structure_of_random_systems(system):
+    geom, numbers, statistics, n_max, cells, potential = system
+    modes = modes_from_numbers(geom, numbers)
+    basis = build_basis(len(modes), n_max, statistics)
+    grid = CellGrid(geom, cells)
+    vtensor = potential_tensor(modes, potential, geom, order=4)
+    h = hamiltonian(basis, modes, vtensor)
+    obs = cell_observables(basis, modes, grid, potential, geom, order=4)
+    momentum = np.concatenate([momentum_density_op(basis, modes, grid, c)
+                               for c in range(grid.n_cells)])
+    ops = np.concatenate([h[None], obs.energy, obs.mass, momentum])
+    for op in ops:
+        assert hermiticity_defect(op) <= 1e-12 * max(1.0, float(np.max(np.abs(op))))
+    # every operator conserves the particle number: split_blocks rejects any
+    # entry outside the number sectors
+    blocks = split_blocks(ops, basis.sectors, [f"operator {i}" for i in range(len(ops))])
+    assert np.array_equal(blocks.dense(), ops)
+
+    coeffs = coefficients_from_potential(modes, vtensor, statistics, eps=10.0, delta=2.0)
+    assert frob(Lprime(basis, coeffs).apply(np.eye(len(modes)))) <= 1e-10
+
+    assert ladder_algebra_defect(basis) <= 1e-12
