@@ -1,0 +1,113 @@
+"""Size ladder: wall time and peak RSS of `boxgas` CLI calls at growing basis dims.
+
+    python3 bench/ladder.py --out BENCH_<n>.json
+
+Each rung runs `build`, `generator-check` and `evolve` on the default config
+with 1D modes 1..n, the given n_max, 2 cells and `evolve.steps=4`.  Every call
+is a fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
+variables pinned to 1, importing `boxgas` from `src/` of this checkout; its
+wall time and the peak RSS the kernel reports for that process
+(`os.wait4`) are recorded.  The rungs listed in SKIPPED are not run: the
+sizes of their dense pair/channel and ladder stacks and of the witness SVD
+factor are estimated and recorded instead.
+This is a plain script, not a test and not a benchmark gate.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from math import comb
+from pathlib import Path
+
+import numpy
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("build", "generator-check", "evolve")
+RUNGS = ((6, 3), (6, 4), (8, 4))  # (modes, n_max), Bose
+SKIPPED = ((10, 4), (12, 4))
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+COMPLEX_BYTES = 16
+MB = 2.0 ** 20
+
+
+def bose_dim(modes: int, n_max: int) -> int:
+    return sum(comb(modes + n - 1, n) for n in range(n_max + 1))
+
+
+def overrides(modes: int, n_max: int) -> list[str]:
+    numbers = "[" + ",".join(f"[{k}]" for k in range(1, modes + 1)) + "]"
+    return [f"modes.numbers={numbers}", f"basis.n_max={n_max}", "grid.cells=[2]",
+            "evolve.steps=4"]
+
+
+def run_call(command: str, sets: list[str], env: dict) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        args = [sys.executable, "-m", "boxgas.cli", command, "--out", out, "--quiet"]
+        for item in sets:
+            args += ["--set", item]
+        with open(Path(out) / "stderr.txt", "w+b") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+            err.seek(0)
+            stderr = err.read().decode(errors="replace")
+        code = os.waitstatus_to_exitcode(status)
+        report = Path(out) / "report.json"
+        passed = json.loads(report.read_text())["passed"] if report.exists() else None
+    row = {"command": command, "exit_code": code, "passed": passed,
+           "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1)}
+    if code != 0:
+        row["stderr_tail"] = stderr.strip().splitlines()[-3:]
+    return row
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args()
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = str(ROOT / "src")
+    rungs = []
+    for modes, n_max in RUNGS:
+        calls = [run_call(c, overrides(modes, n_max), env) for c in COMMANDS]
+        rungs.append({"modes": modes, "n_max": n_max, "dim": bose_dim(modes, n_max),
+                      "calls": calls})
+        for call in calls:
+            print(f"modes {modes} n_max {n_max} dim {rungs[-1]['dim']:5d} "
+                  f"{call['command']:16s} {call['wall_s']:8.2f} s "
+                  f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
+    for modes, n_max in SKIPPED:
+        dim = bose_dim(modes, n_max)
+        rungs.append({
+            "modes": modes, "n_max": n_max, "dim": dim, "skipped": True,
+            "dense_channel_stack_mb": round(modes ** 2 * dim ** 2 * COMPLEX_BYTES / MB),
+            "dense_ladder_stack_mb": round(modes * dim ** 2 * COMPLEX_BYTES / MB),
+            # the full right factor of the SVD behind `negative_tau_witness`
+            "witness_svd_mb": round((modes * dim) ** 2 * COMPLEX_BYTES / MB),
+        })
+    result = {
+        "config": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "threads": {var: env[var] for var in THREAD_VARS},
+        },
+        "rungs": rungs,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

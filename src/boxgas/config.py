@@ -179,6 +179,16 @@ SCHEMA: dict[str, Any] = {
 }
 
 
+# jsonschema's `integer` takes any number with a zero fraction (2.0, 2e0); a
+# count or index must be a Python int, and a bool is not one.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer",
+        lambda _checker, value: isinstance(value, int) and not isinstance(value, bool)),
+)
+
+
 class _Loader(yaml.SafeLoader):
     """SafeLoader that also reads the YAML 1.2 float forms `1e-3` and `-2E+1`.
 
@@ -284,7 +294,7 @@ def load_config(path: str | None = None,
         cfg = _deep_merge(cfg, loaded)
     for item in overrides:
         _apply_override(cfg, item)
-    validator = jsonschema.Draft202012Validator(SCHEMA)
+    validator = _Validator(SCHEMA)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         first = errors[0]

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
+
+from .matrixutil import dagger_sum
 
 DIM_CAP = 200_000
 HERM_TOL = 1e-12
@@ -84,11 +86,80 @@ class FockBasis:
         return tuple(slice(int(lo), int(hi)) for lo, hi in zip((0, *edges[:-1]), edges))
 
     @cached_property
+    def lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index maps of the annihilators, each of shape (n_modes, dim).
+
+        a_f takes basis state c to row `target[f, c]` with amplitude
+        `amp[f, c]`: sqrt(n) for Bose, the Jordan-Wigner sign of the prefix
+        sum for Fermi.  Where mode f is empty the target is -1 and the
+        amplitude 0.  Each occupation row is one fixed-width byte key, and the
+        lowered rows are found among them by argsort + searchsorted.  (Integer
+        keys in base n_max + 1 would overflow int64 from 64 Bose modes at n_max 1.)
+        """
+        states = np.ascontiguousarray(self.states)
+        key = np.dtype((np.void, states.itemsize * self.n_modes))
+        keys = states.view(key)[:, 0]
+        order = np.argsort(keys)
+        mode, col = np.nonzero(states.T)
+        lowered = states[col]
+        lowered[np.arange(col.size), mode] -= 1
+        target = np.full((self.n_modes, self.dim), -1, dtype=np.int64)
+        target[mode, col] = order[np.searchsorted(keys[order], lowered.view(key)[:, 0])]
+        if self.statistics is Statistics.BOSE:
+            amp = np.sqrt(states.T.astype(float))
+        else:
+            before = (np.cumsum(states, axis=1) - states).T
+            amp = np.where(target >= 0, 1.0 - 2.0 * (before % 2), 0.0)
+        return target, amp
+
+    @cached_property
     def ladders(self) -> np.ndarray:
         """All annihilators stacked as a read-only (n_modes, dim, dim) array."""
-        stack = np.stack([annihilation_op(self, f) for f in range(self.n_modes)])
+        target, amp = self.lowering
+        stack = np.zeros((self.n_modes, self.dim, self.dim), dtype=complex)
+        mode, col = np.nonzero(target >= 0)
+        stack[mode, target[mode, col], col] = amp[mode, col]
         stack.setflags(write=False)
         return stack
+
+    @cached_property
+    def ladder_blocks(self) -> tuple[np.ndarray, ...]:
+        """Entry N: the read-only (n_modes, d_{N-1}, d_N) block of every a_f, sector N -> N-1."""
+        return self._sector_blocks(*self.lowering, lower=1)
+
+    @cached_property
+    def pair_blocks(self) -> tuple[np.ndarray, ...]:
+        """Entry N: the read-only (n_modes, n_modes, d_{N-2}, d_N) block of a_f a_g.
+
+        Composed from the index maps: a_g first, then a_f.  Entries N < 2 have
+        no rows.
+        """
+        target, amp = self.lowering
+        second = target[:, target]  # [f, g, c]: row of a_f applied to a_g's image of c
+        valid = (target >= 0) & (second >= 0)
+        return self._sector_blocks(np.where(valid, second, -1),
+                                   np.where(valid, amp[:, target] * amp, 0.0), lower=2)
+
+    def _sector_blocks(self, target, amp, lower: int) -> tuple[np.ndarray, ...]:
+        """Scatter column maps (..., dim) into one block per sector N, mapping N -> N - lower."""
+        out = []
+        for number, cols in enumerate(self.sectors):
+            rows = self.sectors[number - lower] if number >= lower else slice(0, 0)
+            t, a = target[..., cols], amp[..., cols]
+            block = np.zeros(t.shape[:-1] + (rows.stop - rows.start, t.shape[-1]))
+            hit = np.nonzero(t >= 0)
+            block[hit[:-1] + (t[hit] - rows.start, hit[-1])] = a[hit]
+            block.setflags(write=False)
+            out.append(block)
+        return tuple(out)
+
+    def assemble(self, blocks, lower: int = 0) -> np.ndarray:
+        """Dense (..., dim, dim) operator from per-sector blocks mapping N -> N - lower."""
+        lead = blocks[-1].shape[:-2]
+        out = np.zeros(lead + (self.dim, self.dim), dtype=np.result_type(*blocks))
+        for number in range(lower, len(blocks)):
+            out[..., self.sectors[number - lower], self.sectors[number]] = blocks[number]
+        return out
 
 
 def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
@@ -120,21 +191,7 @@ def annihilation_op(basis: FockBasis, mode: int) -> np.ndarray:
     """
     if not 0 <= mode < basis.n_modes:
         raise ValueError(f"mode {mode} outside 0..{basis.n_modes - 1}")
-    dim = basis.dim
-    a = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(basis.states):
-        n = occ[mode]
-        if n == 0:
-            continue
-        target = occ.copy()
-        target[mode] -= 1
-        row = basis.index[tuple(int(x) for x in target)]
-        if basis.statistics is Statistics.BOSE:
-            amp = sqrt(n)
-        else:
-            amp = (-1.0) ** int(occ[:mode].sum())
-        a[row, col] = amp
-    return a
+    return basis.ladders[mode].copy()
 
 
 def creation_op(basis: FockBasis, mode: int) -> np.ndarray:
@@ -151,14 +208,17 @@ def number_op(basis: FockBasis) -> np.ndarray:
 
 
 def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> np.ndarray:
-    """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k."""
+    """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k.
+
+    Assembled per number sector N from the N -> N-1 ladder blocks L:
+    sum_h L_h^dagger (sum_k kernel[h,k] L_k).
+    """
     kernel = np.asarray(kernel, dtype=complex)
     f = basis.n_modes
     if kernel.shape != (f, f):
         raise ValueError(f"kernel shape {kernel.shape} does not match mode count {f}")
-    a = basis.ladders
-    adag = a.conj().transpose(0, 2, 1)
-    return np.einsum("hk,hab,kbc->ac", kernel, adag, a, optimize=True)
+    return basis.assemble([dagger_sum(lad, np.tensordot(kernel, lad, axes=1))
+                           for lad in basis.ladder_blocks])
 
 
 def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> np.ndarray:
@@ -166,7 +226,9 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> np.ndarray:
 
     Returns (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1.  The
     tensor must satisfy tensor[l1,l2,f2,f1] == conj(tensor[f1,f2,l2,l1]),
-    which makes the operator hermitian.
+    which makes the operator hermitian.  Assembled per number sector from the
+    pair annihilators P[f2, f1] = a_f2 a_f1, whose adjoints P[l2, l1]^dagger
+    are the creation pairs adag_l1 adag_l2: two GEMMs per sector.
     """
     tensor = np.asarray(tensor, dtype=complex)
     f = basis.n_modes
@@ -175,13 +237,10 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> np.ndarray:
     defect = np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0)))
     if defect > HERM_TOL:
         raise ValueError(f"two-body tensor fails hermiticity: {defect:.3e} > {HERM_TOL:.1e}")
-    a = basis.ladders
-    dim = basis.dim
-    # pair annihilators P[f2, f1] = a_f2 a_f1; creation pairs are their adjoints
-    pairs = np.einsum("fab,gbc->fgac", a, a, optimize=True)
-    pairs_flat = pairs.reshape(f * f, dim, dim)
-    # adag_l1 adag_l2 = (a_l2 a_l1)^dag = pairs[l2, l1]^dag
-    cre_flat = pairs.transpose(1, 0, 3, 2).conj().reshape(f * f, dim, dim)
-    weights = tensor.reshape(f * f, f * f)
-    mixed = np.einsum("pq,qbc->pbc", weights, pairs_flat, optimize=True)
-    return 0.5 * np.einsum("pab,pbc->ac", cre_flat, mixed, optimize=True)
+    # rows indexed (l2, l1) to line up with the creation pair P[l2, l1]^dagger
+    weights = tensor.transpose(1, 0, 2, 3).reshape(f * f, f * f)
+    blocks = []
+    for pairs in basis.pair_blocks:
+        flat = pairs.reshape(f * f, -1)
+        blocks.append(0.5 * dagger_sum(pairs, (weights @ flat).reshape(pairs.shape)))
+    return basis.assemble(blocks)

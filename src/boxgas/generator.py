@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .fieldmodel import HBAR, MASS, free_hamiltonian, hamiltonian, mode_energies
 from .fock import FockBasis, Statistics, ladder_ops
-from .matrixutil import comm, frob
+from .matrixutil import comm, dagger_sum, frob
 from .scattering import onshell_tmatrix, pair_basis, pair_energies, tensor_from_pair_matrix
 
 SUPPORT_FACTOR = 4.0
@@ -100,32 +100,45 @@ def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: flo
     return build_coefficients(modes, t_on, statistics, delta)
 
 
-def _dagger_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_i left[i]^dagger right[i] over the leading axes of two operator stacks."""
-    dim = left.shape[-1]
-    return left.reshape(-1, dim).conj().T @ right.reshape(-1, dim)
-
-
 def _lower(stack: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """sum_k stack[k] psi[k], flattened, for an operator stack led by the index k."""
     n, dim = psi.shape
     return (stack.reshape(n, -1, dim) @ psi[:, :, None]).sum(axis=0).ravel()
 
 
+def channel_blocks(basis: FockBasis, coeffs: GeneratorCoefficients) -> tuple:
+    """Jump operators R[k, l] = sum jump[k, l, f2, f1] a_{f2} a_{f1} per number sector.
+
+    Entry N is the (n, n, d_{N-2}, d_N) block mapping sector N to N - 2: one
+    (n^2 x n^2) by (n^2 x d_{N-2} d_N) product with the pair annihilators.
+    """
+    n = basis.n_modes
+    jump = coeffs.jump.reshape(n * n, n * n)
+    return tuple((jump @ pairs.reshape(n * n, -1)).reshape(pairs.shape)
+                 for pairs in basis.pair_blocks)
+
+
 def channel_ops(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
-    """Jump operators R[k, l] = sum jump[k, l, f2, f1] a_{f2} a_{f1}."""
-    a = ladder_ops(basis)
-    prod = np.einsum("fab,gbc->fgac", a, a)
-    return np.einsum("klfg,fgac->klac", coeffs.jump, prod)
+    """The jump operators as a dense (n, n, dim, dim) stack."""
+    return basis.assemble(channel_blocks(basis, coeffs), lower=2)
 
 
-def gamma_op(channels: np.ndarray) -> np.ndarray:
-    """Loss operator: one quarter of the channel-summed R†R."""
-    return 0.25 * _dagger_sum(channels, channels)
+def _gamma_blocks(channels: tuple) -> tuple:
+    """Per-sector blocks of one quarter of the channel-summed R†R."""
+    return tuple(0.25 * dagger_sum(r, r) for r in channels)
+
+
+def gamma_op(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
+    """Loss operator: one quarter of the channel-summed R†R, assembled per number sector."""
+    return basis.assemble(_gamma_blocks(channel_blocks(basis, coeffs)))
 
 
 class Lprime:
-    """Generator action on one-body kernels, with streaming/loss/gain split."""
+    """Generator action on one-body kernels, with streaming/loss/gain split.
+
+    Ladders lower the number by one and channels by two, so every image is
+    assembled block by block over the number sectors.
+    """
 
     def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients):
         if basis.n_modes != coeffs.n_modes or basis.statistics is not coeffs.statistics:
@@ -134,22 +147,26 @@ class Lprime:
         self.coeffs = coeffs
         self.a = ladder_ops(basis)
         self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
-        self.channels = channel_ops(basis, coeffs)
-        self.gamma = gamma_op(self.channels)
+        self.channel_blocks = channel_blocks(basis, coeffs)
+        self.gamma_blocks = _gamma_blocks(self.channel_blocks)
+        self.gamma = basis.assemble(self.gamma_blocks)
 
     def parts(self, kernel: np.ndarray):
         """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k."""
         kernel = np.asarray(kernel, dtype=complex)
-        ka = np.tensordot(kernel, self.a, axes=1)  # [h] sum_k K[h,k] a_k
-        x = _dagger_sum(self.a, ka)
-        stream = (1j / HBAR) * comm(self.h_eff, x)
-        loss = (-1.0 / HBAR) * (
-            self.gamma @ x + x @ self.gamma
-            - 2.0 * _dagger_sum(self.a, self.gamma @ ka)
-        )
-        kr = np.tensordot(kernel, self.channels, axes=1)  # [h, l] sum_k K[h,k] R_kl
-        gain = (1.0 / HBAR) * _dagger_sum(self.channels, kr)
-        return stream, loss, gain
+        stream, loss, gain = [], [], []
+        gamma_below = np.zeros((0, 0))  # Gamma on sector N - 1, where a_k lands
+        for s, lad, chan, gamma in zip(self.basis.sectors, self.basis.ladder_blocks,
+                                       self.channel_blocks, self.gamma_blocks):
+            ka = np.tensordot(kernel, lad, axes=1)  # [h] sum_k K[h,k] a_k
+            x = dagger_sum(lad, ka)
+            stream.append((1j / HBAR) * comm(self.h_eff[s, s], x))
+            loss.append((-1.0 / HBAR) * (
+                gamma @ x + x @ gamma - 2.0 * dagger_sum(lad, gamma_below @ ka)))
+            kr = np.tensordot(kernel, chan, axes=1)  # [h, l] sum_k K[h,k] R_kl
+            gain.append((1.0 / HBAR) * dagger_sum(chan, kr))
+            gamma_below = gamma
+        return tuple(self.basis.assemble(blocks) for blocks in (stream, loss, gain))
 
     def apply(self, kernel: np.ndarray) -> np.ndarray:
         stream, loss, gain = self.parts(kernel)
@@ -170,8 +187,9 @@ class Lprime:
         phi = _lower(self.a, psi)
         u = _lower(self.a, psi @ self.h_eff.T)
         g = _lower(self.a, psi @ self.gamma.T)
-        r = _lower(self.channels, psi)
-        gain = float(np.sum(np.abs(r) ** 2)) / HBAR
+        # sum_k R_kl psi_k, sector by sector: each block fills its own rows
+        gain = sum(float(np.sum(np.abs(_lower(chan, psi[:, s])) ** 2))
+                   for s, chan in zip(self.basis.sectors, self.channel_blocks)) / HBAR
         stream = (1j / HBAR) * (np.vdot(u, phi) - np.vdot(phi, u))
         loss = (-1.0 / HBAR) * (np.vdot(g, phi) + np.vdot(phi, g)
                                     - 2.0 * np.vdot(phi, self.gamma @ phi))

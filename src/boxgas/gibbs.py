@@ -89,21 +89,19 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class CellObservables:
-    """Cell energy and mass operators, dense and as the constraint stack.
+    """Cell energy and mass operators as the constraint stack.
 
-    `blocks` holds the same operators split once into number-sector blocks,
-    stacked as energy[c], then mass[c]: the operators conjugate to the
-    multipliers of `fields_to_multipliers`.
+    `blocks` holds the operators split into number-sector blocks, stacked as
+    energy[c], then mass[c]: the operators conjugate to the multipliers of
+    `fields_to_multipliers`.
     """
 
     grid: CellGrid
-    energy: np.ndarray
-    mass: np.ndarray
     blocks: BlockDiagonal
 
     @property
     def n_cells(self) -> int:
-        return self.energy.shape[0]
+        return len(self.blocks) // 2
 
     @cached_property
     def mass_bounds(self) -> np.ndarray:
@@ -129,7 +127,7 @@ def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
     # whose imaginary part is zero, so every product over the stack rounds
     # the same way
     real = tuple(b if b.imag.any() else b.real for b in blocks.blocks)
-    return CellObservables(grid, energy, mass_ops, BlockDiagonal(blocks.slices, real))
+    return CellObservables(grid, BlockDiagonal(blocks.slices, real))
 
 
 def targets_vector(targets: ConstraintSet) -> np.ndarray:
@@ -204,7 +202,7 @@ def gibbs_from_operator(k, fields: LagrangeFields | None = None) -> GibbsState:
 
 
 def _check_basis(basis: FockBasis, obs: CellObservables) -> None:
-    if obs.energy.shape[-1] != basis.dim:
+    if obs.blocks.dim != basis.dim:
         raise ValueError("observables were built on a different basis")
 
 
@@ -228,9 +226,8 @@ def expectation(state, op) -> float:
 
 def constraint_values(state: GibbsState, obs: CellObservables):
     """Energy and mass expectations per cell."""
-    energy = np.array([expectation(state, op) for op in obs.energy])
-    mass_vals = np.array([expectation(state, op) for op in obs.mass])
-    return energy, mass_vals
+    values = np.array([expectation(state, op) for op in obs.blocks])
+    return values[:obs.n_cells], values[obs.n_cells:]
 
 
 def entropy(state) -> float:

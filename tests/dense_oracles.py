@@ -1,0 +1,87 @@
+"""Dense oracles for the number-sector operator layer.
+
+Each helper is the plain dense formula that a sector-blocked routine in
+`boxgas.fock` or `boxgas.generator` replaces: ladders from a per-column loop
+over the occupation table, pair annihilators from a full einsum, and the
+one-body, two-body, channel, loss and generator images contracted over dense
+dim x dim stacks.  None of them reads a sector block.
+"""
+from math import sqrt
+
+import numpy as np
+
+from boxgas.fieldmodel import HBAR, mode_energies
+from boxgas.fock import Statistics
+
+
+def loop_annihilation_op(basis, mode):
+    """a_mode column by column: Bose sqrt(n), Fermi the Jordan-Wigner sign."""
+    a = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for col, occ in enumerate(basis.states):
+        n = occ[mode]
+        if n == 0:
+            continue
+        target = occ.copy()
+        target[mode] -= 1
+        row = basis.index[tuple(int(x) for x in target)]
+        if basis.statistics is Statistics.BOSE:
+            a[row, col] = sqrt(n)
+        else:
+            a[row, col] = (-1.0) ** int(occ[:mode].sum())
+    return a
+
+
+def loop_ladders(basis):
+    return np.stack([loop_annihilation_op(basis, f) for f in range(basis.n_modes)])
+
+
+def einsum_pair_stack(basis):
+    """P[f, g] = a_f a_g as a dense (n, n, dim, dim) stack."""
+    a = loop_ladders(basis)
+    return np.einsum("fab,gbc->fgac", a, a, optimize=True)
+
+
+def dagger_sum(left, right):
+    dim = left.shape[-1]
+    return left.reshape(-1, dim).conj().T @ right.reshape(-1, dim)
+
+
+def dense_one_body(basis, kernel):
+    a = loop_ladders(basis)
+    adag = a.conj().transpose(0, 2, 1)
+    return np.einsum("hk,hab,kbc->ac", kernel, adag, a, optimize=True)
+
+
+def dense_two_body(basis, tensor):
+    """(1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1 over the dense pair stack."""
+    f, dim = basis.n_modes, basis.dim
+    pairs = einsum_pair_stack(basis)
+    pairs_flat = pairs.reshape(f * f, dim, dim)
+    cre_flat = pairs.transpose(1, 0, 3, 2).conj().reshape(f * f, dim, dim)
+    mixed = np.einsum("pq,qbc->pbc", tensor.reshape(f * f, f * f), pairs_flat,
+                      optimize=True)
+    return 0.5 * np.einsum("pab,pbc->ac", cre_flat, mixed, optimize=True)
+
+
+def dense_channel_ops(basis, coeffs):
+    return np.einsum("klfg,fgac->klac", coeffs.jump, einsum_pair_stack(basis),
+                     optimize=True)
+
+
+def dense_gamma(channels):
+    return 0.25 * dagger_sum(channels, channels)
+
+
+def dense_parts(basis, coeffs, kernel):
+    """Streaming, loss and gain images of sum_hk kernel[h, k] a†_h a_k, all dense."""
+    a = loop_ladders(basis)
+    h_eff = (dense_one_body(basis, np.diag(mode_energies(coeffs.modes)))
+             + dense_two_body(basis, coeffs.veff))
+    channels = dense_channel_ops(basis, coeffs)
+    gamma = dense_gamma(channels)
+    ka = np.tensordot(kernel, a, axes=1)
+    x = dagger_sum(a, ka)
+    stream = (1j / HBAR) * (h_eff @ x - x @ h_eff)
+    loss = (-1.0 / HBAR) * (gamma @ x + x @ gamma - 2.0 * dagger_sum(a, gamma @ ka))
+    gain = (1.0 / HBAR) * dagger_sum(channels, np.tensordot(kernel, channels, axes=1))
+    return stream, loss, gain

@@ -290,6 +290,18 @@ def test_basis_above_dimension_cap_exits_two(tmp_path):
     assert "basis dimension 3108105 exceeds cap 200000" in result.output
 
 
+@pytest.mark.parametrize("command, override, shown", [
+    ("build", "basis.n_max=2.0", "2.0"),
+    ("build", "basis.n_max=2e0", "2.0"),
+    ("evolve", "evolve.steps=4.0", "4.0"),
+])
+def test_integral_float_for_integer_key_exits_two(tmp_path, command, override, shown):
+    result = run_cli([command, "--out", str(tmp_path), "--quiet", "--set", override])
+    assert result.exit_code == 2
+    key = override.split("=")[0]
+    assert f"config key '{key}': {shown} is not of type 'integer'" in result.output
+
+
 def test_bad_yaml_exits_two(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("geometry: [unclosed\n")

@@ -163,7 +163,7 @@ def test_channel_norms_match_pair_amplitudes(statistics):
 def test_gamma_golden_rule_diagonal(statistics):
     modes, t_on, coeffs = contact_coefficients(statistics=statistics)
     basis = build_basis(3, 2, statistics)
-    gamma = gamma_op(channel_ops(basis, coeffs))
+    gamma = gamma_op(basis, coeffs)
     assert frob(gamma - gamma.conj().T) < 1e-12 * max(1.0, frob(gamma))
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-12
     pairs = pair_basis(3, statistics)
@@ -191,7 +191,7 @@ def test_channel_trace_balance():
             assert op_trace == pytest.approx(rate_sum, rel=1e-9, abs=1e-12)
             total_operator += op_trace
             total_rates += rate_sum
-    gamma = gamma_op(channels)
+    gamma = gamma_op(basis, coeffs)
     assert 4.0 * np.trace(gamma).real == pytest.approx(total_operator, rel=1e-12)
     assert total_operator == pytest.approx(total_rates, rel=1e-9)
 

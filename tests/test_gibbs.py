@@ -413,7 +413,7 @@ def test_fit_failures_raise_fit_error():
 def test_mass_bounds_match_dense_spectrum():
     _, _, _, obs = make_system(cells=2, potential=Contact(0.8))
     for c in range(obs.n_cells):
-        evals = np.linalg.eigvalsh(obs.mass[c])
+        evals = np.linalg.eigvalsh(obs.blocks[obs.n_cells + c].dense())
         assert np.allclose(obs.mass_bounds[c], [evals[0], evals[-1]], atol=1e-13)
 
 

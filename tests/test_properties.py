@@ -71,7 +71,7 @@ def test_structure_of_random_systems(system):
     obs = cell_observables(basis, modes, grid, potential, geom, order=4)
     momentum = np.concatenate([momentum_density_op(basis, modes, grid, c)
                                for c in range(grid.n_cells)])
-    ops = np.concatenate([h[None], obs.energy, obs.mass, momentum])
+    ops = np.concatenate([h[None], obs.blocks.dense(), momentum])
     for op in ops:
         assert hermiticity_defect(op) <= 1e-12 * max(1.0, float(np.max(np.abs(op))))
     # every operator conserves the particle number: split_blocks rejects any
