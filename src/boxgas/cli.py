@@ -270,9 +270,9 @@ def _payload_modes(cfg):
 def _payload_build(cfg):
     ctx = _build_context(cfg)
     h = hamiltonian(ctx.basis, ctx.modes, ctx.vtensor)
-    defect = hermiticity_defect(h)
-    scale = max(frob(h), 1.0)
-    evals = np.linalg.eigvalsh(h)
+    defect = max(hermiticity_defect(block) for block in h.blocks)
+    scale = max(h.norm(), 1.0)
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in h.blocks]))
     values = {
         "dimension": ctx.basis.dim,
         "n_modes": len(ctx.modes),

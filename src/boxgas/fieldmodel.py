@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, one_body_operator, two_body_operator
+from .matrixutil import BlockDiagonal
 
 # Units are fixed at hbar = m = 1; every formula reads these two constants.
 HBAR = 1.0
@@ -464,18 +465,18 @@ def contact_tensor(modes, potential: Contact, geom: BoxGeometry) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operators
 
-def hamiltonian(basis: FockBasis, modes, vtensor: np.ndarray) -> np.ndarray:
+def hamiltonian(basis: FockBasis, modes, vtensor: np.ndarray) -> BlockDiagonal:
     if basis.n_modes != len(modes):
         raise ValueError("basis and mode list disagree on mode count")
-    return free_hamiltonian(basis, modes) + two_body_operator(basis, vtensor.astype(complex))
+    return free_hamiltonian(basis, modes) + two_body_operator(basis, vtensor)
 
 
-def free_hamiltonian(basis: FockBasis, modes) -> np.ndarray:
-    return one_body_operator(basis, np.diag(mode_energies(modes)).astype(complex))
+def free_hamiltonian(basis: FockBasis, modes) -> BlockDiagonal:
+    return one_body_operator(basis, np.diag(mode_energies(modes)))
 
 
-def total_mass_op(basis: FockBasis) -> np.ndarray:
-    return MASS * one_body_operator(basis, np.eye(basis.n_modes, dtype=complex))
+def total_mass_op(basis: FockBasis) -> BlockDiagonal:
+    return one_body_operator(basis, MASS * np.eye(basis.n_modes))
 
 
 def cell_kernels(modes, grid: CellGrid, cell: int):
@@ -485,20 +486,19 @@ def cell_kernels(modes, grid: CellGrid, cell: int):
     |-i hbar grad psi|^2 / 2m over the cell, from the analytic gradient overlaps.
     """
     s_cell, g_cell, _ = cell_overlaps(modes, grid, cell)
-    energy = (HBAR ** 2 / (2.0 * MASS)) * g_cell.astype(complex)
-    return energy, (MASS * s_cell).astype(complex)
+    return (HBAR ** 2 / (2.0 * MASS)) * g_cell, MASS * s_cell
 
 
-def mass_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> np.ndarray:
+def mass_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> BlockDiagonal:
     """Mass content of one cell; cells sum to the total mass operator."""
     _, kernel = cell_kernels(modes, grid, cell)
     return one_body_operator(basis, kernel)
 
 
-def momentum_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> np.ndarray:
-    """Cell momentum, one operator per axis; shape (d, dim, dim)."""
+def momentum_density_op(basis: FockBasis, modes, grid: CellGrid, cell: int) -> BlockDiagonal:
+    """Cell momentum, one operator per axis, stacked in axis order."""
     _, _, x_cell = cell_overlaps(modes, grid, cell)
-    return np.array([one_body_operator(basis, 0.5j * HBAR * (x.T - x)) for x in x_cell])
+    return BlockDiagonal.stack(one_body_operator(basis, 0.5j * HBAR * (x.T - x)) for x in x_cell)
 
 
 def energy_density_op(
@@ -509,7 +509,7 @@ def energy_density_op(
     potential,
     geom: BoxGeometry,
     order: int = 8,
-) -> np.ndarray:
+) -> BlockDiagonal:
     """Cell energy.
 
     Kinetic part is the cell_kernels energy kernel; the pair part restricts
@@ -526,7 +526,7 @@ def energy_density_op(
     else:
         cell_tensor = _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
     if cell_tensor is not None:
-        out = out + two_body_operator(basis, cell_tensor.astype(complex))
+        out = out + two_body_operator(basis, cell_tensor)
     return out
 
 
@@ -561,7 +561,7 @@ def phase_space_op(
     p,
     sigma: float,
     order: int = 48,
-) -> np.ndarray:
+) -> BlockDiagonal:
     """Husimi-style phase-space density at (x, p), smeared at width sigma.
 
     Built from a Gaussian packet truncated to the box and renormalized;

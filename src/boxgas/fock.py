@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .matrixutil import dagger_sum
+from .matrixutil import BlockDiagonal, dagger_sum
 
 DIM_CAP = 200_000
 HERM_TOL = 1e-12
@@ -67,11 +67,15 @@ class FockBasis:
     n_max: int
     statistics: Statistics
     states: np.ndarray = field(repr=False)
-    index: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.states.shape[0]
+
+    @cached_property
+    def index(self) -> dict:
+        """Row of each occupation tuple."""
+        return {tuple(int(x) for x in row): i for i, row in enumerate(self.states)}
 
     def state_index(self, occ) -> int:
         return self.index[tuple(int(n) for n in occ)]
@@ -153,14 +157,6 @@ class FockBasis:
             out.append(block)
         return tuple(out)
 
-    def assemble(self, blocks, lower: int = 0) -> np.ndarray:
-        """Dense (..., dim, dim) operator from per-sector blocks mapping N -> N - lower."""
-        lead = blocks[-1].shape[:-2]
-        out = np.zeros(lead + (self.dim, self.dim), dtype=np.result_type(*blocks))
-        for number in range(lower, len(blocks)):
-            out[..., self.sectors[number - lower], self.sectors[number]] = blocks[number]
-        return out
-
 
 def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
     if n_modes < 1:
@@ -177,10 +173,8 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
     for total in range(n_max + 1):
         shell = sorted(_occupations(n_modes, total, per_mode_cap))
         rows.extend(shell)
-    states = np.array(rows, dtype=np.int64)
-    index = {tuple(int(x) for x in row): i for i, row in enumerate(states)}
     return FockBasis(n_modes=n_modes, n_max=n_max, statistics=statistics,
-                     states=states, index=index)
+                     states=np.array(rows, dtype=np.int64))
 
 
 def annihilation_op(basis: FockBasis, mode: int) -> np.ndarray:
@@ -207,30 +201,31 @@ def number_op(basis: FockBasis) -> np.ndarray:
     return np.diag(basis.totals().astype(float)).astype(complex)
 
 
-def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> np.ndarray:
+def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:
     """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k.
 
-    Assembled per number sector N from the N -> N-1 ladder blocks L:
-    sum_h L_h^dagger (sum_k kernel[h,k] L_k).
+    One block per number sector N, from the N -> N-1 ladder blocks L:
+    sum_h L_h^dagger (sum_k kernel[h,k] L_k).  A real kernel gives real blocks.
     """
-    kernel = np.asarray(kernel, dtype=complex)
+    kernel = np.asarray(kernel)
     f = basis.n_modes
     if kernel.shape != (f, f):
         raise ValueError(f"kernel shape {kernel.shape} does not match mode count {f}")
-    return basis.assemble([dagger_sum(lad, np.tensordot(kernel, lad, axes=1))
-                           for lad in basis.ladder_blocks])
+    return BlockDiagonal(basis.sectors, tuple(dagger_sum(lad, np.tensordot(kernel, lad, axes=1))
+                                              for lad in basis.ladder_blocks))
 
 
-def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> np.ndarray:
+def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> BlockDiagonal:
     """Second-quantized two-body operator.
 
     Returns (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1.  The
     tensor must satisfy tensor[l1,l2,f2,f1] == conj(tensor[f1,f2,l2,l1]),
-    which makes the operator hermitian.  Assembled per number sector from the
+    which makes the operator hermitian.  One block per number sector, from the
     pair annihilators P[f2, f1] = a_f2 a_f1, whose adjoints P[l2, l1]^dagger
-    are the creation pairs adag_l1 adag_l2: two GEMMs per sector.
+    are the creation pairs adag_l1 adag_l2: two GEMMs per sector.  A real
+    tensor gives real blocks.
     """
-    tensor = np.asarray(tensor, dtype=complex)
+    tensor = np.asarray(tensor)
     f = basis.n_modes
     if tensor.shape != (f, f, f, f):
         raise ValueError(f"tensor shape {tensor.shape} does not match mode count {f}")
@@ -243,4 +238,4 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> np.ndarray:
     for pairs in basis.pair_blocks:
         flat = pairs.reshape(f * f, -1)
         blocks.append(0.5 * dagger_sum(pairs, (weights @ flat).reshape(pairs.shape)))
-    return basis.assemble(blocks)
+    return BlockDiagonal(basis.sectors, tuple(blocks))

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .fieldmodel import HBAR, MASS, free_hamiltonian, hamiltonian, mode_energies
 from .fock import FockBasis, Statistics, ladder_ops
-from .matrixutil import comm, dagger_sum, frob
+from .matrixutil import BlockDiagonal, comm, dagger_sum
 from .scattering import onshell_tmatrix, pair_basis, pair_energies, tensor_from_pair_matrix
 
 SUPPORT_FACTOR = 4.0
@@ -100,12 +101,6 @@ def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: flo
     return build_coefficients(modes, t_on, statistics, delta)
 
 
-def _lower(stack: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """sum_k stack[k] psi[k], flattened, for an operator stack led by the index k."""
-    n, dim = psi.shape
-    return (stack.reshape(n, -1, dim) @ psi[:, :, None]).sum(axis=0).ravel()
-
-
 def channel_blocks(basis: FockBasis, coeffs: GeneratorCoefficients) -> tuple:
     """Jump operators R[k, l] = sum jump[k, l, f2, f1] a_{f2} a_{f1} per number sector.
 
@@ -118,26 +113,13 @@ def channel_blocks(basis: FockBasis, coeffs: GeneratorCoefficients) -> tuple:
                  for pairs in basis.pair_blocks)
 
 
-def channel_ops(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
-    """The jump operators as a dense (n, n, dim, dim) stack."""
-    return basis.assemble(channel_blocks(basis, coeffs), lower=2)
-
-
-def _gamma_blocks(channels: tuple) -> tuple:
-    """Per-sector blocks of one quarter of the channel-summed R†R."""
-    return tuple(0.25 * dagger_sum(r, r) for r in channels)
-
-
-def gamma_op(basis: FockBasis, coeffs: GeneratorCoefficients) -> np.ndarray:
-    """Loss operator: one quarter of the channel-summed R†R, assembled per number sector."""
-    return basis.assemble(_gamma_blocks(channel_blocks(basis, coeffs)))
-
-
 class Lprime:
     """Generator action on one-body kernels, with streaming/loss/gain split.
 
     Ladders lower the number by one and channels by two, so every image is
-    assembled block by block over the number sectors.
+    built block by block over the number sectors.  `h_eff` and the loss
+    operator `gamma` (one quarter of the channel-summed R†R) are
+    BlockDiagonal over the sectors.
     """
 
     def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients):
@@ -145,56 +127,82 @@ class Lprime:
             raise ValueError("basis does not match the coefficient set")
         self.basis = basis
         self.coeffs = coeffs
-        self.a = ladder_ops(basis)
         self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
         self.channel_blocks = channel_blocks(basis, coeffs)
-        self.gamma_blocks = _gamma_blocks(self.channel_blocks)
-        self.gamma = basis.assemble(self.gamma_blocks)
+        self.gamma = BlockDiagonal(basis.sectors, tuple(0.25 * dagger_sum(r, r)
+                                                        for r in self.channel_blocks))
 
     def parts(self, kernel: np.ndarray):
         """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k."""
-        kernel = np.asarray(kernel, dtype=complex)
+        kernel = np.asarray(kernel)
         stream, loss, gain = [], [], []
         gamma_below = np.zeros((0, 0))  # Gamma on sector N - 1, where a_k lands
-        for s, lad, chan, gamma in zip(self.basis.sectors, self.basis.ladder_blocks,
-                                       self.channel_blocks, self.gamma_blocks):
+        for lad, chan, h, gamma in zip(self.basis.ladder_blocks, self.channel_blocks,
+                                       self.h_eff.blocks, self.gamma.blocks):
             ka = np.tensordot(kernel, lad, axes=1)  # [h] sum_k K[h,k] a_k
             x = dagger_sum(lad, ka)
-            stream.append((1j / HBAR) * comm(self.h_eff[s, s], x))
+            stream.append((1j / HBAR) * comm(h, x))
             loss.append((-1.0 / HBAR) * (
                 gamma @ x + x @ gamma - 2.0 * dagger_sum(lad, gamma_below @ ka)))
             kr = np.tensordot(kernel, chan, axes=1)  # [h, l] sum_k K[h,k] R_kl
             gain.append((1.0 / HBAR) * dagger_sum(chan, kr))
             gamma_below = gamma
-        return tuple(self.basis.assemble(blocks) for blocks in (stream, loss, gain))
+        return tuple(BlockDiagonal(self.basis.sectors, tuple(blocks))
+                     for blocks in (stream, loss, gain))
 
-    def apply(self, kernel: np.ndarray) -> np.ndarray:
+    def apply(self, kernel: np.ndarray) -> BlockDiagonal:
         stream, loss, gain = self.parts(kernel)
         return stream + loss + gain
 
-    def apply_bilinear(self, h: int, k: int) -> np.ndarray:
+    def apply_bilinear(self, h: int, k: int) -> BlockDiagonal:
         unit = np.zeros((self.basis.n_modes,) * 2)
         unit[h, k] = 1.0
         return self.apply(unit)
 
-    def images(self, kernels) -> np.ndarray:
+    def images(self, kernels) -> BlockDiagonal:
         """Images of a list of kernels, stacked in order."""
-        return np.array([self.apply(kernel) for kernel in kernels])
+        return BlockDiagonal.stack(self.apply(kernel) for kernel in kernels)
+
+    @cached_property
+    def _family_maps(self) -> tuple:
+        """Per sector N, the maps of a flattened family psi[:, N] (index (k, j)):
+        the stacked lowerings sum_k a_k psi_k, sum_k a_k H_eff psi_k and
+        sum_k a_k Gamma psi_k into sector N - 1, and the channels sum_k R_kl psi_k."""
+        maps = []
+        for lad, chan, h, gamma in zip(self.basis.ladder_blocks, self.channel_blocks,
+                                       self.h_eff.blocks, self.gamma.blocks):
+            n, rows, cols = lad.shape
+            lowered = np.stack([lad, lad @ h, lad @ gamma]).transpose(0, 2, 1, 3)
+            maps.append((lowered.reshape(3 * rows, n * cols),
+                         chan.transpose(1, 2, 0, 3).reshape(-1, n * cols)))
+        return tuple(maps)
 
     def family_form(self, psi: np.ndarray):
         """q0 = |sum_k a_k psi_k|^2, q1 = sum_hk <psi_h| L'(a†_h a_k) psi_k>
-        and its gain part, for a family psi of shape (n_modes, dim)."""
-        phi = _lower(self.a, psi)
-        u = _lower(self.a, psi @ self.h_eff.T)
-        g = _lower(self.a, psi @ self.gamma.T)
-        # sum_k R_kl psi_k, sector by sector: each block fills its own rows
-        gain = sum(float(np.sum(np.abs(_lower(chan, psi[:, s])) ** 2))
-                   for s, chan in zip(self.basis.sectors, self.channel_blocks)) / HBAR
-        stream = (1j / HBAR) * (np.vdot(u, phi) - np.vdot(phi, u))
-        loss = (-1.0 / HBAR) * (np.vdot(g, phi) + np.vdot(phi, g)
-                                    - 2.0 * np.vdot(phi, self.gamma @ phi))
-        q0 = float(np.real(np.vdot(phi, phi)))
-        return q0, complex(stream + loss + gain), gain
+        and its gain part, for a family psi of shape (n_modes, dim).
+
+        Sector by sector: one product lowers the family in sector N into
+        phi, u = sum_k a_k H_eff psi_k and g = sum_k a_k Gamma psi_k in
+        sector N - 1, and one more gives the channel images.
+        """
+        q0 = u_phi = g_phi = phi_gamma_phi = gain = 0.0
+        gamma_below = np.zeros((0, 0))  # Gamma on sector N - 1, where phi lands
+        for s, (lowering, channels), gamma in zip(self.basis.sectors, self._family_maps,
+                                                  self.gamma.blocks):
+            fam = psi[:, s].ravel()
+            phi, u, g = (lowering @ fam).reshape(3, -1)
+            q0 += np.vdot(phi, phi).real
+            u_phi += np.vdot(u, phi)
+            g_phi += np.vdot(g, phi).real
+            phi_gamma_phi += np.vdot(phi, gamma_below @ phi)
+            r = channels @ fam
+            gain += np.vdot(r, r).real
+            gamma_below = gamma
+        gain /= HBAR
+        # each conjugate pair <x, phi> + <phi, x> from one product
+        stream = (1j / HBAR) * (2j * u_phi.imag)
+        loss = (-1.0 / HBAR) * (2.0 * g_phi - 2.0 * phi_gamma_phi)
+        return float(q0), complex(stream + loss + gain), float(gain)
 
 
 @dataclass(frozen=True)
@@ -259,7 +267,7 @@ def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
         raise ValueError("tau must be negative")
     basis = lp.basis
     n = basis.n_modes
-    stack = np.concatenate(list(lp.a), axis=1)
+    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
     kernel = scipy.linalg.null_space(stack)
     if kernel.size == 0:
         raise ValueError("annihilator stack has no kernel to probe")
@@ -298,15 +306,16 @@ def conservation_report(lp: Lprime) -> ConservationReport:
     coeffs = lp.coeffs
     w = mode_energies(coeffs.modes)
     number_image, energy_image = lp.images([np.eye(lp.basis.n_modes), np.diag(w)])
-    mass_residual = MASS * frob(number_image)
+    mass_residual = MASS * number_image.norm()
     if mass_residual > MASS_TOL:
         raise ValueError(f"mass conservation violated: residual {mass_residual:.3e}")
-    streaming = (1j / HBAR) * comm(lp.h_eff, free_hamiltonian(lp.basis, coeffs.modes))
-    collision = energy_image - streaming
+    free = free_hamiltonian(lp.basis, coeffs.modes)
+    streaming = BlockDiagonal(free.slices, tuple((1j / HBAR) * comm(h, h0)
+                                                 for h, h0 in lp.h_eff.pairs(free)))
     return ConservationReport(
         delta=coeffs.delta,
         mass_residual=float(mass_residual),
-        energy_residual=float(frob(energy_image)),
-        energy_streaming=float(frob(streaming)),
-        energy_collision=float(frob(collision)),
+        energy_residual=energy_image.norm(),
+        energy_streaming=streaming.norm(),
+        energy_collision=(energy_image - streaming).norm(),
     )

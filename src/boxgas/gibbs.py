@@ -19,13 +19,7 @@ from .fieldmodel import (
     mass_density_op,
 )
 from .fock import FockBasis
-from .matrixutil import (
-    BlockDiagonal,
-    frob,
-    require_hermitian,
-    split_blocks,
-    trace_product,
-)
+from .matrixutil import BlockDiagonal, frob, require_hermitian, trace_product
 
 FIT_TOL = 1e-8
 MAX_ITER = 200
@@ -91,7 +85,7 @@ class ConstraintSet:
 class CellObservables:
     """Cell energy and mass operators as the constraint stack.
 
-    `blocks` holds the operators split into number-sector blocks, stacked as
+    `blocks` holds the operators in number-sector blocks, stacked as
     energy[c], then mass[c]: the operators conjugate to the multipliers of
     `fields_to_multipliers`.
     """
@@ -116,18 +110,10 @@ class CellObservables:
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
                      geom: BoxGeometry, order: int = 8) -> CellObservables:
-    n = grid.n_cells
-    energy = np.array([energy_density_op(basis, modes, grid, c, potential, geom, order=order)
-                       for c in range(n)])
-    mass_ops = np.array([mass_density_op(basis, modes, grid, c) for c in range(n)])
-    names = [f"energy[{c}]" for c in range(n)] + [f"mass[{c}]" for c in range(n)]
-    blocks = split_blocks(np.concatenate([energy, mass_ops]), basis.sectors, names)
-    # the cell kernels are real: each block keeps the float64 view of its
-    # real part, exactly as `BlockDiagonal.combine` keeps a complex result
-    # whose imaginary part is zero, so every product over the stack rounds
-    # the same way
-    real = tuple(b if b.imag.any() else b.real for b in blocks.blocks)
-    return CellObservables(grid, BlockDiagonal(blocks.slices, real))
+    cells = range(grid.n_cells)
+    return CellObservables(grid, BlockDiagonal.stack(
+        [energy_density_op(basis, modes, grid, c, potential, geom, order=order) for c in cells]
+        + [mass_density_op(basis, modes, grid, c) for c in cells]))
 
 
 def targets_vector(targets: ConstraintSet) -> np.ndarray:
@@ -153,8 +139,9 @@ class GibbsState:
 
     `probabilities[s]` and `vector_blocks[i]` are the eigenpairs of
     `k.blocks[i]`, with `s = k.slices[i]`; eigenpairs are grouped by block,
-    ascending in K within each.  The dense `weight`, `k_matrix` and
-    `vectors` are assembled from the blocks on first use.
+    ascending in K within each.  `weight_blocks` holds the weight over the
+    same blocks; the dense `weight`, `k_matrix` and `vectors` are assembled
+    from the blocks on first use.
     """
 
     fields: LagrangeFields | None
@@ -164,10 +151,14 @@ class GibbsState:
     vector_blocks: tuple
 
     @cached_property
-    def weight(self) -> np.ndarray:
+    def weight_blocks(self) -> BlockDiagonal:
         return BlockDiagonal(self.k.slices, tuple(
             (v * self.probabilities[s]) @ v.conj().T
-            for s, v in zip(self.k.slices, self.vector_blocks))).dense()
+            for s, v in zip(self.k.slices, self.vector_blocks)))
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return self.weight_blocks.dense()
 
     @cached_property
     def k_matrix(self) -> np.ndarray:
@@ -214,11 +205,10 @@ def gibbs_state(basis: FockBasis, obs: CellObservables,
     return gibbs_from_operator(obs.blocks.combine(fields_to_multipliers(fields)), fields)
 
 
-def expectation(state, op) -> float:
-    """Tr(w A) for hermitian A, dense or in blocks; rejects a non-real trace."""
-    weight = getattr(state, "weight", state)
-    value = complex(op.trace_with(weight) if isinstance(op, BlockDiagonal)
-                    else trace_product(weight, op))
+def expectation(state: GibbsState, op) -> float:
+    """Tr(w A) for hermitian A, in blocks or dense; rejects a non-real trace."""
+    value = complex(op.trace_with(state.weight_blocks) if isinstance(op, BlockDiagonal)
+                    else trace_product(state.weight, op))
     if abs(value.imag) > 1e-9 * (1.0 + abs(value)):
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)
@@ -266,28 +256,20 @@ def kubo_mori_susceptibility(state: GibbsState, a: np.ndarray, b: np.ndarray) ->
     return float((corr - means).real)
 
 
-def _on_blocks(ops, slices) -> BlockDiagonal:
-    """A stack of operators as blocks over `slices`; dense ones are split and checked."""
-    if isinstance(ops, BlockDiagonal) and ops.slices == slices:
-        return ops
-    dense = ops.dense() if isinstance(ops, BlockDiagonal) else np.asarray(ops)
-    return split_blocks(dense, slices, [f"operator {i}" for i in range(len(dense))])
+def chi_matrix(state: GibbsState, ops: BlockDiagonal) -> np.ndarray:
+    """Symmetric susceptibility matrix over a stack of hermitian operators.
 
-
-def chi_matrix(state: GibbsState, ops) -> np.ndarray:
-    """Symmetric susceptibility matrix over a list of hermitian operators.
-
-    The operators must keep the blocks of the state's exponent: the
+    The operators must share the blocks of the state's exponent: the
     Kubo-Mori transform runs per block and the correlations are summed.
     """
-    ops = _on_blocks(ops, state.k.slices)
     m = len(ops)
     corr = 0.0
-    for s, vecs, block in zip(ops.slices, state.vector_blocks, ops.blocks):
+    vectors = BlockDiagonal(state.k.slices, state.vector_blocks)
+    for s, (vecs, block) in zip(ops.slices, vectors.pairs(ops)):
         t = vecs.conj().T @ block @ vecs
         weighted = _km_kernel(state.probabilities[s]) * t
         corr = corr + weighted.reshape(m, -1) @ t.transpose(0, 2, 1).reshape(m, -1).T
-    means = ops.trace_with(state.weight)
+    means = ops.trace_with(state.weight_blocks)
     chi = corr - np.outer(means, means)
     chi = 0.5 * (chi + chi.conj().T)
     return chi.real
@@ -396,16 +378,20 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
     return FitResult(fields, replace(state, fields=fields), iterations, trace)
 
 
-def constrained_perturbation(state: GibbsState, ops, rng,
+def constrained_perturbation(state: GibbsState, ops: BlockDiagonal, rng,
                              scale: float = 1e-5) -> np.ndarray:
-    """Random exponent perturbation projected to preserve <ops> to first order."""
+    """Random exponent perturbation projected to preserve <ops> to first order.
+
+    The perturbation mixes number sectors, so the result is a dense weight.
+    """
     dim = state.weight.shape[0]
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = 0.5 * (raw + raw.conj().T)
     h /= frob(h)
     chi = chi_matrix(state, ops)
-    coupling = np.array([kubo_mori_susceptibility(state, op, h) for op in ops])
+    dense = ops.dense()
+    coupling = np.array([kubo_mori_susceptibility(state, op, h) for op in dense])
     coeff, *_ = np.linalg.lstsq(chi, coupling, rcond=None)
-    delta = h - np.einsum("i,iab->ab", coeff, np.asarray(ops))
+    delta = h - np.einsum("i,iab->ab", coeff, dense)
     perturbed = gibbs_from_operator(state.k_matrix + scale * delta)
     return perturbed.weight

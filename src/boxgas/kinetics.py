@@ -31,7 +31,7 @@ from .gibbs import (
     maxent_fit,
 )
 from .generator import GeneratorCoefficients, Lprime
-from .matrixutil import trace_product
+from .matrixutil import BlockDiagonal
 from .scattering import collision_time_estimate
 
 RATE_IMAG_TOL = 1e-9
@@ -75,14 +75,13 @@ class ClosureSystem:
                                    fields)
 
 
-def _moment_rates(weight: np.ndarray, images, name: str = "moment") -> np.ndarray:
-    rates = []
-    for image in images:
-        value = complex(trace_product(weight, image))
-        if abs(value.imag) > RATE_IMAG_TOL * (1.0 + abs(value)):
-            raise ValueError(f"{name} rate has imaginary part {value.imag:.3e}")
-        rates.append(value.real)
-    return np.array(rates)
+def _moment_rates(weight: BlockDiagonal, images: BlockDiagonal,
+                  name: str = "moment") -> np.ndarray:
+    values = images.trace_with(weight)
+    bad = np.flatnonzero(np.abs(values.imag) > RATE_IMAG_TOL * (1.0 + np.abs(values)))
+    if bad.size:
+        raise ValueError(f"{name} rate has imaginary part {values.imag[bad[0]]:.3e}")
+    return values.real
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
     """Moment rates b and the multiplier rates solving (-chi) dlambda/dt = b
     at a Gibbs state of the system (default: the state of `sys.fields`)."""
     state = sys.state_for(sys.fields) if state is None else state
-    b = _moment_rates(state.weight, sys.images)
+    b = _moment_rates(state.weight_blocks, sys.images)
     chi = chi_matrix(state, sys.operators)
     evals, vecs = np.linalg.eigh(chi)
     top = float(evals[-1])
@@ -145,7 +144,7 @@ def _fit(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
 
 def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
     fit = _fit(sys, moments, warm)
-    return _moment_rates(fit.state.weight, sys.images), fit
+    return _moment_rates(fit.state.weight_blocks, sys.images), fit
 
 
 def _rk4_step(sys: ClosureSystem, fields: LagrangeFields, moments: np.ndarray,
@@ -271,18 +270,19 @@ class GainLossReport:
         return self.streaming + self.loss + self.gain
 
 
-def gain_loss_report(sys: ClosureSystem, weight: np.ndarray | None = None,
+def gain_loss_report(sys: ClosureSystem, weight: BlockDiagonal | None = None,
                      kernels=None, labels=None) -> GainLossReport:
     """Split the rates of one-body kernels (default: the moment set) into
-    streaming, loss, and gain contributions."""
+    streaming, loss, and gain contributions, read against a weight over the
+    number sectors (default: the state of `sys.fields`)."""
     if weight is None:
-        weight = sys.state_for(sys.fields).weight
+        weight = sys.state_for(sys.fields).weight_blocks
     if kernels is None:
         kernels = sys.kernels
         labels = sys.labels
     elif labels is None:
         labels = tuple(f"observable[{i}]" for i in range(len(kernels)))
     parts = zip(*(sys.lp.parts(kernel) for kernel in kernels))
-    streaming, loss, gain = (_moment_rates(weight, images, key) for key, images
-                             in zip(("streaming", "loss", "gain"), parts))
+    streaming, loss, gain = (_moment_rates(weight, BlockDiagonal.stack(images), key)
+                             for key, images in zip(("streaming", "loss", "gain"), parts))
     return GainLossReport(tuple(labels), streaming, loss, gain)

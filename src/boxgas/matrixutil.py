@@ -1,4 +1,4 @@
-"""Small dense-matrix helpers shared across the package."""
+"""Small matrix helpers and the block-diagonal operator type shared across the package."""
 
 from __future__ import annotations
 
@@ -48,11 +48,21 @@ class BlockDiagonal:
     """Block-diagonal matrix over contiguous index slices, or a stack of them.
 
     `blocks[s]` has shape (..., d_s, d_s) for `slices[s]`; the leading axes
-    index a stack of operators that share the block structure.
+    index a stack of operators that share the block structure.  Pairing two
+    operators over different slices raises ValueError.
     """
 
     slices: tuple
     blocks: tuple
+
+    @staticmethod
+    def stack(items) -> BlockDiagonal:
+        """One stack from a sequence of operators over the same slices."""
+        items = list(items)
+        if any(item.slices != items[0].slices for item in items):
+            raise ValueError("block-diagonal operators over different slices")
+        return BlockDiagonal(items[0].slices,
+                             tuple(map(np.stack, zip(*(item.blocks for item in items)))))
 
     @property
     def dim(self) -> int:
@@ -67,23 +77,32 @@ class BlockDiagonal:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
+    def pairs(self, other: BlockDiagonal):
+        """(own block, other block) for each slice; both must share the slices."""
+        if other.slices != self.slices:
+            raise ValueError("block-diagonal operators over different slices")
+        return zip(self.blocks, other.blocks)
+
+    def __add__(self, other: BlockDiagonal) -> BlockDiagonal:
+        return BlockDiagonal(self.slices, tuple(a + b for a, b in self.pairs(other)))
+
+    def __sub__(self, other: BlockDiagonal) -> BlockDiagonal:
+        return BlockDiagonal(self.slices, tuple(a - b for a, b in self.pairs(other)))
+
+    def norm(self) -> float:
+        """Frobenius norm over every block (and every stacked operator)."""
+        return float(np.sqrt(sum(np.vdot(b, b).real for b in self.blocks)))
+
     def combine(self, coeffs) -> BlockDiagonal:
-        """Contract the leading stack axis with real `coeffs` (a vector or matrix rows).
-
-        A complex result whose imaginary part is exactly zero is kept real.
-        """
+        """Contract the leading stack axis with real `coeffs` (a vector or matrix rows)."""
         coeffs = np.asarray(coeffs, dtype=float)
-        out = []
-        for b in self.blocks:
-            flat = coeffs @ b.reshape(b.shape[0], -1)
-            mixed = flat.reshape(coeffs.shape[:-1] + b.shape[1:])
-            out.append(mixed.real if np.iscomplexobj(mixed) and not mixed.imag.any() else mixed)
-        return BlockDiagonal(self.slices, tuple(out))
+        return BlockDiagonal(self.slices, tuple(
+            (coeffs @ b.reshape(b.shape[0], -1)).reshape(coeffs.shape[:-1] + b.shape[1:])
+            for b in self.blocks))
 
-    def trace_with(self, weight: np.ndarray):
-        """tr(W A) for every stacked A, reading only the diagonal blocks of W."""
-        return sum(trace_product(weight[s, s], b)
-                   for s, b in zip(self.slices, self.blocks))
+    def trace_with(self, weight: BlockDiagonal):
+        """tr(W A) for every stacked A, block by block."""
+        return sum(trace_product(w, b) for b, w in self.pairs(weight))
 
     def dense(self) -> np.ndarray:
         if len(self.blocks) == 1:
@@ -94,23 +113,3 @@ class BlockDiagonal:
         for s, b in zip(self.slices, self.blocks):
             out[..., s, s] = b
         return out
-
-
-def split_blocks(ops: np.ndarray, slices, names) -> BlockDiagonal:
-    """Split a (stack of) dense matrices into diagonal blocks over `slices`.
-
-    Every entry outside the blocks must be exactly zero; otherwise the
-    offending operator is named in the ValueError.
-    """
-    ops = np.asarray(ops)
-    stack = ops.reshape((-1,) + ops.shape[-2:])
-    inside = np.zeros(ops.shape[-2:], dtype=bool)
-    for s in slices:
-        inside[s, s] = True
-    leak = np.max(np.abs(stack[:, ~inside]), axis=1, initial=0.0)
-    bad = np.flatnonzero(leak)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{names[i]} has entries outside its number sectors "
-                         f"(max |off-sector| = {leak[i]:.3e})")
-    return BlockDiagonal(tuple(slices), tuple(ops[..., s, s].copy() for s in slices))

@@ -4,7 +4,8 @@ Each helper is the plain dense formula that a sector-blocked routine in
 `boxgas.fock` or `boxgas.generator` replaces: ladders from a per-column loop
 over the occupation table, pair annihilators from a full einsum, and the
 one-body, two-body, channel, loss and generator images contracted over dense
-dim x dim stacks.  None of them reads a sector block.
+dim x dim stacks.  None of them reads a sector block.  `split_blocks` cuts a
+dense operator into sector blocks and rejects any entry outside them.
 """
 from math import sqrt
 
@@ -12,6 +13,27 @@ import numpy as np
 
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import Statistics
+from boxgas.matrixutil import BlockDiagonal
+
+
+def split_blocks(ops, slices, names):
+    """Split a (stack of) dense matrices into diagonal blocks over `slices`.
+
+    Every entry outside the blocks must be exactly zero; otherwise the
+    offending operator is named in the ValueError.
+    """
+    ops = np.asarray(ops)
+    stack = ops.reshape((-1,) + ops.shape[-2:])
+    inside = np.zeros(ops.shape[-2:], dtype=bool)
+    for s in slices:
+        inside[s, s] = True
+    leak = np.max(np.abs(stack[:, ~inside]), axis=1, initial=0.0)
+    bad = np.flatnonzero(leak)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{names[i]} has entries outside its number sectors "
+                         f"(max |off-sector| = {leak[i]:.3e})")
+    return BlockDiagonal(tuple(slices), tuple(ops[..., s, s].copy() for s in slices))
 
 
 def loop_annihilation_op(basis, mode):

@@ -104,15 +104,15 @@ def test_acceptance_1_algebra(capsys):
 
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     grid4 = CellGrid(GEOM, (4,))
-    mass_sum = sum(mass_density_op(basis, modes, grid4, c)
+    mass_sum = sum(mass_density_op(basis, modes, grid4, c).dense()
                    for c in range(grid4.n_cells))
-    mass_defect = np.max(np.abs(mass_sum - total_mass_op(basis)))
+    mass_defect = np.max(np.abs(mass_sum - total_mass_op(basis).dense()))
     grid2 = CellGrid(GEOM, (2,))
     energy_defect = 0.0
     for pot in (Gaussian(0.6, 0.3), Contact(0.5), Zero()):
         tensor = potential_tensor(modes, pot, GEOM, order=8, grid=grid2)
-        h = hamiltonian(basis, modes, tensor)
-        tiled = sum(energy_density_op(basis, modes, grid2, c, pot, GEOM, order=8)
+        h = hamiltonian(basis, modes, tensor).dense()
+        tiled = sum(energy_density_op(basis, modes, grid2, c, pot, GEOM, order=8).dense()
                     for c in range(grid2.n_cells))
         energy_defect = max(energy_defect, np.max(np.abs(tiled - h)))
 
@@ -130,8 +130,8 @@ def test_acceptance_1_algebra(capsys):
 def test_acceptance_2_resolvent_identity(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
-    h0 = free_hamiltonian(basis, modes)
-    v = hamiltonian(basis, modes, contact_tensor(modes, Contact(0.8), GEOM)) - h0
+    h0 = free_hamiltonian(basis, modes).dense()
+    v = hamiltonian(basis, modes, contact_tensor(modes, Contact(0.8), GEOM)).dense() - h0
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(50):
@@ -158,7 +158,7 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
     numbers = (1, 4, 7, 8)
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     basis = build_basis(4, 2, Statistics.BOSE)
-    h0 = free_hamiltonian(basis, modes)
+    h0 = free_hamiltonian(basis, modes).dense()
     couplings = (0.4, 0.2, 0.1)
     runs = []
     for g in couplings:
@@ -166,7 +166,7 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
         coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                              eps=5.0, delta=5.0)
         lp = Lprime(basis, coeffs)
-        v_op = hamiltonian(basis, modes, vt) - h0
+        v_op = hamiltonian(basis, modes, vt).dense() - h0
         runs.append((g, lp, v_op, collision_time_estimate(coeffs.t_onshell)))
 
     # off-diagonal bilinears have no coarse window here: the phase time
@@ -191,7 +191,7 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
         for g, lp, v_op, tau0 in runs:
             window = CoarseWindow(tau0, float("inf"), times)
             rep = coarse_grained_check(basis, h0, v_op, h, h, window,
-                                       lp.apply_bilinear(h, h))
+                                       lp.apply_bilinear(h, h).dense())
             mids.append(float(rep.deltas[2]))
         decreasing = decreasing and all(
             mids[i + 1] < mids[i] for i in range(len(mids) - 1))
@@ -280,7 +280,7 @@ def test_acceptance_6_maxent_round_trip(capsys):
     margin = np.inf
     stayed = 0.0
     for _ in range(20):
-        w_prime = constrained_perturbation(result.state, ops, rng, scale=1e-5)
+        w_prime = constrained_perturbation(result.state, obs.blocks, rng, scale=1e-5)
         vals = np.array([float(np.trace(w_prime @ op).real) for op in ops])
         stayed = max(stayed, float(np.max(np.abs(vals - t_vec)
                                           / np.maximum(1.0, np.abs(t_vec)))))

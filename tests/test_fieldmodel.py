@@ -190,13 +190,13 @@ def test_soft_lennard_jones_finite_at_origin():
 def test_hamiltonian_free_and_one_particle_sector():
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 2, Statistics.BOSE)
-    h0 = hamiltonian(basis, modes, np.zeros((3, 3, 3, 3)))
+    h0 = hamiltonian(basis, modes, np.zeros((3, 3, 3, 3))).dense()
     w = mode_energies(modes)
     expected = np.array([float(w @ occ) for occ in basis.states])
     assert np.allclose(h0, np.diag(expected), atol=1e-12)
     # interacting hamiltonian restricted to single-particle states stays diag(W)
     pot = Contact(g=0.9)
-    h = hamiltonian(basis, modes, contact_tensor(modes, pot, GEOM_1D))
+    h = hamiltonian(basis, modes, contact_tensor(modes, pot, GEOM_1D)).dense()
     singles = [basis.state_index(tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
     sub = h[np.ix_(singles, singles)]
     assert np.allclose(sub, np.diag(w), atol=1e-12)
@@ -207,7 +207,7 @@ def test_hamiltonian_matches_independent_assembly():
     basis = build_basis(2, 2, Statistics.BOSE)
     pot = Contact(g=0.8)
     tensor = contact_tensor(modes, pot, GEOM_1D)
-    h = hamiltonian(basis, modes, tensor)
+    h = hamiltonian(basis, modes, tensor).dense()
 
     from test_fock import brute_two_body
 
@@ -222,11 +222,11 @@ def test_mass_density_cells_sum_to_total():
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = CellGrid(GEOM_1D, (4,))
-    total = sum(mass_density_op(basis, modes, grid, c) for c in range(grid.n_cells))
-    assert np.max(np.abs(total - total_mass_op(basis))) < 1e-13
+    total = sum(mass_density_op(basis, modes, grid, c).dense() for c in range(grid.n_cells))
+    assert np.max(np.abs(total - total_mass_op(basis).dense())) < 1e-13
     vac = basis.state_index((0, 0, 0))
     for c in range(grid.n_cells):
-        assert mass_density_op(basis, modes, grid, c)[vac, vac] == pytest.approx(0.0)
+        assert mass_density_op(basis, modes, grid, c).dense()[vac, vac] == pytest.approx(0.0)
 
 
 def test_mass_density_half_cell_value():
@@ -237,7 +237,7 @@ def test_mass_density_half_cell_value():
     for c in range(2):
         lo, hi = grid.bounds(c)[0]
         ref = gl_integral(lambda x: u(1, 1.0)(x) ** 2, lo, hi)
-        val = mass_density_op(basis, modes, grid, c)[state, state]
+        val = mass_density_op(basis, modes, grid, c).dense()[state, state]
         assert val == pytest.approx(ref, abs=1e-12)
 
 
@@ -247,8 +247,8 @@ def test_energy_density_whole_box_equals_hamiltonian():
     pot = Gaussian(g=0.6, sigma=0.3)
     grid = whole_box_grid(GEOM_1D)
     tensor = potential_tensor(modes, pot, GEOM_1D, order=8, grid=grid)
-    h = hamiltonian(basis, modes, tensor)
-    e = energy_density_op(basis, modes, grid, 0, pot, GEOM_1D, order=8)
+    h = hamiltonian(basis, modes, tensor).dense()
+    e = energy_density_op(basis, modes, grid, 0, pot, GEOM_1D, order=8).dense()
     assert np.max(np.abs(e - h)) < 1e-11
 
 
@@ -258,17 +258,17 @@ def test_energy_density_cells_tile_hamiltonian():
     grid = CellGrid(GEOM_1D, (2,))
     for pot in [Gaussian(g=0.6, sigma=0.3), Contact(g=0.5), Zero()]:
         tensor = potential_tensor(modes, pot, GEOM_1D, order=8, grid=grid)
-        h = hamiltonian(basis, modes, tensor)
+        h = hamiltonian(basis, modes, tensor).dense()
         total = sum(
-            energy_density_op(basis, modes, grid, c, pot, GEOM_1D, order=8)
+            energy_density_op(basis, modes, grid, c, pot, GEOM_1D, order=8).dense()
             for c in range(grid.n_cells)
         )
         assert np.max(np.abs(total - h)) < 1e-11
     free_total = sum(
-        energy_density_op(basis, modes, grid, c, Zero(), GEOM_1D)
+        energy_density_op(basis, modes, grid, c, Zero(), GEOM_1D).dense()
         for c in range(grid.n_cells)
     )
-    assert np.max(np.abs(free_total - free_hamiltonian(basis, modes))) < 1e-11
+    assert np.max(np.abs(free_total - free_hamiltonian(basis, modes).dense())) < 1e-11
 
 
 def test_energy_density_kinetic_kernel_matches_quadrature():
@@ -279,7 +279,7 @@ def test_energy_density_kinetic_kernel_matches_quadrature():
     cell = 0
     lo, hi = grid.bounds(cell)[0]
     singles = [basis.state_index(tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
-    built = energy_density_op(basis, modes, grid, cell, Zero(), GEOM_1D)
+    built = energy_density_op(basis, modes, grid, cell, Zero(), GEOM_1D).dense()
     for i, h_idx in enumerate(singles):
         for j, k_idx in enumerate(singles):
             def integrand(x, fi=i + 1, fj=j + 1):
@@ -300,7 +300,7 @@ def test_momentum_density_full_box_is_total_momentum():
     modes = box_modes(GEOM_1D, 4)
     basis = build_basis(4, 1, Statistics.BOSE)
     grid = whole_box_grid(GEOM_1D)
-    p_op = momentum_density_op(basis, modes, grid, 0)[0]
+    p_op = momentum_density_op(basis, modes, grid, 0)[0].dense()
     singles = [basis.state_index(tuple(np.eye(4, dtype=int)[k])) for k in range(4)]
     sub = p_op[np.ix_(singles, singles)]
     for i in range(4):
@@ -320,7 +320,7 @@ def test_momentum_density_diagonal_states_carry_none():
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = whole_box_grid(GEOM_1D)
-    p_op = momentum_density_op(basis, modes, grid, 0)[0]
+    p_op = momentum_density_op(basis, modes, grid, 0)[0].dense()
     assert np.max(np.abs(np.diag(p_op))) < 1e-13
 
 
@@ -328,7 +328,7 @@ def test_momentum_density_superposition_matches_wavefunction():
     modes = box_modes(GEOM_1D, 2)
     basis = build_basis(2, 1, Statistics.BOSE)
     grid = whole_box_grid(GEOM_1D)
-    p_op = momentum_density_op(basis, modes, grid, 0)[0]
+    p_op = momentum_density_op(basis, modes, grid, 0)[0].dense()
     c1, c2 = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
     psi = np.zeros(basis.dim, dtype=complex)
     psi[basis.state_index((1, 0))] = c1
@@ -353,7 +353,7 @@ def test_phase_space_op_basic_properties():
     for _ in range(5):
         x = rng.uniform(0.3, 0.7, size=1)
         p = rng.uniform(-20.0, 20.0, size=1)
-        f_op = phase_space_op(basis, modes, GEOM_1D, x, p, sigma=0.1)
+        f_op = phase_space_op(basis, modes, GEOM_1D, x, p, sigma=0.1).dense()
         vac = basis.state_index((0, 0, 0))
         assert f_op[vac, vac] == pytest.approx(0.0)
         evals = np.linalg.eigvalsh(f_op)
@@ -391,8 +391,8 @@ def test_phase_space_completeness_on_mode_span():
             for pi, wpi in zip(ps, wp):
                 acc += wxi * wpi * phase_space_op(
                     basis, modes, GEOM_1D, [xi], [pi], sigma=sigma, order=64
-                )
-    mass = total_mass_op(basis)
+                ).dense()
+    mass = total_mass_op(basis).dense()
     defect = np.max(np.abs(acc - mass))
 
     # independent bound: analytic p-integration leaves the kernel

@@ -179,7 +179,7 @@ def test_car_exact_everywhere():
 
 def test_number_operator_is_total_occupation():
     basis = build_basis(3, 2, Statistics.BOSE)
-    n_tot = one_body_operator(basis, np.eye(3))
+    n_tot = one_body_operator(basis, np.eye(3)).dense()
     assert np.allclose(n_tot, number_op(basis), atol=1e-13)
 
 
@@ -189,7 +189,7 @@ def test_one_body_matches_brute_force(statistics):
     n_max = 2 if statistics is Statistics.BOSE else 3
     basis = build_basis(3, n_max, statistics)
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    built = one_body_operator(basis, h)
+    built = one_body_operator(basis, h).dense()
     assert np.max(np.abs(built - brute_one_body(basis, h))) < 1e-12
 
 
@@ -198,7 +198,7 @@ def test_two_body_matches_brute_force(statistics):
     rng = np.random.default_rng(11)
     basis = build_basis(3, 3, statistics)
     tensor = random_hermitian_tensor(rng, 3)
-    built = two_body_operator(basis, tensor)
+    built = two_body_operator(basis, tensor).dense()
     brute = brute_two_body(basis, tensor)
     assert np.max(np.abs(built - brute)) < 1e-12
     assert np.max(np.abs(built - built.conj().T)) < 1e-12
@@ -216,7 +216,7 @@ def test_two_body_number_conservation():
     rng = np.random.default_rng(5)
     basis = build_basis(3, 2, Statistics.BOSE)
     tensor = random_hermitian_tensor(rng, 3)
-    op = two_body_operator(basis, tensor)
+    op = two_body_operator(basis, tensor).dense()
     n_tot = number_op(basis)
     assert np.max(np.abs(op @ n_tot - n_tot @ op)) < 1e-12
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
-from boxgas import gibbs as gibbs_module
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -45,7 +44,8 @@ from boxgas.gibbs import (
     targets_vector,
     uniform_fields,
 )
-from boxgas.matrixutil import BlockDiagonal, frob, split_blocks
+from boxgas.matrixutil import BlockDiagonal, frob
+from dense_oracles import split_blocks
 
 GEOM = BoxGeometry((1.0,))
 UNIT = 0.5 * math.pi ** 2  # lowest box level for L = m = hbar = 1
@@ -104,9 +104,9 @@ def test_boosted_operators_match_field_builders():
     # the constraint stack is the direct cell energies, then the cell masses,
     # and the Gibbs exponent is sum_c beta_c E_c - beta_c mu_c N_c on them
     modes, basis, grid, obs = make_system(cells=2, potential=Contact(0.8))
-    direct = np.array([energy_density_op(basis, modes, grid, c, Contact(0.8), GEOM)
+    direct = np.array([energy_density_op(basis, modes, grid, c, Contact(0.8), GEOM).dense()
                        for c in range(2)]
-                      + [mass_density_op(basis, modes, grid, c) for c in range(2)])
+                      + [mass_density_op(basis, modes, grid, c).dense() for c in range(2)])
     scale = max(frob(direct), 1.0)
     assert frob(obs.blocks.dense() - direct) <= 1e-12 * scale
     fields = LagrangeFields(np.array([0.7, 1.2]), np.array([0.1, -0.2]))
@@ -182,7 +182,7 @@ def test_mass_on_maximally_mixed():
     _, basis, _, obs = make_system()
     state = gibbs_from_operator(np.zeros((basis.dim, basis.dim)))
     want = MASS * basis.totals().mean()
-    assert abs(expectation(state, total_mass_op(basis)) - want) <= 1e-12 * (1 + want)
+    assert abs(expectation(state, total_mass_op(basis).dense()) - want) <= 1e-12 * (1 + want)
 
 
 def test_momentum_vanishes_at_zero_velocity():
@@ -293,7 +293,7 @@ def test_chi_matrix_symmetric_psd():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
     fields = LagrangeFields(np.array([1.0, 0.8]), np.array([0.1, 0.0]))
     state = gibbs_state(basis, obs, fields)
-    chi = chi_matrix(state, obs.blocks.dense())
+    chi = chi_matrix(state, obs.blocks)
     assert np.allclose(chi, chi.T, atol=1e-12 * (1 + np.max(np.abs(chi))))
     assert np.min(np.linalg.eigvalsh(chi)) >= -1e-10 * max(1.0, np.max(np.abs(chi)))
 
@@ -395,7 +395,7 @@ def test_maximality_against_constrained_perturbations():
     s_star = entropy(state)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        w_prime = constrained_perturbation(state, ops, rng, scale=1e-5)
+        w_prime = constrained_perturbation(state, obs.blocks, rng, scale=1e-5)
         values = np.array([float(np.trace(w_prime @ op).real) for op in ops])
         assert np.max(np.abs(values - t_vec) / np.maximum(1.0, np.abs(t_vec))) <= 1e-8
         assert s_star >= entropy(w_prime) - 1e-9
@@ -426,7 +426,7 @@ SECTOR_CASES = [(Statistics.BOSE, 2, 3), (Statistics.BOSE, 3, 2), (Statistics.BO
 
 
 def random_conserving(basis, rng, two_body=True):
-    """Random hermitian one-body plus two-body operator; commutes with N."""
+    """Random hermitian one-body plus two-body operator, in sector blocks."""
     f = basis.n_modes
     op = one_body_operator(basis, random_hermitian(rng, f))
     if two_body:
@@ -458,9 +458,12 @@ def test_sector_blocks_match_dense_oracle(case, seed):
     statistics, n_modes, n_max = case
     basis = build_basis(n_modes, n_max, statistics)
     rng = np.random.default_rng(seed)
-    k = random_conserving(basis, rng)
-    ops = [random_conserving(basis, rng, two_body=False) for _ in range(3)]
-    state = gibbs_from_operator(split_blocks(k, basis.sectors, ["K"]))
+    k_blocks = random_conserving(basis, rng)
+    k = k_blocks.dense()
+    op_blocks = BlockDiagonal.stack(random_conserving(basis, rng, two_body=False)
+                                    for _ in range(3))
+    ops = op_blocks.dense()
+    state = gibbs_from_operator(k_blocks)
     weight, log_z, probs, _ = dense_gibbs_oracle(k)
     assert np.max(np.abs(state.weight - weight)) <= 1e-12
     assert abs(state.log_z - log_z) <= 1e-12 * (1.0 + abs(log_z))
@@ -468,51 +471,35 @@ def test_sector_blocks_match_dense_oracle(case, seed):
     assert np.max(np.abs(state.k_matrix - k)) == 0.0
     chi_want = dense_chi_oracle(k, ops)
     scale = max(1.0, float(np.max(np.abs(chi_want))))
-    for given_ops in (ops, split_blocks(np.array(ops), basis.sectors, ["A0", "A1", "A2"])):
-        assert np.max(np.abs(chi_matrix(state, given_ops) - chi_want)) <= 1e-12 * scale
-    for i, op in enumerate(ops):
+    assert np.max(np.abs(chi_matrix(state, op_blocks) - chi_want)) <= 1e-12 * scale
+    for op, blocks in zip(ops, op_blocks):
         want = float(np.trace(weight @ op).real)
-        blocks = split_blocks(op, basis.sectors, [f"A{i}"])
         for given_op in (op, blocks):
             assert abs(expectation(state, given_op) - want) <= 1e-12 * (1.0 + abs(want))
-
-
-def test_off_sector_entries_are_rejected():
-    basis = build_basis(3, 2, Statistics.BOSE)
-    rng = np.random.default_rng(8)
-    k = random_conserving(basis, rng)
-    leak = k.copy()
-    leak[0, 1] += 1e-15
-    leak[1, 0] += 1e-15
-    with pytest.raises(ValueError, match=r"K has entries outside its number sectors"):
-        split_blocks(leak, basis.sectors, ["K"])
-    state = gibbs_from_operator(split_blocks(k, basis.sectors, ["K"]))
-    with pytest.raises(ValueError, match="operator 1 has entries outside"):
-        chi_matrix(state, [k, leak])
-    # on one block (a general exponent) the same operator is accepted
-    assert np.isfinite(chi_matrix(gibbs_from_operator(k), [k, leak])).all()
-
-
-def test_cell_observables_reject_off_sector_operator(monkeypatch):
-    real_mass = gibbs_module.mass_density_op
-
-    def leaking_mass(basis, *args, **kwargs):
-        op = real_mass(basis, *args, **kwargs).copy()
-        op[0, -1] = op[-1, 0] = 1e-3
-        return op
-
-    monkeypatch.setattr(gibbs_module, "mass_density_op", leaking_mass)
-    with pytest.raises(ValueError, match=r"mass\[0\] has entries outside its number sectors"):
-        make_system(cells=2)
 
 
 def test_block_stack_combine_and_dense():
     basis = build_basis(3, 2, Statistics.FERMI)
     rng = np.random.default_rng(9)
-    ops = np.array([random_conserving(basis, rng) for _ in range(3)])
-    blocks = split_blocks(ops, basis.sectors, ["a", "b", "c"])
+    items = [random_conserving(basis, rng) for _ in range(3)]
+    ops = np.array([item.dense() for item in items])
+    blocks = BlockDiagonal.stack(items)
     assert isinstance(blocks, BlockDiagonal) and len(blocks) == 3
     assert np.array_equal(blocks.dense(), ops)
+    assert np.array_equal(split_blocks(ops, basis.sectors, ["a", "b", "c"]).dense(), ops)
     y = rng.standard_normal(3)
     assert np.max(np.abs(blocks.combine(y).dense() - np.einsum("i,iab->ab", y, ops))) <= 1e-13
     assert np.array_equal(blocks[1].dense(), ops[1])
+    assert np.array_equal((items[0] + items[1]).dense(), ops[0] + ops[1])
+    assert np.array_equal((items[0] - items[2]).dense(), ops[0] - ops[2])
+    assert abs(blocks.norm() - frob(ops)) <= 1e-13 * frob(ops)
+    assert abs(items[1].norm() - frob(ops[1])) <= 1e-13 * frob(ops[1])
+    # operators over different slices do not pair
+    other = random_conserving(build_basis(3, 3, Statistics.FERMI), rng)
+    one_block = gibbs_from_operator(ops[0])
+    with pytest.raises(ValueError, match="different slices"):
+        items[0] + other
+    with pytest.raises(ValueError, match="different slices"):
+        blocks.trace_with(one_block.weight_blocks)
+    with pytest.raises(ValueError, match="different slices"):
+        chi_matrix(one_block, blocks)

@@ -25,7 +25,15 @@ from boxgas.fock import (
     creation_op,
     two_body_operator,
 )
-from boxgas.generator import build_coefficients, coefficients_from_potential, smearing_kernel
+from boxgas.generator import (
+    Lprime,
+    build_coefficients,
+    coefficients_from_potential,
+    conservation_report,
+    negative_tau_witness,
+    positivity_check,
+    smearing_kernel,
+)
 from boxgas.gibbs import FitError, LagrangeFields
 from boxgas.kinetics import (
     ClosureSystem,
@@ -38,6 +46,7 @@ from boxgas.kinetics import (
 )
 from boxgas.matrixutil import frob
 from boxgas.scattering import pair_basis, pair_energies
+from dense_oracles import split_blocks
 
 GEOM = BoxGeometry((1.0,))
 UNIT = 0.5 * math.pi ** 2
@@ -78,7 +87,7 @@ def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
     ann = [annihilation_op(basis, f) for f in range(n)]
     cre = [a.conj().T for a in ann]
     x = cre[h] @ ann[k]
-    heff = free_hamiltonian(basis, modes) + two_body_operator(basis, coeffs.veff)
+    heff = (free_hamiltonian(basis, modes) + two_body_operator(basis, coeffs.veff)).dense()
     stream = (1j / hbar) * (heff @ x - x @ heff)
     jumps = {}
     for p in range(n):
@@ -337,7 +346,8 @@ def test_gain_loss_overpopulated_channel():
     vac[basis.state_index((0, 0, 0))] = 1.0
     psi = creation_op(basis, 0) @ creation_op(basis, 1) @ vac
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-    w = np.outer(psi, psi.conj())
+    # the two-particle pure state, as a weight over the number sectors
+    w = split_blocks(np.outer(psi, psi.conj()), basis.sectors, ["w"])
     number_0 = np.diag([1.0, 0.0, 0.0])
     rep = gain_loss_report(sys, weight=w, kernels=[number_0], labels=("n0",))
     assert rep.loss[0] < 0.0
@@ -370,3 +380,24 @@ def test_trajectory_table_layout():
     assert all(len(r) == len(header) for r in rows)
     times = [r[0] for r in rows]
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics):
+    # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes); the dense
+    # (n, dim, dim) ladder stack is read only by annihilation_op, ladder_ops
+    # and the negative-time witness
+    if statistics is Statistics.BOSE:
+        sys = make_system(numbers=tuple(range(1, 7)), n_max=3)
+    else:
+        sys = make_system(numbers=tuple(range(1, 9)), n_max=3, statistics=statistics,
+                          g=1.0, sigma=0.25, delta=5.0)
+    assert sys.basis.dim >= 84
+    lp = Lprime(sys.basis, sys.coeffs)
+    conservation_report(lp)
+    assert positivity_check(lp, n_samples=20, tau_max=1e-3, seed=1).passed
+    dt = 5.05 * sys.tau0
+    assert integrate(sys, t_span=4.0 * dt, dt=dt).n_steps == 4
+    assert "ladders" not in vars(sys.basis)
+    negative_tau_witness(lp)
+    assert "ladders" in vars(sys.basis)

@@ -2,8 +2,9 @@
 
 Hypothesis draws the mode set (1D or 3D, 1-4 modes), the statistics, n_max
 <= 3, the cell grid and the coupling, and every draw must keep: hermitian H
-and cell operators, the number-sector block structure, mass conservation of
-L', and the ladder algebra of acceptance check 1.
+and cell operators, a block-built H equal to its dense oracle with no entry
+outside the number sectors, mass conservation of L', and the ladder algebra
+of acceptance check 1.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from boxgas.fieldmodel import (
     Contact,
     Gaussian,
     hamiltonian,
+    mode_energies,
     modes_from_numbers,
     momentum_density_op,
     potential_tensor,
@@ -22,7 +24,8 @@ from boxgas.fieldmodel import (
 from boxgas.fock import Statistics, build_basis, ladder_ops
 from boxgas.generator import Lprime, coefficients_from_potential
 from boxgas.gibbs import cell_observables
-from boxgas.matrixutil import frob, hermiticity_defect, split_blocks
+from boxgas.matrixutil import hermiticity_defect
+from dense_oracles import dense_one_body, dense_two_body, split_blocks
 
 
 @st.composite
@@ -69,17 +72,20 @@ def test_structure_of_random_systems(system):
     vtensor = potential_tensor(modes, potential, geom, order=4)
     h = hamiltonian(basis, modes, vtensor)
     obs = cell_observables(basis, modes, grid, potential, geom, order=4)
-    momentum = np.concatenate([momentum_density_op(basis, modes, grid, c)
-                               for c in range(grid.n_cells)])
-    ops = np.concatenate([h[None], obs.blocks.dense(), momentum])
-    for op in ops:
-        assert hermiticity_defect(op) <= 1e-12 * max(1.0, float(np.max(np.abs(op))))
-    # every operator conserves the particle number: split_blocks rejects any
-    # entry outside the number sectors
-    blocks = split_blocks(ops, basis.sectors, [f"operator {i}" for i in range(len(ops))])
-    assert np.array_equal(blocks.dense(), ops)
+    momentum = [p for c in range(grid.n_cells) for p in momentum_density_op(basis, modes, grid, c)]
+    for op in [h, *obs.blocks, *momentum]:
+        dense = op.dense()
+        assert hermiticity_defect(dense) <= 1e-12 * max(1.0, float(np.max(np.abs(dense))))
+    # H conserves the particle number: its dense oracle from the loop ladders
+    # has no entry outside the number sectors (split_blocks rejects any), and
+    # the block-built H matches it
+    oracle = (dense_one_body(basis, np.diag(mode_energies(modes)))
+              + dense_two_body(basis, vtensor))
+    split_blocks(oracle, basis.sectors, ["H oracle"])
+    scale = max(1.0, float(np.max(np.abs(oracle))))
+    assert np.max(np.abs(h.dense() - oracle)) <= 1e-12 * scale
 
     coeffs = coefficients_from_potential(modes, vtensor, statistics, eps=10.0, delta=2.0)
-    assert frob(Lprime(basis, coeffs).apply(np.eye(len(modes)))) <= 1e-10
+    assert Lprime(basis, coeffs).apply(np.eye(len(modes))).norm() <= 1e-10
 
     assert ladder_algebra_defect(basis) <= 1e-12

@@ -248,7 +248,7 @@ def test_pair_matrix_matches_fock_sector():
     tensor = contact_tensor(modes, Contact(g=0.8), geom)
     for stats in (Statistics.BOSE, Statistics.FERMI):
         basis = build_basis(3, 2, stats)
-        v_op = two_body_operator(basis, tensor.astype(complex))
+        v_op = two_body_operator(basis, tensor.astype(complex)).dense()
         pairs = pair_basis(3, stats)
         dim = basis.dim
         vecs = []
@@ -393,7 +393,7 @@ def test_collision_time_scaling_and_correlation():
     w = mode_energies(modes)
     h0 = np.diag([float(w @ occ) for occ in basis.states]).astype(complex)
     unit = contact_tensor(modes, Contact(g=1.0), GEOM)
-    v_unit = two_body_operator(basis, unit.astype(complex))
+    v_unit = two_body_operator(basis, unit.astype(complex)).dense()
     dim = basis.dim
     rho = np.eye(dim) / dim
     times = np.linspace(0.0, 1.5, 400)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from boxgas.fieldmodel import BoxGeometry, modes_from_numbers
 from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
-from boxgas.generator import Lprime, build_coefficients, channel_ops, gamma_op
+from boxgas.generator import Lprime, build_coefficients, channel_blocks
 from boxgas.scattering import pair_basis
 from dense_oracles import (
     dense_channel_ops,
@@ -31,6 +31,12 @@ def assert_close(built, oracle):
     assert np.max(np.abs(built - oracle), initial=0.0) <= 1e-12 * scale
 
 
+def sector_view(basis, oracle, n, lower):
+    """The rows of sector n - lower and the columns of sector n of a dense stack."""
+    rows = basis.sectors[n - lower] if n >= lower else slice(0, 0)
+    return oracle[..., rows, basis.sectors[n]]
+
+
 def check_against_oracles(n_modes, n_max, statistics, seed):
     basis = build_basis(n_modes, n_max, statistics)
     rng = np.random.default_rng(seed)
@@ -45,26 +51,27 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
         rows = sectors[n - 2] if n >= 2 else slice(0, 0)
         assert block.shape == (n_modes, n_modes, rows.stop - rows.start,
                                sectors[n].stop - sectors[n].start)
-        assert np.array_equal(block, pairs[:, :, rows, sectors[n]])
+        assert np.array_equal(block, sector_view(basis, pairs, n, 2))
         outside[:, :, rows, sectors[n]] = False
     assert not np.any(pairs[outside])
 
     kernel = rng.normal(size=(n_modes,) * 2) + 1j * rng.normal(size=(n_modes,) * 2)
-    assert_close(one_body_operator(basis, kernel), dense_one_body(basis, kernel))
+    assert_close(one_body_operator(basis, kernel).dense(), dense_one_body(basis, kernel))
     raw = rng.normal(size=(n_modes,) * 4) + 1j * rng.normal(size=(n_modes,) * 4)
     tensor = 0.5 * (raw + raw.conj().transpose(3, 2, 1, 0))
-    assert_close(two_body_operator(basis, tensor), dense_two_body(basis, tensor))
+    assert_close(two_body_operator(basis, tensor).dense(), dense_two_body(basis, tensor))
 
     modes = modes_from_numbers(GEOM, [(k,) for k in range(1, n_modes + 1)])
     n_pairs = len(pair_basis(n_modes, statistics))
     t_on = rng.normal(size=(n_pairs, n_pairs)) + 1j * rng.normal(size=(n_pairs, n_pairs))
     coeffs = build_coefficients(modes, t_on, statistics, delta=5.0)
     channels = dense_channel_ops(basis, coeffs)
-    assert_close(channel_ops(basis, coeffs), channels)
-    assert_close(gamma_op(basis, coeffs), dense_gamma(channels))
-    for built, oracle in zip(Lprime(basis, coeffs).parts(kernel),
-                             dense_parts(basis, coeffs, kernel)):
-        assert_close(built, oracle)
+    for n, block in enumerate(channel_blocks(basis, coeffs)):
+        assert_close(block, sector_view(basis, channels, n, 2))
+    lp = Lprime(basis, coeffs)
+    assert_close(lp.gamma.dense(), dense_gamma(channels))
+    for built, oracle in zip(lp.parts(kernel), dense_parts(basis, coeffs, kernel)):
+        assert_close(built.dense(), oracle)
 
 
 @st.composite
