@@ -2,7 +2,11 @@
 
 States have the form exp(-K)/Z with K = sum_c beta_c (E_c - mu_c N_c), a
 weighted sum of cell energy and mass operators: (beta, mu) per cell is the
-whole field set.
+whole field set.  A constraint family supplies the states, values and
+susceptibilities of one stack of constraints: `CellObservables` holds the
+operators in number-sector blocks and diagonalises each block of K;
+`CellKernels` holds one-body n x n kernels, so K = dGamma(k) and every
+quantity follows from one eigendecomposition of k.
 """
 
 from __future__ import annotations
@@ -15,16 +19,18 @@ import numpy as np
 from .fieldmodel import (
     BoxGeometry,
     CellGrid,
+    cell_kernels,
     energy_density_op,
     mass_density_op,
 )
-from .fock import FockBasis
+from .fock import FockBasis, Statistics, mode_rotation, one_body_operator
 from .matrixutil import BlockDiagonal, frob, require_hermitian, trace_product
 
 FIT_TOL = 1e-8
 MAX_ITER = 200
 CHI_PSD_TOL = 1e-10
 STEP_CAP = 1e8
+IMAG_TOL = 1e-9
 
 
 class FitError(ValueError):
@@ -83,19 +89,29 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class CellObservables:
-    """Cell energy and mass operators as the constraint stack.
+    """Cell energy and mass operators as the block constraint family.
 
     `blocks` holds the operators in number-sector blocks, stacked as
     energy[c], then mass[c]: the operators conjugate to the multipliers of
-    `fields_to_multipliers`.
+    `fields_to_multipliers`.  Every block is checked hermitian here, once, so
+    the real combinations that a fit diagonalises need no check of their own.
     """
 
     grid: CellGrid
     blocks: BlockDiagonal
 
+    def __post_init__(self):
+        for i, op in enumerate(self.blocks):
+            for block in op.blocks:
+                require_hermitian(block, name=f"constraint operator {i}")
+
     @property
     def n_cells(self) -> int:
         return len(self.blocks) // 2
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.dim
 
     @cached_property
     def mass_bounds(self) -> np.ndarray:
@@ -107,6 +123,107 @@ class CellObservables:
             bounds[c] = evals.min(), evals.max()
         return bounds
 
+    def combine(self, coeffs) -> CellObservables:
+        """The family of the operators `coeffs @ stack`, one per row of `coeffs`."""
+        return CellObservables(self.grid, self.blocks.combine(coeffs))
+
+    def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
+        return _sector_gibbs(self.blocks.combine(y), fields)
+
+    def values(self, state: GibbsState) -> np.ndarray:
+        return real_values(self.blocks.trace_with(state.weight_blocks))
+
+    def chi(self, state: GibbsState) -> np.ndarray:
+        return chi_matrix(state, self.blocks)
+
+
+@dataclass(frozen=True)
+class CellKernels:
+    """Cell energy and mass as one-body kernels: the mode constraint family.
+
+    `kernels[i]` is the n x n kernel of constraint i, stacked like
+    `CellObservables.blocks`, so every exponent is K = dGamma(k) with
+    k = sum_i y_i kernels[i], and each state comes from one eigendecomposition
+    k = U diag(eps) U^dagger (`gibbs_from_kernel`).  With s the occupation
+    rows of the basis, p their probabilities, nbar = p s and a_i =
+    U^dagger kernels[i] U, constraint i has the value sum_j a_i[j, j] nbar[j];
+    `chi` reads the susceptibility off nbar and s^T diag(p) s.  No sector
+    block is diagonalised.
+    """
+
+    basis: FockBasis
+    kernels: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.kernels) // 2
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    @cached_property
+    def mass_bounds(self) -> np.ndarray:
+        """(lowest, highest) eigenvalue of each cell mass operator: the extreme
+        occupation rows s . eigvalsh(kernel)."""
+        bounds = np.empty((self.n_cells, 2))
+        for c in range(self.n_cells):
+            levels = self.basis.states @ np.linalg.eigvalsh(self.kernels[self.n_cells + c])
+            bounds[c] = levels.min(), levels.max()
+        return bounds
+
+    def combine(self, coeffs) -> CellKernels:
+        """The family of the kernels `coeffs @ stack`, one per row of `coeffs`."""
+        return CellKernels(self.basis,
+                           np.tensordot(np.asarray(coeffs, dtype=float), self.kernels, axes=1))
+
+    def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
+        return gibbs_from_kernel(self.basis,
+                                 np.tensordot(np.asarray(y, dtype=float), self.kernels, axes=1),
+                                 fields)
+
+    def _rotated(self, state: GibbsState) -> np.ndarray:
+        """The constraint kernels in the eigenmodes of the state's kernel, U^dagger k_i U."""
+        u = state.spectrum.vectors
+        return u.conj().T @ self.kernels @ u
+
+    def values(self, state: GibbsState) -> np.ndarray:
+        diag = np.diagonal(self._rotated(state), axis1=1, axis2=2).real
+        return diag @ (state.probabilities @ self.basis.states)
+
+    def chi(self, state: GibbsState) -> np.ndarray:
+        """Kubo-Mori susceptibility over the kernels, from the occupation moments.
+
+        The diagonal parts give sum_jk a_c[j, j] a_d[k, k] (C_jk - nbar_j nbar_k),
+        C = s^T diag(p) s.  A hop a_c[i, j] a_d[j, i], i != j, moves a particle
+        from mode j to mode i; over the pairs of rows it joins, the Kubo-Mori
+        kernel sums to phi(eps_i - eps_j) (nbar_j +- C_ij), with
+        phi(x) = (1 - e^-x)/x, + for Bose and - for Fermi.  Detailed balance
+        makes this equal to phi(eps_j - eps_i) (nbar_i +- C_ij), and each pair
+        is read on the side where the gap is >= 0, so phi stays in (0, 1].
+        """
+        s = self.basis.states
+        p = state.probabilities
+        nbar = p @ s
+        corr = (s.T * p) @ s
+        a = self._rotated(state)
+        diag = np.diagonal(a, axis1=1, axis2=2).real
+        chi = diag @ (corr - np.outer(nbar, nbar)) @ diag.T
+        eps = state.spectrum.energies
+        gap = eps[:, None] - eps[None, :]
+        rising = gap >= 0.0
+        width = np.abs(gap)
+        phi = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
+        sign = 1.0 if self.basis.statistics is Statistics.BOSE else -1.0
+        hop = phi * (np.where(rising, nbar[None, :], nbar[:, None]) + sign * corr)
+        np.fill_diagonal(hop, 0.0)
+        m = len(a)
+        chi = chi + (a * hop).reshape(m, -1) @ a.transpose(0, 2, 1).reshape(m, -1).T
+        return (0.5 * (chi + chi.conj().T)).real
+
+
+ConstraintFamily = CellObservables | CellKernels
+
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
                      geom: BoxGeometry, order: int = 8) -> CellObservables:
@@ -114,6 +231,12 @@ def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
     return CellObservables(grid, BlockDiagonal.stack(
         [energy_density_op(basis, modes, grid, c, potential, geom, order=order) for c in cells]
         + [mass_density_op(basis, modes, grid, c) for c in cells]))
+
+
+def cell_kernel_family(basis: FockBasis, modes, grid: CellGrid) -> CellKernels:
+    """The kinetic cell energies and the cell masses as one-body kernels."""
+    per_cell = [cell_kernels(modes, grid, c) for c in range(grid.n_cells)]
+    return CellKernels(basis, np.array([e for e, _ in per_cell] + [m for _, m in per_cell]))
 
 
 def targets_vector(targets: ConstraintSet) -> np.ndarray:
@@ -134,27 +257,70 @@ def multipliers_to_fields(y: np.ndarray) -> LagrangeFields:
 
 
 @dataclass(frozen=True)
+class SectorSpectrum:
+    """Eigenvector blocks of a block-diagonal exponent, one eigh per block."""
+
+    exponent: BlockDiagonal
+    vector_blocks: tuple
+
+    @property
+    def slices(self) -> tuple:
+        return self.exponent.slices
+
+
+@dataclass(frozen=True)
+class ModeSpectrum:
+    """Eigenpairs of the exponent dGamma(k), read off k = U diag(energies) U^dagger.
+
+    U is `vectors`.  Row m of the basis is the eigenvector Gamma(U)|m> with
+    eigenvalue states[m] . energies.  The exponent and the eigenvector blocks
+    Gamma_N(U) are built on first read.
+    """
+
+    basis: FockBasis
+    kernel: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def slices(self) -> tuple:
+        return self.basis.sectors
+
+    @cached_property
+    def exponent(self) -> BlockDiagonal:
+        return one_body_operator(self.basis, self.kernel)
+
+    @cached_property
+    def vector_blocks(self) -> tuple:
+        return mode_rotation(self.basis, self.vectors).blocks
+
+
+@dataclass(frozen=True)
 class GibbsState:
     """exp(-K)/Z kept per diagonal block of K (the number sectors).
 
-    `probabilities[s]` and `vector_blocks[i]` are the eigenpairs of
-    `k.blocks[i]`, with `s = k.slices[i]`; eigenpairs are grouped by block,
-    ascending in K within each.  `weight_blocks` holds the weight over the
-    same blocks; the dense `weight`, `k_matrix` and `vectors` are assembled
-    from the blocks on first use.
+    `probabilities[s]` and `vector_blocks[i]` are the eigenpairs of K on the
+    block `s = spectrum.slices[i]`, grouped by block.  `spectrum` is a
+    `SectorSpectrum` or a `ModeSpectrum`.  `weight_blocks` holds the weight
+    over the same blocks; the dense `weight`, `k_matrix` and `vectors` are
+    assembled from the blocks on first use.
     """
 
     fields: LagrangeFields | None
     log_z: float
-    k: BlockDiagonal
     probabilities: np.ndarray
-    vector_blocks: tuple
+    spectrum: SectorSpectrum | ModeSpectrum
+
+    @property
+    def vector_blocks(self) -> tuple:
+        return self.spectrum.vector_blocks
 
     @cached_property
     def weight_blocks(self) -> BlockDiagonal:
-        return BlockDiagonal(self.k.slices, tuple(
+        slices = self.spectrum.slices
+        return BlockDiagonal(slices, tuple(
             (v * self.probabilities[s]) @ v.conj().T
-            for s, v in zip(self.k.slices, self.vector_blocks)))
+            for s, v in zip(slices, self.vector_blocks)))
 
     @cached_property
     def weight(self) -> np.ndarray:
@@ -162,61 +328,94 @@ class GibbsState:
 
     @cached_property
     def k_matrix(self) -> np.ndarray:
-        return self.k.dense()
+        return self.spectrum.exponent.dense()
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        return BlockDiagonal(self.k.slices, self.vector_blocks).dense()
+        return BlockDiagonal(self.spectrum.slices, self.vector_blocks).dense()
+
+
+def _boltzmann(levels: np.ndarray, fields: LagrangeFields | None, spectrum) -> GibbsState:
+    """Probabilities exp(-level)/Z, shifted by the lowest level against overflow;
+    ln Z is the log-sum-exp of -level with the same shift."""
+    low = levels.min()
+    shifted = np.exp(-(levels - low))
+    total = shifted.sum()
+    return GibbsState(fields, float(np.log(total) - low), shifted / total, spectrum)
 
 
 def gibbs_from_operator(k, fields: LagrangeFields | None = None) -> GibbsState:
     """exp(-k)/Z by spectral calculus per block, shift-guarded against overflow.
 
-    `k` is a BlockDiagonal over number sectors or, as its one-block case, a
-    dense hermitian matrix.  Probabilities are shifted by the lowest
-    eigenvalue over all blocks and normalised over all of them; ln Z is the
-    log-sum-exp of -eigenvalue with the same shift.
+    `k` is a hermitian BlockDiagonal over number sectors or, as its one-block
+    case, a dense hermitian matrix.  Probabilities are normalised over all
+    blocks.
     """
     if not isinstance(k, BlockDiagonal):
         k = np.asarray(k)
         k = BlockDiagonal((slice(0, k.shape[0]),), (k,))
     for block in k.blocks:
         require_hermitian(block, name="exponent")
+    return _sector_gibbs(k, fields)
+
+
+def _sector_gibbs(k: BlockDiagonal, fields: LagrangeFields | None = None) -> GibbsState:
     pairs = [np.linalg.eigh(block) for block in k.blocks]
-    evals = np.concatenate([e for e, _ in pairs])
-    low = evals.min()
-    shifted = np.exp(-(evals - low))
-    total = shifted.sum()
-    probs = shifted / total
-    log_z = float(np.log(total) - low)
-    return GibbsState(fields, log_z, k, probs, tuple(v for _, v in pairs))
+    return _boltzmann(np.concatenate([e for e, _ in pairs]), fields,
+                      SectorSpectrum(k, tuple(v for _, v in pairs)))
 
 
-def _check_basis(basis: FockBasis, obs: CellObservables) -> None:
-    if obs.blocks.dim != basis.dim:
+def gibbs_from_kernel(basis: FockBasis, k: np.ndarray,
+                      fields: LagrangeFields | None = None) -> GibbsState:
+    """exp(-dGamma(k))/Z from one eigendecomposition k = U diag(eps) U^dagger.
+
+    The basis truncates only the total number, so the mode rotation Gamma(U)
+    maps it onto itself: row m of `basis.states` stands for an eigenvector of
+    dGamma(k) with eigenvalue states[m] . eps.  ln Z and the probabilities
+    come from these levels as in `gibbs_from_operator`; the eigenvector
+    blocks are built only when the weight or the vectors are read.
+    """
+    k = np.asarray(k)
+    f = basis.n_modes
+    if k.shape != (f, f):
+        raise ValueError(f"kernel shape {k.shape} does not match mode count {f}")
+    require_hermitian(k, name="exponent kernel")
+    energies, vectors = np.linalg.eigh(k)
+    return _boltzmann(basis.states @ energies, fields,
+                      ModeSpectrum(basis, k, energies, vectors))
+
+
+def _check_basis(basis: FockBasis, obs: ConstraintFamily) -> None:
+    if obs.dim != basis.dim:
         raise ValueError("observables were built on a different basis")
 
 
-def gibbs_state(basis: FockBasis, obs: CellObservables,
-                fields: LagrangeFields) -> GibbsState:
+def gibbs_state(basis: FockBasis, obs: ConstraintFamily, fields: LagrangeFields) -> GibbsState:
+    """The Gibbs state of `fields` over a constraint family."""
     _check_basis(basis, obs)
     if fields.n_cells != obs.n_cells:
         raise ValueError("field cell count does not match the observables")
-    return gibbs_from_operator(obs.blocks.combine(fields_to_multipliers(fields)), fields)
+    return obs.state(fields_to_multipliers(fields), fields)
+
+
+def real_values(values, name: str = "expectation") -> np.ndarray:
+    """Real parts of traces against hermitian operators; a non-real one is rejected."""
+    values = np.asarray(values)
+    bad = np.flatnonzero(np.abs(values.imag) > IMAG_TOL * (1.0 + np.abs(values)))
+    if bad.size:
+        raise ValueError(f"{name} has imaginary part {values.imag.flat[bad[0]]:.3e}")
+    return values.real
 
 
 def expectation(state: GibbsState, op) -> float:
     """Tr(w A) for hermitian A, in blocks or dense; rejects a non-real trace."""
-    value = complex(op.trace_with(state.weight_blocks) if isinstance(op, BlockDiagonal)
-                    else trace_product(state.weight, op))
-    if abs(value.imag) > 1e-9 * (1.0 + abs(value)):
-        raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return float(real_values(op.trace_with(state.weight_blocks) if isinstance(op, BlockDiagonal)
+                             else trace_product(state.weight, op)))
 
 
-def constraint_values(state: GibbsState, obs: CellObservables):
-    """Energy and mass expectations per cell."""
-    values = np.array([expectation(state, op) for op in obs.blocks])
+def constraint_values(state: GibbsState, obs: ConstraintFamily):
+    """Energy and mass expectations per cell, over a constraint family."""
+    values = obs.values(state)
     return values[:obs.n_cells], values[obs.n_cells:]
 
 
@@ -264,7 +463,7 @@ def chi_matrix(state: GibbsState, ops: BlockDiagonal) -> np.ndarray:
     """
     m = len(ops)
     corr = 0.0
-    vectors = BlockDiagonal(state.k.slices, state.vector_blocks)
+    vectors = BlockDiagonal(state.spectrum.slices, state.vector_blocks)
     for s, (vecs, block) in zip(ops.slices, vectors.pairs(ops)):
         t = vecs.conj().T @ block @ vecs
         weighted = _km_kernel(state.probabilities[s]) * t
@@ -287,18 +486,17 @@ def _dual_value(log_z: float, y: np.ndarray, targets: np.ndarray) -> float:
     return log_z + float(y @ targets)
 
 
-def _newton_fit(ops: BlockDiagonal, targets: np.ndarray, y0: np.ndarray, tol: float,
+def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, tol: float,
                 max_iter: int) -> tuple[np.ndarray, GibbsState, int, list]:
-    """Damped Newton on the dual potential ln Z + y . targets."""
+    """Damped Newton on the dual potential ln Z + y . targets over a constraint family."""
     scales = np.maximum(1.0, np.abs(targets))
     y = np.asarray(y0, dtype=float).copy()
     trace = []
-    state = gibbs_from_operator(ops.combine(y))
+    state = family.state(y)
     dual = _dual_value(state.log_z, y, targets)
     best = None
     for iteration in range(1, max_iter + 1):
-        values = np.array([expectation(state, op) for op in ops])
-        residual = values - targets
+        residual = family.values(state) - targets
         trace.append(float(np.max(np.abs(residual) / scales)))
         if trace[-1] <= tol:
             # one polish step past the tolerance sharpens the multipliers
@@ -311,7 +509,7 @@ def _newton_fit(ops: BlockDiagonal, targets: np.ndarray, y0: np.ndarray, tol: fl
             y_best, state_best, res_best = best
             trace.append(res_best)
             return y_best, state_best, iteration - 1, trace
-        chi = chi_matrix(state, ops)
+        chi = family.chi(state)
         low = float(np.min(np.linalg.eigvalsh(chi)))
         if low < -CHI_PSD_TOL * max(1.0, float(np.max(np.abs(chi)))):
             raise FitError(f"susceptibility matrix not positive semidefinite ({low:.3e})")
@@ -327,7 +525,7 @@ def _newton_fit(ops: BlockDiagonal, targets: np.ndarray, y0: np.ndarray, tol: fl
         size = 1.0
         for _ in range(40):
             y_trial = y + size * step
-            state_trial = gibbs_from_operator(ops.combine(y_trial))
+            state_trial = family.state(y_trial)
             dual_trial = _dual_value(state_trial.log_z, y_trial, targets)
             if dual_trial <= dual + 1e-12 * max(1.0, abs(dual)):
                 break
@@ -339,7 +537,7 @@ def _newton_fit(ops: BlockDiagonal, targets: np.ndarray, y0: np.ndarray, tol: fl
     )
 
 
-def _feasibility_check(obs: CellObservables, targets: ConstraintSet) -> None:
+def _feasibility_check(obs: ConstraintFamily, targets: ConstraintSet) -> None:
     for c, (lo, hi) in enumerate(obs.mass_bounds):
         margin = 1e-9 * max(1.0, abs(hi))
         if not (lo - margin <= targets.mass[c] <= hi + margin):
@@ -349,13 +547,14 @@ def _feasibility_check(obs: CellObservables, targets: ConstraintSet) -> None:
             )
 
 
-def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
+def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
                init: LagrangeFields | None = None, tol: float = FIT_TOL,
                max_iter: int = MAX_ITER) -> FitResult:
     """Fit (beta, mu) per cell so the Gibbs state meets the cell targets.
 
-    A cold start first fits one (beta, mu) to the box totals.  Newton either
-    meets `tol` or raises FitError.
+    The type of the constraint family `obs` selects how the states are
+    built.  A cold start first fits one (beta, mu) to the box totals.  Newton
+    either meets `tol` or raises FitError.
     """
     _check_basis(basis, obs)
     if targets.n_cells != obs.n_cells:
@@ -363,16 +562,16 @@ def maxent_fit(basis: FockBasis, obs: CellObservables, targets: ConstraintSet,
     _feasibility_check(obs, targets)
     n = obs.n_cells
     if init is None:
-        total_ops = obs.blocks.combine(np.kron(np.eye(2), np.ones(n)))
+        totals = obs.combine(np.kron(np.eye(2), np.ones(n)))
         total_targets = np.array([targets.energy.sum(), targets.mass.sum()])
-        y2, _, _, _ = _newton_fit(total_ops, total_targets, np.array([1e-2, 0.0]),
+        y2, _, _, _ = _newton_fit(totals, total_targets, np.array([1e-2, 0.0]),
                                   tol=1e-6, max_iter=max_iter)
         y = np.repeat(y2, n)
     else:
         if init.n_cells != n:
             raise ValueError("initial fields cell count does not match")
         y = fields_to_multipliers(init)
-    y, state, iterations, trace = _newton_fit(obs.blocks, targets_vector(targets), y,
+    y, state, iterations, trace = _newton_fit(obs, targets_vector(targets), y,
                                               tol, max_iter)
     fields = multipliers_to_fields(y)
     return FitResult(fields, replace(state, fields=fields), iterations, trace)

@@ -15,26 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import Zero, cell_kernels
 from .fock import FockBasis
 from .gibbs import (
     ConstraintSet,
     FitError,
     GibbsState,
     LagrangeFields,
-    cell_observables,
-    chi_matrix,
+    cell_kernel_family,
     entropy,
-    expectation,
     fields_to_multipliers,
-    gibbs_from_operator,
+    gibbs_state,
     maxent_fit,
+    real_values,
 )
 from .generator import GeneratorCoefficients, Lprime
 from .matrixutil import BlockDiagonal
 from .scattering import collision_time_estimate
 
-RATE_IMAG_TOL = 1e-9
 SINGULAR_RATIO = 1e-13
 MAX_HALVINGS = 10
 
@@ -42,9 +39,10 @@ MAX_HALVINGS = 10
 class ClosureSystem:
     """Cell moments driven by the coarse-grained generator.
 
-    `operators` and `kernels` hold the same moments, as a stack of
-    number-sector blocks for the Gibbs states and as one-body kernels for the
-    generator `images`.
+    The moments are one-body, so `family` (a `CellKernels`) holds their n x n
+    kernels: the Gibbs states, values and susceptibilities come from the
+    eigenpairs of one kernel, and the generator maps the same `kernels` to
+    their `images`.
     """
 
     def __init__(self, basis: FockBasis, modes, grid, coeffs: GeneratorCoefficients,
@@ -56,12 +54,10 @@ class ClosureSystem:
         self.grid = grid
         self.coeffs = coeffs
         self.fields = fields
-        self.obs = cell_observables(basis, modes, grid, Zero(), grid.geom)
-        self.operators = self.obs.blocks
+        self.family = cell_kernel_family(basis, modes, grid)
+        self.kernels = self.family.kernels
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
-        per_cell = [cell_kernels(modes, grid, c) for c in range(grid.n_cells)]
-        self.kernels = [e for e, _ in per_cell] + [m for _, m in per_cell]
         self.lp = Lprime(basis, coeffs)
         self.tau0 = collision_time_estimate(coeffs.t_onshell)
         self.images = self.lp.images(self.kernels)
@@ -70,18 +66,13 @@ class ClosureSystem:
     def n_cells(self) -> int:
         return self.grid.n_cells
 
-    def state_for(self, fields: LagrangeFields):
-        return gibbs_from_operator(self.operators.combine(fields_to_multipliers(fields)),
-                                   fields)
+    def state_for(self, fields: LagrangeFields) -> GibbsState:
+        return gibbs_state(self.basis, self.family, fields)
 
 
 def _moment_rates(weight: BlockDiagonal, images: BlockDiagonal,
                   name: str = "moment") -> np.ndarray:
-    values = images.trace_with(weight)
-    bad = np.flatnonzero(np.abs(values.imag) > RATE_IMAG_TOL * (1.0 + np.abs(values)))
-    if bad.size:
-        raise ValueError(f"{name} rate has imaginary part {values.imag[bad[0]]:.3e}")
-    return values.real
+    return real_values(images.trace_with(weight), f"{name} rate")
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
     at a Gibbs state of the system (default: the state of `sys.fields`)."""
     state = sys.state_for(sys.fields) if state is None else state
     b = _moment_rates(state.weight_blocks, sys.images)
-    chi = chi_matrix(state, sys.operators)
+    chi = sys.family.chi(state)
     evals, vecs = np.linalg.eigh(chi)
     top = float(evals[-1])
     if evals[0] < SINGULAR_RATIO * top:
@@ -138,7 +129,7 @@ class StateTrajectory:
 
 def _fit(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
     n = sys.n_cells
-    return maxent_fit(sys.basis, sys.obs, ConstraintSet(moments[:n], moments[n:]),
+    return maxent_fit(sys.basis, sys.family, ConstraintSet(moments[:n], moments[n:]),
                       init=warm)
 
 
@@ -178,7 +169,7 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
     n = sys.n_cells
     fields = sys.fields
     state = sys.state_for(fields)
-    moments = np.array([expectation(state, op) for op in sys.operators])
+    moments = sys.family.values(state)
     times = [0.0]
     field_rows = [fields]
     moment_rows = [moments]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxgas import kinetics
+from boxgas import gibbs, kinetics
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -11,6 +11,7 @@ from boxgas.fieldmodel import (
     CellGrid,
     Contact,
     Gaussian,
+    Zero,
     cell_overlaps,
     contact_tensor,
     free_hamiltonian,
@@ -34,7 +35,15 @@ from boxgas.generator import (
     positivity_check,
     smearing_kernel,
 )
-from boxgas.gibbs import FitError, LagrangeFields
+from boxgas.gibbs import (
+    ConstraintSet,
+    FitError,
+    LagrangeFields,
+    cell_observables,
+    constraint_values,
+    gibbs_state,
+    maxent_fit,
+)
 from boxgas.kinetics import (
     ClosureSystem,
     GainLossReport,
@@ -111,7 +120,7 @@ def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
 
 def test_system_validation():
     sys_ok = make_system()
-    assert sys_ok.n_cells == 2 and len(sys_ok.operators) == 4
+    assert sys_ok.n_cells == 2 and len(sys_ok.kernels) == len(sys_ok.labels) == 4
     modes = sys_ok.modes
     with pytest.raises(ValueError, match="cell count"):
         ClosureSystem(sys_ok.basis, modes, sys_ok.grid, sys_ok.coeffs,
@@ -375,7 +384,7 @@ def test_trajectory_table_layout():
     traj = integrate(sys, t_span=4.2 * dt, dt=dt)
     header, rows = trajectory_table(traj)
     assert header[0] == "time"
-    assert len(header) == 1 + 2 * len(sys.operators) + 6
+    assert len(header) == 1 + 2 * len(sys.labels) + 6
     assert len(rows) == traj.times.size
     assert all(len(r) == len(header) for r in rows)
     times = [r[0] for r in rows]
@@ -401,3 +410,32 @@ def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics):
     assert "ladders" not in vars(sys.basis)
     negative_tau_witness(lp)
     assert "ladders" in vars(sys.basis)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
+    # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes): the closure's
+    # exponent is one-body, so its states, values and chi come from the n x n
+    # kernel alone
+    if statistics is Statistics.BOSE:
+        sys = make_system(numbers=tuple(range(1, 7)), n_max=3)
+    else:
+        sys = make_system(numbers=tuple(range(1, 9)), n_max=3, statistics=statistics,
+                          g=1.0, sigma=0.25, delta=5.0)
+    assert sys.basis.dim >= 84
+    blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero(), GEOM)
+    fields = LagrangeFields(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
+    targets = ConstraintSet(*constraint_values(gibbs_state(sys.basis, blocks, fields), blocks))
+    by_blocks = maxent_fit(sys.basis, blocks, targets).fields
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a sector block was diagonalised")
+
+    for module in (gibbs, kinetics):
+        for name in ("gibbs_from_operator", "_sector_gibbs", "chi_matrix"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    dt = 5.05 * sys.tau0
+    assert integrate(sys, t_span=4.0 * dt, dt=dt).n_steps == 4
+    by_kernels = maxent_fit(sys.basis, sys.family, targets).fields
+    for got, want in ((by_kernels.beta, by_blocks.beta), (by_kernels.mu, by_blocks.mu)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
