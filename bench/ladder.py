@@ -2,14 +2,15 @@
 
     python3 bench/ladder.py --out BENCH_<n>.json
 
-Each rung runs `build`, `generator-check` and `evolve` on the default config
-with 1D modes 1..n, the given n_max, 2 cells and `evolve.steps=4`.  Every call
-is a fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
-variables pinned to 1, importing `boxgas` from `src/` of this checkout; its
-wall time and the peak RSS the kernel reports for that process
-(`os.wait4`) are recorded.  The rungs listed in SKIPPED are not run: the
-sizes of their dense pair/channel and ladder stacks and of the witness SVD
-factor are estimated and recorded instead.
+Each rung runs its commands (`build`, `generator-check` and `evolve`, or
+`evolve` alone) on the default config with 1D modes 1..n, the given n_max,
+2 cells and `evolve.steps=4`.  Every call is a fresh `python -m boxgas.cli`
+process with the BLAS and OpenMP thread variables pinned to 1, importing
+`boxgas` from `src/` of this checkout; its wall time and the peak RSS the
+kernel reports for that process (`os.wait4`) are recorded.  At the rungs
+listed in SKIPPED_CHECKS, `generator-check` is not run: the sizes of its
+dense pair/channel and ladder stacks and of the witness SVD factor are
+estimated and recorded instead.
 This is a plain script, not a test and not a benchmark gate.
 """
 from __future__ import annotations
@@ -30,8 +31,9 @@ import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("build", "generator-check", "evolve")
-RUNGS = ((6, 3), (6, 4), (8, 4))  # (modes, n_max), Bose
-SKIPPED = ((10, 4), (12, 4))
+RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS), ((8, 4), COMMANDS),
+         ((10, 4), ("evolve",)), ((12, 4), ("evolve",)), ((20, 4), ("evolve",)))  # Bose
+SKIPPED_CHECKS = ((10, 4), (12, 4))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 COMPLEX_BYTES = 16
@@ -77,23 +79,21 @@ def main() -> None:
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = str(ROOT / "src")
     rungs = []
-    for modes, n_max in RUNGS:
-        calls = [run_call(c, overrides(modes, n_max), env) for c in COMMANDS]
-        rungs.append({"modes": modes, "n_max": n_max, "dim": bose_dim(modes, n_max),
-                      "calls": calls})
+    for (modes, n_max), commands in RUNGS:
+        dim = bose_dim(modes, n_max)
+        calls = [run_call(c, overrides(modes, n_max), env) for c in commands]
+        rungs.append({"modes": modes, "n_max": n_max, "dim": dim, "calls": calls})
         for call in calls:
-            print(f"modes {modes} n_max {n_max} dim {rungs[-1]['dim']:5d} "
+            print(f"modes {modes} n_max {n_max} dim {dim:5d} "
                   f"{call['command']:16s} {call['wall_s']:8.2f} s "
                   f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
-    for modes, n_max in SKIPPED:
-        dim = bose_dim(modes, n_max)
-        rungs.append({
-            "modes": modes, "n_max": n_max, "dim": dim, "skipped": True,
-            "dense_channel_stack_mb": round(modes ** 2 * dim ** 2 * COMPLEX_BYTES / MB),
-            "dense_ladder_stack_mb": round(modes * dim ** 2 * COMPLEX_BYTES / MB),
-            # the full right factor of the SVD behind `negative_tau_witness`
-            "witness_svd_mb": round((modes * dim) ** 2 * COMPLEX_BYTES / MB),
-        })
+        if (modes, n_max) in SKIPPED_CHECKS:
+            rungs[-1]["skipped_generator_check"] = {
+                "dense_channel_stack_mb": round(modes ** 2 * dim ** 2 * COMPLEX_BYTES / MB),
+                "dense_ladder_stack_mb": round(modes * dim ** 2 * COMPLEX_BYTES / MB),
+                # the full right factor of the SVD behind `negative_tau_witness`
+                "witness_svd_mb": round((modes * dim) ** 2 * COMPLEX_BYTES / MB),
+            }
     result = {
         "config": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",
         "environment": {

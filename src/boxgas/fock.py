@@ -240,28 +240,3 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> BlockDiagonal:
         blocks.append(0.5 * dagger_sum(pairs, (weights @ flat).reshape(pairs.shape)))
     return BlockDiagonal(basis.sectors, tuple(blocks))
 
-
-def mode_rotation(basis: FockBasis, u: np.ndarray) -> BlockDiagonal:
-    """Gamma(U): the Fock-space unitary of the mode change a†_j -> sum_i U[i, j] a†_i.
-
-    The basis truncates only the total number, so Gamma(U) maps each sector
-    onto itself and column m is row m's occupation vector in the rotated
-    modes.  It is built sector by sector: with j the first occupied mode of
-    row m and `target[j, m]` its parent in sector N - 1, column m is
-    sum_i U[i, j] a†_i (parent column) / `amp[j, m]`, one GEMM per sector
-    over the N -> N-1 ladder blocks.
-    """
-    u = np.asarray(u)
-    f = basis.n_modes
-    if u.shape != (f, f):
-        raise ValueError(f"mode matrix shape {u.shape} does not match mode count {f}")
-    target, amp = basis.lowering
-    first = np.argmax(basis.states > 0, axis=1)
-    blocks = [np.ones((1, 1), dtype=u.dtype)]  # the vacuum
-    for number in range(1, basis.n_max + 1):
-        rows = np.arange(basis.sectors[number].start, basis.sectors[number].stop)
-        j = first[rows]
-        parents = target[j, rows] - basis.sectors[number - 1].start
-        created = blocks[-1][:, parents] * (u[:, j] / amp[j, rows])[:, None, :]
-        blocks.append(dagger_sum(basis.ladder_blocks[number], created))
-    return BlockDiagonal(basis.sectors, tuple(blocks))

@@ -5,7 +5,8 @@ effective two-body kernel plus energy-smeared jump amplitudes whose width
 delta sets the window inside which a pair collision counts as resonant.
 Observables in the family are carried as n x n one-body kernels K, standing
 for sum_hk K[h, k] a†_h a_k, the same reduction the tracked particle gets in
-`microsystem`; the generator maps a kernel straight to its dim x dim image.
+`microsystem`; the generator maps a kernel straight to its dim x dim image,
+or, in `reduced_images`, to the one- and two-body kernels of that image.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import numpy as np
 import scipy.linalg
 
 from .fieldmodel import HBAR, MASS, free_hamiltonian, hamiltonian, mode_energies
-from .fock import FockBasis, Statistics, ladder_ops
+from .fock import (
+    FockBasis,
+    Statistics,
+    build_basis,
+    ladder_ops,
+    one_body_operator,
+    sector_dimension,
+)
 from .matrixutil import BlockDiagonal, comm, dagger_sum
 from .scattering import onshell_tmatrix, pair_basis, pair_energies, tensor_from_pair_matrix
 
@@ -203,6 +211,32 @@ class Lprime:
         stream = (1j / HBAR) * (2j * u_phi.imag)
         loss = (-1.0 / HBAR) * (2.0 * g_phi - 2.0 * phi_gamma_phi)
         return float(q0), complex(stream + loss + gain), float(gain)
+
+
+def reduced_images(coeffs: GeneratorCoefficients, kernels) -> tuple[np.ndarray, np.ndarray]:
+    """k1 and k2 with L'(dGamma(K)) = dGamma(k1) + dGamma2(k2) for each kernel K.
+
+    dGamma2(k2) is `two_body_operator`'s (1/2) sum k2[l1,l2,f2,f1]
+    a†_l1 a†_l2 a_f2 a_f1.  Every part of L' is at most two-body, so the
+    image is fixed by its one- and two-particle blocks, which `Lprime` gives
+    on an n_max 2 basis of the same modes (n_max 1 where the statistics
+    leave no pair sector; k2 is then zero).  The pair annihilators Q = a_f2 a_f1
+    on the two-particle rows satisfy Q Q† = 2 x the (anti)symmetrizer, so
+    k2 = Q B Q† / 2 for the two-particle block B of the image less
+    dGamma(k1): the exchange-(anti)symmetric tensor.  Returns arrays of shape
+    (m, n, n) and (m, n, n, n, n) for m kernels.
+    """
+    n, statistics = coeffs.n_modes, coeffs.statistics
+    basis = build_basis(n, 2 if sector_dimension(n, 2, statistics) else 1, statistics)
+    images = Lprime(basis, coeffs).images(kernels)
+    singles = basis.ladder_blocks[1][:, 0, :]  # a_f on the one-particle rows: a permutation
+    k1 = singles @ images.blocks[1] @ singles.T
+    k2 = np.zeros(k1.shape[:1] + (n,) * 4, dtype=complex)
+    if basis.n_max == 2:
+        pairs = basis.pair_blocks[2].reshape(n * n, -1)  # rows (f2, f1)
+        rest = images.blocks[2] - np.stack([one_body_operator(basis, k).blocks[2] for k in k1])
+        k2 = (0.5 * pairs @ rest @ pairs.T).reshape(-1, n, n, n, n).transpose(0, 2, 1, 3, 4)
+    return k1, k2
 
 
 @dataclass(frozen=True)

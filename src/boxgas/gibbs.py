@@ -6,7 +6,8 @@ whole field set.  A constraint family supplies the states, values and
 susceptibilities of one stack of constraints: `CellObservables` holds the
 operators in number-sector blocks and diagonalises each block of K;
 `CellKernels` holds one-body n x n kernels, so K = dGamma(k) and every
-quantity follows from one eigendecomposition of k.
+quantity follows from one eigendecomposition of k.  `TwoBodyKernels` reads
+operators of at most two bodies at such states from the same eigenpairs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .fieldmodel import (
     energy_density_op,
     mass_density_op,
 )
-from .fock import FockBasis, Statistics, mode_rotation, one_body_operator
+from .fock import FockBasis, Statistics
 from .matrixutil import BlockDiagonal, frob, require_hermitian, trace_product
 
 FIT_TOL = 1e-8
@@ -147,8 +148,9 @@ class CellKernels:
     k = U diag(eps) U^dagger (`gibbs_from_kernel`).  With s the occupation
     rows of the basis, p their probabilities, nbar = p s and a_i =
     U^dagger kernels[i] U, constraint i has the value sum_j a_i[j, j] nbar[j];
-    `chi` reads the susceptibility off nbar and s^T diag(p) s.  No sector
-    block is diagonalised.
+    `chi` reads the susceptibility off nbar and C = s^T diag(p) s, which the
+    state holds (`GibbsState.mode_occupations`, `.mode_correlations`).  No
+    sector block is diagonalised.
     """
 
     basis: FockBasis
@@ -189,7 +191,7 @@ class CellKernels:
 
     def values(self, state: GibbsState) -> np.ndarray:
         diag = np.diagonal(self._rotated(state), axis1=1, axis2=2).real
-        return diag @ (state.probabilities @ self.basis.states)
+        return diag @ state.mode_occupations
 
     def chi(self, state: GibbsState) -> np.ndarray:
         """Kubo-Mori susceptibility over the kernels, from the occupation moments.
@@ -202,10 +204,7 @@ class CellKernels:
         makes this equal to phi(eps_j - eps_i) (nbar_i +- C_ij), and each pair
         is read on the side where the gap is >= 0, so phi stays in (0, 1].
         """
-        s = self.basis.states
-        p = state.probabilities
-        nbar = p @ s
-        corr = (s.T * p) @ s
+        nbar, corr = state.mode_occupations, state.mode_correlations
         a = self._rotated(state)
         diag = np.diagonal(a, axis1=1, axis2=2).real
         chi = diag @ (corr - np.outer(nbar, nbar)) @ diag.T
@@ -223,6 +222,40 @@ class CellKernels:
 
 
 ConstraintFamily = CellObservables | CellKernels
+
+
+class TwoBodyKernels:
+    """Operators dGamma(k1) + dGamma2(k2), read at Gibbs states of one-body exponents.
+
+    `one_body` (m, n, n) and `two_body` (m, n, n, n, n) follow
+    `one_body_operator` and `two_body_operator`.  Such a state is diagonal in
+    the occupation rows s of its eigenmodes (`ModeSpectrum`).  With ~ the
+    kernels rotated into the eigenmodes and G = C - diag(nbar), operator i has
+    the value sum_a k1~[a, a] nbar_a
+    + 1/2 sum_ab (k2~[a, b, b, a] +- [a != b] k2~[a, b, a, b]) G_ab, + for
+    Bose and - for Fermi.  Each pair term is k2, laid out as `direct`
+    [(l1, f1), (l2, f2)] or `exchange` [(l1, f2), (l2, f1)], against one
+    n^2 x n^2 matrix X G X^T, X[(l, f), a] = conj(U[l, a]) U[f, a].
+    """
+
+    def __init__(self, statistics: Statistics, one_body: np.ndarray, two_body: np.ndarray):
+        m, n = one_body.shape[:2]
+        self.sign = 1.0 if statistics is Statistics.BOSE else -1.0
+        self.one_body = one_body.reshape(m, n * n)
+        self.direct = two_body.transpose(0, 1, 4, 2, 3).reshape(m, -1)
+        self.exchange = two_body.transpose(0, 1, 3, 2, 4).reshape(m, -1)
+
+    def values(self, state: GibbsState) -> np.ndarray:
+        u = state.spectrum.vectors
+        n = u.shape[0]
+        x = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
+        nbar = state.mode_occupations
+        g = state.mode_correlations - np.diag(nbar)
+        hop = g - np.diag(np.diag(g))
+        values = (self.one_body @ (x @ nbar)
+                  + 0.5 * (self.direct @ ((x @ g) @ x.T).ravel()
+                           + self.sign * (self.exchange @ ((x @ hop) @ x.T).ravel())))
+        return real_values(values, "two-body kernel value")
 
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
@@ -272,38 +305,28 @@ class SectorSpectrum:
 class ModeSpectrum:
     """Eigenpairs of the exponent dGamma(k), read off k = U diag(energies) U^dagger.
 
-    U is `vectors`.  Row m of the basis is the eigenvector Gamma(U)|m> with
-    eigenvalue states[m] . energies.  The exponent and the eigenvector blocks
-    Gamma_N(U) are built on first read.
+    U is `vectors`.  Row m of the basis stands for the eigenvector of
+    dGamma(k) that has occupations states[m] in the eigenmodes of k, with
+    eigenvalue states[m] . energies.  No Fock-space vector is built.
     """
 
     basis: FockBasis
-    kernel: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def slices(self) -> tuple:
-        return self.basis.sectors
-
-    @cached_property
-    def exponent(self) -> BlockDiagonal:
-        return one_body_operator(self.basis, self.kernel)
-
-    @cached_property
-    def vector_blocks(self) -> tuple:
-        return mode_rotation(self.basis, self.vectors).blocks
 
 
 @dataclass(frozen=True)
 class GibbsState:
     """exp(-K)/Z kept per diagonal block of K (the number sectors).
 
-    `probabilities[s]` and `vector_blocks[i]` are the eigenpairs of K on the
-    block `s = spectrum.slices[i]`, grouped by block.  `spectrum` is a
-    `SectorSpectrum` or a `ModeSpectrum`.  `weight_blocks` holds the weight
-    over the same blocks; the dense `weight`, `k_matrix` and `vectors` are
-    assembled from the blocks on first use.
+    `spectrum` is a `SectorSpectrum` or a `ModeSpectrum`.  Over a
+    `SectorSpectrum`, `probabilities[s]` and `vector_blocks[i]` are the
+    eigenpairs of K on the block `s = spectrum.slices[i]`, grouped by block;
+    `weight_blocks` holds the weight over the same blocks, and the dense
+    `weight`, `k_matrix` and `vectors` are assembled from the blocks on first
+    use.  A `ModeSpectrum` state holds no Fock-space matrix: `probabilities`
+    follow its occupation rows, and it is read through the mode occupations
+    and their correlations.
     """
 
     fields: LagrangeFields | None
@@ -314,6 +337,17 @@ class GibbsState:
     @property
     def vector_blocks(self) -> tuple:
         return self.spectrum.vector_blocks
+
+    @cached_property
+    def mode_occupations(self) -> np.ndarray:
+        """nbar = p s over the occupation rows s of a `ModeSpectrum` state."""
+        return self.probabilities @ self.spectrum.basis.states
+
+    @cached_property
+    def mode_correlations(self) -> np.ndarray:
+        """C = s^T diag(p) s, the <n_a n_b> of a `ModeSpectrum` state."""
+        s = self.spectrum.basis.states
+        return (s.T * self.probabilities) @ s
 
     @cached_property
     def weight_blocks(self) -> BlockDiagonal:
@@ -372,8 +406,7 @@ def gibbs_from_kernel(basis: FockBasis, k: np.ndarray,
     The basis truncates only the total number, so the mode rotation Gamma(U)
     maps it onto itself: row m of `basis.states` stands for an eigenvector of
     dGamma(k) with eigenvalue states[m] . eps.  ln Z and the probabilities
-    come from these levels as in `gibbs_from_operator`; the eigenvector
-    blocks are built only when the weight or the vectors are read.
+    come from these levels as in `gibbs_from_operator`.
     """
     k = np.asarray(k)
     f = basis.n_modes
@@ -382,7 +415,7 @@ def gibbs_from_kernel(basis: FockBasis, k: np.ndarray,
     require_hermitian(k, name="exponent kernel")
     energies, vectors = np.linalg.eigh(k)
     return _boltzmann(basis.states @ energies, fields,
-                      ModeSpectrum(basis, k, energies, vectors))
+                      ModeSpectrum(basis, energies, vectors))
 
 
 def _check_basis(basis: FockBasis, obs: ConstraintFamily) -> None:

@@ -1,11 +1,11 @@
 """Closed moment evolution on the generalized Gibbs manifold.
 
 The moment set is the kinetic cell energy and the cell mass in every cell.
-Both are one-body operators, carried as their n x n mode kernels, so the
-generator maps each moment straight to its image; the interaction enters
-through the generator coefficients only.  Time stepping
-integrates the moments with classical RK4 and re-fits the Lagrange fields
-at every stage, so the state never leaves the manifold.
+Both are one-body operators, carried as their n x n mode kernels, and the
+generator maps each moment to the one- and two-body kernels of its image;
+the interaction enters through the generator coefficients only.  Time
+stepping integrates the moments with classical RK4 and re-fits the Lagrange
+fields at every stage, so the state never leaves the manifold.
 """
 
 from __future__ import annotations
@@ -15,20 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis
+from .fock import FockBasis, one_body_operator
 from .gibbs import (
     ConstraintSet,
     FitError,
     GibbsState,
     LagrangeFields,
+    TwoBodyKernels,
     cell_kernel_family,
     entropy,
     fields_to_multipliers,
+    gibbs_from_operator,
     gibbs_state,
     maxent_fit,
     real_values,
 )
-from .generator import GeneratorCoefficients, Lprime
+from .generator import GeneratorCoefficients, Lprime, reduced_images
 from .matrixutil import BlockDiagonal
 from .scattering import collision_time_estimate
 
@@ -41,14 +43,18 @@ class ClosureSystem:
 
     The moments are one-body, so `family` (a `CellKernels`) holds their n x n
     kernels: the Gibbs states, values and susceptibilities come from the
-    eigenpairs of one kernel, and the generator maps the same `kernels` to
-    their `images`.
+    eigenpairs of one kernel.  `rate_kernels` holds the one- and two-body
+    kernels of the generator images of the same `kernels`, so the moment
+    rates tr(W L'(K)) come from those eigenpairs too, through the mode
+    occupations and their correlations.
     """
 
     def __init__(self, basis: FockBasis, modes, grid, coeffs: GeneratorCoefficients,
                  fields: LagrangeFields):
         if fields.n_cells != grid.n_cells:
             raise ValueError("field cell count does not match the grid")
+        if basis.n_modes != coeffs.n_modes or basis.statistics is not coeffs.statistics:
+            raise ValueError("basis does not match the coefficient set")
         self.basis = basis
         self.modes = modes
         self.grid = grid
@@ -58,9 +64,9 @@ class ClosureSystem:
         self.kernels = self.family.kernels
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
-        self.lp = Lprime(basis, coeffs)
         self.tau0 = collision_time_estimate(coeffs.t_onshell)
-        self.images = self.lp.images(self.kernels)
+        self.rate_kernels = TwoBodyKernels(basis.statistics,
+                                           *reduced_images(coeffs, self.kernels))
 
     @property
     def n_cells(self) -> int:
@@ -68,11 +74,6 @@ class ClosureSystem:
 
     def state_for(self, fields: LagrangeFields) -> GibbsState:
         return gibbs_state(self.basis, self.family, fields)
-
-
-def _moment_rates(weight: BlockDiagonal, images: BlockDiagonal,
-                  name: str = "moment") -> np.ndarray:
-    return real_values(images.trace_with(weight), f"{name} rate")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
     """Moment rates b and the multiplier rates solving (-chi) dlambda/dt = b
     at a Gibbs state of the system (default: the state of `sys.fields`)."""
     state = sys.state_for(sys.fields) if state is None else state
-    b = _moment_rates(state.weight_blocks, sys.images)
+    b = sys.rate_kernels.values(state)
     chi = sys.family.chi(state)
     evals, vecs = np.linalg.eigh(chi)
     top = float(evals[-1])
@@ -135,7 +136,7 @@ def _fit(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
 
 def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
     fit = _fit(sys, moments, warm)
-    return _moment_rates(fit.state.weight_blocks, sys.images), fit
+    return sys.rate_kernels.values(fit.state), fit
 
 
 def _rk4_step(sys: ClosureSystem, fields: LagrangeFields, moments: np.ndarray,
@@ -264,16 +265,24 @@ class GainLossReport:
 def gain_loss_report(sys: ClosureSystem, weight: BlockDiagonal | None = None,
                      kernels=None, labels=None) -> GainLossReport:
     """Split the rates of one-body kernels (default: the moment set) into
-    streaming, loss, and gain contributions, read against a weight over the
-    number sectors (default: the state of `sys.fields`)."""
+    streaming, loss, and gain contributions, read against any weight over the
+    number sectors (default: the state of `sys.fields`).
+
+    This is the Fock-space cross-check of the kernel rates of `closure_rhs`:
+    it builds `Lprime` on the system's basis, and its default weight from the
+    sector blocks of the exponent.
+    """
     if weight is None:
-        weight = sys.state_for(sys.fields).weight_blocks
+        k = np.tensordot(fields_to_multipliers(sys.fields), sys.kernels, axes=1)
+        weight = gibbs_from_operator(one_body_operator(sys.basis, k)).weight_blocks
     if kernels is None:
         kernels = sys.kernels
         labels = sys.labels
     elif labels is None:
         labels = tuple(f"observable[{i}]" for i in range(len(kernels)))
-    parts = zip(*(sys.lp.parts(kernel) for kernel in kernels))
-    streaming, loss, gain = (_moment_rates(weight, BlockDiagonal.stack(images), key)
+    lp = Lprime(sys.basis, sys.coeffs)
+    parts = zip(*(lp.parts(kernel) for kernel in kernels))
+    streaming, loss, gain = (real_values(BlockDiagonal.stack(images).trace_with(weight),
+                                         f"{key} rate")
                              for key, images in zip(("streaming", "loss", "gain"), parts))
     return GainLossReport(tuple(labels), streaming, loss, gain)

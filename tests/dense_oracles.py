@@ -1,13 +1,15 @@
 """Dense oracles for the number-sector operator layer.
 
 Each helper is the plain dense formula that a sector-blocked routine in
-`boxgas.fock` or `boxgas.generator` replaces: ladders from a per-column loop
-over the occupation table, pair annihilators from a full einsum, and the
-one-body, two-body, channel, loss and generator images contracted over dense
-dim x dim stacks.  None of them reads a sector block.  `split_blocks` cuts a
+`boxgas.fock`, `boxgas.generator` or `boxgas.gibbs` replaces: ladders from a
+per-column loop over the occupation table, pair annihilators from a full
+einsum, the one-body, two-body, channel, loss and generator images
+contracted over dense dim x dim stacks, and the mode rotation Gamma(U)
+behind a Gibbs state of a one-body exponent, created column by column on the
+vacuum.  None of them reads a sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 """
-from math import sqrt
+from math import factorial, prod, sqrt
 
 import numpy as np
 
@@ -107,3 +109,30 @@ def dense_parts(basis, coeffs, kernel):
     loss = (-1.0 / HBAR) * (gamma @ x + x @ gamma - 2.0 * dagger_sum(a, gamma @ ka))
     gain = (1.0 / HBAR) * dagger_sum(channels, np.tensordot(kernel, channels, axes=1))
     return stream, loss, gain
+
+
+def dense_mode_rotation(basis, u):
+    """Gamma(U), the unitary of the mode change a†_j -> b†_j = sum_i U[i, j] a†_i.
+
+    Column m is row m's occupations s created on the vacuum in the new modes,
+    prod_j (b†_j)^s_j / sqrt(s_j!), the last mode first as in the
+    Jordan-Wigner order of the basis.
+    """
+    adag = loop_ladders(basis).conj().transpose(0, 2, 1)
+    created = np.tensordot(np.asarray(u).T, adag, axes=1)  # [j] b†_j
+    vacuum = np.zeros(basis.dim, dtype=complex)
+    vacuum[basis.state_index((0,) * basis.n_modes)] = 1.0
+    gamma = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for m, occ in enumerate(basis.states):
+        col = vacuum
+        for j in reversed(range(basis.n_modes)):
+            for _ in range(occ[j]):
+                col = created[j] @ col
+        gamma[:, m] = col / sqrt(prod(factorial(int(x)) for x in occ))
+    return gamma
+
+
+def mode_weight(state):
+    """Gamma(U) diag(p) Gamma(U)†: the dense weight of a `gibbs_from_kernel` state."""
+    gamma = dense_mode_rotation(state.spectrum.basis, state.spectrum.vectors)
+    return (gamma * state.probabilities) @ gamma.conj().T

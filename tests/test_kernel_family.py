@@ -4,27 +4,46 @@ Hypothesis draws the statistics, 1-5 modes, n_max <= 4 and a hermitian
 kernel: real, complex, zero, or with a repeated eigenvalue.  The mode-space
 construction (one eigendecomposition of k) must match the block path (one
 eigendecomposition per number sector of the second-quantized K) to 1e-12 of
-scale: ln Z, the probabilities, the weight blocks and the entropy of the
-state, the values and the Kubo-Mori susceptibility of a kernel family, and
-its mass bounds.  The mode rotation Gamma(U) must be unitary and diagonalise
-dGamma(k).
+scale: ln Z, the probabilities, the weight and the entropy of the state, the
+values and the Kubo-Mori susceptibility of a kernel family, and its mass
+bounds.  The weight of the mode state comes from the dense mode rotation
+Gamma(U) of `dense_oracles`, which must be unitary and diagonalise dGamma(k).
+
+The generator images of one-body kernels are checked the same way:
+dGamma(k1) + dGamma2(k2) from `reduced_images` must equal `Lprime.apply` on
+every sector at n_max 3 and 4 (a wrong loss factor shows only on N >= 3),
+and `TwoBodyKernels` must read them at a mode Gibbs state as the trace
+against the block-path weight.  Both draw Bose and Fermi, contact and
+gaussian couplings, and include the one-mode Fermi basis, which has no pair
+sector.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxgas.fieldmodel import BoxGeometry, CellGrid
-from boxgas.fock import Statistics, build_basis, mode_rotation, one_body_operator
+from boxgas.fieldmodel import (
+    BoxGeometry,
+    CellGrid,
+    Contact,
+    Gaussian,
+    contact_tensor,
+    modes_from_numbers,
+    potential_tensor,
+)
+from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
+from boxgas.generator import Lprime, coefficients_from_potential, reduced_images
 from boxgas.gibbs import (
     CellKernels,
     CellObservables,
+    TwoBodyKernels,
     chi_matrix,
     entropy,
     gibbs_from_kernel,
     gibbs_from_operator,
 )
 from boxgas.matrixutil import BlockDiagonal
+from dense_oracles import dense_mode_rotation, mode_weight
 
 KINDS = ("real", "complex", "zero", "repeated")
 
@@ -70,8 +89,7 @@ def test_mode_spectrum_matches_sector_blocks(case):
     oracle = gibbs_from_operator(one_body_operator(basis, k))
     assert_close(state.log_z, oracle.log_z)
     assert_close(np.sort(state.probabilities), np.sort(oracle.probabilities))
-    for got, want in zip(state.weight_blocks.blocks, oracle.weight_blocks.blocks):
-        assert_close(got, want)
+    assert_close(mode_weight(state), oracle.weight)
     assert_close(entropy(state), entropy(oracle))
 
     # a family of four constraint kernels, two of them "masses"
@@ -85,22 +103,10 @@ def test_mode_spectrum_matches_sector_blocks(case):
     assert_close(family.mass_bounds, obs.mass_bounds)
 
     # Gamma(U) is unitary and carries the occupation rows to the eigenvectors
-    gamma = mode_rotation(basis, state.spectrum.vectors).dense()
+    gamma = dense_mode_rotation(basis, state.spectrum.vectors)
     assert_close(gamma.conj().T @ gamma, np.eye(basis.dim))
     rotated = gamma.conj().T @ one_body_operator(basis, k).dense() @ gamma
     assert_close(rotated, np.diag(basis.states @ state.spectrum.energies))
-
-
-def test_kernel_state_builds_the_rotation_only_when_read():
-    basis = build_basis(4, 3, Statistics.FERMI)
-    k = random_kernel(np.random.default_rng(4), 4, "complex")
-    state = gibbs_from_kernel(basis, k)
-    assert "vector_blocks" not in vars(state.spectrum)
-    assert "exponent" not in vars(state.spectrum)
-    state.weight_blocks
-    assert "vector_blocks" in vars(state.spectrum)
-    assert "exponent" not in vars(state.spectrum)
-    assert_close(state.k_matrix, one_body_operator(basis, k).dense())
 
 
 def test_kernel_state_rejects_a_non_hermitian_kernel():
@@ -108,3 +114,64 @@ def test_kernel_state_rejects_a_non_hermitian_kernel():
     k = random_kernel(np.random.default_rng(2), 3, "complex")
     with pytest.raises(ValueError, match="not hermitian"):
         gibbs_from_kernel(basis, k + 1e-6j * np.eye(3))
+
+
+GEOM = BoxGeometry((1.0,))
+ONE_FERMI = (Statistics.FERMI, (2,), "gaussian", 4, 0)
+
+
+@st.composite
+def generator_cases(draw):
+    """Statistics, distinct 1D mode numbers, coupling kind, n_max and a seed."""
+    statistics = draw(st.sampled_from(tuple(Statistics)))
+    top = 4 if statistics is Statistics.BOSE else 6
+    numbers = draw(st.lists(st.integers(1, 9), min_size=1, max_size=top, unique=True))
+    n_max = draw(st.integers(3, 4))
+    return (statistics, tuple(sorted(numbers)), draw(st.sampled_from(("contact", "gaussian"))),
+            n_max, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def generator_setup(case):
+    """Coefficients, the basis (Fermi n_max capped at the mode count) and a rng."""
+    statistics, numbers, coupling, n_max, seed = case
+    modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
+    if coupling == "contact":
+        vt = contact_tensor(modes, Contact(0.7), GEOM)
+    else:
+        vt = potential_tensor(modes, Gaussian(1.0, 0.25), GEOM)
+    coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
+    if statistics is Statistics.FERMI:
+        n_max = min(n_max, len(numbers))
+    return coeffs, build_basis(len(numbers), n_max, statistics), np.random.default_rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generator_cases())
+@example(case=ONE_FERMI)
+def test_reduced_images_match_lprime_on_every_sector(case):
+    coeffs, basis, rng = generator_setup(case)
+    n = basis.n_modes
+    kernels = np.array([random_kernel(rng, n, "complex") for _ in range(2)])
+    k1, k2 = reduced_images(coeffs, kernels)
+    assert k1.shape == (2, n, n) and k2.shape == (2, n, n, n, n)
+    lp = Lprime(basis, coeffs)
+    for kernel, one, two in zip(kernels, k1, k2):
+        want = lp.apply(kernel)
+        got = one_body_operator(basis, one) + two_body_operator(basis, two)
+        scale = max(1.0, max(float(np.max(np.abs(b), initial=0.0)) for b in want.blocks))
+        for g, w in want.pairs(got):
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generator_cases(), kind=st.sampled_from(KINDS))
+@example(case=ONE_FERMI, kind="complex")
+def test_kernel_rates_match_the_fock_space_trace(case, kind):
+    coeffs, basis, rng = generator_setup(case)
+    n = basis.n_modes
+    kernels = np.array([random_kernel(rng, n, "complex") for _ in range(3)])
+    rates = TwoBodyKernels(basis.statistics, *reduced_images(coeffs, kernels))
+    k = random_kernel(rng, n, kind, complex_=kind != "real")
+    weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
+    want = Lprime(basis, coeffs).images(kernels).trace_with(weight)
+    assert_close(rates.values(gibbs_from_kernel(basis, k)), want.real)

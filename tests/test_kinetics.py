@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxgas import gibbs, kinetics
+from boxgas import fieldmodel, fock, generator, gibbs, kinetics
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -24,6 +24,7 @@ from boxgas.fock import (
     annihilation_op,
     build_basis,
     creation_op,
+    one_body_operator,
     two_body_operator,
 )
 from boxgas.generator import (
@@ -151,8 +152,8 @@ def test_rhs_matches_independent_trace_oracle(statistics):
         sys = make_system(statistics=statistics, g=1.0, sigma=0.25, delta=5.0,
                           n_max=3)
         assert frob(sys.coeffs.jump) > 0.0
-    state = sys.state_for(sys.fields)
-    w = state.weight
+    blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero(), GEOM)
+    w = gibbs_state(sys.basis, blocks, sys.fields).weight
     images = {}
     n = sys.basis.n_modes
     for h in range(n):
@@ -416,13 +417,16 @@ def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics):
 def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
     # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes): the closure's
     # exponent is one-body, so its states, values and chi come from the n x n
-    # kernel alone
+    # kernel alone, and its moment rates from the one- and two-body kernels of
+    # the generator images, read on a smaller basis: no Fock-space operator
+    # of the run's dim is built
     if statistics is Statistics.BOSE:
         sys = make_system(numbers=tuple(range(1, 7)), n_max=3)
     else:
         sys = make_system(numbers=tuple(range(1, 9)), n_max=3, statistics=statistics,
                           g=1.0, sigma=0.25, delta=5.0)
-    assert sys.basis.dim >= 84
+    dim = sys.basis.dim
+    assert dim >= 84
     blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero(), GEOM)
     fields = LagrangeFields(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
     targets = ConstraintSet(*constraint_values(gibbs_state(sys.basis, blocks, fields), blocks))
@@ -431,11 +435,23 @@ def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a sector block was diagonalised")
 
+    def sized(real):
+        def guarded(basis, *args, **kwargs):
+            if basis.dim == dim:
+                raise AssertionError(f"{real.__name__} was built on the run's basis")
+            return real(basis, *args, **kwargs)
+        return guarded
+
     for module in (gibbs, kinetics):
         for name in ("gibbs_from_operator", "_sector_gibbs", "chi_matrix"):
             monkeypatch.setattr(module, name, boom, raising=False)
-    dt = 5.05 * sys.tau0
-    assert integrate(sys, t_span=4.0 * dt, dt=dt).n_steps == 4
+    for module in (fock, fieldmodel, gibbs, generator, kinetics):
+        monkeypatch.setattr(module, "mode_rotation", boom, raising=False)
+        for real in (Lprime, one_body_operator):
+            monkeypatch.setattr(module, real.__name__, sized(real), raising=False)
+    closure = ClosureSystem(sys.basis, sys.modes, sys.grid, sys.coeffs, sys.fields)
+    dt = 5.05 * closure.tau0
+    assert integrate(closure, t_span=4.0 * dt, dt=dt).n_steps == 4
     by_kernels = maxent_fit(sys.basis, sys.family, targets).fields
     for got, want in ((by_kernels.beta, by_blocks.beta), (by_kernels.mu, by_blocks.mu)):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
