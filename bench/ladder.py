@@ -9,8 +9,8 @@ process with the BLAS and OpenMP thread variables pinned to 1, importing
 `boxgas` from `src/` of this checkout; its wall time and the peak RSS the
 kernel reports for that process (`os.wait4`) are recorded.  At the rungs
 listed in SKIPPED_CHECKS, `generator-check` is not run: the sizes of its
-dense pair/channel and ladder stacks and of the witness SVD factor are
-estimated and recorded instead.
+dense ladder stack and of the witness SVD factor are estimated and recorded
+instead.
 This is a plain script, not a test and not a benchmark gate.
 """
 from __future__ import annotations
@@ -89,7 +89,6 @@ def main() -> None:
                   f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
         if (modes, n_max) in SKIPPED_CHECKS:
             rungs[-1]["skipped_generator_check"] = {
-                "dense_channel_stack_mb": round(modes ** 2 * dim ** 2 * COMPLEX_BYTES / MB),
                 "dense_ladder_stack_mb": round(modes * dim ** 2 * COMPLEX_BYTES / MB),
                 # the full right factor of the SVD behind `negative_tau_witness`
                 "witness_svd_mb": round((modes * dim) ** 2 * COMPLEX_BYTES / MB),

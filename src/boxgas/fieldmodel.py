@@ -203,54 +203,38 @@ def whole_box_grid(geom: BoxGeometry) -> CellGrid:
 # ---------------------------------------------------------------------------
 # analytic interval integrals of sine modes
 #
-# All three reduce to antiderivatives of cos(k pi theta) on theta = x/L.
+# Every mode overlap and the contact tensor reduce to integrals of
+# cos(k pi theta) and sin(k pi theta) over [a, b] on theta = x/L, for integer
+# arrays k of any shape and sign.  sin(k pi theta) is taken as exactly 0 where
+# k theta is an integer, so whole-box and cell-edge terms carry no round-off.
 
-def _sin_primitive(k: int, a: float, b: float) -> float:
-    # integral over [a, b] of cos(k pi theta) d theta
-    if k == 0:
-        return b - a
-    return (np.sin(k * np.pi * b) - np.sin(k * np.pi * a)) / (k * np.pi)
-
-
-def _cos_primitive(k: int, a: float, b: float) -> float:
-    # integral over [a, b] of sin(k pi theta) d theta
-    if k == 0:
-        return 0.0
-    return (np.cos(k * np.pi * a) - np.cos(k * np.pi * b)) / (k * np.pi)
+def _sin_pi(k: np.ndarray, theta: float) -> np.ndarray:
+    kt = k * theta
+    return np.where(kt == np.round(kt), 0.0, np.sin(k * np.pi * theta))
 
 
-def overlap_s(f: int, g: int, lo: float, hi: float, length: float) -> float:
-    """Integral of u_f u_g over [lo, hi] on an axis of the given length."""
-    a, b = lo / length, hi / length
-    return _sin_primitive(f - g, a, b) - _sin_primitive(f + g, a, b)
+def _cos_integral(k: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Integral over [a, b] of cos(k pi theta) d theta."""
+    safe = np.where(k == 0, 1, k) * np.pi
+    return np.where(k == 0, b - a, (_sin_pi(k, b) - _sin_pi(k, a)) / safe)
 
 
-def overlap_g(f: int, g: int, lo: float, hi: float, length: float) -> float:
-    """Integral of u_f' u_g' over [lo, hi]."""
-    a, b = lo / length, hi / length
-    scale = f * g * np.pi ** 2 / length ** 2
-    return scale * (_sin_primitive(f - g, a, b) + _sin_primitive(f + g, a, b))
-
-
-def overlap_x(f: int, g: int, lo: float, hi: float, length: float) -> float:
-    """Integral of u_f u_g' over [lo, hi]."""
-    a, b = lo / length, hi / length
-    return (g * np.pi / length) * (
-        _cos_primitive(f + g, a, b) + _cos_primitive(f - g, a, b)
-    )
+def _sin_integral(k: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Integral over [a, b] of sin(k pi theta) d theta."""
+    safe = np.where(k == 0, 1, k) * np.pi
+    return np.where(k == 0, 0.0, (np.cos(safe * a) - np.cos(safe * b)) / safe)
 
 
 def _axis_overlap_matrices(numbers_axis: np.ndarray, lo: float, hi: float, length: float):
-    n = len(numbers_axis)
-    s = np.empty((n, n))
-    g = np.empty((n, n))
-    x = np.empty((n, n))
-    for i, f in enumerate(numbers_axis):
-        for j, h in enumerate(numbers_axis):
-            s[i, j] = overlap_s(int(f), int(h), lo, hi, length)
-            g[i, j] = overlap_g(int(f), int(h), lo, hi, length)
-            x[i, j] = overlap_x(int(f), int(h), lo, hi, length)
-    return s, g, x
+    """Axis factors over [lo, hi] for every mode pair (f, g): S integrates
+    u_f u_g, G integrates u_f' u_g' and X integrates u_f u_g'."""
+    a, b = lo / length, hi / length
+    f, g = np.ix_(numbers_axis, numbers_axis)
+    cos_diff, cos_sum = _cos_integral(f - g, a, b), _cos_integral(f + g, a, b)
+    s = cos_diff - cos_sum
+    gg = f * g * np.pi ** 2 / length ** 2 * (cos_diff + cos_sum)
+    x = g * np.pi / length * (_sin_integral(f + g, a, b) + _sin_integral(f - g, a, b))
+    return s, gg, x
 
 
 def cell_overlaps(modes, grid: CellGrid, cell: int):
@@ -361,18 +345,15 @@ def _kernel_apply(potential, pts, wts, values, a_right):
     return out
 
 
-def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | None = None) -> np.ndarray:
+def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | None) -> np.ndarray:
     """Raw quadrature tensor; x restricted to one cell when x_cell is given."""
     pts, wts, values = _quadrature_grid(modes, grid, order)
     a_full = _pair_weight_matrix(values, wts)
-    if x_cell is None:
-        mask = np.ones(len(wts), dtype=bool)
-    else:
-        bnds = grid.bounds(x_cell)
-        mask = np.ones(len(wts), dtype=bool)
-        for ax, (lo, hi) in enumerate(bnds):
+    mask = np.ones(len(wts), dtype=bool)
+    if x_cell is not None:
+        # panel alignment guarantees nodes are interior to exactly one cell
+        for ax, (lo, hi) in enumerate(grid.bounds(x_cell)):
             mask &= (pts[:, ax] >= lo) & (pts[:, ax] <= hi)
-            # panel alignment guarantees nodes are interior to exactly one cell
     nf = len(modes)
     left = _kernel_apply(
         potential,
@@ -385,81 +366,64 @@ def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | Non
     return raw.transpose(0, 2, 3, 1)  # -> (l1, l2, f2, f1)
 
 
+def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int | None,
+                 order: int) -> np.ndarray:
+    """Pair tensor V[l1, l2, f2, f1] over the whole box (cell None) or with one
+    interaction coordinate restricted to one cell of `grid`."""
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    if isinstance(potential, Contact):
+        return contact_tensor(modes, potential, geom if cell is None else (grid, cell))
+    if isinstance(potential, Zero):
+        return np.zeros((len(modes),) * 4)
+    return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
+
+
 def potential_tensor(
     modes,
     potential,
     geom: BoxGeometry,
     order: int = 8,
     grid: CellGrid | None = None,
-    err_tol: float | None = None,
 ) -> np.ndarray:
-    """Two-body interaction tensor V[l1, l2, f2, f1] by product Gauss-Legendre.
+    """Two-body interaction tensor V[l1, l2, f2, f1]: analytic for a contact
+    potential, zero for Zero, otherwise by product Gauss-Legendre.
 
     Panels follow `grid` when given, so per-cell restrictions tile the result.
-    With `err_tol` set, the `potential_tensor_error` estimate is compared
-    against it and a warning carries the estimate when it is exceeded.
     """
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
-    if err_tol is not None:
-        tensor, estimate = _tensor_and_error(modes, potential, geom, order, grid)
-        if estimate > err_tol:
-            warnings.warn(
-                f"quadrature error estimate {estimate:.3e} exceeds tolerance {err_tol:.3e}",
-                stacklevel=2,
-            )
-        return tensor
-    if isinstance(potential, Contact):
-        if geom.dimension != 1:
-            raise ValueError("contact potential is 1D only")
-        return contact_tensor(modes, potential, geom)
-    if isinstance(potential, Zero):
-        nf = len(modes)
-        return np.zeros((nf, nf, nf, nf))
     grid = grid if grid is not None else whole_box_grid(geom)
-    return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order))
-
-
-def _tensor_and_error(modes, potential, geom: BoxGeometry, order: int, grid: CellGrid | None):
-    tensor = potential_tensor(modes, potential, geom, order, grid)
-    finer = potential_tensor(modes, potential, geom, 2 * order, grid)
-    return tensor, float(np.max(np.abs(tensor - finer)))
+    return _pair_tensor(modes, potential, geom, grid, None, order)
 
 
 def potential_tensor_error(modes, potential, geom: BoxGeometry, order: int = 8) -> float:
     """Max-norm difference between orders q and 2q; crude error estimate (zero
     for the contact and zero potentials, whose tensors do not depend on q)."""
-    return _tensor_and_error(modes, potential, geom, order, None)[1]
+    coarse = potential_tensor(modes, potential, geom, order)
+    finer = potential_tensor(modes, potential, geom, 2 * order)
+    return float(np.max(np.abs(coarse - finer)))
 
 
-def contact_tensor(modes, potential: Contact, geom: BoxGeometry) -> np.ndarray:
-    """Analytic delta-interaction tensor for 1D sine modes."""
-    if geom.dimension != 1:
+def contact_tensor(modes, potential: Contact, region) -> np.ndarray:
+    """Analytic delta-interaction tensor for 1D sine modes.
+
+    `region` is the BoxGeometry for the whole box, or a (grid, cell) pair.
+    The delta localizes both coordinates, so a cell restricts the single
+    integration variable; the four-sine product over it expands to eight
+    cosines, summed over every mode quadruple at once.
+    """
+    grid, cell = (whole_box_grid(region), 0) if isinstance(region, BoxGeometry) else region
+    if grid.geom.dimension != 1:
         raise ValueError("contact potential is 1D only")
-    length = geom.lengths[0]
-    numbers = mode_numbers(modes)[:, 0]
-    nf = len(modes)
-
-    def cos_overlap(m: int, n: int) -> float:
-        # integral over [0,1] of cos(m pi t) cos(n pi t)
-        if m == n == 0:
-            return 1.0
-        if m == n:
-            return 0.5
-        return 0.0
-
-    tensor = np.empty((nf, nf, nf, nf))
-    for i1, a in enumerate(numbers):
-        for i2, b in enumerate(numbers):
-            for j2, c in enumerate(numbers):
-                for j1, d in enumerate(numbers):
-                    tensor[i1, i2, j2, j1] = (
-                        cos_overlap(abs(a - d), abs(b - c))
-                        - cos_overlap(abs(a - d), b + c)
-                        - cos_overlap(a + d, abs(b - c))
-                        + cos_overlap(a + d, b + c)
-                    )
-    return potential.g / length * tensor
+    length = grid.geom.lengths[0]
+    (lo, hi), = grid.bounds(cell)
+    a, b = lo / length, hi / length
+    m1, m2, m3, m4 = np.ix_(*[mode_numbers(modes)[:, 0]] * 4)
+    tensor = 0.0
+    for s2, k2 in ((1.0, m1 - m4), (-1.0, m1 + m4)):
+        for s3, k3 in ((1.0, m2 - m3), (-1.0, m2 + m3)):
+            for k4 in (k2 - k3, k2 + k3):
+                tensor = tensor + 0.125 * s2 * s3 * _cos_integral(k4, a, b)
+    return 4.0 * potential.g / length * tensor
 
 
 # ---------------------------------------------------------------------------
@@ -519,38 +483,8 @@ def energy_density_op(
     """
     kernel, _ = cell_kernels(modes, grid, cell)
     out = one_body_operator(basis, kernel)
-    if isinstance(potential, Contact):
-        cell_tensor = _contact_cell_tensor(modes, potential, geom, grid, cell)
-    elif isinstance(potential, Zero):
-        cell_tensor = None
-    else:
-        cell_tensor = _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
-    if cell_tensor is not None:
-        out = out + two_body_operator(basis, cell_tensor)
-    return out
-
-
-def _contact_cell_tensor(modes, potential: Contact, geom: BoxGeometry, grid: CellGrid, cell: int) -> np.ndarray:
-    # delta interaction localizes both coordinates, so restrict the single
-    # integration variable to the cell: the four-sine product over [a, b]
-    # expands to eight cosines, summed here over every mode quadruple at once
-    length = geom.lengths[0]
-    numbers = mode_numbers(modes)[:, 0]
-    (lo, hi), = grid.bounds(cell)
-    a, b = lo / length, hi / length
-    m1, m2, m3, m4 = np.ix_(numbers, numbers, numbers, numbers)
-
-    def cos_integral(k):
-        # integral over [a, b] of cos(k pi theta) d theta, k >= 0
-        safe = np.where(k == 0, 1, k) * np.pi
-        return np.where(k == 0, b - a, (np.sin(safe * b) - np.sin(safe * a)) / safe)
-
-    tensor = 0.0
-    for s2, k2 in ((1.0, m1 - m4), (-1.0, m1 + m4)):
-        for s3, k3 in ((1.0, m2 - m3), (-1.0, m2 + m3)):
-            for s4, k4 in ((0.5, k2 - k3), (0.5, k2 + k3)):
-                tensor = tensor + 0.25 * s2 * s3 * s4 * cos_integral(np.abs(k4))
-    return 4.0 * potential.g / length * tensor
+    tensor = _pair_tensor(modes, potential, geom, grid, cell, order)
+    return out + two_body_operator(basis, tensor) if tensor.any() else out
 
 
 def phase_space_op(

@@ -35,17 +35,6 @@ def sector_dimension(n_modes: int, n: int, statistics: Statistics) -> int:
     return comb(n_modes, n)
 
 
-def _occupations(n_modes: int, total: int, cap: int):
-    """All occupation tuples with the given total, entries bounded by cap."""
-    if n_modes == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(min(total, cap) + 1):
-        for rest in _occupations(n_modes - 1, total - first, cap):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis, graded by total number then lexicographic.
@@ -169,12 +158,19 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
     dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
     if dim > DIM_CAP:
         raise ValueError(f"basis dimension {dim} exceeds cap {DIM_CAP}")
-    rows = []
-    for total in range(n_max + 1):
-        shell = sorted(_occupations(n_modes, total, per_mode_cap))
-        rows.extend(shell)
+    # one column per mode: each row branches into every occupation of the
+    # next mode that the cap and the remaining number allow
+    states = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):
+        branches = np.minimum(per_mode_cap, n_max - states.sum(axis=1)) + 1
+        parent = np.repeat(np.arange(len(states)), branches)
+        first = np.cumsum(branches) - branches
+        occupation = np.arange(parent.size) - first[parent]
+        states = np.column_stack([states[parent], occupation])
+    # graded: total number first, lexicographic within a shell
+    order = np.lexsort((*states.T[::-1], states.sum(axis=1)))
     return FockBasis(n_modes=n_modes, n_max=n_max, statistics=statistics,
-                     states=np.array(rows, dtype=np.int64))
+                     states=states[order])
 
 
 def annihilation_op(basis: FockBasis, mode: int) -> np.ndarray:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from boxgas.fieldmodel import (
-    _contact_cell_tensor,
-    _sin_primitive,
+    _axis_overlap_matrices,
     BoxGeometry,
     CellGrid,
     Contact,
@@ -21,9 +20,6 @@ from boxgas.fieldmodel import (
     mode_numbers,
     modes_from_numbers,
     momentum_density_op,
-    overlap_g,
-    overlap_s,
-    overlap_x,
     phase_space_op,
     potential_tensor,
     potential_tensor_error,
@@ -72,6 +68,18 @@ def test_box_modes_anisotropic_ordering():
     assert [m.numbers for m in modes] == [(1, 1, 1), (2, 1, 1), (3, 1, 1)]
 
 
+def overlap_s(f, g, lo, hi, length):
+    return _axis_overlap_matrices(np.array([f, g]), lo, hi, length)[0][0, 1]
+
+
+def overlap_g(f, g, lo, hi, length):
+    return _axis_overlap_matrices(np.array([f, g]), lo, hi, length)[1][0, 1]
+
+
+def overlap_x(f, g, lo, hi, length):
+    return _axis_overlap_matrices(np.array([f, g]), lo, hi, length)[2][0, 1]
+
+
 def test_interval_overlaps_match_quadrature():
     rng = np.random.default_rng(2)
     length = 1.3
@@ -117,6 +125,43 @@ def test_contact_tensor_matches_quadrature():
     assert np.max(np.abs(tensor - tensor.transpose(3, 2, 1, 0))) < 1e-13
 
 
+def loop_contact_tensor(modes, potential, geom):
+    """Oracle: the whole-box contact tensor, one mode quadruple at a time."""
+    length = geom.lengths[0]
+    numbers = mode_numbers(modes)[:, 0]
+    nf = len(modes)
+
+    def cos_overlap(m: int, n: int) -> float:
+        # integral over [0,1] of cos(m pi t) cos(n pi t)
+        if m == n == 0:
+            return 1.0
+        if m == n:
+            return 0.5
+        return 0.0
+
+    tensor = np.empty((nf, nf, nf, nf))
+    for i1, a in enumerate(numbers):
+        for i2, b in enumerate(numbers):
+            for j2, c in enumerate(numbers):
+                for j1, d in enumerate(numbers):
+                    tensor[i1, i2, j2, j1] = (
+                        cos_overlap(abs(a - d), abs(b - c))
+                        - cos_overlap(abs(a - d), b + c)
+                        - cos_overlap(a + d, abs(b - c))
+                        + cos_overlap(a + d, b + c)
+                    )
+    return potential.g / length * tensor
+
+
+@pytest.mark.parametrize("numbers,length,g", [((1, 2, 3), 1.0, 0.7), ((1, 2, 3, 4, 5, 6), 1.3, -0.45),
+                                              ((2, 3, 5, 7, 8), 2.5, 3.1)])
+def test_contact_tensor_equals_loop_oracle(numbers, length, g):
+    geom = BoxGeometry((length,))
+    modes = modes_from_numbers(geom, [(k,) for k in numbers])
+    pot = Contact(g=g)
+    assert np.array_equal(contact_tensor(modes, pot, geom), loop_contact_tensor(modes, pot, geom))
+
+
 def loop_contact_cell_tensor(modes, potential, geom, grid, cell):
     """Oracle: the cell-restricted contact tensor, one mode quadruple at a time."""
     length = geom.lengths[0]
@@ -124,12 +169,18 @@ def loop_contact_cell_tensor(modes, potential, geom, grid, cell):
     (lo, hi), = grid.bounds(cell)
     a, b = lo / length, hi / length
 
+    def cos_primitive(k):
+        # integral over [a, b] of cos(k pi theta) d theta
+        if k == 0:
+            return b - a
+        return (np.sin(k * np.pi * b) - np.sin(k * np.pi * a)) / (k * np.pi)
+
     def quad_sin(m1, m2, m3, m4):
         total = 0.0
         for s2, k2 in ((1.0, m1 - m4), (-1.0, m1 + m4)):
             for s3, k3 in ((1.0, m2 - m3), (-1.0, m2 + m3)):
                 for s4, k4 in ((0.5, k2 - k3), (0.5, k2 + k3)):
-                    total += 0.25 * s2 * s3 * s4 * _sin_primitive(abs(k4), a, b)
+                    total += 0.25 * s2 * s3 * s4 * cos_primitive(abs(k4))
         return total
 
     nf = len(modes)
@@ -150,10 +201,19 @@ def test_contact_cell_tensor_matches_loop_oracle(numbers, cells):
     grid = CellGrid(geom, (cells,))
     pot = Contact(g=0.7)
     for cell in range(cells):
-        got = _contact_cell_tensor(modes, pot, geom, grid, cell)
+        got = contact_tensor(modes, pot, (grid, cell))
         want = loop_contact_cell_tensor(modes, pot, geom, grid, cell)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_contact_energy_density_in_3d_box_is_rejected():
+    geom = BoxGeometry((1.0, 1.1, 1.2))
+    modes = box_modes(geom, 2)
+    basis = build_basis(2, 2, Statistics.BOSE)
+    grid = CellGrid(geom, (2, 1, 1))
+    with pytest.raises(ValueError, match="contact potential is 1D only"):
+        energy_density_op(basis, modes, grid, 0, Contact(g=0.5), geom)
 
 
 def test_zero_potential_tensor():
@@ -171,13 +231,6 @@ def test_gaussian_tensor_refinement():
     assert np.max(np.abs(coarse - fine)) <= max(est * 4.0, 1e-12)
     assert np.max(np.abs(coarse - coarse.transpose(1, 0, 3, 2))) == 0.0
     assert np.max(np.abs(coarse - coarse.conj().transpose(3, 2, 1, 0))) == 0.0
-
-
-def test_gaussian_tensor_warns_above_tolerance():
-    modes = box_modes(GEOM_1D, 2)
-    pot = Gaussian(g=1.0, sigma=0.25)
-    with pytest.warns(UserWarning, match="quadrature error"):
-        potential_tensor(modes, pot, GEOM_1D, order=2, err_tol=1e-14)
 
 
 def test_soft_lennard_jones_finite_at_origin():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,11 +118,29 @@ def test_fermi_n_max_capped_by_modes():
 
 
 def test_graded_lexicographic_order():
-    basis = build_basis(2, 2, Statistics.BOSE)
-    expected = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    assert [tuple(row) for row in basis.states] == expected
-    for i, occ in enumerate(expected):
-        assert basis.state_index(occ) == i
+    cases = [
+        (2, 2, Statistics.BOSE, [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]),
+        (3, 2, Statistics.FERMI, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
+                                  (0, 1, 1), (1, 0, 1), (1, 1, 0)]),
+        (3, 0, Statistics.BOSE, [(0, 0, 0)]),
+        (2, 0, Statistics.FERMI, [(0, 0)]),
+        (1, 3, Statistics.BOSE, [(0,), (1,), (2,), (3,)]),
+        (1, 1, Statistics.FERMI, [(0,), (1,)]),
+    ]
+    for n_modes, n_max, statistics, expected in cases:
+        basis = build_basis(n_modes, n_max, statistics)
+        assert basis.states.dtype == np.int64
+        assert [tuple(row) for row in basis.states] == expected
+        for i, occ in enumerate(expected):
+            assert basis.state_index(occ) == i
+    # oracle: every capped occupation tuple, sorted by (total, tuple)
+    for statistics, cap in ((Statistics.BOSE, None), (Statistics.FERMI, 1)):
+        for n_modes in range(1, 5):
+            for n_max in range(0, n_modes + 1):
+                top = n_max if cap is None else cap
+                rows = sorted((occ for occ in itertools.product(range(top + 1), repeat=n_modes)
+                               if sum(occ) <= n_max), key=lambda occ: (sum(occ), occ))
+                assert np.array_equal(build_basis(n_modes, n_max, statistics).states, rows)
 
 
 def test_bose_annihilation_amplitude():
