@@ -27,7 +27,6 @@ from math import comb
 from pathlib import Path
 
 import numpy
-import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("build", "generator-check", "evolve")
@@ -98,7 +97,6 @@ def main() -> None:
         "environment": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "threads": {var: env[var] for var in THREAD_VARS},

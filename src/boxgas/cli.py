@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import click
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, load_config
@@ -167,7 +166,6 @@ def _versions() -> dict:
     return {
         "boxgas": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         # bit-identical reports hold for one BLAS thread count (README)
         **{var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS},

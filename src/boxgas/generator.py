@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .fieldmodel import HBAR, MASS, free_hamiltonian, hamiltonian, mode_energies
+from .fieldmodel import HBAR, MASS, hamiltonian, mode_energies
 from .fock import (
     FockBasis,
     Statistics,
@@ -101,11 +100,9 @@ def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
 
 
 def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: float,
-                                delta: float | None = None) -> GeneratorCoefficients:
+                                delta: float) -> GeneratorCoefficients:
     """On-shell solve followed by coefficient assembly."""
     t_on = onshell_tmatrix(modes, vtensor, statistics, eps)
-    if delta is None:
-        delta = default_delta(modes, statistics)
     return build_coefficients(modes, t_on, statistics, delta)
 
 
@@ -290,6 +287,18 @@ class NegativeTauWitness:
     family: np.ndarray
 
 
+def annihilator_kernel(basis: FockBasis) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of the dim x (n dim) stack [a_1 ... a_n].
+
+    Per sector N, A_N A_N† = c_N 1 with c_N > 0 (N + n - 1 for Bose, n - N + 1
+    for Fermi): the stack maps onto every sector below n_max, so its rank is
+    dim - d_top and the kernel has (n - 1) dim + d_top columns.
+    """
+    top = basis.sectors[-1]
+    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
+    return np.linalg.svd(stack)[2][basis.dim - (top.stop - top.start):].conj().T
+
+
 def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
                          seed: int = 0) -> NegativeTauWitness:
     """Family with Q < 0 at negative tau, built in the kernel of the a-stack.
@@ -301,10 +310,7 @@ def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
         raise ValueError("tau must be negative")
     basis = lp.basis
     n = basis.n_modes
-    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
-    kernel = scipy.linalg.null_space(stack)
-    if kernel.size == 0:
-        raise ValueError("annihilator stack has no kernel to probe")
+    kernel = annihilator_kernel(basis)
     rng = np.random.default_rng(seed)
     for _ in range(WITNESS_TRIES):
         combo = kernel @ (rng.standard_normal(kernel.shape[1])
@@ -337,19 +343,14 @@ def conservation_report(lp: Lprime) -> ConservationReport:
     split into the delta-independent streaming part and the collision part
     that shrinks as the smearing narrows onto resonant channels.
     """
-    coeffs = lp.coeffs
-    w = mode_energies(coeffs.modes)
-    number_image, energy_image = lp.images([np.eye(lp.basis.n_modes), np.diag(w)])
-    mass_residual = MASS * number_image.norm()
+    mass_residual = MASS * lp.apply(np.eye(lp.basis.n_modes)).norm()
     if mass_residual > MASS_TOL:
         raise ValueError(f"mass conservation violated: residual {mass_residual:.3e}")
-    free = free_hamiltonian(lp.basis, coeffs.modes)
-    streaming = BlockDiagonal(free.slices, tuple((1j / HBAR) * comm(h, h0)
-                                                 for h, h0 in lp.h_eff.pairs(free)))
+    stream, loss, gain = lp.parts(np.diag(mode_energies(lp.coeffs.modes)))
     return ConservationReport(
-        delta=coeffs.delta,
+        delta=lp.coeffs.delta,
         mass_residual=float(mass_residual),
-        energy_residual=energy_image.norm(),
-        energy_streaming=streaming.norm(),
-        energy_collision=(energy_image - streaming).norm(),
+        energy_residual=(stream + loss + gain).norm(),
+        energy_streaming=stream.norm(),
+        energy_collision=(loss + gain).norm(),
     )

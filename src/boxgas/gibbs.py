@@ -98,7 +98,6 @@ class CellObservables:
     the real combinations that a fit diagonalises need no check of their own.
     """
 
-    grid: CellGrid
     blocks: BlockDiagonal
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ class CellObservables:
 
     def combine(self, coeffs) -> CellObservables:
         """The family of the operators `coeffs @ stack`, one per row of `coeffs`."""
-        return CellObservables(self.grid, self.blocks.combine(coeffs))
+        return CellObservables(self.blocks.combine(coeffs))
 
     def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
         return _sector_gibbs(self.blocks.combine(y), fields)
@@ -261,7 +260,7 @@ class TwoBodyKernels:
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
                      geom: BoxGeometry, order: int = 8) -> CellObservables:
     cells = range(grid.n_cells)
-    return CellObservables(grid, BlockDiagonal.stack(
+    return CellObservables(BlockDiagonal.stack(
         [energy_density_op(basis, modes, grid, c, potential, geom, order=order) for c in cells]
         + [mass_density_op(basis, modes, grid, c) for c in cells]))
 

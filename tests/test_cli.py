@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -195,6 +198,21 @@ def test_report_records_blas_thread_environment(tmp_path, monkeypatch):
     versions = read_report(tmp_path)["versions"]
     assert versions["OPENBLAS_NUM_THREADS"] == "3"
     assert versions["OMP_NUM_THREADS"] == "unset"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only
+    probe = ("import sys, boxgas.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert loaded == "[]"
+
+
+def test_report_versions_omit_scipy(tmp_path):
+    assert run_cli(["build", "--out", str(tmp_path), "--quiet"]).exit_code == 0
+    assert "scipy" not in read_report(tmp_path)["versions"]
 
 
 def test_maxent_infeasible_exits_one(tmp_path):

@@ -4,21 +4,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from boxgas.fieldmodel import (
     HBAR,
     BoxGeometry,
     Contact,
     Gaussian,
+    free_hamiltonian,
     hamiltonian,
     modes_from_numbers,
     potential_tensor,
 )
-from boxgas.fock import Statistics, build_basis, creation_op, ladder_ops
+from boxgas.fock import Statistics, build_basis, creation_op, ladder_ops, sector_dimension
 from boxgas.generator import (
     ConservationReport,
     GeneratorCoefficients,
     Lprime,
+    annihilator_kernel,
     build_coefficients,
     channel_blocks,
     coefficients_from_potential,
@@ -28,7 +31,7 @@ from boxgas.generator import (
     positivity_check,
     smearing_kernel,
 )
-from boxgas.matrixutil import frob
+from boxgas.matrixutil import BlockDiagonal, comm, frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
 from test_kinetics import oracle_bilinear_image
 
@@ -287,6 +290,49 @@ def test_energy_residual_shrinks_with_smearing_width():
     assert collisions[0] > 0.0
     assert collisions[0] >= 2.0 * collisions[1]
     assert collisions[1] >= 2.0 * collisions[2]
+
+
+@pytest.mark.parametrize("inputs", ["contact", "gaussian"])
+def test_conservation_split_matches_free_hamiltonian_commutator(inputs):
+    # oracle: the streaming image (i/hbar)[H_eff, H0] from a separately built
+    # free Hamiltonian, and the collision part as L'(H0) less that image
+    if inputs == "contact":
+        modes, _, coeffs = contact_coefficients(g=1.7)
+        basis = build_basis(3, 3, Statistics.BOSE)
+    else:
+        modes = modes_1d((1, 2, 3, 5))
+        vt = potential_tensor(modes, Gaussian(1.2, 0.3), GEOM)
+        coeffs = coefficients_from_potential(modes, vt, Statistics.FERMI, 10.0, delta=5.0)
+        basis = build_basis(4, 3, Statistics.FERMI)
+    lp = Lprime(basis, coeffs)
+    free = free_hamiltonian(basis, modes)
+    streaming = BlockDiagonal(free.slices, tuple((1j / HBAR) * comm(h, h0)
+                                                 for h, h0 in lp.h_eff.pairs(free)))
+    image = lp.apply(np.diag([m.w for m in modes]))
+    report = conservation_report(lp)
+    assert report.energy_streaming > 0.0
+    assert report.energy_collision > 0.0
+    assert report.energy_streaming == pytest.approx(streaming.norm(), rel=1e-12)
+    assert report.energy_collision == pytest.approx((image - streaming).norm(), rel=1e-12)
+    assert report.energy_residual == pytest.approx(image.norm(), rel=1e-12)
+
+
+@pytest.mark.parametrize("statistics, n_modes, n_max", [
+    (Statistics.BOSE, 1, 1), (Statistics.BOSE, 1, 3), (Statistics.BOSE, 3, 2),
+    (Statistics.BOSE, 4, 3), (Statistics.BOSE, 6, 3),
+    (Statistics.FERMI, 1, 1), (Statistics.FERMI, 3, 2), (Statistics.FERMI, 3, 3),
+    (Statistics.FERMI, 5, 2), (Statistics.FERMI, 6, 3), (Statistics.FERMI, 4, 4),
+])
+def test_annihilator_kernel_has_structural_rank(statistics, n_modes, n_max):
+    basis = build_basis(n_modes, n_max, statistics)
+    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
+    kernel = annihilator_kernel(basis)
+    d_top = sector_dimension(n_modes, n_max, statistics)
+    assert kernel.shape == (n_modes * basis.dim, (n_modes - 1) * basis.dim + d_top)
+    assert frob(kernel.conj().T @ kernel - np.eye(kernel.shape[1])) <= 1e-12
+    assert frob(stack @ kernel) <= 1e-12
+    oracle = scipy.linalg.null_space(stack)
+    assert frob(kernel @ kernel.conj().T - oracle @ oracle.conj().T) <= 1e-12
 
 
 def test_positivity_sampled_families():

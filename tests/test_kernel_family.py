@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from boxgas.fieldmodel import (
     BoxGeometry,
-    CellGrid,
     Contact,
     Gaussian,
     contact_tensor,
@@ -99,7 +98,7 @@ def test_mode_spectrum_matches_sector_blocks(case):
     blocks = BlockDiagonal.stack(one_body_operator(basis, kc) for kc in kernels)
     assert_close(family.values(state), blocks.trace_with(oracle.weight_blocks).real)
     assert_close(family.chi(state), chi_matrix(oracle, blocks))
-    obs = CellObservables(CellGrid(BoxGeometry((1.0,)), (2,)), blocks)
+    obs = CellObservables(blocks)
     assert_close(family.mass_bounds, obs.mass_bounds)
 
     # Gamma(U) is unitary and carries the occupation rows to the eigenvectors
