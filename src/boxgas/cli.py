@@ -307,9 +307,9 @@ def _payload_tmatrix(cfg):
     }
     checks = {"t_pair_symmetric": _max_check(sym_defect, 1e-10)}
     header = ["p", "q", "t_real", "t_imag", "v_real"]
-    rows = [[p, q, float(t_on[p, q].real), float(t_on[p, q].imag),
-             float(v_pair[p, q].real)]
-            for p in range(len(pairs)) for q in range(len(pairs))]
+    p_index, q_index = np.indices(t_on.shape)
+    columns = (p_index, q_index, t_on.real, t_on.imag, v_pair.real)
+    rows = list(zip(*(column.ravel().tolist() for column in columns)))
     return values, checks, {"tmatrix.csv": (header, rows)}
 
 

@@ -1,23 +1,23 @@
-"""Run configuration: defaults, schema validation, dotted overrides.
+"""Run configuration: defaults, validation, dotted overrides.
 
 One YAML document drives every subcommand. Unknown keys are rejected so a
-typo cannot silently fall back to a default, and numeric ranges are policed
-by the schema before any physics object is built.
+typo cannot silently fall back to a default, and types, numeric ranges and
+finiteness are policed by a table of rules before any physics object is built.
 """
 from __future__ import annotations
 
 import copy
+import math
 import re
 from typing import Any, Iterable
 
-import jsonschema
 import yaml
 
 from .fock import DIM_CAP, Statistics, sector_dimension
 
 
 class ConfigError(Exception):
-    """Unusable configuration: bad syntax, bad schema, or bad shape."""
+    """Unusable configuration: bad syntax, bad values, or bad shape."""
 
 
 DEFAULTS: dict[str, Any] = {
@@ -46,147 +46,130 @@ DEFAULTS: dict[str, Any] = {
     "run": {"seed": 0},
 }
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_POSITIVE_INT = {"type": "integer", "minimum": 1}
+# A check takes a value and returns None or (path inside the value, message).
+# The rules and messages are those of a JSON Schema (Draft 2020-12) for the
+# config, except that an integer key takes neither a bool nor an integral float.
 
-SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lengths": {"type": "array", "minItems": 1, "items": _POSITIVE},
-            },
-        },
-        "modes": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "numbers": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": _POSITIVE_INT,
-                    },
-                },
-            },
-        },
-        "basis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_max": _POSITIVE_INT,
-                "statistics": {"enum": ["bose", "fermi"]},
-            },
-        },
-        "potential": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {
-                    "enum": ["none", "contact", "gaussian", "soft-lennard-jones"],
-                },
-                "strength": {"type": "number"},
-                "range": _POSITIVE,
-                "core": _POSITIVE,
-                "order": {"type": "integer", "minimum": 2},
-            },
-        },
-        "scattering": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"eps": _POSITIVE},
-        },
-        "generator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "delta": _POSITIVE,
-                "tau_max": _POSITIVE,
-                "n_samples": _POSITIVE_INT,
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cells": {"type": "array", "minItems": 1, "items": _POSITIVE_INT},
-            },
-        },
-        "fields": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta": {"type": "array", "minItems": 1, "items": _POSITIVE},
-                "mu": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            },
-        },
-        "maxent": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "targets": {
-                    "oneOf": [
-                        {"type": "null"},
-                        {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "properties": {
-                                "energy": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {"type": "number"},
-                                },
-                                "mass": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {"type": "number"},
-                                },
-                            },
-                            "required": ["energy", "mass"],
-                        },
-                    ],
-                },
-                "tol": _POSITIVE,
-                "max_iter": _POSITIVE_INT,
-            },
-        },
-        "evolve": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dt": {"oneOf": [{"type": "null"}, _POSITIVE]},
-                "dt_factor": {"type": "number", "minimum": 5.0},
-                "steps": {"type": "integer", "minimum": 4},
-                "assert_monotone": {"type": "boolean"},
-            },
-        },
-        "micro": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"q_dim": _POSITIVE_INT},
-        },
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"seed": {"type": "integer", "minimum": 0}},
-        },
+
+def _number(minimum=None, strict=False, kind="number"):
+    types = int if kind == "integer" else (int, float)
+
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            return (), f"{value!r} is not of type '{kind}'"
+        if minimum is not None and (value <= minimum if strict else value < minimum):
+            relation = "less than or equal to" if strict else "less than"
+            return (), f"{value!r} is {relation} the minimum of {minimum!r}"
+        return None
+    return check
+
+
+def _list_of(item):
+    def check(value):
+        if not isinstance(value, list):
+            return (), f"{value!r} is not of type 'array'"
+        if not value:
+            return (), "[] should be non-empty"
+        for index, entry in enumerate(value):
+            problem = item(entry)
+            if problem:
+                return (index, *problem[0]), problem[1]
+        return None
+    return check
+
+
+def _enum(*choices):
+    def check(value):
+        return None if value in choices else (
+            (), f"{value!r} is not one of {list(choices)!r}")
+    return check
+
+
+def _null_or(rules):
+    def check(value):
+        if value is None or _walk(value, rules) is None:
+            return None
+        return (), f"{value!r} is not valid under any of the given schemas"
+    return check
+
+
+def _boolean(value):
+    return None if isinstance(value, bool) else (
+        (), f"{value!r} is not of type 'boolean'")
+
+
+_POSITIVE = _number(0, strict=True)
+_COUNT = _number(1, kind="integer")
+_NUMBERS = _list_of(_number())
+
+_RULES: dict[str, Any] = {
+    "geometry": {"lengths": _list_of(_POSITIVE)},
+    "modes": {"numbers": _list_of(_list_of(_COUNT))},
+    "basis": {"n_max": _COUNT, "statistics": _enum("bose", "fermi")},
+    "potential": {
+        "kind": _enum("none", "contact", "gaussian", "soft-lennard-jones"),
+        "strength": _number(),
+        "range": _POSITIVE,
+        "core": _POSITIVE,
+        "order": _number(2, kind="integer"),
     },
+    "scattering": {"eps": _POSITIVE},
+    "generator": {"delta": _POSITIVE, "tau_max": _POSITIVE, "n_samples": _COUNT},
+    "grid": {"cells": _list_of(_COUNT)},
+    "fields": {"beta": _list_of(_POSITIVE), "mu": _NUMBERS},
+    "maxent": {
+        "targets": _null_or({"energy": _NUMBERS, "mass": _NUMBERS}),
+        "tol": _POSITIVE,
+        "max_iter": _COUNT,
+    },
+    "evolve": {
+        "dt": _null_or(_POSITIVE),
+        "dt_factor": _number(5.0),
+        "steps": _number(4, kind="integer"),
+        "assert_monotone": _boolean,
+    },
+    "micro": {"q_dim": _COUNT},
+    "run": {"seed": _number(0, kind="integer")},
 }
 
 
-# jsonschema's `integer` takes any number with a zero fraction (2.0, 2e0); a
-# count or index must be a Python int, and a bool is not one.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer",
-        lambda _checker, value: isinstance(value, int) and not isinstance(value, bool)),
-)
+def _walk(value, rules):
+    """First problem of `value` under a rule table or check.
+
+    Problems come in sorted key-path order: a mapping's own problem (wrong
+    type, unknown or missing keys) before those of its entries, and entries by
+    key, so the report does not depend on the order of the YAML document.
+    """
+    if callable(rules):
+        return rules(value)
+    if not isinstance(value, dict):
+        return (), f"{value!r} is not of type 'object'"
+    # YAML keys may mix types (`1: x`), so unknown keys sort by their text
+    extra = sorted((key for key in value if key not in rules), key=str)
+    if extra:
+        verb = "was" if len(extra) == 1 else "were"
+        return (), (f"Additional properties are not allowed "
+                    f"({', '.join(map(repr, extra))} {verb} unexpected)")
+    for key in sorted(rules):
+        if key not in value:
+            return (), f"{key!r} is a required property"
+        problem = _walk(value[key], rules[key])
+        if problem:
+            return (key, *problem[0]), problem[1]
+    return None
+
+
+def _nonfinite(value, path=()):
+    """First NaN or infinity in a config that passed `_RULES`, in key order."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, f"{value!r} is not a finite number"
+    entries = (sorted(value.items()) if isinstance(value, dict)
+               else enumerate(value) if isinstance(value, list) else ())
+    for key, entry in entries:
+        problem = _nonfinite(entry, (*path, key))
+        if problem:
+            return problem
+    return None
 
 
 class _Loader(yaml.SafeLoader):
@@ -235,7 +218,18 @@ def _apply_override(cfg: dict, item: str) -> None:
     node[leaf] = value
 
 
-def _check_shapes(cfg: dict) -> None:
+def validate(cfg: dict) -> None:
+    """Raise ConfigError for the first problem of a full (merged) config.
+
+    A value the rules reject is reported first, in key-path order; then a NaN
+    or infinity, which no bound catches (nan <= 0 is false); then sizes that
+    do not fit together.
+    """
+    problem = _walk(cfg, _RULES) or _nonfinite(cfg)
+    if problem:
+        path, message = problem
+        where = ".".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config key '{where}': {message}")
     dim = len(cfg["geometry"]["lengths"])
     for tup in cfg["modes"]["numbers"]:
         if len(tup) != dim:
@@ -249,7 +243,11 @@ def _check_shapes(cfg: dict) -> None:
     statistics = Statistics(cfg["basis"]["statistics"])
     if statistics is Statistics.FERMI and n_max > n_modes:
         raise ConfigError(f"fermionic n_max {n_max} exceeds mode count {n_modes}")
-    basis_dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
+    if statistics is Statistics.BOSE:
+        # the sum of C(m + n - 1, n) over n <= n_max, without a loop to n_max
+        basis_dim = math.comb(n_modes + n_max, n_max)
+    else:
+        basis_dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
     if basis_dim > DIM_CAP:
         raise ConfigError(f"basis dimension {basis_dim} exceeds cap {DIM_CAP}")
     if cfg["potential"]["kind"] == "contact" and dim != 1:
@@ -294,11 +292,5 @@ def load_config(path: str | None = None,
         cfg = _deep_merge(cfg, loaded)
     for item in overrides:
         _apply_override(cfg, item)
-    validator = _Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = ".".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"config key '{where}': {first.message}")
-    _check_shapes(cfg)
+    validate(cfg)
     return cfg

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
+from boxgas.fieldmodel import BoxGeometry, Contact, modes_from_numbers, potential_tensor
+from boxgas.fock import Statistics
+from boxgas.scattering import onshell_tmatrix, pair_basis, pair_matrix_from_tensor
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -59,6 +63,15 @@ def test_nested_unknown_key_rejected(tmp_path):
         load_config(str(bad))
 
 
+def test_unknown_keys_of_mixed_types_sort_by_text(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("turbo: true\n1: x\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(bad))
+    assert str(info.value) == ("config key '<root>': Additional properties are not "
+                               "allowed (1, 'turbo' were unexpected)")
+
+
 def test_override_parsing():
     cfg = load_config(None, ["fields.beta=[0.5, 0.5]", "run.seed=7"])
     assert cfg["fields"]["beta"] == [0.5, 0.5]
@@ -99,6 +112,36 @@ def test_range_violations_rejected():
         load_config(None, ["basis.n_max=0"])
     with pytest.raises(ConfigError, match="eps"):
         load_config(None, ["scattering.eps=-1.0"])
+
+
+@pytest.mark.parametrize("command, override, key, shown", [
+    ("generator-check", "generator.delta=.nan", "generator.delta", "nan"),
+    ("evolve", "generator.delta=.nan", "generator.delta", "nan"),
+    ("evolve", "scattering.eps=.inf", "scattering.eps", "inf"),
+    ("tmatrix", "scattering.eps=.inf", "scattering.eps", "inf"),
+    ("maxent", "maxent.tol=.nan", "maxent.tol", "nan"),
+    ("build", "potential.strength=-.inf", "potential.strength", "-inf"),
+    ("evolve", "evolve.dt=.inf", "evolve.dt", "inf"),
+    ("evolve", "evolve.dt_factor=.inf", "evolve.dt_factor", "inf"),
+    ("maxent", "fields.mu=[0.0, .nan]", "fields.mu.1", "nan"),
+    ("maxent", "maxent.targets={energy: [.inf, 1.0], mass: [1.0, 1.0]}",
+     "maxent.targets.energy.0", "inf"),
+])
+def test_nonfinite_number_exits_two(tmp_path, command, override, key, shown):
+    message = f"config key '{key}': {shown} is not a finite number"
+    with pytest.raises(ConfigError) as info:
+        load_config(None, [override])
+    assert str(info.value) == message
+    result = run_cli([command, "--out", str(tmp_path), "--quiet", "--set", override])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_large_bose_n_max_rejected_at_once():
+    # the basis dimension comes in closed form, not from a sum over 10^8 sectors
+    with pytest.raises(ConfigError, match=f"basis dimension {math.comb(10**8 + 3, 3)} "):
+        load_config(None, ["basis.n_max=100000000"])
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +186,25 @@ def test_tmatrix_free_gas_is_zero(tmp_path):
     report = read_report(tmp_path)
     assert report["values"]["t_norm"] == 0.0
     assert report["values"]["born_ratio"] == 0.0
+
+
+def test_tmatrix_table_rows(tmp_path):
+    # one row (p, q, Re T, Im T, Re V) per pair-index pair, p major
+    assert run_cli(["tmatrix", "--out", str(tmp_path), "--quiet"]).exit_code == 0
+    cfg = load_config()
+    geom = BoxGeometry(tuple(cfg["geometry"]["lengths"]))
+    modes = modes_from_numbers(geom, [tuple(t) for t in cfg["modes"]["numbers"]])
+    vt = potential_tensor(modes, Contact(cfg["potential"]["strength"]), geom)
+    t_on = onshell_tmatrix(modes, vt, Statistics.BOSE, cfg["scattering"]["eps"])
+    pairs = pair_basis(len(modes), Statistics.BOSE)
+    v_pair = pair_matrix_from_tensor(vt, pairs, Statistics.BOSE)
+    want = [[str(p), str(q), str(float(t_on[p, q].real)), str(float(t_on[p, q].imag)),
+             str(float(v_pair[p, q].real))]
+            for p in range(len(pairs)) for q in range(len(pairs))]
+    header, rows = read_csv(tmp_path / "tmatrix.csv")
+    assert header == ["p", "q", "t_real", "t_imag", "v_real"]
+    assert rows == want
+    assert any(float(row[3]) != 0.0 for row in rows)
 
 
 def test_generator_check_free_gas_exact_zero(tmp_path):
@@ -208,6 +270,23 @@ def test_cli_import_loads_no_scipy():
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True).stdout.strip()
     assert loaded == "[]"
+
+
+def test_cli_import_loads_only_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        declared = tomllib.load(handle)["project"]["dependencies"]
+    names = {re.match(r"[\w.-]+", spec).group().lower() for spec in declared}
+    allowed = {"yaml" if name == "pyyaml" else name for name in names} | {"boxgas"}
+    # Cython's runtime modules have no spec: they are no installed package
+    probe = ("import sys; before = set(sys.modules); import boxgas.cli; "
+             "top = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(*sorted(m for m in top if sys.modules[m].__spec__))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    third_party = {m for m in loaded if m not in sys.stdlib_module_names}
+    assert third_party <= allowed, sorted(third_party - allowed)
 
 
 def test_report_versions_omit_scipy(tmp_path):
