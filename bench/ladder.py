@@ -2,11 +2,15 @@
 
     python3 bench/ladder.py --out BENCH_<n>.json
 
-Each rung runs its commands (`build`, `generator-check` and `evolve`, or
+Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, or
 `evolve` alone) on the default config with 1D modes 1..n, the given n_max,
-2 cells and `evolve.steps=4`.  Every call is a fresh `python -m boxgas.cli`
-process with the BLAS and OpenMP thread variables pinned to 1, importing
-`boxgas` from `src/` of this checkout; its wall time and the peak RSS the
+2 cells and `evolve.steps=4`.  Each 3D rung runs `build` on the box of the
+`pair3d` benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of strength
+0.8 and range 0.25, Bose n_max 2, one cell) with its n lowest modes, where
+the quadrature interaction tensor is a large share of the call.  Every call
+is a fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
+variables pinned to 1, importing `boxgas` from `src/` of this checkout (as
+does this script, for the 3D mode list); its wall time and the peak RSS the
 kernel reports for that process (`os.wait4`) are recorded.  At the rungs
 listed in SKIPPED_CHECKS, `generator-check` is not run: the sizes of its
 dense ladder stack and of the witness SVD factor are estimated and recorded
@@ -29,9 +33,18 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from boxgas.fieldmodel import BoxGeometry, box_modes  # noqa: E402
+
 COMMANDS = ("build", "generator-check", "evolve")
 RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS), ((8, 4), COMMANDS),
          ((10, 4), ("evolve",)), ((12, 4), ("evolve",)), ((20, 4), ("evolve",)))  # Bose
+PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
+PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),
+               "potential.kind=gaussian", "potential.strength=0.8", "potential.range=0.25",
+               "basis.n_max=2", "basis.statistics=bose", "grid.cells=[1,1,1]",
+               "fields.beta=[0.22]", "fields.mu=[0.0]"]
+PAIR3D_RUNGS = (20, 40)  # lowest modes of the 3D box, `build` alone
 SKIPPED_CHECKS = ((10, 4), (12, 4))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -47,6 +60,11 @@ def overrides(modes: int, n_max: int) -> list[str]:
     numbers = "[" + ",".join(f"[{k}]" for k in range(1, modes + 1)) + "]"
     return [f"modes.numbers={numbers}", f"basis.n_max={n_max}", "grid.cells=[2]",
             "evolve.steps=4"]
+
+
+def pair3d_overrides(modes: int) -> list[str]:
+    numbers = [list(m.numbers) for m in box_modes(BoxGeometry(PAIR3D_LENGTHS), modes)]
+    return PAIR3D_SETS + ["modes.numbers=" + json.dumps(numbers).replace(" ", "")]
 
 
 def run_call(command: str, sets: list[str], env: dict) -> dict:
@@ -77,23 +95,28 @@ def main() -> None:
     args = parser.parse_args()
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = str(ROOT / "src")
+    plan = [("1d", modes, n_max, commands, overrides(modes, n_max))
+            for (modes, n_max), commands in RUNGS]
+    plan += [("pair3d", modes, 2, ("build",), pair3d_overrides(modes)) for modes in PAIR3D_RUNGS]
     rungs = []
-    for (modes, n_max), commands in RUNGS:
+    for box, modes, n_max, commands, sets in plan:
         dim = bose_dim(modes, n_max)
-        calls = [run_call(c, overrides(modes, n_max), env) for c in commands]
-        rungs.append({"modes": modes, "n_max": n_max, "dim": dim, "calls": calls})
+        calls = [run_call(c, sets, env) for c in commands]
+        rungs.append({"box": box, "modes": modes, "n_max": n_max, "dim": dim, "calls": calls})
         for call in calls:
-            print(f"modes {modes} n_max {n_max} dim {dim:5d} "
+            print(f"{box:6s} modes {modes} n_max {n_max} dim {dim:5d} "
                   f"{call['command']:16s} {call['wall_s']:8.2f} s "
                   f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
-        if (modes, n_max) in SKIPPED_CHECKS:
+        if box == "1d" and (modes, n_max) in SKIPPED_CHECKS:
             rungs[-1]["skipped_generator_check"] = {
                 "dense_ladder_stack_mb": round(modes * dim ** 2 * COMPLEX_BYTES / MB),
                 # the full right factor of the SVD behind `negative_tau_witness`
                 "witness_svd_mb": round((modes * dim) ** 2 * COMPLEX_BYTES / MB),
             }
     result = {
-        "config": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",
+        "config": {"1d": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",
+                   "pair3d": "defaults with " + " ".join(PAIR3D_SETS)
+                             + ", the n lowest modes of the box"},
         "environment": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,

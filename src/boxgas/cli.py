@@ -174,10 +174,11 @@ def _versions() -> dict:
 
 def _execute(name: str, payload_fn, config_path, overrides, out_dir, seed, quiet):
     started = time.perf_counter()
+    if seed is not None:
+        # last, so it wins over --set, and validated like run.seed
+        overrides = (*overrides, f"run.seed={seed}")
     try:
         cfg = load_config(config_path, overrides)
-        if seed is not None:
-            cfg["run"]["seed"] = seed
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         raise SystemExit(2)

@@ -272,8 +272,9 @@ def cell_overlaps(modes, grid: CellGrid, cell: int):
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _gauss_panels(edges: np.ndarray, order: int):
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+def _gauss_panels(edges: np.ndarray, base_x: np.ndarray, base_w: np.ndarray):
+    """Gauss-Legendre nodes and weights on each panel [edges[i], edges[i+1]],
+    mapped from the rule (base_x, base_w) on [-1, 1]."""
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
@@ -290,19 +291,18 @@ def _axis_mode_values(numbers_axis: np.ndarray, pts: np.ndarray, length: float) 
 
 
 def _quadrature_grid(modes, grid: CellGrid, order: int):
-    """Cell-aligned product quadrature: points, weights, mode values at points."""
+    """Cell-aligned product quadrature: per-axis nodes, and the weights and
+    mode values at the grid points, flattened in C order over the axes."""
     numbers = mode_numbers(modes)
     d = grid.geom.dimension
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
     axis_nodes, axis_weights, axis_values = [], [], []
     for ax in range(d):
-        nodes, wts = _gauss_panels(grid.edges(ax), order)
+        nodes, wts = _gauss_panels(grid.edges(ax), base_x, base_w)
         axis_nodes.append(nodes)
         axis_weights.append(wts)
         axis_values.append(_axis_mode_values(numbers[:, ax], nodes, grid.geom.lengths[ax]))
     shape = tuple(len(n) for n in axis_nodes)
-    pts = np.stack(
-        [c.ravel() for c in np.meshgrid(*axis_nodes, indexing="ij")], axis=-1
-    )
     wts = np.ones(shape)
     for ax in range(d):
         wts *= axis_weights[ax].reshape([-1 if a == ax else 1 for a in range(d)])
@@ -313,7 +313,7 @@ def _quadrature_grid(modes, grid: CellGrid, order: int):
             (len(modes),) + tuple(shape[a] if a == ax else 1 for a in range(d))
         )
         values = values * expand
-    return pts, wts, values.reshape(len(modes), -1)
+    return axis_nodes, wts, values.reshape(len(modes), -1)
 
 
 def _pair_weight_matrix(values: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -331,37 +331,48 @@ def _symmetrize_tensor(t: np.ndarray) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 21
 
 
-def _kernel_apply(potential, pts, wts, values, a_right):
-    """Accumulate A_left^T V(|x - y|) A_right without storing the full kernel."""
-    npts = pts.shape[0]
+def _kernel_apply(potential, axis_nodes, wts, values, a_right):
+    """Accumulate A_left^T V(|x - y|) A_right without storing the full kernel.
+
+    The points form a product grid, so |x - y|^2 over a block of rows is a sum
+    of per-axis squared node separations, added in axis order and broadcast
+    over the column grid; no point-pair difference array is formed.
+    """
+    shape = tuple(len(x) for x in axis_nodes)
+    d, npts = len(shape), len(wts)
+    # sq[ax][i] holds (x_i - y)^2 over the nodes y of axis ax, laid along
+    # that axis of the column grid
+    sq = [((x[:, None] - x[None, :]) ** 2).reshape([len(x)] + [-1 if a == ax else 1
+                                                                for a in range(d)])
+          for ax, x in enumerate(axis_nodes)]
+    index = np.indices(shape).reshape(d, -1)
     out = np.zeros((values.shape[0] ** 2, a_right.shape[1]))
     a_left = _pair_weight_matrix(values, wts)
     block = max(1, _BLOCK_ELEMENTS // npts)
     for start in range(0, npts, block):
         stop = min(start + block, npts)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        kernel = potential(np.sqrt(np.sum(diff * diff, axis=-1)))
+        r2 = 0.0
+        for ax in range(d):
+            r2 = r2 + sq[ax][index[ax, start:stop]]
+        kernel = potential(np.sqrt(r2.reshape(stop - start, npts)))
         out += a_left[start:stop].T @ (kernel @ a_right)
     return out
 
 
 def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | None) -> np.ndarray:
     """Raw quadrature tensor; x restricted to one cell when x_cell is given."""
-    pts, wts, values = _quadrature_grid(modes, grid, order)
+    axis_nodes, wts, values = _quadrature_grid(modes, grid, order)
     a_full = _pair_weight_matrix(values, wts)
-    mask = np.ones(len(wts), dtype=bool)
+    left_wts = wts
     if x_cell is not None:
-        # panel alignment guarantees nodes are interior to exactly one cell
-        for ax, (lo, hi) in enumerate(grid.bounds(x_cell)):
-            mask &= (pts[:, ax] >= lo) & (pts[:, ax] <= hi)
+        # a cell is a product of axis intervals; panel alignment guarantees
+        # nodes are interior to exactly one cell
+        mask = np.ones((), dtype=bool)
+        for nodes, (lo, hi) in zip(axis_nodes, grid.bounds(x_cell)):
+            mask = np.logical_and.outer(mask, (nodes >= lo) & (nodes <= hi))
+        left_wts = np.where(mask.ravel(), wts, 0.0)
     nf = len(modes)
-    left = _kernel_apply(
-        potential,
-        pts,
-        np.where(mask, wts, 0.0),
-        values,
-        a_full,
-    )
+    left = _kernel_apply(potential, axis_nodes, left_wts, values, a_full)
     raw = left.reshape(nf, nf, nf, nf)  # indices (l1, f1, l2, f2)
     return raw.transpose(0, 2, 3, 1)  # -> (l1, l2, f2, f1)
 
@@ -512,8 +523,9 @@ def phase_space_op(
     numbers = mode_numbers(modes)
     coeff = np.ones(len(modes), dtype=complex)
     mass_inside = 1.0
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
     for ax in range(d):
-        nodes, wts = _gauss_panels(np.array([0.0, geom.lengths[ax]]), order)
+        nodes, wts = _gauss_panels(np.array([0.0, geom.lengths[ax]]), base_x, base_w)
         packet = (np.pi * sigma ** 2) ** -0.25 * np.exp(
             -((nodes - x[ax]) ** 2) / (2.0 * sigma ** 2) + 1j * p[ax] * nodes / HBAR
         )

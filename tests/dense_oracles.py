@@ -8,11 +8,14 @@ contracted over dense dim x dim stacks, and the mode rotation Gamma(U)
 behind a Gibbs state of a one-body exponent, created column by column on the
 vacuum.  None of them reads a sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
+`difference_quad_tensor` is the pair-potential quadrature over the full
+list of grid points, with |x - y| from a point-pair difference array.
 """
 from math import factorial, prod, sqrt
 
 import numpy as np
 
+from boxgas import fieldmodel
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import Statistics
 from boxgas.matrixutil import BlockDiagonal
@@ -136,3 +139,33 @@ def mode_weight(state):
     """Gamma(U) diag(p) Gamma(U)†: the dense weight of a `gibbs_from_kernel` state."""
     gamma = dense_mode_rotation(state.spectrum.basis, state.spectrum.vectors)
     return (gamma * state.probabilities) @ gamma.conj().T
+
+
+def difference_kernel_apply(potential, pts, wts, values, a_right):
+    """A_left^T V(|x - y|) A_right over the (P, d) point list, in the row
+    blocks of `fieldmodel._kernel_apply`, from a (rows, P, d) difference array."""
+    npts = pts.shape[0]
+    out = np.zeros((values.shape[0] ** 2, a_right.shape[1]))
+    a_left = fieldmodel._pair_weight_matrix(values, wts)
+    block = max(1, fieldmodel._BLOCK_ELEMENTS // npts)
+    for start in range(0, npts, block):
+        stop = min(start + block, npts)
+        diff = pts[start:stop, None, :] - pts[None, :, :]
+        kernel = potential(np.sqrt(np.sum(diff * diff, axis=-1)))
+        out += a_left[start:stop].T @ (kernel @ a_right)
+    return out
+
+
+def difference_quad_tensor(modes, potential, grid, order, x_cell):
+    """`fieldmodel._quad_tensor` with the points listed by a meshgrid and the
+    cell mask taken point by point."""
+    axis_nodes, wts, values = fieldmodel._quadrature_grid(modes, grid, order)
+    pts = np.stack([c.ravel() for c in np.meshgrid(*axis_nodes, indexing="ij")], axis=-1)
+    mask = np.ones(len(wts), dtype=bool)
+    if x_cell is not None:
+        for ax, (lo, hi) in enumerate(grid.bounds(x_cell)):
+            mask &= (pts[:, ax] >= lo) & (pts[:, ax] <= hi)
+    nf = len(modes)
+    left = difference_kernel_apply(potential, pts, np.where(mask, wts, 0.0), values,
+                                   fieldmodel._pair_weight_matrix(values, wts))
+    return left.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)

@@ -413,6 +413,19 @@ def test_seed_flag_echoed(tmp_path):
     assert read_report(tmp_path)["config"]["run"]["seed"] == 42
 
 
+def test_seed_flag_is_validated_like_run_seed(tmp_path):
+    result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
+                      "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "config key 'run.seed': -1 is less than the minimum of 0" in result.output
+    assert not (tmp_path / "report.json").exists()
+    # the flag still wins over --set run.seed
+    result = run_cli(["modes", "--out", str(tmp_path), "--quiet",
+                      "--set", "run.seed=-1", "--seed", "4"])
+    assert result.exit_code == 0
+    assert read_report(tmp_path)["config"]["run"]["seed"] == 4
+
+
 def test_reports_are_deterministic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from dense_oracles import difference_quad_tensor
 
+from boxgas import fieldmodel
 from boxgas.fieldmodel import (
     _axis_overlap_matrices,
     BoxGeometry,
@@ -478,6 +480,46 @@ def test_3d_tensor_small_case_runs_and_is_symmetric():
     assert np.max(np.abs(tensor - tensor.transpose(1, 0, 3, 2))) == 0.0
     assert np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0))) == 0.0
     assert abs(tensor[0, 0, 0, 0]) > 1e-4
+
+
+PAIR3D_BOX = BoxGeometry((1.0, 1.07, 1.13))
+ORACLE_GRIDS = {  # geometry, cells, modes, order
+    "1d-1": (BoxGeometry((1.3,)), (1,), 4, 8),
+    "1d-2": (BoxGeometry((1.3,)), (2,), 4, 8),
+    "1d-3": (BoxGeometry((1.3,)), (3,), 4, 8),
+    "pair3d": (PAIR3D_BOX, (1, 1, 1), 12, 8),
+    "3d-211": (PAIR3D_BOX, (2, 1, 1), 4, 4),
+    "3d-222": (PAIR3D_BOX, (2, 2, 2), 4, 3),
+    "3d-333": (PAIR3D_BOX, (3, 3, 3), 4, 2),
+}
+
+
+@pytest.mark.parametrize("block_elements", [None, 3000])
+@pytest.mark.parametrize("potential", [Gaussian(0.8, 0.25), SoftLennardJones(0.5, 0.2, 0.1)],
+                         ids=["gaussian", "soft-lj"])
+@pytest.mark.parametrize("case", list(ORACLE_GRIDS))
+def test_quadrature_tensors_equal_difference_array_oracle(monkeypatch, case, potential,
+                                                          block_elements):
+    # the product-grid kernel adds the same squared separations in the same
+    # order and row blocks as the point-pair difference array, so it is exact
+    geom, cells, n_modes, order = ORACLE_GRIDS[case]
+    if block_elements is not None:
+        monkeypatch.setattr(fieldmodel, "_BLOCK_ELEMENTS", block_elements)
+    modes = box_modes(geom, n_modes)
+    grid = CellGrid(geom, cells)
+    basis = build_basis(n_modes, 2, Statistics.BOSE)
+
+    def tensor_and_cells():
+        return (potential_tensor(modes, potential, geom, order, grid),
+                [energy_density_op(basis, modes, grid, c, potential, geom, order)
+                 for c in range(grid.n_cells)])
+
+    tensor, cell_ops = tensor_and_cells()
+    monkeypatch.setattr(fieldmodel, "_quad_tensor", difference_quad_tensor)
+    ref_tensor, ref_ops = tensor_and_cells()
+    assert np.array_equal(tensor, ref_tensor)
+    for op, ref in zip(cell_ops, ref_ops):
+        assert all(np.array_equal(a, b) for a, b in zip(op.blocks, ref.blocks))
 
 
 def test_cell_grid_bounds_cover_box():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from boxgas import generator
 from boxgas.fieldmodel import (
     HBAR,
     BoxGeometry,
@@ -74,6 +75,16 @@ def contact_coefficients(numbers=(1, 2, 3), g=1.3, eps=10.0, delta=5.0,
     vt = potential_tensor(modes, Contact(g), GEOM)
     t_on = onshell_tmatrix(modes, vt, statistics, eps)
     return modes, t_on, build_coefficients(modes, t_on, statistics, delta)
+
+
+def loss_coefficients(statistics):
+    """Three modes with nonzero jumps; at n_max 3 the loss term a†_h Gamma a_k is nonzero."""
+    if statistics is Statistics.BOSE:
+        return contact_coefficients(g=1.5, statistics=statistics)[2]
+    # a contact tensor vanishes for spinless fermions; give them a range
+    modes = modes_1d((1, 2, 3))
+    vt = potential_tensor(modes, Gaussian(1.5, 0.25), GEOM)
+    return coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
 
 
 def test_smearing_kernel_matches_scalar_formula():
@@ -225,14 +236,8 @@ def test_free_generator_is_pure_streaming():
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
 def test_hermiticity_compatible_action(statistics):
-    if statistics is Statistics.BOSE:
-        _, _, coeffs = contact_coefficients(g=1.5, statistics=statistics)
-    else:
-        # a contact tensor vanishes for spinless fermions; give them a range
-        modes = modes_1d((1, 2, 3))
-        vt = potential_tensor(modes, Gaussian(1.5, 0.25), GEOM)
-        coeffs = coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
-        assert frob(coeffs.jump) > 0.0
+    coeffs = loss_coefficients(statistics)
+    assert frob(coeffs.jump) > 0.0
     basis = build_basis(3, 2, statistics)
     lp = Lprime(basis, coeffs)
     for h in range(3):
@@ -346,6 +351,52 @@ def test_positivity_sampled_families():
     assert 0.0 < report.worst_tau <= 1e-3
     with pytest.raises(ValueError):
         positivity_check(lp, n_samples=10, tau_max=0.0)
+
+
+def loop_positivity(lp, n_samples, tau_max, seed):
+    """Oracle: one family per `family_form` call, tracked sample by sample."""
+    rng = np.random.default_rng(seed)
+    n, dim = lp.basis.n_modes, lp.basis.dim
+    min_real, max_imag, worst_sample, worst_tau = math.inf, 0.0, -1, 0.0
+    for i in range(n_samples):
+        psi = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        tau = tau_max * (1.0 - rng.uniform())
+        q0, q1, _ = lp.family_form(psi)
+        q = complex(q0 + tau * q1)
+        if q.real < min_real:
+            min_real, worst_sample, worst_tau = q.real, i, tau
+        max_imag = max(max_imag, abs(q.imag))
+    return min_real, max_imag, worst_sample, worst_tau
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_family_form_stack_matches_per_family_calls(statistics):
+    lp = Lprime(build_basis(3, 3, statistics), loss_coefficients(statistics))
+    rng = np.random.default_rng(5)
+    psi = (rng.standard_normal((2, 4, 3, lp.basis.dim))
+           + 1j * rng.standard_normal((2, 4, 3, lp.basis.dim)))
+    stacked = lp.family_form(psi)
+    single = [lp.family_form(family) for family in psi.reshape(8, 3, -1)]
+    for got, want in zip(stacked, zip(*single)):
+        want = np.array(want).reshape(2, 4)
+        assert got.shape == (2, 4)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_positivity_check_matches_per_family_loop(monkeypatch, statistics, chunk):
+    monkeypatch.setattr(generator, "_POSITIVITY_CHUNK", chunk)
+    lp = Lprime(build_basis(3, 3, statistics), loss_coefficients(statistics))
+    assert lp.gamma.norm() > 0.0
+    for seed in (0, 3):
+        report = positivity_check(lp, n_samples=150, tau_max=1e-3, seed=seed)
+        min_real, max_imag, worst_sample, worst_tau = loop_positivity(lp, 150, 1e-3, seed)
+        assert report.worst_sample == worst_sample
+        assert report.worst_tau == worst_tau
+        assert abs(report.min_real - min_real) <= 1e-12 * max(1.0, abs(min_real))
+        assert abs(report.max_imag - max_imag) <= 1e-12
 
 
 def test_negative_tau_witness_flips_sign():
