@@ -4,10 +4,12 @@
 
 Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, or
 `evolve` alone) on the default config with 1D modes 1..n, the given n_max,
-2 cells and `evolve.steps=4`.  Each 3D rung runs `build` on the box of the
-`pair3d` benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of strength
-0.8 and range 0.25, Bose n_max 2, one cell) with its n lowest modes, where
-the quadrature interaction tensor is a large share of the call.  Every call
+2 cells and `evolve.steps=4`.  Each 3D rung runs on the box of the `pair3d`
+benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of strength 0.8 and
+range 0.25, Bose n_max 2) with its n lowest modes: `build` on one cell, where
+the quadrature interaction tensor is a large share of the call, or `evolve`
+on two cells [2, 1, 1] with `evolve.steps=4`, where the generator images of
+the moment kernels and the closure's fits are.  Every call
 is a fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
 variables pinned to 1, importing `boxgas` from `src/` of this checkout (as
 does this script, for the 3D mode list); its wall time and the peak RSS the
@@ -42,9 +44,11 @@ RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS), ((8, 4), COMMANDS),
 PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
 PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),
                "potential.kind=gaussian", "potential.strength=0.8", "potential.range=0.25",
-               "basis.n_max=2", "basis.statistics=bose", "grid.cells=[1,1,1]",
-               "fields.beta=[0.22]", "fields.mu=[0.0]"]
-PAIR3D_RUNGS = (20, 40)  # lowest modes of the 3D box, `build` alone
+               "basis.n_max=2", "basis.statistics=bose"]
+# the cells of each 3D command; two cells keep the default fields
+PAIR3D_CELLS = {"build": ["grid.cells=[1,1,1]", "fields.beta=[0.22]", "fields.mu=[0.0]"],
+                "evolve": ["grid.cells=[2,1,1]", "evolve.steps=4"]}
+PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "evolve"), (30, "evolve"))  # lowest modes
 SKIPPED_CHECKS = ((10, 4), (12, 4))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -62,9 +66,10 @@ def overrides(modes: int, n_max: int) -> list[str]:
             "evolve.steps=4"]
 
 
-def pair3d_overrides(modes: int) -> list[str]:
+def pair3d_overrides(modes: int, command: str) -> list[str]:
     numbers = [list(m.numbers) for m in box_modes(BoxGeometry(PAIR3D_LENGTHS), modes)]
-    return PAIR3D_SETS + ["modes.numbers=" + json.dumps(numbers).replace(" ", "")]
+    return (PAIR3D_SETS + PAIR3D_CELLS[command]
+            + ["modes.numbers=" + json.dumps(numbers).replace(" ", "")])
 
 
 def run_call(command: str, sets: list[str], env: dict) -> dict:
@@ -97,7 +102,8 @@ def main() -> None:
     env["PYTHONPATH"] = str(ROOT / "src")
     plan = [("1d", modes, n_max, commands, overrides(modes, n_max))
             for (modes, n_max), commands in RUNGS]
-    plan += [("pair3d", modes, 2, ("build",), pair3d_overrides(modes)) for modes in PAIR3D_RUNGS]
+    plan += [("pair3d", modes, 2, (command,), pair3d_overrides(modes, command))
+             for modes, command in PAIR3D_RUNGS]
     rungs = []
     for box, modes, n_max, commands, sets in plan:
         dim = bose_dim(modes, n_max)
@@ -116,7 +122,9 @@ def main() -> None:
     result = {
         "config": {"1d": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",
                    "pair3d": "defaults with " + " ".join(PAIR3D_SETS)
-                             + ", the n lowest modes of the box"},
+                             + ", the n lowest modes of the box, and per command "
+                             + "; ".join(f"{c}: {' '.join(sets)}"
+                                         for c, sets in PAIR3D_CELLS.items())},
         "environment": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,

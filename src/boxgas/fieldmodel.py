@@ -331,7 +331,7 @@ def _symmetrize_tensor(t: np.ndarray) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 21
 
 
-def _kernel_apply(potential, axis_nodes, wts, values, a_right):
+def _kernel_apply(potential, axis_nodes, a_left, a_right):
     """Accumulate A_left^T V(|x - y|) A_right without storing the full kernel.
 
     The points form a product grid, so |x - y|^2 over a block of rows is a sum
@@ -339,15 +339,14 @@ def _kernel_apply(potential, axis_nodes, wts, values, a_right):
     over the column grid; no point-pair difference array is formed.
     """
     shape = tuple(len(x) for x in axis_nodes)
-    d, npts = len(shape), len(wts)
+    d, npts = len(shape), len(a_left)
     # sq[ax][i] holds (x_i - y)^2 over the nodes y of axis ax, laid along
     # that axis of the column grid
     sq = [((x[:, None] - x[None, :]) ** 2).reshape([len(x)] + [-1 if a == ax else 1
                                                                 for a in range(d)])
           for ax, x in enumerate(axis_nodes)]
     index = np.indices(shape).reshape(d, -1)
-    out = np.zeros((values.shape[0] ** 2, a_right.shape[1]))
-    a_left = _pair_weight_matrix(values, wts)
+    out = np.zeros((a_left.shape[1], a_right.shape[1]))
     block = max(1, _BLOCK_ELEMENTS // npts)
     for start in range(0, npts, block):
         stop = min(start + block, npts)
@@ -363,16 +362,16 @@ def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | Non
     """Raw quadrature tensor; x restricted to one cell when x_cell is given."""
     axis_nodes, wts, values = _quadrature_grid(modes, grid, order)
     a_full = _pair_weight_matrix(values, wts)
-    left_wts = wts
+    a_left = a_full
     if x_cell is not None:
         # a cell is a product of axis intervals; panel alignment guarantees
         # nodes are interior to exactly one cell
         mask = np.ones((), dtype=bool)
         for nodes, (lo, hi) in zip(axis_nodes, grid.bounds(x_cell)):
             mask = np.logical_and.outer(mask, (nodes >= lo) & (nodes <= hi))
-        left_wts = np.where(mask.ravel(), wts, 0.0)
+        a_left = _pair_weight_matrix(values, np.where(mask.ravel(), wts, 0.0))
     nf = len(modes)
-    left = _kernel_apply(potential, axis_nodes, left_wts, values, a_full)
+    left = _kernel_apply(potential, axis_nodes, a_left, a_full)
     raw = left.reshape(nf, nf, nf, nf)  # indices (l1, f1, l2, f2)
     return raw.transpose(0, 2, 3, 1)  # -> (l1, l2, f2, f1)
 

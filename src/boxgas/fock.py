@@ -62,6 +62,13 @@ class FockBasis:
         return self.states.shape[0]
 
     @cached_property
+    def occupations(self) -> np.ndarray:
+        """`states` as one read-only float64 array, for the sums over occupation rows."""
+        rows = self.states.astype(float)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def index(self) -> dict:
         """Row of each occupation tuple."""
         return {tuple(int(x) for x in row): i for i, row in enumerate(self.states)}

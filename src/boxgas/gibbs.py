@@ -12,7 +12,7 @@ operators of at most two bodies at such states from the same eigenpairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -149,11 +149,23 @@ class CellKernels:
     U^dagger kernels[i] U, constraint i has the value sum_j a_i[j, j] nbar[j];
     `chi` reads the susceptibility off nbar and C = s^T diag(p) s, which the
     state holds (`GibbsState.mode_occupations`, `.mode_correlations`).  No
-    sector block is diagonalised.
+    sector block is diagonalised.  Every kernel is checked hermitian here,
+    once, so the real combinations that a fit diagonalises need no check of
+    their own; the rotated kernels a_i of the last spectrum read are kept, so
+    `values` and `chi` at one state rotate the stack once between them.
     """
 
     basis: FockBasis
     kernels: np.ndarray
+    _rotation: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for i, kernel in enumerate(self.kernels):
+            require_hermitian(kernel, name=f"constraint kernel {i}")
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        return self.kernels.reshape(len(self.kernels), -1)
 
     @property
     def n_cells(self) -> int:
@@ -169,7 +181,7 @@ class CellKernels:
         occupation rows s . eigvalsh(kernel)."""
         bounds = np.empty((self.n_cells, 2))
         for c in range(self.n_cells):
-            levels = self.basis.states @ np.linalg.eigvalsh(self.kernels[self.n_cells + c])
+            levels = self.basis.occupations @ np.linalg.eigvalsh(self.kernels[self.n_cells + c])
             bounds[c] = levels.min(), levels.max()
         return bounds
 
@@ -179,14 +191,17 @@ class CellKernels:
                            np.tensordot(np.asarray(coeffs, dtype=float), self.kernels, axes=1))
 
     def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
-        return gibbs_from_kernel(self.basis,
-                                 np.tensordot(np.asarray(y, dtype=float), self.kernels, axes=1),
-                                 fields)
+        n = self.basis.n_modes
+        return _kernel_gibbs(self.basis, (np.asarray(y, dtype=float) @ self._flat).reshape(n, n),
+                             fields)
 
     def _rotated(self, state: GibbsState) -> np.ndarray:
         """The constraint kernels in the eigenmodes of the state's kernel, U^dagger k_i U."""
-        u = state.spectrum.vectors
-        return u.conj().T @ self.kernels @ u
+        spectrum = state.spectrum
+        if self._rotation.get("spectrum") is not spectrum:
+            u = spectrum.vectors
+            self._rotation.update(spectrum=spectrum, kernels=u.conj().T @ self.kernels @ u)
+        return self._rotation["kernels"]
 
     def values(self, state: GibbsState) -> np.ndarray:
         diag = np.diagonal(self._rotated(state), axis1=1, axis2=2).real
@@ -340,12 +355,12 @@ class GibbsState:
     @cached_property
     def mode_occupations(self) -> np.ndarray:
         """nbar = p s over the occupation rows s of a `ModeSpectrum` state."""
-        return self.probabilities @ self.spectrum.basis.states
+        return self.probabilities @ self.spectrum.basis.occupations
 
     @cached_property
     def mode_correlations(self) -> np.ndarray:
         """C = s^T diag(p) s, the <n_a n_b> of a `ModeSpectrum` state."""
-        s = self.spectrum.basis.states
+        s = self.spectrum.basis.occupations
         return (s.T * self.probabilities) @ s
 
     @cached_property
@@ -412,8 +427,12 @@ def gibbs_from_kernel(basis: FockBasis, k: np.ndarray,
     if k.shape != (f, f):
         raise ValueError(f"kernel shape {k.shape} does not match mode count {f}")
     require_hermitian(k, name="exponent kernel")
+    return _kernel_gibbs(basis, k, fields)
+
+
+def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None) -> GibbsState:
     energies, vectors = np.linalg.eigh(k)
-    return _boltzmann(basis.states @ energies, fields,
+    return _boltzmann(basis.occupations @ energies, fields,
                       ModeSpectrum(basis, energies, vectors))
 
 
@@ -519,12 +538,18 @@ def _dual_value(log_z: float, y: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, tol: float,
-                max_iter: int) -> tuple[np.ndarray, GibbsState, int, list]:
-    """Damped Newton on the dual potential ln Z + y . targets over a constraint family."""
+                max_iter: int, state: GibbsState | None = None,
+                chi: np.ndarray | None = None) -> tuple[np.ndarray, GibbsState, int, list]:
+    """Damped Newton on the dual potential ln Z + y . targets over a constraint family.
+
+    `state` is the state at `y0` and `chi` its susceptibility, when the
+    caller already holds them; neither is recomputed.
+    """
     scales = np.maximum(1.0, np.abs(targets))
     y = np.asarray(y0, dtype=float).copy()
     trace = []
-    state = family.state(y)
+    if state is None:
+        state = family.state(y)
     dual = _dual_value(state.log_z, y, targets)
     best = None
     for iteration in range(1, max_iter + 1):
@@ -541,7 +566,8 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
             y_best, state_best, res_best = best
             trace.append(res_best)
             return y_best, state_best, iteration - 1, trace
-        chi = family.chi(state)
+        if chi is None:
+            chi = family.chi(state)
         low = float(np.min(np.linalg.eigvalsh(chi)))
         if low < -CHI_PSD_TOL * max(1.0, float(np.max(np.abs(chi)))):
             raise FitError(f"susceptibility matrix not positive semidefinite ({low:.3e})")
@@ -562,7 +588,7 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
             if dual_trial <= dual + 1e-12 * max(1.0, abs(dual)):
                 break
             size *= 0.5
-        y, state, dual = y_trial, state_trial, dual_trial
+        y, state, dual, chi = y_trial, state_trial, dual_trial, None
     raise FitError(
         f"maximum-entropy fit did not converge in {max_iter} iterations; "
         f"last scaled residual {trace[-1]:.3e}"
@@ -580,19 +606,29 @@ def _feasibility_check(obs: ConstraintFamily, targets: ConstraintSet) -> None:
 
 
 def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
-               init: LagrangeFields | None = None, tol: float = FIT_TOL,
-               max_iter: int = MAX_ITER) -> FitResult:
+               init: LagrangeFields | GibbsState | None = None, tol: float = FIT_TOL,
+               max_iter: int = MAX_ITER, chi: np.ndarray | None = None) -> FitResult:
     """Fit (beta, mu) per cell so the Gibbs state meets the cell targets.
 
     The type of the constraint family `obs` selects how the states are
-    built.  A cold start first fits one (beta, mu) to the box totals.  Newton
-    either meets `tol` or raises FitError.
+    built.  A cold start first fits one (beta, mu) to the box totals.  A warm
+    start `init` is a set of fields or a Gibbs state of `obs` that carries
+    its fields; such a state is not rebuilt, and `chi`, given only with a
+    state, must be `obs.chi` at exactly that state.  Newton either meets
+    `tol` or raises FitError.
     """
     _check_basis(basis, obs)
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
     _feasibility_check(obs, targets)
     n = obs.n_cells
+    warm = init if isinstance(init, GibbsState) else None
+    if warm is not None:
+        if warm.fields is None:
+            raise ValueError("a warm-start state must carry its fields")
+        init = warm.fields
+    elif chi is not None:
+        raise ValueError("chi seeds a fit only together with its warm-start state")
     if init is None:
         totals = obs.combine(np.kron(np.eye(2), np.ones(n)))
         total_targets = np.array([targets.energy.sum(), targets.mass.sum()])
@@ -604,7 +640,7 @@ def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
             raise ValueError("initial fields cell count does not match")
         y = fields_to_multipliers(init)
     y, state, iterations, trace = _newton_fit(obs, targets_vector(targets), y,
-                                              tol, max_iter)
+                                              tol, max_iter, warm, chi)
     fields = multipliers_to_fields(y)
     return FitResult(fields, replace(state, fields=fields), iterations, trace)
 

@@ -5,7 +5,9 @@ Both are one-body operators, carried as their n x n mode kernels, and the
 generator maps each moment to the one- and two-body kernels of its image;
 the interaction enters through the generator coefficients only.  Time
 stepping integrates the moments with classical RK4 and re-fits the Lagrange
-fields at every stage, so the state never leaves the manifold.
+fields at every stage after the first, so the state never leaves the
+manifold: each fit starts from the state the previous one reached, and a
+step starts from the fit that ended the step before.
 """
 
 from __future__ import annotations
@@ -128,30 +130,36 @@ class StateTrajectory:
         return self.times.size - 1
 
 
-def _fit(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
+def _fit(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState, chi=None):
     n = sys.n_cells
     return maxent_fit(sys.basis, sys.family, ConstraintSet(moments[:n], moments[n:]),
-                      init=warm)
+                      init=warm, chi=chi)
 
 
-def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: LagrangeFields):
-    fit = _fit(sys, moments, warm)
+def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState, chi=None):
+    fit = _fit(sys, moments, warm, chi)
     return sys.rate_kernels.values(fit.state), fit
 
 
-def _rk4_step(sys: ClosureSystem, fields: LagrangeFields, moments: np.ndarray,
+def _rk4_step(sys: ClosureSystem, start: tuple[GibbsState, RhsReport], moments: np.ndarray,
               step: float):
-    k1, f1 = _fitted_rate(sys, moments, fields)
-    k2, f2 = _fitted_rate(sys, moments + 0.5 * step * k1, f1.fields)
-    k3, f3 = _fitted_rate(sys, moments + 0.5 * step * k2, f2.fields)
-    k4, f4 = _fitted_rate(sys, moments + step * k3, f3.fields)
+    """One RK4 step from `start`, a state that meets `moments` and its `closure_rhs`
+    report: the report's moment rates are k1, and its chi seeds the stage-2 fit."""
+    state, rep = start
+    k1 = rep.moment_rates
+    k2, f2 = _fitted_rate(sys, moments + 0.5 * step * k1, state, rep.chi)
+    k3, f3 = _fitted_rate(sys, moments + 0.5 * step * k2, f2.state)
+    k4, f4 = _fitted_rate(sys, moments + step * k3, f3.state)
     new_moments = moments + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    fit = _fit(sys, new_moments, f4.fields)
-    return fit.fields, new_moments, fit
+    return _fit(sys, new_moments, f4.state), new_moments
 
 
 def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
-    """RK4 on the cell moments with a maxent re-fit at every stage.
+    """RK4 on the cell moments with a maxent re-fit at every stage after the first.
+
+    Each step ends with a fit to its new moments; that state and its
+    `closure_rhs` report open the next step, so every accepted step makes
+    four fits.  The first step opens at the state of `sys.fields`.
 
     The step must respect the coarse-graining window: dt >= 5 tau0 (hard
     error) and dt <= t_span / 4.  Rejected steps are halved, never past the
@@ -176,6 +184,7 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
     moment_rows = [moments]
     multiplier_rows = [fields_to_multipliers(fields)]
     rep = closure_rhs(sys, state)
+    start = (state, rep)
     entropy_rows = [entropy(state)]
     mass_rows = [float(moments[n:].sum())]
     energy_rows = [float(moments[:n].sum())]
@@ -188,7 +197,7 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
         halvings = 0
         while True:
             try:
-                new_fields, new_moments, fit = _rk4_step(sys, fields, moments, step)
+                fit, new_moments = _rk4_step(sys, start, moments, step)
                 break
             except FitError as exc:
                 halvings += 1
@@ -204,8 +213,9 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
                     ) from exc
                 step /= 2.0
         t += step
-        fields, moments = new_fields, new_moments
+        fields, moments = fit.fields, new_moments
         rep = closure_rhs(sys, fit.state)
+        start = (fit.state, rep)
         times.append(t)
         field_rows.append(fields)
         moment_rows.append(moments)

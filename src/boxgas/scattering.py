@@ -223,10 +223,6 @@ class CoarseWindow:
     t_max: float
     times: np.ndarray
 
-    @property
-    def mid_time(self) -> float:
-        return float(np.exp(np.mean(np.log(self.times))))
-
 
 def coarse_window(tau0: float, w_h: float, w_k: float) -> CoarseWindow:
     """WINDOW_SAMPLES times with WINDOW_FACTOR*tau0 <= t <= t_max/WINDOW_FACTOR,

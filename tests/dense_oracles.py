@@ -10,6 +10,8 @@ vacuum.  None of them reads a sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 `difference_quad_tensor` is the pair-potential quadrature over the full
 list of grid points, with |x - y| from a point-pair difference array.
+`refit_integrate` is the closure's RK4 with every stage re-fitted from the
+fields of the fit before it, the first stage of each step included.
 """
 from math import factorial, prod, sqrt
 
@@ -18,6 +20,8 @@ import numpy as np
 from boxgas import fieldmodel
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import Statistics
+from boxgas.gibbs import ConstraintSet, entropy, fields_to_multipliers, maxent_fit
+from boxgas.kinetics import StateTrajectory, closure_rhs
 from boxgas.matrixutil import BlockDiagonal
 
 
@@ -169,3 +173,59 @@ def difference_quad_tensor(modes, potential, grid, order, x_cell):
     left = difference_kernel_apply(potential, pts, np.where(mask, wts, 0.0), values,
                                    fieldmodel._pair_weight_matrix(values, wts))
     return left.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
+
+
+def refit_integrate(sys, t_span, dt):
+    """`kinetics.integrate` with a fit at every RK4 stage, from fields alone.
+
+    Each stage fits its moments warm-started from the fields of the fit
+    before it and reads its rates at that fit; the first stage of a step
+    fits again the moments that ended the step before.  Each step ends with
+    a fit to its new moments, and the rows are read at that fit.  No step is
+    halved and `dt` is not checked: a FitError propagates.
+    """
+    n = sys.n_cells
+
+    def fit(moments, warm):
+        return maxent_fit(sys.basis, sys.family, ConstraintSet(moments[:n], moments[n:]),
+                          init=warm)
+
+    def fitted_rate(moments, warm):
+        result = fit(moments, warm)
+        return sys.rate_kernels.values(result.state), result
+
+    fields = sys.fields
+    state = sys.state_for(fields)
+    moments = sys.family.values(state)
+    times, field_rows, moment_rows, states, residuals = [0.0], [fields], [moments], [state], [0.0]
+    t = 0.0
+    while t < t_span * (1.0 - 1e-12):
+        step = min(dt, t_span - t)
+        k1, f1 = fitted_rate(moments, fields)
+        k2, f2 = fitted_rate(moments + 0.5 * step * k1, f1.fields)
+        k3, f3 = fitted_rate(moments + 0.5 * step * k2, f2.fields)
+        k4, f4 = fitted_rate(moments + step * k3, f3.fields)
+        moments = moments + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        end = fit(moments, f4.fields)
+        t += step
+        fields = end.fields
+        times.append(t)
+        field_rows.append(fields)
+        moment_rows.append(moments)
+        states.append(end.state)
+        residuals.append(end.residual_norms[-1])
+    reports = [closure_rhs(sys, s) for s in states]
+    moments = np.array(moment_rows)
+    return StateTrajectory(
+        times=np.array(times),
+        fields=tuple(field_rows),
+        multipliers=np.array([fields_to_multipliers(f) for f in field_rows]),
+        moments=moments,
+        entropies=np.array([entropy(s) for s in states]),
+        mass_total=np.array([float(m[n:].sum()) for m in moments]),
+        energy_total=np.array([float(m[:n].sum()) for m in moments]),
+        energy_rates=np.array([float(r.moment_rates[:n].sum()) for r in reports]),
+        conditions=np.array([r.condition for r in reports]),
+        fit_residuals=np.array(residuals),
+        labels=sys.labels,
+    )

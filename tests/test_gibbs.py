@@ -31,6 +31,7 @@ from boxgas.gibbs import (
     FitError,
     FitResult,
     LagrangeFields,
+    cell_kernel_family,
     cell_observables,
     chi_matrix,
     constrained_perturbation,
@@ -330,6 +331,30 @@ def test_maxent_warm_start_round_trip():
     result = maxent_fit(basis, obs, ConstraintSet(energy, mass_vals), init=init)
     assert np.max(np.abs(result.fields.beta - true_fields.beta)) <= 1e-6 * 1.3
     assert result.iterations <= 50
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_maxent_warm_state_and_chi_change_no_bit(statistics):
+    # handing a fit the state of its warm-start fields, and chi at exactly
+    # that state, skips their recomputation and nothing else
+    modes, basis, grid, _ = make_system(numbers=(1, 2, 3, 4), n_max=3, cells=2,
+                                        statistics=statistics)
+    family = cell_kernel_family(basis, modes, grid)
+    true_fields = LagrangeFields(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
+    targets = ConstraintSet(*constraint_values(gibbs_state(basis, family, true_fields),
+                                               family))
+    init = LagrangeFields(np.array([0.23, 0.21]), np.array([0.05, -0.1]))
+    warm = gibbs_state(basis, family, init)
+    plain = maxent_fit(basis, family, targets, init=init)
+    assert plain.iterations >= 2
+    for seeded in (maxent_fit(basis, family, targets, init=warm),
+                   maxent_fit(basis, family, targets, init=warm, chi=family.chi(warm))):
+        assert np.array_equal(seeded.fields.beta, plain.fields.beta)
+        assert np.array_equal(seeded.fields.mu, plain.fields.mu)
+        assert seeded.iterations == plain.iterations
+        assert np.array_equal(seeded.residual_norms, plain.residual_norms)
+    with pytest.raises(ValueError, match="warm-start state"):
+        maxent_fit(basis, family, targets, init=init, chi=family.chi(warm))
 
 
 def test_maxent_free_gas_scalar_inversion():

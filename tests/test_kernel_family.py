@@ -115,6 +115,38 @@ def test_kernel_state_rejects_a_non_hermitian_kernel():
         gibbs_from_kernel(basis, k + 1e-6j * np.eye(3))
 
 
+def test_kernel_family_rejects_a_non_hermitian_kernel():
+    basis = build_basis(3, 2, Statistics.BOSE)
+    rng = np.random.default_rng(3)
+    kernels = np.array([random_kernel(rng, 3, "complex") for _ in range(3)])
+    kernels[1] = kernels[1] + 1e-6j * np.eye(3)
+    with pytest.raises(ValueError, match="constraint kernel 1 is not hermitian"):
+        CellKernels(basis, kernels)
+
+
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+def test_kernel_family_state_and_shared_rotation(statistics):
+    # a family state is gibbs_from_kernel's state of the combined kernel, bit
+    # for bit; values and chi read at alternating states, sharing one rotation
+    # per state, equal those of a fresh family
+    basis = build_basis(4, 3, statistics)
+    rng = np.random.default_rng(4)
+    kernels = np.array([random_kernel(rng, 4, "complex") for _ in range(4)])
+    family = CellKernels(basis, kernels)
+    ys = rng.standard_normal((2, 4))
+    states = [family.state(y) for y in ys]
+    for y, state in zip(ys, states):
+        want = gibbs_from_kernel(basis, np.tensordot(y, kernels, axes=1))
+        assert state.log_z == want.log_z
+        assert np.array_equal(state.probabilities, want.probabilities)
+        assert np.array_equal(state.spectrum.vectors, want.spectrum.vectors)
+    for state in states + states[::-1]:
+        values, chi = family.values(state), family.chi(state)
+        fresh = CellKernels(basis, kernels)
+        assert np.array_equal(values, fresh.values(state))
+        assert np.array_equal(chi, fresh.chi(state))
+
+
 GEOM = BoxGeometry((1.0,))
 ONE_FERMI = (Statistics.FERMI, (2,), "gaussian", 4, 0)
 

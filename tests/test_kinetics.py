@@ -1,9 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
+from sys import modules as loaded_modules
 
 import numpy as np
 import pytest
 
-from boxgas import fieldmodel, fock, generator, gibbs, kinetics
+from boxgas import cli, fieldmodel, fock, generator, gibbs, kinetics
+from boxgas.config import load_config
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -12,6 +16,7 @@ from boxgas.fieldmodel import (
     Contact,
     Gaussian,
     Zero,
+    box_modes,
     cell_overlaps,
     contact_tensor,
     free_hamiltonian,
@@ -56,10 +61,20 @@ from boxgas.kinetics import (
 )
 from boxgas.matrixutil import frob
 from boxgas.scattering import pair_basis, pair_energies
-from dense_oracles import split_blocks
+from dense_oracles import refit_integrate, split_blocks
 
+ROOT = Path(__file__).resolve().parents[1]
 GEOM = BoxGeometry((1.0,))
 UNIT = 0.5 * math.pi ** 2
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    loaded_modules.setdefault(spec.name, module)  # its dataclasses resolve through it
+    spec.loader.exec_module(module)  # stdlib imports only
+    return module.WORKLOADS
 
 
 def make_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
@@ -286,6 +301,85 @@ def test_two_cell_relaxation_canonical():
     assert np.max(traj.fit_residuals) <= 1e-8
     assert np.all(np.diff(traj.times) > 0.0)
     assert traj.times[-1] == pytest.approx(10.0 * dt)
+
+
+def config_run(path=None, overrides=()):
+    """The closure system, t_span and dt that `boxgas evolve` runs on a config."""
+    cfg = load_config(path, overrides)
+    ctx = cli._build_context(cfg)
+    sys = ClosureSystem(ctx.basis, ctx.modes, ctx.grid, cli._coefficients(ctx), ctx.fields)
+    dt = cfg["evolve"]["dt_factor"] * sys.tau0
+    return sys, cfg["evolve"]["steps"] * dt, dt
+
+
+@pytest.mark.parametrize("case", ["two_cell_relaxation", "relax_cells", "relax_dense"])
+def test_integrate_matches_every_stage_refit_exactly(case):
+    # the step-end fit meets the moments that the next step's first-stage
+    # re-fit would meet again, at iteration 0 on these configs: carrying it
+    # forward changes no bit of the trajectory table
+    if case == "two_cell_relaxation":
+        run = config_run(str(ROOT / "configs" / f"{case}.yaml"))
+    else:
+        run = config_run(overrides=load_workloads()[case].overrides)
+    header, got = trajectory_table(integrate(*run))
+    _, want = trajectory_table(refit_integrate(*run))
+    assert np.array_equal(np.array(got), np.array(want))
+
+
+def pair3d_two_cell_system():
+    geom = BoxGeometry((1.0, 1.07, 1.13))
+    modes = box_modes(geom, 6)
+    basis = build_basis(len(modes), 2, Statistics.BOSE)
+    coeffs = coefficients_from_potential(
+        modes, potential_tensor(modes, Gaussian(0.8, 0.25), geom, order=8),
+        Statistics.BOSE, eps=10.0, delta=2.0)
+    fields = LagrangeFields(np.array([0.22, 0.18]), np.zeros(2))
+    return ClosureSystem(basis, modes, CellGrid(geom, (2, 1, 1)), coeffs, fields)
+
+
+@pytest.mark.parametrize("case", ["fermi", "pair3d_two_cell"])
+def test_integrate_matches_every_stage_refit_within_bound(case):
+    # the bound is 1e-10 of each column's largest magnitude; fit_residual,
+    # the Newton residual at each step-end fit, is left out
+    if case == "fermi":
+        sys = make_system(numbers=(1, 2, 3, 4), statistics=Statistics.FERMI, g=1.0,
+                          sigma=0.25, delta=5.0, n_max=3)
+    else:
+        sys = pair3d_two_cell_system()
+    dt = 5.05 * sys.tau0
+    header, got = trajectory_table(integrate(sys, t_span=6.0 * dt, dt=dt))
+    _, want = trajectory_table(refit_integrate(sys, t_span=6.0 * dt, dt=dt))
+    got, want = np.array(got), np.array(want)
+    assert len(want) == 7
+    keep = [i for i, name in enumerate(header) if name != "fit_residual"]
+    assert np.max(np.abs(want[1:, keep] - want[0, keep])) > 0.0  # the run moves
+    scale = np.max(np.abs(want[:, keep]), axis=0)
+    assert np.all(np.abs(got[:, keep] - want[:, keep]) <= 1e-10 * scale)
+
+
+def test_each_accepted_step_makes_four_fits(monkeypatch):
+    sys = make_system()
+    dt = 20.2 * sys.tau0
+    fits, steps = [], []
+    real_fit, real_step = kinetics.maxent_fit, kinetics._rk4_step
+
+    def counted_fit(*args, **kwargs):
+        fits.append(kwargs["init"])
+        return real_fit(*args, **kwargs)
+
+    def flaky_step(sys_, start, moments, step):
+        steps.append(step)
+        if len(steps) == 2:
+            raise FitError("synthetic fit failure")
+        return real_step(sys_, start, moments, step)
+
+    monkeypatch.setattr(kinetics, "maxent_fit", counted_fit)
+    monkeypatch.setattr(kinetics, "_rk4_step", flaky_step)
+    traj = integrate(sys, t_span=4.0 * dt, dt=dt)
+    assert len(steps) == traj.n_steps + 1
+    assert len(fits) == 4 * traj.n_steps
+    # every fit is warm-started from a state, never from bare fields
+    assert all(isinstance(init, gibbs.GibbsState) for init in fits)
 
 
 def test_rk4_endpoint_convergence():
