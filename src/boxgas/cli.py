@@ -405,9 +405,11 @@ def _payload_evolve(cfg):
         "fit_residual_max": _max_check(residual_max, 1e-8),
     }
     if ecfg["assert_monotone"]:
-        worst_rise = float(np.max(np.diff(contrast))) if contrast.size > 1 else 0.0
-        checks["beta_contrast_monotone"] = _check(worst_rise, 0.0,
-                                                  worst_rise < 0.0)
+        # one cell has no contrast to decay: its contrast is 0 at every step
+        if sys_.n_cells > 1:
+            worst_rise = float(np.max(np.diff(contrast))) if contrast.size > 1 else 0.0
+            checks["beta_contrast_monotone"] = _check(worst_rise, 0.0,
+                                                      worst_rise < 0.0)
         entropy_dip = float(np.min(np.diff(traj.entropies)))
         checks["entropy_non_decreasing"] = _check(entropy_dip, -1e-9,
                                                   entropy_dip >= -1e-9)

@@ -231,6 +231,8 @@ def validate(cfg: dict) -> None:
         where = ".".join(str(p) for p in path) or "<root>"
         raise ConfigError(f"config key '{where}': {message}")
     dim = len(cfg["geometry"]["lengths"])
+    if dim not in (1, 3):
+        raise ConfigError(f"geometry.lengths has {dim} entries; the box must be 1D or 3D")
     for tup in cfg["modes"]["numbers"]:
         if len(tup) != dim:
             raise ConfigError(

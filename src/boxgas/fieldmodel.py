@@ -10,7 +10,6 @@ operators sum exactly to their global counterparts.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ from .matrixutil import BlockDiagonal
 # Units are fixed at hbar = m = 1; every formula reads these two constants.
 HBAR = 1.0
 MASS = 1.0
-# phase_space_op warns when less of the packet norm than this lies in the box
-PACKET_NORM_FLOOR = 0.99
 
 
 @dataclass(frozen=True)
@@ -449,10 +446,6 @@ def free_hamiltonian(basis: FockBasis, modes) -> BlockDiagonal:
     return one_body_operator(basis, np.diag(mode_energies(modes)))
 
 
-def total_mass_op(basis: FockBasis) -> BlockDiagonal:
-    return one_body_operator(basis, MASS * np.eye(basis.n_modes))
-
-
 def cell_kernels(modes, grid: CellGrid, cell: int):
     """One-body kernels (kinetic energy, mass) of one cell, over the mode pairs (h, k).
 
@@ -495,51 +488,6 @@ def energy_density_op(
     out = one_body_operator(basis, kernel)
     tensor = _pair_tensor(modes, potential, geom, grid, cell, order)
     return out + two_body_operator(basis, tensor) if tensor.any() else out
-
-
-def phase_space_op(
-    basis: FockBasis,
-    modes,
-    geom: BoxGeometry,
-    x,
-    p,
-    sigma: float,
-    order: int = 48,
-) -> BlockDiagonal:
-    """Husimi-style phase-space density at (x, p), smeared at width sigma.
-
-    Built from a Gaussian packet truncated to the box and renormalized;
-    positive semidefinite by construction.  Warns when the truncation
-    removes more than 1 - PACKET_NORM_FLOOR of the packet mass.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    d = geom.dimension
-    if x.shape != (d,) or p.shape != (d,):
-        raise ValueError("x and p must match the geometry dimension")
-    numbers = mode_numbers(modes)
-    coeff = np.ones(len(modes), dtype=complex)
-    mass_inside = 1.0
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    for ax in range(d):
-        nodes, wts = _gauss_panels(np.array([0.0, geom.lengths[ax]]), base_x, base_w)
-        packet = (np.pi * sigma ** 2) ** -0.25 * np.exp(
-            -((nodes - x[ax]) ** 2) / (2.0 * sigma ** 2) + 1j * p[ax] * nodes / HBAR
-        )
-        mass_inside *= float(np.sum(wts * np.abs(packet) ** 2))
-        u_vals = _axis_mode_values(numbers[:, ax], nodes, geom.lengths[ax])
-        coeff *= u_vals @ (wts * packet)
-    if mass_inside < PACKET_NORM_FLOOR:
-        warnings.warn(
-            f"packet mass inside the box is {mass_inside:.4f}; "
-            f"deficit {1.0 - mass_inside:.3e}",
-            stacklevel=2,
-        )
-    coeff = coeff / np.sqrt(mass_inside)
-    kernel = (MASS / (2.0 * np.pi * HBAR) ** d) * np.outer(coeff, coeff.conj())
-    return one_body_operator(basis, kernel)
 
 
 def quadrature_gram_defect(modes, geom: BoxGeometry, order: int = 8) -> float:

@@ -17,10 +17,9 @@ from math import comb
 
 import numpy as np
 
-from .matrixutil import BlockDiagonal, dagger_sum
+from .matrixutil import HERMITICITY_TOL, BlockDiagonal, dagger_sum, hermiticity_defect
 
 DIM_CAP = 200_000
-HERM_TOL = 1e-12
 
 
 class Statistics(Enum):
@@ -180,28 +179,9 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
                      states=states[order])
 
 
-def annihilation_op(basis: FockBasis, mode: int) -> np.ndarray:
-    """Matrix of the annihilator for one mode.
-
-    Bose amplitude sqrt(n); Fermi amplitude carries the Jordan-Wigner sign
-    (-1)**(number of occupied modes before this one).
-    """
-    if not 0 <= mode < basis.n_modes:
-        raise ValueError(f"mode {mode} outside 0..{basis.n_modes - 1}")
-    return basis.ladders[mode].copy()
-
-
-def creation_op(basis: FockBasis, mode: int) -> np.ndarray:
-    return annihilation_op(basis, mode).conj().T
-
-
 def ladder_ops(basis: FockBasis) -> np.ndarray:
     """All annihilators stacked as an (n_modes, dim, dim) array, built once per basis."""
     return basis.ladders
-
-
-def number_op(basis: FockBasis) -> np.ndarray:
-    return np.diag(basis.totals().astype(float)).astype(complex)
 
 
 def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:
@@ -232,11 +212,13 @@ def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> BlockDiagonal:
     f = basis.n_modes
     if tensor.shape != (f, f, f, f):
         raise ValueError(f"tensor shape {tensor.shape} does not match mode count {f}")
-    defect = np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0)))
-    if defect > HERM_TOL:
-        raise ValueError(f"two-body tensor fails hermiticity: {defect:.3e} > {HERM_TOL:.1e}")
-    # rows indexed (l2, l1) to line up with the creation pair P[l2, l1]^dagger
+    # rows indexed (l2, l1) to line up with the creation pair P[l2, l1]^dagger;
+    # the tensor's symmetry makes this matrix hermitian
     weights = tensor.transpose(1, 0, 2, 3).reshape(f * f, f * f)
+    defect = hermiticity_defect(weights)
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"two-body tensor fails hermiticity: {defect:.3e} > {HERMITICITY_TOL:.1e}")
     blocks = []
     for pairs in basis.pair_blocks:
         flat = pairs.reshape(f * f, -1)

@@ -162,11 +162,6 @@ class Lprime:
         stream, loss, gain = self.parts(kernel)
         return stream + loss + gain
 
-    def apply_bilinear(self, h: int, k: int) -> BlockDiagonal:
-        unit = np.zeros((self.basis.n_modes,) * 2)
-        unit[h, k] = 1.0
-        return self.apply(unit)
-
     def images(self, kernels) -> BlockDiagonal:
         """Images of a list of kernels, stacked in order."""
         return BlockDiagonal.stack(self.apply(kernel) for kernel in kernels)

@@ -25,7 +25,7 @@ from .fieldmodel import (
     mass_density_op,
 )
 from .fock import FockBasis, Statistics
-from .matrixutil import BlockDiagonal, frob, require_hermitian, trace_product
+from .matrixutil import BlockDiagonal, require_hermitian
 
 FIT_TOL = 1e-8
 MAX_ITER = 200
@@ -60,10 +60,6 @@ class LagrangeFields:
     @property
     def n_cells(self) -> int:
         return self.beta.size
-
-
-def uniform_fields(n_cells: int, beta: float, mu: float) -> LagrangeFields:
-    return LagrangeFields(beta=np.full(n_cells, float(beta)), mu=np.full(n_cells, float(mu)))
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ class CellKernels:
     `kernels[i]` is the n x n kernel of constraint i, stacked like
     `CellObservables.blocks`, so every exponent is K = dGamma(k) with
     k = sum_i y_i kernels[i], and each state comes from one eigendecomposition
-    k = U diag(eps) U^dagger (`gibbs_from_kernel`).  With s the occupation
+    k = U diag(eps) U^dagger (`_kernel_gibbs`).  With s the occupation
     rows of the basis, p their probabilities, nbar = p s and a_i =
     U^dagger kernels[i] U, constraint i has the value sum_j a_i[j, j] nbar[j];
     `chi` reads the susceptibility off nbar and C = s^T diag(p) s, which the
@@ -337,10 +333,9 @@ class GibbsState:
     `SectorSpectrum`, `probabilities[s]` and `vector_blocks[i]` are the
     eigenpairs of K on the block `s = spectrum.slices[i]`, grouped by block;
     `weight_blocks` holds the weight over the same blocks, and the dense
-    `weight`, `k_matrix` and `vectors` are assembled from the blocks on first
-    use.  A `ModeSpectrum` state holds no Fock-space matrix: `probabilities`
-    follow its occupation rows, and it is read through the mode occupations
-    and their correlations.
+    `weight` is assembled from the blocks on first use.  A `ModeSpectrum`
+    state holds no Fock-space matrix: `probabilities` follow its occupation
+    rows, and it is read through the mode occupations and their correlations.
     """
 
     fields: LagrangeFields | None
@@ -374,14 +369,6 @@ class GibbsState:
     def weight(self) -> np.ndarray:
         return self.weight_blocks.dense()
 
-    @cached_property
-    def k_matrix(self) -> np.ndarray:
-        return self.spectrum.exponent.dense()
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return BlockDiagonal(self.spectrum.slices, self.vector_blocks).dense()
-
 
 def _boltzmann(levels: np.ndarray, fields: LagrangeFields | None, spectrum) -> GibbsState:
     """Probabilities exp(-level)/Z, shifted by the lowest level against overflow;
@@ -392,16 +379,12 @@ def _boltzmann(levels: np.ndarray, fields: LagrangeFields | None, spectrum) -> G
     return GibbsState(fields, float(np.log(total) - low), shifted / total, spectrum)
 
 
-def gibbs_from_operator(k, fields: LagrangeFields | None = None) -> GibbsState:
+def gibbs_from_operator(k: BlockDiagonal, fields: LagrangeFields | None = None) -> GibbsState:
     """exp(-k)/Z by spectral calculus per block, shift-guarded against overflow.
 
-    `k` is a hermitian BlockDiagonal over number sectors or, as its one-block
-    case, a dense hermitian matrix.  Probabilities are normalised over all
-    blocks.
+    `k` is a hermitian BlockDiagonal over number sectors.  Probabilities are
+    normalised over all blocks.
     """
-    if not isinstance(k, BlockDiagonal):
-        k = np.asarray(k)
-        k = BlockDiagonal((slice(0, k.shape[0]),), (k,))
     for block in k.blocks:
         require_hermitian(block, name="exponent")
     return _sector_gibbs(k, fields)
@@ -413,24 +396,13 @@ def _sector_gibbs(k: BlockDiagonal, fields: LagrangeFields | None = None) -> Gib
                       SectorSpectrum(k, tuple(v for _, v in pairs)))
 
 
-def gibbs_from_kernel(basis: FockBasis, k: np.ndarray,
-                      fields: LagrangeFields | None = None) -> GibbsState:
+def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None) -> GibbsState:
     """exp(-dGamma(k))/Z from one eigendecomposition k = U diag(eps) U^dagger.
 
     The basis truncates only the total number, so the mode rotation Gamma(U)
     maps it onto itself: row m of `basis.states` stands for an eigenvector of
-    dGamma(k) with eigenvalue states[m] . eps.  ln Z and the probabilities
-    come from these levels as in `gibbs_from_operator`.
+    dGamma(k) with eigenvalue states[m] . eps.
     """
-    k = np.asarray(k)
-    f = basis.n_modes
-    if k.shape != (f, f):
-        raise ValueError(f"kernel shape {k.shape} does not match mode count {f}")
-    require_hermitian(k, name="exponent kernel")
-    return _kernel_gibbs(basis, k, fields)
-
-
-def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None) -> GibbsState:
     energies, vectors = np.linalg.eigh(k)
     return _boltzmann(basis.occupations @ energies, fields,
                       ModeSpectrum(basis, energies, vectors))
@@ -458,10 +430,9 @@ def real_values(values, name: str = "expectation") -> np.ndarray:
     return values.real
 
 
-def expectation(state: GibbsState, op) -> float:
-    """Tr(w A) for hermitian A, in blocks or dense; rejects a non-real trace."""
-    return float(real_values(op.trace_with(state.weight_blocks) if isinstance(op, BlockDiagonal)
-                             else trace_product(state.weight, op)))
+def expectation(state: GibbsState, op: BlockDiagonal) -> float:
+    """Tr(w A) for hermitian A in the state's blocks; rejects a non-real trace."""
+    return float(real_values(op.trace_with(state.weight_blocks)))
 
 
 def constraint_values(state: GibbsState, obs: ConstraintFamily):
@@ -470,16 +441,9 @@ def constraint_values(state: GibbsState, obs: ConstraintFamily):
     return values[:obs.n_cells], values[obs.n_cells:]
 
 
-def entropy(state) -> float:
-    """Spectral von Neumann entropy with 0 log 0 = 0; k = 1 internally."""
-    if isinstance(state, GibbsState):
-        probs = state.probabilities
-    else:
-        weight = np.asarray(state)
-        probs = np.linalg.eigvalsh(weight)
-    if np.min(probs) < -1e-10:
-        raise ValueError(f"weight has negative eigenvalue {np.min(probs):.3e}")
-    probs = np.clip(probs, 0.0, None)
+def entropy(state: GibbsState) -> float:
+    """Von Neumann entropy -sum p ln p of a Gibbs state, with 0 ln 0 = 0; k = 1 internally."""
+    probs = state.probabilities
     positive = probs[probs > 0.0]
     return float(-np.sum(positive * np.log(positive)))
 
@@ -494,16 +458,6 @@ def _km_kernel(probs: np.ndarray) -> np.ndarray:
     small = np.abs(den) < 2e-6
     series = geo * (1.0 + (den * den) / 24.0)
     return np.where(small, series, num / np.where(small, 1.0, den))
-
-
-def kubo_mori_susceptibility(state: GibbsState, a: np.ndarray, b: np.ndarray) -> float:
-    """Exact derivative metric: chi(A, B) = d<A>/d(-lambda_B) on exp(-K) states."""
-    at = state.vectors.conj().T @ a @ state.vectors
-    bt = state.vectors.conj().T @ b @ state.vectors
-    kernel = _km_kernel(state.probabilities)
-    corr = np.einsum("ab,ab,ba->", kernel, at, bt)
-    means = trace_product(state.weight, a) * trace_product(state.weight, b)
-    return float((corr - means).real)
 
 
 def chi_matrix(state: GibbsState, ops: BlockDiagonal) -> np.ndarray:
@@ -643,22 +597,3 @@ def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
                                               tol, max_iter, warm, chi)
     fields = multipliers_to_fields(y)
     return FitResult(fields, replace(state, fields=fields), iterations, trace)
-
-
-def constrained_perturbation(state: GibbsState, ops: BlockDiagonal, rng,
-                             scale: float = 1e-5) -> np.ndarray:
-    """Random exponent perturbation projected to preserve <ops> to first order.
-
-    The perturbation mixes number sectors, so the result is a dense weight.
-    """
-    dim = state.weight.shape[0]
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = 0.5 * (raw + raw.conj().T)
-    h /= frob(h)
-    chi = chi_matrix(state, ops)
-    dense = ops.dense()
-    coupling = np.array([kubo_mori_susceptibility(state, op, h) for op in dense])
-    coeff, *_ = np.linalg.lstsq(chi, coupling, rcond=None)
-    delta = h - np.einsum("i,iab->ab", coeff, dense)
-    perturbed = gibbs_from_operator(state.k_matrix + scale * delta)
-    return perturbed.weight

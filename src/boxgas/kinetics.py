@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, one_body_operator
+from .fock import FockBasis
 from .gibbs import (
     ConstraintSet,
     FitError,
@@ -27,13 +27,10 @@ from .gibbs import (
     cell_kernel_family,
     entropy,
     fields_to_multipliers,
-    gibbs_from_operator,
     gibbs_state,
     maxent_fit,
-    real_values,
 )
-from .generator import GeneratorCoefficients, Lprime, reduced_images
-from .matrixutil import BlockDiagonal
+from .generator import GeneratorCoefficients, reduced_images
 from .scattering import collision_time_estimate
 
 SINGULAR_RATIO = 1e-13
@@ -258,41 +255,3 @@ def trajectory_table(traj: StateTrajectory):
                     float(traj.conditions[i]), float(traj.fit_residuals[i])])
         rows.append(row)
     return header, rows
-
-
-@dataclass(frozen=True)
-class GainLossReport:
-    labels: tuple
-    streaming: np.ndarray
-    loss: np.ndarray
-    gain: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.streaming + self.loss + self.gain
-
-
-def gain_loss_report(sys: ClosureSystem, weight: BlockDiagonal | None = None,
-                     kernels=None, labels=None) -> GainLossReport:
-    """Split the rates of one-body kernels (default: the moment set) into
-    streaming, loss, and gain contributions, read against any weight over the
-    number sectors (default: the state of `sys.fields`).
-
-    This is the Fock-space cross-check of the kernel rates of `closure_rhs`:
-    it builds `Lprime` on the system's basis, and its default weight from the
-    sector blocks of the exponent.
-    """
-    if weight is None:
-        k = np.tensordot(fields_to_multipliers(sys.fields), sys.kernels, axes=1)
-        weight = gibbs_from_operator(one_body_operator(sys.basis, k)).weight_blocks
-    if kernels is None:
-        kernels = sys.kernels
-        labels = sys.labels
-    elif labels is None:
-        labels = tuple(f"observable[{i}]" for i in range(len(kernels)))
-    lp = Lprime(sys.basis, sys.coeffs)
-    parts = zip(*(lp.parts(kernel) for kernel in kernels))
-    streaming, loss, gain = (real_values(BlockDiagonal.stack(images).trace_with(weight),
-                                         f"{key} rate")
-                             for key, images in zip(("streaming", "loss", "gain"), parts))
-    return GainLossReport(tuple(labels), streaming, loss, gain)

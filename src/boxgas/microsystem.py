@@ -56,11 +56,6 @@ def charge_op(mset: MicroModeSet, macro_dim: int) -> np.ndarray:
     return total
 
 
-def lift_macro(op: np.ndarray, mset: MicroModeSet) -> np.ndarray:
-    """Gas-space operator acting as identity on the tracked particle."""
-    return np.kron(np.asarray(op), np.eye(mset.micro_dim))
-
-
 def micro_vacuum_weight(macro_weight: np.ndarray, mset: MicroModeSet) -> np.ndarray:
     """Place a gas weight on the joint space with the tracked mode empty."""
     proj = np.zeros((mset.micro_dim, mset.micro_dim))

@@ -1,29 +1,24 @@
-"""Heisenberg evolution, superoperator resolvents, and the two-body T-matrix.
+"""Heisenberg evolution, the two-body T-matrix, and the coarse-grained window.
 
-The resolvent and the scattering map act on operators through the exact
-eigendecomposition of the Hamiltonian, so identities that are usually
+Heisenberg evolution and the pair T matrix both act through the exact
+eigendecomposition of a Hamiltonian, so identities that are usually
 asymptotic statements become finite-dimensional linear algebra here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fieldmodel import HBAR, mode_energies
-from .fock import Statistics, annihilation_op
+from .fock import Statistics
 from .matrixutil import require_hermitian
 
 RECONSTRUCT_TOL = 1e-10
-SINGULAR_GAP = 1e-12
 WINDOW_FACTOR = 5.0
 WINDOW_CAP = 50.0
 WINDOW_SAMPLES = 5
-
-
-class SingularQuery(ValueError):
-    """Resolvent evaluated within SINGULAR_GAP of a generator eigenvalue."""
 
 
 class WindowError(ValueError):
@@ -63,28 +58,6 @@ def heisenberg_evolve(
     x_tilde = q.conj().T @ x @ q
     phase = np.exp(1j * dec.energies * t / HBAR)
     return q @ (np.outer(phase, phase.conj()) * x_tilde) @ q.conj().T
-
-
-def resolvent_apply(h: np.ndarray, z: complex, x: np.ndarray) -> np.ndarray:
-    """Solve (z - (i/hbar)[H, .]) Y = X spectrally."""
-    dec = spectral_decomposition(h)
-    q = dec.vectors
-    x_tilde = q.conj().T @ x @ q
-    freq = 1j * (dec.energies[:, None] - dec.energies[None, :]) / HBAR
-    denom = z - freq
-    gap = float(np.min(np.abs(denom)))
-    if gap <= SINGULAR_GAP:
-        raise SingularQuery(
-            f"z = {z} lies within {gap:.3e} of a generator eigenvalue"
-        )
-    return q @ (x_tilde / denom) @ q.conj().T
-
-
-def scattering_map_apply(h0: np.ndarray, v: np.ndarray, z: complex, x: np.ndarray) -> np.ndarray:
-    """T(z) X = V' X + V' (z - H')^{-1} V' X with V' = (i/hbar)[V, .]."""
-    vx = (1j / HBAR) * (v @ x - x @ v)
-    inner = resolvent_apply(h0 + v, z, vx)
-    return vx + (1j / HBAR) * (v @ inner - inner @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +118,6 @@ def tensor_from_pair_matrix(m: np.ndarray, pairs, statistics: Statistics, n_mode
     return tensor
 
 
-@dataclass(frozen=True)
-class TwoBodyTMatrix:
-    pairs: tuple
-    energies: np.ndarray
-    z: complex
-    matrix: np.ndarray
-    v_pair: np.ndarray = field(repr=False)
-
-
 COND_CAP = 1e10
 
 
@@ -179,18 +143,6 @@ def _spectral_tmatrix(v_pair: np.ndarray, energies: np.ndarray, zs) -> list[np.n
             )
         out.append(v_pair + vu @ (uv / gap))
     return out
-
-
-def two_body_tmatrix(modes, vtensor, statistics: Statistics, z: complex) -> TwoBodyTMatrix:
-    """T(z) = V + V (z - H_pair)^{-1} V on the pair basis, the Lippmann-Schwinger
-    solution T = V + V G0(z) T."""
-    if np.imag(z) <= 0:
-        raise ValueError("z must lie in the upper half plane")
-    pairs = pair_basis(len(modes), statistics)
-    energies = pair_energies(modes, pairs)
-    v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
-    (t,) = _spectral_tmatrix(v_pair, energies, [z])
-    return TwoBodyTMatrix(tuple(pairs), energies, z, t, v_pair)
 
 
 def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float) -> np.ndarray:
@@ -269,7 +221,7 @@ def coarse_grained_check(
 
     delta(t) = ||U'(t)X - X - t L'(X)||_F / ||t L'(X)||_F for each window time.
     """
-    x = annihilation_op(basis, h).conj().T @ annihilation_op(basis, k)
+    x = basis.ladders[h].conj().T @ basis.ladders[k]
     h_full = h0 + v_op
     dec = spectral_decomposition(h_full)
     scale = np.linalg.norm(lprime_image)

@@ -12,6 +12,16 @@ dense operator into sector blocks and rejects any entry outside them.
 list of grid points, with |x - y| from a point-pair difference array.
 `refit_integrate` is the closure's RK4 with every stage re-fitted from the
 fields of the fit before it, the first stage of each step included.
+
+The Gibbs layer takes operators in number-sector blocks only; `one_block`
+wraps a dense matrix as a `BlockDiagonal` of one block, so a dense exponent
+or observable goes through the same routines, and `dense_vectors` joins the
+eigenvector blocks of a sector-path state into one matrix.  `weight_entropy`
+is the von Neumann entropy of a dense weight from its spectrum,
+`kubo_mori_susceptibility` the Kubo-Mori pairing of two dense operators at a
+Gibbs state, and `constrained_perturbation` a random dense weight near a
+Gibbs state that keeps its constraint values to first order: the
+perturbations against which the maximum-entropy state is tested.
 """
 from math import factorial, prod, sqrt
 
@@ -20,9 +30,17 @@ import numpy as np
 from boxgas import fieldmodel
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import Statistics
-from boxgas.gibbs import ConstraintSet, entropy, fields_to_multipliers, maxent_fit
+from boxgas.gibbs import (
+    ConstraintSet,
+    _km_kernel,
+    chi_matrix,
+    entropy,
+    fields_to_multipliers,
+    gibbs_from_operator,
+    maxent_fit,
+)
 from boxgas.kinetics import StateTrajectory, closure_rhs
-from boxgas.matrixutil import BlockDiagonal
+from boxgas.matrixutil import BlockDiagonal, frob, trace_product
 
 
 def split_blocks(ops, slices, names):
@@ -43,6 +61,56 @@ def split_blocks(ops, slices, names):
         raise ValueError(f"{names[i]} has entries outside its number sectors "
                          f"(max |off-sector| = {leak[i]:.3e})")
     return BlockDiagonal(tuple(slices), tuple(ops[..., s, s].copy() for s in slices))
+
+
+def one_block(matrix):
+    """A dense matrix as a `BlockDiagonal` of one block."""
+    matrix = np.asarray(matrix)
+    return BlockDiagonal((slice(0, matrix.shape[-1]),), (matrix,))
+
+
+def dense_vectors(state):
+    """The eigenvectors of a sector-path Gibbs state as one dense matrix."""
+    return BlockDiagonal(state.spectrum.slices, state.vector_blocks).dense()
+
+
+def weight_entropy(weight):
+    """Spectral von Neumann entropy of a dense weight, with 0 log 0 = 0."""
+    probs = np.linalg.eigvalsh(np.asarray(weight))
+    if np.min(probs) < -1e-10:
+        raise ValueError(f"weight has negative eigenvalue {np.min(probs):.3e}")
+    probs = np.clip(probs, 0.0, None)
+    positive = probs[probs > 0.0]
+    return float(-np.sum(positive * np.log(positive)))
+
+
+def kubo_mori_susceptibility(state, a, b):
+    """Exact derivative metric: chi(A, B) = d<A>/d(-lambda_B) on exp(-K) states."""
+    vectors = dense_vectors(state)
+    at = vectors.conj().T @ a @ vectors
+    bt = vectors.conj().T @ b @ vectors
+    kernel = _km_kernel(state.probabilities)
+    corr = np.einsum("ab,ab,ba->", kernel, at, bt)
+    means = trace_product(state.weight, a) * trace_product(state.weight, b)
+    return float((corr - means).real)
+
+
+def constrained_perturbation(state, ops, rng, scale=1e-5):
+    """Random exponent perturbation projected to preserve <ops> to first order.
+
+    The perturbation mixes number sectors, so the result is a dense weight.
+    """
+    dim = state.weight.shape[0]
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = 0.5 * (raw + raw.conj().T)
+    h /= frob(h)
+    chi = chi_matrix(state, ops)
+    dense = ops.dense()
+    coupling = np.array([kubo_mori_susceptibility(state, op, h) for op in dense])
+    coeff, *_ = np.linalg.lstsq(chi, coupling, rcond=None)
+    delta = h - np.einsum("i,iab->ab", coeff, dense)
+    perturbed = gibbs_from_operator(one_block(state.spectrum.exponent.dense() + scale * delta))
+    return perturbed.weight
 
 
 def loop_annihilation_op(basis, mode):
@@ -140,7 +208,7 @@ def dense_mode_rotation(basis, u):
 
 
 def mode_weight(state):
-    """Gamma(U) diag(p) Gamma(U)†: the dense weight of a `gibbs_from_kernel` state."""
+    """Gamma(U) diag(p) Gamma(U)†: the dense weight of a mode-space Gibbs state."""
     gamma = dense_mode_rotation(state.spectrum.basis, state.spectrum.vectors)
     return (gamma * state.probabilities) @ gamma.conj().T
 

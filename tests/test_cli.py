@@ -331,6 +331,19 @@ def test_evolve_on_maxent_roundtrip_fails_contrast_check(tmp_path):
     assert failed == ["beta_contrast_monotone"]
 
 
+@pytest.mark.parametrize("cells, beta, mu", [(1, "[0.2]", "[0.0]"),
+                                             (2, "[0.22, 0.18]", "[0.0, 0.0]")])
+def test_evolve_checks_contrast_only_between_cells(tmp_path, cells, beta, mu):
+    # one cell has no beta contrast to decay: it is 0 at every step
+    result = run_cli(["evolve", "--out", str(tmp_path), "--quiet",
+                      "--set", f"grid.cells=[{cells}]", "--set", f"fields.beta={beta}",
+                      "--set", f"fields.mu={mu}"])
+    assert result.exit_code == 0
+    checks = read_report(tmp_path)["checks"]
+    assert ("beta_contrast_monotone" in checks) == (cells > 1)
+    assert checks["entropy_non_decreasing"]["passed"]
+
+
 def test_evolve_free_gas_requires_explicit_dt(tmp_path):
     result = run_cli(["evolve", "--config", str(CONFIGS / "free_gas.yaml"),
                       "--out", str(tmp_path), "--quiet",
@@ -370,6 +383,16 @@ def test_contact_in_3d_box_exits_two(tmp_path):
                       "--set", "fields.beta=[0.2]", "--set", "fields.mu=[0.0]"])
     assert result.exit_code == 2
     assert "contact' is 1D only" in result.output
+
+
+@pytest.mark.parametrize("command", ["modes", "build"])
+@pytest.mark.parametrize("axes", [2, 4])
+def test_box_of_neither_one_nor_three_axes_exits_two(tmp_path, command, axes):
+    lengths = "[" + ", ".join(["1.0"] * axes) + "]"
+    result = run_cli([command, "--out", str(tmp_path), "--quiet",
+                      "--set", f"geometry.lengths={lengths}", "--set", "potential.kind=gaussian"])
+    assert result.exit_code == 2
+    assert f"geometry.lengths has {axes} entries; the box must be 1D or 3D" in result.output
 
 
 def test_fermi_n_max_above_mode_count_exits_two(tmp_path):

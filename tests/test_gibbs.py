@@ -20,7 +20,6 @@ from boxgas.fieldmodel import (
     mass_density_op,
     modes_from_numbers,
     momentum_density_op,
-    total_mass_op,
     whole_box_grid,
 )
 from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
@@ -34,19 +33,23 @@ from boxgas.gibbs import (
     cell_kernel_family,
     cell_observables,
     chi_matrix,
-    constrained_perturbation,
     constraint_values,
     entropy,
     expectation,
     gibbs_from_operator,
     gibbs_state,
-    kubo_mori_susceptibility,
     maxent_fit,
     targets_vector,
-    uniform_fields,
 )
 from boxgas.matrixutil import BlockDiagonal, frob
-from dense_oracles import split_blocks
+from dense_oracles import (
+    constrained_perturbation,
+    dense_vectors,
+    kubo_mori_susceptibility,
+    one_block,
+    split_blocks,
+    weight_entropy,
+)
 
 GEOM = BoxGeometry((1.0,))
 UNIT = 0.5 * math.pi ** 2  # lowest box level for L = m = hbar = 1
@@ -60,6 +63,10 @@ def make_system(numbers=(1, 2, 3), n_max=2, cells=1, potential=None,
     grid = whole_box_grid(GEOM) if cells == 1 else CellGrid(GEOM, (cells,))
     obs = cell_observables(basis, modes, grid, potential, GEOM)
     return modes, basis, grid, obs
+
+
+def uniform_fields(n_cells, beta, mu):
+    return LagrangeFields(beta=np.full(n_cells, float(beta)), mu=np.full(n_cells, float(mu)))
 
 
 def random_hermitian(rng, dim):
@@ -113,7 +120,8 @@ def test_boosted_operators_match_field_builders():
     fields = LagrangeFields(np.array([0.7, 1.2]), np.array([0.1, -0.2]))
     want = sum(fields.beta[c] * direct[c] - fields.beta[c] * fields.mu[c] * direct[2 + c]
                for c in range(2))
-    assert frob(gibbs_state(basis, obs, fields).k_matrix - want) <= 1e-13 * scale
+    k = gibbs_state(basis, obs, fields).spectrum.exponent.dense()
+    assert frob(k - want) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +132,12 @@ def test_weight_invariants_and_commutation():
     _, basis, _, obs = make_system(potential=Contact(0.7))
     fields = uniform_fields(1, beta=0.8, mu=0.1)
     state = gibbs_state(basis, obs, fields)
-    w = state.weight
+    w, k = state.weight, state.spectrum.exponent.dense()
     assert abs(np.trace(w).real - 1.0) <= 1e-12
     assert frob(w - w.conj().T) <= 1e-12 * frob(w)
     assert np.min(np.linalg.eigvalsh(w)) >= -1e-14
-    scale = frob(state.k_matrix) * frob(w) + 1e-300
-    assert frob(state.k_matrix @ w - w @ state.k_matrix) <= 1e-12 * scale
+    scale = frob(k) * frob(w) + 1e-300
+    assert frob(k @ w - w @ k) <= 1e-12 * scale
 
 
 def test_infinite_temperature_limit():
@@ -146,10 +154,10 @@ def test_free_gas_matches_diagonal_oracle(statistics):
     state = gibbs_state(basis, obs, uniform_fields(1, beta, mu))
     probs, energies = diagonal_oracle(basis, beta, mu)
     for f in range(3):
-        op = np.diag(basis.states[:, f].astype(complex))
+        op = split_blocks(np.diag(basis.states[:, f].astype(complex)), basis.sectors, ["n_f"])
         want = float(probs @ basis.states[:, f])
         assert abs(expectation(state, op) - want) <= 1e-12 * (1.0 + abs(want))
-    e_op = np.diag((basis.states @ energies).astype(complex))
+    e_op = split_blocks(np.diag((basis.states @ energies).astype(complex)), basis.sectors, ["E"])
     assert abs(expectation(state, e_op) - float(probs @ (basis.states @ energies))) <= 1e-10
 
 
@@ -169,21 +177,24 @@ def test_state_basis_mismatch_errors():
 
 def test_expectation_reality_guard():
     _, basis, _, obs = make_system()
-    state = gibbs_state(basis, obs, uniform_fields(1, 0.5, 0.0))
+    # one block over the whole space, so a dense operator pairs with the state
+    k = gibbs_state(basis, obs, uniform_fields(1, 0.5, 0.0)).spectrum.exponent.dense()
+    state = gibbs_from_operator(one_block(k))
     rng = np.random.default_rng(0)
     h = random_hermitian(rng, basis.dim)
-    val = expectation(state, h)
+    val = expectation(state, one_block(h))
     assert isinstance(val, float)
     skew = 1j * h  # anti-hermitian argument must be rejected
     with pytest.raises(ValueError, match="imaginary"):
-        expectation(state, skew + np.eye(basis.dim))
+        expectation(state, one_block(skew + np.eye(basis.dim)))
 
 
 def test_mass_on_maximally_mixed():
     _, basis, _, obs = make_system()
-    state = gibbs_from_operator(np.zeros((basis.dim, basis.dim)))
+    state = gibbs_from_operator(one_block(np.zeros((basis.dim, basis.dim))))
     want = MASS * basis.totals().mean()
-    assert abs(expectation(state, total_mass_op(basis).dense()) - want) <= 1e-12 * (1 + want)
+    mass = one_body_operator(basis, MASS * np.eye(basis.n_modes)).dense()
+    assert abs(expectation(state, one_block(mass)) - want) <= 1e-12 * (1 + want)
 
 
 def test_momentum_vanishes_at_zero_velocity():
@@ -209,27 +220,27 @@ def test_momentum_vanishes_at_zero_velocity():
 
 def test_entropy_limits_and_blocks():
     dim = 4
-    assert abs(entropy(np.eye(dim) / dim) - math.log(dim)) <= 1e-12
+    assert abs(weight_entropy(np.eye(dim) / dim) - math.log(dim)) <= 1e-12
     pure = np.zeros((dim, dim))
     pure[0, 0] = 1.0
-    assert abs(entropy(pure)) <= 1e-12
+    assert abs(weight_entropy(pure)) <= 1e-12
     rng = np.random.default_rng(5)
     blocks = []
     for d in (2, 3):
         h = random_hermitian(rng, d)
-        w = gibbs_from_operator(h).weight
+        w = gibbs_from_operator(one_block(h)).weight
         blocks.append(w)
     joint = np.kron(blocks[0], blocks[1])
-    want = entropy(blocks[0]) + entropy(blocks[1])
-    assert abs(entropy(joint) - want) <= 1e-12 * (1.0 + want)
+    want = weight_entropy(blocks[0]) + weight_entropy(blocks[1])
+    assert abs(weight_entropy(joint) - want) <= 1e-12 * (1.0 + want)
     with pytest.raises(ValueError, match="negative"):
-        entropy(np.diag([1.1, -0.1]))
+        weight_entropy(np.diag([1.1, -0.1]))
 
 
 def test_entropy_of_gibbs_state_object():
     _, basis, _, obs = make_system()
     state = gibbs_state(basis, obs, uniform_fields(1, 0.7, 0.0))
-    assert abs(entropy(state) - entropy(state.weight)) <= 1e-10
+    assert abs(entropy(state) - weight_entropy(state.weight)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +270,9 @@ def test_chi_matches_finite_difference():
     b = random_hermitian(rng, basis.dim)
     chi = kubo_mori_susceptibility(state, a, b)
     h = 1e-4
-    up = expectation(gibbs_from_operator(state.k_matrix + h * b), a)
-    dn = expectation(gibbs_from_operator(state.k_matrix - h * b), a)
+    k = state.spectrum.exponent.dense()
+    up = expectation(gibbs_from_operator(one_block(k + h * b)), one_block(a))
+    dn = expectation(gibbs_from_operator(one_block(k - h * b)), one_block(a))
     deriv = (up - dn) / (2.0 * h)
     assert abs(deriv + chi) <= 1e-6 * (1.0 + abs(chi))
 
@@ -272,11 +284,12 @@ def test_chi_matches_integral_definition():
     raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     u, _ = np.linalg.qr(raw)
     k = (u * evals) @ u.conj().T
-    state = gibbs_from_operator(k)
+    state = gibbs_from_operator(one_block(k))
     a = random_hermitian(rng, 5)
     b = random_hermitian(rng, 5)
-    at = state.vectors.conj().T @ a @ state.vectors
-    bt = state.vectors.conj().T @ b @ state.vectors
+    vectors = dense_vectors(state)
+    at = vectors.conj().T @ a @ vectors
+    bt = vectors.conj().T @ b @ vectors
     nodes, wts = leggauss(64)
     s = 0.5 * (nodes + 1.0)
     p = state.probabilities
@@ -423,7 +436,7 @@ def test_maximality_against_constrained_perturbations():
         w_prime = constrained_perturbation(state, obs.blocks, rng, scale=1e-5)
         values = np.array([float(np.trace(w_prime @ op).real) for op in ops])
         assert np.max(np.abs(values - t_vec) / np.maximum(1.0, np.abs(t_vec))) <= 1e-8
-        assert s_star >= entropy(w_prime) - 1e-9
+        assert s_star >= weight_entropy(w_prime) - 1e-9
 
 
 
@@ -493,14 +506,13 @@ def test_sector_blocks_match_dense_oracle(case, seed):
     assert np.max(np.abs(state.weight - weight)) <= 1e-12
     assert abs(state.log_z - log_z) <= 1e-12 * (1.0 + abs(log_z))
     assert np.max(np.abs(np.sort(state.probabilities) - np.sort(probs))) <= 1e-12
-    assert np.max(np.abs(state.k_matrix - k)) == 0.0
+    assert np.max(np.abs(state.spectrum.exponent.dense() - k)) == 0.0
     chi_want = dense_chi_oracle(k, ops)
     scale = max(1.0, float(np.max(np.abs(chi_want))))
     assert np.max(np.abs(chi_matrix(state, op_blocks) - chi_want)) <= 1e-12 * scale
     for op, blocks in zip(ops, op_blocks):
         want = float(np.trace(weight @ op).real)
-        for given_op in (op, blocks):
-            assert abs(expectation(state, given_op) - want) <= 1e-12 * (1.0 + abs(want))
+        assert abs(expectation(state, blocks) - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_block_stack_combine_and_dense():
@@ -521,10 +533,10 @@ def test_block_stack_combine_and_dense():
     assert abs(items[1].norm() - frob(ops[1])) <= 1e-13 * frob(ops[1])
     # operators over different slices do not pair
     other = random_conserving(build_basis(3, 3, Statistics.FERMI), rng)
-    one_block = gibbs_from_operator(ops[0])
+    whole = gibbs_from_operator(one_block(ops[0]))
     with pytest.raises(ValueError, match="different slices"):
         items[0] + other
     with pytest.raises(ValueError, match="different slices"):
-        blocks.trace_with(one_block.weight_blocks)
+        blocks.trace_with(whole.weight_blocks)
     with pytest.raises(ValueError, match="different slices"):
-        chi_matrix(one_block, blocks)
+        chi_matrix(whole, blocks)

@@ -33,12 +33,12 @@ from boxgas.fieldmodel import (
 from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
 from boxgas.generator import Lprime, coefficients_from_potential, reduced_images
 from boxgas.gibbs import (
+    _kernel_gibbs,
     CellKernels,
     CellObservables,
     TwoBodyKernels,
     chi_matrix,
     entropy,
-    gibbs_from_kernel,
     gibbs_from_operator,
 )
 from boxgas.matrixutil import BlockDiagonal
@@ -84,7 +84,7 @@ def test_mode_spectrum_matches_sector_blocks(case):
     rng = np.random.default_rng(seed)
     k = random_kernel(rng, n_modes, kind, complex_=kind != "real")
 
-    state = gibbs_from_kernel(basis, k)
+    state = _kernel_gibbs(basis, k, None)
     oracle = gibbs_from_operator(one_body_operator(basis, k))
     assert_close(state.log_z, oracle.log_z)
     assert_close(np.sort(state.probabilities), np.sort(oracle.probabilities))
@@ -112,7 +112,7 @@ def test_kernel_state_rejects_a_non_hermitian_kernel():
     basis = build_basis(3, 2, Statistics.BOSE)
     k = random_kernel(np.random.default_rng(2), 3, "complex")
     with pytest.raises(ValueError, match="not hermitian"):
-        gibbs_from_kernel(basis, k + 1e-6j * np.eye(3))
+        CellKernels(basis, (k + 1e-6j * np.eye(3))[None])
 
 
 def test_kernel_family_rejects_a_non_hermitian_kernel():
@@ -126,7 +126,7 @@ def test_kernel_family_rejects_a_non_hermitian_kernel():
 
 @pytest.mark.parametrize("statistics", tuple(Statistics))
 def test_kernel_family_state_and_shared_rotation(statistics):
-    # a family state is gibbs_from_kernel's state of the combined kernel, bit
+    # a family state is the mode-space state of the combined kernel, bit
     # for bit; values and chi read at alternating states, sharing one rotation
     # per state, equal those of a fresh family
     basis = build_basis(4, 3, statistics)
@@ -136,7 +136,7 @@ def test_kernel_family_state_and_shared_rotation(statistics):
     ys = rng.standard_normal((2, 4))
     states = [family.state(y) for y in ys]
     for y, state in zip(ys, states):
-        want = gibbs_from_kernel(basis, np.tensordot(y, kernels, axes=1))
+        want = _kernel_gibbs(basis, np.tensordot(y, kernels, axes=1), None)
         assert state.log_z == want.log_z
         assert np.array_equal(state.probabilities, want.probabilities)
         assert np.array_equal(state.spectrum.vectors, want.spectrum.vectors)
@@ -205,4 +205,4 @@ def test_kernel_rates_match_the_fock_space_trace(case, kind):
     k = random_kernel(rng, n, kind, complex_=kind != "real")
     weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
     want = Lprime(basis, coeffs).images(kernels).trace_with(weight)
-    assert_close(rates.values(gibbs_from_kernel(basis, k)), want.real)
+    assert_close(rates.values(_kernel_gibbs(basis, k, None)), want.real)

@@ -8,11 +8,11 @@ from boxgas.microsystem import (
     charge_op,
     embed_joint,
     joint_annihilator,
-    lift_macro,
     micro_vacuum_weight,
     one_body_micro,
     reduce_expectation,
 )
+from dense_oracles import one_block
 
 
 def random_state_matrix(rng, dim):
@@ -62,7 +62,7 @@ def test_micro_commutes_with_macro():
     rng = np.random.default_rng(5)
     mset = MicroModeSet(2)
     macro = random_hermitian(rng, 6) + 1j * rng.standard_normal((6, 6))
-    lifted = lift_macro(macro, mset)
+    lifted = np.kron(macro, np.eye(mset.micro_dim))
     for q in range(2):
         b = joint_annihilator(mset, 6, q)
         assert np.all(lifted @ b - b @ lifted == 0.0)
@@ -145,7 +145,7 @@ def test_reduce_matches_full_trace_oracle():
     for q_dim, macro_dim in [(1, 4), (2, 6), (3, 5), (4, 3)]:
         mset = MicroModeSet(q_dim)
         # a thermal-looking macro weight instead of a bare random one
-        w_macro = gibbs_from_operator(random_hermitian(rng, macro_dim)).weight
+        w_macro = gibbs_from_operator(one_block(random_hermitian(rng, macro_dim))).weight
         w_m = micro_vacuum_weight(w_macro, mset)
         rho = random_state_matrix(rng, q_dim)
         state = embed_joint(w_m, rho, mset)

@@ -13,11 +13,11 @@ from boxgas.fieldmodel import (
     mode_energies,
     potential_tensor,
 )
-from boxgas.fock import Statistics, build_basis, creation_op, annihilation_op, two_body_operator
+from boxgas.fock import Statistics, build_basis, two_body_operator
 from boxgas.matrixutil import comm
 from boxgas.scattering import (
+    _spectral_tmatrix,
     CoarseWindow,
-    SingularQuery,
     WindowError,
     coarse_grained_check,
     coarse_window,
@@ -27,15 +27,49 @@ from boxgas.scattering import (
     pair_basis,
     pair_energies,
     pair_matrix_from_tensor,
-    resolvent_apply,
     scaling_exponent,
-    scattering_map_apply,
     spectral_decomposition,
     tensor_from_pair_matrix,
-    two_body_tmatrix,
 )
 
 GEOM = BoxGeometry((1.0,))
+SINGULAR_GAP = 1e-12
+
+
+class SingularQuery(ValueError):
+    """Resolvent evaluated within SINGULAR_GAP of a generator eigenvalue."""
+
+
+def resolvent_apply(h, z, x):
+    """Solve (z - (i/hbar)[H, .]) Y = X spectrally."""
+    dec = spectral_decomposition(h)
+    q = dec.vectors
+    x_tilde = q.conj().T @ x @ q
+    freq = 1j * (dec.energies[:, None] - dec.energies[None, :]) / HBAR
+    denom = z - freq
+    gap = float(np.min(np.abs(denom)))
+    if gap <= SINGULAR_GAP:
+        raise SingularQuery(
+            f"z = {z} lies within {gap:.3e} of a generator eigenvalue"
+        )
+    return q @ (x_tilde / denom) @ q.conj().T
+
+
+def scattering_map_apply(h0, v, z, x):
+    """T(z) X = V' X + V' (z - H')^{-1} V' X with V' = (i/hbar)[V, .]."""
+    vx = (1j / HBAR) * (v @ x - x @ v)
+    inner = resolvent_apply(h0 + v, z, vx)
+    return vx + (1j / HBAR) * (v @ inner - inner @ v)
+
+
+def pair_tmatrix(modes, vtensor, z):
+    """Bose pair energies, V on the pair basis, and T(z) = V + V (z - H_pair)^{-1} V,
+    the Lippmann-Schwinger solution T = V + V G0(z) T, at one z."""
+    pairs = pair_basis(len(modes), Statistics.BOSE)
+    energies = pair_energies(modes, pairs)
+    v_pair = pair_matrix_from_tensor(vtensor, pairs, Statistics.BOSE)
+    (t,) = _spectral_tmatrix(v_pair, energies, [z])
+    return energies, v_pair, t
 
 
 def vec(a):
@@ -255,7 +289,7 @@ def test_pair_matrix_matches_fock_sector():
         for p1, p2 in pairs:
             vac = np.zeros(dim)
             vac[basis.state_index((0, 0, 0))] = 1.0
-            state = creation_op(basis, p1) @ creation_op(basis, p2) @ vac
+            state = basis.ladders[p1].conj().T @ basis.ladders[p2].conj().T @ vac
             vecs.append(state / np.linalg.norm(state))
         fock_block = np.array(
             [[np.vdot(vi, v_op @ vj) for vj in vecs] for vi in vecs]
@@ -328,29 +362,29 @@ def test_tmatrix_empty_pair_basis():
 def test_tmatrix_zero_potential():
     modes = box_modes(GEOM, 3)
     zero = np.zeros((3, 3, 3, 3))
-    t = two_body_tmatrix(modes, zero, Statistics.BOSE, 1.0 + 1e-2j)
-    assert np.linalg.norm(t.matrix) == 0.0
-    assert collision_time_estimate(t.matrix) == np.inf
+    _, _, t = pair_tmatrix(modes, zero, 1.0 + 1e-2j)
+    assert np.linalg.norm(t) == 0.0
+    assert collision_time_estimate(t) == np.inf
 
 
 def test_tmatrix_matches_direct_inversion():
     modes = box_modes(GEOM, 3)
     tensor = contact_tensor(modes, Contact(g=0.6), GEOM)
     z = 11.0 + 0.05j
-    t = two_body_tmatrix(modes, tensor, Statistics.BOSE, z)
-    g0 = np.diag(1.0 / (z - t.energies))
-    oracle = t.v_pair @ np.linalg.inv(np.eye(len(t.energies)) - g0 @ t.v_pair)
-    assert np.max(np.abs(t.matrix - oracle)) < 1e-10
+    energies, v_pair, t = pair_tmatrix(modes, tensor, z)
+    g0 = np.diag(1.0 / (z - energies))
+    oracle = v_pair @ np.linalg.inv(np.eye(len(energies)) - g0 @ v_pair)
+    assert np.max(np.abs(t - oracle)) < 1e-10
 
 
 def test_tmatrix_offshell_unitarity():
     modes = box_modes(GEOM, 3)
     tensor = contact_tensor(modes, Contact(g=0.9), GEOM)
     for z in (8.0 + 0.3j, 20.0 + 0.05j):
-        t = two_body_tmatrix(modes, tensor, Statistics.BOSE, z)
-        g0 = np.diag(1.0 / (z - t.energies))
-        lhs = t.matrix - t.matrix.conj().T
-        rhs = t.matrix @ (g0 - g0.conj().T) @ t.matrix.conj().T
+        energies, _, t = pair_tmatrix(modes, tensor, z)
+        g0 = np.diag(1.0 / (z - energies))
+        lhs = t - t.conj().T
+        rhs = t @ (g0 - g0.conj().T) @ t.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -374,7 +408,7 @@ def test_tmatrix_condition_guard():
     pairs = pair_basis(3, Statistics.BOSE)
     energies = pair_energies(modes, pairs)
     with pytest.raises(ValueError, match="epsilon"):
-        two_body_tmatrix(modes, tensor, Statistics.BOSE, float(energies[0]) + 1e-13j)
+        pair_tmatrix(modes, tensor, float(energies[0]) + 1e-13j)
 
 
 def test_collision_time_scaling_and_correlation():
@@ -438,7 +472,7 @@ def test_coarse_grained_check_free_case():
     h0 = np.diag([float(w @ occ) for occ in basis.states]).astype(complex)
     v0 = np.zeros_like(h0)
     h_idx, k_idx = 0, 1
-    x = creation_op(basis, h_idx) @ annihilation_op(basis, k_idx)
+    x = basis.ladders[h_idx].conj().T @ basis.ladders[k_idx]
     lmat = 1j * comm(h0, x)
     win = CoarseWindow(tau0=1e-3, t_max=np.inf, times=np.array([2e-3, 1e-3, 5e-4]))
     rep = coarse_grained_check(basis, h0, v0, h_idx, k_idx, win, lmat)
