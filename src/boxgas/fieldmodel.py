@@ -103,6 +103,26 @@ def mode_energies(modes) -> np.ndarray:
     return np.array([m.w for m in modes], dtype=float)
 
 
+def mode_parities(modes) -> np.ndarray:
+    """Reflection parities of the modes, one bit per axis.
+
+    Reflecting axis i about the box centre, x_i -> L_i - x_i, maps u_f to
+    (-1)^(n_i + 1) u_f; bit i of entry f is n_i % 2.  A product of modes is
+    even under every reflection exactly when the XOR of their parities is 0.
+    """
+    numbers = mode_numbers(modes)
+    return ((numbers % 2) << np.arange(numbers.shape[1])).sum(axis=1)
+
+
+def parity_forbidden(modes) -> np.ndarray:
+    """n^4 mask of the pair-tensor entries [l1, l2, f2, f1] whose pair classes
+    p_l1 ^ p_l2 and p_f1 ^ p_f2 differ: the selection rule of a reflection-even
+    interaction over the whole box."""
+    parity = mode_parities(modes)
+    pair_class = parity[:, None] ^ parity[None, :]
+    return pair_class[:, :, None, None] != pair_class[None, None, :, :]
+
+
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -383,7 +403,11 @@ def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int 
         return contact_tensor(modes, potential, geom if cell is None else (grid, cell))
     if isinstance(potential, Zero):
         return np.zeros((len(modes),) * 4)
-    return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
+    tensor = _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
+    if cell is None:
+        # the forbidden entries are round-off of an exact zero (potential_tensor)
+        tensor[parity_forbidden(modes)] = 0.0
+    return tensor
 
 
 def potential_tensor(
@@ -397,6 +421,14 @@ def potential_tensor(
     potential, zero for Zero, otherwise by product Gauss-Legendre.
 
     Panels follow `grid` when given, so per-cell restrictions tile the result.
+
+    Selection rule: V(|x - y|) is unchanged when both coordinates are
+    reflected about the centre of one axis, and so are the uniform panels of
+    a CellGrid with their Gauss-Legendre nodes.  So V[l1, l2, f2, f1] is 0 in
+    exact arithmetic unless the mode parities cancel on every axis
+    (`parity_forbidden`); the quadrature sum leaves round-off there, which is
+    set to exact 0.0.  The analytic contact tensor is already exact there.  A
+    tensor with one coordinate restricted to a cell obeys no such rule.
     """
     grid = grid if grid is not None else whole_box_grid(geom)
     return _pair_tensor(modes, potential, geom, grid, None, order)

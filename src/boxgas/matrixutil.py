@@ -27,7 +27,8 @@ def dagger_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    """max |A - A^dag| over a matrix or a stack of them."""
+    return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), initial=0.0))
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldmodel import HBAR, mode_energies
+from .fieldmodel import HBAR, mode_energies, mode_parities
 from .fock import Statistics
 from .matrixutil import require_hermitian
 
@@ -34,15 +34,18 @@ class SpectralDecomposition:
         return (self.vectors * self.energies) @ self.vectors.conj().T
 
 
-def spectral_decomposition(h: np.ndarray) -> SpectralDecomposition:
-    require_hermitian(h, name="hamiltonian")
-    energies, vectors = np.linalg.eigh(h)
-    dec = SpectralDecomposition(energies, vectors)
-    scale = max(1.0, float(np.max(np.abs(energies), initial=0.0)))
-    residual = np.linalg.norm(dec.reconstruct() - h)
-    if residual > RECONSTRUCT_TOL * scale:
+def _require_reconstructed(residual: float, peak: float) -> None:
+    """The residual must stay below RECONSTRUCT_TOL times max(1, largest |E|)."""
+    if residual > RECONSTRUCT_TOL * max(1.0, peak):
         raise ValueError(
             f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCT_TOL:.1e}")
+
+
+def spectral_decomposition(h: np.ndarray) -> SpectralDecomposition:
+    require_hermitian(h, name="hamiltonian")
+    dec = SpectralDecomposition(*np.linalg.eigh(h))
+    _require_reconstructed(float(np.linalg.norm(dec.reconstruct() - h)),
+                           float(np.max(np.abs(dec.energies), initial=0.0)))
     return dec
 
 
@@ -121,40 +124,89 @@ def tensor_from_pair_matrix(m: np.ndarray, pairs, statistics: Statistics, n_mode
 COND_CAP = 1e10
 
 
-def _spectral_tmatrix(v_pair: np.ndarray, energies: np.ndarray, zs) -> list[np.ndarray]:
+def pair_classes(modes, pairs) -> np.ndarray:
+    """Reflection-parity class of each pair: the XOR of its two mode parities."""
+    parity = mode_parities(modes)
+    _, _, p1, p2 = _pair_indices(pairs)
+    return parity[p1] ^ parity[p2]
+
+
+def _spectral_tmatrix(v_pair: np.ndarray, energies: np.ndarray, zs,
+                      classes: np.ndarray) -> list[np.ndarray]:
     """T(z) = V + V (z - H_pair)^{-1} V with H_pair = diag(E) + V, for each z in zs.
 
-    A z may be one number or one value per column; column q is then taken at
-    z[q].  One eigendecomposition of H_pair serves every z.  The condition
-    number of z - H_pair is bounded by max_j |z - lambda_j| / Im z, and that
+    V must couple no two pair classes (a V that does is rejected), so H_pair
+    and every T(z) are block diagonal over them: each class has one
+    eigendecomposition, which serves every z, and T is exactly 0 between
+    classes.  Classes of one size are solved as one stack.  A z may be one
+    number or one value per column; column q is then taken at z[q].  The
+    reconstruction residuals, summed in quadrature over the classes, must
+    stay below RECONSTRUCT_TOL times the largest |eigenvalue| of any class.
+    The condition number of z - H_pair is bounded by max_j |z - lambda_j| /
+    Im z over every eigenvalue of every class and every column, and that
     bound must stay below COND_CAP.
     """
-    dec = spectral_decomposition(np.diag(energies) + v_pair)
-    vu = v_pair @ dec.vectors
-    uv = dec.vectors.conj().T @ v_pair
-    out = []
-    for z in zs:
-        gap = np.broadcast_to(z, energies.shape)[None, :] - dec.energies[:, None]
-        bound = float(np.max(np.abs(gap) / gap.imag, initial=0.0))
+    leak = float(np.max(np.abs(v_pair[classes[:, None] != classes[None, :]]), initial=0.0))
+    if leak > 0.0:
+        raise ValueError(
+            f"pair potential couples reflection-parity classes (max |V| {leak:.3e}); "
+            "the tensor breaks the selection rule of potential_tensor"
+        )
+    order = np.argsort(classes, kind="stable")
+    sizes = np.bincount(classes)
+    starts = np.cumsum(sizes) - sizes
+    stacks, residual2, lo, hi = [], 0.0, np.inf, -np.inf
+    for size in sorted(set(sizes.tolist()) - {0}):
+        # one row of pair indices per class with `size` members
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        block = (idx[:, :, None], idx[:, None, :])
+        v = v_pair[block]
+        h = v.copy()
+        diag = np.arange(size)
+        h[:, diag, diag] += energies[idx]
+        require_hermitian(h, name="hamiltonian")
+        lam, vec = np.linalg.eigh(h)
+        vec_h = vec.conj().swapaxes(1, 2)
+        miss = (vec * lam[:, None, :]) @ vec_h - h
+        residual2 += np.vdot(miss, miss).real
+        lo, hi = min(lo, float(lam.min())), max(hi, float(lam.max()))
+        stacks.append((idx, block, v, lam, v @ vec, vec_h @ v))
+    _require_reconstructed(float(np.sqrt(residual2)), max(-lo, hi))
+    columns = [np.broadcast_to(z, energies.shape) for z in zs]
+    for z in columns:
+        # |z - lambda| over real lambda peaks at the smallest or largest one
+        far = np.maximum(np.abs(z - lo), np.abs(z - hi))
+        bound = float(np.max(far / z.imag, initial=0.0))
         if bound > COND_CAP:
             raise ValueError(
                 f"resolvent condition bound {bound:.3e} exceeds {COND_CAP:.1e}; "
                 "increase epsilon or weaken the coupling"
             )
-        out.append(v_pair + vu @ (uv / gap))
+    out = [np.zeros_like(v_pair) for _ in zs]
+    for idx, block, v, lam, vu, uv in stacks:
+        for z, t in zip(columns, out):
+            t[block] = v + vu @ (uv / (z[idx][:, None, :] - lam[:, :, None]))
     return out
 
 
 def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float) -> np.ndarray:
     """On-shell T: column q taken at z = E_q + i eps, with the linear-in-eps
-    bias removed from two samples, T_on = 2 T(eps/2) - T(eps)."""
+    bias removed from two samples, T_on = 2 T(eps/2) - T(eps).
+
+    Selection rule: a whole-box `potential_tensor` on uniform panels is even
+    under the reflection of each axis about the box centre, so V couples a
+    pair (p1, p2) only to pairs of its class p1 ^ p2 of mode parities
+    (`pair_classes`), and so does T = V + V G V.  T is solved class by class
+    and is exactly 0 between classes.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     pairs = pair_basis(len(modes), statistics)
     energies = pair_energies(modes, pairs)
     v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
     half, full = _spectral_tmatrix(v_pair, energies,
-                                   [energies + 0.5j * eps, energies + 1j * eps])
+                                   [energies + 0.5j * eps, energies + 1j * eps],
+                                   pair_classes(modes, pairs))
     return 2.0 * half - full
 
 

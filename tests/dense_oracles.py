@@ -10,6 +10,10 @@ vacuum.  None of them reads a sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 `difference_quad_tensor` is the pair-potential quadrature over the full
 list of grid points, with |x - y| from a point-pair difference array.
+`whole_space_tmatrix` is the pair T matrix from one eigendecomposition of
+the whole pair Hamiltonian, and `whole_space_onshell_tmatrix` the on-shell T
+built on it, where `boxgas.scattering` solves one reflection-parity class of
+pairs at a time.
 `refit_integrate` is the closure's RK4 with every stage re-fitted from the
 fields of the fit before it, the first stage of each step included.
 
@@ -41,6 +45,13 @@ from boxgas.gibbs import (
 )
 from boxgas.kinetics import StateTrajectory, closure_rhs
 from boxgas.matrixutil import BlockDiagonal, frob, trace_product
+from boxgas.scattering import (
+    COND_CAP,
+    pair_basis,
+    pair_energies,
+    pair_matrix_from_tensor,
+    spectral_decomposition,
+)
 
 
 def split_blocks(ops, slices, names):
@@ -241,6 +252,36 @@ def difference_quad_tensor(modes, potential, grid, order, x_cell):
     left = difference_kernel_apply(potential, pts, np.where(mask, wts, 0.0), values,
                                    fieldmodel._pair_weight_matrix(values, wts))
     return left.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
+
+
+def whole_space_tmatrix(v_pair, energies, zs):
+    """T(z) = V + V (z - H_pair)^{-1} V with H_pair = diag(E) + V, for each z in zs,
+    from one eigendecomposition of the whole H_pair; a z may be one value per
+    column.  The bound max_j |z - lambda_j| / Im z must stay below COND_CAP."""
+    dec = spectral_decomposition(np.diag(energies) + v_pair)
+    vu = v_pair @ dec.vectors
+    uv = dec.vectors.conj().T @ v_pair
+    out = []
+    for z in zs:
+        gap = np.broadcast_to(z, energies.shape)[None, :] - dec.energies[:, None]
+        bound = float(np.max(np.abs(gap) / gap.imag, initial=0.0))
+        if bound > COND_CAP:
+            raise ValueError(
+                f"resolvent condition bound {bound:.3e} exceeds {COND_CAP:.1e}; "
+                "increase epsilon or weaken the coupling"
+            )
+        out.append(v_pair + vu @ (uv / gap))
+    return out
+
+
+def whole_space_onshell_tmatrix(modes, vtensor, statistics, eps):
+    """`scattering.onshell_tmatrix` on the whole pair space: 2 T(eps/2) - T(eps)."""
+    pairs = pair_basis(len(modes), statistics)
+    energies = pair_energies(modes, pairs)
+    v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
+    half, full = whole_space_tmatrix(v_pair, energies,
+                                     [energies + 0.5j * eps, energies + 1j * eps])
+    return 2.0 * half - full
 
 
 def refit_integrate(sys, t_span, dt):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -287,6 +288,35 @@ def test_cli_import_loads_only_declared_dependencies():
                             capture_output=True, text=True).stdout.split()
     third_party = {m for m in loaded if m not in sys.stdlib_module_names}
     assert third_party <= allowed, sorted(third_party - allowed)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)  # stdlib imports only
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_commands_do_not_load_numpy_ma(name, tmp_path):
+    # numpy.ma is imported lazily by calls such as np.unique; loading it adds
+    # to every command's set-up time and peak RSS
+    workload = WORKLOADS.WORKLOADS[name]
+    calls = [WORKLOADS.cli_args(workload, command, str(REPO), str(tmp_path / command), 0)
+             for command in workload.commands]
+    probe = ("import json, sys; from boxgas.cli import main\n"
+             "for args in json.loads(sys.argv[1]):\n"
+             "    main.main(args, standalone_mode=False)\n"
+             "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)], env=env,
+                            check=True, capture_output=True, text=True).stdout.split()
+    assert loaded[-1] == "False"
 
 
 def test_report_versions_omit_scipy(tmp_path):

@@ -4,7 +4,9 @@ Hypothesis draws the mode set (1D or 3D, 1-4 modes), the statistics, n_max
 <= 3, the cell grid and the coupling, and every draw must keep: hermitian H
 and cell operators, a block-built H equal to its dense oracle with no entry
 outside the number sectors, mass conservation of L', and the ladder algebra
-of acceptance check 1.
+of acceptance check 1.  A second draw of box, modes, potential and uniform
+grid must keep the reflection selection rule of the whole-box quadrature
+tensor.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -15,10 +17,16 @@ from boxgas.fieldmodel import (
     CellGrid,
     Contact,
     Gaussian,
+    SoftLennardJones,
+    _pair_tensor,
+    _quad_tensor,
+    _symmetrize_tensor,
+    contact_tensor,
     hamiltonian,
     mode_energies,
     modes_from_numbers,
     momentum_density_op,
+    parity_forbidden,
     potential_tensor,
 )
 from boxgas.fock import Statistics, build_basis, ladder_ops
@@ -89,3 +97,51 @@ def test_structure_of_random_systems(system):
     assert Lprime(basis, coeffs).apply(np.eye(len(modes))).norm() <= 1e-10
 
     assert ladder_algebra_defect(basis) <= 1e-12
+
+
+@st.composite
+def reflection_even_tensors(draw):
+    """A whole-box quadrature set-up: box lengths, modes, a Gaussian or soft
+    Lennard-Jones potential, a uniform cell grid and a Gauss-Legendre order."""
+    dim = draw(st.sampled_from((1, 3)))
+    lengths = tuple(draw(st.floats(0.5, 2.0)) for _ in range(dim))
+    top = 6 if dim == 1 else 3
+    numbers = draw(st.lists(st.lists(st.integers(1, top), min_size=dim, max_size=dim),
+                            min_size=2, max_size=6 if dim == 1 else 4, unique_by=tuple))
+    sigma = draw(st.floats(0.1, 0.5))
+    if draw(st.booleans()):
+        potential = Gaussian(draw(st.floats(-1.0, 1.0)), sigma)
+    else:
+        potential = SoftLennardJones(draw(st.floats(0.1, 1.0)), sigma, 0.5 * sigma)
+    cells = tuple(draw(st.integers(1, 3 if dim == 1 else 2)) for _ in range(dim))
+    return BoxGeometry(lengths), numbers, potential, cells, draw(st.integers(2, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=reflection_even_tensors())
+def test_parity_forbidden_entries_vanish_on_uniform_panels(setup):
+    # the raw quadrature sum is reflection-even up to round-off, so
+    # potential_tensor may set its forbidden entries to exact zeros
+    geom, numbers, potential, cells, order = setup
+    modes = modes_from_numbers(geom, numbers)
+    grid = CellGrid(geom, cells)
+    forbidden = parity_forbidden(modes)
+    raw = _quad_tensor(modes, potential, grid, order, None)
+    assert np.max(np.abs(raw[forbidden]), initial=0.0) <= 1e-13 * np.max(np.abs(raw))
+    tensor = potential_tensor(modes, potential, geom, order, grid)
+    assert np.all(tensor[forbidden] == 0.0)
+    assert np.array_equal(tensor[~forbidden], _symmetrize_tensor(raw)[~forbidden])
+
+
+def test_parity_mask_spares_cell_restricted_and_keeps_contact_tensors():
+    # a cell breaks the reflection: its tensor, as energy_density_op uses it,
+    # keeps its forbidden entries; the analytic contact tensor is exact already
+    geom = BoxGeometry((1.0,))
+    modes = modes_from_numbers(geom, [(n,) for n in range(1, 6)])
+    forbidden = parity_forbidden(modes)
+    cell = _pair_tensor(modes, Gaussian(1.0, 0.25), geom, CellGrid(geom, (2,)), 0, 8)
+    assert np.max(np.abs(cell[forbidden])) > 1e-2 * np.max(np.abs(cell))
+    contact = Contact(0.7)
+    whole = contact_tensor(modes, contact, geom)
+    assert np.all(whole[forbidden] == 0.0)
+    assert np.array_equal(potential_tensor(modes, contact, geom), whole)

@@ -5,6 +5,7 @@ import scipy.linalg
 from boxgas.fieldmodel import (
     HBAR,
     BoxGeometry,
+    CellGrid,
     Contact,
     Gaussian,
     box_modes,
@@ -13,6 +14,7 @@ from boxgas.fieldmodel import (
     mode_energies,
     potential_tensor,
 )
+from boxgas.fieldmodel import _pair_tensor
 from boxgas.fock import Statistics, build_basis, two_body_operator
 from boxgas.matrixutil import comm
 from boxgas.scattering import (
@@ -25,14 +27,18 @@ from boxgas.scattering import (
     heisenberg_evolve,
     onshell_tmatrix,
     pair_basis,
+    pair_classes,
     pair_energies,
     pair_matrix_from_tensor,
     scaling_exponent,
     spectral_decomposition,
     tensor_from_pair_matrix,
 )
+from dense_oracles import whole_space_onshell_tmatrix
 
 GEOM = BoxGeometry((1.0,))
+# the box of the pair3d benchmark workload
+PAIR3D_GEOM = BoxGeometry((1.0, 1.07, 1.13))
 SINGULAR_GAP = 1e-12
 
 
@@ -68,7 +74,7 @@ def pair_tmatrix(modes, vtensor, z):
     pairs = pair_basis(len(modes), Statistics.BOSE)
     energies = pair_energies(modes, pairs)
     v_pair = pair_matrix_from_tensor(vtensor, pairs, Statistics.BOSE)
-    (t,) = _spectral_tmatrix(v_pair, energies, [z])
+    (t,) = _spectral_tmatrix(v_pair, energies, [z], pair_classes(modes, pairs))
     return energies, v_pair, t
 
 
@@ -345,11 +351,55 @@ def test_onshell_tmatrix_matches_ls_oracle(potential, stats, n_modes, eps):
     assert np.max(np.abs(t_on - oracle)) <= 1e-9 * scale
 
 
+def pair3d_case(n_modes):
+    modes = box_modes(PAIR3D_GEOM, n_modes)
+    return modes, potential_tensor(modes, Gaussian(0.8, 0.25), PAIR3D_GEOM)
+
+
 def test_onshell_tmatrix_condition_guard():
     modes = box_modes(GEOM, 3)
-    tensor = contact_tensor(modes, Contact(g=0.6), GEOM)
-    with pytest.raises(ValueError, match="epsilon"):
-        onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=1e-13)
+    cases = [(modes, contact_tensor(modes, Contact(g=0.6), GEOM)), pair3d_case(12)]
+    for modes, tensor in cases:
+        for solve in (onshell_tmatrix, whole_space_onshell_tmatrix):
+            with pytest.raises(ValueError, match="epsilon"):
+                solve(modes, tensor, Statistics.BOSE, eps=1e-13)
+
+
+def one_d_case(n_modes, potential, cells=1):
+    modes = box_modes(GEOM, n_modes)
+    grid = CellGrid(GEOM, (cells,))
+    return modes, potential_tensor(modes, potential, GEOM, order=16, grid=grid)
+
+
+@pytest.mark.parametrize("case, stats", [
+    (lambda: one_d_case(6, Contact(0.6)), Statistics.BOSE),
+    (lambda: one_d_case(6, Contact(0.6)), Statistics.FERMI),
+    (lambda: one_d_case(6, Gaussian(1.0, 0.25)), Statistics.FERMI),
+    (lambda: one_d_case(6, Gaussian(1.0, 0.25), cells=3), Statistics.BOSE),
+    (lambda: pair3d_case(12), Statistics.BOSE),
+    (lambda: pair3d_case(20), Statistics.BOSE),
+], ids=["1d-contact-bose", "1d-contact-fermi", "1d-gaussian-fermi",
+        "1d-gaussian-3-cells", "pair3d-12", "pair3d-20"])
+def test_blocked_tmatrix_matches_whole_space_oracle(case, stats):
+    # at the configs' default eps; the spread of the two solves grows as 1/eps
+    modes, tensor = case()
+    eps = 10.0
+    t_on = onshell_tmatrix(modes, tensor, stats, eps)
+    oracle = whole_space_onshell_tmatrix(modes, tensor, stats, eps)
+    assert np.max(np.abs(t_on - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    classes = pair_classes(modes, pair_basis(len(modes), stats))
+    between = classes[:, None] != classes[None, :]
+    assert between.any()
+    assert np.all(t_on[between] == 0.0)
+
+
+def test_onshell_tmatrix_rejects_a_potential_that_couples_classes():
+    # one interaction coordinate restricted to a cell breaks the reflection
+    modes = box_modes(GEOM, 4)
+    grid = CellGrid(GEOM, (2,))
+    tensor = _pair_tensor(modes, Gaussian(1.0, 0.25), GEOM, grid, 0, 8)
+    with pytest.raises(ValueError, match="reflection-parity classes"):
+        onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=10.0)
 
 
 def test_tmatrix_empty_pair_basis():
