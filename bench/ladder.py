@@ -9,8 +9,10 @@ benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of strength 0.8 and
 range 0.25, Bose n_max 2) with its n lowest modes: `build` on one cell, where
 the quadrature interaction tensor is a large share of the call, `tmatrix` on
 one cell, where the on-shell pair T matrix and its n^2(n+1)^2/4-row table
-are, or `evolve` on two cells [2, 1, 1] with `evolve.steps=4`, where the
-generator images of the moment kernels and the closure's fits are.  Every call
+are, `evolve` on two cells [2, 1, 1] with `evolve.steps=4`, where the
+generator images of the moment kernels and the closure's fits are, or
+`maxent` on eight cells [2, 2, 2], where the eight per-cell quadrature pair
+tensors are.  Every call
 is a fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
 variables pinned to 1, importing `boxgas` from `src/` of this checkout (as
 does this script, for the 3D mode list); its wall time and the peak RSS the
@@ -46,12 +48,15 @@ PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
 PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),
                "potential.kind=gaussian", "potential.strength=0.8", "potential.range=0.25",
                "basis.n_max=2", "basis.statistics=bose"]
-# the cells of each 3D command; two cells keep the default fields
+# the cells of each 3D command; two cells keep the default fields, eight
+# repeat them
 ONE_CELL = ["grid.cells=[1,1,1]", "fields.beta=[0.22]", "fields.mu=[0.0]"]
+EIGHT_CELLS = ["grid.cells=[2,2,2]", "fields.beta=" + json.dumps([0.22, 0.18] * 4).replace(" ", ""),
+               "fields.mu=" + json.dumps([0.0] * 8).replace(" ", "")]
 PAIR3D_CELLS = {"build": ONE_CELL, "tmatrix": ONE_CELL,
-                "evolve": ["grid.cells=[2,1,1]", "evolve.steps=4"]}
+                "evolve": ["grid.cells=[2,1,1]", "evolve.steps=4"], "maxent": EIGHT_CELLS}
 PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
-                (60, "tmatrix"), (20, "evolve"), (30, "evolve"))  # lowest modes
+                (60, "tmatrix"), (20, "evolve"), (30, "evolve"), (20, "maxent"))  # lowest modes
 SKIPPED_CHECKS = ((10, 4), (12, 4))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")

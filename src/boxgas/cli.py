@@ -308,10 +308,23 @@ def _payload_tmatrix(cfg):
     }
     checks = {"t_pair_symmetric": _max_check(sym_defect, 1e-10)}
     header = ["p", "q", "t_real", "t_imag", "v_real"]
-    p_index, q_index = np.indices(t_on.shape)
-    columns = (p_index, q_index, t_on.real, t_on.imag, v_pair.real)
-    rows = list(zip(*(column.ravel().tolist() for column in columns)))
-    return values, checks, {"tmatrix.csv": (header, rows)}
+    return values, checks, {"tmatrix.csv": (header, _tmatrix_rows(t_on, v_pair))}
+
+
+_TABLE_CHUNK = 1 << 16
+
+
+def _tmatrix_rows(t_on, v_pair):
+    """Rows (p, q, Re T, Im T, Re V) over every pair of pairs, made a block of
+    whole p rows (about _TABLE_CHUNK entries) at a time, so the table never
+    holds all P^2 rows as Python objects."""
+    n = len(t_on)
+    step = max(1, _TABLE_CHUNK // max(n, 1))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        columns = (np.repeat(np.arange(start, stop), n), np.tile(np.arange(n), stop - start),
+                   t_on[start:stop].real, t_on[start:stop].imag, v_pair[start:stop].real)
+        yield from zip(*(column.ravel().tolist() for column in columns))
 
 
 def _payload_generator_check(cfg):

@@ -172,11 +172,13 @@ def _nonfinite(value, path=()):
     return None
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads the YAML 1.2 float forms `1e-3` and `-2E+1`.
+class _Loader(yaml.CSafeLoader):
+    """libyaml's SafeLoader that also reads the YAML 1.2 float forms `1e-3`
+    and `-2E+1`.
 
     YAML 1.1 wants a dot and a signed exponent, so plain SafeLoader takes
-    `1e-3` for a string.
+    `1e-3` for a string.  Tags still resolve in Python, so the resolver below
+    applies to the C parser as well.
     """
 
 

@@ -114,15 +114,6 @@ def mode_parities(modes) -> np.ndarray:
     return ((numbers % 2) << np.arange(numbers.shape[1])).sum(axis=1)
 
 
-def parity_forbidden(modes) -> np.ndarray:
-    """n^4 mask of the pair-tensor entries [l1, l2, f2, f1] whose pair classes
-    p_l1 ^ p_l2 and p_f1 ^ p_f2 differ: the selection rule of a reflection-even
-    interaction over the whole box."""
-    parity = mode_parities(modes)
-    pair_class = parity[:, None] ^ parity[None, :]
-    return pair_class[:, :, None, None] != pair_class[None, None, :, :]
-
-
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -333,64 +324,135 @@ def _quadrature_grid(modes, grid: CellGrid, order: int):
     return axis_nodes, wts, values.reshape(len(modes), -1)
 
 
-def _pair_weight_matrix(values: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    # A[p, (l, f)] = w_p u_l(x_p) u_f(x_p)
-    nf, npts = values.shape
-    prod = values[:, None, :] * values[None, :, :]
-    return (prod * wts[None, None, :]).reshape(nf * nf, npts).T
-
-
 def _symmetrize_tensor(t: np.ndarray) -> np.ndarray:
     t = 0.5 * (t + t.transpose(1, 0, 3, 2))
     return 0.5 * (t + t.conj().transpose(3, 2, 1, 0))
 
 
-_BLOCK_ELEMENTS = 1 << 21
+# kernel entries V(|x - y|) per block of x rows; the block and its parity
+# folds stay small enough to be reused from cache
+_BLOCK_ELEMENTS = 1 << 17
+_MIRROR_TOL = 1e-13
 
 
-def _kernel_apply(potential, axis_nodes, a_left, a_right):
-    """Accumulate A_left^T V(|x - y|) A_right without storing the full kernel.
+def _check_mirror(nodes: np.ndarray, wts: np.ndarray, length: float) -> None:
+    """Raise ValueError unless node i mirrors node m-1-i about the axis centre
+    (x_i + x_(m-1-i) = L, w_i = w_(m-1-i)) to round-off."""
+    defect = max(float(np.max(np.abs(nodes + nodes[::-1] - length))) / length,
+                 float(np.max(np.abs(wts - wts[::-1]))) / float(np.max(np.abs(wts))))
+    if defect > _MIRROR_TOL:
+        raise ValueError(
+            "quadrature nodes and weights must mirror about the centre of each axis "
+            f"(x_i + x_(m-1-i) = L, w_i = w_(m-1-i)); relative defect {defect:.3e}")
 
-    The points form a product grid, so |x - y|^2 over a block of rows is a sum
-    of per-axis squared node separations, added in axis order and broadcast
-    over the column grid; no point-pair difference array is formed.
-    """
-    shape = tuple(len(x) for x in axis_nodes)
-    d, npts = len(shape), len(a_left)
-    # sq[ax][i] holds (x_i - y)^2 over the nodes y of axis ax, laid along
-    # that axis of the column grid
-    sq = [((x[:, None] - x[None, :]) ** 2).reshape([len(x)] + [-1 if a == ax else 1
-                                                                for a in range(d)])
-          for ax, x in enumerate(axis_nodes)]
-    index = np.indices(shape).reshape(d, -1)
-    out = np.zeros((a_left.shape[1], a_right.shape[1]))
-    block = max(1, _BLOCK_ELEMENTS // npts)
-    for start in range(0, npts, block):
-        stop = min(start + block, npts)
-        r2 = 0.0
-        for ax in range(d):
-            r2 = r2 + sq[ax][index[ax, start:stop]]
-        kernel = potential(np.sqrt(r2.reshape(stop - start, npts)))
-        out += a_left[start:stop].T @ (kernel @ a_right)
-    return out
+
+def _pair_columns(axis_factors, ls, fs) -> np.ndarray:
+    """Columns w(x) u_l(x) u_f(x), one per pair (ls[k], fs[k]), over the product
+    of per-axis point sets; axis_factors holds (weights, mode values) per axis."""
+    out = np.ones(len(ls))
+    for ax, (wts, vals) in enumerate(axis_factors):
+        term = wts * vals[ls] * vals[fs]
+        out = out[..., None] * term.reshape((len(ls),) + (1,) * ax + (-1,))
+    return out.reshape(len(ls), -1).T
+
+
+def _fold(kernel: np.ndarray, ax: int):
+    """Even and odd parts of the kernel's column grid on axis `ax` over the
+    mirror pairs (i, m-1-i), i < m/2; a middle node is its own mirror, so it
+    joins the even part once and leaves the odd part."""
+    m = kernel.shape[ax]
+    half = m // 2
+
+    def cut(s):
+        return kernel[(slice(None),) * ax + (s,)]
+
+    first, mirror = cut(slice(0, half)), cut(slice(m - 1, m - 1 - half, -1))
+    even = np.empty(kernel.shape[:ax] + (m - half,) + kernel.shape[ax + 1:])
+    np.add(first, mirror, out=even[(slice(None),) * ax + (slice(0, half),)])
+    even[(slice(None),) * ax + (slice(half, m - half),)] = cut(slice(half, m - half))
+    return even, first - mirror
 
 
 def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | None) -> np.ndarray:
-    """Raw quadrature tensor; x restricted to one cell when x_cell is given."""
-    axis_nodes, wts, values = _quadrature_grid(modes, grid, order)
-    a_full = _pair_weight_matrix(values, wts)
-    a_left = a_full
-    if x_cell is not None:
-        # a cell is a product of axis intervals; panel alignment guarantees
-        # nodes are interior to exactly one cell
-        mask = np.ones((), dtype=bool)
-        for nodes, (lo, hi) in zip(axis_nodes, grid.bounds(x_cell)):
-            mask = np.logical_and.outer(mask, (nodes >= lo) & (nodes <= hi))
-        a_left = _pair_weight_matrix(values, np.where(mask.ravel(), wts, 0.0))
+    """Raw quadrature tensor (l1, l2, f2, f1); x restricted to one cell when x_cell is given.
+
+    Reflecting axis a about the box centre maps the uniform Gauss panels onto
+    themselves and a pair column w u_l u_f to s times itself, s = -1 when bit
+    a of its class p_l ^ p_f is set (`mode_parities`).  So the y sum is
+    folded one axis at a time into even and odd sums over mirror nodes, and
+    the columns of each of the 2^d classes meet only the folded kernel of
+    that class.  The x rows are a product of per-axis node sets: the cell's
+    own nodes, or for the whole box the first half of each axis, weighted by
+    the size of the node's reflection orbit (2 per axis whose node is not its
+    own mirror).  The whole-box summand is then reflection-even, and the
+    tensor is assembled one class block at a time, so entries between
+    classes are exact zeros.  V(|x - y|) is evaluated on blocks of x rows
+    against the whole grid, from per-axis squared node separations.
+    """
+    numbers = mode_numbers(modes)
+    d = grid.geom.dimension
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    nodes, wts, vals, rows, orbit = [], [], [], [], []
+    for ax in range(d):
+        x, w = _gauss_panels(grid.edges(ax), base_x, base_w)
+        _check_mirror(x, w, grid.geom.lengths[ax])
+        nodes.append(x)
+        wts.append(w)
+        vals.append(_axis_mode_values(numbers[:, ax], x, grid.geom.lengths[ax]))
+        if x_cell is None:
+            # one node of each mirror pair, and the middle node if m is odd
+            half = np.arange((len(x) + 1) // 2)
+            rows.append(half)
+            orbit.append(np.where(half == len(x) - 1 - half, 1.0, 2.0))
+        else:
+            i = grid.cell_multi_index(x_cell)[ax]
+            rows.append(np.arange(i * order, (i + 1) * order))
+            orbit.append(1.0)
+    shape = tuple(len(x) for x in nodes)
     nf = len(modes)
-    left = _kernel_apply(potential, axis_nodes, a_left, a_full)
-    raw = left.reshape(nf, nf, nf, nf)  # indices (l1, f1, l2, f2)
-    return raw.transpose(0, 2, 3, 1)  # -> (l1, l2, f2, f1)
+    ls, fs = (v.ravel() for v in np.indices((nf, nf)))
+    parity = mode_parities(modes)
+    pair_class = parity[ls] ^ parity[fs]
+    a_left = _pair_columns([(w[r] * k, v[:, r]) for w, k, v, r in zip(wts, orbit, vals, rows)],
+                           ls, fs)
+    classes = []
+    for c in range(1 << d):
+        cols = np.flatnonzero(pair_class == c)
+        if len(cols):
+            # the y points of class c: per axis, the fold's even or odd half
+            halves = [m // 2 if c >> ax & 1 else m - m // 2 for ax, m in enumerate(shape)]
+            classes.append((c, cols, _pair_columns(
+                [(w[:h], v[:, :h]) for w, v, h in zip(wts, vals, halves)], ls[cols], fs[cols])))
+    # sq[ax][i] holds (x_i - y)^2 over the nodes y of axis ax, laid along
+    # that axis of the column grid
+    sq = [((x[r, None] - x[None, :]) ** 2).reshape([len(r)] + [-1 if a == ax else 1
+                                                               for a in range(d)])
+          for ax, (x, r) in enumerate(zip(nodes, rows))]
+    index = np.indices(tuple(len(r) for r in rows)).reshape(d, -1)
+    # applied[x, (l2, f2)] = sum_y V(|x - y|) w_y u_l2(y) u_f2(y)
+    applied = np.empty((index.shape[1], nf * nf))
+    block = max(1, _BLOCK_ELEMENTS // int(np.prod(shape)))
+    for start in range(0, index.shape[1], block):
+        stop = min(start + block, index.shape[1])
+        r2 = 0.0
+        for ax in range(d):
+            r2 = r2 + sq[ax][index[ax, start:stop]]
+        folds = [potential(np.sqrt(r2))]
+        for ax in range(d):
+            # fold k of the list is that of class k, bit a set when odd on axis a
+            pairs = [_fold(k, 1 + ax) for k in folds]
+            folds = [even for even, _ in pairs] + [odd for _, odd in pairs]
+        for c, cols, a_right in classes:
+            applied[start:stop, cols] = folds[c].reshape(stop - start, -1) @ a_right
+    if x_cell is not None:
+        out = a_left.T @ applied
+    else:
+        # over the whole box only the class's own x columns meet it
+        out = np.zeros((nf * nf, nf * nf))
+        for _, cols, _ in classes:
+            out[np.ix_(cols, cols)] = a_left[:, cols].T @ applied[:, cols]
+    # (l1, f1, l2, f2) -> (l1, l2, f2, f1)
+    return out.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
 
 
 def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int | None,
@@ -403,11 +465,7 @@ def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int 
         return contact_tensor(modes, potential, geom if cell is None else (grid, cell))
     if isinstance(potential, Zero):
         return np.zeros((len(modes),) * 4)
-    tensor = _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
-    if cell is None:
-        # the forbidden entries are round-off of an exact zero (potential_tensor)
-        tensor[parity_forbidden(modes)] = 0.0
-    return tensor
+    return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
 
 
 def potential_tensor(
@@ -424,10 +482,10 @@ def potential_tensor(
 
     Selection rule: V(|x - y|) is unchanged when both coordinates are
     reflected about the centre of one axis, and so are the uniform panels of
-    a CellGrid with their Gauss-Legendre nodes.  So V[l1, l2, f2, f1] is 0 in
-    exact arithmetic unless the mode parities cancel on every axis
-    (`parity_forbidden`); the quadrature sum leaves round-off there, which is
-    set to exact 0.0.  The analytic contact tensor is already exact there.  A
+    a CellGrid with their Gauss-Legendre nodes.  So V[l1, l2, f2, f1] is 0
+    unless the pair classes p_l1 ^ p_l2 and p_f1 ^ p_f2 (`mode_parities`)
+    agree; the quadrature assembles one class block at a time, so those
+    entries are exact zeros, as they are in the analytic contact tensor.  A
     tensor with one coordinate restricted to a cell obeys no such rule.
     """
     grid = grid if grid is not None else whole_box_grid(geom)

@@ -224,12 +224,20 @@ def mode_weight(state):
     return (gamma * state.probabilities) @ gamma.conj().T
 
 
+def pair_weight_matrix(values, wts):
+    """A[p, (l, f)] = w_p u_l(x_p) u_f(x_p) over the listed points."""
+    nf, npts = values.shape
+    prod = values[:, None, :] * values[None, :, :]
+    return (prod * wts[None, None, :]).reshape(nf * nf, npts).T
+
+
 def difference_kernel_apply(potential, pts, wts, values, a_right):
-    """A_left^T V(|x - y|) A_right over the (P, d) point list, in the row
-    blocks of `fieldmodel._kernel_apply`, from a (rows, P, d) difference array."""
+    """A_left^T V(|x - y|) A_right over the (P, d) point list, in row blocks
+    of `fieldmodel._BLOCK_ELEMENTS` kernel entries, from a (rows, P, d)
+    difference array."""
     npts = pts.shape[0]
     out = np.zeros((values.shape[0] ** 2, a_right.shape[1]))
-    a_left = fieldmodel._pair_weight_matrix(values, wts)
+    a_left = pair_weight_matrix(values, wts)
     block = max(1, fieldmodel._BLOCK_ELEMENTS // npts)
     for start in range(0, npts, block):
         stop = min(start + block, npts)
@@ -240,8 +248,10 @@ def difference_kernel_apply(potential, pts, wts, values, a_right):
 
 
 def difference_quad_tensor(modes, potential, grid, order, x_cell):
-    """`fieldmodel._quad_tensor` with the points listed by a meshgrid and the
-    cell mask taken point by point."""
+    """`fieldmodel._quad_tensor` summed over every pair of grid points, listed
+    by a meshgrid, with the cell mask taken point by point and no use of the
+    reflection parities: the entries that the selection rule forbids are
+    round-off here, not exact zeros."""
     axis_nodes, wts, values = fieldmodel._quadrature_grid(modes, grid, order)
     pts = np.stack([c.ravel() for c in np.meshgrid(*axis_nodes, indexing="ij")], axis=-1)
     mask = np.ones(len(wts), dtype=bool)
@@ -250,7 +260,7 @@ def difference_quad_tensor(modes, potential, grid, order, x_cell):
             mask &= (pts[:, ax] >= lo) & (pts[:, ax] <= hi)
     nf = len(modes)
     left = difference_kernel_apply(potential, pts, np.where(mask, wts, 0.0), values,
-                                   fieldmodel._pair_weight_matrix(values, wts))
+                                   pair_weight_matrix(values, wts))
     return left.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
 
 

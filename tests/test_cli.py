@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxgas import cli
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 from boxgas.fieldmodel import BoxGeometry, Contact, modes_from_numbers, potential_tensor
@@ -206,6 +207,18 @@ def test_tmatrix_table_rows(tmp_path):
     assert header == ["p", "q", "t_real", "t_imag", "v_real"]
     assert rows == want
     assert any(float(row[3]) != 0.0 for row in rows)
+
+
+def test_tmatrix_table_is_the_same_in_any_row_blocks(tmp_path, monkeypatch):
+    # the rows are made a block of whole p rows at a time; blocks of one p row
+    # (chunk 4 < 6 pairs) or of three must write the same bytes as one block
+    tables = []
+    for chunk in (1 << 20, 4, 20):
+        monkeypatch.setattr(cli, "_TABLE_CHUNK", chunk)
+        out = tmp_path / str(chunk)
+        assert run_cli(["tmatrix", "--out", str(out), "--quiet"]).exit_code == 0
+        tables.append((out / "tmatrix.csv").read_bytes())
+    assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 def test_generator_check_free_gas_exact_zero(tmp_path):

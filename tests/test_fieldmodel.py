@@ -542,26 +542,72 @@ ORACLE_GRIDS = {  # geometry, cells, modes, order
 @pytest.mark.parametrize("case", list(ORACLE_GRIDS))
 def test_quadrature_tensors_equal_difference_array_oracle(monkeypatch, case, potential,
                                                           block_elements):
-    # the product-grid kernel adds the same squared separations in the same
-    # order and row blocks as the point-pair difference array, so it is exact
+    # the parity fold sums the same terms as the point-pair difference array
+    # in another order, so the two agree to round-off: at most 1e-13 max|V|
     geom, cells, n_modes, order = ORACLE_GRIDS[case]
     if block_elements is not None:
         monkeypatch.setattr(fieldmodel, "_BLOCK_ELEMENTS", block_elements)
     modes = box_modes(geom, n_modes)
     grid = CellGrid(geom, cells)
-    basis = build_basis(n_modes, 2, Statistics.BOSE)
 
     def tensor_and_cells():
-        return (potential_tensor(modes, potential, geom, order, grid),
-                [energy_density_op(basis, modes, grid, c, potential, geom, order)
-                 for c in range(grid.n_cells)])
+        # the whole-box tensor, and each cell's as energy_density_op takes it
+        return [potential_tensor(modes, potential, geom, order, grid)] + [
+            fieldmodel._pair_tensor(modes, potential, geom, grid, c, order)
+            for c in range(grid.n_cells)]
 
-    tensor, cell_ops = tensor_and_cells()
+    tensors = tensor_and_cells()
     monkeypatch.setattr(fieldmodel, "_quad_tensor", difference_quad_tensor)
-    ref_tensor, ref_ops = tensor_and_cells()
-    assert np.array_equal(tensor, ref_tensor)
-    for op, ref in zip(cell_ops, ref_ops):
-        assert all(np.array_equal(a, b) for a, b in zip(op.blocks, ref.blocks))
+    refs = tensor_and_cells()
+    for tensor, ref in zip(tensors, refs):
+        assert np.max(np.abs(tensor - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+SUM_GRIDS = {  # geometry, cells, modes, order
+    "1d-1-odd": (BoxGeometry((1.3,)), (1,), 5, 7),
+    "1d-2": (BoxGeometry((1.3,)), (2,), 5, 8),
+    "1d-3-odd": (BoxGeometry((1.3,)), (3,), 5, 5),
+    "3d-211": (PAIR3D_BOX, (2, 1, 1), 6, 4),
+    "3d-211-odd": (PAIR3D_BOX, (2, 1, 1), 6, 3),
+    "3d-222": (PAIR3D_BOX, (2, 2, 2), 5, 4),
+    "3d-222-odd": (PAIR3D_BOX, (2, 2, 2), 5, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(SUM_GRIDS))
+def test_cell_pair_tensors_sum_to_whole_box_tensor(case):
+    # the cells partition the x nodes, so their tensors tile the whole-box one;
+    # an odd order puts a node on the box centre of an axis with one or three
+    # cells, which is its own mirror in the whole-box fold
+    geom, cells, n_modes, order = SUM_GRIDS[case]
+    modes = box_modes(geom, n_modes)
+    grid = CellGrid(geom, cells)
+    potential = Gaussian(0.8, 0.25)
+    whole = potential_tensor(modes, potential, geom, order, grid)
+    tiled = sum(fieldmodel._pair_tensor(modes, potential, geom, grid, c, order)
+                for c in range(grid.n_cells))
+    assert np.max(np.abs(tiled - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("defect", ["nodes", "weights"])
+def test_quadrature_rejects_panels_that_do_not_mirror(monkeypatch, defect):
+    # the fold pairs node i with node m-1-i; panels that break the mirror
+    # would fold wrong values, so the tensor is refused
+    panels = fieldmodel._gauss_panels
+
+    def shifted(edges, base_x, base_w):
+        nodes, wts = panels(edges, base_x, base_w)
+        if defect == "nodes":
+            return nodes + 1e-6, wts
+        return nodes, wts * np.linspace(1.0, 1.0 + 1e-6, len(wts))
+
+    monkeypatch.setattr(fieldmodel, "_gauss_panels", shifted)
+    modes = box_modes(GEOM_1D, 3)
+    with pytest.raises(ValueError, match="must mirror about the centre of each axis"):
+        potential_tensor(modes, Gaussian(0.8, 0.25), GEOM_1D, 8)
+    with pytest.raises(ValueError, match="must mirror about the centre of each axis"):
+        energy_density_op(build_basis(3, 2, Statistics.BOSE), modes, CellGrid(GEOM_1D, (2,)),
+                          0, Gaussian(0.8, 0.25), GEOM_1D, 8)
 
 
 def test_cell_grid_bounds_cover_box():

@@ -19,21 +19,29 @@ from boxgas.fieldmodel import (
     Gaussian,
     SoftLennardJones,
     _pair_tensor,
-    _quad_tensor,
     _symmetrize_tensor,
     contact_tensor,
     hamiltonian,
     mode_energies,
+    mode_parities,
     modes_from_numbers,
     momentum_density_op,
-    parity_forbidden,
     potential_tensor,
 )
 from boxgas.fock import Statistics, build_basis, ladder_ops
 from boxgas.generator import Lprime, coefficients_from_potential
 from boxgas.gibbs import cell_observables
 from boxgas.matrixutil import hermiticity_defect
-from dense_oracles import dense_one_body, dense_two_body, split_blocks
+from dense_oracles import dense_one_body, dense_two_body, difference_quad_tensor, split_blocks
+
+
+def parity_forbidden(modes):
+    """n^4 mask of the pair-tensor entries [l1, l2, f2, f1] whose pair classes
+    p_l1 ^ p_l2 and p_f1 ^ p_f2 differ: the selection rule of a reflection-even
+    interaction over the whole box."""
+    parity = mode_parities(modes)
+    pair_class = parity[:, None] ^ parity[None, :]
+    return pair_class[:, :, None, None] != pair_class[None, None, :, :]
 
 
 @st.composite
@@ -120,17 +128,19 @@ def reflection_even_tensors(draw):
 @settings(max_examples=40, deadline=None)
 @given(setup=reflection_even_tensors())
 def test_parity_forbidden_entries_vanish_on_uniform_panels(setup):
-    # the raw quadrature sum is reflection-even up to round-off, so
-    # potential_tensor may set its forbidden entries to exact zeros
+    # the sum over every pair of grid points is reflection-even up to
+    # round-off; potential_tensor folds by parity, so its forbidden entries
+    # are exact zeros and its allowed ones agree with that sum to round-off
     geom, numbers, potential, cells, order = setup
     modes = modes_from_numbers(geom, numbers)
     grid = CellGrid(geom, cells)
     forbidden = parity_forbidden(modes)
-    raw = _quad_tensor(modes, potential, grid, order, None)
-    assert np.max(np.abs(raw[forbidden]), initial=0.0) <= 1e-13 * np.max(np.abs(raw))
+    oracle = _symmetrize_tensor(difference_quad_tensor(modes, potential, grid, order, None))
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(oracle[forbidden]), initial=0.0) <= 1e-13 * scale
     tensor = potential_tensor(modes, potential, geom, order, grid)
     assert np.all(tensor[forbidden] == 0.0)
-    assert np.array_equal(tensor[~forbidden], _symmetrize_tensor(raw)[~forbidden])
+    assert np.max(np.abs(tensor - oracle)) <= 1e-13 * scale
 
 
 def test_parity_mask_spares_cell_restricted_and_keeps_contact_tensors():
