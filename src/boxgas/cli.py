@@ -60,6 +60,7 @@ from .microsystem import (
 )
 from .scattering import (
     collision_time_estimate,
+    onshell_tmatrix,
     pair_basis,
     pair_energies,
     pair_matrix_from_tensor,
@@ -154,12 +155,23 @@ def _write_report(out_dir: str, report: dict) -> None:
         handle.write("\n")
 
 
+class _CsvText:
+    """A table body already formatted as csv.writer writes it: an iterable
+    of text blocks, each a run of whole lines."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+
 def _write_table(out_dir: str, name: str, header, rows) -> None:
     with open(os.path.join(out_dir, name), "w", encoding="utf-8",
               newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, _CsvText):
+            handle.writelines(rows.blocks)
+        else:
+            writer.writerows(rows)
 
 
 def _versions() -> dict:
@@ -287,10 +299,10 @@ def _payload_build(cfg):
 
 def _payload_tmatrix(cfg):
     ctx = _build_context(cfg)
-    coeffs = _coefficients(ctx)
     pairs = pair_basis(len(ctx.modes), ctx.statistics)
+    t_on = onshell_tmatrix(ctx.modes, ctx.vtensor, ctx.statistics,
+                           cfg["scattering"]["eps"])
     v_pair = pair_matrix_from_tensor(ctx.vtensor, pairs, ctx.statistics)
-    t_on = coeffs.t_onshell
     t_norm = frob(t_on)
     v_norm = frob(v_pair)
     energies = pair_energies(ctx.modes, pairs)
@@ -308,23 +320,37 @@ def _payload_tmatrix(cfg):
     }
     checks = {"t_pair_symmetric": _max_check(sym_defect, 1e-10)}
     header = ["p", "q", "t_real", "t_imag", "v_real"]
-    return values, checks, {"tmatrix.csv": (header, _tmatrix_rows(t_on, v_pair))}
+    return values, checks, {"tmatrix.csv": (header, _CsvText(_tmatrix_text(t_on, v_pair)))}
 
 
 _TABLE_CHUNK = 1 << 16
 
 
-def _tmatrix_rows(t_on, v_pair):
-    """Rows (p, q, Re T, Im T, Re V) over every pair of pairs, made a block of
-    whole p rows (about _TABLE_CHUNK entries) at a time, so the table never
-    holds all P^2 rows as Python objects."""
+def _tmatrix_text(t_on, v_pair):
+    """The lines (p, q, Re T, Im T, Re V) over every pair of pairs, as
+    csv.writer formats them, in text blocks of whole p rows (about
+    _TABLE_CHUNK entries each), so the table never holds all P^2 rows.
+
+    T and V vanish between reflection-parity classes, so most entries are
+    +0.0 in all three columns: their line tail is made once per q, and only
+    the other entries (-0.0 among them) are formatted with repr.
+    """
     n = len(t_on)
+    zero_tails = [f"{q},0.0,0.0,0.0\r\n" for q in range(n)]
     step = max(1, _TABLE_CHUNK // max(n, 1))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        columns = (np.repeat(np.arange(start, stop), n), np.tile(np.arange(n), stop - start),
-                   t_on[start:stop].real, t_on[start:stop].imag, v_pair[start:stop].real)
-        yield from zip(*(column.ravel().tolist() for column in columns))
+        columns = (t_on[start:stop].real, t_on[start:stop].imag, v_pair[start:stop].real)
+        formatted = np.zeros(columns[0].shape, dtype=bool)
+        for column in columns:
+            formatted |= (column != 0.0) | np.signbit(column)
+        rows, cols = np.nonzero(formatted)
+        tails = [list(zero_tails) for _ in range(stop - start)]
+        for row, q, t_re, t_im, v_re in zip(rows.tolist(), cols.tolist(),
+                                            *(c[formatted].tolist() for c in columns)):
+            tails[row][q] = f"{q},{t_re!r},{t_im!r},{v_re!r}\r\n"
+        yield "".join(f"{p}," + f"{p},".join(row_tails)
+                      for p, row_tails in enumerate(tails, start))
 
 
 def _payload_generator_check(cfg):

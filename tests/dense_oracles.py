@@ -14,6 +14,9 @@ list of grid points, with |x - y| from a point-pair difference array.
 the whole pair Hamiltonian, and `whole_space_onshell_tmatrix` the on-shell T
 built on it, where `boxgas.scattering` solves one reflection-parity class of
 pairs at a time.
+`tmatrix_table_text` is the body of `tmatrix.csv` as `csv.writer` writes
+every row (p, q, Re T, Im T, Re V), where `boxgas.cli` formats only the
+entries that are not +0.0 in all three columns.
 `refit_integrate` is the closure's RK4 with every stage re-fitted from the
 fields of the fit before it, the first stage of each step included.
 
@@ -27,6 +30,8 @@ Gibbs state, and `constrained_perturbation` a random dense weight near a
 Gibbs state that keeps its constraint values to first order: the
 perturbations against which the maximum-entropy state is tested.
 """
+import csv
+import io
 from math import factorial, prod, sqrt
 
 import numpy as np
@@ -292,6 +297,17 @@ def whole_space_onshell_tmatrix(modes, vtensor, statistics, eps):
     half, full = whole_space_tmatrix(v_pair, energies,
                                      [energies + 0.5j * eps, energies + 1j * eps])
     return 2.0 * half - full
+
+
+def tmatrix_table_text(t_on, v_pair):
+    """The rows (p, q, Re T, Im T, Re V) over every pair of pairs, p major,
+    written by `csv.writer`: the `tmatrix.csv` body below its header."""
+    n = len(t_on)
+    columns = (np.repeat(np.arange(n), n), np.tile(np.arange(n), n),
+               t_on.real, t_on.imag, v_pair.real)
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(zip(*(column.ravel().tolist() for column in columns)))
+    return out.getvalue()
 
 
 def refit_integrate(sys, t_span, dt):

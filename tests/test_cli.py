@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgas import cli
+from boxgas import cli, generator
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 from boxgas.fieldmodel import BoxGeometry, Contact, modes_from_numbers, potential_tensor
 from boxgas.fock import Statistics
+from boxgas.generator import coefficients_from_potential
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_matrix_from_tensor
+from dense_oracles import tmatrix_table_text
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -219,6 +222,114 @@ def test_tmatrix_table_is_the_same_in_any_row_blocks(tmp_path, monkeypatch):
         assert run_cli(["tmatrix", "--out", str(out), "--quiet"]).exit_code == 0
         tables.append((out / "tmatrix.csv").read_bytes())
     assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
+def pair_tables(t_real, t_imag, v_real):
+    """(T, V) with the given real columns; V's imaginary part, which the
+    table leaves out, is set nonzero."""
+    t = np.empty(np.shape(t_real), dtype=complex)
+    t.real, t.imag = t_real, t_imag
+    v = np.full(np.shape(v_real), 7.0j)
+    v.real = v_real
+    return t, v
+
+
+def negative_zero_in(column):
+    columns = np.zeros((3, 3, 3))
+    columns[column, 1, 2] = -0.0
+    columns[(column + 1) % 3, 0, 0] = 0.5
+    return pair_tables(*columns)
+
+
+def repr_switches():
+    # repr turns to exponent notation below 1e-4 and from 1e16 on; rows 1 and 3
+    # are all zero, row 2 has one entry
+    columns = np.zeros((3, 4, 4))
+    columns[0, 0] = [5e-324, 1e-05, 1e16, 1e300]
+    columns[1, 0] = [-5e-324, 0.0001, 9999999999999998.0, -1e300]
+    columns[2, 0] = [1e-300, -1e-05, -1e16, 2.5]
+    columns[2, 2, 3] = 0.1
+    return pair_tables(*columns)
+
+
+TABLE_CASES = {
+    "no_pairs": pair_tables(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    "one_zero_pair": pair_tables(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),
+    "one_pair": pair_tables([[0.25]], [[-1e16]], [[1e-05]]),
+    "negative_zero_t_real": negative_zero_in(0),
+    "negative_zero_t_imag": negative_zero_in(1),
+    "negative_zero_v_real": negative_zero_in(2),
+    "repr_switches": repr_switches(),
+    "non_finite": pair_tables([[np.nan, 0.0], [0.0, np.inf]], [[0.0, -np.inf], [0.0, 0.0]],
+                              [[0.0, 0.0], [np.nan, 0.0]]),
+}
+
+
+def tmatrix_text(t_on, v_pair, chunk):
+    with mock.patch.object(cli, "_TABLE_CHUNK", chunk):
+        return "".join(cli._tmatrix_text(t_on, v_pair))
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1, 2, 3])
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_tmatrix_text_is_csv_writer_bytes(case, chunk):
+    t_on, v_pair = TABLE_CASES[case]
+    assert tmatrix_text(t_on, v_pair, chunk) == tmatrix_table_text(t_on, v_pair)
+
+
+@st.composite
+def block_sparse_tables(draw):
+    # entries vanish (+0.0) between classes, as T and V do between
+    # reflection-parity classes
+    n = draw(st.integers(0, 7))
+    classes = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=int)
+    entry = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1e16, 1e300])
+    columns = np.array(draw(st.lists(entry, min_size=3 * n * n, max_size=3 * n * n)),
+                       dtype=float).reshape(3, n, n)
+    columns = np.where(classes[:, None] == classes[None, :], columns, 0.0)
+    return pair_tables(*columns), draw(st.sampled_from([1, 2, 5, 1 << 16]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sparse_tables())
+def test_tmatrix_text_is_csv_writer_bytes_on_block_sparse_tables(drawn):
+    (t_on, v_pair), chunk = drawn
+    assert tmatrix_text(t_on, v_pair, chunk) == tmatrix_table_text(t_on, v_pair)
+
+
+@pytest.mark.parametrize("workload", ["default", "pair3d"])
+def test_tmatrix_builds_no_generator_coefficients(tmp_path, monkeypatch, workload):
+    overrides = () if workload == "default" else WORKLOADS.WORKLOADS[workload].overrides
+    cfg = load_config(None, overrides)
+    ctx = cli._build_context(cfg)
+    want = coefficients_from_potential(ctx.modes, ctx.vtensor, ctx.statistics,
+                                       eps=cfg["scattering"]["eps"],
+                                       delta=cfg["generator"]["delta"]).t_onshell
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tmatrix built the generator coefficients")
+
+    monkeypatch.setattr(generator, "build_coefficients", refuse)
+    monkeypatch.setattr(cli, "coefficients_from_potential", refuse)
+    args = ["tmatrix", "--out", str(tmp_path), "--quiet"]
+    for item in overrides:
+        args += ["--set", item]
+    assert run_cli(args).exit_code == 0
+    _, rows = read_csv(tmp_path / "tmatrix.csv")
+    got = np.array([[float(row[2]), float(row[3])] for row in rows])
+    # repr round-trips every float, so the table carries T bit for bit
+    assert got[:, 0].tobytes() == np.ascontiguousarray(want.real).tobytes()
+    assert got[:, 1].tobytes() == np.ascontiguousarray(want.imag).tobytes()
+
+
+def test_tmatrix_without_pairs_writes_the_header_alone(tmp_path):
+    # one Fermi mode has no pair state
+    result = run_cli(["tmatrix", "--out", str(tmp_path), "--quiet",
+                      "--set", "modes.numbers=[[1]]", "--set", "basis.statistics=fermi",
+                      "--set", "basis.n_max=1"])
+    assert result.exit_code == 0
+    assert read_report(tmp_path)["values"]["n_pairs"] == 0
+    assert (tmp_path / "tmatrix.csv").read_bytes() == b"p,q,t_real,t_imag,v_real\r\n"
 
 
 def test_generator_check_free_gas_exact_zero(tmp_path):
