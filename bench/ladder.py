@@ -2,24 +2,23 @@
 
     python3 bench/ladder.py --out BENCH_<n>.json
 
-Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, or
-`evolve` alone) on the default config with 1D modes 1..n, the given n_max,
-2 cells and `evolve.steps=4`.  Each 3D rung runs on the box of the `pair3d`
-benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of strength 0.8 and
-range 0.25, Bose n_max 2) with its n lowest modes: `build` on one cell, where
-the quadrature interaction tensor is a large share of the call, `tmatrix` on
-one cell, where the on-shell pair T matrix and its n^2(n+1)^2/4-row table
-are, `evolve` on two cells [2, 1, 1] with `evolve.steps=4`, where the
-generator images of the moment kernels and the closure's fits are, or
-`maxent` on eight cells [2, 2, 2], where the eight per-cell quadrature pair
-tensors are.  Every call
-is a fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
-variables pinned to 1, importing `boxgas` from `src/` of this checkout (as
-does this script, for the 3D mode list); its wall time and the peak RSS the
-kernel reports for that process (`os.wait4`) are recorded.  At the rungs
-listed in SKIPPED_CHECKS, `generator-check` is not run: the sizes of its
-dense ladder stack and of the witness SVD factor are estimated and recorded
-instead.
+Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, and
+`maxent` at (6, 4) and (8, 4), or `evolve` alone) on the default config with
+1D modes 1..n, the given n_max, 2 cells and `evolve.steps=4`.  Each 3D rung
+runs on the box of the `pair3d` benchmark workload (lengths 1.0, 1.07, 1.13,
+Gaussian of strength 0.8 and range 0.25, Bose n_max 2) with its n lowest
+modes: `build` on one cell, where the quadrature interaction tensor is a
+large share of the call, `tmatrix` on one cell, where the on-shell pair T
+matrix and its n^2(n+1)^2/4-row table are, `evolve` on two cells [2, 1, 1]
+with `evolve.steps=4`, where the generator images of the moment kernels and
+the closure's fits are, or `maxent` on eight cells [2, 2, 2], where the
+eight per-cell quadrature pair tensors are.  Every call is a fresh
+`python -m boxgas.cli` process with the BLAS and OpenMP thread variables
+pinned to 1, importing `boxgas` from `src/` of this checkout (as does this
+script, for the 3D mode list); its wall time and the peak RSS the kernel
+reports for that process (`os.wait4`) are recorded.  At the rungs listed in
+SKIPPED_CHECKS, `generator-check` is not run: the sizes of its dense ladder
+stack and of the witness SVD factor are estimated and recorded instead.
 This is a plain script, not a test and not a benchmark gate.
 """
 from __future__ import annotations
@@ -42,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from boxgas.fieldmodel import BoxGeometry, box_modes  # noqa: E402
 
 COMMANDS = ("build", "generator-check", "evolve")
-RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS), ((8, 4), COMMANDS),
+RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS + ("maxent",)), ((8, 4), COMMANDS + ("maxent",)),
          ((10, 4), ("evolve",)), ((12, 4), ("evolve",)), ((20, 4), ("evolve",)))  # Bose
 PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
 PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),

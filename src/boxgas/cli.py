@@ -300,9 +300,9 @@ def _payload_build(cfg):
 def _payload_tmatrix(cfg):
     ctx = _build_context(cfg)
     pairs = pair_basis(len(ctx.modes), ctx.statistics)
-    t_on = onshell_tmatrix(ctx.modes, ctx.vtensor, ctx.statistics,
-                           cfg["scattering"]["eps"])
     v_pair = pair_matrix_from_tensor(ctx.vtensor, pairs, ctx.statistics)
+    t_on = onshell_tmatrix(ctx.modes, ctx.vtensor, ctx.statistics,
+                           cfg["scattering"]["eps"], v_pair=v_pair)
     t_norm = frob(t_on)
     v_norm = frob(v_pair)
     energies = pair_energies(ctx.modes, pairs)

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .fieldmodel import (
+    MASS,
     BoxGeometry,
     CellGrid,
     cell_kernels,
@@ -119,9 +120,11 @@ class CellObservables:
             bounds[c] = evals.min(), evals.max()
         return bounds
 
-    def combine(self, coeffs) -> CellObservables:
-        """The family of the operators `coeffs @ stack`, one per row of `coeffs`."""
-        return CellObservables(self.blocks.combine(coeffs))
+    def total_energy_levels(self) -> np.ndarray:
+        """Eigenvalues of sum_c E_c, one eigvalsh per sector block, in the
+        sectors' basis order."""
+        return np.concatenate([np.linalg.eigvalsh(b[:self.n_cells].sum(axis=0))
+                               for b in self.blocks.blocks])
 
     def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
         return _sector_gibbs(self.blocks.combine(y), fields)
@@ -181,10 +184,10 @@ class CellKernels:
             bounds[c] = levels.min(), levels.max()
         return bounds
 
-    def combine(self, coeffs) -> CellKernels:
-        """The family of the kernels `coeffs @ stack`, one per row of `coeffs`."""
-        return CellKernels(self.basis,
-                           np.tensordot(np.asarray(coeffs, dtype=float), self.kernels, axes=1))
+    def total_energy_levels(self) -> np.ndarray:
+        """Eigenvalues of sum_c E_c = dGamma(sum_c k_E): the occupation rows
+        s . eigvalsh(sum_c k_E), in basis order."""
+        return self.basis.occupations @ np.linalg.eigvalsh(self.kernels[:self.n_cells].sum(axis=0))
 
     def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
         n = self.basis.n_modes
@@ -232,6 +235,31 @@ class CellKernels:
 
 
 ConstraintFamily = CellObservables | CellKernels
+
+
+@dataclass(frozen=True)
+class _TotalLevels:
+    """The box totals sum_c E_c and sum_c M_c as a constraint family on fixed levels.
+
+    Every operator conserves number and the cell masses sum to MASS N, so the
+    two totals commute: `levels[:, i]` holds the total energy and the mass of
+    common eigenvector i.  A state exp(-(y0 E + y1 M))/Z is a Boltzmann weight
+    over these levels, its values are their two means, and chi is their
+    covariance, which is the Kubo-Mori susceptibility of commuting operators.
+    Its states carry no spectrum: only the fit's multipliers are kept.
+    """
+
+    levels: np.ndarray
+
+    def state(self, y: np.ndarray) -> GibbsState:
+        return _boltzmann(y @ self.levels, None, None)
+
+    def values(self, state: GibbsState) -> np.ndarray:
+        return self.levels @ state.probabilities
+
+    def chi(self, state: GibbsState) -> np.ndarray:
+        centred = self.levels - self.values(state)[:, None]
+        return (centred * state.probabilities) @ centred.T
 
 
 class TwoBodyKernels:
@@ -530,7 +558,9 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
         step, *_ = np.linalg.lstsq(chi, residual, rcond=1e-12)
         if float(residual @ step) < -1e-12 * float(np.abs(residual) @ np.abs(step) + 1e-300):
             raise FitError("Newton direction failed the descent check")
-        if np.linalg.norm(step) > STEP_CAP * (1.0 + np.linalg.norm(y)):
+        with np.errstate(over="ignore"):  # a step whose norm overflows is unbounded too
+            unbounded = np.linalg.norm(step) > STEP_CAP * (1.0 + np.linalg.norm(y))
+        if unbounded:
             raise FitError(
                 "unbounded dual step: targets are infeasible for this observable set"
             )
@@ -559,13 +589,29 @@ def _feasibility_check(obs: ConstraintFamily, targets: ConstraintSet) -> None:
             )
 
 
+def _totals_start(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
+                  max_iter: int) -> np.ndarray:
+    """One (beta, -beta mu) fitted to the box totals, from the cold start (1e-2, 0).
+
+    sum_c E_c is diagonalised once (`total_energy_levels`), and each level
+    carries the mass MASS N of its sector; Newton then runs on these fixed
+    levels (`_TotalLevels`).
+    """
+    mass = MASS * basis.occupations.sum(axis=1)
+    totals = _TotalLevels(np.array([obs.total_energy_levels(), mass]))
+    y2, _, _, _ = _newton_fit(totals, np.array([targets.energy.sum(), targets.mass.sum()]),
+                              np.array([1e-2, 0.0]), tol=1e-6, max_iter=max_iter)
+    return y2
+
+
 def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
                init: LagrangeFields | GibbsState | None = None, tol: float = FIT_TOL,
                max_iter: int = MAX_ITER, chi: np.ndarray | None = None) -> FitResult:
     """Fit (beta, mu) per cell so the Gibbs state meets the cell targets.
 
     The type of the constraint family `obs` selects how the states are
-    built.  A cold start first fits one (beta, mu) to the box totals.  A warm
+    built.  A cold start first fits one (beta, mu) to the box totals on the
+    fixed spectrum of the summed operators (`_totals_start`).  A warm
     start `init` is a set of fields or a Gibbs state of `obs` that carries
     its fields; such a state is not rebuilt, and `chi`, given only with a
     state, must be `obs.chi` at exactly that state.  Newton either meets
@@ -584,11 +630,7 @@ def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
     elif chi is not None:
         raise ValueError("chi seeds a fit only together with its warm-start state")
     if init is None:
-        totals = obs.combine(np.kron(np.eye(2), np.ones(n)))
-        total_targets = np.array([targets.energy.sum(), targets.mass.sum()])
-        y2, _, _, _ = _newton_fit(totals, total_targets, np.array([1e-2, 0.0]),
-                                  tol=1e-6, max_iter=max_iter)
-        y = np.repeat(y2, n)
+        y = np.repeat(_totals_start(basis, obs, targets, max_iter), n)
     else:
         if init.n_cells != n:
             raise ValueError("initial fields cell count does not match")

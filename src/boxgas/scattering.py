@@ -189,7 +189,8 @@ def _spectral_tmatrix(v_pair: np.ndarray, energies: np.ndarray, zs,
     return out
 
 
-def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float) -> np.ndarray:
+def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float,
+                    v_pair: np.ndarray | None = None) -> np.ndarray:
     """On-shell T: column q taken at z = E_q + i eps, with the linear-in-eps
     bias removed from two samples, T_on = 2 T(eps/2) - T(eps).
 
@@ -197,13 +198,16 @@ def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float) -> np.nd
     under the reflection of each axis about the box centre, so V couples a
     pair (p1, p2) only to pairs of its class p1 ^ p2 of mode parities
     (`pair_classes`), and so does T = V + V G V.  T is solved class by class
-    and is exactly 0 between classes.
+    and is exactly 0 between classes.  `v_pair` is V over `pair_basis`, when
+    the caller already holds it; it must be `pair_matrix_from_tensor` of
+    `vtensor`, and is not formed again.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     pairs = pair_basis(len(modes), statistics)
     energies = pair_energies(modes, pairs)
-    v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
+    if v_pair is None:
+        v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
     half, full = _spectral_tmatrix(v_pair, energies,
                                    [energies + 0.5j * eps, energies + 1j * eps],
                                    pair_classes(modes, pairs))

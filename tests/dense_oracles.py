@@ -17,6 +17,10 @@ pairs at a time.
 `tmatrix_table_text` is the body of `tmatrix.csv` as `csv.writer` writes
 every row (p, q, Re T, Im T, Re V), where `boxgas.cli` formats only the
 entries that are not +0.0 in all three columns.
+`sector_totals_start` is the cold start of `gibbs.maxent_fit` as a Newton
+fit over the summed constraint family, which diagonalises every sector
+block (or the kernel) of y0 sum_c E_c + y1 sum_c M_c again at each step,
+where `boxgas.gibbs` diagonalises sum_c E_c once.
 `refit_integrate` is the closure's RK4 with every stage re-fitted from the
 fields of the fit before it, the first stage of each step included.
 
@@ -40,8 +44,12 @@ from boxgas import fieldmodel
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import Statistics
 from boxgas.gibbs import (
+    MAX_ITER,
+    CellKernels,
+    CellObservables,
     ConstraintSet,
     _km_kernel,
+    _newton_fit,
     chi_matrix,
     entropy,
     fields_to_multipliers,
@@ -308,6 +316,19 @@ def tmatrix_table_text(t_on, v_pair):
     out = io.StringIO(newline="")
     csv.writer(out).writerows(zip(*(column.ravel().tolist() for column in columns)))
     return out.getvalue()
+
+
+def sector_totals_start(obs, targets, max_iter=MAX_ITER):
+    """(beta, -beta mu) of one field pair fitted to the box totals from (1e-2, 0):
+    the same Newton, on the family of the two summed operators."""
+    coeffs = np.kron(np.eye(2), np.ones(obs.n_cells))
+    if isinstance(obs, CellObservables):
+        totals = CellObservables(obs.blocks.combine(coeffs))
+    else:
+        totals = CellKernels(obs.basis, np.tensordot(coeffs, obs.kernels, axes=1))
+    y2, _, _, _ = _newton_fit(totals, np.array([targets.energy.sum(), targets.mass.sum()]),
+                              np.array([1e-2, 0.0]), tol=1e-6, max_iter=max_iter)
+    return y2
 
 
 def refit_integrate(sys, t_span, dt):

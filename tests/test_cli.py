@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgas import cli, generator
+from boxgas import cli, generator, scattering
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 from boxgas.fieldmodel import BoxGeometry, Contact, modes_from_numbers, potential_tensor
@@ -320,6 +320,26 @@ def test_tmatrix_builds_no_generator_coefficients(tmp_path, monkeypatch, workloa
     # repr round-trips every float, so the table carries T bit for bit
     assert got[:, 0].tobytes() == np.ascontiguousarray(want.real).tobytes()
     assert got[:, 1].tobytes() == np.ascontiguousarray(want.imag).tobytes()
+
+
+@pytest.mark.parametrize("workload", ["default", "pair3d"])
+def test_tmatrix_forms_the_pair_potential_once(tmp_path, monkeypatch, workload):
+    # the T solve reads the pair matrix that the report and the table use
+    overrides = () if workload == "default" else WORKLOADS.WORKLOADS[workload].overrides
+    calls = []
+    real = scattering.pair_matrix_from_tensor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cli, scattering):
+        monkeypatch.setattr(module, "pair_matrix_from_tensor", counted)
+    args = ["tmatrix", "--out", str(tmp_path), "--quiet"]
+    for item in overrides:
+        args += ["--set", item]
+    assert run_cli(args).exit_code == 0
+    assert len(calls) == 1
 
 
 def test_tmatrix_without_pairs_writes_the_header_alone(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
+from boxgas import gibbs
 from boxgas.fieldmodel import (
     HBAR,
     MASS,
@@ -16,6 +17,7 @@ from boxgas.fieldmodel import (
     Contact,
     Gaussian,
     Zero,
+    box_modes,
     energy_density_op,
     mass_density_op,
     modes_from_numbers,
@@ -24,7 +26,9 @@ from boxgas.fieldmodel import (
 )
 from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
 from boxgas.gibbs import (
+    MAX_ITER,
     _km_kernel,
+    _totals_start,
     CellObservables,
     ConstraintSet,
     FitError,
@@ -47,6 +51,7 @@ from dense_oracles import (
     dense_vectors,
     kubo_mori_susceptibility,
     one_block,
+    sector_totals_start,
     split_blocks,
     weight_entropy,
 )
@@ -446,6 +451,95 @@ def test_fit_failures_raise_fit_error():
         maxent_fit(basis, obs, ConstraintSet(np.array([1.0]), np.array([100.0])))
     with pytest.raises(FitError, match="unbounded dual step|did not converge"):
         maxent_fit(basis, obs, ConstraintSet(np.array([1e4]), np.array([1.0])))
+
+
+# box, modes, potential and the scale of beta of the cold-start systems
+COLD_START_BOXES = {
+    "1d contact": (GEOM, [(k,) for k in (1, 2, 3, 4)], Contact(0.8), 0.5),
+    "1d gaussian": (GEOM, [(k,) for k in (1, 2, 3, 4)], Gaussian(0.8, 0.25), 0.5),
+    "3d gaussian": (BoxGeometry((1.0, 1.07, 1.13)), None, Gaussian(0.8, 0.25), 0.1),
+}
+
+
+def cold_start_system(box, statistics, cells):
+    """Basis, modes, grid, potential, box and unequal cell fields, at n_max 2."""
+    geom, numbers, potential, beta = COLD_START_BOXES[box]
+    modes = box_modes(geom, 4) if numbers is None else modes_from_numbers(geom, numbers)
+    basis = build_basis(len(modes), 2, statistics)
+    grid = CellGrid(geom, (cells,) + (1,) * (geom.dimension - 1))
+    fields = LagrangeFields(beta * np.array([1.0, 0.8])[:cells], np.array([0.3, -0.2])[:cells])
+    return basis, modes, grid, potential, geom, fields
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+@pytest.mark.parametrize("box", sorted(COLD_START_BOXES))
+def test_totals_start_matches_the_sector_oracle(box, statistics, cells):
+    # the fit on the fixed levels of the commuting totals lands where Newton
+    # over the summed family lands, which diagonalises y0 H + y1 M each step
+    basis, modes, grid, potential, geom, fields = cold_start_system(box, statistics, cells)
+    for obs in (cell_observables(basis, modes, grid, potential, geom),
+                cell_kernel_family(basis, modes, grid)):
+        targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, fields), obs))
+        got = _totals_start(basis, obs, targets, MAX_ITER)
+        want = sector_totals_start(obs, targets)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+@pytest.mark.parametrize("box", sorted(COLD_START_BOXES))
+def test_cell_masses_sum_to_mass_times_number(box, statistics, cells):
+    # the identity that lets the cold start give each level of sum_c E_c the
+    # mass MASS N of its sector
+    basis, modes, grid, potential, geom, _ = cold_start_system(box, statistics, cells)
+    obs = cell_observables(basis, modes, grid, potential, geom)
+    for number, block in enumerate(obs.blocks.blocks):
+        total = block[obs.n_cells:].sum(axis=0)
+        assert np.max(np.abs(total - MASS * number * np.eye(len(total)))) <= 1e-12 * max(1, number)
+    kernels = cell_kernel_family(basis, modes, grid).kernels
+    assert np.max(np.abs(kernels[cells:].sum(axis=0) - MASS * np.eye(len(modes)))) <= 1e-12
+
+
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+def test_cold_start_diagonalises_each_sector_block_of_the_total_energy_once(statistics,
+                                                                            monkeypatch):
+    # before the per-cell fit, the only decompositions are one eigvalsh per
+    # sector block of sum_c E_c and the PSD checks of the 2 x 2 totals chi;
+    # no sector here has dim 2 (dims 1, 3, 6 and 1, 4, 6), so they are told apart
+    numbers = (1, 2, 3) if statistics is Statistics.BOSE else (1, 2, 3, 4)
+    _, basis, _, obs = make_system(numbers=numbers, cells=2, potential=Contact(0.8),
+                                   statistics=statistics)
+    assert 2 not in [s.stop - s.start for s in basis.sectors]
+    fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
+    targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, fields), obs))
+    assert obs.mass_bounds.shape == (2, 2)  # the feasibility check's spectra, read beforehand
+    seen, cell_fit_from = [], []
+
+    def counted(real):
+        def decompose(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return real(a, *args, **kwargs)
+        return decompose
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    real_newton = gibbs._newton_fit
+
+    def newton(family, *args, **kwargs):
+        if family is obs:
+            cell_fit_from.append(len(seen))
+        return real_newton(family, *args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "_newton_fit", newton)
+    fit = maxent_fit(basis, obs, targets)
+    assert len(cell_fit_from) == 1
+    cold = [a for a in seen[:cell_fit_from[0]] if a.shape != (2, 2)]
+    total_energy = [b[:obs.n_cells].sum(axis=0) for b in obs.blocks.blocks]
+    assert len(cold) == len(total_energy)
+    for got, want in zip(cold, total_energy):
+        assert np.array_equal(got, want)
+    assert fit.residual_norms[-1] <= 1e-8
 
 
 def test_mass_bounds_match_dense_spectrum():

@@ -9,7 +9,7 @@ grid must keep the reflection selection rule of the whole-box quadrature
 tensor.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxgas.fieldmodel import (
@@ -127,20 +127,26 @@ def reflection_even_tensors(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=reflection_even_tensors())
+# a subnormal strength: max|V| is 6e-313, where 1e-13 of it is below the
+# smallest subnormal and the two sums differ by one ulp, 5e-324
+@example(setup=(BoxGeometry((1.0,)), [[1], [2]], Gaussian(2.2250738585e-313, 0.5), (1,), 2))
 def test_parity_forbidden_entries_vanish_on_uniform_panels(setup):
     # the sum over every pair of grid points is reflection-even up to
     # round-off; potential_tensor folds by parity, so its forbidden entries
-    # are exact zeros and its allowed ones agree with that sum to round-off
+    # are exact zeros and its allowed ones agree with that sum to round-off.
+    # Round-off is 1e-13 of the scale, and never less than a few ulps of it:
+    # at a subnormal scale no relative precision is left
     geom, numbers, potential, cells, order = setup
     modes = modes_from_numbers(geom, numbers)
     grid = CellGrid(geom, cells)
     forbidden = parity_forbidden(modes)
     oracle = _symmetrize_tensor(difference_quad_tensor(modes, potential, grid, order, None))
     scale = np.max(np.abs(oracle))
-    assert np.max(np.abs(oracle[forbidden]), initial=0.0) <= 1e-13 * scale
+    bound = max(1e-13 * scale, 4 * np.spacing(scale))
+    assert np.max(np.abs(oracle[forbidden]), initial=0.0) <= bound
     tensor = potential_tensor(modes, potential, geom, order, grid)
     assert np.all(tensor[forbidden] == 0.0)
-    assert np.max(np.abs(tensor - oracle)) <= 1e-13 * scale
+    assert np.max(np.abs(tensor - oracle)) <= bound
 
 
 def test_parity_mask_spares_cell_restricted_and_keeps_contact_tensors():
