@@ -67,14 +67,6 @@ class FockBasis:
         rows.setflags(write=False)
         return rows
 
-    @cached_property
-    def index(self) -> dict:
-        """Row of each occupation tuple."""
-        return {tuple(int(x) for x in row): i for i, row in enumerate(self.states)}
-
-    def state_index(self, occ) -> int:
-        return self.index[tuple(int(n) for n in occ)]
-
     def totals(self) -> np.ndarray:
         return self.states.sum(axis=1)
 
@@ -110,16 +102,6 @@ class FockBasis:
             before = (np.cumsum(states, axis=1) - states).T
             amp = np.where(target >= 0, 1.0 - 2.0 * (before % 2), 0.0)
         return target, amp
-
-    @cached_property
-    def ladders(self) -> np.ndarray:
-        """All annihilators stacked as a read-only (n_modes, dim, dim) array."""
-        target, amp = self.lowering
-        stack = np.zeros((self.n_modes, self.dim, self.dim), dtype=complex)
-        mode, col = np.nonzero(target >= 0)
-        stack[mode, target[mode, col], col] = amp[mode, col]
-        stack.setflags(write=False)
-        return stack
 
     @cached_property
     def ladder_blocks(self) -> tuple[np.ndarray, ...]:
@@ -180,8 +162,15 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
 
 
 def ladder_ops(basis: FockBasis) -> np.ndarray:
-    """All annihilators stacked as an (n_modes, dim, dim) array, built once per basis."""
-    return basis.ladders
+    """All annihilators stacked as a read-only (n_modes, dim, dim) array, scattered
+    from `basis.lowering`.  Not cached: every other operator is built from the
+    sector blocks, so only the negative-time witness forms this stack."""
+    target, amp = basis.lowering
+    stack = np.zeros((basis.n_modes, basis.dim, basis.dim), dtype=complex)
+    mode, col = np.nonzero(target >= 0)
+    stack[mode, target[mode, col], col] = amp[mode, col]
+    stack.setflags(write=False)
+    return stack
 
 
 def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:

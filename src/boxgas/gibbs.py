@@ -266,22 +266,22 @@ class TwoBodyKernels:
     """Operators dGamma(k1) + dGamma2(k2), read at Gibbs states of one-body exponents.
 
     `one_body` (m, n, n) and `two_body` (m, n, n, n, n) follow
-    `one_body_operator` and `two_body_operator`.  Such a state is diagonal in
-    the occupation rows s of its eigenmodes (`ModeSpectrum`).  With ~ the
-    kernels rotated into the eigenmodes and G = C - diag(nbar), operator i has
-    the value sum_a k1~[a, a] nbar_a
+    `one_body_operator` and `two_body_operator`; k2 must be exchange
+    (anti)symmetric in its last two indices, as `reduced_images` gives it.
+    Such a state is diagonal in the occupation rows s of its eigenmodes
+    (`ModeSpectrum`).  With ~ the kernels rotated into the eigenmodes and
+    G = C - diag(nbar), operator i has the value sum_a k1~[a, a] nbar_a
     + 1/2 sum_ab (k2~[a, b, b, a] +- [a != b] k2~[a, b, a, b]) G_ab, + for
-    Bose and - for Fermi.  Each pair term is k2, laid out as `direct`
-    [(l1, f1), (l2, f2)] or `exchange` [(l1, f2), (l2, f1)], against one
-    n^2 x n^2 matrix X G X^T, X[(l, f), a] = conj(U[l, a]) U[f, a].
+    Bose and - for Fermi.  By that symmetry the second pair term equals the
+    first off the diagonal, and G is symmetric, so the value is
+    k1 . X nbar + 1/2 `direct` . vec(X (2G - diag G) X^T), with k2 laid out
+    once as `direct` [(l1, f1), (l2, f2)] and X[(l, f), a] = conj(U[l, a]) U[f, a].
     """
 
-    def __init__(self, statistics: Statistics, one_body: np.ndarray, two_body: np.ndarray):
+    def __init__(self, one_body: np.ndarray, two_body: np.ndarray):
         m, n = one_body.shape[:2]
-        self.sign = 1.0 if statistics is Statistics.BOSE else -1.0
         self.one_body = one_body.reshape(m, n * n)
         self.direct = two_body.transpose(0, 1, 4, 2, 3).reshape(m, -1)
-        self.exchange = two_body.transpose(0, 1, 3, 2, 4).reshape(m, -1)
 
     def values(self, state: GibbsState) -> np.ndarray:
         u = state.spectrum.vectors
@@ -289,10 +289,8 @@ class TwoBodyKernels:
         x = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
         nbar = state.mode_occupations
         g = state.mode_correlations - np.diag(nbar)
-        hop = g - np.diag(np.diag(g))
-        values = (self.one_body @ (x @ nbar)
-                  + 0.5 * (self.direct @ ((x @ g) @ x.T).ravel()
-                           + self.sign * (self.exchange @ ((x @ hop) @ x.T).ravel())))
+        folded = 2.0 * g - np.diag(np.diag(g))
+        values = self.one_body @ (x @ nbar) + 0.5 * (self.direct @ ((x @ folded) @ x.T).ravel())
         return real_values(values, "two-body kernel value")
 
 

@@ -64,8 +64,7 @@ class ClosureSystem:
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
         self.tau0 = collision_time_estimate(coeffs.t_onshell)
-        self.rate_kernels = TwoBodyKernels(basis.statistics,
-                                           *reduced_images(coeffs, self.kernels))
+        self.rate_kernels = TwoBodyKernels(*reduced_images(coeffs, self.kernels))
 
     @property
     def n_cells(self) -> int:

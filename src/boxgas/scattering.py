@@ -1,8 +1,9 @@
-"""Heisenberg evolution, the two-body T-matrix, and the coarse-grained window.
+"""The two-body T-matrix, the collision time, and the coarse-grained window.
 
-Heisenberg evolution and the pair T matrix both act through the exact
-eigendecomposition of a Hamiltonian, so identities that are usually
-asymptotic statements become finite-dimensional linear algebra here.
+The pair T matrix and the coarse-grained check both act through the exact
+eigendecomposition of a Hamiltonian, one block at a time, so identities that
+are usually asymptotic statements become finite-dimensional linear algebra
+here.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldmodel import HBAR, mode_energies, mode_parities
-from .fock import Statistics
-from .matrixutil import require_hermitian
+from .fock import Statistics, one_body_operator
+from .matrixutil import BlockDiagonal, require_hermitian
 
 RECONSTRUCT_TOL = 1e-10
 WINDOW_FACTOR = 5.0
@@ -25,42 +26,11 @@ class WindowError(ValueError):
     """No time window between the collision scale and the phase scale."""
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    energies: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.energies) @ self.vectors.conj().T
-
-
 def _require_reconstructed(residual: float, peak: float) -> None:
     """The residual must stay below RECONSTRUCT_TOL times max(1, largest |E|)."""
     if residual > RECONSTRUCT_TOL * max(1.0, peak):
         raise ValueError(
             f"eigendecomposition residual {residual:.3e} exceeds {RECONSTRUCT_TOL:.1e}")
-
-
-def spectral_decomposition(h: np.ndarray) -> SpectralDecomposition:
-    require_hermitian(h, name="hamiltonian")
-    dec = SpectralDecomposition(*np.linalg.eigh(h))
-    _require_reconstructed(float(np.linalg.norm(dec.reconstruct() - h)),
-                           float(np.max(np.abs(dec.energies), initial=0.0)))
-    return dec
-
-
-def heisenberg_evolve(
-    h: np.ndarray,
-    x: np.ndarray,
-    t: float,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
-    """exp(+iHt/hbar) X exp(-iHt/hbar)."""
-    dec = spectral_decomposition(h) if decomp is None else decomp
-    q = dec.vectors
-    x_tilde = q.conj().T @ x @ q
-    phase = np.exp(1j * dec.energies * t / HBAR)
-    return q @ (np.outer(phase, phase.conj()) * x_tilde) @ q.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +236,47 @@ class CoarseReport:
 
 def coarse_grained_check(
     basis,
-    h0: np.ndarray,
-    v_op: np.ndarray,
+    ham: BlockDiagonal,
     h: int,
     k: int,
     window: CoarseWindow,
-    lprime_image: np.ndarray,
+    lprime_image: BlockDiagonal,
 ) -> CoarseReport:
-    """Compare exact Heisenberg motion of adag_h a_k against its generator image.
+    """Compare exact Heisenberg motion of X = adag_h a_k against its generator image.
 
     delta(t) = ||U'(t)X - X - t L'(X)||_F / ||t L'(X)||_F for each window time.
+    H, X and L'(X) conserve number and the Frobenius norm is unitarily
+    invariant, so each number sector s is read in its own eigenbasis
+    H_s = V_s E_s V_s^dagger: with X~_s and L~_s rotated by V_s once, the
+    squared numerator is sum_s ||Phi_s o X~_s - X~_s - t L~_s||^2, where
+    Phi_ij = exp(i (E_i - E_j) t / hbar).  Every block of H must be
+    hermitian, and the reconstruction residuals, summed in quadrature over
+    the sectors, must stay below RECONSTRUCT_TOL times the largest |E|.
     """
-    x = basis.ladders[h].conj().T @ basis.ladders[k]
-    h_full = h0 + v_op
-    dec = spectral_decomposition(h_full)
-    scale = np.linalg.norm(lprime_image)
+    scale = lprime_image.norm()
     if scale == 0.0:
         raise ValueError("generator image vanishes; discrepancy is undefined")
+    unit = np.zeros((basis.n_modes,) * 2)
+    unit[h, k] = 1.0
+    x = one_body_operator(basis, unit)
+    sectors, residual2, peak = [], 0.0, 0.0
+    for (hs, xs), (_, ls) in zip(ham.pairs(x), ham.pairs(lprime_image)):
+        require_hermitian(hs, name="hamiltonian")
+        energies, vectors = np.linalg.eigh(hs)
+        miss = (vectors * energies) @ vectors.conj().T - hs
+        residual2 += np.vdot(miss, miss).real
+        peak = max(peak, float(np.max(np.abs(energies), initial=0.0)))
+        vh = vectors.conj().T
+        sectors.append((energies, vh @ xs @ vectors, vh @ ls @ vectors))
+    _require_reconstructed(float(np.sqrt(residual2)), peak)
     deltas = []
     for t in window.times:
-        drift = heisenberg_evolve(h_full, x, float(t), dec) - x - t * lprime_image
-        deltas.append(float(np.linalg.norm(drift) / (t * scale)))
+        drift2 = 0.0
+        for energies, xt, lt in sectors:
+            phase = np.exp(1j * energies * t / HBAR)
+            drift = np.outer(phase, phase.conj()) * xt - xt - t * lt
+            drift2 += np.vdot(drift, drift).real
+        deltas.append(float(np.sqrt(drift2) / (t * scale)))
     return CoarseReport(h, k, window, window.times, np.array(deltas))
 
 

@@ -1,12 +1,12 @@
 """Dense oracles for the number-sector operator layer.
 
 Each helper is the plain dense formula that a sector-blocked routine in
-`boxgas.fock`, `boxgas.generator` or `boxgas.gibbs` replaces: ladders from a
-per-column loop over the occupation table, pair annihilators from a full
-einsum, the one-body, two-body, channel, loss and generator images
-contracted over dense dim x dim stacks, and the mode rotation Gamma(U)
-behind a Gibbs state of a one-body exponent, created column by column on the
-vacuum.  None of them reads a sector block.  `split_blocks` cuts a
+`boxgas.fock`, `boxgas.generator`, `boxgas.gibbs` or `boxgas.scattering`
+replaces: ladders from a per-column loop over the occupation table, pair
+annihilators from a full einsum, the one-body, two-body, channel, loss and
+generator images contracted over dense dim x dim stacks, and the mode
+rotation Gamma(U) behind a Gibbs state of a one-body exponent, created column
+by column on the vacuum.  None of them reads a sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 `difference_quad_tensor` is the pair-potential quadrature over the full
 list of grid points, with |x - y| from a point-pair difference array.
@@ -23,6 +23,14 @@ block (or the kernel) of y0 sum_c E_c + y1 sum_c M_c again at each step,
 where `boxgas.gibbs` diagonalises sum_c E_c once.
 `refit_integrate` is the closure's RK4 with every stage re-fitted from the
 fields of the fit before it, the first stage of each step included.
+`two_layout_kernel_values` reads `gibbs.TwoBodyKernels` with the direct and
+the exchange layout of k2 each contracted against its own matrix, where
+`boxgas.gibbs` folds the exchange term onto the direct one.
+`spectral_decomposition` and `heisenberg_evolve` are the exact motion
+exp(iHt/hbar) X exp(-iHt/hbar) from one eigendecomposition of a dense H, and
+`dense_coarse_deltas` the coarse-grained check on them over the whole Fock
+space, where `scattering.coarse_grained_check` works one number sector at a
+time in H's eigenbasis.  `state_index` finds the row of an occupation tuple.
 
 The Gibbs layer takes operators in number-sector blocks only; `one_block`
 wraps a dense matrix as a `BlockDiagonal` of one block, so a dense exponent
@@ -36,6 +44,7 @@ perturbations against which the maximum-entropy state is tested.
 """
 import csv
 import io
+from dataclasses import dataclass
 from math import factorial, prod, sqrt
 
 import numpy as np
@@ -57,14 +66,22 @@ from boxgas.gibbs import (
     maxent_fit,
 )
 from boxgas.kinetics import StateTrajectory, closure_rhs
-from boxgas.matrixutil import BlockDiagonal, frob, trace_product
+from boxgas.matrixutil import BlockDiagonal, frob, require_hermitian, trace_product
 from boxgas.scattering import (
     COND_CAP,
+    _require_reconstructed,
     pair_basis,
     pair_energies,
     pair_matrix_from_tensor,
-    spectral_decomposition,
 )
+
+
+def state_index(basis, occ):
+    """Row of the occupation tuple `occ` in `basis.states`."""
+    rows = np.flatnonzero(np.all(basis.states == np.asarray(occ, dtype=int), axis=1))
+    if rows.size != 1:
+        raise KeyError(tuple(int(n) for n in occ))
+    return int(rows[0])
 
 
 def split_blocks(ops, slices, names):
@@ -146,7 +163,7 @@ def loop_annihilation_op(basis, mode):
             continue
         target = occ.copy()
         target[mode] -= 1
-        row = basis.index[tuple(int(x) for x in target)]
+        row = state_index(basis, target)
         if basis.statistics is Statistics.BOSE:
             a[row, col] = sqrt(n)
         else:
@@ -220,7 +237,7 @@ def dense_mode_rotation(basis, u):
     adag = loop_ladders(basis).conj().transpose(0, 2, 1)
     created = np.tensordot(np.asarray(u).T, adag, axes=1)  # [j] b†_j
     vacuum = np.zeros(basis.dim, dtype=complex)
-    vacuum[basis.state_index((0,) * basis.n_modes)] = 1.0
+    vacuum[state_index(basis, (0,) * basis.n_modes)] = 1.0
     gamma = np.zeros((basis.dim, basis.dim), dtype=complex)
     for m, occ in enumerate(basis.states):
         col = vacuum
@@ -275,6 +292,44 @@ def difference_quad_tensor(modes, potential, grid, order, x_cell):
     left = difference_kernel_apply(potential, pts, np.where(mask, wts, 0.0), values,
                                    pair_weight_matrix(values, wts))
     return left.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def reconstruct(self):
+        return (self.vectors * self.energies) @ self.vectors.conj().T
+
+
+def spectral_decomposition(h):
+    """One eigendecomposition of a dense hermitian H, checked to reconstruct it."""
+    require_hermitian(h, name="hamiltonian")
+    dec = SpectralDecomposition(*np.linalg.eigh(h))
+    _require_reconstructed(float(np.linalg.norm(dec.reconstruct() - h)),
+                           float(np.max(np.abs(dec.energies), initial=0.0)))
+    return dec
+
+
+def heisenberg_evolve(h, x, t, decomp=None):
+    """exp(+iHt/hbar) X exp(-iHt/hbar)."""
+    dec = spectral_decomposition(h) if decomp is None else decomp
+    q = dec.vectors
+    x_tilde = q.conj().T @ x @ q
+    phase = np.exp(1j * dec.energies * t / HBAR)
+    return q @ (np.outer(phase, phase.conj()) * x_tilde) @ q.conj().T
+
+
+def dense_coarse_deltas(basis, ham, h, k, times, image):
+    """||U'(t)X - X - t L'(X)||_F / ||t L'(X)||_F for X = adag_h a_k, with dense
+    H and L'(X), the motion evolved on the whole Fock space at each time."""
+    a = loop_ladders(basis)
+    x = a[h].conj().T @ a[k]
+    dec = spectral_decomposition(ham)
+    scale = np.linalg.norm(image)
+    return np.array([np.linalg.norm(heisenberg_evolve(ham, x, float(t), dec) - x - t * image)
+                     / (t * scale) for t in times])
 
 
 def whole_space_tmatrix(v_pair, energies, zs):
@@ -385,3 +440,21 @@ def refit_integrate(sys, t_span, dt):
         fit_residuals=np.array(residuals),
         labels=sys.labels,
     )
+
+
+def two_layout_kernel_values(statistics, one_body, two_body, state):
+    """`gibbs.TwoBodyKernels.values` with k2 laid out as direct [(l1, f1), (l2, f2)]
+    against X G X^T and as exchange [(l1, f2), (l2, f1)] against X (G - diag G) X^T,
+    the latter with + for Bose and - for Fermi."""
+    m, n = one_body.shape[:2]
+    sign = 1.0 if statistics is Statistics.BOSE else -1.0
+    direct = two_body.transpose(0, 1, 4, 2, 3).reshape(m, -1)
+    exchange = two_body.transpose(0, 1, 3, 2, 4).reshape(m, -1)
+    u = state.spectrum.vectors
+    x = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
+    nbar = state.mode_occupations
+    g = state.mode_correlations - np.diag(nbar)
+    hop = g - np.diag(np.diag(g))
+    return (one_body.reshape(m, n * n) @ (x @ nbar)
+            + 0.5 * (direct @ ((x @ g) @ x.T).ravel()
+                     + sign * (exchange @ ((x @ hop) @ x.T).ravel())))

@@ -158,7 +158,6 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
     numbers = (1, 4, 7, 8)
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     basis = build_basis(4, 2, Statistics.BOSE)
-    h0 = free_hamiltonian(basis, modes).dense()
     couplings = (0.4, 0.2, 0.1)
     runs = []
     for g in couplings:
@@ -166,8 +165,8 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
         coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                              eps=5.0, delta=5.0)
         lp = Lprime(basis, coeffs)
-        v_op = hamiltonian(basis, modes, vt).dense() - h0
-        runs.append((g, lp, v_op, collision_time_estimate(coeffs.t_onshell)))
+        ham = hamiltonian(basis, modes, vt)
+        runs.append((g, lp, ham, collision_time_estimate(coeffs.t_onshell)))
 
     # off-diagonal bilinears have no coarse window here: the phase time
     # hbar/|W_h - W_k| sits far below 5*tau0, so diagonals are the tested set
@@ -188,11 +187,11 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
     mids_all = []
     for h in range(4):
         mids = []
-        for g, lp, v_op, tau0 in runs:
+        for g, lp, ham, tau0 in runs:
             window = CoarseWindow(tau0, float("inf"), times)
             unit = np.zeros((4, 4))
             unit[h, h] = 1.0
-            rep = coarse_grained_check(basis, h0, v_op, h, h, window, lp.apply(unit).dense())
+            rep = coarse_grained_check(basis, ham, h, h, window, lp.apply(unit))
             mids.append(float(rep.deltas[2]))
         decreasing = decreasing and all(
             mids[i + 1] < mids[i] for i in range(len(mids) - 1))

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from dense_oracles import difference_quad_tensor
+from dense_oracles import difference_quad_tensor, state_index
 
 from boxgas import fieldmodel
 from boxgas.fieldmodel import (
@@ -254,7 +254,7 @@ def test_hamiltonian_free_and_one_particle_sector():
     # interacting hamiltonian restricted to single-particle states stays diag(W)
     pot = Contact(g=0.9)
     h = hamiltonian(basis, modes, contact_tensor(modes, pot, GEOM_1D)).dense()
-    singles = [basis.state_index(tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
+    singles = [state_index(basis, tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
     sub = h[np.ix_(singles, singles)]
     assert np.allclose(sub, np.diag(w), atol=1e-12)
 
@@ -282,7 +282,7 @@ def test_mass_density_cells_sum_to_total():
     total = sum(mass_density_op(basis, modes, grid, c).dense() for c in range(grid.n_cells))
     mass = one_body_operator(basis, MASS * np.eye(basis.n_modes)).dense()
     assert np.max(np.abs(total - mass)) < 1e-13
-    vac = basis.state_index((0, 0, 0))
+    vac = state_index(basis, (0, 0, 0))
     for c in range(grid.n_cells):
         assert mass_density_op(basis, modes, grid, c).dense()[vac, vac] == pytest.approx(0.0)
 
@@ -291,7 +291,7 @@ def test_mass_density_half_cell_value():
     modes = box_modes(GEOM_1D, 2)
     basis = build_basis(2, 1, Statistics.BOSE)
     grid = CellGrid(GEOM_1D, (2,))
-    state = basis.state_index((1, 0))
+    state = state_index(basis, (1, 0))
     for c in range(2):
         lo, hi = grid.bounds(c)[0]
         ref = gl_integral(lambda x: u(1, 1.0)(x) ** 2, lo, hi)
@@ -336,7 +336,7 @@ def test_energy_density_kinetic_kernel_matches_quadrature():
     grid = CellGrid(GEOM_1D, (2,))
     cell = 0
     lo, hi = grid.bounds(cell)[0]
-    singles = [basis.state_index(tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
+    singles = [state_index(basis, tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
     built = energy_density_op(basis, modes, grid, cell, Zero(), GEOM_1D).dense()
     for i, h_idx in enumerate(singles):
         for j, k_idx in enumerate(singles):
@@ -359,7 +359,7 @@ def test_momentum_density_full_box_is_total_momentum():
     basis = build_basis(4, 1, Statistics.BOSE)
     grid = whole_box_grid(GEOM_1D)
     p_op = momentum_density_op(basis, modes, grid, 0)[0].dense()
-    singles = [basis.state_index(tuple(np.eye(4, dtype=int)[k])) for k in range(4)]
+    singles = [state_index(basis, tuple(np.eye(4, dtype=int)[k])) for k in range(4)]
     sub = p_op[np.ix_(singles, singles)]
     for i in range(4):
         for j in range(4):
@@ -370,7 +370,7 @@ def test_momentum_density_full_box_is_total_momentum():
                 expected = 0.0
             assert sub[i, j] == pytest.approx(expected, abs=1e-12)
     assert np.max(np.abs(p_op - p_op.conj().T)) < 1e-13
-    vac = basis.state_index((0, 0, 0, 0))
+    vac = state_index(basis, (0, 0, 0, 0))
     assert p_op[vac, vac] == pytest.approx(0.0)
 
 
@@ -389,8 +389,8 @@ def test_momentum_density_superposition_matches_wavefunction():
     p_op = momentum_density_op(basis, modes, grid, 0)[0].dense()
     c1, c2 = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
     psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.state_index((1, 0))] = c1
-    psi[basis.state_index((0, 1))] = c2
+    psi[state_index(basis, (1, 0))] = c1
+    psi[state_index(basis, (0, 1))] = c2
     got = np.vdot(psi, p_op @ psi)
 
     def wave(x):
@@ -453,7 +453,7 @@ def test_phase_space_op_basic_properties():
         x = rng.uniform(0.3, 0.7, size=1)
         p = rng.uniform(-20.0, 20.0, size=1)
         f_op = phase_space_op(basis, modes, GEOM_1D, x, p, sigma=0.1).dense()
-        vac = basis.state_index((0, 0, 0))
+        vac = state_index(basis, (0, 0, 0))
         assert f_op[vac, vac] == pytest.approx(0.0)
         evals = np.linalg.eigvalsh(f_op)
         assert evals.min() > -1e-13

@@ -34,6 +34,7 @@ from boxgas.generator import (
 )
 from boxgas.matrixutil import BlockDiagonal, comm, frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
+from dense_oracles import state_index
 from test_kinetics import oracle_bilinear_image
 
 GEOM = BoxGeometry((1.0,))
@@ -46,8 +47,9 @@ def modes_1d(numbers):
 
 def two_particle_state(basis, f1, f2):
     vac = np.zeros(basis.dim)
-    vac[basis.state_index((0,) * basis.n_modes)] = 1.0
-    state = basis.ladders[f1].conj().T @ basis.ladders[f2].conj().T @ vac
+    vac[state_index(basis, (0,) * basis.n_modes)] = 1.0
+    a = ladder_ops(basis)
+    state = a[f1].conj().T @ a[f2].conj().T @ vac
     return state / np.linalg.norm(state)
 
 

@@ -15,7 +15,8 @@ every sector at n_max 3 and 4 (a wrong loss factor shows only on N >= 3),
 and `TwoBodyKernels` must read them at a mode Gibbs state as the trace
 against the block-path weight.  Both draw Bose and Fermi, contact and
 gaussian couplings, and include the one-mode Fermi basis, which has no pair
-sector.
+sector.  `TwoBodyKernels` must also match the formula that contracts the
+direct and the exchange layout of k2 separately, on 1D and 3D modes.
 """
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from boxgas.fieldmodel import (
     BoxGeometry,
     Contact,
     Gaussian,
+    box_modes,
     contact_tensor,
     modes_from_numbers,
     potential_tensor,
@@ -42,7 +44,7 @@ from boxgas.gibbs import (
     gibbs_from_operator,
 )
 from boxgas.matrixutil import BlockDiagonal
-from dense_oracles import dense_mode_rotation, mode_weight
+from dense_oracles import dense_mode_rotation, mode_weight, two_layout_kernel_values
 
 KINDS = ("real", "complex", "zero", "repeated")
 
@@ -201,8 +203,25 @@ def test_kernel_rates_match_the_fock_space_trace(case, kind):
     coeffs, basis, rng = generator_setup(case)
     n = basis.n_modes
     kernels = np.array([random_kernel(rng, n, "complex") for _ in range(3)])
-    rates = TwoBodyKernels(basis.statistics, *reduced_images(coeffs, kernels))
+    rates = TwoBodyKernels(*reduced_images(coeffs, kernels))
     k = random_kernel(rng, n, kind, complex_=kind != "real")
     weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
     want = Lprime(basis, coeffs).images(kernels).trace_with(weight)
     assert_close(rates.values(_kernel_gibbs(basis, k, None)), want.real)
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.07, 1.13)])
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_folded_kernel_values_match_the_two_layout_formula(statistics, lengths):
+    # five modes of a 1D box or of the pair3d box, Gibbs states of every kernel kind
+    geom = BoxGeometry(lengths)
+    modes = box_modes(geom, 5)
+    vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=8)
+    coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
+    basis = build_basis(5, 3, statistics)
+    rng = np.random.default_rng(len(lengths))
+    k1, k2 = reduced_images(coeffs, np.array([random_kernel(rng, 5, "complex") for _ in range(3)]))
+    rates = TwoBodyKernels(k1, k2)
+    for kind in KINDS:
+        state = _kernel_gibbs(basis, random_kernel(rng, 5, kind, complex_=kind != "real"), None)
+        assert_close(rates.values(state), two_layout_kernel_values(statistics, k1, k2, state))

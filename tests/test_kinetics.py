@@ -25,7 +25,13 @@ from boxgas.fieldmodel import (
     potential_tensor,
     whole_box_grid,
 )
-from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
+from boxgas.fock import (
+    Statistics,
+    build_basis,
+    ladder_ops,
+    one_body_operator,
+    two_body_operator,
+)
 from boxgas.generator import (
     Lprime,
     build_coefficients,
@@ -56,7 +62,7 @@ from boxgas.kinetics import (
 )
 from boxgas.matrixutil import BlockDiagonal, frob
 from boxgas.scattering import pair_basis, pair_energies
-from dense_oracles import refit_integrate, split_blocks
+from dense_oracles import refit_integrate, split_blocks, state_index
 
 ROOT = Path(__file__).resolve().parents[1]
 GEOM = BoxGeometry((1.0,))
@@ -104,7 +110,7 @@ def free_system(cells=1, beta=(0.3,), numbers=(1, 2, 3), n_max=2):
 def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
     """L' on a_h^dag a_k assembled from scratch with explicit ladder loops."""
     n = basis.n_modes
-    ann = list(basis.ladders)
+    ann = list(ladder_ops(basis))
     cre = [a.conj().T for a in ann]
     x = cre[h] @ ann[k]
     heff = (free_hamiltonian(basis, modes) + two_body_operator(basis, coeffs.veff)).dense()
@@ -459,8 +465,9 @@ def test_gain_loss_overpopulated_channel():
     sys = make_system(cells=1, beta=(0.2,), g=1.0, delta=12.0)
     basis = sys.basis
     vac = np.zeros(basis.dim)
-    vac[basis.state_index((0, 0, 0))] = 1.0
-    psi = basis.ladders[0].conj().T @ basis.ladders[1].conj().T @ vac
+    vac[state_index(basis, (0, 0, 0))] = 1.0
+    a = ladder_ops(basis)
+    psi = a[0].conj().T @ a[1].conj().T @ vac
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     # the two-particle pure state, as a weight over the number sectors
     w = split_blocks(np.outer(psi, psi.conj()), basis.sectors, ["w"])
@@ -499,10 +506,13 @@ def test_trajectory_table_layout():
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
-def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics):
+def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics, monkeypatch):
     # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes); the dense
-    # (n, dim, dim) ladder stack is read only by ladder_ops (the negative-time
-    # witness) and the coarse-grained check
+    # (n, dim, dim) ladder stack is built only by ladder_ops, which only the
+    # negative-time witness calls
+    calls = []
+    monkeypatch.setattr(generator, "ladder_ops",
+                        lambda basis: calls.append(basis) or ladder_ops(basis))
     if statistics is Statistics.BOSE:
         sys = make_system(numbers=tuple(range(1, 7)), n_max=3)
     else:
@@ -514,9 +524,9 @@ def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics):
     assert positivity_check(lp, n_samples=20, tau_max=1e-3, seed=1).passed
     dt = 5.05 * sys.tau0
     assert integrate(sys, t_span=4.0 * dt, dt=dt).n_steps == 4
-    assert "ladders" not in vars(sys.basis)
+    assert not calls
     negative_tau_witness(lp)
-    assert "ladders" in vars(sys.basis)
+    assert len(calls) == 1 and calls[0] is sys.basis
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])

@@ -10,13 +10,15 @@ from boxgas.fieldmodel import (
     Gaussian,
     box_modes,
     contact_tensor,
+    free_hamiltonian,
     hamiltonian,
     mode_energies,
     potential_tensor,
 )
 from boxgas.fieldmodel import _pair_tensor
-from boxgas.fock import Statistics, build_basis, two_body_operator
-from boxgas.matrixutil import comm
+from boxgas.fock import Statistics, build_basis, ladder_ops, one_body_operator, two_body_operator
+from boxgas.generator import Lprime, coefficients_from_potential
+from boxgas.matrixutil import BlockDiagonal, comm
 from boxgas.scattering import (
     _spectral_tmatrix,
     CoarseWindow,
@@ -24,17 +26,21 @@ from boxgas.scattering import (
     coarse_grained_check,
     coarse_window,
     collision_time_estimate,
-    heisenberg_evolve,
     onshell_tmatrix,
     pair_basis,
     pair_classes,
     pair_energies,
     pair_matrix_from_tensor,
     scaling_exponent,
-    spectral_decomposition,
     tensor_from_pair_matrix,
 )
-from dense_oracles import whole_space_onshell_tmatrix
+from dense_oracles import (
+    dense_coarse_deltas,
+    heisenberg_evolve,
+    spectral_decomposition,
+    state_index,
+    whole_space_onshell_tmatrix,
+)
 
 GEOM = BoxGeometry((1.0,))
 # the box of the pair3d benchmark workload
@@ -291,11 +297,12 @@ def test_pair_matrix_matches_fock_sector():
         v_op = two_body_operator(basis, tensor.astype(complex)).dense()
         pairs = pair_basis(3, stats)
         dim = basis.dim
+        a = ladder_ops(basis)
         vecs = []
         for p1, p2 in pairs:
             vac = np.zeros(dim)
-            vac[basis.state_index((0, 0, 0))] = 1.0
-            state = basis.ladders[p1].conj().T @ basis.ladders[p2].conj().T @ vac
+            vac[state_index(basis, (0, 0, 0))] = 1.0
+            state = a[p1].conj().T @ a[p2].conj().T @ vac
             vecs.append(state / np.linalg.norm(state))
         fock_block = np.array(
             [[np.vdot(vi, v_op @ vj) for vj in vecs] for vi in vecs]
@@ -513,21 +520,90 @@ def test_coarse_window_empty_raises():
         coarse_window(tau0=np.inf, w_h=1.0, w_k=1.0)
 
 
+def unit_kernel(n, h, k):
+    unit = np.zeros((n, n))
+    unit[h, k] = 1.0
+    return unit
+
+
 def test_coarse_grained_check_free_case():
     # with V = 0 and the bare commutator as generator the discrepancy is the
     # second-order Taylor remainder, so delta(t) = O(t)
     modes = box_modes(GEOM, 3)
     basis = build_basis(3, 2, Statistics.BOSE)
-    w = mode_energies(modes)
-    h0 = np.diag([float(w @ occ) for occ in basis.states]).astype(complex)
-    v0 = np.zeros_like(h0)
+    h0 = free_hamiltonian(basis, modes)
     h_idx, k_idx = 0, 1
-    x = basis.ladders[h_idx].conj().T @ basis.ladders[k_idx]
-    lmat = 1j * comm(h0, x)
+    x = one_body_operator(basis, unit_kernel(3, h_idx, k_idx))
+    lmat = BlockDiagonal(basis.sectors, tuple(1j * comm(hb, xb) for hb, xb in h0.pairs(x)))
     win = CoarseWindow(tau0=1e-3, t_max=np.inf, times=np.array([2e-3, 1e-3, 5e-4]))
-    rep = coarse_grained_check(basis, h0, v0, h_idx, k_idx, win, lmat)
+    rep = coarse_grained_check(basis, h0, h_idx, k_idx, win, lmat)
     assert rep.deltas[1] == pytest.approx(0.5 * rep.deltas[0], rel=0.05)
     assert rep.deltas[2] == pytest.approx(0.25 * rep.deltas[0], rel=0.05)
+
+
+def coarse_case(statistics, coupling, n_max):
+    """Four modes (1D or the pair3d box), their basis, H and the generator."""
+    geom = PAIR3D_GEOM if coupling == "3d gaussian" else GEOM
+    modes = box_modes(geom, 4)
+    if coupling == "1d contact":
+        vt = contact_tensor(modes, Contact(0.7), geom)
+    else:
+        vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=8)
+    coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
+    basis = build_basis(4, n_max, statistics)
+    return basis, hamiltonian(basis, modes, vt), Lprime(basis, coeffs), coeffs
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("coupling", ["1d contact", "1d gaussian", "3d gaussian"])
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_coarse_grained_check_matches_the_dense_path(statistics, coupling, n_max):
+    basis, ham, lp, _ = coarse_case(statistics, coupling, n_max)
+    times = np.array([0.05, 0.5, 5.0])
+    window = CoarseWindow(0.01, np.inf, times)
+    for h, k in ((0, 0), (2, 2), (0, 1), (3, 1)):
+        image = lp.apply(unit_kernel(4, h, k))
+        if image.norm() == 0.0:
+            # a diagonal bilinear commutes with H0, and it has no collisions at
+            # n_max 1 or under a Fermi contact coupling (which vanishes)
+            assert h == k and (n_max == 1 or statistics is Statistics.FERMI)
+            with pytest.raises(ValueError, match="vanishes"):
+                coarse_grained_check(basis, ham, h, k, window, image)
+            continue
+        rep = coarse_grained_check(basis, ham, h, k, window, image)
+        want = dense_coarse_deltas(basis, ham.dense(), h, k, times, image.dense())
+        assert np.array_equal(rep.times, times) and (rep.h, rep.k) == (h, k)
+        assert np.max(np.abs(rep.deltas - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_coarse_grained_check_diagonalises_only_sector_blocks(statistics, monkeypatch):
+    basis, ham, lp, _ = coarse_case(statistics, "1d gaussian", 3)
+    assert sum(s.stop > s.start for s in basis.sectors) > 1
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    window = CoarseWindow(1.0, np.inf, np.array([1.0, 2.0]))
+    coarse_grained_check(basis, ham, 0, 1, window, lp.apply(unit_kernel(4, 0, 1)))
+    assert shapes == [(s.stop - s.start,) * 2 for s in basis.sectors]
+
+
+def test_coarse_grained_check_rejects_a_vanishing_image_and_a_nonhermitian_block():
+    basis, ham, lp, _ = coarse_case(Statistics.BOSE, "1d contact", 2)
+    window = CoarseWindow(1.0, np.inf, np.array([1.0, 2.0]))
+    image = lp.apply(unit_kernel(4, 0, 1))
+    with pytest.raises(ValueError, match="vanishes"):
+        coarse_grained_check(basis, ham, 0, 1, window, image - image)
+    skew = np.triu(np.ones_like(ham.blocks[2]), 1)
+    bent = BlockDiagonal(ham.slices, ham.blocks[:2] + (ham.blocks[2] + 0.1j * skew,)
+                         + ham.blocks[3:])
+    with pytest.raises(ValueError, match="hermitian"):
+        coarse_grained_check(basis, bent, 0, 1, window, image)
 
 
 def test_scaling_exponent_fit():

@@ -1,4 +1,4 @@
-"""Every public top-level name in `src/boxgas` is reached from an entry point.
+"""Every public top-level name and method in `src/boxgas` is reached from an entry point.
 
 The walk starts at the code that runs when a module is imported and is not a
 definition: `cli`'s command registrations and `__main__` block, and the
@@ -11,6 +11,12 @@ name in `src/` and `bench/`.  Imports are not followed: a name is reached
 only where code uses it.  A public function or class that the walk misses
 is reached only from the tests; reference implementations and test-only
 helpers live under `tests/`.
+
+The public methods (and properties) of the classes in `src/` are walked the
+same way, by bare name: a method is its own definition, its body is not
+part of its class, and it is reached when its name is, through any
+attribute access in reached code.  A reached class whose public method is
+unreached carries code that only the tests run.
 
 The names kept for a planned use are in `ALLOWED`, each with the ROADMAP
 item that will use it.  They are not roots, so a name that only an allowed
@@ -28,14 +34,11 @@ USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 # name -> the ROADMAP item that will use it
 ALLOWED = {
-    "coarse_window": "items 5 and 14: the dense-spectrum scan in bench/",
-    "coarse_grained_check": "items 5 and 14: the dense-spectrum scan in bench/",
-    "CoarseWindow": "items 5 and 14: the window that coarse_window returns",
-    "CoarseReport": "items 5 and 14: the result of coarse_grained_check",
-    "WindowError": "items 5 and 14: raised by coarse_window",
-    "heisenberg_evolve": "items 5 and 14: the exact motion in coarse_grained_check",
-    "spectral_decomposition": "items 5 and 14: the eigenbasis of coarse_grained_check",
-    "SpectralDecomposition": "items 5 and 14: returned by spectral_decomposition",
+    "coarse_window": "item 5: the dense-spectrum scan in bench/",
+    "coarse_grained_check": "item 5: the dense-spectrum scan in bench/",
+    "CoarseWindow": "item 5: the window that coarse_window returns",
+    "CoarseReport": "item 5: the result of coarse_grained_check",
+    "WindowError": "item 5: raised by coarse_window",
     "scaling_exponent": "item 5: the dense-spectrum scan in bench/",
     "default_delta": "item 5: the scan lays its times in units of hbar/delta",
     "potential_tensor_error": "item 1: the quadrature error estimate in the trace side file",
@@ -61,12 +64,20 @@ def used_names(node):
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
+def public_methods(node):
+    """The public functions defined directly in a class body."""
+    return [item for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
 def scan():
     """Public top-level defs and classes of src/boxgas ({name: module}), the
-    names each top-level definition uses, and the names that module-level
-    statements which bind nothing (command registrations, `__main__` blocks)
-    use."""
-    public, uses, roots = {}, {}, set()
+    public methods of its classes ({"Class.method": (class, method)}), the
+    names each top-level definition and each such method uses, and the names
+    that module-level statements which bind nothing (command registrations,
+    `__main__` blocks) use."""
+    public, methods, uses, roots = {}, {}, {}, set()
     for path in USERS:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -74,12 +85,22 @@ def scan():
             names = defined_names(node)
             if not names:
                 roots |= used_names(node)
+            split = public_methods(node) if (path in SOURCES
+                                             and isinstance(node, ast.ClassDef)) else []
+            own = used_names(node)
+            if split:
+                own = set().union(*(used_names(item) for item in
+                                    (*node.decorator_list, *node.bases, *node.body)
+                                    if item not in split))
+            for item in split:
+                uses.setdefault(item.name, set()).update(used_names(item))
+                methods[f"{node.name}.{item.name}"] = (node.name, item.name)
             for name in names:
-                uses.setdefault(name, set()).update(used_names(node))
+                uses.setdefault(name, set()).update(own)
                 if (path in SOURCES and isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and not name.startswith("_")):
                     public[name] = path.stem
-    return public, uses, roots
+    return public, methods, uses, roots
 
 
 def reached(uses, roots):
@@ -93,7 +114,7 @@ def reached(uses, roots):
     return seen
 
 
-PUBLIC, USES, ENTRY = scan()
+PUBLIC, METHODS, USES, ENTRY = scan()
 TRACED = {target.split(".")[1] for target in load_tracer().TARGETS}
 REACHED = reached(USES, ENTRY | TRACED)
 
@@ -101,6 +122,12 @@ REACHED = reached(USES, ENTRY | TRACED)
 def test_every_public_name_has_a_user_outside_the_tests():
     unreached = sorted(f"{PUBLIC[name]}.{name}" for name in PUBLIC
                        if name not in REACHED | set(ALLOWED))
+    assert not unreached, f"reached only from tests (move into tests/ or delete): {unreached}"
+
+
+def test_every_public_method_of_a_reached_class_has_a_user_outside_the_tests():
+    unreached = sorted(f"{PUBLIC[cls]}.{qualified}" for qualified, (cls, method)
+                       in METHODS.items() if cls in REACHED and method not in REACHED)
     assert not unreached, f"reached only from tests (move into tests/ or delete): {unreached}"
 
 
@@ -115,3 +142,6 @@ def test_the_walk_skips_code_that_only_an_allowed_name_uses():
     assert "coarse_window" in USES and "WindowError" in USES["coarse_window"]
     assert "WindowError" not in REACHED
     assert "onshell_tmatrix" in REACHED
+    # a method is walked as its own definition, apart from its class
+    assert METHODS["FockBasis.lowering"] == ("FockBasis", "lowering")
+    assert "lowering" in REACHED and "searchsorted" in USES["lowering"]
