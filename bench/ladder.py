@@ -55,7 +55,8 @@ EIGHT_CELLS = ["grid.cells=[2,2,2]", "fields.beta=" + json.dumps([0.22, 0.18] * 
 PAIR3D_CELLS = {"build": ONE_CELL, "tmatrix": ONE_CELL,
                 "evolve": ["grid.cells=[2,1,1]", "evolve.steps=4"], "maxent": EIGHT_CELLS}
 PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
-                (60, "tmatrix"), (20, "evolve"), (30, "evolve"), (20, "maxent"))  # lowest modes
+                (60, "tmatrix"), (20, "evolve"), (30, "evolve"), (40, "evolve"),
+                (20, "maxent"))  # lowest modes
 SKIPPED_CHECKS = ((10, 4), (12, 4))
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")

@@ -32,7 +32,7 @@ from .fieldmodel import (
     modes_from_numbers,
     potential_tensor,
 )
-from .fock import Statistics, build_basis
+from .fock import Statistics, build_basis, pair_matrix_from_tensor
 from .generator import (
     Lprime,
     coefficients_from_potential,
@@ -52,7 +52,6 @@ from .kinetics import ClosureSystem, integrate, trajectory_table
 from .matrixutil import frob, hermiticity_defect, trace_product
 from .microsystem import (
     MicroModeSet,
-    charge_op,
     embed_joint,
     micro_vacuum_weight,
     one_body_micro,
@@ -63,7 +62,6 @@ from .scattering import (
     onshell_tmatrix,
     pair_basis,
     pair_energies,
-    pair_matrix_from_tensor,
 )
 
 
@@ -79,7 +77,7 @@ class RunContext:
     basis: object
     grid: CellGrid
     potential: object
-    vtensor: np.ndarray
+    v_pair: np.ndarray
     fields: LagrangeFields
 
 
@@ -102,17 +100,17 @@ def _build_context(cfg: dict) -> RunContext:
     basis = build_basis(len(modes), cfg["basis"]["n_max"], statistics)
     grid = CellGrid(geom, tuple(cfg["grid"]["cells"]))
     potential = _potential_from_config(cfg["potential"])
-    vtensor = potential_tensor(modes, potential, geom,
-                               order=cfg["potential"]["order"])
+    v_pair = pair_matrix_from_tensor(
+        potential_tensor(modes, potential, geom, order=cfg["potential"]["order"]), statistics)
     fields = LagrangeFields(beta=np.asarray(cfg["fields"]["beta"], dtype=float),
                             mu=np.asarray(cfg["fields"]["mu"], dtype=float))
     return RunContext(cfg, geom, modes, statistics, basis, grid, potential,
-                      vtensor, fields)
+                      v_pair, fields)
 
 
 def _coefficients(ctx: RunContext):
     cfg = ctx.cfg
-    return coefficients_from_potential(ctx.modes, ctx.vtensor, ctx.statistics,
+    return coefficients_from_potential(ctx.modes, ctx.v_pair, ctx.statistics,
                                        eps=cfg["scattering"]["eps"],
                                        delta=cfg["generator"]["delta"])
 
@@ -280,7 +278,7 @@ def _payload_modes(cfg):
 
 def _payload_build(cfg):
     ctx = _build_context(cfg)
-    h = hamiltonian(ctx.basis, ctx.modes, ctx.vtensor)
+    h = hamiltonian(ctx.basis, ctx.modes, ctx.v_pair)
     defect = max(hermiticity_defect(block) for block in h.blocks)
     scale = max(h.norm(), 1.0)
     evals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in h.blocks]))
@@ -300,9 +298,8 @@ def _payload_build(cfg):
 def _payload_tmatrix(cfg):
     ctx = _build_context(cfg)
     pairs = pair_basis(len(ctx.modes), ctx.statistics)
-    v_pair = pair_matrix_from_tensor(ctx.vtensor, pairs, ctx.statistics)
-    t_on = onshell_tmatrix(ctx.modes, ctx.vtensor, ctx.statistics,
-                           cfg["scattering"]["eps"], v_pair=v_pair)
+    v_pair = ctx.v_pair.astype(complex)  # as T is: frob of the real V rounds differently
+    t_on = onshell_tmatrix(ctx.modes, v_pair, ctx.statistics, cfg["scattering"]["eps"])
     t_norm = frob(t_on)
     v_norm = frob(v_pair)
     energies = pair_energies(ctx.modes, pairs)
@@ -495,7 +492,7 @@ def _payload_micro_demo(cfg):
         worst = max(worst, diff)
         rows.append([label, full.real, full.imag, reduced.real, reduced.imag,
                      diff])
-    q_op = charge_op(mset, joint.macro_dim)
+    q_op = one_body_micro(np.eye(q), mset, joint.macro_dim)
     charge_defect = float(np.max(np.abs(q_op @ joint.weight - joint.weight)))
     trace_defect = abs(float(np.trace(joint.weight).real) - 1.0)
     checks = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, one_body_operator, two_body_operator
+from .fock import FockBasis, one_body_operator, pair_matrix_from_tensor, two_body_operator
 from .matrixutil import BlockDiagonal
 
 # Units are fixed at hbar = m = 1; every formula reads these two constants.
@@ -526,10 +526,11 @@ def contact_tensor(modes, potential: Contact, region) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operators
 
-def hamiltonian(basis: FockBasis, modes, vtensor: np.ndarray) -> BlockDiagonal:
+def hamiltonian(basis: FockBasis, modes, v_pair: np.ndarray) -> BlockDiagonal:
+    """Free part plus the two-body interaction `v_pair` over `pair_basis`."""
     if basis.n_modes != len(modes):
         raise ValueError("basis and mode list disagree on mode count")
-    return free_hamiltonian(basis, modes) + two_body_operator(basis, vtensor)
+    return free_hamiltonian(basis, modes) + two_body_operator(basis, v_pair)
 
 
 def free_hamiltonian(basis: FockBasis, modes) -> BlockDiagonal:
@@ -571,13 +572,15 @@ def energy_density_op(
 
     Kinetic part is the cell_kernels energy kernel; the pair part restricts
     one interaction coordinate to the cell (symmetrized, so cells split
-    shared pair energy evenly).  The sum over all cells reproduces
-    hamiltonian() built with the same grid.
+    shared pair energy evenly), projected once onto `pair_basis`.  The sum
+    over all cells reproduces hamiltonian() built with the same grid.
     """
     kernel, _ = cell_kernels(modes, grid, cell)
     out = one_body_operator(basis, kernel)
     tensor = _pair_tensor(modes, potential, geom, grid, cell, order)
-    return out + two_body_operator(basis, tensor) if tensor.any() else out
+    if not tensor.any():
+        return out
+    return out + two_body_operator(basis, pair_matrix_from_tensor(tensor, basis.statistics))
 
 
 def quadrature_gram_defect(modes, geom: BoxGeometry, order: int = 8) -> float:

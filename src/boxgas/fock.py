@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .matrixutil import HERMITICITY_TOL, BlockDiagonal, dagger_sum, hermiticity_defect
+from .matrixutil import BlockDiagonal, dagger_sum, require_hermitian
 
 DIM_CAP = 200_000
 
@@ -32,6 +32,55 @@ def sector_dimension(n_modes: int, n: int, statistics: Statistics) -> int:
     if statistics is Statistics.BOSE:
         return comb(n_modes + n - 1, n)
     return comb(n_modes, n)
+
+
+def pair_basis(n_modes: int, statistics: Statistics) -> list[tuple[int, int]]:
+    """Ordered mode pairs (q1, q2), q1 <= q2 (q1 < q2 for Fermi), indexing the
+    two-particle sector: every two-body operator is a P x P matrix over them."""
+    if statistics is Statistics.BOSE:
+        return [(f1, f2) for f1 in range(n_modes) for f2 in range(f1, n_modes)]
+    return [(f1, f2) for f1 in range(n_modes) for f2 in range(f1 + 1, n_modes)]
+
+
+def _pair_norms(pairs, statistics: Statistics) -> np.ndarray:
+    """n_q of the normalized pair state |q> = n_q adag_{q1} adag_{q2} |0>."""
+    if statistics is Statistics.FERMI:
+        return np.ones(len(pairs))
+    return np.array([1.0 / np.sqrt(2.0) if p1 == p2 else 1.0 for p1, p2 in pairs])
+
+
+def _pair_indices(pairs):
+    """Mode indices of the pairs as (p1, p2) columns and (q1, q2) rows."""
+    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    return idx[:, :1], idx[:, 1:], idx[:, 0], idx[:, 1]
+
+
+def pair_matrix_from_tensor(tensor: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """Matrix elements <p| (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1 |q>
+    between the normalized pair states of `pair_basis`.
+
+    Requires the exchange-symmetrized tensor, tensor[l1,l2,f2,f1] ==
+    tensor[l2,l1,f1,f2]; the result is hermitian when the tensor is, and
+    real when it is.
+    """
+    pairs = pair_basis(len(tensor), statistics)
+    norms = _pair_norms(pairs, statistics)
+    p1, p2, q1, q2 = _pair_indices(pairs)
+    sign = -1.0 if statistics is Statistics.FERMI else 1.0
+    return np.outer(norms, norms) * (tensor[p1, p2, q2, q1] + sign * tensor[p1, p2, q1, q2])
+
+
+def pair_one_body(kernel: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """<p| dGamma(kernel) |q> between the normalized pair states, for an n x n kernel:
+    n_p n_q (K[p1,q1] d[p2,q2] + K[p2,q2] d[p1,q1] + s K[p2,q1] d[p1,q2]
+    + s K[p1,q2] d[p2,q1]), s = -1 for Fermi and +1 for Bose."""
+    pairs = pair_basis(len(kernel), statistics)
+    p1, p2, q1, q2 = _pair_indices(pairs)
+    sign = -1.0 if statistics is Statistics.FERMI else 1.0
+    m = ((p2 == q2) * kernel[p1, q1] + (p1 == q1) * kernel[p2, q2]
+         + sign * ((p1 == q2) * kernel[p2, q1] + (p2 == q1) * kernel[p1, q2]))
+    norms = _pair_norms(pairs, statistics)
+    return np.outer(norms, norms) * m
 
 
 @dataclass(frozen=True)
@@ -110,16 +159,23 @@ class FockBasis:
 
     @cached_property
     def pair_blocks(self) -> tuple[np.ndarray, ...]:
-        """Entry N: the read-only (n_modes, n_modes, d_{N-2}, d_N) block of a_f a_g.
+        """Entry N: the read-only (P, d_{N-2}, d_N) block of every pair annihilator A_q.
 
-        Composed from the index maps: a_g first, then a_f.  Entries N < 2 have
-        no rows.
+        A_q = n_q a_{q2} a_{q1} over the pairs q = (q1, q2) of `pair_basis`,
+        with the norms n_q of `_pair_norms`, so A_q^dagger creates the
+        normalized pair state |q>.  Composed from the index maps: a_{q1}
+        first, then a_{q2}.  Entries N < 2 have no rows.
         """
         target, amp = self.lowering
-        second = target[:, target]  # [f, g, c]: row of a_f applied to a_g's image of c
-        valid = (target >= 0) & (second >= 0)
+        pairs = pair_basis(self.n_modes, self.statistics)
+        _, _, q1, q2 = _pair_indices(pairs)
+        first = target[q1]
+        second = target[q2[:, None], first]  # row of a_{q2} applied to a_{q1}'s image
+        valid = (first >= 0) & (second >= 0)
+        scale = _pair_norms(pairs, self.statistics)[:, None] * amp[q1]
         return self._sector_blocks(np.where(valid, second, -1),
-                                   np.where(valid, amp[:, target] * amp, 0.0), lower=2)
+                                   np.where(valid, scale * amp[q2[:, None], first], 0.0),
+                                   lower=2)
 
     def _sector_blocks(self, target, amp, lower: int) -> tuple[np.ndarray, ...]:
         """Scatter column maps (..., dim) into one block per sector N, mapping N -> N - lower."""
@@ -187,30 +243,18 @@ def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:
                                               for lad in basis.ladder_blocks))
 
 
-def two_body_operator(basis: FockBasis, tensor: np.ndarray) -> BlockDiagonal:
-    """Second-quantized two-body operator.
+def two_body_operator(basis: FockBasis, m: np.ndarray) -> BlockDiagonal:
+    """Second-quantized two-body operator sum_pq m[p, q] A_p^dagger A_q.
 
-    Returns (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1.  The
-    tensor must satisfy tensor[l1,l2,f2,f1] == conj(tensor[f1,f2,l2,l1]),
-    which makes the operator hermitian.  One block per number sector, from the
-    pair annihilators P[f2, f1] = a_f2 a_f1, whose adjoints P[l2, l1]^dagger
-    are the creation pairs adag_l1 adag_l2: two GEMMs per sector.  A real
-    tensor gives real blocks.
+    `m` is the hermitian P x P matrix of the operator between the normalized
+    pair states of `pair_basis` (`pair_matrix_from_tensor` of a two-body
+    tensor).  One block per number sector, from the pair annihilators A_q of
+    `FockBasis.pair_blocks`: two GEMMs per sector.  A real m gives real blocks.
     """
-    tensor = np.asarray(tensor)
-    f = basis.n_modes
-    if tensor.shape != (f, f, f, f):
-        raise ValueError(f"tensor shape {tensor.shape} does not match mode count {f}")
-    # rows indexed (l2, l1) to line up with the creation pair P[l2, l1]^dagger;
-    # the tensor's symmetry makes this matrix hermitian
-    weights = tensor.transpose(1, 0, 2, 3).reshape(f * f, f * f)
-    defect = hermiticity_defect(weights)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"two-body tensor fails hermiticity: {defect:.3e} > {HERMITICITY_TOL:.1e}")
-    blocks = []
-    for pairs in basis.pair_blocks:
-        flat = pairs.reshape(f * f, -1)
-        blocks.append(0.5 * dagger_sum(pairs, (weights @ flat).reshape(pairs.shape)))
-    return BlockDiagonal(basis.sectors, tuple(blocks))
-
+    m = np.asarray(m)
+    n_pairs = len(basis.pair_blocks[0])
+    if m.shape != (n_pairs, n_pairs):
+        raise ValueError(f"pair matrix shape {m.shape} does not match {n_pairs} pair states")
+    require_hermitian(m, name="two-body pair matrix")
+    return BlockDiagonal(basis.sectors, tuple(dagger_sum(pairs, np.tensordot(m, pairs, axes=1))
+                                              for pairs in basis.pair_blocks))

@@ -1,12 +1,16 @@
 """Coarse-grained collision generator acting on the bilinear family a†_h a_k.
 
 The generator is assembled from on-shell pair amplitudes: a hermitian
-effective two-body kernel plus energy-smeared jump amplitudes whose width
-delta sets the window inside which a pair collision counts as resonant.
-Observables in the family are carried as n x n one-body kernels K, standing
-for sum_hk K[h, k] a†_h a_k, the same reduction the tracked particle gets in
-`microsystem`; the generator maps a kernel straight to its dim x dim image,
-or, in `reduced_images`, to the one- and two-body kernels of that image.
+effective two-body interaction plus energy-smeared jump amplitudes whose
+width delta sets the window inside which a pair collision counts as resonant.
+Both are P x P matrices over the normalized pair states of `pair_basis`, and
+the channel operators are R_p = sum_q jump[p, q] A_q over the pair
+annihilators A_q.  On two particles L' is the adjoint Lindblad generator with
+the single jump matrix J = `jump` (Lindblad 1976; Breuer & Petruccione 2002,
+ch. 3).  Observables in the family are n x n one-body kernels K, standing for
+sum_hk K[h, k] a†_h a_k; the generator maps a kernel straight to its
+dim x dim image, or, in `reduced_images`, to the one-body kernel and the
+P x P pair matrix of that image, by pair-space algebra alone.
 """
 
 from __future__ import annotations
@@ -18,16 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .fieldmodel import HBAR, MASS, hamiltonian, mode_energies
-from .fock import (
-    FockBasis,
-    Statistics,
-    build_basis,
-    ladder_ops,
-    one_body_operator,
-    sector_dimension,
-)
+from .fock import (FockBasis, Statistics, _pair_indices, _pair_norms, ladder_ops, pair_basis,
+                   pair_one_body)
 from .matrixutil import BlockDiagonal, comm, dagger_sum
-from .scattering import onshell_tmatrix, pair_basis, pair_energies, tensor_from_pair_matrix
+from .scattering import onshell_tmatrix, pair_energies
 
 SUPPORT_FACTOR = 4.0
 MASS_TOL = 1e-10
@@ -59,11 +57,12 @@ def default_delta(modes, statistics: Statistics) -> float:
 
 @dataclass(frozen=True)
 class GeneratorCoefficients:
-    """Effective kernel, jump amplitudes, and the smearing width behind them.
+    """Effective interaction, jump amplitudes, and the smearing width behind them.
 
-    jump[k, l, f2, f1] multiplies a_{f2} a_{f1} in the channel operator for
-    the outgoing pair (k, l); veff is the hermitian, exchange-symmetric
-    two-body kernel of the effective Hamiltonian.
+    Every array is P x P over `pair_basis`: `veff` = (T + T^dagger)/2 is the
+    pair matrix of the effective interaction, and `jump` =
+    sqrt(2 pi/hbar S(E_p - E_q)) o T, whose row p gives the channel operator
+    R_p = sum_q jump[p, q] A_q of the outgoing pair p.
     """
 
     modes: tuple
@@ -83,42 +82,52 @@ def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
     if delta <= 0:
         raise ValueError("delta must be positive")
     modes = tuple(modes)
-    n = len(modes)
-    pairs = pair_basis(n, statistics)
+    pairs = pair_basis(len(modes), statistics)
     t_onshell = np.asarray(t_onshell, dtype=complex)
     if t_onshell.shape != (len(pairs), len(pairs)):
         raise ValueError(
             f"on-shell matrix shape {t_onshell.shape} does not match "
             f"{len(pairs)} pair states"
         )
-    herm = 0.5 * (t_onshell + t_onshell.conj().T)
-    veff = tensor_from_pair_matrix(herm, pairs, statistics, n)
-    t4 = tensor_from_pair_matrix(t_onshell, pairs, statistics, n)
-    w = mode_energies(modes)
-    mismatch = (w[:, None, None, None] + w[None, :, None, None]
-                - w[None, None, :, None] - w[None, None, None, :])
-    jump = np.sqrt((2.0 * np.pi / HBAR) * smearing_kernel(mismatch, delta)) * t4
-    return GeneratorCoefficients(modes, statistics, veff, jump, float(delta),
-                                 t_onshell.copy())
+    energies = pair_energies(modes, pairs)
+    window = smearing_kernel(energies[:, None] - energies[None, :], delta)
+    return GeneratorCoefficients(modes, statistics, 0.5 * (t_onshell + t_onshell.conj().T),
+                                 np.sqrt((2.0 * np.pi / HBAR) * window) * t_onshell,
+                                 float(delta), t_onshell.copy())
 
 
-def coefficients_from_potential(modes, vtensor, statistics: Statistics, eps: float,
+def coefficients_from_potential(modes, v_pair, statistics: Statistics, eps: float,
                                 delta: float) -> GeneratorCoefficients:
-    """On-shell solve followed by coefficient assembly."""
-    t_on = onshell_tmatrix(modes, vtensor, statistics, eps)
+    """On-shell solve of V over `pair_basis`, followed by coefficient assembly."""
+    t_on = onshell_tmatrix(modes, v_pair, statistics, eps)
     return build_coefficients(modes, t_on, statistics, delta)
 
 
 def channel_blocks(basis: FockBasis, coeffs: GeneratorCoefficients) -> tuple:
-    """Jump operators R[k, l] = sum jump[k, l, f2, f1] a_{f2} a_{f1} per number sector.
+    """Jump operators R_p = sum_q jump[p, q] A_q per number sector.
 
-    Entry N is the (n, n, d_{N-2}, d_N) block mapping sector N to N - 2: one
-    (n^2 x n^2) by (n^2 x d_{N-2} d_N) product with the pair annihilators.
+    Entry N is the (P, d_{N-2}, d_N) block mapping sector N to N - 2: one
+    (P x P) by (P x d_{N-2} d_N) product with the pair annihilators.
     """
-    n = basis.n_modes
-    jump = coeffs.jump.reshape(n * n, n * n)
-    return tuple((jump @ pairs.reshape(n * n, -1)).reshape(pairs.shape)
-                 for pairs in basis.pair_blocks)
+    return tuple(np.tensordot(coeffs.jump, pairs, axes=1) for pairs in basis.pair_blocks)
+
+
+def _ordered_channels(basis: FockBasis, chan: np.ndarray) -> np.ndarray:
+    """Channel blocks (P, rows, cols) laid out as R_kl = c_kl R_p(k,l), shape (n, n, rows, cols).
+
+    p(k, l) is the pair of modes k and l; c_kl = 1/n_p for Bose, and for
+    Fermi +1 when k < l, -1 when k > l and 0 when k = l (no such pair: the
+    appended zero block).  Then sum_kl R_kl^dagger R_kl = 2 sum_p R_p^dagger R_p.
+    """
+    n, pairs = basis.n_modes, pair_basis(basis.n_modes, basis.statistics)
+    _, _, k, l = _pair_indices(pairs)
+    c = 1.0 / _pair_norms(pairs, basis.statistics)
+    index, weight = np.full((n, n), len(pairs)), np.zeros((n, n))
+    index[k, l] = index[l, k] = np.arange(len(pairs))
+    weight[l, k] = c if basis.statistics is Statistics.BOSE else -c
+    weight[k, l] = c
+    padded = np.concatenate([chan, np.zeros((1,) + chan.shape[1:])])
+    return weight[:, :, None, None] * padded[index]
 
 
 class Lprime:
@@ -126,7 +135,7 @@ class Lprime:
 
     Ladders lower the number by one and channels by two, so every image is
     built block by block over the number sectors.  `h_eff` and the loss
-    operator `gamma` (one quarter of the channel-summed R†R) are
+    operator `gamma` (one half of the channel-summed R_p^dagger R_p) are
     BlockDiagonal over the sectors.
     """
 
@@ -137,12 +146,14 @@ class Lprime:
         self.coeffs = coeffs
         self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
         self.channel_blocks = channel_blocks(basis, coeffs)
-        self.gamma = BlockDiagonal(basis.sectors, tuple(0.25 * dagger_sum(r, r)
+        self.gamma = BlockDiagonal(basis.sectors, tuple(0.5 * dagger_sum(r, r)
                                                         for r in self.channel_blocks))
 
     def parts(self, kernel: np.ndarray):
-        """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k."""
+        """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k; the
+        gain is sum_pq K2[p, q] R_p^dagger R_q over the kernel's pair matrix K2."""
         kernel = np.asarray(kernel)
+        pair_kernel = pair_one_body(kernel, self.basis.statistics)
         stream, loss, gain = [], [], []
         gamma_below = np.zeros((0, 0))  # Gamma on sector N - 1, where a_k lands
         for lad, chan, h, gamma in zip(self.basis.ladder_blocks, self.channel_blocks,
@@ -152,8 +163,7 @@ class Lprime:
             stream.append((1j / HBAR) * comm(h, x))
             loss.append((-1.0 / HBAR) * (
                 gamma @ x + x @ gamma - 2.0 * dagger_sum(lad, gamma_below @ ka)))
-            kr = np.tensordot(kernel, chan, axes=1)  # [h, l] sum_k K[h,k] R_kl
-            gain.append((1.0 / HBAR) * dagger_sum(chan, kr))
+            gain.append((1.0 / HBAR) * dagger_sum(chan, np.tensordot(pair_kernel, chan, axes=1)))
             gamma_below = gamma
         return tuple(BlockDiagonal(self.basis.sectors, tuple(blocks))
                      for blocks in (stream, loss, gain))
@@ -170,14 +180,16 @@ class Lprime:
     def _family_maps(self) -> tuple:
         """Per sector N, the maps of a flattened family psi[:, N] (index (k, j)):
         the stacked lowerings sum_k a_k psi_k, sum_k a_k H_eff psi_k and
-        sum_k a_k Gamma psi_k into sector N - 1, and the channels sum_k R_kl psi_k."""
+        sum_k a_k Gamma psi_k into sector N - 1, and the channels sum_k R_kl psi_k
+        in the ordered layout of `_ordered_channels`."""
         maps = []
         for lad, chan, h, gamma in zip(self.basis.ladder_blocks, self.channel_blocks,
                                        self.h_eff.blocks, self.gamma.blocks):
             n, rows, cols = lad.shape
             lowered = np.stack([lad, lad @ h, lad @ gamma]).transpose(0, 2, 1, 3)
+            ordered = _ordered_channels(self.basis, chan)
             maps.append((lowered.reshape(3 * rows, n * cols),
-                         chan.transpose(1, 2, 0, 3).reshape(-1, n * cols)))
+                         ordered.transpose(1, 2, 0, 3).reshape(-1, n * cols)))
         return tuple(maps)
 
     def family_form(self, psi: np.ndarray):
@@ -218,28 +230,27 @@ def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def reduced_images(coeffs: GeneratorCoefficients, kernels) -> tuple[np.ndarray, np.ndarray]:
-    """k1 and k2 with L'(dGamma(K)) = dGamma(k1) + dGamma2(k2) for each kernel K.
+    """k1 and k2 with L'(dGamma(K)) = dGamma(k1) + `two_body_operator`(k2) for each kernel K.
 
-    dGamma2(k2) is `two_body_operator`'s (1/2) sum k2[l1,l2,f2,f1]
-    a†_l1 a†_l2 a_f2 a_f1.  Every part of L' is at most two-body, so the
-    image is fixed by its one- and two-particle blocks, which `Lprime` gives
-    on an n_max 2 basis of the same modes (n_max 1 where the statistics
-    leave no pair sector; k2 is then zero).  The pair annihilators Q = a_f2 a_f1
-    on the two-particle rows satisfy Q Q† = 2 x the (anti)symmetrizer, so
-    k2 = Q B Q† / 2 for the two-particle block B of the image less
-    dGamma(k1): the exchange-(anti)symmetric tensor.  Returns arrays of shape
-    (m, n, n) and (m, n, n, n, n) for m kernels.
+    Every part of L' is at most two-body, so the image is fixed by its one-
+    and two-particle blocks.  On one particle only the streaming survives:
+    k1 = (i/hbar)[diag w, K].  On two, L' is the adjoint Lindblad generator
+    with Hamiltonian diag(E) + V_eff and jump matrix J, acting on the pair
+    matrix K2 of dGamma(K) (`pair_one_body`); its diag(E) part is the pair
+    matrix of dGamma(k1), so
+    k2 = (i/hbar)[V_eff, K2] + (1/hbar)(J^dagger K2 J - 1/2 {J^dagger J, K2}),
+    all P x P.  Returns arrays of shape (m, n, n) and (m, P, P) for m kernels.
     """
-    n, statistics = coeffs.n_modes, coeffs.statistics
-    basis = build_basis(n, 2 if sector_dimension(n, 2, statistics) else 1, statistics)
-    images = Lprime(basis, coeffs).images(kernels)
-    singles = basis.ladder_blocks[1][:, 0, :]  # a_f on the one-particle rows: a permutation
-    k1 = singles @ images.blocks[1] @ singles.T
-    k2 = np.zeros(k1.shape[:1] + (n,) * 4, dtype=complex)
-    if basis.n_max == 2:
-        pairs = basis.pair_blocks[2].reshape(n * n, -1)  # rows (f2, f1)
-        rest = images.blocks[2] - np.stack([one_body_operator(basis, k).blocks[2] for k in k1])
-        k2 = (0.5 * pairs @ rest @ pairs.T).reshape(-1, n, n, n, n).transpose(0, 2, 1, 3, 4)
+    kernels = np.asarray(kernels)
+    w = mode_energies(coeffs.modes)
+    k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernels
+    jump = coeffs.jump
+    # k2 = M K2 + K2 M^dagger + J^dagger K2 J / hbar, M = (i V_eff - J^dagger J / 2) / hbar
+    drift = (1j * coeffs.veff - 0.5 * (jump.conj().T @ jump)) / HBAR
+    k2 = np.empty((len(kernels),) + jump.shape, dtype=complex)
+    for out, kernel in zip(k2, kernels):
+        pair = pair_one_body(kernel, coeffs.statistics)
+        out[:] = drift @ pair + pair @ drift.conj().T + (jump.conj().T @ (pair @ jump)) / HBAR
     return k1, k2
 
 

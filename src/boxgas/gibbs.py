@@ -25,7 +25,7 @@ from .fieldmodel import (
     energy_density_op,
     mass_density_op,
 )
-from .fock import FockBasis, Statistics
+from .fock import FockBasis, Statistics, pair_matrix_from_tensor
 from .matrixutil import BlockDiagonal, require_hermitian
 
 FIT_TOL = 1e-8
@@ -263,25 +263,22 @@ class _TotalLevels:
 
 
 class TwoBodyKernels:
-    """Operators dGamma(k1) + dGamma2(k2), read at Gibbs states of one-body exponents.
+    """Operators dGamma(k1) + `two_body_operator`(k2) read at Gibbs states of one-body exponents.
 
-    `one_body` (m, n, n) and `two_body` (m, n, n, n, n) follow
-    `one_body_operator` and `two_body_operator`; k2 must be exchange
-    (anti)symmetric in its last two indices, as `reduced_images` gives it.
+    `one_body` (m, n, n) holds the kernels k1 and `two_body` (m, P, P) the
+    pair matrices k2 over `pair_basis`, as `reduced_images` gives them.
     Such a state is diagonal in the occupation rows s of its eigenmodes
-    (`ModeSpectrum`).  With ~ the kernels rotated into the eigenmodes and
-    G = C - diag(nbar), operator i has the value sum_a k1~[a, a] nbar_a
-    + 1/2 sum_ab (k2~[a, b, b, a] +- [a != b] k2~[a, b, a, b]) G_ab, + for
-    Bose and - for Fermi.  By that symmetry the second pair term equals the
-    first off the diagonal, and G is symmetric, so the value is
-    k1 . X nbar + 1/2 `direct` . vec(X (2G - diag G) X^T), with k2 laid out
-    once as `direct` [(l1, f1), (l2, f2)] and X[(l, f), a] = conj(U[l, a]) U[f, a].
+    (`ModeSpectrum`).  With G = C - diag(nbar) and X[(l, f), a] =
+    conj(U[l, a]) U[f, a], operator i has the value k1 . X nbar
+    + 1/2 sum_pq k2[p, q] F2[p, q]: F = X (2G - diag G) X^T, laid out as
+    [l1, l2, f2, f1], is the two-body tensor of the pair correlations, and F2
+    its `pair_matrix_from_tensor` projection.
     """
 
     def __init__(self, one_body: np.ndarray, two_body: np.ndarray):
         m, n = one_body.shape[:2]
         self.one_body = one_body.reshape(m, n * n)
-        self.direct = two_body.transpose(0, 1, 4, 2, 3).reshape(m, -1)
+        self.two_body = two_body.reshape(m, two_body.shape[1] * two_body.shape[2])
 
     def values(self, state: GibbsState) -> np.ndarray:
         u = state.spectrum.vectors
@@ -290,7 +287,9 @@ class TwoBodyKernels:
         nbar = state.mode_occupations
         g = state.mode_correlations - np.diag(nbar)
         folded = 2.0 * g - np.diag(np.diag(g))
-        values = self.one_body @ (x @ nbar) + 0.5 * (self.direct @ ((x @ folded) @ x.T).ravel())
+        pairs = ((x @ folded) @ x.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)
+        pairs = pair_matrix_from_tensor(pairs, state.spectrum.basis.statistics)
+        values = self.one_body @ (x @ nbar) + 0.5 * (self.two_body @ pairs.ravel())
         return real_values(values, "two-body kernel value")
 
 

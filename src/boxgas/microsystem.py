@@ -48,14 +48,6 @@ def joint_annihilator(mset: MicroModeSet, macro_dim: int, q: int) -> np.ndarray:
     return np.kron(np.eye(macro_dim), mset.annihilator(q))
 
 
-def charge_op(mset: MicroModeSet, macro_dim: int) -> np.ndarray:
-    total = np.zeros((macro_dim * mset.micro_dim,) * 2)
-    for q in range(mset.q_dim):
-        b = joint_annihilator(mset, macro_dim, q)
-        total += dagger(b) @ b
-    return total
-
-
 def micro_vacuum_weight(macro_weight: np.ndarray, mset: MicroModeSet) -> np.ndarray:
     """Place a gas weight on the joint space with the tracked mode empty."""
     proj = np.zeros((mset.micro_dim, mset.micro_dim))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldmodel import HBAR, mode_energies, mode_parities
-from .fock import Statistics, one_body_operator
+from .fock import Statistics, _pair_indices, one_body_operator, pair_basis
 from .matrixutil import BlockDiagonal, require_hermitian
 
 RECONSTRUCT_TOL = 1e-10
@@ -34,61 +34,11 @@ def _require_reconstructed(residual: float, peak: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# two-particle pair basis
-
-def pair_basis(n_modes: int, statistics: Statistics) -> list[tuple[int, int]]:
-    """Ordered mode pairs indexing the two-particle sector."""
-    if statistics is Statistics.BOSE:
-        return [(f1, f2) for f1 in range(n_modes) for f2 in range(f1, n_modes)]
-    return [(f1, f2) for f1 in range(n_modes) for f2 in range(f1 + 1, n_modes)]
-
+# two-particle states over `fock.pair_basis`
 
 def pair_energies(modes, pairs) -> np.ndarray:
     w = mode_energies(modes)
     return np.array([w[p1] + w[p2] for p1, p2 in pairs])
-
-
-def _pair_norms(pairs, statistics: Statistics) -> np.ndarray:
-    if statistics is Statistics.FERMI:
-        return np.ones(len(pairs))
-    return np.array([1.0 / np.sqrt(2.0) if p1 == p2 else 1.0 for p1, p2 in pairs])
-
-
-def _pair_indices(pairs):
-    """Mode indices of the pairs as (p1, p2) columns and (q1, q2) rows."""
-    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    return idx[:, :1], idx[:, 1:], idx[:, 0], idx[:, 1]
-
-
-def pair_matrix_from_tensor(tensor: np.ndarray, pairs, statistics: Statistics) -> np.ndarray:
-    """Matrix elements of the two-body operator between normalized pair states.
-
-    Requires the exchange-symmetrized tensor; the result is hermitian when
-    the tensor is.
-    """
-    norms = _pair_norms(pairs, statistics)
-    p1, p2, q1, q2 = _pair_indices(pairs)
-    sign = -1.0 if statistics is Statistics.FERMI else 1.0
-    m = np.outer(norms, norms) * (tensor[p1, p2, q2, q1] + sign * tensor[p1, p2, q1, q2])
-    return m.astype(complex)
-
-
-def tensor_from_pair_matrix(m: np.ndarray, pairs, statistics: Statistics, n_modes: int) -> np.ndarray:
-    """Canonical rank-4 tensor whose pair projection reproduces m.
-
-    Bose: fully symmetric in (l1, l2) and in (f1, f2).  Fermi: antisymmetric
-    in both pairs.  Inverse of pair_matrix_from_tensor on its image.
-    """
-    norms = _pair_norms(pairs, statistics)
-    p1, p2, q1, q2 = _pair_indices(pairs)
-    sign = -1.0 if statistics is Statistics.FERMI else 1.0
-    val = 0.5 * np.asarray(m) / np.outer(norms, norms)
-    tensor = np.zeros((n_modes,) * 4, dtype=complex)
-    tensor[p1, p2, q2, q1] = val
-    tensor[p2, p1, q1, q2] = val
-    tensor[p1, p2, q1, q2] = sign * val
-    tensor[p2, p1, q2, q1] = sign * val
-    return tensor
 
 
 COND_CAP = 1e10
@@ -152,32 +102,31 @@ def _spectral_tmatrix(v_pair: np.ndarray, energies: np.ndarray, zs,
                 f"resolvent condition bound {bound:.3e} exceeds {COND_CAP:.1e}; "
                 "increase epsilon or weaken the coupling"
             )
-    out = [np.zeros_like(v_pair) for _ in zs]
+    out = [np.zeros(v_pair.shape, dtype=complex) for _ in zs]
     for idx, block, v, lam, vu, uv in stacks:
         for z, t in zip(columns, out):
             t[block] = v + vu @ (uv / (z[idx][:, None, :] - lam[:, :, None]))
     return out
 
 
-def onshell_tmatrix(modes, vtensor, statistics: Statistics, eps: float,
-                    v_pair: np.ndarray | None = None) -> np.ndarray:
-    """On-shell T: column q taken at z = E_q + i eps, with the linear-in-eps
-    bias removed from two samples, T_on = 2 T(eps/2) - T(eps).
+def onshell_tmatrix(modes, v_pair: np.ndarray, statistics: Statistics, eps: float) -> np.ndarray:
+    """On-shell T from V over `pair_basis`: column q taken at z = E_q + i eps,
+    with the linear-in-eps bias removed from two samples, T_on = 2 T(eps/2) - T(eps).
 
     Selection rule: a whole-box `potential_tensor` on uniform panels is even
     under the reflection of each axis about the box centre, so V couples a
     pair (p1, p2) only to pairs of its class p1 ^ p2 of mode parities
     (`pair_classes`), and so does T = V + V G V.  T is solved class by class
-    and is exactly 0 between classes.  `v_pair` is V over `pair_basis`, when
-    the caller already holds it; it must be `pair_matrix_from_tensor` of
-    `vtensor`, and is not formed again.
+    and is exactly 0 between classes.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     pairs = pair_basis(len(modes), statistics)
+    v_pair = np.asarray(v_pair, dtype=complex)
+    if v_pair.shape != (len(pairs), len(pairs)):
+        raise ValueError(
+            f"pair potential shape {v_pair.shape} does not match {len(pairs)} pair states")
     energies = pair_energies(modes, pairs)
-    if v_pair is None:
-        v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
     half, full = _spectral_tmatrix(v_pair, energies,
                                    [energies + 0.5j * eps, energies + 1j * eps],
                                    pair_classes(modes, pairs))

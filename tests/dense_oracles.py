@@ -14,6 +14,17 @@ list of grid points, with |x - y| from a point-pair difference array.
 the whole pair Hamiltonian, and `whole_space_onshell_tmatrix` the on-shell T
 built on it, where `boxgas.scattering` solves one reflection-parity class of
 pairs at a time.
+
+`boxgas` keeps every two-body operator as a P x P matrix over `pair_basis`.
+The n^4 tensor form stays here as the oracle of that format:
+`tensor_from_pair_matrix` is the canonical (anti)symmetric tensor of a pair
+matrix, `tensor_coefficients` the
+generator coefficients as the tensors `veff[l1,l2,f2,f1]` and
+`jump[k,l,f2,f1]` (jump multiplying a_f2 a_f1 in the channel of the ordered
+outgoing pair (k, l)), `tensor_two_body_operator` the two-body operator of
+a tensor from the dense pair stack, and `lprime_reduced_images` the one- and
+two-body kernels of the generator images read off `Lprime` on an n_max 2
+basis, where `generator.reduced_images` works in pair space alone.
 `tmatrix_table_text` is the body of `tmatrix.csv` as `csv.writer` writes
 every row (p, q, Re T, Im T, Re V), where `boxgas.cli` formats only the
 entries that are not +0.0 in all three columns.
@@ -51,7 +62,16 @@ import numpy as np
 
 from boxgas import fieldmodel
 from boxgas.fieldmodel import HBAR, mode_energies
-from boxgas.fock import Statistics
+from boxgas.fock import (
+    Statistics,
+    _pair_indices,
+    _pair_norms,
+    build_basis,
+    one_body_operator,
+    pair_basis,
+    sector_dimension,
+)
+from boxgas.generator import Lprime, smearing_kernel
 from boxgas.gibbs import (
     MAX_ITER,
     CellKernels,
@@ -67,13 +87,7 @@ from boxgas.gibbs import (
 )
 from boxgas.kinetics import StateTrajectory, closure_rhs
 from boxgas.matrixutil import BlockDiagonal, frob, require_hermitian, trace_product
-from boxgas.scattering import (
-    COND_CAP,
-    _require_reconstructed,
-    pair_basis,
-    pair_energies,
-    pair_matrix_from_tensor,
-)
+from boxgas.scattering import COND_CAP, _require_reconstructed, pair_energies
 
 
 def state_index(basis, occ):
@@ -203,9 +217,49 @@ def dense_two_body(basis, tensor):
     return 0.5 * np.einsum("pab,pbc->ac", cre_flat, mixed, optimize=True)
 
 
+def tensor_two_body_operator(basis, tensor):
+    """`dense_two_body` cut into the number-sector blocks of the basis."""
+    return split_blocks(dense_two_body(basis, tensor), basis.sectors, ["two-body operator"])
+
+
+def tensor_from_pair_matrix(m, pairs, statistics, n_modes):
+    """Canonical rank-4 tensor whose pair projection reproduces m.
+
+    Bose: fully symmetric in (l1, l2) and in (f1, f2).  Fermi: antisymmetric
+    in both pairs.  Inverse of pair_matrix_from_tensor on its image.
+    """
+    norms = _pair_norms(pairs, statistics)
+    p1, p2, q1, q2 = _pair_indices(pairs)
+    sign = -1.0 if statistics is Statistics.FERMI else 1.0
+    val = 0.5 * np.asarray(m) / np.outer(norms, norms)
+    tensor = np.zeros((n_modes,) * 4, dtype=complex)
+    tensor[p1, p2, q2, q1] = val
+    tensor[p2, p1, q1, q2] = val
+    tensor[p1, p2, q1, q2] = sign * val
+    tensor[p2, p1, q2, q1] = sign * val
+    return tensor
+
+
+def tensor_coefficients(coeffs):
+    """The coefficient tensors (veff, jump): the hermitian part of T and
+    sqrt(2 pi/hbar S(w_k + w_l - w_f2 - w_f1)) times T, each spread onto n^4
+    entries by `tensor_from_pair_matrix`."""
+    n, statistics = coeffs.n_modes, coeffs.statistics
+    pairs = pair_basis(n, statistics)
+    t_on = coeffs.t_onshell
+    veff = tensor_from_pair_matrix(0.5 * (t_on + t_on.conj().T), pairs, statistics, n)
+    w = mode_energies(coeffs.modes)
+    mismatch = (w[:, None, None, None] + w[None, :, None, None]
+                - w[None, None, :, None] - w[None, None, None, :])
+    window = smearing_kernel(mismatch, coeffs.delta)
+    return veff, np.sqrt((2.0 * np.pi / HBAR) * window) * tensor_from_pair_matrix(
+        t_on, pairs, statistics, n)
+
+
 def dense_channel_ops(basis, coeffs):
-    return np.einsum("klfg,fgac->klac", coeffs.jump, einsum_pair_stack(basis),
-                     optimize=True)
+    """R[k, l] = sum jump[k, l, f2, f1] a_f2 a_f1 over the dense pair stack."""
+    _, jump = tensor_coefficients(coeffs)
+    return np.einsum("klfg,fgac->klac", jump, einsum_pair_stack(basis), optimize=True)
 
 
 def dense_gamma(channels):
@@ -213,10 +267,12 @@ def dense_gamma(channels):
 
 
 def dense_parts(basis, coeffs, kernel):
-    """Streaming, loss and gain images of sum_hk kernel[h, k] a†_h a_k, all dense."""
+    """Streaming, loss and gain images of sum_hk kernel[h, k] a†_h a_k, all dense,
+    from the coefficient tensors."""
     a = loop_ladders(basis)
+    veff, _ = tensor_coefficients(coeffs)
     h_eff = (dense_one_body(basis, np.diag(mode_energies(coeffs.modes)))
-             + dense_two_body(basis, coeffs.veff))
+             + dense_two_body(basis, veff))
     channels = dense_channel_ops(basis, coeffs)
     gamma = dense_gamma(channels)
     ka = np.tensordot(kernel, a, axes=1)
@@ -225,6 +281,31 @@ def dense_parts(basis, coeffs, kernel):
     loss = (-1.0 / HBAR) * (gamma @ x + x @ gamma - 2.0 * dagger_sum(a, gamma @ ka))
     gain = (1.0 / HBAR) * dagger_sum(channels, np.tensordot(kernel, channels, axes=1))
     return stream, loss, gain
+
+
+def lprime_reduced_images(coeffs, kernels):
+    """k1 and the tensor k2 with L'(dGamma(K)) = dGamma(k1) + dGamma2(k2), read off
+    `Lprime` on an n_max 2 basis of the same modes (n_max 1 where the
+    statistics leave no pair sector; k2 is then zero).
+
+    dGamma2(k2) is (1/2) sum k2[l1,l2,f2,f1] a†_l1 a†_l2 a_f2 a_f1.  The pair
+    annihilators Q = a_f2 a_f1 on the two-particle rows satisfy Q Q† = 2 x
+    the (anti)symmetrizer, so k2 = Q B Q† / 2 for the two-particle block B of
+    the image less dGamma(k1): the exchange-(anti)symmetric tensor.  Returns
+    arrays of shape (m, n, n) and (m, n, n, n, n) for m kernels.
+    """
+    n, statistics = coeffs.n_modes, coeffs.statistics
+    basis = build_basis(n, 2 if sector_dimension(n, 2, statistics) else 1, statistics)
+    images = Lprime(basis, coeffs).images(kernels)
+    singles = basis.ladder_blocks[1][:, 0, :]  # a_f on the one-particle rows: a permutation
+    k1 = singles @ images.blocks[1] @ singles.T
+    k2 = np.zeros(k1.shape[:1] + (n,) * 4, dtype=complex)
+    if basis.n_max == 2:
+        two = basis.sectors[2]
+        pairs = einsum_pair_stack(basis)[:, :, 0, two].reshape(n * n, -1)  # rows (f2, f1)
+        rest = images.blocks[2] - np.stack([one_body_operator(basis, k).blocks[2] for k in k1])
+        k2 = (0.5 * pairs @ rest @ pairs.T).reshape(-1, n, n, n, n).transpose(0, 2, 1, 3, 4)
+    return k1, k2
 
 
 def dense_mode_rotation(basis, u):
@@ -352,12 +433,10 @@ def whole_space_tmatrix(v_pair, energies, zs):
     return out
 
 
-def whole_space_onshell_tmatrix(modes, vtensor, statistics, eps):
+def whole_space_onshell_tmatrix(modes, v_pair, statistics, eps):
     """`scattering.onshell_tmatrix` on the whole pair space: 2 T(eps/2) - T(eps)."""
-    pairs = pair_basis(len(modes), statistics)
-    energies = pair_energies(modes, pairs)
-    v_pair = pair_matrix_from_tensor(vtensor, pairs, statistics)
-    half, full = whole_space_tmatrix(v_pair, energies,
+    energies = pair_energies(modes, pair_basis(len(modes), statistics))
+    half, full = whole_space_tmatrix(np.asarray(v_pair, dtype=complex), energies,
                                      [energies + 0.5j * eps, energies + 1j * eps])
     return 2.0 * half - full
 

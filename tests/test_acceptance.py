@@ -27,7 +27,13 @@ from boxgas.fieldmodel import (
     modes_from_numbers,
     potential_tensor,
 )
-from boxgas.fock import Statistics, build_basis, ladder_ops, one_body_operator
+from boxgas.fock import (
+    Statistics,
+    build_basis,
+    ladder_ops,
+    one_body_operator,
+    pair_matrix_from_tensor,
+)
 from boxgas.generator import (
     Lprime,
     build_coefficients,
@@ -51,7 +57,6 @@ from boxgas.gibbs import (
 from boxgas.kinetics import closure_rhs, integrate
 from boxgas.microsystem import (
     MicroModeSet,
-    charge_op,
     embed_joint,
     micro_vacuum_weight,
     one_body_micro,
@@ -111,7 +116,7 @@ def test_acceptance_1_algebra(capsys):
     energy_defect = 0.0
     for pot in (Gaussian(0.6, 0.3), Contact(0.5), Zero()):
         tensor = potential_tensor(modes, pot, GEOM, order=8, grid=grid2)
-        h = hamiltonian(basis, modes, tensor).dense()
+        h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, Statistics.BOSE)).dense()
         tiled = sum(energy_density_op(basis, modes, grid2, c, pot, GEOM, order=8).dense()
                     for c in range(grid2.n_cells))
         energy_defect = max(energy_defect, np.max(np.abs(tiled - h)))
@@ -131,7 +136,8 @@ def test_acceptance_2_resolvent_identity(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
     h0 = free_hamiltonian(basis, modes).dense()
-    v = hamiltonian(basis, modes, contact_tensor(modes, Contact(0.8), GEOM)).dense() - h0
+    v_pair = pair_matrix_from_tensor(contact_tensor(modes, Contact(0.8), GEOM), Statistics.BOSE)
+    v = hamiltonian(basis, modes, v_pair).dense() - h0
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(50):
@@ -161,7 +167,8 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
     couplings = (0.4, 0.2, 0.1)
     runs = []
     for g in couplings:
-        vt = potential_tensor(modes, Gaussian(g, 0.25), GEOM, order=32)
+        vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(g, 0.25), GEOM, order=32),
+                                     Statistics.BOSE)
         coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                              eps=5.0, delta=5.0)
         lp = Lprime(basis, coeffs)
@@ -209,7 +216,7 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
 def test_acceptance_4_positivity(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
-    vt = contact_tensor(modes, Contact(1.0), GEOM)
+    vt = pair_matrix_from_tensor(contact_tensor(modes, Contact(1.0), GEOM), Statistics.BOSE)
     coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                          eps=10.0, delta=2.0)
     lp = Lprime(basis, coeffs)
@@ -232,7 +239,7 @@ def test_acceptance_4_positivity(capsys):
 def test_acceptance_5_conservation(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
-    vt = contact_tensor(modes, Contact(1.0), GEOM)
+    vt = pair_matrix_from_tensor(contact_tensor(modes, Contact(1.0), GEOM), Statistics.BOSE)
     coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
                                          eps=10.0, delta=2.0)
     mass_residual = conservation_report(Lprime(basis, coeffs)).mass_residual
@@ -240,7 +247,8 @@ def test_acceptance_5_conservation(capsys):
     numbers = (1, 4, 7, 8)
     rmodes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     rbasis = build_basis(4, 2, Statistics.BOSE)
-    rvt = potential_tensor(rmodes, Gaussian(1.0, 0.25), GEOM, order=32)
+    rvt = pair_matrix_from_tensor(potential_tensor(rmodes, Gaussian(1.0, 0.25), GEOM, order=32),
+                    Statistics.BOSE)
     t_on = onshell_tmatrix(rmodes, rvt, Statistics.BOSE, 5.0)
     collisions = []
     for delta in (48.0, 24.0, 12.0):
@@ -359,7 +367,7 @@ def test_acceptance_8_microsystem_reduction(capsys):
         rhs = complex(np.trace(a @ rho))
         got = reduce_expectation(a, state)
         worst_trace = max(worst_trace, abs(lhs - rhs), abs(got - rhs))
-        q_op = charge_op(mset, macro_dim)
+        q_op = one_body_micro(np.eye(q_dim), mset, macro_dim)
         worst_charge = max(worst_charge,
                            float(np.max(np.abs(q_op @ state.weight - state.weight))))
     passed = worst_trace <= 1e-12 and worst_charge <= 1e-12

@@ -16,13 +16,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgas import cli, generator, scattering
+from boxgas import cli, fieldmodel, fock, generator, gibbs
 from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 from boxgas.fieldmodel import BoxGeometry, Contact, modes_from_numbers, potential_tensor
-from boxgas.fock import Statistics
+from boxgas.fock import Statistics, pair_basis, pair_matrix_from_tensor
 from boxgas.generator import coefficients_from_potential
-from boxgas.scattering import onshell_tmatrix, pair_basis, pair_matrix_from_tensor
+from boxgas.scattering import onshell_tmatrix
 from dense_oracles import tmatrix_table_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -200,9 +200,9 @@ def test_tmatrix_table_rows(tmp_path):
     geom = BoxGeometry(tuple(cfg["geometry"]["lengths"]))
     modes = modes_from_numbers(geom, [tuple(t) for t in cfg["modes"]["numbers"]])
     vt = potential_tensor(modes, Contact(cfg["potential"]["strength"]), geom)
-    t_on = onshell_tmatrix(modes, vt, Statistics.BOSE, cfg["scattering"]["eps"])
     pairs = pair_basis(len(modes), Statistics.BOSE)
-    v_pair = pair_matrix_from_tensor(vt, pairs, Statistics.BOSE)
+    v_pair = pair_matrix_from_tensor(vt, Statistics.BOSE)
+    t_on = onshell_tmatrix(modes, v_pair, Statistics.BOSE, cfg["scattering"]["eps"])
     want = [[str(p), str(q), str(float(t_on[p, q].real)), str(float(t_on[p, q].imag)),
              str(float(v_pair[p, q].real))]
             for p in range(len(pairs)) for q in range(len(pairs))]
@@ -302,7 +302,7 @@ def test_tmatrix_builds_no_generator_coefficients(tmp_path, monkeypatch, workloa
     overrides = () if workload == "default" else WORKLOADS.WORKLOADS[workload].overrides
     cfg = load_config(None, overrides)
     ctx = cli._build_context(cfg)
-    want = coefficients_from_potential(ctx.modes, ctx.vtensor, ctx.statistics,
+    want = coefficients_from_potential(ctx.modes, ctx.v_pair, ctx.statistics,
                                        eps=cfg["scattering"]["eps"],
                                        delta=cfg["generator"]["delta"]).t_onshell
 
@@ -327,13 +327,13 @@ def test_tmatrix_forms_the_pair_potential_once(tmp_path, monkeypatch, workload):
     # the T solve reads the pair matrix that the report and the table use
     overrides = () if workload == "default" else WORKLOADS.WORKLOADS[workload].overrides
     calls = []
-    real = scattering.pair_matrix_from_tensor
+    real = fock.pair_matrix_from_tensor
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (cli, scattering):
+    for module in (cli, fieldmodel, fock, gibbs):
         monkeypatch.setattr(module, "pair_matrix_from_tensor", counted)
     args = ["tmatrix", "--out", str(tmp_path), "--quiet"]
     for item in overrides:

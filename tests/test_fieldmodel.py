@@ -31,7 +31,7 @@ from boxgas.fieldmodel import (
     quadrature_gram_defect,
     whole_box_grid,
 )
-from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
+from boxgas.fock import Statistics, build_basis, one_body_operator, pair_matrix_from_tensor
 
 GEOM_1D = BoxGeometry((1.0,))
 GEOM_3D = BoxGeometry((1.0, 1.0, 1.0))
@@ -247,13 +247,14 @@ def test_soft_lennard_jones_finite_at_origin():
 def test_hamiltonian_free_and_one_particle_sector():
     modes = box_modes(GEOM_1D, 3)
     basis = build_basis(3, 2, Statistics.BOSE)
-    h0 = hamiltonian(basis, modes, np.zeros((3, 3, 3, 3))).dense()
+    h0 = hamiltonian(basis, modes, np.zeros((6, 6))).dense()
     w = mode_energies(modes)
     expected = np.array([float(w @ occ) for occ in basis.states])
     assert np.allclose(h0, np.diag(expected), atol=1e-12)
     # interacting hamiltonian restricted to single-particle states stays diag(W)
     pot = Contact(g=0.9)
-    h = hamiltonian(basis, modes, contact_tensor(modes, pot, GEOM_1D)).dense()
+    v_pair = pair_matrix_from_tensor(contact_tensor(modes, pot, GEOM_1D), basis.statistics)
+    h = hamiltonian(basis, modes, v_pair).dense()
     singles = [state_index(basis, tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
     sub = h[np.ix_(singles, singles)]
     assert np.allclose(sub, np.diag(w), atol=1e-12)
@@ -264,7 +265,7 @@ def test_hamiltonian_matches_independent_assembly():
     basis = build_basis(2, 2, Statistics.BOSE)
     pot = Contact(g=0.8)
     tensor = contact_tensor(modes, pot, GEOM_1D)
-    h = hamiltonian(basis, modes, tensor).dense()
+    h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
 
     from test_fock import brute_two_body
 
@@ -305,7 +306,7 @@ def test_energy_density_whole_box_equals_hamiltonian():
     pot = Gaussian(g=0.6, sigma=0.3)
     grid = whole_box_grid(GEOM_1D)
     tensor = potential_tensor(modes, pot, GEOM_1D, order=8, grid=grid)
-    h = hamiltonian(basis, modes, tensor).dense()
+    h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
     e = energy_density_op(basis, modes, grid, 0, pot, GEOM_1D, order=8).dense()
     assert np.max(np.abs(e - h)) < 1e-11
 
@@ -316,7 +317,7 @@ def test_energy_density_cells_tile_hamiltonian():
     grid = CellGrid(GEOM_1D, (2,))
     for pot in [Gaussian(g=0.6, sigma=0.3), Contact(g=0.5), Zero()]:
         tensor = potential_tensor(modes, pot, GEOM_1D, order=8, grid=grid)
-        h = hamiltonian(basis, modes, tensor).dense()
+        h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
         total = sum(
             energy_density_op(basis, modes, grid, c, pot, GEOM_1D, order=8).dense()
             for c in range(grid.n_cells)

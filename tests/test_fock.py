@@ -10,6 +10,7 @@ from boxgas.fock import (
     one_body_operator,
     sector_dimension,
     two_body_operator,
+    pair_matrix_from_tensor,
 )
 from dense_oracles import state_index
 
@@ -89,7 +90,9 @@ def brute_two_body(basis, tensor):
 
 
 def random_hermitian_tensor(rng, n):
+    """Exchange-symmetric, t[l1,l2,f2,f1] == t[l2,l1,f1,f2], and hermitian."""
     t = rng.normal(size=(n, n, n, n)) + 1j * rng.normal(size=(n, n, n, n))
+    t = 0.5 * (t + t.transpose(1, 0, 3, 2))
     return 0.5 * (t + t.conj().transpose(3, 2, 1, 0))
 
 
@@ -215,7 +218,7 @@ def test_two_body_matches_brute_force(statistics):
     rng = np.random.default_rng(11)
     basis = build_basis(3, 3, statistics)
     tensor = random_hermitian_tensor(rng, 3)
-    built = two_body_operator(basis, tensor).dense()
+    built = two_body_operator(basis, pair_matrix_from_tensor(tensor, statistics)).dense()
     brute = brute_two_body(basis, tensor)
     assert np.max(np.abs(built - brute)) < 1e-12
     assert np.max(np.abs(built - built.conj().T)) < 1e-12
@@ -225,15 +228,17 @@ def test_two_body_rejects_nonhermitian_tensor():
     rng = np.random.default_rng(3)
     basis = build_basis(2, 2, Statistics.BOSE)
     bad = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
-    with pytest.raises(ValueError, match="hermiticity"):
-        two_body_operator(basis, bad)
+    with pytest.raises(ValueError, match="pair matrix is not hermitian"):
+        two_body_operator(basis, pair_matrix_from_tensor(bad, Statistics.BOSE))
+    with pytest.raises(ValueError, match="does not match 3 pair states"):
+        two_body_operator(basis, np.eye(2))
 
 
 def test_two_body_number_conservation():
     rng = np.random.default_rng(5)
     basis = build_basis(3, 2, Statistics.BOSE)
     tensor = random_hermitian_tensor(rng, 3)
-    op = two_body_operator(basis, tensor).dense()
+    op = two_body_operator(basis, pair_matrix_from_tensor(tensor, Statistics.BOSE)).dense()
     n_tot = np.diag(basis.totals())
     assert np.max(np.abs(op @ n_tot - n_tot @ op)) < 1e-12
 

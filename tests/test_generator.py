@@ -12,16 +12,24 @@ from boxgas.fieldmodel import (
     BoxGeometry,
     Contact,
     Gaussian,
+    box_modes,
     free_hamiltonian,
     hamiltonian,
     modes_from_numbers,
     potential_tensor,
 )
-from boxgas.fock import Statistics, build_basis, ladder_ops, sector_dimension
+from boxgas.fock import (
+    Statistics,
+    build_basis,
+    ladder_ops,
+    pair_matrix_from_tensor,
+    sector_dimension,
+)
 from boxgas.generator import (
     ConservationReport,
     GeneratorCoefficients,
     Lprime,
+    _ordered_channels,
     annihilator_kernel,
     build_coefficients,
     channel_blocks,
@@ -30,11 +38,12 @@ from boxgas.generator import (
     default_delta,
     negative_tau_witness,
     positivity_check,
+    reduced_images,
     smearing_kernel,
 )
 from boxgas.matrixutil import BlockDiagonal, comm, frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
-from dense_oracles import state_index
+from dense_oracles import state_index, tensor_coefficients
 from test_kinetics import oracle_bilinear_image
 
 GEOM = BoxGeometry((1.0,))
@@ -81,7 +90,7 @@ def rate_matrix(modes, t_on, statistics, delta):
 def contact_coefficients(numbers=(1, 2, 3), g=1.3, eps=10.0, delta=5.0,
                          statistics=Statistics.BOSE):
     modes = modes_1d(numbers)
-    vt = potential_tensor(modes, Contact(g), GEOM)
+    vt = pair_matrix_from_tensor(potential_tensor(modes, Contact(g), GEOM), statistics)
     t_on = onshell_tmatrix(modes, vt, statistics, eps)
     return modes, t_on, build_coefficients(modes, t_on, statistics, delta)
 
@@ -92,7 +101,7 @@ def loss_coefficients(statistics):
         return contact_coefficients(g=1.5, statistics=statistics)[2]
     # a contact tensor vanishes for spinless fermions; give them a range
     modes = modes_1d((1, 2, 3))
-    vt = potential_tensor(modes, Gaussian(1.5, 0.25), GEOM)
+    vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.5, 0.25), GEOM), statistics)
     return coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
 
 
@@ -122,19 +131,20 @@ def test_build_coefficients_entries_and_cutoff():
     delta = 2.0 * U
     coeffs = build_coefficients(modes, t_on, Statistics.BOSE, delta)
     energies = pair_energies(modes, pairs)
-    for i, (p1, p2) in enumerate(pairs):
-        for j, (q1, q2) in enumerate(pairs):
-            norm_i = 1.0 / math.sqrt(2.0) if p1 == p2 else 1.0
-            norm_j = 1.0 / math.sqrt(2.0) if q1 == q2 else 1.0
-            spread = 0.5 * t_on[i, j] / (norm_i * norm_j)
+    assert coeffs.jump.shape == coeffs.veff.shape == (3, 3)
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
             kappa = math.sqrt(
                 2.0 * math.pi / HBAR * gauss_window(energies[i] - energies[j], delta)
             )
-            assert coeffs.jump[p1, p2, q2, q1] == pytest.approx(kappa * spread, rel=1e-12)
-    # (1,1) -> (2,2) sits 4 energy units out, beyond the 4*delta support at small delta
+            assert coeffs.jump[i, j] == pytest.approx(kappa * t_on[i, j], rel=1e-12)
+            assert coeffs.veff[i, j] == pytest.approx(
+                0.5 * (t_on[i, j] + np.conj(t_on[j, i])), rel=1e-12)
+    # (0,0) -> (1,1), pair 0 to pair 2, sits 4 energy units out, beyond the
+    # 4*delta support at small delta
     narrow = build_coefficients(modes, t_on, Statistics.BOSE, 0.9 * U)
-    assert narrow.jump[1, 1, 0, 0] == 0.0
-    assert np.abs(narrow.jump[0, 0, 0, 0]) > 0.0
+    assert narrow.jump[2, 0] == 0.0
+    assert np.abs(narrow.jump[0, 0]) > 0.0
     with pytest.raises(ValueError):
         build_coefficients(modes, t_on, Statistics.BOSE, 0.0)
     with pytest.raises(ValueError):
@@ -145,8 +155,12 @@ def test_veff_hermitian_exchange_symmetric_and_born():
     modes = modes_1d([1, 2, 3])
     g, eps = 1e-3, 0.1
     vt = potential_tensor(modes, Contact(g), GEOM)
-    coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE, eps, delta=5.0)
-    v = coeffs.veff
+    v_pair = pair_matrix_from_tensor(vt, Statistics.BOSE)
+    coeffs = coefficients_from_potential(modes, v_pair, Statistics.BOSE,
+                                         eps, delta=5.0)
+    assert frob(coeffs.veff - coeffs.veff.conj().T) == 0.0
+    # its tensor form is hermitian and exchange-symmetric
+    v, _ = tensor_coefficients(coeffs)
     assert frob(v - v.transpose(3, 2, 1, 0).conj()) < 1e-12 * max(1.0, frob(v))
     assert frob(v - v.transpose(1, 0, 3, 2)) < 1e-12 * max(1.0, frob(v))
     # weak coupling at finite eps: effective kernel reduces to the bare one
@@ -160,11 +174,19 @@ def test_channel_norms_match_pair_amplitudes(statistics):
     modes, t_on, coeffs = contact_coefficients(statistics=statistics)
     basis = build_basis(3, 2, statistics)
     # the jump operators act only on the two-particle sector
-    assert all(block.shape[2] == 0 for block in channel_blocks(basis, coeffs)[:2])
-    channels = channel_blocks(basis, coeffs)[2]
+    assert all(block.shape[1] == 0 for block in channel_blocks(basis, coeffs)[:2])
+    pair_channels = channel_blocks(basis, coeffs)[2]
     two = basis.sectors[2]
     pairs = pair_basis(3, statistics)
     rates = rate_matrix(modes, t_on, statistics, coeffs.delta)
+    # R_p takes the normalized pair state q to the vacuum with amplitude J[p, q]
+    for i in range(len(pairs)):
+        for j, (q1, q2) in enumerate(pairs):
+            q = two_particle_state(basis, q1, q2)
+            assert np.linalg.norm(pair_channels[i] @ q[two]) == pytest.approx(
+                abs(rates[i, j]), rel=1e-10, abs=1e-12)
+    # the ordered layout R_kl of `family_form`
+    channels = _ordered_channels(basis, pair_channels)
     index = {p: i for i, p in enumerate(pairs)}
     for k in range(3):
         for lam in range(3):
@@ -199,7 +221,7 @@ def test_gamma_golden_rule_diagonal(statistics):
 def test_channel_trace_balance():
     modes, t_on, coeffs = contact_coefficients()
     basis = build_basis(3, 2, Statistics.BOSE)
-    channels = channel_blocks(basis, coeffs)
+    channels = [_ordered_channels(basis, block) for block in channel_blocks(basis, coeffs)]
     pairs = pair_basis(3, Statistics.BOSE)
     rates = rate_matrix(modes, t_on, Statistics.BOSE, coeffs.delta)
     index = {p: i for i, p in enumerate(pairs)}
@@ -290,7 +312,8 @@ def test_energy_residual_shrinks_with_smearing_width():
     # 18 energy units (~88.8) away, so the 4-delta support prunes them in turn.
     geom = BoxGeometry((1.0,))
     modes = modes_from_numbers(geom, [(1,), (4,), (7,), (8,)])
-    vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=32)
+    vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=32),
+                                 Statistics.BOSE)
     t_on = onshell_tmatrix(modes, vt, Statistics.BOSE, 5.0)
     basis = build_basis(4, 2, Statistics.BOSE)
     reports = []
@@ -315,7 +338,8 @@ def test_conservation_split_matches_free_hamiltonian_commutator(inputs):
         basis = build_basis(3, 3, Statistics.BOSE)
     else:
         modes = modes_1d((1, 2, 3, 5))
-        vt = potential_tensor(modes, Gaussian(1.2, 0.3), GEOM)
+        vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.2, 0.3), GEOM),
+                                     Statistics.FERMI)
         coeffs = coefficients_from_potential(modes, vt, Statistics.FERMI, 10.0, delta=5.0)
         basis = build_basis(4, 3, Statistics.FERMI)
     lp = Lprime(basis, coeffs)
@@ -449,3 +473,28 @@ def test_lprime_rejects_mismatched_basis():
         Lprime(build_basis(4, 2, Statistics.BOSE), coeffs)
     with pytest.raises(ValueError, match="match"):
         Lprime(build_basis(3, 2, Statistics.FERMI), coeffs)
+
+
+@pytest.mark.parametrize("statistics, lengths, n_modes", [
+    (Statistics.BOSE, (1.0,), 4), (Statistics.FERMI, (1.0,), 4),
+    (Statistics.BOSE, (1.0, 1.07, 1.13), 6), (Statistics.FERMI, (1.0, 1.07, 1.13), 6),
+    (Statistics.FERMI, (1.0,), 1),
+], ids=["1d-bose", "1d-fermi", "3d-bose", "3d-fermi", "one-mode-fermi"])
+def test_every_two_body_array_is_a_pair_matrix(statistics, lengths, n_modes):
+    # the coefficient set and the two-body part of every generator image are
+    # P x P over pair_basis; one Fermi mode has no pair state, so P = 0
+    geom = BoxGeometry(lengths)
+    modes = box_modes(geom, n_modes)
+    v_pair = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.0, 0.25), geom),
+                                     statistics)
+    coeffs = coefficients_from_potential(modes, v_pair, statistics, 10.0, delta=5.0)
+    n_pairs = len(pair_basis(n_modes, statistics))
+    for array in (coeffs.veff, coeffs.jump, coeffs.t_onshell):
+        assert array.shape == (n_pairs, n_pairs)
+    kernels = np.eye(n_modes)[None].repeat(3, axis=0)
+    k1, k2 = reduced_images(coeffs, kernels)
+    assert k1.shape == (3, n_modes, n_modes)
+    assert k2.shape == (3, n_pairs, n_pairs)
+    basis = build_basis(n_modes, 2 if n_modes > 1 else 1, statistics)
+    for block, pairs in zip(channel_blocks(basis, coeffs), basis.pair_blocks):
+        assert block.shape == pairs.shape and block.shape[0] == n_pairs

@@ -24,7 +24,7 @@ from boxgas.fieldmodel import (
     momentum_density_op,
     whole_box_grid,
 )
-from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
+from boxgas.fock import Statistics, build_basis, one_body_operator, pair_basis, two_body_operator
 from boxgas.gibbs import (
     MAX_ITER,
     _km_kernel,
@@ -562,8 +562,9 @@ def random_conserving(basis, rng, two_body=True):
     f = basis.n_modes
     op = one_body_operator(basis, random_hermitian(rng, f))
     if two_body:
-        raw = rng.standard_normal((f,) * 4) + 1j * rng.standard_normal((f,) * 4)
-        op = op + two_body_operator(basis, 0.5 * (raw + raw.conj().transpose(3, 2, 1, 0)))
+        n_pairs = len(pair_basis(f, basis.statistics))
+        raw = rng.standard_normal((n_pairs,) * 2) + 1j * rng.standard_normal((n_pairs,) * 2)
+        op = op + two_body_operator(basis, 0.5 * (raw + raw.conj().T))
     return op
 
 

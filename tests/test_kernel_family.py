@@ -9,14 +9,16 @@ values and the Kubo-Mori susceptibility of a kernel family, and its mass
 bounds.  The weight of the mode state comes from the dense mode rotation
 Gamma(U) of `dense_oracles`, which must be unitary and diagonalise dGamma(k).
 
-The generator images of one-body kernels are checked the same way:
-dGamma(k1) + dGamma2(k2) from `reduced_images` must equal `Lprime.apply` on
-every sector at n_max 3 and 4 (a wrong loss factor shows only on N >= 3),
-and `TwoBodyKernels` must read them at a mode Gibbs state as the trace
-against the block-path weight.  Both draw Bose and Fermi, contact and
-gaussian couplings, and include the one-mode Fermi basis, which has no pair
-sector.  `TwoBodyKernels` must also match the formula that contracts the
-direct and the exchange layout of k2 separately, on 1D and 3D modes.
+The generator images of one-body kernels are checked the same way: with k1
+and the P x P pair matrix k2 from `reduced_images`, dGamma(k1) +
+`two_body_operator`(k2) must equal `Lprime.apply` on every sector at n_max 3
+and 4 (a wrong loss factor shows only on N >= 3), and `TwoBodyKernels` must
+read them at a mode Gibbs state as the trace against the block-path weight.
+Both draw Bose and Fermi, contact and gaussian couplings, and include the
+one-mode Fermi basis, which has no pair sector.  k1 and k2 must also match
+the kernels read off `Lprime` on an n_max 2 basis at 12 modes, and
+`TwoBodyKernels` the formula that contracts the direct and the exchange
+layout of k2's canonical tensor separately, on 1D and 3D modes.
 """
 import numpy as np
 import pytest
@@ -32,7 +34,14 @@ from boxgas.fieldmodel import (
     modes_from_numbers,
     potential_tensor,
 )
-from boxgas.fock import Statistics, build_basis, one_body_operator, two_body_operator
+from boxgas.fock import (
+    Statistics,
+    build_basis,
+    one_body_operator,
+    pair_basis,
+    pair_matrix_from_tensor,
+    two_body_operator,
+)
 from boxgas.generator import Lprime, coefficients_from_potential, reduced_images
 from boxgas.gibbs import (
     _kernel_gibbs,
@@ -44,7 +53,13 @@ from boxgas.gibbs import (
     gibbs_from_operator,
 )
 from boxgas.matrixutil import BlockDiagonal
-from dense_oracles import dense_mode_rotation, mode_weight, two_layout_kernel_values
+from dense_oracles import (
+    dense_mode_rotation,
+    lprime_reduced_images,
+    mode_weight,
+    tensor_from_pair_matrix,
+    two_layout_kernel_values,
+)
 
 KINDS = ("real", "complex", "zero", "repeated")
 
@@ -172,7 +187,9 @@ def generator_setup(case):
         vt = contact_tensor(modes, Contact(0.7), GEOM)
     else:
         vt = potential_tensor(modes, Gaussian(1.0, 0.25), GEOM)
-    coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
+    v_pair = pair_matrix_from_tensor(vt, statistics)
+    coeffs = coefficients_from_potential(modes, v_pair, statistics,
+                                         eps=5.0, delta=8.0)
     if statistics is Statistics.FERMI:
         n_max = min(n_max, len(numbers))
     return coeffs, build_basis(len(numbers), n_max, statistics), np.random.default_rng(seed)
@@ -186,7 +203,8 @@ def test_reduced_images_match_lprime_on_every_sector(case):
     n = basis.n_modes
     kernels = np.array([random_kernel(rng, n, "complex") for _ in range(2)])
     k1, k2 = reduced_images(coeffs, kernels)
-    assert k1.shape == (2, n, n) and k2.shape == (2, n, n, n, n)
+    n_pairs = len(pair_basis(n, basis.statistics))
+    assert k1.shape == (2, n, n) and k2.shape == (2, n_pairs, n_pairs)
     lp = Lprime(basis, coeffs)
     for kernel, one, two in zip(kernels, k1, k2):
         want = lp.apply(kernel)
@@ -217,11 +235,41 @@ def test_folded_kernel_values_match_the_two_layout_formula(statistics, lengths):
     geom = BoxGeometry(lengths)
     modes = box_modes(geom, 5)
     vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=8)
-    coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
+    v_pair = pair_matrix_from_tensor(vt, statistics)
+    coeffs = coefficients_from_potential(modes, v_pair, statistics,
+                                         eps=5.0, delta=8.0)
     basis = build_basis(5, 3, statistics)
     rng = np.random.default_rng(len(lengths))
     k1, k2 = reduced_images(coeffs, np.array([random_kernel(rng, 5, "complex") for _ in range(3)]))
     rates = TwoBodyKernels(k1, k2)
+    # k2 as the canonical (anti)symmetric tensor
+    pairs = pair_basis(5, statistics)
+    tensors = np.array([tensor_from_pair_matrix(m, pairs, statistics, 5) for m in k2])
     for kind in KINDS:
         state = _kernel_gibbs(basis, random_kernel(rng, 5, kind, complex_=kind != "real"), None)
-        assert_close(rates.values(state), two_layout_kernel_values(statistics, k1, k2, state))
+        assert_close(rates.values(state), two_layout_kernel_values(statistics, k1, tensors, state))
+
+
+@pytest.mark.parametrize("coupling", ["1d contact", "1d gaussian", "3d gaussian"])
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+def test_pair_space_images_match_the_auxiliary_basis_oracle(statistics, coupling):
+    # k1 and the pair matrix k2 from pair-space algebra against the kernels read
+    # off `Lprime` on an n_max 2 basis, at 12 modes; the sums run in another
+    # order, and the largest difference seen is 5e-13 of the scale
+    geom = BoxGeometry((1.0, 1.07, 1.13)) if coupling == "3d gaussian" else GEOM
+    modes = box_modes(geom, 12)
+    if coupling == "1d contact":
+        vt = contact_tensor(modes, Contact(0.7), geom)
+    else:
+        vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom)
+    v_pair = pair_matrix_from_tensor(vt, statistics)
+    coeffs = coefficients_from_potential(modes, v_pair, statistics,
+                                         eps=5.0, delta=8.0)
+    rng = np.random.default_rng(0)
+    kernels = np.array([random_kernel(rng, 12, "complex") for _ in range(3)])
+    k1, k2 = reduced_images(coeffs, kernels)
+    want1, want2 = lprime_reduced_images(coeffs, kernels)
+    want2 = np.array([pair_matrix_from_tensor(t, statistics) for t in want2])
+    assert_close(k1, want1)
+    scale = max(1.0, float(np.max(np.abs(want2))))
+    assert np.max(np.abs(k2 - want2)) <= 2e-12 * scale

@@ -30,7 +30,7 @@ from boxgas.fock import (
     build_basis,
     ladder_ops,
     one_body_operator,
-    two_body_operator,
+    pair_matrix_from_tensor,
 )
 from boxgas.generator import (
     Lprime,
@@ -62,7 +62,13 @@ from boxgas.kinetics import (
 )
 from boxgas.matrixutil import BlockDiagonal, frob
 from boxgas.scattering import pair_basis, pair_energies
-from dense_oracles import refit_integrate, split_blocks, state_index
+from dense_oracles import (
+    dense_two_body,
+    refit_integrate,
+    split_blocks,
+    state_index,
+    tensor_coefficients,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 GEOM = BoxGeometry((1.0,))
@@ -89,7 +95,8 @@ def make_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
         vt = contact_tensor(modes, Contact(g), GEOM)
     else:
         vt = potential_tensor(modes, Gaussian(g, sigma), GEOM)
-    coeffs = coefficients_from_potential(modes, vt, statistics,
+    v_pair = pair_matrix_from_tensor(vt, statistics)
+    coeffs = coefficients_from_potential(modes, v_pair, statistics,
                                          eps=eps, delta=delta)
     mu = np.zeros(cells) if mu is None else np.asarray(mu, float)
     fields = LagrangeFields(np.asarray(beta, float), mu)
@@ -108,12 +115,14 @@ def free_system(cells=1, beta=(0.3,), numbers=(1, 2, 3), n_max=2):
 
 
 def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
-    """L' on a_h^dag a_k assembled from scratch with explicit ladder loops."""
+    """L' on a_h^dag a_k assembled from scratch with explicit ladder loops,
+    from the coefficient tensors."""
     n = basis.n_modes
     ann = list(ladder_ops(basis))
     cre = [a.conj().T for a in ann]
     x = cre[h] @ ann[k]
-    heff = (free_hamiltonian(basis, modes) + two_body_operator(basis, coeffs.veff)).dense()
+    veff, jump = tensor_coefficients(coeffs)
+    heff = free_hamiltonian(basis, modes).dense() + dense_two_body(basis, veff)
     stream = (1j / hbar) * (heff @ x - x @ heff)
     jumps = {}
     for p in range(n):
@@ -121,8 +130,8 @@ def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
             op = np.zeros_like(x)
             for f in range(n):
                 for g2 in range(n):
-                    if coeffs.jump[p, q, f, g2] != 0.0:
-                        op += coeffs.jump[p, q, f, g2] * (ann[f] @ ann[g2])
+                    if jump[p, q, f, g2] != 0.0:
+                        op += jump[p, q, f, g2] * (ann[f] @ ann[g2])
             jumps[p, q] = op
     gamma = 0.25 * sum(jumps[p, q].conj().T @ jumps[p, q]
                        for p in range(n) for q in range(n))
@@ -216,6 +225,28 @@ def test_mass_sector_rate_sums_to_zero():
     n = sys.n_cells
     scale = max(np.max(np.abs(rep.moment_rates)), 1e-30)
     assert abs(rep.moment_rates[n:].sum()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+def test_closure_system_builds_no_basis_and_no_generator(monkeypatch, statistics):
+    # the rate kernels come from pair-space algebra alone: building the
+    # closure makes no auxiliary Fock basis and no Lprime
+    sys = make_system(statistics=statistics, g=1.0, sigma=0.25, delta=5.0)
+    calls = {"build_basis": 0, "Lprime": 0}
+    for owner, name in ((fock, "build_basis"), (generator, "Lprime")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (cli, fieldmodel, fock, generator, gibbs, kinetics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    # the counters see a call made through the patched names
+    generator.Lprime(fock.build_basis(3, 1, statistics), sys.coeffs)
+    assert calls == {"build_basis": 1, "Lprime": 1}
+    rebuilt = kinetics.ClosureSystem(sys.basis, sys.modes, sys.grid, sys.coeffs, sys.fields)
+    assert calls == {"build_basis": 1, "Lprime": 1}
+    assert rebuilt.rate_kernels.two_body.shape == (4, len(sys.coeffs.jump) ** 2)
 
 
 def test_singular_response_names_combination():
@@ -349,7 +380,8 @@ def pair3d_two_cell_system():
     modes = box_modes(geom, 6)
     basis = build_basis(len(modes), 2, Statistics.BOSE)
     coeffs = coefficients_from_potential(
-        modes, potential_tensor(modes, Gaussian(0.8, 0.25), geom, order=8),
+        modes, pair_matrix_from_tensor(potential_tensor(modes, Gaussian(0.8, 0.25), geom, order=8),
+                         Statistics.BOSE),
         Statistics.BOSE, eps=10.0, delta=2.0)
     fields = LagrangeFields(np.array([0.22, 0.18]), np.zeros(2))
     return ClosureSystem(basis, modes, CellGrid(geom, (2, 1, 1)), coeffs, fields)
@@ -418,7 +450,8 @@ def test_energy_rate_scales_down_with_delta():
     numbers = (1, 4, 7, 8)
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     basis = build_basis(4, 2, Statistics.BOSE)
-    vt = potential_tensor(modes, Gaussian(1.0, 0.25), GEOM, order=32)
+    vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.0, 0.25), GEOM, order=32),
+                                 Statistics.BOSE)
     fields = LagrangeFields(np.array([0.005]), np.zeros(1))
     rates = []
     for delta in (48.0, 24.0, 12.0):

@@ -5,7 +5,6 @@ from boxgas.gibbs import gibbs_from_operator
 from boxgas.microsystem import (
     JointState,
     MicroModeSet,
-    charge_op,
     embed_joint,
     joint_annihilator,
     micro_vacuum_weight,
@@ -51,7 +50,7 @@ def test_ladder_algebra_on_vacuum_sector():
             comm = b_p @ b_q.conj().T - b_q.conj().T @ b_p
             want = (1.0 if p == q else 0.0) * vac
             assert np.allclose(comm @ vac, want, atol=0.0)
-    q_op = charge_op(mset, 1)
+    q_op = one_body_micro(np.eye(3), mset, 1)
     for q in range(3):
         one = mset.annihilator(q).conj().T @ vac
         assert np.allclose(q_op @ one, one, atol=0.0)
@@ -102,7 +101,7 @@ def test_embed_invariants_random():
         assert abs(np.trace(w).real - 1.0) <= 1e-12
         assert np.max(np.abs(w - w.conj().T)) <= 1e-13
         assert np.linalg.eigvalsh(w)[0] >= -1e-12
-        q_op = charge_op(mset, macro_dim)
+        q_op = one_body_micro(np.eye(q_dim), mset, macro_dim)
         assert np.max(np.abs(q_op @ w - w)) <= 1e-12
         assert np.max(np.abs(q_op @ w_m)) <= 1e-12
 

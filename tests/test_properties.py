@@ -28,11 +28,16 @@ from boxgas.fieldmodel import (
     momentum_density_op,
     potential_tensor,
 )
-from boxgas.fock import Statistics, build_basis, ladder_ops
+from boxgas.fock import Statistics, build_basis, ladder_ops, pair_matrix_from_tensor
 from boxgas.generator import Lprime, coefficients_from_potential
 from boxgas.gibbs import cell_observables
 from boxgas.matrixutil import hermiticity_defect
-from dense_oracles import dense_one_body, dense_two_body, difference_quad_tensor, split_blocks
+from dense_oracles import (
+    dense_one_body,
+    dense_two_body,
+    difference_quad_tensor,
+    split_blocks,
+)
 
 
 def parity_forbidden(modes):
@@ -86,7 +91,8 @@ def test_structure_of_random_systems(system):
     basis = build_basis(len(modes), n_max, statistics)
     grid = CellGrid(geom, cells)
     vtensor = potential_tensor(modes, potential, geom, order=4)
-    h = hamiltonian(basis, modes, vtensor)
+    v_pair = pair_matrix_from_tensor(vtensor, statistics)
+    h = hamiltonian(basis, modes, v_pair)
     obs = cell_observables(basis, modes, grid, potential, geom, order=4)
     momentum = [p for c in range(grid.n_cells) for p in momentum_density_op(basis, modes, grid, c)]
     for op in [h, *obs.blocks, *momentum]:
@@ -101,7 +107,7 @@ def test_structure_of_random_systems(system):
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(h.dense() - oracle)) <= 1e-12 * scale
 
-    coeffs = coefficients_from_potential(modes, vtensor, statistics, eps=10.0, delta=2.0)
+    coeffs = coefficients_from_potential(modes, v_pair, statistics, eps=10.0, delta=2.0)
     assert Lprime(basis, coeffs).apply(np.eye(len(modes))).norm() <= 1e-10
 
     assert ladder_algebra_defect(basis) <= 1e-12

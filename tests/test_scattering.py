@@ -16,7 +16,13 @@ from boxgas.fieldmodel import (
     potential_tensor,
 )
 from boxgas.fieldmodel import _pair_tensor
-from boxgas.fock import Statistics, build_basis, ladder_ops, one_body_operator, two_body_operator
+from boxgas.fock import (
+    Statistics,
+    build_basis,
+    ladder_ops,
+    one_body_operator,
+    pair_matrix_from_tensor,
+)
 from boxgas.generator import Lprime, coefficients_from_potential
 from boxgas.matrixutil import BlockDiagonal, comm
 from boxgas.scattering import (
@@ -30,15 +36,15 @@ from boxgas.scattering import (
     pair_basis,
     pair_classes,
     pair_energies,
-    pair_matrix_from_tensor,
     scaling_exponent,
-    tensor_from_pair_matrix,
 )
 from dense_oracles import (
     dense_coarse_deltas,
+    dense_two_body,
     heisenberg_evolve,
     spectral_decomposition,
     state_index,
+    tensor_from_pair_matrix,
     whole_space_onshell_tmatrix,
 )
 
@@ -79,7 +85,7 @@ def pair_tmatrix(modes, vtensor, z):
     the Lippmann-Schwinger solution T = V + V G0(z) T, at one z."""
     pairs = pair_basis(len(modes), Statistics.BOSE)
     energies = pair_energies(modes, pairs)
-    v_pair = pair_matrix_from_tensor(vtensor, pairs, Statistics.BOSE)
+    v_pair = pair_matrix_from_tensor(vtensor, Statistics.BOSE)
     (t,) = _spectral_tmatrix(v_pair, energies, [z], pair_classes(modes, pairs))
     return energies, v_pair, t
 
@@ -294,7 +300,7 @@ def test_pair_matrix_matches_fock_sector():
     tensor = contact_tensor(modes, Contact(g=0.8), geom)
     for stats in (Statistics.BOSE, Statistics.FERMI):
         basis = build_basis(3, 2, stats)
-        v_op = two_body_operator(basis, tensor.astype(complex)).dense()
+        v_op = dense_two_body(basis, tensor)
         pairs = pair_basis(3, stats)
         dim = basis.dim
         a = ladder_ops(basis)
@@ -307,7 +313,7 @@ def test_pair_matrix_matches_fock_sector():
         fock_block = np.array(
             [[np.vdot(vi, v_op @ vj) for vj in vecs] for vi in vecs]
         )
-        direct = pair_matrix_from_tensor(tensor, pairs, stats)
+        direct = pair_matrix_from_tensor(tensor, stats)
         assert np.max(np.abs(fock_block - direct)) < 1e-12
 
 
@@ -319,7 +325,7 @@ def test_pair_tensor_round_trip():
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = 0.5 * (m + m.conj().T)
         tensor = tensor_from_pair_matrix(m, pairs, stats, 3)
-        back = pair_matrix_from_tensor(tensor, pairs, stats)
+        back = pair_matrix_from_tensor(tensor, stats)
         assert np.max(np.abs(back - m)) < 1e-12
         assert np.max(np.abs(tensor - tensor.conj().transpose(3, 2, 1, 0))) < 1e-12
         assert np.max(np.abs(tensor - tensor.transpose(1, 0, 3, 2))) < 1e-12
@@ -333,7 +339,7 @@ def test_pair_maps_equal_loop_oracles(stats, n_modes):
     n = len(pairs)
     tensor = rng.normal(size=(n_modes,) * 4) + 1j * rng.normal(size=(n_modes,) * 4)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    assert np.array_equal(pair_matrix_from_tensor(tensor, pairs, stats),
+    assert np.array_equal(pair_matrix_from_tensor(tensor, stats),
                           loop_pair_matrix(tensor, pairs, stats))
     assert np.array_equal(tensor_from_pair_matrix(m, pairs, stats, n_modes),
                           loop_pair_tensor(m, pairs, stats, n_modes))
@@ -352,7 +358,7 @@ def test_onshell_tmatrix_matches_ls_oracle(potential, stats, n_modes, eps):
     modes = box_modes(GEOM, n_modes)
     tensor = potential_tensor(modes, potential, GEOM, order=32)
     oracle = ls_onshell_oracle(modes, tensor, stats, eps)
-    t_on = onshell_tmatrix(modes, tensor, stats, eps)
+    t_on = onshell_tmatrix(modes, pair_matrix_from_tensor(tensor, stats), stats, eps)
     scale = np.max(np.abs(oracle))
     assert scale > 0.0
     assert np.max(np.abs(t_on - oracle)) <= 1e-9 * scale
@@ -369,7 +375,8 @@ def test_onshell_tmatrix_condition_guard():
     for modes, tensor in cases:
         for solve in (onshell_tmatrix, whole_space_onshell_tmatrix):
             with pytest.raises(ValueError, match="epsilon"):
-                solve(modes, tensor, Statistics.BOSE, eps=1e-13)
+                v_pair = pair_matrix_from_tensor(tensor, Statistics.BOSE)
+                solve(modes, v_pair, Statistics.BOSE, eps=1e-13)
 
 
 def one_d_case(n_modes, potential, cells=1):
@@ -391,8 +398,9 @@ def test_blocked_tmatrix_matches_whole_space_oracle(case, stats):
     # at the configs' default eps; the spread of the two solves grows as 1/eps
     modes, tensor = case()
     eps = 10.0
-    t_on = onshell_tmatrix(modes, tensor, stats, eps)
-    oracle = whole_space_onshell_tmatrix(modes, tensor, stats, eps)
+    v_pair = pair_matrix_from_tensor(tensor, stats)
+    t_on = onshell_tmatrix(modes, v_pair, stats, eps)
+    oracle = whole_space_onshell_tmatrix(modes, v_pair, stats, eps)
     assert np.max(np.abs(t_on - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     classes = pair_classes(modes, pair_basis(len(modes), stats))
     between = classes[:, None] != classes[None, :]
@@ -406,13 +414,14 @@ def test_onshell_tmatrix_rejects_a_potential_that_couples_classes():
     grid = CellGrid(GEOM, (2,))
     tensor = _pair_tensor(modes, Gaussian(1.0, 0.25), GEOM, grid, 0, 8)
     with pytest.raises(ValueError, match="reflection-parity classes"):
-        onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=10.0)
+        onshell_tmatrix(modes, pair_matrix_from_tensor(tensor, Statistics.BOSE), Statistics.BOSE,
+                        eps=10.0)
 
 
 def test_tmatrix_empty_pair_basis():
     # one fermionic mode holds no pair state
     modes = box_modes(GEOM, 1)
-    t_on = onshell_tmatrix(modes, np.zeros((1, 1, 1, 1)), Statistics.FERMI, eps=0.1)
+    t_on = onshell_tmatrix(modes, np.zeros((0, 0)), Statistics.FERMI, eps=0.1)
     assert t_on.shape == (0, 0)
 
 
@@ -452,8 +461,8 @@ def test_tmatrix_born_scaling():
     rel = []
     for g in (1e-4, 5e-5):
         tensor = contact_tensor(modes, Contact(g=g), GEOM)
-        t = onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=0.1)
-        v_pair = pair_matrix_from_tensor(tensor, pair_basis(3, Statistics.BOSE), Statistics.BOSE)
+        v_pair = pair_matrix_from_tensor(tensor, Statistics.BOSE)
+        t = onshell_tmatrix(modes, v_pair, Statistics.BOSE, eps=0.1)
         rel.append(np.linalg.norm(t - v_pair) / np.linalg.norm(v_pair))
     assert rel[0] < 0.05
     assert rel[1] == pytest.approx(0.5 * rel[0], rel=0.15)
@@ -473,7 +482,8 @@ def test_collision_time_scaling_and_correlation():
     taus = []
     for g in (1e-4, 2e-4):
         tensor = contact_tensor(modes, Contact(g=g), GEOM)
-        t_on = onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=0.1)
+        v_pair = pair_matrix_from_tensor(tensor, Statistics.BOSE)
+        t_on = onshell_tmatrix(modes, v_pair, Statistics.BOSE, eps=0.1)
         taus.append(collision_time_estimate(t_on))
     assert taus[1] == pytest.approx(0.5 * taus[0], rel=0.05)
 
@@ -484,7 +494,7 @@ def test_collision_time_scaling_and_correlation():
     w = mode_energies(modes)
     h0 = np.diag([float(w @ occ) for occ in basis.states]).astype(complex)
     unit = contact_tensor(modes, Contact(g=1.0), GEOM)
-    v_unit = two_body_operator(basis, unit.astype(complex)).dense()
+    v_unit = dense_two_body(basis, unit.astype(complex))
     dim = basis.dim
     rho = np.eye(dim) / dim
     times = np.linspace(0.0, 1.5, 400)
@@ -497,7 +507,8 @@ def test_collision_time_scaling_and_correlation():
     tau_corr = float(trapz(corr, times) / corr.max())
     for g in (2.0, 4.0):
         tensor = contact_tensor(modes, Contact(g=g), GEOM)
-        tau0 = collision_time_estimate(onshell_tmatrix(modes, tensor, Statistics.BOSE, eps=10.0))
+        v_pair = pair_matrix_from_tensor(tensor, Statistics.BOSE)
+        tau0 = collision_time_estimate(onshell_tmatrix(modes, v_pair, Statistics.BOSE, eps=10.0))
         assert 1.0 / 3.0 < tau0 / tau_corr < 3.0
 
 
@@ -549,6 +560,7 @@ def coarse_case(statistics, coupling, n_max):
         vt = contact_tensor(modes, Contact(0.7), geom)
     else:
         vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=8)
+    vt = pair_matrix_from_tensor(vt, statistics)
     coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
     basis = build_basis(4, n_max, statistics)
     return basis, hamiltonian(basis, modes, vt), Lprime(basis, coeffs), coeffs

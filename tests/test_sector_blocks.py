@@ -1,17 +1,35 @@
 """Sector-blocked ladders, pair annihilators and their contractions against dense oracles.
 
 Hypothesis draws the mode count (1-5), the statistics and n_max <= 3; one
-fixed Bose case at n_max 2 runs 12 modes.  Ladders and pair blocks must match
-the oracle bit for bit, and every operator assembled from them must match its
-dense formula to 1e-12 of its scale.
+fixed Bose case at n_max 2 runs 12 modes.  Ladders must match the oracle bit
+for bit and the normalized pair annihilators to 1e-12, and every operator
+assembled from them must match its dense formula to 1e-12 of its scale: the
+two-body operator and the generator against the n^4 tensor forms.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxgas.fieldmodel import BoxGeometry, modes_from_numbers
-from boxgas.fock import Statistics, build_basis, ladder_ops, one_body_operator, two_body_operator
-from boxgas.generator import Lprime, build_coefficients, channel_blocks
+from boxgas.fieldmodel import (
+    BoxGeometry,
+    CellGrid,
+    Contact,
+    Gaussian,
+    _pair_tensor,
+    box_modes,
+    modes_from_numbers,
+    potential_tensor,
+)
+from boxgas.fock import (
+    Statistics,
+    build_basis,
+    ladder_ops,
+    one_body_operator,
+    pair_matrix_from_tensor,
+    two_body_operator,
+)
+from boxgas.generator import Lprime, _ordered_channels, build_coefficients, channel_blocks
 from boxgas.scattering import pair_basis
 from dense_oracles import (
     dense_channel_ops,
@@ -22,6 +40,8 @@ from dense_oracles import (
     einsum_pair_stack,
     loop_ladders,
     state_index,
+    tensor_from_pair_matrix,
+    tensor_two_body_operator,
 )
 
 GEOM = BoxGeometry((1.0,))
@@ -46,30 +66,41 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
     assert stack.dtype == complex
     assert np.array_equal(stack, loop_ladders(basis))
 
-    pairs = einsum_pair_stack(basis)
+    # A_q = n_q a_q2 a_q1 over pair_basis, from the dense pair stack P[f, g] = a_f a_g
+    plist = pair_basis(n_modes, statistics)
+    norms = [1.0 / np.sqrt(2.0) if statistics is Statistics.BOSE and q1 == q2 else 1.0
+             for q1, q2 in plist]
+    stack = einsum_pair_stack(basis)
+    pairs = np.array([norm * stack[q2, q1] for norm, (q1, q2) in zip(norms, plist)])
+    pairs = pairs.reshape((len(plist),) + stack.shape[2:])
     outside = np.ones(pairs.shape, dtype=bool)
     sectors = basis.sectors
     for n, block in enumerate(basis.pair_blocks):
         rows = sectors[n - 2] if n >= 2 else slice(0, 0)
-        assert block.shape == (n_modes, n_modes, rows.stop - rows.start,
+        assert block.shape == (len(plist), rows.stop - rows.start,
                                sectors[n].stop - sectors[n].start)
-        assert np.array_equal(block, sector_view(basis, pairs, n, 2))
-        outside[:, :, rows, sectors[n]] = False
+        assert_close(block, sector_view(basis, pairs, n, 2))
+        outside[:, rows, sectors[n]] = False
     assert not np.any(pairs[outside])
 
     kernel = rng.normal(size=(n_modes,) * 2) + 1j * rng.normal(size=(n_modes,) * 2)
     assert_close(one_body_operator(basis, kernel).dense(), dense_one_body(basis, kernel))
-    raw = rng.normal(size=(n_modes,) * 4) + 1j * rng.normal(size=(n_modes,) * 4)
-    tensor = 0.5 * (raw + raw.conj().transpose(3, 2, 1, 0))
-    assert_close(two_body_operator(basis, tensor).dense(), dense_two_body(basis, tensor))
+    # a random hermitian pair matrix against the dense operator of its canonical tensor
+    raw = rng.normal(size=(len(plist),) * 2) + 1j * rng.normal(size=(len(plist),) * 2)
+    m = 0.5 * (raw + raw.conj().T)
+    tensor = tensor_from_pair_matrix(m, plist, statistics, n_modes)
+    assert_close(two_body_operator(basis, m).dense(), dense_two_body(basis, tensor))
 
     modes = modes_from_numbers(GEOM, [(k,) for k in range(1, n_modes + 1)])
-    n_pairs = len(pair_basis(n_modes, statistics))
-    t_on = rng.normal(size=(n_pairs, n_pairs)) + 1j * rng.normal(size=(n_pairs, n_pairs))
+    t_on = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
     coeffs = build_coefficients(modes, t_on, statistics, delta=5.0)
+    # R_p = sum_q jump[p, q] A_q, and in the ordered layout the channels
+    # sum jump[k, l, f2, f1] a_f2 a_f1 of the coefficient tensors
+    pair_channels = np.tensordot(coeffs.jump, pairs, axes=1)
     channels = dense_channel_ops(basis, coeffs)
     for n, block in enumerate(channel_blocks(basis, coeffs)):
-        assert_close(block, sector_view(basis, channels, n, 2))
+        assert_close(block, sector_view(basis, pair_channels, n, 2))
+        assert_close(_ordered_channels(basis, block), sector_view(basis, channels, n, 2))
     lp = Lprime(basis, coeffs)
     assert_close(lp.gamma.dense(), dense_gamma(channels))
     for built, oracle in zip(lp.parts(kernel), dense_parts(basis, coeffs, kernel)):
@@ -110,3 +141,33 @@ def test_lowering_beyond_int64_keys():
         col = state_index(basis, np.eye(70, dtype=int)[f])
         assert target[f, col] == 0 and amp[f, col] == 1.0
         assert np.all(target[f, np.arange(basis.dim) != col] == -1)
+
+
+PAIR3D_GEOM = BoxGeometry((1.0, 1.07, 1.13))
+
+
+@pytest.mark.parametrize("region", ["whole box", "cell"])
+@pytest.mark.parametrize("coupling", ["1d contact", "1d gaussian", "3d gaussian"])
+@pytest.mark.parametrize("statistics", tuple(Statistics))
+def test_pair_matrix_two_body_matches_the_canonical_tensor(statistics, coupling, region):
+    # the interaction tensors as `hamiltonian` and `energy_density_op` project
+    # them: the whole-box tensor, and one cell's of a two-cell grid
+    geom = PAIR3D_GEOM if coupling == "3d gaussian" else GEOM
+    modes = box_modes(geom, 5)
+    potential = Contact(0.7) if coupling == "1d contact" else Gaussian(1.0, 0.25)
+    grid = CellGrid(geom, (2,) + (1,) * (geom.dimension - 1))
+    if region == "whole box":
+        tensor = potential_tensor(modes, potential, geom, order=8, grid=grid)
+    else:
+        tensor = _pair_tensor(modes, potential, geom, grid, 0, 8)
+    pairs = pair_basis(5, statistics)
+    m = pair_matrix_from_tensor(tensor, statistics)
+    basis = build_basis(5, 3, statistics)
+    got = two_body_operator(basis, m)
+    want = tensor_two_body_operator(basis, tensor_from_pair_matrix(m, pairs, statistics, 5))
+    assert np.max(np.abs(m)) > 0.0 or (statistics is Statistics.FERMI
+                                       and coupling == "1d contact")
+    for g, w in want.pairs(got):
+        assert_close(g, w)
+    # only the tensor's exchange-(anti)symmetric part acts, so it gives the same operator
+    assert_close(got.dense(), dense_two_body(basis, tensor))

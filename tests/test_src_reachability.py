@@ -4,7 +4,8 @@ The walk starts at the code that runs when a module is imported and is not a
 definition: `cli`'s command registrations and `__main__` block, and the
 `__main__` blocks of the `bench/` scripts.  The names that
 `perfbench/tracer.py` traces (`TARGETS`) are roots too, because the
-benchmark patches them by name.  From each reached top-level definition
+benchmark patches them by name: the function or class of each target, and
+the method of a `<module>.<Class>.<method>` target.  From each reached top-level definition
 (function, class, or module-level assignment) the walk follows every
 variable and attribute name inside it to the top-level definitions of that
 name in `src/` and `bench/`.  Imports are not followed: a name is reached
@@ -115,7 +116,7 @@ def reached(uses, roots):
 
 
 PUBLIC, METHODS, USES, ENTRY = scan()
-TRACED = {target.split(".")[1] for target in load_tracer().TARGETS}
+TRACED = {name for target in load_tracer().TARGETS for name in target.split(".")[1:]}
 REACHED = reached(USES, ENTRY | TRACED)
 
 
