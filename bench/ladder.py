@@ -3,22 +3,24 @@
     python3 bench/ladder.py --out BENCH_<n>.json
 
 Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, and
-`maxent` at (6, 4) and (8, 4), or `evolve` alone) on the default config with
-1D modes 1..n, the given n_max, 2 cells and `evolve.steps=4`.  Each 3D rung
-runs on the box of the `pair3d` benchmark workload (lengths 1.0, 1.07, 1.13,
-Gaussian of strength 0.8 and range 0.25, Bose n_max 2) with its n lowest
-modes: `build` on one cell, where the quadrature interaction tensor is a
-large share of the call, `tmatrix` on one cell, where the on-shell pair T
-matrix and its n^2(n+1)^2/4-row table are, `evolve` on two cells [2, 1, 1]
-with `evolve.steps=4`, where the generator images of the moment kernels and
-the closure's fits are, or `maxent` on eight cells [2, 2, 2], where the
-eight per-cell quadrature pair tensors are.  Every call is a fresh
+`maxent` at (6, 4) and (8, 4); `generator-check` and `evolve` at (10, 4); or
+`evolve` alone) on the default config with 1D modes 1..n, the given n_max,
+2 cells and `evolve.steps=4`.  Each 3D rung runs on the box of the `pair3d`
+benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of strength 0.8 and
+range 0.25, Bose n_max 2) with its n lowest modes: `build` on one cell, where
+the quadrature interaction tensor is a large share of the call, `tmatrix` on
+one cell, where the on-shell pair T matrix and its n^2(n+1)^2/4-row table
+are, `generator-check` on one cell, where the witness SVD of the real
+annihilator stack is, `evolve` on two cells [2, 1, 1] with `evolve.steps=4`,
+where the generator images of the moment kernels and the closure's fits are,
+or `maxent` on eight cells [2, 2, 2], where the eight per-cell quadrature
+pair tensors are.  Every call is a fresh
 `python -m boxgas.cli` process with the BLAS and OpenMP thread variables
 pinned to 1, importing `boxgas` from `src/` of this checkout (as does this
 script, for the 3D mode list); its wall time and the peak RSS the kernel
 reports for that process (`os.wait4`) are recorded.  At the rungs listed in
-SKIPPED_CHECKS, `generator-check` is not run: the sizes of its dense ladder
-stack and of the witness SVD factor are estimated and recorded instead.
+SKIPPED_CHECKS, `generator-check` is not run: the float64 sizes of its dense
+ladder stack and of the witness SVD factor are estimated and recorded instead.
 This is a plain script, not a test and not a benchmark gate.
 """
 from __future__ import annotations
@@ -42,7 +44,8 @@ from boxgas.fieldmodel import BoxGeometry, box_modes  # noqa: E402
 
 COMMANDS = ("build", "generator-check", "evolve")
 RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS + ("maxent",)), ((8, 4), COMMANDS + ("maxent",)),
-         ((10, 4), ("evolve",)), ((12, 4), ("evolve",)), ((20, 4), ("evolve",)))  # Bose
+         ((10, 4), ("generator-check", "evolve")), ((12, 4), ("evolve",)),
+         ((20, 4), ("evolve",)))  # Bose
 PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
 PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),
                "potential.kind=gaussian", "potential.strength=0.8", "potential.range=0.25",
@@ -52,15 +55,15 @@ PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", "")
 ONE_CELL = ["grid.cells=[1,1,1]", "fields.beta=[0.22]", "fields.mu=[0.0]"]
 EIGHT_CELLS = ["grid.cells=[2,2,2]", "fields.beta=" + json.dumps([0.22, 0.18] * 4).replace(" ", ""),
                "fields.mu=" + json.dumps([0.0] * 8).replace(" ", "")]
-PAIR3D_CELLS = {"build": ONE_CELL, "tmatrix": ONE_CELL,
+PAIR3D_CELLS = {"build": ONE_CELL, "tmatrix": ONE_CELL, "generator-check": ONE_CELL,
                 "evolve": ["grid.cells=[2,1,1]", "evolve.steps=4"], "maxent": EIGHT_CELLS}
 PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
-                (60, "tmatrix"), (20, "evolve"), (30, "evolve"), (40, "evolve"),
-                (20, "maxent"))  # lowest modes
-SKIPPED_CHECKS = ((10, 4), (12, 4))
+                (60, "tmatrix"), (20, "generator-check"), (20, "evolve"), (30, "evolve"),
+                (40, "evolve"), (20, "maxent"))  # lowest modes
+SKIPPED_CHECKS = ((12, 4),)  # the witness SVD factor alone would take 3.6 GB
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-COMPLEX_BYTES = 16
+FLOAT_BYTES = 8
 MB = 2.0 ** 20
 
 
@@ -123,9 +126,9 @@ def main() -> None:
                   f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
         if box == "1d" and (modes, n_max) in SKIPPED_CHECKS:
             rungs[-1]["skipped_generator_check"] = {
-                "dense_ladder_stack_mb": round(modes * dim ** 2 * COMPLEX_BYTES / MB),
+                "dense_ladder_stack_mb": round(modes * dim ** 2 * FLOAT_BYTES / MB),
                 # the full right factor of the SVD behind `negative_tau_witness`
-                "witness_svd_mb": round((modes * dim) ** 2 * COMPLEX_BYTES / MB),
+                "witness_svd_mb": round((modes * dim) ** 2 * FLOAT_BYTES / MB),
             }
     result = {
         "config": {"1d": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",

@@ -55,6 +55,22 @@ def _pair_indices(pairs):
     return idx[:, :1], idx[:, 1:], idx[:, 0], idx[:, 1]
 
 
+class PairProjection:
+    """`pair_matrix_from_tensor` for one mode count and statistics, with the
+    pair index arrays and the outer product of the pair norms built once."""
+
+    def __init__(self, n_modes: int, statistics: Statistics):
+        pairs = pair_basis(n_modes, statistics)
+        norms = _pair_norms(pairs, statistics)
+        self.indices = _pair_indices(pairs)
+        self.norms = np.outer(norms, norms)
+        self.sign = -1.0 if statistics is Statistics.FERMI else 1.0
+
+    def __call__(self, tensor: np.ndarray) -> np.ndarray:
+        p1, p2, q1, q2 = self.indices
+        return self.norms * (tensor[p1, p2, q2, q1] + self.sign * tensor[p1, p2, q1, q2])
+
+
 def pair_matrix_from_tensor(tensor: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Matrix elements <p| (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1 |q>
     between the normalized pair states of `pair_basis`.
@@ -63,11 +79,7 @@ def pair_matrix_from_tensor(tensor: np.ndarray, statistics: Statistics) -> np.nd
     tensor[l2,l1,f1,f2]; the result is hermitian when the tensor is, and
     real when it is.
     """
-    pairs = pair_basis(len(tensor), statistics)
-    norms = _pair_norms(pairs, statistics)
-    p1, p2, q1, q2 = _pair_indices(pairs)
-    sign = -1.0 if statistics is Statistics.FERMI else 1.0
-    return np.outer(norms, norms) * (tensor[p1, p2, q2, q1] + sign * tensor[p1, p2, q1, q2])
+    return PairProjection(len(tensor), statistics)(tensor)
 
 
 def pair_one_body(kernel: np.ndarray, statistics: Statistics) -> np.ndarray:
@@ -218,11 +230,12 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
 
 
 def ladder_ops(basis: FockBasis) -> np.ndarray:
-    """All annihilators stacked as a read-only (n_modes, dim, dim) array, scattered
-    from `basis.lowering`.  Not cached: every other operator is built from the
-    sector blocks, so only the negative-time witness forms this stack."""
+    """All annihilators stacked as a read-only float64 (n_modes, dim, dim) array,
+    scattered from `basis.lowering`, whose amplitudes are all real.  Not cached:
+    every other operator is built from the sector blocks, so only the
+    negative-time witness forms this stack."""
     target, amp = basis.lowering
-    stack = np.zeros((basis.n_modes, basis.dim, basis.dim), dtype=complex)
+    stack = np.zeros((basis.n_modes, basis.dim, basis.dim))
     mode, col = np.nonzero(target >= 0)
     stack[mode, target[mode, col], col] = amp[mode, col]
     stack.setflags(write=False)

@@ -62,7 +62,8 @@ class GeneratorCoefficients:
     Every array is P x P over `pair_basis`: `veff` = (T + T^dagger)/2 is the
     pair matrix of the effective interaction, and `jump` =
     sqrt(2 pi/hbar S(E_p - E_q)) o T, whose row p gives the channel operator
-    R_p = sum_q jump[p, q] A_q of the outgoing pair p.
+    R_p = sum_q jump[p, q] A_q of the outgoing pair p.  `t_onshell` is a
+    read-only view of the on-shell matrix T that the caller passed, not a copy.
     """
 
     modes: tuple
@@ -91,9 +92,11 @@ def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
         )
     energies = pair_energies(modes, pairs)
     window = smearing_kernel(energies[:, None] - energies[None, :], delta)
+    stored = t_onshell.view()  # read-only without a copy; the caller's flags stay
+    stored.setflags(write=False)
     return GeneratorCoefficients(modes, statistics, 0.5 * (t_onshell + t_onshell.conj().T),
                                  np.sqrt((2.0 * np.pi / HBAR) * window) * t_onshell,
-                                 float(delta), t_onshell.copy())
+                                 float(delta), stored)
 
 
 def coefficients_from_potential(modes, v_pair, statistics: Statistics, eps: float,
@@ -271,8 +274,9 @@ def positivity_check(lp: Lprime, n_samples: int = 1000, tau_max: float = 1e-3,
 
     Q = sum_hk <psi_h | [(I + tau L')(a†_h a_k)] psi_k> must stay real and
     non-negative within POSITIVITY_TOL for tau in (0, tau_max].  Each sample
-    draws its family (real, then imaginary parts) and then its tau; the
-    families go through `family_form` in stacks of _POSITIVITY_CHUNK.
+    draws its family (real, then imaginary parts, in one call) and then its
+    tau; the families are normalised per stack of _POSITIVITY_CHUNK and go
+    through `family_form` together.
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
@@ -288,9 +292,9 @@ def positivity_check(lp: Lprime, n_samples: int = 1000, tau_max: float = 1e-3,
         psi = np.empty((count, n, basis.dim), dtype=complex)
         tau = np.empty(count)
         for i in range(count):
-            family = rng.standard_normal((n, basis.dim)) + 1j * rng.standard_normal((n, basis.dim))
-            psi[i] = family / np.linalg.norm(family, axis=1, keepdims=True)
+            psi[i].real, psi[i].imag = rng.standard_normal((2, n, basis.dim))
             tau[i] = tau_max * (1.0 - rng.uniform())
+        psi /= np.linalg.norm(psi, axis=2, keepdims=True)
         q0, q1, _ = lp.family_form(psi)
         q = q0 + tau * q1
         i = int(np.argmin(q.real))  # the first minimum, as sample order decides ties
@@ -313,15 +317,16 @@ class NegativeTauWitness:
 
 
 def annihilator_kernel(basis: FockBasis) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of the dim x (n dim) stack [a_1 ... a_n].
+    """Orthonormal real columns spanning the kernel of the dim x (n dim) stack [a_1 ... a_n].
 
     Per sector N, A_N A_N† = c_N 1 with c_N > 0 (N + n - 1 for Bose, n - N + 1
     for Fermi): the stack maps onto every sector below n_max, so its rank is
-    dim - d_top and the kernel has (n - 1) dim + d_top columns.
+    dim - d_top and the kernel has (n - 1) dim + d_top columns.  The stack is
+    real, so this is a float64 SVD.
     """
     top = basis.sectors[-1]
     stack = np.concatenate(list(ladder_ops(basis)), axis=1)
-    return np.linalg.svd(stack)[2][basis.dim - (top.stop - top.start):].conj().T
+    return np.linalg.svd(stack)[2][basis.dim - (top.stop - top.start):].T
 
 
 def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
@@ -330,6 +335,9 @@ def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
 
     There Q reduces to tau times the non-negative gain form, so any family
     the jump operators do not annihilate witnesses the time orientation.
+    Each trial draws the real, then the imaginary coefficients of a kernel
+    combination; one real product maps both, so the kernel is never cast to
+    complex.
     """
     if tau >= 0:
         raise ValueError("tau must be negative")
@@ -338,9 +346,8 @@ def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
     kernel = annihilator_kernel(basis)
     rng = np.random.default_rng(seed)
     for _ in range(WITNESS_TRIES):
-        combo = kernel @ (rng.standard_normal(kernel.shape[1])
-                          + 1j * rng.standard_normal(kernel.shape[1]))
-        psi = combo.reshape(n, basis.dim)
+        parts = kernel @ rng.standard_normal((2, kernel.shape[1])).T
+        psi = (parts[:, 0] + 1j * parts[:, 1]).reshape(n, basis.dim)
         psi = psi / np.linalg.norm(psi)
         q0, q1, gain_form = lp.family_form(psi)
         if gain_form > 1e-12:

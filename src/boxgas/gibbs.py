@@ -25,7 +25,7 @@ from .fieldmodel import (
     energy_density_op,
     mass_density_op,
 )
-from .fock import FockBasis, Statistics, pair_matrix_from_tensor
+from .fock import FockBasis, PairProjection, Statistics
 from .matrixutil import BlockDiagonal, require_hermitian
 
 FIT_TOL = 1e-8
@@ -272,13 +272,15 @@ class TwoBodyKernels:
     conj(U[l, a]) U[f, a], operator i has the value k1 . X nbar
     + 1/2 sum_pq k2[p, q] F2[p, q]: F = X (2G - diag G) X^T, laid out as
     [l1, l2, f2, f1], is the two-body tensor of the pair correlations, and F2
-    its `pair_matrix_from_tensor` projection.
+    its `pair_matrix_from_tensor` projection, whose index arrays and norms
+    are built once here.
     """
 
-    def __init__(self, one_body: np.ndarray, two_body: np.ndarray):
+    def __init__(self, one_body: np.ndarray, two_body: np.ndarray, statistics: Statistics):
         m, n = one_body.shape[:2]
         self.one_body = one_body.reshape(m, n * n)
         self.two_body = two_body.reshape(m, two_body.shape[1] * two_body.shape[2])
+        self.project = PairProjection(n, statistics)
 
     def values(self, state: GibbsState) -> np.ndarray:
         u = state.spectrum.vectors
@@ -288,7 +290,7 @@ class TwoBodyKernels:
         g = state.mode_correlations - np.diag(nbar)
         folded = 2.0 * g - np.diag(np.diag(g))
         pairs = ((x @ folded) @ x.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)
-        pairs = pair_matrix_from_tensor(pairs, state.spectrum.basis.statistics)
+        pairs = self.project(pairs)
         values = self.one_body @ (x @ nbar) + 0.5 * (self.two_body @ pairs.ravel())
         return real_values(values, "two-body kernel value")
 

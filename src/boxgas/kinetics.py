@@ -64,7 +64,8 @@ class ClosureSystem:
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
         self.tau0 = collision_time_estimate(coeffs.t_onshell)
-        self.rate_kernels = TwoBodyKernels(*reduced_images(coeffs, self.kernels))
+        self.rate_kernels = TwoBodyKernels(*reduced_images(coeffs, self.kernels),
+                                           coeffs.statistics)
 
     @property
     def n_cells(self) -> int:

@@ -37,6 +37,13 @@ fields of the fit before it, the first stage of each step included.
 `two_layout_kernel_values` reads `gibbs.TwoBodyKernels` with the direct and
 the exchange layout of k2 each contracted against its own matrix, where
 `boxgas.gibbs` folds the exchange term onto the direct one.
+`complex_annihilator_kernel` is the kernel of the annihilator stack from a
+complex SVD, and `complex_stack_witness` the negative-time witness built on
+it with one complex product per trial, where `boxgas.generator` runs a float64
+SVD of the real stack and maps the real and imaginary coefficients with one
+real product.  `per_sample_positivity` is the positivity check with two draws
+and a normalisation per sample, where `generator.positivity_check` draws each
+family in one call and normalises each stack once.
 `spectral_decomposition` and `heisenberg_evolve` are the exact motion
 exp(iHt/hbar) X exp(-iHt/hbar) from one eigendecomposition of a dense H, and
 `dense_coarse_deltas` the coarse-grained check on them over the whole Fock
@@ -56,22 +63,30 @@ perturbations against which the maximum-entropy state is tested.
 import csv
 import io
 from dataclasses import dataclass
-from math import factorial, prod, sqrt
+from math import factorial, inf, prod, sqrt
 
 import numpy as np
 
-from boxgas import fieldmodel
+from boxgas import fieldmodel, generator
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import (
     Statistics,
     _pair_indices,
     _pair_norms,
     build_basis,
+    ladder_ops,
     one_body_operator,
     pair_basis,
     sector_dimension,
 )
-from boxgas.generator import Lprime, smearing_kernel
+from boxgas.generator import (
+    POSITIVITY_TOL,
+    WITNESS_TRIES,
+    Lprime,
+    NegativeTauWitness,
+    PositivityReport,
+    smearing_kernel,
+)
 from boxgas.gibbs import (
     MAX_ITER,
     CellKernels,
@@ -537,3 +552,51 @@ def two_layout_kernel_values(statistics, one_body, two_body, state):
     return (one_body.reshape(m, n * n) @ (x @ nbar)
             + 0.5 * (direct @ ((x @ g) @ x.T).ravel()
                      + sign * (exchange @ ((x @ hop) @ x.T).ravel())))
+
+
+def complex_annihilator_kernel(basis):
+    """Orthonormal columns of the kernel of [a_1 ... a_n], from a complex SVD."""
+    top = basis.sectors[-1]
+    stack = np.concatenate(list(ladder_ops(basis)), axis=1).astype(complex)
+    return np.linalg.svd(stack)[2][basis.dim - (top.stop - top.start):].conj().T
+
+
+def complex_stack_witness(lp, tau, seed):
+    """`generator.negative_tau_witness` on `complex_annihilator_kernel`."""
+    n, dim = lp.basis.n_modes, lp.basis.dim
+    kernel = complex_annihilator_kernel(lp.basis)
+    rng = np.random.default_rng(seed)
+    for _ in range(WITNESS_TRIES):
+        combo = kernel @ (rng.standard_normal(kernel.shape[1])
+                          + 1j * rng.standard_normal(kernel.shape[1]))
+        psi = combo.reshape(n, dim)
+        psi = psi / np.linalg.norm(psi)
+        q0, q1, gain_form = lp.family_form(psi)
+        if gain_form > 1e-12:
+            return NegativeTauWitness(tau, float((q0 + tau * q1).real), float(gain_form), psi)
+    raise ValueError("no negative-time violation found")
+
+
+def per_sample_positivity(lp, n_samples, tau_max, seed):
+    """`generator.positivity_check` with the real and imaginary parts of each
+    family drawn apart and each family normalised on its own."""
+    rng = np.random.default_rng(seed)
+    n, dim = lp.basis.n_modes, lp.basis.dim
+    min_real, max_imag, worst_sample, worst_tau = inf, 0.0, -1, 0.0
+    for start in range(0, n_samples, generator._POSITIVITY_CHUNK):
+        count = min(generator._POSITIVITY_CHUNK, n_samples - start)
+        psi = np.empty((count, n, dim), dtype=complex)
+        tau = np.empty(count)
+        for i in range(count):
+            family = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+            psi[i] = family / np.linalg.norm(family, axis=1, keepdims=True)
+            tau[i] = tau_max * (1.0 - rng.uniform())
+        q0, q1, _ = lp.family_form(psi)
+        q = q0 + tau * q1
+        i = int(np.argmin(q.real))
+        if q.real[i] < min_real:
+            min_real, worst_sample, worst_tau = float(q.real[i]), start + i, float(tau[i])
+        max_imag = max(max_imag, float(np.max(np.abs(q.imag))))
+    passed = min_real > -POSITIVITY_TOL and max_imag <= POSITIVITY_TOL
+    return PositivityReport(n_samples, tau_max, min_real, max_imag, passed,
+                            worst_sample, worst_tau)

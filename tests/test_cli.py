@@ -333,7 +333,7 @@ def test_tmatrix_forms_the_pair_potential_once(tmp_path, monkeypatch, workload):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (cli, fieldmodel, fock, gibbs):
+    for module in (cli, fieldmodel, fock):
         monkeypatch.setattr(module, "pair_matrix_from_tensor", counted)
     args = ["tmatrix", "--out", str(tmp_path), "--quiet"]
     for item in overrides:

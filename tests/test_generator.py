@@ -43,7 +43,12 @@ from boxgas.generator import (
 )
 from boxgas.matrixutil import BlockDiagonal, comm, frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
-from dense_oracles import state_index, tensor_coefficients
+from dense_oracles import (
+    complex_stack_witness,
+    per_sample_positivity,
+    state_index,
+    tensor_coefficients,
+)
 from test_kinetics import oracle_bilinear_image
 
 GEOM = BoxGeometry((1.0,))
@@ -149,6 +154,17 @@ def test_build_coefficients_entries_and_cutoff():
         build_coefficients(modes, t_on, Statistics.BOSE, 0.0)
     with pytest.raises(ValueError):
         build_coefficients(modes, t_on[:2, :2], Statistics.BOSE, 1.0)
+
+
+def test_build_coefficients_stores_a_read_only_view_of_t():
+    modes = modes_1d([1, 2])
+    t_on = np.eye(3) + 0.1j * np.ones((3, 3))
+    coeffs = build_coefficients(modes, t_on, Statistics.BOSE, 2.0 * U)
+    assert not coeffs.t_onshell.flags.writeable
+    assert np.shares_memory(coeffs.t_onshell, t_on)
+    assert t_on.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs.t_onshell[0, 0] = 0.0
 
 
 def test_veff_hermitian_exchange_symmetric_and_born():
@@ -365,6 +381,7 @@ def test_annihilator_kernel_has_structural_rank(statistics, n_modes, n_max):
     basis = build_basis(n_modes, n_max, statistics)
     stack = np.concatenate(list(ladder_ops(basis)), axis=1)
     kernel = annihilator_kernel(basis)
+    assert stack.dtype == kernel.dtype == np.float64
     d_top = sector_dimension(n_modes, n_max, statistics)
     assert kernel.shape == (n_modes * basis.dim, (n_modes - 1) * basis.dim + d_top)
     assert frob(kernel.conj().T @ kernel - np.eye(kernel.shape[1])) <= 1e-12
@@ -430,6 +447,31 @@ def test_positivity_check_matches_per_family_loop(monkeypatch, statistics, chunk
         assert report.worst_tau == worst_tau
         assert abs(report.min_real - min_real) <= 1e-12 * max(1.0, abs(min_real))
         assert abs(report.max_imag - max_imag) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_positivity_check_matches_per_sample_draws_bit_for_bit(monkeypatch, statistics, chunk):
+    # one (2, n, dim) draw per sample is the stream of two (n, dim) draws
+    monkeypatch.setattr(generator, "_POSITIVITY_CHUNK", chunk)
+    lp = Lprime(build_basis(3, 3, statistics), loss_coefficients(statistics))
+    for seed in (0, 3, 7):
+        assert positivity_check(lp, 70, 1e-3, seed) == per_sample_positivity(lp, 70, 1e-3, seed)
+
+
+@pytest.mark.parametrize("statistics, n_modes, n_max", [
+    (Statistics.BOSE, 3, 2), (Statistics.BOSE, 3, 3),
+    (Statistics.FERMI, 3, 2), (Statistics.FERMI, 3, 3),
+])
+def test_witness_matches_the_complex_stack_oracle(statistics, n_modes, n_max):
+    lp = Lprime(build_basis(n_modes, n_max, statistics), loss_coefficients(statistics))
+    for seed in (0, 1, 5, 11):
+        got = negative_tau_witness(lp, tau=-1e-3, seed=seed)
+        want = complex_stack_witness(lp, tau=-1e-3, seed=seed)
+        assert got.family.dtype == complex
+        assert abs(got.q_value - want.q_value) <= 1e-10 * abs(want.q_value)
+        assert abs(got.gain_form - want.gain_form) <= 1e-10 * want.gain_form
+        assert np.max(np.abs(got.family - want.family)) <= 1e-10
 
 
 def test_negative_tau_witness_flips_sign():

@@ -221,7 +221,7 @@ def test_kernel_rates_match_the_fock_space_trace(case, kind):
     coeffs, basis, rng = generator_setup(case)
     n = basis.n_modes
     kernels = np.array([random_kernel(rng, n, "complex") for _ in range(3)])
-    rates = TwoBodyKernels(*reduced_images(coeffs, kernels))
+    rates = TwoBodyKernels(*reduced_images(coeffs, kernels), basis.statistics)
     k = random_kernel(rng, n, kind, complex_=kind != "real")
     weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
     want = Lprime(basis, coeffs).images(kernels).trace_with(weight)
@@ -241,7 +241,7 @@ def test_folded_kernel_values_match_the_two_layout_formula(statistics, lengths):
     basis = build_basis(5, 3, statistics)
     rng = np.random.default_rng(len(lengths))
     k1, k2 = reduced_images(coeffs, np.array([random_kernel(rng, 5, "complex") for _ in range(3)]))
-    rates = TwoBodyKernels(k1, k2)
+    rates = TwoBodyKernels(k1, k2, statistics)
     # k2 as the canonical (anti)symmetric tensor
     pairs = pair_basis(5, statistics)
     tensors = np.array([tensor_from_pair_matrix(m, pairs, statistics, 5) for m in k2])

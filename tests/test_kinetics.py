@@ -127,7 +127,7 @@ def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
     jumps = {}
     for p in range(n):
         for q in range(n):
-            op = np.zeros_like(x)
+            op = np.zeros_like(x, dtype=complex)
             for f in range(n):
                 for g2 in range(n):
                     if jump[p, q, f, g2] != 0.0:

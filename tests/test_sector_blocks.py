@@ -63,7 +63,7 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
     rng = np.random.default_rng(seed)
 
     stack = ladder_ops(basis)
-    assert stack.dtype == complex
+    assert stack.dtype == np.float64 and not stack.flags.writeable
     assert np.array_equal(stack, loop_ladders(basis))
 
     # A_q = n_q a_q2 a_q1 over pair_basis, from the dense pair stack P[f, g] = a_f a_g
