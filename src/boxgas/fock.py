@@ -231,9 +231,10 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
 
 def ladder_ops(basis: FockBasis) -> np.ndarray:
     """All annihilators stacked as a read-only float64 (n_modes, dim, dim) array,
-    scattered from `basis.lowering`, whose amplitudes are all real.  Not cached:
-    every other operator is built from the sector blocks, so only the
-    negative-time witness forms this stack."""
+    scattered from `basis.lowering`, whose amplitudes are all real.  Not cached,
+    and no subcommand calls it: every operator is built from the sector blocks,
+    and the negative-time witness maps the kernel of this stack without it.
+    The tests read it as the dense oracle, and perfbench/tracer.py traces it."""
     target, amp = basis.lowering
     stack = np.zeros((basis.n_modes, basis.dim, basis.dim))
     mode, col = np.nonzero(target >= 0)

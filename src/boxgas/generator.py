@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .fieldmodel import HBAR, MASS, hamiltonian, mode_energies
-from .fock import (FockBasis, Statistics, _pair_indices, _pair_norms, ladder_ops, pair_basis,
-                   pair_one_body)
+from .fock import FockBasis, Statistics, _pair_indices, _pair_norms, pair_basis, pair_one_body
+from .fock import ladder_ops  # noqa: F401  (unused: perfbench/selftest.py patches it by this name)
 from .matrixutil import BlockDiagonal, comm, dagger_sum
 from .scattering import onshell_tmatrix, pair_energies
 
@@ -316,17 +316,57 @@ class NegativeTauWitness:
     family: np.ndarray
 
 
-def annihilator_kernel(basis: FockBasis) -> np.ndarray:
-    """Orthonormal real columns spanning the kernel of the dim x (n dim) stack [a_1 ... a_n].
+class AnnihilatorKernel:
+    """The orthonormal real kernel basis of the dim x (n dim) stack [a_1 ... a_n]
+    that LAPACK's SVD returns, applied as `kernel @ coords` without the stack.
 
-    Per sector N, A_N A_N† = c_N 1 with c_N > 0 (N + n - 1 for Bose, n - N + 1
-    for Fermi): the stack maps onto every sector below n_max, so its rank is
-    dim - d_top and the kernel has (n - 1) dim + d_top columns.  The stack is
-    real, so this is a float64 SVD.
+    For a wide matrix `dgesdd` takes a Householder LQ, A = L Q, then an SVD
+    L = U S V_L^T of the square factor (Golub & Van Loan, Matrix Computations,
+    5.1 and 8.6); the kernel columns are Q^T [V_L[:, rank:] ; 0] followed by
+    the last (n - 1) dim columns of Q^T.  Here the LQ has a closed form.  Row i
+    of the stack, in target sector M, has norm sqrt(c_M) (c_M = n + M for Bose,
+    n - M for Fermi: A_N A_N^dagger = c 1), is zero at its pivot column
+    (mode 0, state i), and shares no nonzero column with earlier rows or
+    reflectors.  So no row is ever updated: every reflector has tau = 1 and
+    v_i = e_(0,i) + a_i / sqrt(c_M), and L = diag(-sqrt(c_M)), zero on the top
+    sector.  The v_i of one sector are orthogonal, so its reflectors multiply
+    to G_M = I - V_M V_M^T, two contractions with `ladder_blocks[M + 1]`, and
+    Q^T = G_0 G_1 ... G_{n_max - 1}.  V_L comes from an SVD of the diagonal L,
+    as `dgesdd` runs it, since that fixes the order of the null rows.
     """
-    top = basis.sectors[-1]
-    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
-    return np.linalg.svd(stack)[2][basis.dim - (top.stop - top.start):].T
+
+    def __init__(self, basis: FockBasis):
+        self.basis = basis
+        sign = 1.0 if basis.statistics is Statistics.BOSE else -1.0
+        roots = [math.sqrt(basis.n_modes + sign * number) for number in range(basis.n_max)]
+        self._scales = [1.0 / root for root in roots]  # dlarfg scales each row by 1/sqrt(c)
+        diagonal = np.zeros(basis.dim)
+        for s, root in zip(basis.sectors, roots):
+            diagonal[s] = -root
+        top = basis.sectors[-1]
+        self._null_rows = np.linalg.svd(np.diag(diagonal))[2][top.start:]
+        self.shape = (basis.n_modes * basis.dim,
+                      (basis.n_modes - 1) * basis.dim + top.stop - top.start)
+
+    def __matmul__(self, coords: np.ndarray) -> np.ndarray:
+        """kernel @ coords for coords of shape (k,) or (k, m), k = shape[1]."""
+        coords = np.asarray(coords, dtype=float)
+        n, dim, d_top = self.basis.n_modes, self.basis.dim, len(self._null_rows)
+        y = np.empty((n, dim) + coords.shape[1:])
+        y[0] = np.tensordot(self._null_rows, coords[:d_top], axes=([0], [0]))
+        y[1:] = coords[d_top:].reshape(y[1:].shape)
+        return self.rotate(y).reshape((n * dim,) + coords.shape[1:])
+
+    def rotate(self, y: np.ndarray) -> np.ndarray:
+        """Q^T y in place, for y of shape (n_modes, dim, ...): G_{n_max - 1} first."""
+        sectors, ladders = self.basis.sectors, self.basis.ladder_blocks
+        for number in reversed(range(self.basis.n_max)):
+            s, above, lad = sectors[number], sectors[number + 1], ladders[number + 1]
+            scale = self._scales[number]
+            z = y[0, s] + scale * np.tensordot(lad, y[:, above], axes=([0, 2], [0, 1]))
+            y[0, s] -= z
+            y[:, above] -= scale * np.tensordot(lad, z, axes=([1], [0]))
+        return y
 
 
 def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
@@ -335,15 +375,15 @@ def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
 
     There Q reduces to tau times the non-negative gain form, so any family
     the jump operators do not annihilate witnesses the time orientation.
-    Each trial draws the real, then the imaginary coefficients of a kernel
-    combination; one real product maps both, so the kernel is never cast to
-    complex.
+    Each trial draws the real, then the imaginary coefficients of a
+    combination of the kernel basis of `AnnihilatorKernel`; one real map
+    takes both, so nothing is cast to complex.
     """
     if tau >= 0:
         raise ValueError("tau must be negative")
     basis = lp.basis
     n = basis.n_modes
-    kernel = annihilator_kernel(basis)
+    kernel = AnnihilatorKernel(basis)
     rng = np.random.default_rng(seed)
     for _ in range(WITNESS_TRIES):
         parts = kernel @ rng.standard_normal((2, kernel.shape[1])).T

@@ -37,13 +37,17 @@ fields of the fit before it, the first stage of each step included.
 `two_layout_kernel_values` reads `gibbs.TwoBodyKernels` with the direct and
 the exchange layout of k2 each contracted against its own matrix, where
 `boxgas.gibbs` folds the exchange term onto the direct one.
-`complex_annihilator_kernel` is the kernel of the annihilator stack from a
-complex SVD, and `complex_stack_witness` the negative-time witness built on
-it with one complex product per trial, where `boxgas.generator` runs a float64
-SVD of the real stack and maps the real and imaginary coefficients with one
-real product.  `per_sample_positivity` is the positivity check with two draws
-and a normalisation per sample, where `generator.positivity_check` draws each
-family in one call and normalises each stack once.
+`annihilator_kernel` is the kernel of the annihilator stack as the right
+factor of a float64 SVD of the dense dim x (n dim) stack, where
+`generator.AnnihilatorKernel` maps coordinates to the same basis through a
+closed-form Householder LQ and never forms the stack.
+`complex_annihilator_kernel` is that kernel from a complex SVD, and
+`complex_stack_witness` the negative-time witness built on it with one
+complex product per trial, where `boxgas.generator` maps the real and
+imaginary coefficients with one real map.  `per_sample_positivity` is the
+positivity check with two draws and a normalisation per sample, where
+`generator.positivity_check` draws each family in one call and normalises
+each stack once.
 `spectral_decomposition` and `heisenberg_evolve` are the exact motion
 exp(iHt/hbar) X exp(-iHt/hbar) from one eigendecomposition of a dense H, and
 `dense_coarse_deltas` the coarse-grained check on them over the whole Fock
@@ -552,6 +556,19 @@ def two_layout_kernel_values(statistics, one_body, two_body, state):
     return (one_body.reshape(m, n * n) @ (x @ nbar)
             + 0.5 * (direct @ ((x @ g) @ x.T).ravel()
                      + sign * (exchange @ ((x @ hop) @ x.T).ravel())))
+
+
+def annihilator_kernel(basis):
+    """Orthonormal real columns spanning the kernel of the dim x (n dim) stack [a_1 ... a_n].
+
+    Per sector N, A_N A_N^dagger = c_N 1 with c_N > 0 (N + n - 1 for Bose,
+    n - N + 1 for Fermi): the stack maps onto every sector below n_max, so its
+    rank is dim - d_top and the kernel has (n - 1) dim + d_top columns.  The
+    stack is real, so this is a float64 SVD.
+    """
+    top = basis.sectors[-1]
+    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
+    return np.linalg.svd(stack)[2][top.start:].T
 
 
 def complex_annihilator_kernel(basis):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxgas import generator
 from boxgas.fieldmodel import (
@@ -26,11 +28,11 @@ from boxgas.fock import (
     sector_dimension,
 )
 from boxgas.generator import (
+    AnnihilatorKernel,
     ConservationReport,
     GeneratorCoefficients,
     Lprime,
     _ordered_channels,
-    annihilator_kernel,
     build_coefficients,
     channel_blocks,
     coefficients_from_potential,
@@ -44,6 +46,7 @@ from boxgas.generator import (
 from boxgas.matrixutil import BlockDiagonal, comm, frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
 from dense_oracles import (
+    annihilator_kernel,
     complex_stack_witness,
     per_sample_positivity,
     state_index,
@@ -388,6 +391,48 @@ def test_annihilator_kernel_has_structural_rank(statistics, n_modes, n_max):
     assert frob(stack @ kernel) <= 1e-12
     oracle = scipy.linalg.null_space(stack)
     assert frob(kernel @ kernel.conj().T - oracle @ oracle.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("statistics, n_modes, n_max", [
+    (Statistics.BOSE, 3, 2), (Statistics.BOSE, 2, 2), (Statistics.FERMI, 3, 2),
+    (Statistics.FERMI, 4, 4), (Statistics.BOSE, 1, 3), (Statistics.BOSE, 6, 3),
+    (Statistics.FERMI, 6, 3),
+])
+def test_closed_form_kernel_matches_the_svd_kernel(statistics, n_modes, n_max):
+    # dims 10, 6, 7, 16, 4, 84 and 42: on both sides of dim 25, where LAPACK's
+    # SVD of the diagonal L permutes its null rows below and keeps them above
+    basis = build_basis(n_modes, n_max, statistics)
+    oracle = annihilator_kernel(basis)
+    kernel = AnnihilatorKernel(basis)
+    assert kernel.shape == oracle.shape
+    assert np.max(np.abs(kernel @ np.eye(oracle.shape[1]) - oracle)) <= 1e-13
+    rng = np.random.default_rng(3)
+    for coords in (rng.standard_normal(oracle.shape[1]),
+                   rng.standard_normal((oracle.shape[1], 2))):
+        assert np.max(np.abs(kernel @ coords - oracle @ coords)) <= 1e-13
+
+
+@st.composite
+def small_bases(draw):
+    statistics = draw(st.sampled_from(tuple(Statistics)))
+    n_modes = draw(st.integers(1, 5))
+    top = 4 if statistics is Statistics.BOSE else n_modes
+    return build_basis(n_modes, draw(st.integers(0, min(4, top))), statistics)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=small_bases(), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_kernel_is_annihilated_and_rotates_isometrically(basis, seed):
+    kernel = AnnihilatorKernel(basis)
+    rng = np.random.default_rng(seed)
+    combo = kernel @ rng.standard_normal(kernel.shape[1])
+    stack = np.concatenate(list(ladder_ops(basis)), axis=1)
+    scale = np.linalg.norm(combo) * max(1.0, np.max(np.abs(stack)))
+    assert np.linalg.norm(stack @ combo) <= 1e-13 * scale
+    y = rng.standard_normal((basis.n_modes, basis.dim, 3))
+    norms = np.linalg.norm(y, axis=(0, 1))
+    assert np.allclose(np.linalg.norm(kernel.rotate(y.copy()), axis=(0, 1)), norms,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_positivity_sampled_families():

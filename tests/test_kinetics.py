@@ -539,13 +539,17 @@ def test_trajectory_table_layout():
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
-def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics, monkeypatch):
+def test_dense_ladder_stack_is_never_built(statistics, monkeypatch):
     # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes); the dense
-    # (n, dim, dim) ladder stack is built only by ladder_ops, which only the
-    # negative-time witness calls
-    calls = []
+    # (n, dim, dim) ladder stack is built only by ladder_ops, and the witness
+    # maps its kernel through the sector ladder blocks, with no SVD of
+    # anything larger than dim x dim
+    calls, svd_shapes = [], []
+    svd = np.linalg.svd
     monkeypatch.setattr(generator, "ladder_ops",
                         lambda basis: calls.append(basis) or ladder_ops(basis))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *rest, **kw: svd_shapes.append(a.shape) or svd(a, *rest, **kw))
     if statistics is Statistics.BOSE:
         sys = make_system(numbers=tuple(range(1, 7)), n_max=3)
     else:
@@ -557,9 +561,9 @@ def test_dense_ladder_stack_stays_unbuilt_outside_the_witness(statistics, monkey
     assert positivity_check(lp, n_samples=20, tau_max=1e-3, seed=1).passed
     dt = 5.05 * sys.tau0
     assert integrate(sys, t_span=4.0 * dt, dt=dt).n_steps == 4
-    assert not calls
     negative_tau_witness(lp)
-    assert len(calls) == 1 and calls[0] is sys.basis
+    assert not calls
+    assert svd_shapes and max(max(shape) for shape in svd_shapes) <= sys.basis.dim
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
