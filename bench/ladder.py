@@ -58,7 +58,7 @@ PAIR3D_CELLS = {"build": ONE_CELL, "tmatrix": ONE_CELL, "generator-check": ONE_C
 PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
                 (60, "tmatrix"), (20, "generator-check"), (30, "generator-check"),
                 (40, "generator-check"), (20, "evolve"), (30, "evolve"), (40, "evolve"),
-                (20, "maxent"))  # lowest modes
+                (50, "evolve"), (60, "evolve"), (20, "maxent"))  # lowest modes
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 

@@ -10,6 +10,7 @@ operators sum exactly to their global counterparts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +186,7 @@ class CellGrid:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def edges(self, axis: int) -> np.ndarray:
         return np.linspace(0.0, self.geom.lengths[axis], self.counts[axis] + 1)

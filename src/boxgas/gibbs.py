@@ -12,7 +12,9 @@ operators of at most two bodies at such states from the same eigenpairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,9 +53,9 @@ class LagrangeFields:
         mu = np.asarray(self.mu, dtype=float)
         if beta.ndim != 1 or mu.shape != beta.shape:
             raise ValueError("field arrays must share one entry per cell")
-        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(mu))):
+        if not (np.isfinite(beta).all() and np.isfinite(mu).all()):
             raise ValueError("fields must be finite")
-        if np.any(beta <= 0.0):
+        if (beta <= 0.0).any():
             raise ValueError("beta must be positive in every cell")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "mu", mu)
@@ -75,7 +77,7 @@ class ConstraintSet:
         mass = np.asarray(self.mass, dtype=float)
         if energy.ndim != 1 or mass.shape != energy.shape:
             raise ValueError("energy and mass targets must share one entry per cell")
-        if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(mass))):
+        if not (np.isfinite(energy).all() and np.isfinite(mass).all()):
             raise ValueError("targets must be finite")
         object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "mass", mass)
@@ -150,13 +152,13 @@ class CellKernels:
     state holds (`GibbsState.mode_occupations`, `.mode_correlations`).  No
     sector block is diagonalised.  Every kernel is checked hermitian here,
     once, so the real combinations that a fit diagonalises need no check of
-    their own; the rotated kernels a_i of the last spectrum read are kept, so
-    `values` and `chi` at one state rotate the stack once between them.
+    their own.  The spectrum of a state built here carries `kernels`, and
+    keeps the rotated stack a_i once it is formed (`ModeSpectrum.rotated`),
+    so `values` and `chi` at one state rotate the stack once between them.
     """
 
     basis: FockBasis
     kernels: np.ndarray
-    _rotation: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, kernel in enumerate(self.kernels):
@@ -192,19 +194,18 @@ class CellKernels:
     def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
         n = self.basis.n_modes
         return _kernel_gibbs(self.basis, (np.asarray(y, dtype=float) @ self._flat).reshape(n, n),
-                             fields)
+                             fields, self.kernels)
 
-    def _rotated(self, state: GibbsState) -> np.ndarray:
-        """The constraint kernels in the eigenmodes of the state's kernel, U^dagger k_i U."""
+    def _spectrum(self, state: GibbsState) -> ModeSpectrum:
+        """The state's spectrum, carrying this family's kernels: as it is for a
+        state built here, else a copy that rotates them afresh."""
         spectrum = state.spectrum
-        if self._rotation.get("spectrum") is not spectrum:
-            u = spectrum.vectors
-            self._rotation.update(spectrum=spectrum, kernels=u.conj().T @ self.kernels @ u)
-        return self._rotation["kernels"]
+        if spectrum.kernels is self.kernels:
+            return spectrum
+        return ModeSpectrum(spectrum.basis, spectrum.energies, spectrum.vectors, self.kernels)
 
     def values(self, state: GibbsState) -> np.ndarray:
-        diag = np.diagonal(self._rotated(state), axis1=1, axis2=2).real
-        return diag @ state.mode_occupations
+        return self._spectrum(state).rotated_diagonal @ state.mode_occupations
 
     def chi(self, state: GibbsState) -> np.ndarray:
         """Kubo-Mori susceptibility over the kernels, from the occupation moments.
@@ -218,16 +219,20 @@ class CellKernels:
         is read on the side where the gap is >= 0, so phi stays in (0, 1].
         """
         nbar, corr = state.mode_occupations, state.mode_correlations
-        a = self._rotated(state)
-        diag = np.diagonal(a, axis1=1, axis2=2).real
-        chi = diag @ (corr - np.outer(nbar, nbar)) @ diag.T
-        eps = state.spectrum.energies
-        gap = eps[:, None] - eps[None, :]
-        rising = gap >= 0.0
-        width = np.abs(gap)
-        phi = np.where(width > 0.0, -np.expm1(-width) / np.where(width > 0.0, width, 1.0), 1.0)
-        sign = 1.0 if self.basis.statistics is Statistics.BOSE else -1.0
-        hop = phi * (np.where(rising, nbar[None, :], nbar[:, None]) + sign * corr)
+        spectrum = self._spectrum(state)
+        a, diag = spectrum.rotated, spectrum.rotated_diagonal
+        chi = diag @ (corr - nbar[:, None] * nbar) @ diag.T
+        eps = spectrum.energies
+        gap = eps[:, None] - eps
+        # phi(|gap|) = expm1(-|gap|)/(-|gap|), and 1 where the gap closes
+        drop = -np.abs(gap)
+        phi = np.ones_like(drop)
+        np.divide(np.expm1(drop), drop, out=phi, where=drop < 0.0)
+        source = np.where(gap >= 0.0, nbar, nbar[:, None])
+        if self.basis.statistics is Statistics.BOSE:
+            hop = phi * (source + corr)
+        else:
+            hop = phi * (source - corr)
         np.fill_diagonal(hop, 0.0)
         m = len(a)
         chi = chi + (a * hop).reshape(m, -1) @ a.transpose(0, 2, 1).reshape(m, -1).T
@@ -286,9 +291,10 @@ class TwoBodyKernels:
         u = state.spectrum.vectors
         n = u.shape[0]
         x = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
-        nbar = state.mode_occupations
-        g = state.mode_correlations - np.diag(nbar)
-        folded = 2.0 * g - np.diag(np.diag(g))
+        nbar, corr = state.mode_occupations, state.mode_correlations
+        # 2G - diag G with G = C - diag(nbar): 2C off the diagonal, C - nbar on it
+        folded = 2.0 * corr
+        np.fill_diagonal(folded, corr.diagonal() - nbar)
         pairs = ((x @ folded) @ x.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)
         pairs = self.project(pairs)
         values = self.one_body @ (x @ nbar) + 0.5 * (self.two_body @ pairs.ravel())
@@ -321,7 +327,7 @@ def fields_to_multipliers(fields: LagrangeFields) -> np.ndarray:
 def multipliers_to_fields(y: np.ndarray) -> LagrangeFields:
     n = y.size // 2
     alpha = y[:n]
-    if np.any(alpha <= 0.0):
+    if (alpha <= 0.0).any():
         raise FitError("fit landed at a non-positive inverse temperature")
     return LagrangeFields(beta=alpha, mu=-y[n:] / alpha)
 
@@ -345,11 +351,25 @@ class ModeSpectrum:
     U is `vectors`.  Row m of the basis stands for the eigenvector of
     dGamma(k) that has occupations states[m] in the eigenmodes of k, with
     eigenvalue states[m] . energies.  No Fock-space vector is built.
+    `kernels`, when given, is the stack of a `CellKernels` family that built
+    the state; the spectrum then keeps that stack in its eigenmodes.
     """
 
     basis: FockBasis
     energies: np.ndarray
     vectors: np.ndarray
+    kernels: np.ndarray | None = None
+
+    @cached_property
+    def rotated(self) -> np.ndarray:
+        """The kernels in the eigenmodes, U^dagger k_i U."""
+        u = self.vectors
+        return u.conj().T @ self.kernels @ u
+
+    @cached_property
+    def rotated_diagonal(self) -> np.ndarray:
+        """The real diagonals of `rotated`, one row per kernel."""
+        return self.rotated.diagonal(0, 1, 2).real
 
 
 @dataclass(frozen=True)
@@ -385,6 +405,13 @@ class GibbsState:
         s = self.spectrum.basis.occupations
         return (s.T * self.probabilities) @ s
 
+    def with_fields(self, fields: LagrangeFields) -> GibbsState:
+        """This state labelled with `fields`; what it has already read (the
+        mode moments, the weight blocks) stays with it."""
+        labelled = copy.copy(self)
+        object.__setattr__(labelled, "fields", fields)
+        return labelled
+
     @cached_property
     def weight_blocks(self) -> BlockDiagonal:
         slices = self.spectrum.slices
@@ -401,7 +428,7 @@ def _boltzmann(levels: np.ndarray, fields: LagrangeFields | None, spectrum) -> G
     """Probabilities exp(-level)/Z, shifted by the lowest level against overflow;
     ln Z is the log-sum-exp of -level with the same shift."""
     low = levels.min()
-    shifted = np.exp(-(levels - low))
+    shifted = np.exp(low - levels)
     total = shifted.sum()
     return GibbsState(fields, float(np.log(total) - low), shifted / total, spectrum)
 
@@ -423,16 +450,18 @@ def _sector_gibbs(k: BlockDiagonal, fields: LagrangeFields | None = None) -> Gib
                       SectorSpectrum(k, tuple(v for _, v in pairs)))
 
 
-def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None) -> GibbsState:
+def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None,
+                  kernels: np.ndarray | None = None) -> GibbsState:
     """exp(-dGamma(k))/Z from one eigendecomposition k = U diag(eps) U^dagger.
 
     The basis truncates only the total number, so the mode rotation Gamma(U)
     maps it onto itself: row m of `basis.states` stands for an eigenvector of
-    dGamma(k) with eigenvalue states[m] . eps.
+    dGamma(k) with eigenvalue states[m] . eps.  `kernels` goes to the
+    spectrum (`ModeSpectrum`).
     """
     energies, vectors = np.linalg.eigh(k)
     return _boltzmann(basis.occupations @ energies, fields,
-                      ModeSpectrum(basis, energies, vectors))
+                      ModeSpectrum(basis, energies, vectors, kernels))
 
 
 def _check_basis(basis: FockBasis, obs: ConstraintFamily) -> None:
@@ -524,7 +553,9 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
     """Damped Newton on the dual potential ln Z + y . targets over a constraint family.
 
     `state` is the state at `y0` and `chi` its susceptibility, when the
-    caller already holds them; neither is recomputed.
+    caller already holds them; neither is recomputed.  Each Newton step is
+    halved until the dual does not rise, at most 40 times; FitError is
+    raised when none of those trials keeps it from rising.
     """
     scales = np.maximum(1.0, np.abs(targets))
     y = np.asarray(y0, dtype=float).copy()
@@ -535,30 +566,34 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
     best = None
     for iteration in range(1, max_iter + 1):
         residual = family.values(state) - targets
-        trace.append(float(np.max(np.abs(residual) / scales)))
+        trace.append(float((np.abs(residual) / scales).max()))
         if trace[-1] <= tol:
             # one polish step past the tolerance sharpens the multipliers
             # (quadratic convergence), keeping field recovery well inside
             # the residual-implied bound even for ill-conditioned chi
             if best is not None or trace[-1] <= 1e-13:
                 return y, state, iteration - 1, trace
-            best = (y.copy(), state, trace[-1])
+            best = (y, state, trace[-1])
         elif best is not None:
             y_best, state_best, res_best = best
             trace.append(res_best)
             return y_best, state_best, iteration - 1, trace
         if chi is None:
             chi = family.chi(state)
-        low = float(np.min(np.linalg.eigvalsh(chi)))
-        if low < -CHI_PSD_TOL * max(1.0, float(np.max(np.abs(chi)))):
+        # each bound below is negative, so a check whose left side is not
+        # negative passes without forming it
+        low = float(np.linalg.eigvalsh(chi).min())
+        if low < 0.0 and low < -CHI_PSD_TOL * max(1.0, float(np.abs(chi).max())):
             raise FitError(f"susceptibility matrix not positive semidefinite ({low:.3e})")
         # lstsq keeps consistent-but-degenerate constraint sets workable
         # (proportional observables); inconsistent ones fail to converge.
         step, *_ = np.linalg.lstsq(chi, residual, rcond=1e-12)
-        if float(residual @ step) < -1e-12 * float(np.abs(residual) @ np.abs(step) + 1e-300):
+        slope = float(residual @ step)
+        if slope < 0.0 and slope < -1e-12 * float(np.abs(residual) @ np.abs(step) + 1e-300):
             raise FitError("Newton direction failed the descent check")
+        # Euclidean norms as np.linalg.norm takes them, sqrt(v . v)
         with np.errstate(over="ignore"):  # a step whose norm overflows is unbounded too
-            unbounded = np.linalg.norm(step) > STEP_CAP * (1.0 + np.linalg.norm(y))
+            unbounded = math.sqrt(step.dot(step)) > STEP_CAP * (1.0 + math.sqrt(y.dot(y)))
         if unbounded:
             raise FitError(
                 "unbounded dual step: targets are infeasible for this observable set"
@@ -571,6 +606,11 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
             if dual_trial <= dual + 1e-12 * max(1.0, abs(dual)):
                 break
             size *= 0.5
+        else:
+            raise FitError(
+                f"line search failed: 40 halvings of the Newton step did not lower "
+                f"the dual potential {dual:.6e}"
+            )
         y, state, dual, chi = y_trial, state_trial, dual_trial, None
     raise FitError(
         f"maximum-entropy fit did not converge in {max_iter} iterations; "
@@ -637,4 +677,4 @@ def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
     y, state, iterations, trace = _newton_fit(obs, targets_vector(targets), y,
                                               tol, max_iter, warm, chi)
     fields = multipliers_to_fields(y)
-    return FitResult(fields, replace(state, fields=fields), iterations, trace)
+    return FitResult(fields, state.with_fields(fields), iterations, trace)

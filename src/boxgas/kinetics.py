@@ -77,15 +77,16 @@ class ClosureSystem:
 
 @dataclass(frozen=True)
 class RhsReport:
-    rates: np.ndarray
     moment_rates: np.ndarray
     condition: float
     chi: np.ndarray
 
 
 def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsReport:
-    """Moment rates b and the multiplier rates solving (-chi) dlambda/dt = b
-    at a Gibbs state of the system (default: the state of `sys.fields`)."""
+    """Moment rates b and the response matrix chi at a Gibbs state of the
+    system (default: the state of `sys.fields`); chi must be regular, so
+    that (-chi) dlambda/dt = b fixes the multiplier rates.  The condition
+    number of chi is reported."""
     state = sys.state_for(sys.fields) if state is None else state
     b = sys.rate_kernels.values(state)
     chi = sys.family.chi(state)
@@ -95,13 +96,12 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
         null = vecs[:, 0]
         terms = " + ".join(
             f"({null[i]:+.3f})*{sys.labels[i]}"
-            for i in range(null.size) if abs(null[i]) > 0.2 * np.max(np.abs(null))
+            for i in range(null.size) if abs(null[i]) > 0.2 * np.abs(null).max()
         )
         raise ValueError(
             f"singular response matrix; null-space combination {terms}"
         )
-    rates = -np.linalg.solve(chi, b)
-    return RhsReport(rates, b, float(top / evals[0]), chi)
+    return RhsReport(b, float(top / evals[0]), chi)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -451,6 +452,32 @@ def test_fit_failures_raise_fit_error():
         maxent_fit(basis, obs, ConstraintSet(np.array([1.0]), np.array([100.0])))
     with pytest.raises(FitError, match="unbounded dual step|did not converge"):
         maxent_fit(basis, obs, ConstraintSet(np.array([1e4]), np.array([1.0])))
+
+
+class RisingFamily:
+    """A constraint family whose ln Z rises at every state it builds, with a
+    fixed residual and a positive definite chi: every Newton step passes the
+    descent check, and no halving of it lowers the dual."""
+
+    def __init__(self):
+        self.built = 0
+
+    def state(self, y):
+        self.built += 1
+        return SimpleNamespace(log_z=float(self.built))
+
+    def values(self, state):
+        return np.array([1.0, -0.5])
+
+    def chi(self, state):
+        return np.array([[2.0, 0.5], [0.5, 1.0]])
+
+
+def test_exhausted_line_search_raises_fit_error():
+    family = RisingFamily()
+    with pytest.raises(FitError, match="line search failed: 40 halvings"):
+        gibbs._newton_fit(family, np.zeros(2), np.array([1.0, 0.0]), tol=1e-8, max_iter=5)
+    assert family.built == 1 + 40  # the start, then every trial of the first step
 
 
 # box, modes, potential and the scale of beta of the cold-start systems

@@ -47,10 +47,15 @@ from boxgas.gibbs import (
     _kernel_gibbs,
     CellKernels,
     CellObservables,
+    ConstraintSet,
+    GibbsState,
+    ModeSpectrum,
     TwoBodyKernels,
     chi_matrix,
     entropy,
     gibbs_from_operator,
+    maxent_fit,
+    multipliers_to_fields,
 )
 from boxgas.matrixutil import BlockDiagonal
 from dense_oracles import (
@@ -144,8 +149,11 @@ def test_kernel_family_rejects_a_non_hermitian_kernel():
 @pytest.mark.parametrize("statistics", tuple(Statistics))
 def test_kernel_family_state_and_shared_rotation(statistics):
     # a family state is the mode-space state of the combined kernel, bit
-    # for bit; values and chi read at alternating states, sharing one rotation
-    # per state, equal those of a fresh family
+    # for bit; values and chi read at alternating states, sharing the rotation
+    # each state keeps, equal those of a fresh family, which rotates afresh.
+    # Warm maxent fits are states too: the moments their state carries, the
+    # values, chi and two-body values there equal those read by a fresh
+    # family at a fresh state of the same probabilities and eigenvectors
     basis = build_basis(4, 3, statistics)
     rng = np.random.default_rng(4)
     kernels = np.array([random_kernel(rng, 4, "complex") for _ in range(4)])
@@ -157,11 +165,26 @@ def test_kernel_family_state_and_shared_rotation(statistics):
         assert state.log_z == want.log_z
         assert np.array_equal(state.probabilities, want.probabilities)
         assert np.array_equal(state.spectrum.vectors, want.spectrum.vectors)
-    for state in states + states[::-1]:
+    ys[:, :2] = np.abs(ys[:, :2])  # positive beta, so the fits' fields exist
+    targets = [ConstraintSet(*family.values(family.state(y)).reshape(2, 2)) for y in ys]
+    fits = [maxent_fit(basis, family, targets[0], init=multipliers_to_fields(ys[0] + 0.01))]
+    fits.append(maxent_fit(basis, family, targets[1], init=fits[0].state))
+    assert all("mode_occupations" in vars(fit.state) for fit in fits)
+    n_pairs = len(pair_basis(4, statistics))
+    rates = TwoBodyKernels(np.array([random_kernel(rng, 4, "complex") for _ in range(2)]),
+                           np.array([random_kernel(rng, n_pairs, "complex") for _ in range(2)]),
+                           statistics)
+    for state in states + states[::-1] + [fit.state for fit in fits]:
         values, chi = family.values(state), family.chi(state)
-        fresh = CellKernels(basis, kernels)
-        assert np.array_equal(values, fresh.values(state))
-        assert np.array_equal(chi, fresh.chi(state))
+        fresh = CellKernels(basis, kernels.copy())
+        spectrum = state.spectrum
+        again = GibbsState(state.fields, state.log_z, state.probabilities.copy(),
+                           ModeSpectrum(basis, spectrum.energies.copy(), spectrum.vectors.copy()))
+        for got, want in [(state.mode_occupations, again.mode_occupations),
+                          (state.mode_correlations, again.mode_correlations),
+                          (values, fresh.values(again)), (chi, fresh.chi(again)),
+                          (rates.values(state), rates.values(again))]:
+            assert np.array_equal(got, want)
 
 
 GEOM = BoxGeometry((1.0,))
