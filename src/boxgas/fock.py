@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .matrixutil import BlockDiagonal, dagger_sum, require_hermitian
+from .matrixutil import BlockDiagonal, require_hermitian
 
 DIM_CAP = 200_000
 
@@ -244,31 +244,40 @@ def ladder_ops(basis: FockBasis) -> np.ndarray:
 
 
 def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:
-    """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k.
-
-    One block per number sector N, from the N -> N-1 ladder blocks L:
-    sum_h L_h^dagger (sum_k kernel[h,k] L_k).  A real kernel gives real blocks.
-    """
+    """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k: the
+    `_scatter` of the kernel over the N -> N-1 ladder blocks.  A real kernel
+    gives real blocks."""
     kernel = np.asarray(kernel)
     f = basis.n_modes
     if kernel.shape != (f, f):
         raise ValueError(f"kernel shape {kernel.shape} does not match mode count {f}")
-    return BlockDiagonal(basis.sectors, tuple(dagger_sum(lad, np.tensordot(kernel, lad, axes=1))
-                                              for lad in basis.ladder_blocks))
+    return _scatter(basis, basis.ladder_blocks, kernel)
 
 
 def two_body_operator(basis: FockBasis, m: np.ndarray) -> BlockDiagonal:
-    """Second-quantized two-body operator sum_pq m[p, q] A_p^dagger A_q.
-
-    `m` is the hermitian P x P matrix of the operator between the normalized
-    pair states of `pair_basis` (`pair_matrix_from_tensor` of a two-body
-    tensor).  One block per number sector, from the pair annihilators A_q of
-    `FockBasis.pair_blocks`: two GEMMs per sector.  A real m gives real blocks.
-    """
+    """Second-quantized two-body operator sum_pq m[p, q] A_p^dagger A_q, for the
+    hermitian P x P matrix m of the operator between the normalized pair states
+    of `pair_basis` (`pair_matrix_from_tensor` of a two-body tensor): its
+    `_scatter` over the pair annihilators of `FockBasis.pair_blocks`.  A real m
+    gives real blocks."""
     m = np.asarray(m)
     n_pairs = len(basis.pair_blocks[0])
     if m.shape != (n_pairs, n_pairs):
         raise ValueError(f"pair matrix shape {m.shape} does not match {n_pairs} pair states")
     require_hermitian(m, name="two-body pair matrix")
-    return BlockDiagonal(basis.sectors, tuple(dagger_sum(pairs, np.tensordot(m, pairs, axes=1))
-                                              for pairs in basis.pair_blocks))
+    return _scatter(basis, basis.pair_blocks, m)
+
+
+def _scatter(basis: FockBasis, lowering: tuple, m: np.ndarray) -> BlockDiagonal:
+    """sum_pq m[p, q] L_p^dagger L_q for any matrix m, hermitian or not, over the
+    real lowering blocks L of every sector (`ladder_blocks` or `pair_blocks`):
+    two real GEMMs per sector, on the real and imaginary parts of m side by side."""
+    m = np.asarray(m)
+    parts = np.stack([m.real, m.imag], axis=1) if np.iscomplexobj(m) else m[:, None]
+    blocks = []
+    for low in lowering:
+        flat = low.reshape(-1, low.shape[-1])  # rows (p, state of the sector below)
+        lowered = np.tensordot(parts, low, axes=1).transpose(0, 2, 3, 1)  # (p, rows, cols, part)
+        block = flat.T @ lowered.reshape(len(flat), parts.shape[1] * flat.shape[1])
+        blocks.append(block.view(complex) if np.iscomplexobj(m) else block)
+    return BlockDiagonal(basis.sectors, tuple(blocks))

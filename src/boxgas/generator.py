@@ -8,9 +8,9 @@ the channel operators are R_p = sum_q jump[p, q] A_q over the pair
 annihilators A_q.  On two particles L' is the adjoint Lindblad generator with
 the single jump matrix J = `jump` (Lindblad 1976; Breuer & Petruccione 2002,
 ch. 3).  Observables in the family are n x n one-body kernels K, standing for
-sum_hk K[h, k] a†_h a_k; the generator maps a kernel straight to its
-dim x dim image, or, in `reduced_images`, to the one-body kernel and the
-P x P pair matrix of that image, by pair-space algebra alone.
+sum_hk K[h, k] a†_h a_k.  Every part of L' is at most two-body, so the image
+of a kernel is fixed by a one-body kernel and a P x P pair matrix
+(`reduced_images`); `Lprime` second-quantizes them onto the Fock space.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .fieldmodel import HBAR, MASS, hamiltonian, mode_energies
-from .fock import FockBasis, Statistics, _pair_indices, _pair_norms, pair_basis, pair_one_body
+from .fock import (FockBasis, Statistics, _pair_indices, _pair_norms, _scatter, one_body_operator,
+                   pair_basis, pair_one_body)
 from .fock import ladder_ops  # noqa: F401  (unused: perfbench/selftest.py patches it by this name)
-from .matrixutil import BlockDiagonal, comm, dagger_sum
+from .matrixutil import BlockDiagonal
 from .scattering import onshell_tmatrix, pair_energies
 
 SUPPORT_FACTOR = 4.0
@@ -106,40 +107,29 @@ def coefficients_from_potential(modes, v_pair, statistics: Statistics, eps: floa
     return build_coefficients(modes, t_on, statistics, delta)
 
 
-def channel_blocks(basis: FockBasis, coeffs: GeneratorCoefficients) -> tuple:
-    """Jump operators R_p = sum_q jump[p, q] A_q per number sector.
-
-    Entry N is the (P, d_{N-2}, d_N) block mapping sector N to N - 2: one
-    (P x P) by (P x d_{N-2} d_N) product with the pair annihilators.
-    """
-    return tuple(np.tensordot(coeffs.jump, pairs, axes=1) for pairs in basis.pair_blocks)
-
-
-def _ordered_channels(basis: FockBasis, chan: np.ndarray) -> np.ndarray:
-    """Channel blocks (P, rows, cols) laid out as R_kl = c_kl R_p(k,l), shape (n, n, rows, cols).
-
-    p(k, l) is the pair of modes k and l; c_kl = 1/n_p for Bose, and for
-    Fermi +1 when k < l, -1 when k > l and 0 when k = l (no such pair: the
-    appended zero block).  Then sum_kl R_kl^dagger R_kl = 2 sum_p R_p^dagger R_p.
-    """
-    n, pairs = basis.n_modes, pair_basis(basis.n_modes, basis.statistics)
+def _ordered_jumps(coeffs: GeneratorCoefficients) -> np.ndarray:
+    """(n, n, P) rows C[l, k] = c_kl jump[p(k, l)] of the ordered channels
+    R_kl = sum_q C[l, k, q] A_q, with p(k, l) the pair of modes k and l, c_kl
+    = 1/n_p for Bose, and for Fermi +1 when k < l, -1 when k > l and 0 when
+    k = l (no such pair).  So sum_kl R_kl^dagger R_kl = 2 sum_p R_p^dagger R_p."""
+    n, statistics = coeffs.n_modes, coeffs.statistics
+    pairs = pair_basis(n, statistics)
     _, _, k, l = _pair_indices(pairs)
-    c = 1.0 / _pair_norms(pairs, basis.statistics)
-    index, weight = np.full((n, n), len(pairs)), np.zeros((n, n))
-    index[k, l] = index[l, k] = np.arange(len(pairs))
-    weight[l, k] = c if basis.statistics is Statistics.BOSE else -c
-    weight[k, l] = c
-    padded = np.concatenate([chan, np.zeros((1,) + chan.shape[1:])])
-    return weight[:, :, None, None] * padded[index]
+    rows = (1.0 / _pair_norms(pairs, statistics))[:, None] * coeffs.jump
+    out = np.zeros((n, n, len(pairs)), dtype=complex)
+    out[k, l] = rows if statistics is Statistics.BOSE else -rows
+    out[l, k] = rows
+    return out
 
 
 class Lprime:
     """Generator action on one-body kernels, with streaming/loss/gain split.
 
-    Ladders lower the number by one and channels by two, so every image is
-    built block by block over the number sectors.  `h_eff` and the loss
-    operator `gamma` (one half of the channel-summed R_p^dagger R_p) are
-    BlockDiagonal over the sectors.
+    Each image is dGamma(k1) plus sum_pq m[p, q] A_p^dagger A_q for P x P
+    pair matrices m, scattered over the number sectors by the ladder and pair
+    blocks of the basis (`fock._scatter`).  `h_eff` and the loss operator
+    `gamma`, the scatter of Gamma2 = J^dagger J / 2 (one half of the
+    channel-summed R_p^dagger R_p), are BlockDiagonal over the sectors.
     """
 
     def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients):
@@ -148,32 +138,27 @@ class Lprime:
         self.basis = basis
         self.coeffs = coeffs
         self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
-        self.channel_blocks = channel_blocks(basis, coeffs)
-        self.gamma = BlockDiagonal(basis.sectors, tuple(0.5 * dagger_sum(r, r)
-                                                        for r in self.channel_blocks))
+        self._gamma_pair = 0.5 * (coeffs.jump.conj().T @ coeffs.jump)
+        self.gamma = _scatter(basis, basis.pair_blocks, self._gamma_pair)
 
     def parts(self, kernel: np.ndarray):
-        """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k; the
-        gain is sum_pq K2[p, q] R_p^dagger R_q over the kernel's pair matrix K2."""
-        kernel = np.asarray(kernel)
-        pair_kernel = pair_one_body(kernel, self.basis.statistics)
-        stream, loss, gain = [], [], []
-        gamma_below = np.zeros((0, 0))  # Gamma on sector N - 1, where a_k lands
-        for lad, chan, h, gamma in zip(self.basis.ladder_blocks, self.channel_blocks,
-                                       self.h_eff.blocks, self.gamma.blocks):
-            ka = np.tensordot(kernel, lad, axes=1)  # [h] sum_k K[h,k] a_k
-            x = dagger_sum(lad, ka)
-            stream.append((1j / HBAR) * comm(h, x))
-            loss.append((-1.0 / HBAR) * (
-                gamma @ x + x @ gamma - 2.0 * dagger_sum(lad, gamma_below @ ka)))
-            gain.append((1.0 / HBAR) * dagger_sum(chan, np.tensordot(pair_kernel, chan, axes=1)))
-            gamma_below = gamma
-        return tuple(BlockDiagonal(self.basis.sectors, tuple(blocks))
-                     for blocks in (stream, loss, gain))
+        """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k: over
+        the kernel's pair matrix K2, dGamma(k1) plus the scatter of
+        (i/hbar)[V_eff, K2], and the scatters of -(1/hbar){Gamma2, K2} and
+        J^dagger K2 J / hbar."""
+        kernel, w = np.asarray(kernel), mode_energies(self.coeffs.modes)
+        k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernel
+        pair = pair_one_body(kernel, self.basis.statistics)
+        veff, jump, gamma = self.coeffs.veff, self.coeffs.jump, self._gamma_pair
+        stream, loss, gain = (_scatter(self.basis, self.basis.pair_blocks, m) for m in (
+            (1j / HBAR) * (veff @ pair - pair @ veff), (-1.0 / HBAR) * (gamma @ pair + pair @ gamma),
+            (jump.conj().T @ (pair @ jump)) / HBAR))
+        return one_body_operator(self.basis, k1) + stream, loss, gain
 
     def apply(self, kernel: np.ndarray) -> BlockDiagonal:
-        stream, loss, gain = self.parts(kernel)
-        return stream + loss + gain
+        """dGamma(k1) plus the scatter of k2, from `reduced_images` of the kernel."""
+        (k1,), (k2,) = reduced_images(self.coeffs, np.asarray(kernel)[None])
+        return one_body_operator(self.basis, k1) + _scatter(self.basis, self.basis.pair_blocks, k2)
 
     def images(self, kernels) -> BlockDiagonal:
         """Images of a list of kernels, stacked in order."""
@@ -184,15 +169,16 @@ class Lprime:
         """Per sector N, the maps of a flattened family psi[:, N] (index (k, j)):
         the stacked lowerings sum_k a_k psi_k, sum_k a_k H_eff psi_k and
         sum_k a_k Gamma psi_k into sector N - 1, and the channels sum_k R_kl psi_k
-        in the ordered layout of `_ordered_channels`."""
+        of `_ordered_jumps`, one tensordot with the pair blocks."""
+        jumps = _ordered_jumps(self.coeffs)
         maps = []
-        for lad, chan, h, gamma in zip(self.basis.ladder_blocks, self.channel_blocks,
-                                       self.h_eff.blocks, self.gamma.blocks):
+        for lad, pairs, h, gamma in zip(self.basis.ladder_blocks, self.basis.pair_blocks,
+                                        self.h_eff.blocks, self.gamma.blocks):
             n, rows, cols = lad.shape
             lowered = np.stack([lad, lad @ h, lad @ gamma]).transpose(0, 2, 1, 3)
-            ordered = _ordered_channels(self.basis, chan)
+            ordered = np.tensordot(jumps, pairs, axes=1)  # (l, k, rows, cols)
             maps.append((lowered.reshape(3 * rows, n * cols),
-                         ordered.transpose(1, 2, 0, 3).reshape(-1, n * cols)))
+                         ordered.transpose(0, 2, 1, 3).reshape(-1, n * cols)))
         return tuple(maps)
 
     def family_form(self, psi: np.ndarray):
@@ -331,8 +317,13 @@ class AnnihilatorKernel:
     v_i = e_(0,i) + a_i / sqrt(c_M), and L = diag(-sqrt(c_M)), zero on the top
     sector.  The v_i of one sector are orthogonal, so its reflectors multiply
     to G_M = I - V_M V_M^T, two contractions with `ladder_blocks[M + 1]`, and
-    Q^T = G_0 G_1 ... G_{n_max - 1}.  V_L comes from an SVD of the diagonal L,
-    as `dgesdd` runs it, since that fixes the order of the null rows.
+    Q^T = G_0 G_1 ... G_{n_max - 1}.  The SVD of the diagonal L only orders
+    its null rows, unit rows of the top sector, so they are held as indices.
+    `dbdsdc` hands an L of order at most 25 to `dlasdq`, which sorts the
+    values into ascending order, and then sorts them into descending order;
+    both are selection sorts that take the first extremum and move the rows
+    of V_L^T with the values.  Above order 25 only the second sort runs, and
+    the zeros, which sit last already, stay in place.
     """
 
     def __init__(self, basis: FockBasis):
@@ -340,11 +331,14 @@ class AnnihilatorKernel:
         sign = 1.0 if basis.statistics is Statistics.BOSE else -1.0
         roots = [math.sqrt(basis.n_modes + sign * number) for number in range(basis.n_max)]
         self._scales = [1.0 / root for root in roots]  # dlarfg scales each row by 1/sqrt(c)
-        diagonal = np.zeros(basis.dim)
-        for s, root in zip(basis.sectors, roots):
-            diagonal[s] = -root
         top = basis.sectors[-1]
-        self._null_rows = np.linalg.svd(np.diag(diagonal))[2][top.start:]
+        values = np.repeat(roots + [0.0], [s.stop - s.start for s in basis.sectors])
+        order = np.arange(basis.dim)
+        for extremum in ((np.argmin, np.argmax) if basis.dim <= 25 else ()):
+            for i in range(basis.dim):
+                j = i + int(extremum(values[i:]))
+                values[[i, j]], order[[i, j]] = values[[j, i]], order[[j, i]]
+        self._null_rows = order[top.start:]
         self.shape = (basis.n_modes * basis.dim,
                       (basis.n_modes - 1) * basis.dim + top.stop - top.start)
 
@@ -352,8 +346,8 @@ class AnnihilatorKernel:
         """kernel @ coords for coords of shape (k,) or (k, m), k = shape[1]."""
         coords = np.asarray(coords, dtype=float)
         n, dim, d_top = self.basis.n_modes, self.basis.dim, len(self._null_rows)
-        y = np.empty((n, dim) + coords.shape[1:])
-        y[0] = np.tensordot(self._null_rows, coords[:d_top], axes=([0], [0]))
+        y = np.zeros((n, dim) + coords.shape[1:])
+        y[0, self._null_rows] = coords[:d_top]
         y[1:] = coords[d_top:].reshape(y[1:].shape)
         return self.rotate(y).reshape((n * dim,) + coords.shape[1:])
 

@@ -17,15 +17,6 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def dagger_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_i left[i]^dagger right[i] over the leading axes of two operator stacks."""
-    return left.reshape(-1, left.shape[-1]).conj().T @ right.reshape(-1, right.shape[-1])
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A^dag| over a matrix or a stack of them."""
     return float(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), initial=0.0))

@@ -22,9 +22,12 @@ matrix, `tensor_coefficients` the
 generator coefficients as the tensors `veff[l1,l2,f2,f1]` and
 `jump[k,l,f2,f1]` (jump multiplying a_f2 a_f1 in the channel of the ordered
 outgoing pair (k, l)), `tensor_two_body_operator` the two-body operator of
-a tensor from the dense pair stack, and `lprime_reduced_images` the one- and
-two-body kernels of the generator images read off `Lprime` on an n_max 2
-basis, where `generator.reduced_images` works in pair space alone.
+a tensor from the dense pair stack, `dense_parts` the streaming, loss and
+gain images of a kernel from loop ladders and those tensors, where
+`generator.Lprime` scatters P x P pair matrices, and `dense_reduced_images`
+the one- and two-body kernels of the generator images read off `dense_parts`
+on an n_max 2 basis, where `generator.reduced_images` works in pair space
+alone.
 `tmatrix_table_text` is the body of `tmatrix.csv` as `csv.writer` writes
 every row (p, q, Re T, Im T, Re V), where `boxgas.cli` formats only the
 entries that are not +0.0 in all three columns.
@@ -40,7 +43,9 @@ the exchange layout of k2 each contracted against its own matrix, where
 `annihilator_kernel` is the kernel of the annihilator stack as the right
 factor of a float64 SVD of the dense dim x (n dim) stack, where
 `generator.AnnihilatorKernel` maps coordinates to the same basis through a
-closed-form Householder LQ and never forms the stack.
+closed-form Householder LQ and never forms the stack, and `svd_null_rows`
+the null rows of that LQ's diagonal factor from its SVD, where
+`generator.AnnihilatorKernel` replays LAPACK's sorts.
 `complex_annihilator_kernel` is that kernel from a complex SVD, and
 `complex_stack_witness` the negative-time witness built on it with one
 complex product per trial, where `boxgas.generator` maps the real and
@@ -79,14 +84,12 @@ from boxgas.fock import (
     _pair_norms,
     build_basis,
     ladder_ops,
-    one_body_operator,
     pair_basis,
     sector_dimension,
 )
 from boxgas.generator import (
     POSITIVITY_TOL,
     WITNESS_TRIES,
-    Lprime,
     NegativeTauWitness,
     PositivityReport,
     smearing_kernel,
@@ -214,6 +217,10 @@ def einsum_pair_stack(basis):
     return np.einsum("fab,gbc->fgac", a, a, optimize=True)
 
 
+def comm(a, b):
+    return a @ b - b @ a
+
+
 def dagger_sum(left, right):
     dim = left.shape[-1]
     return left.reshape(-1, dim).conj().T @ right.reshape(-1, dim)
@@ -296,16 +303,16 @@ def dense_parts(basis, coeffs, kernel):
     gamma = dense_gamma(channels)
     ka = np.tensordot(kernel, a, axes=1)
     x = dagger_sum(a, ka)
-    stream = (1j / HBAR) * (h_eff @ x - x @ h_eff)
+    stream = (1j / HBAR) * comm(h_eff, x)
     loss = (-1.0 / HBAR) * (gamma @ x + x @ gamma - 2.0 * dagger_sum(a, gamma @ ka))
     gain = (1.0 / HBAR) * dagger_sum(channels, np.tensordot(kernel, channels, axes=1))
     return stream, loss, gain
 
 
-def lprime_reduced_images(coeffs, kernels):
+def dense_reduced_images(coeffs, kernels):
     """k1 and the tensor k2 with L'(dGamma(K)) = dGamma(k1) + dGamma2(k2), read off
-    `Lprime` on an n_max 2 basis of the same modes (n_max 1 where the
-    statistics leave no pair sector; k2 is then zero).
+    the dense images of `dense_parts` on an n_max 2 basis of the same modes
+    (n_max 1 where the statistics leave no pair sector; k2 is then zero).
 
     dGamma2(k2) is (1/2) sum k2[l1,l2,f2,f1] a†_l1 a†_l2 a_f2 a_f1.  The pair
     annihilators Q = a_f2 a_f1 on the two-particle rows satisfy Q Q† = 2 x
@@ -315,14 +322,15 @@ def lprime_reduced_images(coeffs, kernels):
     """
     n, statistics = coeffs.n_modes, coeffs.statistics
     basis = build_basis(n, 2 if sector_dimension(n, 2, statistics) else 1, statistics)
-    images = Lprime(basis, coeffs).images(kernels)
-    singles = basis.ladder_blocks[1][:, 0, :]  # a_f on the one-particle rows: a permutation
-    k1 = singles @ images.blocks[1] @ singles.T
+    images = np.array([sum(dense_parts(basis, coeffs, kernel)) for kernel in kernels])
+    one = basis.sectors[1]
+    singles = loop_ladders(basis)[:, 0, one]  # a_f on the one-particle rows: a permutation
+    k1 = singles @ images[:, one, one] @ singles.T
     k2 = np.zeros(k1.shape[:1] + (n,) * 4, dtype=complex)
     if basis.n_max == 2:
         two = basis.sectors[2]
         pairs = einsum_pair_stack(basis)[:, :, 0, two].reshape(n * n, -1)  # rows (f2, f1)
-        rest = images.blocks[2] - np.stack([one_body_operator(basis, k).blocks[2] for k in k1])
+        rest = images[:, two, two] - np.stack([dense_one_body(basis, k)[two, two] for k in k1])
         k2 = (0.5 * pairs @ rest @ pairs.T).reshape(-1, n, n, n, n).transpose(0, 2, 1, 3, 4)
     return k1, k2
 
@@ -569,6 +577,17 @@ def annihilator_kernel(basis):
     top = basis.sectors[-1]
     stack = np.concatenate(list(ladder_ops(basis)), axis=1)
     return np.linalg.svd(stack)[2][top.start:].T
+
+
+def svd_null_rows(basis):
+    """The last d_top rows of V^T in LAPACK's SVD of the diagonal factor L of
+    the stack's LQ: -sqrt(c_N) on each sector N below n_max (c_N = n + N for
+    Bose, n - N for Fermi) and zero on the top sector."""
+    sign = 1.0 if basis.statistics is Statistics.BOSE else -1.0
+    diagonal = np.zeros(basis.dim)
+    for number, s in enumerate(basis.sectors[:-1]):
+        diagonal[s] = -sqrt(basis.n_modes + sign * number)
+    return np.linalg.svd(np.diag(diagonal))[2][basis.sectors[-1].start:]
 
 
 def complex_annihilator_kernel(basis):

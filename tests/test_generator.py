@@ -32,9 +32,8 @@ from boxgas.generator import (
     ConservationReport,
     GeneratorCoefficients,
     Lprime,
-    _ordered_channels,
+    _ordered_jumps,
     build_coefficients,
-    channel_blocks,
     coefficients_from_potential,
     conservation_report,
     default_delta,
@@ -43,13 +42,16 @@ from boxgas.generator import (
     reduced_images,
     smearing_kernel,
 )
-from boxgas.matrixutil import BlockDiagonal, comm, frob
+from boxgas.matrixutil import BlockDiagonal, frob
 from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
 from dense_oracles import (
     annihilator_kernel,
+    comm,
     complex_stack_witness,
+    dense_parts,
     per_sample_positivity,
     state_index,
+    svd_null_rows,
     tensor_coefficients,
 )
 from test_kinetics import oracle_bilinear_image
@@ -75,6 +77,17 @@ def bilinear_image(lp, h, k):
     unit = np.zeros((lp.basis.n_modes,) * 2)
     unit[h, k] = 1.0
     return lp.apply(unit)
+
+
+def ordered_channels(lp):
+    """The channel maps of `Lprime._family_maps` in the layout R_kl: one
+    (n, n, rows, cols) block per sector, mapping sector N to N - 2."""
+    n = lp.basis.n_modes
+    out = []
+    for (_, channels), pairs in zip(lp._family_maps, lp.basis.pair_blocks):
+        _, rows, cols = pairs.shape
+        out.append(channels.reshape(n, rows, n, cols).transpose(2, 0, 1, 3))
+    return out
 
 
 def gauss_window(mismatch, delta):
@@ -192,20 +205,15 @@ def test_veff_hermitian_exchange_symmetric_and_born():
 def test_channel_norms_match_pair_amplitudes(statistics):
     modes, t_on, coeffs = contact_coefficients(statistics=statistics)
     basis = build_basis(3, 2, statistics)
+    ordered = ordered_channels(Lprime(basis, coeffs))
     # the jump operators act only on the two-particle sector
-    assert all(block.shape[1] == 0 for block in channel_blocks(basis, coeffs)[:2])
-    pair_channels = channel_blocks(basis, coeffs)[2]
+    assert all(block.shape[2] == 0 for block in ordered[:2])
     two = basis.sectors[2]
     pairs = pair_basis(3, statistics)
     rates = rate_matrix(modes, t_on, statistics, coeffs.delta)
-    # R_p takes the normalized pair state q to the vacuum with amplitude J[p, q]
-    for i in range(len(pairs)):
-        for j, (q1, q2) in enumerate(pairs):
-            q = two_particle_state(basis, q1, q2)
-            assert np.linalg.norm(pair_channels[i] @ q[two]) == pytest.approx(
-                abs(rates[i, j]), rel=1e-10, abs=1e-12)
-    # the ordered layout R_kl of `family_form`
-    channels = _ordered_channels(basis, pair_channels)
+    # the ordered channel R_kl of `family_form` takes the normalized pair state
+    # q to the vacuum with amplitude c_kl J[p(k, l), q]
+    channels = ordered[2]
     index = {p: i for i, p in enumerate(pairs)}
     for k in range(3):
         for lam in range(3):
@@ -240,7 +248,7 @@ def test_gamma_golden_rule_diagonal(statistics):
 def test_channel_trace_balance():
     modes, t_on, coeffs = contact_coefficients()
     basis = build_basis(3, 2, Statistics.BOSE)
-    channels = [_ordered_channels(basis, block) for block in channel_blocks(basis, coeffs)]
+    channels = ordered_channels(Lprime(basis, coeffs))
     pairs = pair_basis(3, Statistics.BOSE)
     rates = rate_matrix(modes, t_on, Statistics.BOSE, coeffs.delta)
     index = {p: i for i, p in enumerate(pairs)}
@@ -412,6 +420,33 @@ def test_closed_form_kernel_matches_the_svd_kernel(statistics, n_modes, n_max):
         assert np.max(np.abs(kernel @ coords - oracle @ coords)) <= 1e-13
 
 
+def small_bases_up_to(cap):
+    """(statistics, n_modes, n_max) of every basis of dim <= cap with at most cap modes."""
+    out = []
+    for statistics in Statistics:
+        for n_modes in range(1, cap + 1):
+            top = n_modes if statistics is Statistics.FERMI else cap
+            for n_max in range(top + 1):
+                dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
+                if dim > cap:
+                    break
+                out.append((statistics, n_modes, n_max))
+    return out
+
+
+@pytest.mark.parametrize("statistics, n_modes, n_max", small_bases_up_to(25) + [
+    (Statistics.BOSE, 6, 3), (Statistics.BOSE, 3, 6), (Statistics.BOSE, 12, 2),
+    (Statistics.BOSE, 5, 4), (Statistics.BOSE, 8, 4), (Statistics.FERMI, 8, 3),
+    (Statistics.FERMI, 7, 7), (Statistics.FERMI, 10, 4),
+])
+def test_null_rows_follow_lapack_order(statistics, n_modes, n_max):
+    # every basis up to dim 25, where LAPACK's SVD of the diagonal L runs
+    # dlasdq and permutes its null rows, and eight above it (dims 84-495)
+    basis = build_basis(n_modes, n_max, statistics)
+    rows = AnnihilatorKernel(basis)._null_rows
+    assert np.array_equal(np.eye(basis.dim)[rows], svd_null_rows(basis))
+
+
 @st.composite
 def small_bases(draw):
     statistics = draw(st.sampled_from(tuple(Statistics)))
@@ -554,6 +589,29 @@ def test_apply_expands_over_bilinears():
         lp.apply(np.eye(4))
 
 
+@pytest.mark.parametrize("statistics, n_modes, n_max", [
+    (Statistics.BOSE, 3, 0), (Statistics.BOSE, 3, 1), (Statistics.FERMI, 3, 1),
+    (Statistics.FERMI, 1, 1), (Statistics.FERMI, 1, 0), (Statistics.BOSE, 1, 3),
+    (Statistics.BOSE, 3, 3), (Statistics.FERMI, 4, 3),
+])
+def test_apply_on_unit_kernels_matches_the_dense_parts(statistics, n_modes, n_max):
+    # a†_h a_k with h != k is not hermitian; n_max <= 1 leaves no pair
+    # sector, and one Fermi mode has no pair state at all (P = 0)
+    modes = modes_1d(range(1, n_modes + 1))
+    vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.5, 0.25), GEOM), statistics)
+    coeffs = coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
+    lp = Lprime(build_basis(n_modes, n_max, statistics), coeffs)
+    for h in range(n_modes):
+        for k in range(n_modes):
+            unit = np.zeros((n_modes, n_modes))
+            unit[h, k] = 1.0
+            want = dense_parts(lp.basis, coeffs, unit)
+            scale = max(1.0, float(np.max(np.abs(sum(want)))))
+            assert np.max(np.abs(lp.apply(unit).dense() - sum(want))) <= 1e-12 * scale
+            for got, part in zip(lp.parts(unit), want):
+                assert np.max(np.abs(got.dense() - part)) <= 1e-12 * scale
+
+
 def test_lprime_rejects_mismatched_basis():
     _, _, coeffs = contact_coefficients()
     with pytest.raises(ValueError, match="match"):
@@ -582,6 +640,6 @@ def test_every_two_body_array_is_a_pair_matrix(statistics, lengths, n_modes):
     k1, k2 = reduced_images(coeffs, kernels)
     assert k1.shape == (3, n_modes, n_modes)
     assert k2.shape == (3, n_pairs, n_pairs)
+    assert _ordered_jumps(coeffs).shape == (n_modes, n_modes, n_pairs)
     basis = build_basis(n_modes, 2 if n_modes > 1 else 1, statistics)
-    for block, pairs in zip(channel_blocks(basis, coeffs), basis.pair_blocks):
-        assert block.shape == pairs.shape and block.shape[0] == n_pairs
+    assert all(pairs.shape[0] == n_pairs for pairs in basis.pair_blocks)

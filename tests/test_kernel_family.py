@@ -9,14 +9,16 @@ values and the Kubo-Mori susceptibility of a kernel family, and its mass
 bounds.  The weight of the mode state comes from the dense mode rotation
 Gamma(U) of `dense_oracles`, which must be unitary and diagonalise dGamma(k).
 
-The generator images of one-body kernels are checked the same way: with k1
+The generator images of one-body kernels are checked against the dense
+images of `dense_parts` (loop ladders and n^4 coefficient tensors): with k1
 and the P x P pair matrix k2 from `reduced_images`, dGamma(k1) +
-`two_body_operator`(k2) must equal `Lprime.apply` on every sector at n_max 3
-and 4 (a wrong loss factor shows only on N >= 3), and `TwoBodyKernels` must
-read them at a mode Gibbs state as the trace against the block-path weight.
-Both draw Bose and Fermi, contact and gaussian couplings, and include the
-one-mode Fermi basis, which has no pair sector.  k1 and k2 must also match
-the kernels read off `Lprime` on an n_max 2 basis at 12 modes, and
+`two_body_operator`(k2) and `Lprime.apply` must equal them on every sector
+at n_max 3 and 4 (a wrong loss factor shows only on N >= 3), and
+`TwoBodyKernels` must read them at a mode Gibbs state as the trace against
+the block-path weight.  Both draw Bose and Fermi, contact and gaussian
+couplings, and include the one-mode Fermi basis, which has no pair sector.
+k1 and k2 must also match the kernels read off the dense images on an n_max
+2 basis at 12 modes, and
 `TwoBodyKernels` the formula that contracts the direct and the exchange
 layout of k2's canonical tensor separately, on 1D and 3D modes.
 """
@@ -60,7 +62,8 @@ from boxgas.gibbs import (
 from boxgas.matrixutil import BlockDiagonal
 from dense_oracles import (
     dense_mode_rotation,
-    lprime_reduced_images,
+    dense_parts,
+    dense_reduced_images,
     mode_weight,
     tensor_from_pair_matrix,
     two_layout_kernel_values,
@@ -230,11 +233,11 @@ def test_reduced_images_match_lprime_on_every_sector(case):
     assert k1.shape == (2, n, n) and k2.shape == (2, n_pairs, n_pairs)
     lp = Lprime(basis, coeffs)
     for kernel, one, two in zip(kernels, k1, k2):
-        want = lp.apply(kernel)
-        got = one_body_operator(basis, one) + two_body_operator(basis, two)
-        scale = max(1.0, max(float(np.max(np.abs(b), initial=0.0)) for b in want.blocks))
-        for g, w in want.pairs(got):
-            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * scale
+        want = sum(dense_parts(basis, coeffs, kernel))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        for got in (one_body_operator(basis, one) + two_body_operator(basis, two),
+                    lp.apply(kernel)):
+            assert np.max(np.abs(got.dense() - want)) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +250,8 @@ def test_kernel_rates_match_the_fock_space_trace(case, kind):
     rates = TwoBodyKernels(*reduced_images(coeffs, kernels), basis.statistics)
     k = random_kernel(rng, n, kind, complex_=kind != "real")
     weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
-    want = Lprime(basis, coeffs).images(kernels).trace_with(weight)
+    images = np.array([sum(dense_parts(basis, coeffs, kernel)) for kernel in kernels])
+    want = np.einsum("ij,mji->m", weight.dense(), images)
     assert_close(rates.values(_kernel_gibbs(basis, k, None)), want.real)
 
 
@@ -277,7 +281,7 @@ def test_folded_kernel_values_match_the_two_layout_formula(statistics, lengths):
 @pytest.mark.parametrize("statistics", tuple(Statistics))
 def test_pair_space_images_match_the_auxiliary_basis_oracle(statistics, coupling):
     # k1 and the pair matrix k2 from pair-space algebra against the kernels read
-    # off `Lprime` on an n_max 2 basis, at 12 modes; the sums run in another
+    # off the dense images on an n_max 2 basis, at 12 modes; the sums run in another
     # order, and the largest difference seen is 5e-13 of the scale
     geom = BoxGeometry((1.0, 1.07, 1.13)) if coupling == "3d gaussian" else GEOM
     modes = box_modes(geom, 12)
@@ -291,7 +295,7 @@ def test_pair_space_images_match_the_auxiliary_basis_oracle(statistics, coupling
     rng = np.random.default_rng(0)
     kernels = np.array([random_kernel(rng, 12, "complex") for _ in range(3)])
     k1, k2 = reduced_images(coeffs, kernels)
-    want1, want2 = lprime_reduced_images(coeffs, kernels)
+    want1, want2 = dense_reduced_images(coeffs, kernels)
     want2 = np.array([pair_matrix_from_tensor(t, statistics) for t in want2])
     assert_close(k1, want1)
     scale = max(1.0, float(np.max(np.abs(want2))))

@@ -60,9 +60,10 @@ from boxgas.kinetics import (
     integrate,
     trajectory_table,
 )
-from boxgas.matrixutil import BlockDiagonal, frob
+from boxgas.matrixutil import frob
 from boxgas.scattering import pair_basis, pair_energies
 from dense_oracles import (
+    dense_parts,
     dense_two_body,
     refit_integrate,
     split_blocks,
@@ -144,15 +145,15 @@ def gain_loss_report(sys, weight=None, kernels=None):
     """Streaming, loss and gain rates of one-body kernels (default: the moment
     set), read against a weight over the number sectors (default: the state of
     `sys.fields`): the Fock-space cross-check of the kernel rates of `closure_rhs`,
-    from `Lprime.parts` on the system's basis."""
+    from the dense images of `dense_parts` on the system's basis."""
     if weight is None:
         k = np.tensordot(fields_to_multipliers(sys.fields), sys.kernels, axes=1)
         weight = gibbs_from_operator(one_body_operator(sys.basis, k)).weight_blocks
-    lp = Lprime(sys.basis, sys.coeffs)
-    parts = zip(*(lp.parts(kernel) for kernel in (sys.kernels if kernels is None else kernels)))
-    streaming, loss, gain = (real_values(BlockDiagonal.stack(images).trace_with(weight),
-                                         f"{key} rate")
-                             for key, images in zip(("streaming", "loss", "gain"), parts))
+    images = np.array([dense_parts(sys.basis, sys.coeffs, kernel)
+                       for kernel in (sys.kernels if kernels is None else kernels)])
+    traces = np.einsum("ij,mpji->pm", weight.dense(), images)
+    streaming, loss, gain = (real_values(rates, f"{key} rate")
+                             for key, rates in zip(("streaming", "loss", "gain"), traces))
     return SimpleNamespace(streaming=streaming, loss=loss, gain=gain,
                            total=streaming + loss + gain)
 
@@ -543,8 +544,7 @@ def test_trajectory_table_layout():
 def test_dense_ladder_stack_is_never_built(statistics, monkeypatch):
     # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes); the dense
     # (n, dim, dim) ladder stack is built only by ladder_ops, and the witness
-    # maps its kernel through the sector ladder blocks, with no SVD of
-    # anything larger than dim x dim
+    # maps its kernel through the sector ladder blocks, with no SVD at all
     calls, svd_shapes = [], []
     svd = np.linalg.svd
     monkeypatch.setattr(generator, "ladder_ops",
@@ -564,7 +564,7 @@ def test_dense_ladder_stack_is_never_built(statistics, monkeypatch):
     assert integrate(sys, t_span=4.0 * dt, dt=dt).n_steps == 4
     negative_tau_witness(lp)
     assert not calls
-    assert svd_shapes and max(max(shape) for shape in svd_shapes) <= sys.basis.dim
+    assert not svd_shapes
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])

@@ -24,7 +24,7 @@ from boxgas.fock import (
     pair_matrix_from_tensor,
 )
 from boxgas.generator import Lprime, coefficients_from_potential
-from boxgas.matrixutil import BlockDiagonal, comm
+from boxgas.matrixutil import BlockDiagonal
 from boxgas.scattering import (
     _spectral_tmatrix,
     CoarseWindow,
@@ -39,6 +39,7 @@ from boxgas.scattering import (
     scaling_exponent,
 )
 from dense_oracles import (
+    comm,
     dense_coarse_deltas,
     dense_two_body,
     heisenberg_evolve,

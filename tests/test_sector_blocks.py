@@ -29,7 +29,7 @@ from boxgas.fock import (
     pair_matrix_from_tensor,
     two_body_operator,
 )
-from boxgas.generator import Lprime, _ordered_channels, build_coefficients, channel_blocks
+from boxgas.generator import Lprime, build_coefficients
 from boxgas.scattering import pair_basis
 from dense_oracles import (
     dense_channel_ops,
@@ -43,6 +43,7 @@ from dense_oracles import (
     tensor_from_pair_matrix,
     tensor_two_body_operator,
 )
+from test_generator import ordered_channels
 
 GEOM = BoxGeometry((1.0,))
 
@@ -94,17 +95,17 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
     modes = modes_from_numbers(GEOM, [(k,) for k in range(1, n_modes + 1)])
     t_on = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
     coeffs = build_coefficients(modes, t_on, statistics, delta=5.0)
-    # R_p = sum_q jump[p, q] A_q, and in the ordered layout the channels
+    # the ordered channels R_kl of the family maps are the channels
     # sum jump[k, l, f2, f1] a_f2 a_f1 of the coefficient tensors
-    pair_channels = np.tensordot(coeffs.jump, pairs, axes=1)
     channels = dense_channel_ops(basis, coeffs)
-    for n, block in enumerate(channel_blocks(basis, coeffs)):
-        assert_close(block, sector_view(basis, pair_channels, n, 2))
-        assert_close(_ordered_channels(basis, block), sector_view(basis, channels, n, 2))
     lp = Lprime(basis, coeffs)
+    for n, block in enumerate(ordered_channels(lp)):
+        assert_close(block, sector_view(basis, channels, n, 2))
     assert_close(lp.gamma.dense(), dense_gamma(channels))
-    for built, oracle in zip(lp.parts(kernel), dense_parts(basis, coeffs, kernel)):
+    parts = dense_parts(basis, coeffs, kernel)
+    for built, oracle in zip(lp.parts(kernel), parts):
         assert_close(built.dense(), oracle)
+    assert_close(lp.apply(kernel).dense(), sum(parts))
 
 
 @st.composite
