@@ -31,7 +31,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from math import comb
 from pathlib import Path
 
 import numpy
@@ -39,6 +38,7 @@ import numpy
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 from boxgas.fieldmodel import BoxGeometry, box_modes  # noqa: E402
+from boxgas.fock import Statistics, basis_dimension  # noqa: E402
 
 COMMANDS = ("build", "generator-check", "evolve")
 RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS + ("maxent",)), ((8, 4), COMMANDS + ("maxent",)),
@@ -61,10 +61,6 @@ PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
                 (50, "evolve"), (60, "evolve"), (20, "maxent"))  # lowest modes
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-def bose_dim(modes: int, n_max: int) -> int:
-    return sum(comb(modes + n - 1, n) for n in range(n_max + 1))
 
 
 def overrides(modes: int, n_max: int) -> list[str]:
@@ -113,7 +109,7 @@ def main() -> None:
              for modes, command in PAIR3D_RUNGS]
     rungs = []
     for box, modes, n_max, commands, sets in plan:
-        dim = bose_dim(modes, n_max)
+        dim = basis_dimension(modes, n_max, Statistics.BOSE)
         calls = [run_call(c, sets, env) for c in commands]
         rungs.append({"box": box, "modes": modes, "n_max": n_max, "dim": dim, "calls": calls})
         for call in calls:

@@ -13,7 +13,7 @@ from typing import Any, Iterable
 
 import yaml
 
-from .fock import DIM_CAP, Statistics, sector_dimension
+from .fock import DIM_CAP, Statistics, basis_dimension
 
 
 class ConfigError(Exception):
@@ -247,11 +247,7 @@ def validate(cfg: dict) -> None:
     statistics = Statistics(cfg["basis"]["statistics"])
     if statistics is Statistics.FERMI and n_max > n_modes:
         raise ConfigError(f"fermionic n_max {n_max} exceeds mode count {n_modes}")
-    if statistics is Statistics.BOSE:
-        # the sum of C(m + n - 1, n) over n <= n_max, without a loop to n_max
-        basis_dim = math.comb(n_modes + n_max, n_max)
-    else:
-        basis_dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
+    basis_dim = basis_dimension(n_modes, n_max, statistics)
     if basis_dim > DIM_CAP:
         raise ConfigError(f"basis dimension {basis_dim} exceeds cap {DIM_CAP}")
     if cfg["potential"]["kind"] == "contact" and dim != 1:

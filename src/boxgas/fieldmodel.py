@@ -299,32 +299,6 @@ def _axis_mode_values(numbers_axis: np.ndarray, pts: np.ndarray, length: float) 
     )
 
 
-def _quadrature_grid(modes, grid: CellGrid, order: int):
-    """Cell-aligned product quadrature: per-axis nodes, and the weights and
-    mode values at the grid points, flattened in C order over the axes."""
-    numbers = mode_numbers(modes)
-    d = grid.geom.dimension
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    axis_nodes, axis_weights, axis_values = [], [], []
-    for ax in range(d):
-        nodes, wts = _gauss_panels(grid.edges(ax), base_x, base_w)
-        axis_nodes.append(nodes)
-        axis_weights.append(wts)
-        axis_values.append(_axis_mode_values(numbers[:, ax], nodes, grid.geom.lengths[ax]))
-    shape = tuple(len(n) for n in axis_nodes)
-    wts = np.ones(shape)
-    for ax in range(d):
-        wts *= axis_weights[ax].reshape([-1 if a == ax else 1 for a in range(d)])
-    wts = wts.ravel()
-    values = np.ones((len(modes),) + shape)
-    for ax in range(d):
-        expand = axis_values[ax].reshape(
-            (len(modes),) + tuple(shape[a] if a == ax else 1 for a in range(d))
-        )
-        values = values * expand
-    return axis_nodes, wts, values.reshape(len(modes), -1)
-
-
 def _symmetrize_tensor(t: np.ndarray) -> np.ndarray:
     t = 0.5 * (t + t.transpose(1, 0, 3, 2))
     return 0.5 * (t + t.conj().transpose(3, 2, 1, 0))
@@ -585,7 +559,17 @@ def energy_density_op(
 
 
 def quadrature_gram_defect(modes, geom: BoxGeometry, order: int = 8) -> float:
-    """Max deviation of the quadrature Gram matrix of the modes from identity."""
-    _, wts, values = _quadrature_grid(modes, whole_box_grid(geom), order)
-    gram = (values * wts[None, :]) @ values.T
+    """Max deviation of the quadrature Gram matrix of the modes from identity.
+
+    The modes and the product rule both factor over the axes, so the Gram
+    matrix is the entrywise product of the per-axis Gram matrices.
+    """
+    numbers = mode_numbers(modes)
+    grid = whole_box_grid(geom)
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    gram = np.ones((len(modes), len(modes)))
+    for ax, length in enumerate(geom.lengths):
+        nodes, wts = _gauss_panels(grid.edges(ax), base_x, base_w)
+        values = _axis_mode_values(numbers[:, ax], nodes, length)
+        gram *= (values * wts) @ values.T
     return float(np.max(np.abs(gram - np.eye(len(modes)))))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -34,65 +34,79 @@ def sector_dimension(n_modes: int, n: int, statistics: Statistics) -> int:
     return comb(n_modes, n)
 
 
-def pair_basis(n_modes: int, statistics: Statistics) -> list[tuple[int, int]]:
-    """Ordered mode pairs (q1, q2), q1 <= q2 (q1 < q2 for Fermi), indexing the
-    two-particle sector: every two-body operator is a P x P matrix over them."""
+def basis_dimension(n_modes: int, n_max: int, statistics: Statistics) -> int:
+    """Number of occupation vectors with at most n_max particles, in closed
+    form: C(n_modes + n_max, n_max) for Bose (the sum of C(n_modes + n - 1, n)
+    over n <= n_max), and at most n_modes + 1 terms of `sector_dimension` for
+    Fermi."""
     if statistics is Statistics.BOSE:
-        return [(f1, f2) for f1 in range(n_modes) for f2 in range(f1, n_modes)]
-    return [(f1, f2) for f1 in range(n_modes) for f2 in range(f1 + 1, n_modes)]
+        return comb(n_modes + n_max, n_max)
+    return sum(sector_dimension(n_modes, n, statistics) for n in range(min(n_max, n_modes) + 1))
 
 
-def _pair_norms(pairs, statistics: Statistics) -> np.ndarray:
-    """n_q of the normalized pair state |q> = n_q adag_{q1} adag_{q2} |0>."""
-    if statistics is Statistics.FERMI:
-        return np.ones(len(pairs))
-    return np.array([1.0 / np.sqrt(2.0) if p1 == p2 else 1.0 for p1, p2 in pairs])
+@dataclass(frozen=True)
+class PairFormat:
+    """The normalized pair states |q> = n_q adag_{q1} adag_{q2} |0> that index the
+    two-particle sector: every two-body operator is a P x P matrix over them.
+
+    `q1` and `q2` hold the modes of the P pairs, q1 <= q2 (q1 < q2 for Fermi),
+    and `p1`, `p2` the same as (P, 1) columns, for the row index of a P x P
+    matrix.  `norms` holds n_q (1/sqrt 2 on a doubly occupied Bose mode, 1
+    otherwise) and `norm_outer` n_p n_q; `sign` is the exchange sign, -1 for
+    Fermi and +1 for Bose.  Every array is read-only.
+    """
+
+    q1: np.ndarray
+    q2: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    norms: np.ndarray
+    norm_outer: np.ndarray
+    sign: float
+
+    def project(self, tensor: np.ndarray) -> np.ndarray:
+        """`pair_matrix_from_tensor` of an (n, n, n, n) tensor over these pairs."""
+        return self.norm_outer * (tensor[self.p1, self.p2, self.q2, self.q1]
+                                  + self.sign * tensor[self.p1, self.p2, self.q1, self.q2])
 
 
-def _pair_indices(pairs):
-    """Mode indices of the pairs as (p1, p2) columns and (q1, q2) rows."""
-    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    return idx[:, :1], idx[:, 1:], idx[:, 0], idx[:, 1]
+@cache
+def pair_format(n_modes: int, statistics: Statistics) -> PairFormat:
+    """The one `PairFormat` of each mode count and statistics, built on first use."""
+    q1, q2 = np.triu_indices(n_modes, 0 if statistics is Statistics.BOSE else 1)
+    norms = np.where(q1 == q2, 1.0 / np.sqrt(2.0), 1.0)
+    arrays = (q1, q2, q1[:, None], q2[:, None], norms, np.outer(norms, norms))
+    for array in arrays:
+        array.setflags(write=False)
+    return PairFormat(*arrays, -1.0 if statistics is Statistics.FERMI else 1.0)
 
 
-class PairProjection:
-    """`pair_matrix_from_tensor` for one mode count and statistics, with the
-    pair index arrays and the outer product of the pair norms built once."""
-
-    def __init__(self, n_modes: int, statistics: Statistics):
-        pairs = pair_basis(n_modes, statistics)
-        norms = _pair_norms(pairs, statistics)
-        self.indices = _pair_indices(pairs)
-        self.norms = np.outer(norms, norms)
-        self.sign = -1.0 if statistics is Statistics.FERMI else 1.0
-
-    def __call__(self, tensor: np.ndarray) -> np.ndarray:
-        p1, p2, q1, q2 = self.indices
-        return self.norms * (tensor[p1, p2, q2, q1] + self.sign * tensor[p1, p2, q1, q2])
+def pair_basis(n_modes: int, statistics: Statistics) -> list[tuple[int, int]]:
+    """The (q1, q2) of every pair of `pair_format`, as a list of int tuples."""
+    fmt = pair_format(n_modes, statistics)
+    return list(zip(fmt.q1.tolist(), fmt.q2.tolist()))
 
 
 def pair_matrix_from_tensor(tensor: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Matrix elements <p| (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1 |q>
-    between the normalized pair states of `pair_basis`.
+    between the normalized pair states of `pair_format`.
 
     Requires the exchange-symmetrized tensor, tensor[l1,l2,f2,f1] ==
     tensor[l2,l1,f1,f2]; the result is hermitian when the tensor is, and
     real when it is.
     """
-    return PairProjection(len(tensor), statistics)(tensor)
+    return pair_format(len(tensor), statistics).project(tensor)
 
 
 def pair_one_body(kernel: np.ndarray, statistics: Statistics) -> np.ndarray:
     """<p| dGamma(kernel) |q> between the normalized pair states, for an n x n kernel:
     n_p n_q (K[p1,q1] d[p2,q2] + K[p2,q2] d[p1,q1] + s K[p2,q1] d[p1,q2]
-    + s K[p1,q2] d[p2,q1]), s = -1 for Fermi and +1 for Bose."""
-    pairs = pair_basis(len(kernel), statistics)
-    p1, p2, q1, q2 = _pair_indices(pairs)
-    sign = -1.0 if statistics is Statistics.FERMI else 1.0
+    + s K[p1,q2] d[p2,q1]), with s the exchange sign."""
+    fmt = pair_format(len(kernel), statistics)
+    p1, p2, q1, q2 = fmt.p1, fmt.p2, fmt.q1, fmt.q2
     m = ((p2 == q2) * kernel[p1, q1] + (p1 == q1) * kernel[p2, q2]
-         + sign * ((p1 == q2) * kernel[p2, q1] + (p2 == q1) * kernel[p1, q2]))
-    norms = _pair_norms(pairs, statistics)
-    return np.outer(norms, norms) * m
+         + fmt.sign * ((p1 == q2) * kernel[p2, q1] + (p2 == q1) * kernel[p1, q2]))
+    return fmt.norm_outer * m
 
 
 @dataclass(frozen=True)
@@ -173,20 +187,19 @@ class FockBasis:
     def pair_blocks(self) -> tuple[np.ndarray, ...]:
         """Entry N: the read-only (P, d_{N-2}, d_N) block of every pair annihilator A_q.
 
-        A_q = n_q a_{q2} a_{q1} over the pairs q = (q1, q2) of `pair_basis`,
-        with the norms n_q of `_pair_norms`, so A_q^dagger creates the
-        normalized pair state |q>.  Composed from the index maps: a_{q1}
-        first, then a_{q2}.  Entries N < 2 have no rows.
+        A_q = n_q a_{q2} a_{q1} over the pairs q = (q1, q2) of `pair_format`,
+        with its norms n_q, so A_q^dagger creates the normalized pair state
+        |q>.  Composed from the index maps: a_{q1} first, then a_{q2}.
+        Entries N < 2 have no rows.
         """
         target, amp = self.lowering
-        pairs = pair_basis(self.n_modes, self.statistics)
-        _, _, q1, q2 = _pair_indices(pairs)
-        first = target[q1]
-        second = target[q2[:, None], first]  # row of a_{q2} applied to a_{q1}'s image
+        fmt = pair_format(self.n_modes, self.statistics)
+        first = target[fmt.q1]
+        second = target[fmt.p2, first]  # row of a_{q2} applied to a_{q1}'s image
         valid = (first >= 0) & (second >= 0)
-        scale = _pair_norms(pairs, self.statistics)[:, None] * amp[q1]
+        scale = fmt.norms[:, None] * amp[fmt.q1]
         return self._sector_blocks(np.where(valid, second, -1),
-                                   np.where(valid, scale * amp[q2[:, None], first], 0.0),
+                                   np.where(valid, scale * amp[fmt.p2, first], 0.0),
                                    lower=2)
 
     def _sector_blocks(self, target, amp, lower: int) -> tuple[np.ndarray, ...]:
@@ -211,7 +224,7 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
     if statistics is Statistics.FERMI and n_max > n_modes:
         raise ValueError(f"fermionic n_max {n_max} exceeds mode count {n_modes}")
     per_mode_cap = 1 if statistics is Statistics.FERMI else n_max
-    dim = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
+    dim = basis_dimension(n_modes, n_max, statistics)
     if dim > DIM_CAP:
         raise ValueError(f"basis dimension {dim} exceeds cap {DIM_CAP}")
     # one column per mode: each row branches into every occupation of the
@@ -257,7 +270,7 @@ def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:
 def two_body_operator(basis: FockBasis, m: np.ndarray) -> BlockDiagonal:
     """Second-quantized two-body operator sum_pq m[p, q] A_p^dagger A_q, for the
     hermitian P x P matrix m of the operator between the normalized pair states
-    of `pair_basis` (`pair_matrix_from_tensor` of a two-body tensor): its
+    of `pair_format` (`pair_matrix_from_tensor` of a two-body tensor): its
     `_scatter` over the pair annihilators of `FockBasis.pair_blocks`.  A real m
     gives real blocks."""
     m = np.asarray(m)

@@ -3,7 +3,7 @@
 The generator is assembled from on-shell pair amplitudes: a hermitian
 effective two-body interaction plus energy-smeared jump amplitudes whose
 width delta sets the window inside which a pair collision counts as resonant.
-Both are P x P matrices over the normalized pair states of `pair_basis`, and
+Both are P x P matrices over the normalized pair states of `pair_format`, and
 the channel operators are R_p = sum_q jump[p, q] A_q over the pair
 annihilators A_q.  On two particles L' is the adjoint Lindblad generator with
 the single jump matrix J = `jump` (Lindblad 1976; Breuer & Petruccione 2002,
@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .fieldmodel import HBAR, MASS, hamiltonian, mode_energies
-from .fock import (FockBasis, Statistics, _pair_indices, _pair_norms, _scatter, one_body_operator,
-                   pair_basis, pair_one_body)
+from .fock import (FockBasis, Statistics, _scatter, one_body_operator, pair_basis, pair_format,
+                   pair_one_body)
 from .fock import ladder_ops  # noqa: F401  (unused: perfbench/selftest.py patches it by this name)
 from .matrixutil import BlockDiagonal
 from .scattering import onshell_tmatrix, pair_energies
@@ -60,11 +60,12 @@ def default_delta(modes, statistics: Statistics) -> float:
 class GeneratorCoefficients:
     """Effective interaction, jump amplitudes, and the smearing width behind them.
 
-    Every array is P x P over `pair_basis`: `veff` = (T + T^dagger)/2 is the
+    Every array is P x P over `pair_format`: `veff` = (T + T^dagger)/2 is the
     pair matrix of the effective interaction, and `jump` =
     sqrt(2 pi/hbar S(E_p - E_q)) o T, whose row p gives the channel operator
     R_p = sum_q jump[p, q] A_q of the outgoing pair p.  `t_onshell` is a
     read-only view of the on-shell matrix T that the caller passed, not a copy.
+    `gamma2` is the loss matrix Gamma2 = J^dagger J / 2, formed on first use.
     """
 
     modes: tuple
@@ -77,6 +78,12 @@ class GeneratorCoefficients:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
+
+    @cached_property
+    def gamma2(self) -> np.ndarray:
+        gamma2 = 0.5 * (self.jump.conj().T @ self.jump)
+        gamma2.setflags(write=False)
+        return gamma2
 
 
 def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
@@ -109,27 +116,26 @@ def coefficients_from_potential(modes, v_pair, statistics: Statistics, eps: floa
 
 def _ordered_jumps(coeffs: GeneratorCoefficients) -> np.ndarray:
     """(n, n, P) rows C[l, k] = c_kl jump[p(k, l)] of the ordered channels
-    R_kl = sum_q C[l, k, q] A_q, with p(k, l) the pair of modes k and l, c_kl
-    = 1/n_p for Bose, and for Fermi +1 when k < l, -1 when k > l and 0 when
+    R_kl = sum_q C[l, k, q] A_q, with p(k, l) the pair of modes k and l, and
+    for k <= l c_kl = 1/n_p and c_lk = s/n_p, s the exchange sign: 1/n_p both
+    ways for Bose, and for Fermi +1 when k < l, -1 when k > l and 0 when
     k = l (no such pair).  So sum_kl R_kl^dagger R_kl = 2 sum_p R_p^dagger R_p."""
-    n, statistics = coeffs.n_modes, coeffs.statistics
-    pairs = pair_basis(n, statistics)
-    _, _, k, l = _pair_indices(pairs)
-    rows = (1.0 / _pair_norms(pairs, statistics))[:, None] * coeffs.jump
-    out = np.zeros((n, n, len(pairs)), dtype=complex)
-    out[k, l] = rows if statistics is Statistics.BOSE else -rows
-    out[l, k] = rows
+    n, fmt = coeffs.n_modes, pair_format(coeffs.n_modes, coeffs.statistics)
+    out = np.zeros((n, n, len(fmt.norms)), dtype=complex)
+    out[fmt.q1, fmt.q2] = (fmt.sign / fmt.norms)[:, None] * coeffs.jump
+    out[fmt.q2, fmt.q1] = (1.0 / fmt.norms)[:, None] * coeffs.jump
     return out
 
 
 class Lprime:
-    """Generator action on one-body kernels, with streaming/loss/gain split.
+    """Generator action on one-body kernels, with a streaming/collision split.
 
     Each image is dGamma(k1) plus sum_pq m[p, q] A_p^dagger A_q for P x P
     pair matrices m, scattered over the number sectors by the ladder and pair
     blocks of the basis (`fock._scatter`).  `h_eff` and the loss operator
-    `gamma`, the scatter of Gamma2 = J^dagger J / 2 (one half of the
-    channel-summed R_p^dagger R_p), are BlockDiagonal over the sectors.
+    `gamma`, the scatter of the coefficients' Gamma2 = J^dagger J / 2 (one
+    half of the channel-summed R_p^dagger R_p), are BlockDiagonal over the
+    sectors.
     """
 
     def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients):
@@ -138,22 +144,21 @@ class Lprime:
         self.basis = basis
         self.coeffs = coeffs
         self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
-        self._gamma_pair = 0.5 * (coeffs.jump.conj().T @ coeffs.jump)
-        self.gamma = _scatter(basis, basis.pair_blocks, self._gamma_pair)
+        self.gamma = _scatter(basis, basis.pair_blocks, coeffs.gamma2)
 
     def parts(self, kernel: np.ndarray):
-        """Streaming, loss, and gain images of sum_hk kernel[h, k] a†_h a_k: over
+        """Streaming and collision images of sum_hk kernel[h, k] a†_h a_k: over
         the kernel's pair matrix K2, dGamma(k1) plus the scatter of
-        (i/hbar)[V_eff, K2], and the scatters of -(1/hbar){Gamma2, K2} and
-        J^dagger K2 J / hbar."""
+        (i/hbar)[V_eff, K2], and the scatter of the loss and gain
+        -(1/hbar){Gamma2, K2} + J^dagger K2 J / hbar, summed in pair space."""
         kernel, w = np.asarray(kernel), mode_energies(self.coeffs.modes)
         k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernel
         pair = pair_one_body(kernel, self.basis.statistics)
-        veff, jump, gamma = self.coeffs.veff, self.coeffs.jump, self._gamma_pair
-        stream, loss, gain = (_scatter(self.basis, self.basis.pair_blocks, m) for m in (
-            (1j / HBAR) * (veff @ pair - pair @ veff), (-1.0 / HBAR) * (gamma @ pair + pair @ gamma),
-            (jump.conj().T @ (pair @ jump)) / HBAR))
-        return one_body_operator(self.basis, k1) + stream, loss, gain
+        veff, jump, gamma = self.coeffs.veff, self.coeffs.jump, self.coeffs.gamma2
+        stream, collision = (_scatter(self.basis, self.basis.pair_blocks, m) for m in (
+            (1j / HBAR) * (veff @ pair - pair @ veff),
+            (-1.0 / HBAR) * (gamma @ pair + pair @ gamma) + (jump.conj().T @ (pair @ jump)) / HBAR))
+        return one_body_operator(self.basis, k1) + stream, collision
 
     def apply(self, kernel: np.ndarray) -> BlockDiagonal:
         """dGamma(k1) plus the scatter of k2, from `reduced_images` of the kernel."""
@@ -234,8 +239,8 @@ def reduced_images(coeffs: GeneratorCoefficients, kernels) -> tuple[np.ndarray, 
     w = mode_energies(coeffs.modes)
     k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernels
     jump = coeffs.jump
-    # k2 = M K2 + K2 M^dagger + J^dagger K2 J / hbar, M = (i V_eff - J^dagger J / 2) / hbar
-    drift = (1j * coeffs.veff - 0.5 * (jump.conj().T @ jump)) / HBAR
+    # k2 = M K2 + K2 M^dagger + J^dagger K2 J / hbar, M = (i V_eff - Gamma2) / hbar
+    drift = (1j * coeffs.veff - coeffs.gamma2) / HBAR
     k2 = np.empty((len(kernels),) + jump.shape, dtype=complex)
     for out, kernel in zip(k2, kernels):
         pair = pair_one_body(kernel, coeffs.statistics)
@@ -412,11 +417,11 @@ def conservation_report(lp: Lprime) -> ConservationReport:
     mass_residual = MASS * lp.apply(np.eye(lp.basis.n_modes)).norm()
     if mass_residual > MASS_TOL:
         raise ValueError(f"mass conservation violated: residual {mass_residual:.3e}")
-    stream, loss, gain = lp.parts(np.diag(mode_energies(lp.coeffs.modes)))
+    stream, collision = lp.parts(np.diag(mode_energies(lp.coeffs.modes)))
     return ConservationReport(
         delta=lp.coeffs.delta,
         mass_residual=float(mass_residual),
-        energy_residual=(stream + loss + gain).norm(),
+        energy_residual=(stream + collision).norm(),
         energy_streaming=stream.norm(),
-        energy_collision=(loss + gain).norm(),
+        energy_collision=collision.norm(),
     )

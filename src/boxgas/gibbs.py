@@ -27,7 +27,7 @@ from .fieldmodel import (
     energy_density_op,
     mass_density_op,
 )
-from .fock import FockBasis, PairProjection, Statistics
+from .fock import FockBasis, Statistics, pair_format
 from .matrixutil import BlockDiagonal, require_hermitian
 
 FIT_TOL = 1e-8
@@ -271,21 +271,21 @@ class TwoBodyKernels:
     """Operators dGamma(k1) + `two_body_operator`(k2) read at Gibbs states of one-body exponents.
 
     `one_body` (m, n, n) holds the kernels k1 and `two_body` (m, P, P) the
-    pair matrices k2 over `pair_basis`, as `reduced_images` gives them.
+    pair matrices k2 over `pair_format`, as `reduced_images` gives them.
     Such a state is diagonal in the occupation rows s of its eigenmodes
     (`ModeSpectrum`).  With G = C - diag(nbar) and X[(l, f), a] =
     conj(U[l, a]) U[f, a], operator i has the value k1 . X nbar
     + 1/2 sum_pq k2[p, q] F2[p, q]: F = X (2G - diag G) X^T, laid out as
     [l1, l2, f2, f1], is the two-body tensor of the pair correlations, and F2
-    its `pair_matrix_from_tensor` projection, whose index arrays and norms
-    are built once here.
+    its `pair_matrix_from_tensor` projection, read through the `PairFormat`
+    held here.
     """
 
     def __init__(self, one_body: np.ndarray, two_body: np.ndarray, statistics: Statistics):
         m, n = one_body.shape[:2]
         self.one_body = one_body.reshape(m, n * n)
         self.two_body = two_body.reshape(m, two_body.shape[1] * two_body.shape[2])
-        self.project = PairProjection(n, statistics)
+        self.pairs = pair_format(n, statistics)
 
     def values(self, state: GibbsState) -> np.ndarray:
         u = state.spectrum.vectors
@@ -295,9 +295,9 @@ class TwoBodyKernels:
         # 2G - diag G with G = C - diag(nbar): 2C off the diagonal, C - nbar on it
         folded = 2.0 * corr
         np.fill_diagonal(folded, corr.diagonal() - nbar)
-        pairs = ((x @ folded) @ x.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)
-        pairs = self.project(pairs)
-        values = self.one_body @ (x @ nbar) + 0.5 * (self.two_body @ pairs.ravel())
+        tensor = ((x @ folded) @ x.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)
+        f2 = self.pairs.project(tensor)
+        values = self.one_body @ (x @ nbar) + 0.5 * (self.two_body @ f2.ravel())
         return real_values(values, "two-body kernel value")
 
 

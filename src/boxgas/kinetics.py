@@ -172,29 +172,18 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
         )
     if dt > t_span / 4.0:
         raise ValueError("dt must fit at least four steps into t_span")
-    n = sys.n_cells
-    fields = sys.fields
-    state = sys.state_for(fields)
+    state = sys.state_for(sys.fields)
     moments = sys.family.values(state)
-    times = [0.0]
-    field_rows = [fields]
-    moment_rows = [moments]
-    multiplier_rows = [fields_to_multipliers(fields)]
     rep = closure_rhs(sys, state)
     start = (state, rep)
-    entropy_rows = [entropy(state)]
-    mass_rows = [float(moments[n:].sum())]
-    energy_rows = [float(moments[:n].sum())]
-    energy_rate_rows = [float(rep.moment_rates[:n].sum())]
-    condition_rows = [rep.condition]
-    residual_rows = [0.0]
+    rows = [_trajectory_row(sys, 0.0, sys.fields, moments, state, rep, 0.0)]
     t = 0.0
     while t < t_span * (1.0 - 1e-12):
         step = min(dt, t_span - t)
         halvings = 0
         while True:
             try:
-                fit, new_moments = _rk4_step(sys, start, moments, step)
+                fit, moments = _rk4_step(sys, start, moments, step)
                 break
             except FitError as exc:
                 halvings += 1
@@ -210,32 +199,21 @@ def integrate(sys: ClosureSystem, t_span: float, dt: float) -> StateTrajectory:
                     ) from exc
                 step /= 2.0
         t += step
-        fields, moments = fit.fields, new_moments
         rep = closure_rhs(sys, fit.state)
         start = (fit.state, rep)
-        times.append(t)
-        field_rows.append(fields)
-        moment_rows.append(moments)
-        multiplier_rows.append(fields_to_multipliers(fields))
-        entropy_rows.append(entropy(fit.state))
-        mass_rows.append(float(moments[n:].sum()))
-        energy_rows.append(float(moments[:n].sum()))
-        energy_rate_rows.append(float(rep.moment_rates[:n].sum()))
-        condition_rows.append(rep.condition)
-        residual_rows.append(fit.residual_norms[-1])
-    return StateTrajectory(
-        times=np.array(times),
-        fields=tuple(field_rows),
-        multipliers=np.array(multiplier_rows),
-        moments=np.array(moment_rows),
-        entropies=np.array(entropy_rows),
-        mass_total=np.array(mass_rows),
-        energy_total=np.array(energy_rows),
-        energy_rates=np.array(energy_rate_rows),
-        conditions=np.array(condition_rows),
-        fit_residuals=np.array(residual_rows),
-        labels=sys.labels,
-    )
+        rows.append(_trajectory_row(sys, t, fit.fields, moments, fit.state, rep,
+                                    fit.residual_norms[-1]))
+    times, fields, *columns = zip(*rows)
+    return StateTrajectory(np.array(times), fields, *map(np.array, columns), labels=sys.labels)
+
+
+def _trajectory_row(sys: ClosureSystem, t: float, fields: LagrangeFields, moments: np.ndarray,
+                    state: GibbsState, rep: RhsReport, residual: float) -> tuple:
+    """One time of a `StateTrajectory`: its fields, but `labels`, in the order they are declared."""
+    n = sys.n_cells
+    return (t, fields, fields_to_multipliers(fields), moments, entropy(state),
+            float(moments[n:].sum()), float(moments[:n].sum()),
+            float(rep.moment_rates[:n].sum()), rep.condition, residual)
 
 
 def trajectory_table(traj: StateTrajectory):

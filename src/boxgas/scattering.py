@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fieldmodel import HBAR, mode_energies, mode_parities
-from .fock import Statistics, _pair_indices, one_body_operator, pair_basis
+from .fock import Statistics, one_body_operator, pair_basis
 from .matrixutil import BlockDiagonal, require_hermitian
 
 RECONSTRUCT_TOL = 1e-10
@@ -38,7 +38,8 @@ def _require_reconstructed(residual: float, peak: float) -> None:
 
 def pair_energies(modes, pairs) -> np.ndarray:
     w = mode_energies(modes)
-    return np.array([w[p1] + w[p2] for p1, p2 in pairs])
+    p1, p2 = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    return w[p1] + w[p2]
 
 
 COND_CAP = 1e10
@@ -47,7 +48,7 @@ COND_CAP = 1e10
 def pair_classes(modes, pairs) -> np.ndarray:
     """Reflection-parity class of each pair: the XOR of its two mode parities."""
     parity = mode_parities(modes)
-    _, _, p1, p2 = _pair_indices(pairs)
+    p1, p2 = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     return parity[p1] ^ parity[p2]
 
 

@@ -9,7 +9,8 @@ rotation Gamma(U) behind a Gibbs state of a one-body exponent, created column
 by column on the vacuum.  None of them reads a sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 `difference_quad_tensor` is the pair-potential quadrature over the full
-list of grid points, with |x - y| from a point-pair difference array.
+list of grid points of `quadrature_grid`, with |x - y| from a point-pair
+difference array.
 `whole_space_tmatrix` is the pair T matrix from one eigendecomposition of
 the whole pair Hamiltonian, and `whole_space_onshell_tmatrix` the on-shell T
 built on it, where `boxgas.scattering` solves one reflection-parity class of
@@ -80,8 +81,6 @@ from boxgas import fieldmodel, generator
 from boxgas.fieldmodel import HBAR, mode_energies
 from boxgas.fock import (
     Statistics,
-    _pair_indices,
-    _pair_norms,
     build_basis,
     ladder_ops,
     pair_basis,
@@ -254,8 +253,9 @@ def tensor_from_pair_matrix(m, pairs, statistics, n_modes):
     Bose: fully symmetric in (l1, l2) and in (f1, f2).  Fermi: antisymmetric
     in both pairs.  Inverse of pair_matrix_from_tensor on its image.
     """
-    norms = _pair_norms(pairs, statistics)
-    p1, p2, q1, q2 = _pair_indices(pairs)
+    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    p1, p2, q1, q2 = idx[:, :1], idx[:, 1:], idx[:, 0], idx[:, 1]
+    norms = np.where(q1 == q2, 1.0 / np.sqrt(2.0), 1.0)
     sign = -1.0 if statistics is Statistics.FERMI else 1.0
     val = 0.5 * np.asarray(m) / np.outer(norms, norms)
     tensor = np.zeros((n_modes,) * 4, dtype=complex)
@@ -385,12 +385,27 @@ def difference_kernel_apply(potential, pts, wts, values, a_right):
     return out
 
 
+def quadrature_grid(modes, grid, order):
+    """Cell-aligned product quadrature: per-axis nodes, and the weights and
+    mode values at every grid point, flattened in C order over the axes."""
+    numbers = fieldmodel.mode_numbers(modes)
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    axis_nodes, wts, values = [], np.ones(1), np.ones((len(modes), 1))
+    for ax, length in enumerate(grid.geom.lengths):
+        nodes, axis_wts = fieldmodel._gauss_panels(grid.edges(ax), base_x, base_w)
+        axis_values = fieldmodel._axis_mode_values(numbers[:, ax], nodes, length)
+        axis_nodes.append(nodes)
+        wts = np.outer(wts, axis_wts).ravel()
+        values = (values[:, :, None] * axis_values[:, None, :]).reshape(len(modes), -1)
+    return axis_nodes, wts, values
+
+
 def difference_quad_tensor(modes, potential, grid, order, x_cell):
     """`fieldmodel._quad_tensor` summed over every pair of grid points, listed
     by a meshgrid, with the cell mask taken point by point and no use of the
     reflection parities: the entries that the selection rule forbids are
     round-off here, not exact zeros."""
-    axis_nodes, wts, values = fieldmodel._quadrature_grid(modes, grid, order)
+    axis_nodes, wts, values = quadrature_grid(modes, grid, order)
     pts = np.stack([c.ravel() for c in np.meshgrid(*axis_nodes, indexing="ij")], axis=-1)
     mask = np.ones(len(wts), dtype=bool)
     if x_cell is not None:

@@ -1,13 +1,18 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from boxgas.fock import (
+    DIM_CAP,
     Statistics,
+    basis_dimension,
     build_basis,
     ladder_ops,
     one_body_operator,
+    pair_basis,
+    pair_format,
     sector_dimension,
     two_body_operator,
     pair_matrix_from_tensor,
@@ -116,6 +121,45 @@ def test_dimension_oracle_fermi():
 def test_fermi_n_max_capped_by_modes():
     with pytest.raises(ValueError):
         build_basis(2, 3, Statistics.FERMI)
+
+
+@pytest.mark.parametrize("statistics", list(Statistics))
+def test_closed_form_dimension_is_the_sum_over_sectors(statistics):
+    for n_modes in range(1, 7):
+        top = n_modes if statistics is Statistics.FERMI else 6
+        for n_max in range(top + 1):
+            want = sum(sector_dimension(n_modes, n, statistics) for n in range(n_max + 1))
+            assert basis_dimension(n_modes, n_max, statistics) == want
+            if n_max <= 4:
+                assert build_basis(n_modes, n_max, statistics).dim == want
+
+
+def test_dimension_cap_raises_without_summing_the_shells():
+    # the closed form takes microseconds; a sum over 10^9 shells would take minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds cap {DIM_CAP}"):
+        build_basis(3, 10**9, Statistics.BOSE)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n_modes, statistics, n_pairs", [
+    (4, Statistics.BOSE, 10), (4, Statistics.FERMI, 6), (1, Statistics.FERMI, 0)])
+def test_pair_format_is_built_once_and_read_only(n_modes, statistics, n_pairs):
+    fmt = pair_format(n_modes, statistics)
+    names = ("q1", "q2", "p1", "p2", "norms", "norm_outer")
+    again = pair_format(n_modes, statistics)
+    for name in names:
+        array = getattr(fmt, name)
+        assert getattr(again, name) is array
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    fermi = statistics is Statistics.FERMI
+    pairs = [(f1, f2) for f1 in range(n_modes) for f2 in range(f1 + fermi, n_modes)]
+    assert len(pairs) == n_pairs and pair_basis(n_modes, statistics) == pairs
+    norms = [1.0 / np.sqrt(2.0) if f1 == f2 else 1.0 for f1, f2 in pairs]
+    assert np.array_equal(fmt.norm_outer, np.outer(norms, norms))
+    assert fmt.sign == (-1.0 if fermi else 1.0)
 
 
 def test_graded_lexicographic_order():

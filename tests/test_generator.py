@@ -608,7 +608,8 @@ def test_apply_on_unit_kernels_matches_the_dense_parts(statistics, n_modes, n_ma
             want = dense_parts(lp.basis, coeffs, unit)
             scale = max(1.0, float(np.max(np.abs(sum(want)))))
             assert np.max(np.abs(lp.apply(unit).dense() - sum(want))) <= 1e-12 * scale
-            for got, part in zip(lp.parts(unit), want):
+            # streaming, and collision = loss + gain
+            for got, part in zip(lp.parts(unit), (want[0], want[1] + want[2])):
                 assert np.max(np.abs(got.dense() - part)) <= 1e-12 * scale
 
 
