@@ -4,8 +4,9 @@
 
 Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, and
 `maxent` at (6, 4) and (8, 4); `generator-check` and `evolve` at (10, 4) and
-(12, 4); or `evolve` alone) on the default config with 1D modes 1..n, the
-given n_max, 2 cells and `evolve.steps=4`.  Each 3D rung runs on the box of
+(12, 4); `generator-check` alone at (14, 4), dim 3060; or `evolve` alone) on
+the default config with 1D modes 1..n, the given n_max, 2 cells and
+`evolve.steps=4`.  Each 3D rung runs on the box of
 the `pair3d` benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of
 strength 0.8 and range 0.25, Bose n_max 2) with its n lowest modes: `build`
 on one cell, where the quadrature interaction tensor is a large share of the
@@ -43,7 +44,7 @@ from boxgas.fock import Statistics, basis_dimension  # noqa: E402
 COMMANDS = ("build", "generator-check", "evolve")
 RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS + ("maxent",)), ((8, 4), COMMANDS + ("maxent",)),
          ((10, 4), ("generator-check", "evolve")), ((12, 4), ("generator-check", "evolve")),
-         ((20, 4), ("evolve",)))  # Bose
+         ((14, 4), ("generator-check",)), ((20, 4), ("evolve",)))  # Bose
 PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
 PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),
                "potential.kind=gaussian", "potential.strength=0.8", "potential.range=0.25",

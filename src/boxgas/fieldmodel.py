@@ -443,17 +443,9 @@ def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int 
     return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
 
 
-def potential_tensor(
-    modes,
-    potential,
-    geom: BoxGeometry,
-    order: int = 8,
-    grid: CellGrid | None = None,
-) -> np.ndarray:
-    """Two-body interaction tensor V[l1, l2, f2, f1]: analytic for a contact
-    potential, zero for Zero, otherwise by product Gauss-Legendre.
-
-    Panels follow `grid` when given, so per-cell restrictions tile the result.
+def potential_tensor(modes, potential, geom: BoxGeometry, order: int = 8) -> np.ndarray:
+    """Two-body interaction tensor V[l1, l2, f2, f1] over the whole box: analytic
+    for a contact potential, zero for Zero, otherwise by product Gauss-Legendre.
 
     Selection rule: V(|x - y|) is unchanged when both coordinates are
     reflected about the centre of one axis, and so are the uniform panels of
@@ -463,8 +455,7 @@ def potential_tensor(
     entries are exact zeros, as they are in the analytic contact tensor.  A
     tensor with one coordinate restricted to a cell obeys no such rule.
     """
-    grid = grid if grid is not None else whole_box_grid(geom)
-    return _pair_tensor(modes, potential, geom, grid, None, order)
+    return _pair_tensor(modes, potential, geom, whole_box_grid(geom), None, order)
 
 
 def potential_tensor_error(modes, potential, geom: BoxGeometry, order: int = 8) -> float:

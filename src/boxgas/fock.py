@@ -152,68 +152,50 @@ class FockBasis:
         return tuple(slice(int(lo), int(hi)) for lo, hi in zip((0, *edges[:-1]), edges))
 
     @cached_property
-    def lowering(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index maps of the annihilators, each of shape (n_modes, dim).
+    def creators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index maps of the creators, each read-only of shape (dim, n_modes).
 
-        a_f takes basis state c to row `target[f, c]` with amplitude
-        `amp[f, c]`: sqrt(n) for Bose, the Jordan-Wigner sign of the prefix
-        sum for Fermi.  Where mode f is empty the target is -1 and the
+        adag_f takes basis state t to row `cols[t, f]` with amplitude
+        `amps[t, f]`: sqrt(n_f + 1) for Bose, the Jordan-Wigner sign of the
+        prefix sum for Fermi.  Where the raised state leaves the basis (from
+        the top sector, or onto an occupied Fermi mode) the row is -1 and the
         amplitude 0.  Each occupation row is one fixed-width byte key, and the
-        lowered rows are found among them by argsort + searchsorted.  (Integer
+        raised rows are found among them by argsort + searchsorted.  (Integer
         keys in base n_max + 1 would overflow int64 from 64 Bose modes at n_max 1.)
         """
         states = np.ascontiguousarray(self.states)
         key = np.dtype((np.void, states.itemsize * self.n_modes))
         keys = states.view(key)[:, 0]
         order = np.argsort(keys)
-        mode, col = np.nonzero(states.T)
-        lowered = states[col]
-        lowered[np.arange(col.size), mode] -= 1
-        target = np.full((self.n_modes, self.dim), -1, dtype=np.int64)
-        target[mode, col] = order[np.searchsorted(keys[order], lowered.view(key)[:, 0])]
+        cap = 1 if self.statistics is Statistics.FERMI else self.n_max
+        row, mode = np.nonzero((self.totals() < self.n_max)[:, None] & (states < cap))
+        raised = states[row]
+        raised[np.arange(row.size), mode] += 1
+        cols = np.full((self.dim, self.n_modes), -1, dtype=np.int64)
+        cols[row, mode] = order[np.searchsorted(keys[order], raised.view(key)[:, 0])]
         if self.statistics is Statistics.BOSE:
-            amp = np.sqrt(states.T.astype(float))
+            amps = np.where(cols >= 0, np.sqrt(states + 1.0), 0.0)
         else:
-            before = (np.cumsum(states, axis=1) - states).T
-            amp = np.where(target >= 0, 1.0 - 2.0 * (before % 2), 0.0)
-        return target, amp
+            before = np.cumsum(states, axis=1) - states
+            amps = np.where(cols >= 0, 1.0 - 2.0 * (before % 2), 0.0)
+        for array in (cols, amps):
+            array.setflags(write=False)
+        return cols, amps
 
-    @cached_property
-    def ladder_blocks(self) -> tuple[np.ndarray, ...]:
-        """Entry N: the read-only (n_modes, d_{N-1}, d_N) block of every a_f, sector N -> N-1."""
-        return self._sector_blocks(*self.lowering, lower=1)
-
-    @cached_property
-    def pair_blocks(self) -> tuple[np.ndarray, ...]:
-        """Entry N: the read-only (P, d_{N-2}, d_N) block of every pair annihilator A_q.
-
-        A_q = n_q a_{q2} a_{q1} over the pairs q = (q1, q2) of `pair_format`,
-        with its norms n_q, so A_q^dagger creates the normalized pair state
-        |q>.  Composed from the index maps: a_{q1} first, then a_{q2}.
-        Entries N < 2 have no rows.
+    def pair_creators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index maps of the pair creators A_q^dagger = n_q adag_{q1} adag_{q2} over
+        the pairs q = (q1, q2) of `pair_format`, as `creators` but of shape
+        (rows, P) over the rows of sectors 0..n_max-2 (from the others every
+        pair leaves the basis).  With its norm n_q, A_q^dagger creates the
+        normalized pair state |q> from the vacuum.  Composed from `creators`:
+        adag_{q2} first, then adag_{q1}.  Where adag_{q2} leaves the basis its row -1 is the last
+        state, of the top sector, so adag_{q1} reads -1 and 0 there as well.
         """
-        target, amp = self.lowering
+        cols, amps = self.creators
         fmt = pair_format(self.n_modes, self.statistics)
-        first = target[fmt.q1]
-        second = target[fmt.p2, first]  # row of a_{q2} applied to a_{q1}'s image
-        valid = (first >= 0) & (second >= 0)
-        scale = fmt.norms[:, None] * amp[fmt.q1]
-        return self._sector_blocks(np.where(valid, second, -1),
-                                   np.where(valid, scale * amp[fmt.p2, first], 0.0),
-                                   lower=2)
-
-    def _sector_blocks(self, target, amp, lower: int) -> tuple[np.ndarray, ...]:
-        """Scatter column maps (..., dim) into one block per sector N, mapping N -> N - lower."""
-        out = []
-        for number, cols in enumerate(self.sectors):
-            rows = self.sectors[number - lower] if number >= lower else slice(0, 0)
-            t, a = target[..., cols], amp[..., cols]
-            block = np.zeros(t.shape[:-1] + (rows.stop - rows.start, t.shape[-1]))
-            hit = np.nonzero(t >= 0)
-            block[hit[:-1] + (t[hit] - rows.start, hit[-1])] = a[hit]
-            block.setflags(write=False)
-            out.append(block)
-        return tuple(out)
+        rows = slice(0, self.sectors[max(self.n_max - 1, 0)].start)
+        first = cols[rows, fmt.q2]
+        return cols[first, fmt.q1], fmt.norms * amps[rows, fmt.q2] * amps[first, fmt.q1]
 
 
 def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
@@ -244,53 +226,64 @@ def build_basis(n_modes: int, n_max: int, statistics: Statistics) -> FockBasis:
 
 def ladder_ops(basis: FockBasis) -> np.ndarray:
     """All annihilators stacked as a read-only float64 (n_modes, dim, dim) array,
-    scattered from `basis.lowering`, whose amplitudes are all real.  Not cached,
-    and no subcommand calls it: every operator is built from the sector blocks,
-    and the negative-time witness maps the kernel of this stack without it.
-    The tests read it as the dense oracle, and perfbench/tracer.py traces it."""
-    target, amp = basis.lowering
+    a_f = adag_f^T scattered from `basis.creators`, whose amplitudes are all
+    real.  Not cached, and no subcommand calls it: every operator is scattered
+    from the creator maps, and the negative-time witness maps the kernel of
+    this stack without it.  The tests read it as the dense oracle, and
+    perfbench/tracer.py traces it."""
+    cols, amps = basis.creators
     stack = np.zeros((basis.n_modes, basis.dim, basis.dim))
-    mode, col = np.nonzero(target >= 0)
-    stack[mode, target[mode, col], col] = amp[mode, col]
+    state, mode = np.nonzero(cols >= 0)
+    stack[mode, state, cols[state, mode]] = amps[state, mode]
     stack.setflags(write=False)
     return stack
 
 
 def one_body_operator(basis: FockBasis, kernel: np.ndarray) -> BlockDiagonal:
     """Second-quantized one-body operator sum_{hk} kernel[h,k] adag_h a_k: the
-    `_scatter` of the kernel over the N -> N-1 ladder blocks.  A real kernel
-    gives real blocks."""
+    `_scatter` of the kernel over the creator maps.  A real kernel gives real
+    blocks."""
     kernel = np.asarray(kernel)
     f = basis.n_modes
     if kernel.shape != (f, f):
         raise ValueError(f"kernel shape {kernel.shape} does not match mode count {f}")
-    return _scatter(basis, basis.ladder_blocks, kernel)
+    return _scatter(basis, kernel, 1)
 
 
 def two_body_operator(basis: FockBasis, m: np.ndarray) -> BlockDiagonal:
     """Second-quantized two-body operator sum_pq m[p, q] A_p^dagger A_q, for the
     hermitian P x P matrix m of the operator between the normalized pair states
     of `pair_format` (`pair_matrix_from_tensor` of a two-body tensor): its
-    `_scatter` over the pair annihilators of `FockBasis.pair_blocks`.  A real m
-    gives real blocks."""
+    `_scatter` over the pair creator maps of `FockBasis.pair_creators`.  A real
+    m gives real blocks."""
     m = np.asarray(m)
-    n_pairs = len(basis.pair_blocks[0])
+    n_pairs = len(pair_format(basis.n_modes, basis.statistics).norms)
     if m.shape != (n_pairs, n_pairs):
         raise ValueError(f"pair matrix shape {m.shape} does not match {n_pairs} pair states")
     require_hermitian(m, name="two-body pair matrix")
-    return _scatter(basis, basis.pair_blocks, m)
+    return _scatter(basis, m, 2)
 
 
-def _scatter(basis: FockBasis, lowering: tuple, m: np.ndarray) -> BlockDiagonal:
+def _scatter(basis: FockBasis, m: np.ndarray, lift: int) -> BlockDiagonal:
     """sum_pq m[p, q] L_p^dagger L_q for any matrix m, hermitian or not, over the
-    real lowering blocks L of every sector (`ladder_blocks` or `pair_blocks`):
-    two real GEMMs per sector, on the real and imaginary parts of m side by side."""
+    creator maps (cols, amps) of the L_p^dagger that raise the number by `lift`
+    (`FockBasis.creators` for 1, `pair_creators` for 2): block N adds
+    amps[t, p] amps[t, q] m[p, q] at (cols[t, p], cols[t, q]) for every state t
+    of sector N - lift, one `np.bincount` on the real and one on the imaginary
+    part of m.  A -1 column has amplitude 0, so it may add at any index."""
+    cols, amps = basis.creators if lift == 1 else basis.pair_creators()
     m = np.asarray(m)
-    parts = np.stack([m.real, m.imag], axis=1) if np.iscomplexobj(m) else m[:, None]
+    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
     blocks = []
-    for low in lowering:
-        flat = low.reshape(-1, low.shape[-1])  # rows (p, state of the sector below)
-        lowered = np.tensordot(parts, low, axes=1).transpose(0, 2, 3, 1)  # (p, rows, cols, part)
-        block = flat.T @ lowered.reshape(len(flat), parts.shape[1] * flat.shape[1])
-        blocks.append(block.view(complex) if np.iscomplexobj(m) else block)
+    for number, s in enumerate(basis.sectors):
+        below = basis.sectors[number - lift] if number >= lift else slice(0, 0)
+        d = s.stop - s.start
+        c = np.maximum(cols[below] - s.start, 0)
+        flat = (c[:, :, None] * d + c[:, None, :]).ravel()
+        weight = amps[below, :, None] * amps[below, None, :]
+        # float: with no state below, bincount returns int zeros
+        sums = [np.bincount(flat, (weight * part).ravel(), d * d).astype(float, copy=False)
+                for part in parts]
+        block = np.stack(sums, axis=-1).view(complex) if len(sums) == 2 else sums[0]
+        blocks.append(block.reshape(d, d))
     return BlockDiagonal(basis.sectors, tuple(blocks))

@@ -131,11 +131,11 @@ class Lprime:
     """Generator action on one-body kernels, with a streaming/collision split.
 
     Each image is dGamma(k1) plus sum_pq m[p, q] A_p^dagger A_q for P x P
-    pair matrices m, scattered over the number sectors by the ladder and pair
-    blocks of the basis (`fock._scatter`).  `h_eff` and the loss operator
-    `gamma`, the scatter of the coefficients' Gamma2 = J^dagger J / 2 (one
-    half of the channel-summed R_p^dagger R_p), are BlockDiagonal over the
-    sectors.
+    pair matrices m, scattered over the number sectors through the creator
+    and pair creator maps of the basis (`fock._scatter`).  `h_eff` and the
+    loss operator `gamma`, the scatter of the coefficients' Gamma2 =
+    J^dagger J / 2 (one half of the channel-summed R_p^dagger R_p), are
+    BlockDiagonal over the sectors.
     """
 
     def __init__(self, basis: FockBasis, coeffs: GeneratorCoefficients):
@@ -144,7 +144,7 @@ class Lprime:
         self.basis = basis
         self.coeffs = coeffs
         self.h_eff = hamiltonian(basis, coeffs.modes, coeffs.veff)
-        self.gamma = _scatter(basis, basis.pair_blocks, coeffs.gamma2)
+        self.gamma = _scatter(basis, coeffs.gamma2, 2)
 
     def parts(self, kernel: np.ndarray):
         """Streaming and collision images of sum_hk kernel[h, k] a†_h a_k: over
@@ -155,7 +155,7 @@ class Lprime:
         k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernel
         pair = pair_one_body(kernel, self.basis.statistics)
         veff, jump, gamma = self.coeffs.veff, self.coeffs.jump, self.coeffs.gamma2
-        stream, collision = (_scatter(self.basis, self.basis.pair_blocks, m) for m in (
+        stream, collision = (_scatter(self.basis, m, 2) for m in (
             (1j / HBAR) * (veff @ pair - pair @ veff),
             (-1.0 / HBAR) * (gamma @ pair + pair @ gamma) + (jump.conj().T @ (pair @ jump)) / HBAR))
         return one_body_operator(self.basis, k1) + stream, collision
@@ -163,7 +163,7 @@ class Lprime:
     def apply(self, kernel: np.ndarray) -> BlockDiagonal:
         """dGamma(k1) plus the scatter of k2, from `reduced_images` of the kernel."""
         (k1,), (k2,) = reduced_images(self.coeffs, np.asarray(kernel)[None])
-        return one_body_operator(self.basis, k1) + _scatter(self.basis, self.basis.pair_blocks, k2)
+        return one_body_operator(self.basis, k1) + _scatter(self.basis, k2, 2)
 
     def images(self, kernels) -> BlockDiagonal:
         """Images of a list of kernels, stacked in order."""
@@ -173,17 +173,27 @@ class Lprime:
     def _family_maps(self) -> tuple:
         """Per sector N, the maps of a flattened family psi[:, N] (index (k, j)):
         the stacked lowerings sum_k a_k psi_k, sum_k a_k H_eff psi_k and
-        sum_k a_k Gamma psi_k into sector N - 1, and the channels sum_k R_kl psi_k
-        of `_ordered_jumps`, one tensordot with the pair blocks."""
+        sum_k a_k Gamma psi_k into sector N - 1, row t of each the row of 1,
+        H_eff or Gamma at the column cols[t, k] of `FockBasis.creators` times
+        amps[t, k], and the channels sum_k R_kl psi_k of `_ordered_jumps` into
+        sector N - 2, written by index into a zeroed map at the columns of the
+        pair creators that stay in the basis (a -1 column, clipped, could
+        share its index with another, and one of two writes would be lost)."""
         jumps = _ordered_jumps(self.coeffs)
+        (cols, amps), (pair_cols, pair_amps) = self.basis.creators, self.basis.pair_creators()
+        n, sectors = self.basis.n_modes, self.basis.sectors
         maps = []
-        for lad, pairs, h, gamma in zip(self.basis.ladder_blocks, self.basis.pair_blocks,
-                                        self.h_eff.blocks, self.gamma.blocks):
-            n, rows, cols = lad.shape
-            lowered = np.stack([lad, lad @ h, lad @ gamma]).transpose(0, 2, 1, 3)
-            ordered = np.tensordot(jumps, pairs, axes=1)  # (l, k, rows, cols)
-            maps.append((lowered.reshape(3 * rows, n * cols),
-                         ordered.transpose(0, 2, 1, 3).reshape(-1, n * cols)))
+        for number, (s, h, gamma) in enumerate(zip(sectors, self.h_eff.blocks, self.gamma.blocks)):
+            d = s.stop - s.start
+            one, two = (sectors[number - k] if number >= k else slice(0, 0) for k in (1, 2))
+            c = np.maximum(cols[one] - s.start, 0)
+            lowered = np.stack([np.eye(d)[c], h[c], gamma[c]])
+            lowered *= amps[one, :, None]
+            row, pair = np.nonzero(pair_amps[two])
+            channels = np.zeros((n, two.stop - two.start, n, d), dtype=complex)
+            channels[:, row, :, pair_cols[two][row, pair] - s.start] = (
+                jumps[:, :, pair] * pair_amps[two][row, pair]).transpose(2, 0, 1)
+            maps.append((lowered.reshape(-1, n * d), channels.reshape(-1, n * d)))
         return tuple(maps)
 
     def family_form(self, psi: np.ndarray):
@@ -321,9 +331,11 @@ class AnnihilatorKernel:
     reflectors.  So no row is ever updated: every reflector has tau = 1 and
     v_i = e_(0,i) + a_i / sqrt(c_M), and L = diag(-sqrt(c_M)), zero on the top
     sector.  The v_i of one sector are orthogonal, so its reflectors multiply
-    to G_M = I - V_M V_M^T, two contractions with `ladder_blocks[M + 1]`, and
-    Q^T = G_0 G_1 ... G_{n_max - 1}.  The SVD of the diagonal L only orders
-    its null rows, unit rows of the top sector, so they are held as indices.
+    to G_M = I - V_M V_M^T, and Q^T = G_0 G_1 ... G_{n_max - 1}.  V_M^T y is
+    a gather of y at the columns that the creator maps (`FockBasis.creators`)
+    reach from sector M, and V_M z one `np.subtract.at` at those columns.  The
+    SVD of the diagonal L only orders its null rows, unit rows of the top
+    sector, so they are held as indices.
     `dbdsdc` hands an L of order at most 25 to `dlasdq`, which sorts the
     values into ascending order, and then sorts them into descending order;
     both are selection sorts that take the first extremum and move the rows
@@ -358,13 +370,14 @@ class AnnihilatorKernel:
 
     def rotate(self, y: np.ndarray) -> np.ndarray:
         """Q^T y in place, for y of shape (n_modes, dim, ...): G_{n_max - 1} first."""
-        sectors, ladders = self.basis.sectors, self.basis.ladder_blocks
+        cols, amps = self.basis.creators
+        modes, trailing = np.arange(self.basis.n_modes), (1,) * (y.ndim - 2)
         for number in reversed(range(self.basis.n_max)):
-            s, above, lad = sectors[number], sectors[number + 1], ladders[number + 1]
-            scale = self._scales[number]
-            z = y[0, s] + scale * np.tensordot(lad, y[:, above], axes=([0, 2], [0, 1]))
+            s = self.basis.sectors[number]
+            a = self._scales[number] * amps[s].reshape(amps[s].shape + trailing)
+            z = y[0, s] + (a * y[modes, cols[s]]).sum(axis=1)
             y[0, s] -= z
-            y[:, above] -= scale * np.tensordot(lad, z, axes=([1], [0]))
+            np.subtract.at(y, (modes, cols[s]), a * z[:, None])  # -1 columns repeat, with a = 0
         return y
 
 

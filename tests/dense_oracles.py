@@ -3,10 +3,14 @@
 Each helper is the plain dense formula that a sector-blocked routine in
 `boxgas.fock`, `boxgas.generator`, `boxgas.gibbs` or `boxgas.scattering`
 replaces: ladders from a per-column loop over the occupation table, pair
-annihilators from a full einsum, the one-body, two-body, channel, loss and
+annihilators from a full einsum, the dense per-sector lowering blocks of the
+creator maps (`sector_blocks`) and the GEMM scatter over them
+(`gemm_scatter`), where `fock._scatter` adds each entry at the columns the
+maps name, the one-body, two-body, channel, loss and
 generator images contracted over dense dim x dim stacks, and the mode
 rotation Gamma(U) behind a Gibbs state of a one-body exponent, created column
-by column on the vacuum.  None of them reads a sector block.  `split_blocks` cuts a
+by column on the vacuum.  Apart from `gemm_scatter`, none of them reads a
+sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 `difference_quad_tensor` is the pair-potential quadrature over the full
 list of grid points of `quadrature_grid`, with |x - y| from a point-pair
@@ -214,6 +218,37 @@ def einsum_pair_stack(basis):
     """P[f, g] = a_f a_g as a dense (n, n, dim, dim) stack."""
     a = loop_ladders(basis)
     return np.einsum("fab,gbc->fgac", a, a, optimize=True)
+
+
+def sector_blocks(basis, creators, lift):
+    """Entry N: the dense (K, d_{N - lift}, d_N) block of the K lowerings L_p,
+    sector N -> N - lift, the transposes of the creators L_p^dagger whose maps
+    (cols, amps) `FockBasis.creators` or `pair_creators` holds."""
+    cols, amps = creators
+    out = []
+    for number, s in enumerate(basis.sectors):
+        below = basis.sectors[number - lift] if number >= lift else slice(0, 0)
+        c, a = cols[below], amps[below]
+        block = np.zeros((c.shape[1], below.stop - below.start, s.stop - s.start))
+        row, op = np.nonzero(c >= 0)
+        block[op, row, c[row, op] - s.start] = a[row, op]
+        out.append(block)
+    return tuple(out)
+
+
+def gemm_scatter(basis, lowering, m):
+    """sum_pq m[p, q] L_p^dagger L_q over the dense lowering blocks of
+    `sector_blocks`: two real GEMMs per sector, on the real and imaginary parts
+    of m side by side, where `fock._scatter` adds the entries by index."""
+    m = np.asarray(m)
+    parts = np.stack([m.real, m.imag], axis=1) if np.iscomplexobj(m) else m[:, None]
+    blocks = []
+    for low in lowering:
+        flat = low.reshape(-1, low.shape[-1])  # rows (p, state of the sector below)
+        lowered = np.tensordot(parts, low, axes=1).transpose(0, 2, 3, 1)  # (p, rows, cols, part)
+        block = flat.T @ lowered.reshape(len(flat), parts.shape[1] * flat.shape[1])
+        blocks.append(block.view(complex) if np.iscomplexobj(m) else block)
+    return BlockDiagonal(basis.sectors, tuple(blocks))
 
 
 def comm(a, b):

@@ -18,6 +18,7 @@ from boxgas.fieldmodel import (
     Contact,
     Gaussian,
     Zero,
+    _pair_tensor,
     contact_tensor,
     energy_density_op,
     free_hamiltonian,
@@ -115,7 +116,7 @@ def test_acceptance_1_algebra(capsys):
     grid2 = CellGrid(GEOM, (2,))
     energy_defect = 0.0
     for pot in (Gaussian(0.6, 0.3), Contact(0.5), Zero()):
-        tensor = potential_tensor(modes, pot, GEOM, order=8, grid=grid2)
+        tensor = _pair_tensor(modes, pot, GEOM, grid2, None, 8)
         h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, Statistics.BOSE)).dense()
         tiled = sum(energy_density_op(basis, modes, grid2, c, pot, GEOM, order=8).dense()
                     for c in range(grid2.n_cells))

@@ -305,7 +305,7 @@ def test_energy_density_whole_box_equals_hamiltonian():
     basis = build_basis(3, 2, Statistics.BOSE)
     pot = Gaussian(g=0.6, sigma=0.3)
     grid = whole_box_grid(GEOM_1D)
-    tensor = potential_tensor(modes, pot, GEOM_1D, order=8, grid=grid)
+    tensor = fieldmodel._pair_tensor(modes, pot, GEOM_1D, grid, None, 8)
     h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
     e = energy_density_op(basis, modes, grid, 0, pot, GEOM_1D, order=8).dense()
     assert np.max(np.abs(e - h)) < 1e-11
@@ -316,7 +316,7 @@ def test_energy_density_cells_tile_hamiltonian():
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = CellGrid(GEOM_1D, (2,))
     for pot in [Gaussian(g=0.6, sigma=0.3), Contact(g=0.5), Zero()]:
-        tensor = potential_tensor(modes, pot, GEOM_1D, order=8, grid=grid)
+        tensor = fieldmodel._pair_tensor(modes, pot, GEOM_1D, grid, None, 8)
         h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
         total = sum(
             energy_density_op(basis, modes, grid, c, pot, GEOM_1D, order=8).dense()
@@ -553,7 +553,7 @@ def test_quadrature_tensors_equal_difference_array_oracle(monkeypatch, case, pot
 
     def tensor_and_cells():
         # the whole-box tensor, and each cell's as energy_density_op takes it
-        return [potential_tensor(modes, potential, geom, order, grid)] + [
+        return [fieldmodel._pair_tensor(modes, potential, geom, grid, None, order)] + [
             fieldmodel._pair_tensor(modes, potential, geom, grid, c, order)
             for c in range(grid.n_cells)]
 
@@ -584,7 +584,7 @@ def test_cell_pair_tensors_sum_to_whole_box_tensor(case):
     modes = box_modes(geom, n_modes)
     grid = CellGrid(geom, cells)
     potential = Gaussian(0.8, 0.25)
-    whole = potential_tensor(modes, potential, geom, order, grid)
+    whole = fieldmodel._pair_tensor(modes, potential, geom, grid, None, order)
     tiled = sum(fieldmodel._pair_tensor(modes, potential, geom, grid, c, order)
                 for c in range(grid.n_cells))
     assert np.max(np.abs(tiled - whole)) <= 1e-13 * np.max(np.abs(whole))

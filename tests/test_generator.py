@@ -82,11 +82,11 @@ def bilinear_image(lp, h, k):
 def ordered_channels(lp):
     """The channel maps of `Lprime._family_maps` in the layout R_kl: one
     (n, n, rows, cols) block per sector, mapping sector N to N - 2."""
-    n = lp.basis.n_modes
+    n, sizes = lp.basis.n_modes, [s.stop - s.start for s in lp.basis.sectors]
     out = []
-    for (_, channels), pairs in zip(lp._family_maps, lp.basis.pair_blocks):
-        _, rows, cols = pairs.shape
-        out.append(channels.reshape(n, rows, n, cols).transpose(2, 0, 1, 3))
+    for number, (_, channels) in enumerate(lp._family_maps):
+        rows = sizes[number - 2] if number >= 2 else 0
+        out.append(channels.reshape(n, rows, n, sizes[number]).transpose(2, 0, 1, 3))
     return out
 
 
@@ -643,4 +643,4 @@ def test_every_two_body_array_is_a_pair_matrix(statistics, lengths, n_modes):
     assert k2.shape == (3, n_pairs, n_pairs)
     assert _ordered_jumps(coeffs).shape == (n_modes, n_modes, n_pairs)
     basis = build_basis(n_modes, 2 if n_modes > 1 else 1, statistics)
-    assert all(pairs.shape[0] == n_pairs for pairs in basis.pair_blocks)
+    assert all(array.shape[1] == n_pairs for array in basis.pair_creators())

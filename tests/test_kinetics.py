@@ -544,7 +544,7 @@ def test_trajectory_table_layout():
 def test_dense_ladder_stack_is_never_built(statistics, monkeypatch):
     # dims 84 (Bose, 6 modes at n_max 3) and 93 (Fermi, 8 modes); the dense
     # (n, dim, dim) ladder stack is built only by ladder_ops, and the witness
-    # maps its kernel through the sector ladder blocks, with no SVD at all
+    # maps its kernel through the creator index maps, with no SVD at all
     calls, svd_shapes = [], []
     svd = np.linalg.svd
     monkeypatch.setattr(generator, "ladder_ops",

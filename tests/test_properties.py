@@ -150,7 +150,7 @@ def test_parity_forbidden_entries_vanish_on_uniform_panels(setup):
     scale = np.max(np.abs(oracle))
     bound = max(1e-13 * scale, 4 * np.spacing(scale))
     assert np.max(np.abs(oracle[forbidden]), initial=0.0) <= bound
-    tensor = potential_tensor(modes, potential, geom, order, grid)
+    tensor = _pair_tensor(modes, potential, geom, grid, None, order)
     assert np.all(tensor[forbidden] == 0.0)
     assert np.max(np.abs(tensor - oracle)) <= bound
 

@@ -383,7 +383,7 @@ def test_onshell_tmatrix_condition_guard():
 def one_d_case(n_modes, potential, cells=1):
     modes = box_modes(GEOM, n_modes)
     grid = CellGrid(GEOM, (cells,))
-    return modes, potential_tensor(modes, potential, GEOM, order=16, grid=grid)
+    return modes, _pair_tensor(modes, potential, GEOM, grid, None, 16)
 
 
 @pytest.mark.parametrize("case, stats", [

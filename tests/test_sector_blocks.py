@@ -1,10 +1,15 @@
-"""Sector-blocked ladders, pair annihilators and their contractions against dense oracles.
+"""Creator index maps, the operators scattered from them and their contractions
+against dense oracles.
 
 Hypothesis draws the mode count (1-5), the statistics and n_max <= 3; one
 fixed Bose case at n_max 2 runs 12 modes.  Ladders must match the oracle bit
-for bit and the normalized pair annihilators to 1e-12, and every operator
-assembled from them must match its dense formula to 1e-12 of its scale: the
-two-body operator and the generator against the n^4 tensor forms.
+for bit, and the dense per-sector lowering blocks of the creator and pair
+creator maps (`sector_blocks`) the loop ladders and the normalized pair
+annihilators to 1e-12.  Every operator assembled from the maps must match its
+dense formula to 1e-12 of its scale: the two-body operator and the generator
+against the n^4 tensor forms.  The scatter by index is compared with the GEMM
+scatter over those blocks (`gemm_scatter`) at dims 495 (Bose) and 386
+(Fermi), one- and two-body, for real and complex non-hermitian matrices.
 """
 import numpy as np
 import pytest
@@ -19,10 +24,10 @@ from boxgas.fieldmodel import (
     _pair_tensor,
     box_modes,
     modes_from_numbers,
-    potential_tensor,
 )
 from boxgas.fock import (
     Statistics,
+    _scatter,
     build_basis,
     ladder_ops,
     one_body_operator,
@@ -38,7 +43,9 @@ from dense_oracles import (
     dense_parts,
     dense_two_body,
     einsum_pair_stack,
+    gemm_scatter,
     loop_ladders,
+    sector_blocks,
     state_index,
     tensor_from_pair_matrix,
     tensor_two_body_operator,
@@ -66,6 +73,8 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
     stack = ladder_ops(basis)
     assert stack.dtype == np.float64 and not stack.flags.writeable
     assert np.array_equal(stack, loop_ladders(basis))
+    for n, block in enumerate(sector_blocks(basis, basis.creators, 1)):
+        assert np.array_equal(block, sector_view(basis, stack, n, 1))
 
     # A_q = n_q a_q2 a_q1 over pair_basis, from the dense pair stack P[f, g] = a_f a_g
     plist = pair_basis(n_modes, statistics)
@@ -76,7 +85,7 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
     pairs = pairs.reshape((len(plist),) + stack.shape[2:])
     outside = np.ones(pairs.shape, dtype=bool)
     sectors = basis.sectors
-    for n, block in enumerate(basis.pair_blocks):
+    for n, block in enumerate(sector_blocks(basis, basis.pair_creators(), 2)):
         rows = sectors[n - 2] if n >= 2 else slice(0, 0)
         assert block.shape == (len(plist), rows.stop - rows.start,
                                sectors[n].stop - sectors[n].start)
@@ -126,22 +135,39 @@ def test_sector_blocks_match_dense_oracles_at_twelve_modes():
     check_against_oracles(12, 2, Statistics.BOSE, seed=3)
 
 
-def test_sector_blocks_are_cached_and_read_only():
+def test_creator_maps_are_cached_and_read_only():
     basis = build_basis(3, 3, Statistics.FERMI)
-    for blocks in (basis.ladder_blocks, basis.pair_blocks):
-        assert all(not b.flags.writeable for b in blocks)
-    assert basis.pair_blocks is basis.pair_blocks
-    assert basis.lowering is basis.lowering
+    assert all(not array.flags.writeable for array in basis.creators)
+    assert basis.creators is basis.creators
 
 
-def test_lowering_beyond_int64_keys():
+def test_creators_beyond_int64_keys():
     # 70 Bose modes at n_max 1: base-2 occupation keys would need 70 bits
     basis = build_basis(70, 1, Statistics.BOSE)
-    target, amp = basis.lowering
+    cols, amps = basis.creators
     for f in (0, 35, 69):
         col = state_index(basis, np.eye(70, dtype=int)[f])
-        assert target[f, col] == 0 and amp[f, col] == 1.0
-        assert np.all(target[f, np.arange(basis.dim) != col] == -1)
+        assert cols[0, f] == col and amps[0, f] == 1.0
+        assert np.all(cols[1:, f] == -1) and np.all(amps[1:, f] == 0.0)
+
+
+@pytest.mark.parametrize("n_modes, statistics", [(8, Statistics.BOSE), (10, Statistics.FERMI)],
+                         ids=["bose-495", "fermi-386"])
+@pytest.mark.parametrize("lift", [1, 2], ids=["one-body", "two-body"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_scatter_matches_the_gemm_scatter(n_modes, statistics, lift, kind):
+    basis = build_basis(n_modes, 4, statistics)
+    creators = basis.creators if lift == 1 else basis.pair_creators()
+    size = creators[0].shape[1]
+    rng = np.random.default_rng(lift)
+    m = rng.normal(size=(size, size))
+    if kind == "complex":
+        m = m + 1j * rng.normal(size=(size, size))
+    got = _scatter(basis, m, lift)
+    want = gemm_scatter(basis, sector_blocks(basis, creators, lift), m)
+    for g, w in want.pairs(got):
+        assert g.dtype == w.dtype
+        assert_close(g, w)
 
 
 PAIR3D_GEOM = BoxGeometry((1.0, 1.07, 1.13))
@@ -158,7 +184,7 @@ def test_pair_matrix_two_body_matches_the_canonical_tensor(statistics, coupling,
     potential = Contact(0.7) if coupling == "1d contact" else Gaussian(1.0, 0.25)
     grid = CellGrid(geom, (2,) + (1,) * (geom.dimension - 1))
     if region == "whole box":
-        tensor = potential_tensor(modes, potential, geom, order=8, grid=grid)
+        tensor = _pair_tensor(modes, potential, geom, grid, None, 8)
     else:
         tensor = _pair_tensor(modes, potential, geom, grid, 0, 8)
     pairs = pair_basis(5, statistics)
