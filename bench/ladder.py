@@ -9,16 +9,17 @@ the default config with 1D modes 1..n, the given n_max, 2 cells and
 `evolve.steps=4`.  Each 3D rung runs on the box of
 the `pair3d` benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of
 strength 0.8 and range 0.25, Bose n_max 2) with its n lowest modes: `build`
-on one cell, where the quadrature interaction tensor is a large share of the
-call, `tmatrix` on one cell, where the on-shell pair T matrix and its
-n^2(n+1)^2/4-row table are, `generator-check` on one cell, where the
+on one cell, where the whole-box interaction tensor is a large share of the
+call at 40 modes, `tmatrix` on one cell, where the on-shell pair T matrix
+and its n^2(n+1)^2/4-row table are, `generator-check` on one cell, where the
 generator's energy residual, its sampled positivity and the negative-time
 witness are, `evolve` on two cells [2, 1, 1] with `evolve.steps=4`, where
 the generator images of the moment kernels and the closure's fits are, or
-`maxent` on eight cells [2, 2, 2], where the eight per-cell quadrature pair
-tensors are.  Every call is a fresh `python -m boxgas.cli` process with the
-BLAS and OpenMP thread variables pinned to 1, importing `boxgas` from `src/`
-of this checkout (as does this script, for the 3D mode list); its wall time
+`maxent` on eight cells [2, 2, 2], where the eight per-cell pair tensors
+and the max-ent fit over the 16 cell constraints are.  Every call is a
+fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
+variables pinned to 1, importing `boxgas` from `src/` of this checkout (as
+does this script, for the 3D mode list); its wall time
 and the peak RSS the kernel reports for that process (`os.wait4`) are
 recorded.  This is a plain script, not a test and not a benchmark gate.
 """
@@ -59,7 +60,7 @@ PAIR3D_CELLS = {"build": ONE_CELL, "tmatrix": ONE_CELL, "generator-check": ONE_C
 PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
                 (60, "tmatrix"), (20, "generator-check"), (30, "generator-check"),
                 (40, "generator-check"), (20, "evolve"), (30, "evolve"), (40, "evolve"),
-                (50, "evolve"), (60, "evolve"), (20, "maxent"))  # lowest modes
+                (50, "evolve"), (60, "evolve"), (20, "maxent"), (40, "maxent"))  # lowest modes
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 

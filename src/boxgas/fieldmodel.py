@@ -9,6 +9,7 @@ operators sum exactly to their global counterparts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -281,6 +282,15 @@ def cell_overlaps(modes, grid: CellGrid, cell: int):
 # ---------------------------------------------------------------------------
 # quadrature
 
+@functools.cache
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights of `order` points on [-1, 1], read-only;
+    numpy refines them by Newton steps on every call, so each order is formed once."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x.flags.writeable = base_w.flags.writeable = False
+    return base_x, base_w
+
+
 def _gauss_panels(edges: np.ndarray, base_x: np.ndarray, base_w: np.ndarray):
     """Gauss-Legendre nodes and weights on each panel [edges[i], edges[i+1]],
     mapped from the rule (base_x, base_w) on [-1, 1]."""
@@ -304,8 +314,9 @@ def _symmetrize_tensor(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + t.conj().transpose(3, 2, 1, 0))
 
 
-# kernel entries V(|x - y|) per block of x rows; the block and its parity
-# folds stay small enough to be reused from cache
+# entries per block of rows: kernel values V(|x - y|) on x rows in
+# `_quad_tensor`, gathered tensor entries on pair rows in `_gaussian_tensor`;
+# a block and its parity folds stay small enough to be reused from cache
 _BLOCK_ELEMENTS = 1 << 17
 _MIRROR_TOL = 1e-13
 
@@ -319,6 +330,33 @@ def _check_mirror(nodes: np.ndarray, wts: np.ndarray, length: float) -> None:
         raise ValueError(
             "quadrature nodes and weights must mirror about the centre of each axis "
             f"(x_i + x_(m-1-i) = L, w_i = w_(m-1-i)); relative defect {defect:.3e}")
+
+
+def _axis_rules(grid: CellGrid, order: int):
+    """Per axis, the Gauss-Legendre nodes and weights on the grid's panels,
+    checked to mirror about the axis centre."""
+    base_x, base_w = _legendre_rule(order)
+    rules = []
+    for ax, length in enumerate(grid.geom.lengths):
+        x, w = _gauss_panels(grid.edges(ax), base_x, base_w)
+        _check_mirror(x, w, length)
+        rules.append((x, w))
+    return rules
+
+
+def _cell_rows(grid: CellGrid, x_cell: int, ax: int, order: int) -> np.ndarray:
+    """Indices of the cell's own nodes among the nodes of axis `ax`."""
+    i = grid.cell_multi_index(x_cell)[ax]
+    return np.arange(i * order, (i + 1) * order)
+
+
+def _pair_class_columns(modes):
+    """(class, columns) for each nonempty reflection-parity class of the mode
+    pairs (l, f), flattened as l * n + f; the class is p_l ^ p_f."""
+    parity = mode_parities(modes)
+    pair_class = (parity[:, None] ^ parity[None, :]).ravel()
+    return [(c, cols) for c in range(1 << len(modes[0].numbers))
+            if len(cols := np.flatnonzero(pair_class == c))]
 
 
 def _pair_columns(axis_factors, ls, fs) -> np.ndarray:
@@ -351,6 +389,10 @@ def _fold(kernel: np.ndarray, ax: int):
 def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | None) -> np.ndarray:
     """Raw quadrature tensor (l1, l2, f2, f1); x restricted to one cell when x_cell is given.
 
+    This sweep serves potentials whose kernel does not factor over the axes
+    (soft Lennard-Jones); for a Gaussian it is the oracle of
+    `_gaussian_tensor`, which sums the same terms.
+
     Reflecting axis a about the box centre maps the uniform Gauss panels onto
     themselves and a pair column w u_l u_f to s times itself, s = -1 when bit
     a of its class p_l ^ p_f is set (`mode_parities`).  So the y sum is
@@ -366,11 +408,8 @@ def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | Non
     """
     numbers = mode_numbers(modes)
     d = grid.geom.dimension
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
     nodes, wts, vals, rows, orbit = [], [], [], [], []
-    for ax in range(d):
-        x, w = _gauss_panels(grid.edges(ax), base_x, base_w)
-        _check_mirror(x, w, grid.geom.lengths[ax])
+    for ax, (x, w) in enumerate(_axis_rules(grid, order)):
         nodes.append(x)
         wts.append(w)
         vals.append(_axis_mode_values(numbers[:, ax], x, grid.geom.lengths[ax]))
@@ -380,24 +419,19 @@ def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | Non
             rows.append(half)
             orbit.append(np.where(half == len(x) - 1 - half, 1.0, 2.0))
         else:
-            i = grid.cell_multi_index(x_cell)[ax]
-            rows.append(np.arange(i * order, (i + 1) * order))
+            rows.append(_cell_rows(grid, x_cell, ax, order))
             orbit.append(1.0)
     shape = tuple(len(x) for x in nodes)
     nf = len(modes)
     ls, fs = (v.ravel() for v in np.indices((nf, nf)))
-    parity = mode_parities(modes)
-    pair_class = parity[ls] ^ parity[fs]
     a_left = _pair_columns([(w[r] * k, v[:, r]) for w, k, v, r in zip(wts, orbit, vals, rows)],
                            ls, fs)
     classes = []
-    for c in range(1 << d):
-        cols = np.flatnonzero(pair_class == c)
-        if len(cols):
-            # the y points of class c: per axis, the fold's even or odd half
-            halves = [m // 2 if c >> ax & 1 else m - m // 2 for ax, m in enumerate(shape)]
-            classes.append((c, cols, _pair_columns(
-                [(w[:h], v[:, :h]) for w, v, h in zip(wts, vals, halves)], ls[cols], fs[cols])))
+    for c, cols in _pair_class_columns(modes):
+        # the y points of class c: per axis, the fold's even or odd half
+        halves = [m // 2 if c >> ax & 1 else m - m // 2 for ax, m in enumerate(shape)]
+        classes.append((c, cols, _pair_columns(
+            [(w[:h], v[:, :h]) for w, v, h in zip(wts, vals, halves)], ls[cols], fs[cols])))
     # sq[ax][i] holds (x_i - y)^2 over the nodes y of axis ax, laid along
     # that axis of the column grid
     sq = [((x[r, None] - x[None, :]) ** 2).reshape([len(r)] + [-1 if a == ax else 1
@@ -430,30 +464,94 @@ def _quad_tensor(modes, potential, grid: CellGrid, order: int, x_cell: int | Non
     return out.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
 
 
+def _gaussian_tensor(modes, potential: Gaussian, grid: CellGrid, order: int,
+                     x_cell: int | None) -> np.ndarray:
+    """`_quad_tensor` of a Gaussian, as g times a product of per-axis sums.
+
+    The kernel exp(-|x - y|^2 / 2 sigma^2), the modes and the product rule
+    all factor over the axes, so the quadrature sum does too.  Axis a gives
+    one factor over the pairs of its distinct mode numbers,
+    F[(i, j), (p, q)] = sum_x sum_y w_x phi_i(x) phi_j(x) K(x, y) w_y phi_p(y) phi_q(y),
+    with x over the cell's own nodes or over every node, and the raw entry
+    (l1, l2, f2, f1) is g times the product over the axes of F at
+    (n_a(l1), n_a(f1)), (n_a(l2), n_a(f2)).  A cell's tensor gathers every
+    entry.  Over the whole box only pairs of one reflection-parity class meet,
+    one class block at a time, as in `_quad_tensor`: entries between classes
+    are exact zeros, and a block only reads factor entries whose four mode
+    numbers have an even sum on every axis.
+    """
+    numbers = mode_numbers(modes)
+    nf = len(modes)
+    factors, pair_index = [], []
+    for ax, (x, w) in enumerate(_axis_rules(grid, order)):
+        distinct, inverse = np.unique(numbers[:, ax], return_inverse=True)
+        k = len(distinct)
+        vals = _axis_mode_values(distinct, x, grid.geom.lengths[ax])
+        # prod[(i, j), y] = w_y phi_i(y) phi_j(y)
+        prod = (w * vals[:, None, :] * vals[None, :, :]).reshape(k * k, -1)
+        rows = slice(None) if x_cell is None else _cell_rows(grid, x_cell, ax, order)
+        kernel = np.exp(-0.5 * ((x[rows, None] - x[None, :]) / potential.sigma) ** 2)
+        factors.append(prod[:, rows] @ kernel @ prod.T)
+        pair_index.append((inverse[:, None] * k + inverse[None, :]).ravel())
+
+    def block(rows, cols):
+        # g prod_a F_a over the pairs rows x cols, g last so that a subnormal
+        # strength is rounded once
+        out = None
+        for factor, index in zip(factors, pair_index):
+            term = factor[index[rows]].take(index[cols], axis=1)
+            out = term if out is None else np.multiply(out, term, out=out)
+        out *= potential.g
+        return out
+
+    if x_cell is not None:
+        # a few rows at a time, so that no second n^4 array is held
+        out = np.empty((nf * nf, nf * nf))
+        step = max(1, _BLOCK_ELEMENTS // (nf * nf))
+        for start in range(0, nf * nf, step):
+            out[start:start + step] = block(slice(start, start + step), slice(None))
+    else:
+        out = np.zeros((nf * nf, nf * nf))
+        for _, cols in _pair_class_columns(modes):
+            out[np.ix_(cols, cols)] = block(cols, cols)
+    # (l1, f1, l2, f2) -> (l1, l2, f2, f1)
+    return out.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
+
+
 def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int | None,
                  order: int) -> np.ndarray:
     """Pair tensor V[l1, l2, f2, f1] over the whole box (cell None) or with one
-    interaction coordinate restricted to one cell of `grid`."""
+    interaction coordinate restricted to one cell of `grid`.
+
+    Contact is analytic and Zero is zeros.  A Gaussian is the product of
+    per-axis sums (`_gaussian_tensor`); any other potential is the 3D kernel
+    sweep of `_quad_tensor`.  Both evaluate the same Gauss-Legendre rule, and
+    both raw tensors are symmetrized the same way.
+    """
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     if isinstance(potential, Contact):
         return contact_tensor(modes, potential, geom if cell is None else (grid, cell))
     if isinstance(potential, Zero):
         return np.zeros((len(modes),) * 4)
-    return _symmetrize_tensor(_quad_tensor(modes, potential, grid, order, x_cell=cell))
+    quad = _gaussian_tensor if isinstance(potential, Gaussian) else _quad_tensor
+    return _symmetrize_tensor(quad(modes, potential, grid, order, x_cell=cell))
 
 
 def potential_tensor(modes, potential, geom: BoxGeometry, order: int = 8) -> np.ndarray:
     """Two-body interaction tensor V[l1, l2, f2, f1] over the whole box: analytic
-    for a contact potential, zero for Zero, otherwise by product Gauss-Legendre.
+    for a contact potential, zero for Zero, otherwise by product Gauss-Legendre,
+    which a Gaussian evaluates as a product of per-axis sums and any other
+    potential as a sweep of V(|x - y|) over the 3D grid (`_pair_tensor`).
 
     Selection rule: V(|x - y|) is unchanged when both coordinates are
     reflected about the centre of one axis, and so are the uniform panels of
-    a CellGrid with their Gauss-Legendre nodes.  So V[l1, l2, f2, f1] is 0
-    unless the pair classes p_l1 ^ p_l2 and p_f1 ^ p_f2 (`mode_parities`)
-    agree; the quadrature assembles one class block at a time, so those
-    entries are exact zeros, as they are in the analytic contact tensor.  A
-    tensor with one coordinate restricted to a cell obeys no such rule.
+    a CellGrid with their Gauss-Legendre nodes (checked to round-off).  So
+    V[l1, l2, f2, f1] is 0 unless the pair classes p_l1 ^ p_l2 and
+    p_f1 ^ p_f2 (`mode_parities`) agree.  Both quadratures assemble one class
+    block at a time, so those entries are exact zeros, as they are in the
+    analytic contact tensor.  A tensor with one coordinate restricted to a
+    cell obeys no such rule.
     """
     return _pair_tensor(modes, potential, geom, whole_box_grid(geom), None, order)
 
@@ -557,7 +655,7 @@ def quadrature_gram_defect(modes, geom: BoxGeometry, order: int = 8) -> float:
     """
     numbers = mode_numbers(modes)
     grid = whole_box_grid(geom)
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = _legendre_rule(order)
     gram = np.ones((len(modes), len(modes)))
     for ax, length in enumerate(geom.lengths):
         nodes, wts = _gauss_panels(grid.edges(ax), base_x, base_w)

@@ -157,7 +157,7 @@ class Lprime:
         veff, jump, gamma = self.coeffs.veff, self.coeffs.jump, self.coeffs.gamma2
         stream, collision = (_scatter(self.basis, m, 2) for m in (
             (1j / HBAR) * (veff @ pair - pair @ veff),
-            (-1.0 / HBAR) * (gamma @ pair + pair @ gamma) + (jump.conj().T @ (pair @ jump)) / HBAR))
+            (-1.0 / HBAR) * (gamma @ pair + pair @ gamma) + _adjoint_times(jump, pair @ jump) / HBAR))
         return one_body_operator(self.basis, k1) + stream, collision
 
     def apply(self, kernel: np.ndarray) -> BlockDiagonal:
@@ -251,11 +251,25 @@ def reduced_images(coeffs: GeneratorCoefficients, kernels) -> tuple[np.ndarray, 
     jump = coeffs.jump
     # k2 = M K2 + K2 M^dagger + J^dagger K2 J / hbar, M = (i V_eff - Gamma2) / hbar
     drift = (1j * coeffs.veff - coeffs.gamma2) / HBAR
+    drift_h = drift.conj().T
     k2 = np.empty((len(kernels),) + jump.shape, dtype=complex)
     for out, kernel in zip(k2, kernels):
         pair = pair_one_body(kernel, coeffs.statistics)
-        out[:] = drift @ pair + pair @ drift.conj().T + (jump.conj().T @ (pair @ jump)) / HBAR
+        out[:] = drift @ pair + pair @ drift_h + _adjoint_times(jump, pair @ jump) / HBAR
     return k1, k2
+
+
+def _adjoint_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a^dagger x as conj(a^T conj(x)), overwriting x.
+
+    Each product is that of `a.conj().T @ x` with its imaginary sign flipped,
+    so the result is the same bit for bit, but no conjugate copy of a is
+    formed; its temporaries end with the call, so a loop over kernels holds
+    none of them between kernels.
+    """
+    np.conjugate(x, out=x)
+    y = a.T @ x
+    return np.conjugate(y, out=y)
 
 
 @dataclass(frozen=True)

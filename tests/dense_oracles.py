@@ -14,7 +14,10 @@ sector block.  `split_blocks` cuts a
 dense operator into sector blocks and rejects any entry outside them.
 `difference_quad_tensor` is the pair-potential quadrature over the full
 list of grid points of `quadrature_grid`, with |x - y| from a point-pair
-difference array.
+difference array, where `fieldmodel._quad_tensor` folds the kernel by
+reflection parity and `fieldmodel._gaussian_tensor` factors a Gaussian over
+the axes; `parity_forbidden` masks the entries that the reflection selection
+rule of a whole-box tensor forbids.
 `whole_space_tmatrix` is the pair T matrix from one eigendecomposition of
 the whole pair Hamiltonian, and `whole_space_onshell_tmatrix` the on-shell T
 built on it, where `boxgas.scattering` solves one reflection-parity class of
@@ -433,6 +436,15 @@ def quadrature_grid(modes, grid, order):
         wts = np.outer(wts, axis_wts).ravel()
         values = (values[:, :, None] * axis_values[:, None, :]).reshape(len(modes), -1)
     return axis_nodes, wts, values
+
+
+def parity_forbidden(modes):
+    """n^4 mask of the pair-tensor entries [l1, l2, f2, f1] whose pair classes
+    p_l1 ^ p_l2 and p_f1 ^ p_f2 differ: the selection rule of a reflection-even
+    interaction over the whole box."""
+    parity = fieldmodel.mode_parities(modes)
+    pair_class = parity[:, None] ^ parity[None, :]
+    return pair_class[:, :, None, None] != pair_class[None, None, :, :]
 
 
 def difference_quad_tensor(modes, potential, grid, order, x_cell):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from dense_oracles import difference_quad_tensor, state_index
+from dense_oracles import difference_quad_tensor, parity_forbidden, state_index
 
 from boxgas import fieldmodel
 from boxgas.fieldmodel import (
@@ -528,9 +528,12 @@ def test_3d_tensor_small_case_runs_and_is_symmetric():
 PAIR3D_BOX = BoxGeometry((1.0, 1.07, 1.13))
 ORACLE_GRIDS = {  # geometry, cells, modes, order
     "1d-1": (BoxGeometry((1.3,)), (1,), 4, 8),
+    "1d-1-odd": (BoxGeometry((1.3,)), (1,), 5, 7),
     "1d-2": (BoxGeometry((1.3,)), (2,), 4, 8),
     "1d-3": (BoxGeometry((1.3,)), (3,), 4, 8),
+    "1d-3-odd": (BoxGeometry((1.3,)), (3,), 5, 5),
     "pair3d": (PAIR3D_BOX, (1, 1, 1), 12, 8),
+    "3d-111-odd": (PAIR3D_BOX, (1, 1, 1), 6, 5),
     "3d-211": (PAIR3D_BOX, (2, 1, 1), 4, 4),
     "3d-222": (PAIR3D_BOX, (2, 2, 2), 4, 3),
     "3d-333": (PAIR3D_BOX, (3, 3, 3), 4, 2),
@@ -543,25 +546,31 @@ ORACLE_GRIDS = {  # geometry, cells, modes, order
 @pytest.mark.parametrize("case", list(ORACLE_GRIDS))
 def test_quadrature_tensors_equal_difference_array_oracle(monkeypatch, case, potential,
                                                           block_elements):
-    # the parity fold sums the same terms as the point-pair difference array
-    # in another order, so the two agree to round-off: at most 1e-13 max|V|
+    # the kernel sweep's parity fold and, for a Gaussian, the product of
+    # per-axis sums add the same terms as the point-pair difference array in
+    # other orders, so all three agree to round-off: at most 1e-13 max|V|,
+    # over the whole box and in every cell (x restricted, as energy_density_op
+    # takes it).  _pair_tensor symmetrizes the product for a Gaussian and the
+    # sweep otherwise; the whole-box product keeps the forbidden entries at 0
     geom, cells, n_modes, order = ORACLE_GRIDS[case]
     if block_elements is not None:
         monkeypatch.setattr(fieldmodel, "_BLOCK_ELEMENTS", block_elements)
     modes = box_modes(geom, n_modes)
     grid = CellGrid(geom, cells)
-
-    def tensor_and_cells():
-        # the whole-box tensor, and each cell's as energy_density_op takes it
-        return [fieldmodel._pair_tensor(modes, potential, geom, grid, None, order)] + [
-            fieldmodel._pair_tensor(modes, potential, geom, grid, c, order)
-            for c in range(grid.n_cells)]
-
-    tensors = tensor_and_cells()
-    monkeypatch.setattr(fieldmodel, "_quad_tensor", difference_quad_tensor)
-    refs = tensor_and_cells()
-    for tensor, ref in zip(tensors, refs):
-        assert np.max(np.abs(tensor - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for cell in [None, *range(grid.n_cells)]:
+        ref = difference_quad_tensor(modes, potential, grid, order, cell)
+        bound = 1e-13 * np.max(np.abs(ref))
+        sweep = fieldmodel._quad_tensor(modes, potential, grid, order, cell)
+        assert np.max(np.abs(sweep - ref)) <= bound
+        raw = sweep
+        if isinstance(potential, Gaussian):
+            raw = fieldmodel._gaussian_tensor(modes, potential, grid, order, cell)
+            assert np.max(np.abs(raw - ref)) <= bound
+            assert np.max(np.abs(raw - sweep)) <= bound
+            if cell is None:
+                assert np.all(raw[parity_forbidden(modes)] == 0.0)
+        assert np.array_equal(fieldmodel._pair_tensor(modes, potential, geom, grid, cell, order),
+                              fieldmodel._symmetrize_tensor(raw))
 
 
 SUM_GRIDS = {  # geometry, cells, modes, order

@@ -8,6 +8,8 @@ of acceptance check 1.  A second draw of box, modes, potential and uniform
 grid must keep the reflection selection rule of the whole-box quadrature
 tensor.
 """
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,6 @@ from boxgas.fieldmodel import (
     contact_tensor,
     hamiltonian,
     mode_energies,
-    mode_parities,
     modes_from_numbers,
     momentum_density_op,
     potential_tensor,
@@ -36,17 +37,9 @@ from dense_oracles import (
     dense_one_body,
     dense_two_body,
     difference_quad_tensor,
+    parity_forbidden,
     split_blocks,
 )
-
-
-def parity_forbidden(modes):
-    """n^4 mask of the pair-tensor entries [l1, l2, f2, f1] whose pair classes
-    p_l1 ^ p_l2 and p_f1 ^ p_f2 differ: the selection rule of a reflection-even
-    interaction over the whole box."""
-    parity = mode_parities(modes)
-    pair_class = parity[:, None] ^ parity[None, :]
-    return pair_class[:, :, None, None] != pair_class[None, None, :, :]
 
 
 @st.composite
@@ -133,22 +126,32 @@ def reflection_even_tensors(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=reflection_even_tensors())
-# a subnormal strength: max|V| is 6e-313, where 1e-13 of it is below the
-# smallest subnormal and the two sums differ by one ulp, 5e-324
+# subnormal strengths: max|V| is about 6e-313, where 1e-13 of it is below the
+# smallest subnormal; the two sums differ by one or two steps of 5e-324 on
+# the 1D box and by five on the 3D one, whose oracle sums 64 terms an entry
 @example(setup=(BoxGeometry((1.0,)), [[1], [2]], Gaussian(2.2250738585e-313, 0.5), (1,), 2))
+@example(setup=(BoxGeometry((2.0, 1.7578125, 1.6029041891567404)), [[1, 1, 1], [1, 1, 2]],
+                Gaussian(2.2250738585e-313, 0.3125), (1, 1, 1), 2))
 def test_parity_forbidden_entries_vanish_on_uniform_panels(setup):
     # the sum over every pair of grid points is reflection-even up to
-    # round-off; potential_tensor folds by parity, so its forbidden entries
-    # are exact zeros and its allowed ones agree with that sum to round-off.
-    # Round-off is 1e-13 of the scale, and never less than a few ulps of it:
-    # at a subnormal scale no relative precision is left
+    # round-off; potential_tensor assembles one parity class block at a time,
+    # so its forbidden entries are exact zeros and its allowed ones agree with
+    # that sum to round-off.
+    # Round-off is 1e-13 of the scale, and never less than a few ulps of it.
+    # Below the normal range every rounding of the oracle's sum is a fixed
+    # step, the smallest subnormal, so the floor counts its terms, one per
+    # pair of grid points; the floor is itself subnormal, so it never
+    # loosens a bound in the normal range
     geom, numbers, potential, cells, order = setup
     modes = modes_from_numbers(geom, numbers)
     grid = CellGrid(geom, cells)
     forbidden = parity_forbidden(modes)
     oracle = _symmetrize_tensor(difference_quad_tensor(modes, potential, grid, order, None))
     scale = np.max(np.abs(oracle))
-    bound = max(1e-13 * scale, 4 * np.spacing(scale))
+    terms = math.prod(c * order for c in cells) ** 2
+    floor = 2 * terms * np.nextafter(0.0, 1.0)
+    assert floor < np.finfo(float).smallest_normal
+    bound = max(1e-13 * scale, 4 * np.spacing(scale), floor)
     assert np.max(np.abs(oracle[forbidden]), initial=0.0) <= bound
     tensor = _pair_tensor(modes, potential, geom, grid, None, order)
     assert np.all(tensor[forbidden] == 0.0)
