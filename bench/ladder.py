@@ -16,12 +16,14 @@ generator's energy residual, its sampled positivity and the negative-time
 witness are, `evolve` on two cells [2, 1, 1] with `evolve.steps=4`, where
 the generator images of the moment kernels and the closure's fits are, or
 `maxent` on eight cells [2, 2, 2], where the eight per-cell pair tensors
-and the max-ent fit over the 16 cell constraints are.  Every call is a
-fresh `python -m boxgas.cli` process with the BLAS and OpenMP thread
-variables pinned to 1, importing `boxgas` from `src/` of this checkout (as
-does this script, for the 3D mode list); its wall time
-and the peak RSS the kernel reports for that process (`os.wait4`) are
-recorded.  This is a plain script, not a test and not a benchmark gate.
+and the max-ent fit over the 16 cell constraints are.  One `boxgas --version`
+call after the rungs records the start-up floor that every call includes
+(`startup`: the interpreter, numpy and the package imports, no payload).
+Every call is a fresh `python -m boxgas.cli` process with the BLAS and
+OpenMP thread variables pinned to 1, importing `boxgas` from `src/` of this
+checkout (as does this script, for the 3D mode list); its wall time and the
+peak RSS the kernel reports for that process (`os.wait4`) are recorded.
+This is a plain script, not a test and not a benchmark gate.
 """
 from __future__ import annotations
 
@@ -77,24 +79,31 @@ def pair3d_overrides(modes: int, command: str) -> list[str]:
             + ["modes.numbers=" + json.dumps(numbers).replace(" ", "")])
 
 
+def timed_process(args: list[str], env: dict, err) -> dict:
+    """Exit code, wall time and peak RSS of one `python -m boxgas.cli` process."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "boxgas.cli", *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=err)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    return {"exit_code": os.waitstatus_to_exitcode(status), "wall_s": round(wall, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1)}
+
+
 def run_call(command: str, sets: list[str], env: dict) -> dict:
     with tempfile.TemporaryDirectory() as out:
-        args = [sys.executable, "-m", "boxgas.cli", command, "--out", out, "--quiet"]
+        args = [command, "--out", out, "--quiet"]
         for item in sets:
             args += ["--set", item]
         with open(Path(out) / "stderr.txt", "w+b") as err:
-            start = time.perf_counter()
-            proc = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL, stderr=err)
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - start
+            timed = timed_process(args, env, err)
             err.seek(0)
             stderr = err.read().decode(errors="replace")
-        code = os.waitstatus_to_exitcode(status)
         report = Path(out) / "report.json"
         passed = json.loads(report.read_text())["passed"] if report.exists() else None
-    row = {"command": command, "exit_code": code, "passed": passed,
-           "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1)}
-    if code != 0:
+    row = {"command": command, "exit_code": timed["exit_code"], "passed": passed,
+           "wall_s": timed["wall_s"], "peak_rss_mb": timed["peak_rss_mb"]}
+    if row["exit_code"] != 0:
         row["stderr_tail"] = stderr.strip().splitlines()[-3:]
     return row
 
@@ -118,6 +127,10 @@ def main() -> None:
             print(f"{box:6s} modes {modes} n_max {n_max} dim {dim:5d} "
                   f"{call['command']:16s} {call['wall_s']:8.2f} s "
                   f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
+    # last, so that the bytecode is compiled as it is for every rung but the first
+    startup = timed_process(["--version"], env, subprocess.DEVNULL)
+    print(f"start-up (boxgas --version) {startup['wall_s']:8.2f} s "
+          f"{startup['peak_rss_mb']:8.1f} MB exit {startup['exit_code']}", flush=True)
     result = {
         "config": {"1d": "defaults, Bose, 1D modes 1..n, grid.cells=[2], evolve.steps=4",
                    "pair3d": "defaults with " + " ".join(PAIR3D_SETS)
@@ -131,6 +144,7 @@ def main() -> None:
             "nproc": os.cpu_count(),
             "threads": {var: env[var] for var in THREAD_VARS},
         },
+        "startup": startup,
         "rungs": rungs,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")

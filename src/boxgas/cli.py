@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -68,8 +68,7 @@ from .scattering import (
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-@dataclass
-class RunContext:
+class RunContext(NamedTuple):
     cfg: dict
     geom: BoxGeometry
     modes: list
@@ -77,7 +76,6 @@ class RunContext:
     basis: object
     grid: CellGrid
     potential: object
-    v_pair: np.ndarray
     fields: LagrangeFields
 
 
@@ -100,17 +98,22 @@ def _build_context(cfg: dict) -> RunContext:
     basis = build_basis(len(modes), cfg["basis"]["n_max"], statistics)
     grid = CellGrid(geom, tuple(cfg["grid"]["cells"]))
     potential = _potential_from_config(cfg["potential"])
-    v_pair = pair_matrix_from_tensor(
-        potential_tensor(modes, potential, geom, order=cfg["potential"]["order"]), statistics)
     fields = LagrangeFields(beta=np.asarray(cfg["fields"]["beta"], dtype=float),
                             mu=np.asarray(cfg["fields"]["mu"], dtype=float))
-    return RunContext(cfg, geom, modes, statistics, basis, grid, potential,
-                      v_pair, fields)
+    return RunContext(cfg, geom, modes, statistics, basis, grid, potential, fields)
+
+
+def _pair_matrix(ctx: RunContext) -> np.ndarray:
+    """The whole-box interaction over `pair_basis`; `maxent` and `micro-demo`
+    read only the cell tensors, so it is formed where it is read."""
+    tensor = potential_tensor(ctx.modes, ctx.potential, ctx.geom,
+                              order=ctx.cfg["potential"]["order"])
+    return pair_matrix_from_tensor(tensor, ctx.statistics)
 
 
 def _coefficients(ctx: RunContext):
     cfg = ctx.cfg
-    return coefficients_from_potential(ctx.modes, ctx.v_pair, ctx.statistics,
+    return coefficients_from_potential(ctx.modes, _pair_matrix(ctx), ctx.statistics,
                                        eps=cfg["scattering"]["eps"],
                                        delta=cfg["generator"]["delta"])
 
@@ -278,7 +281,7 @@ def _payload_modes(cfg):
 
 def _payload_build(cfg):
     ctx = _build_context(cfg)
-    h = hamiltonian(ctx.basis, ctx.modes, ctx.v_pair)
+    h = hamiltonian(ctx.basis, ctx.modes, _pair_matrix(ctx))
     defect = max(hermiticity_defect(block) for block in h.blocks)
     scale = max(h.norm(), 1.0)
     evals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in h.blocks]))
@@ -298,7 +301,7 @@ def _payload_build(cfg):
 def _payload_tmatrix(cfg):
     ctx = _build_context(cfg)
     pairs = pair_basis(len(ctx.modes), ctx.statistics)
-    v_pair = ctx.v_pair.astype(complex)  # as T is: frob of the real V rounds differently
+    v_pair = _pair_matrix(ctx).astype(complex)  # as T is: frob of the real V rounds differently
     t_on = onshell_tmatrix(ctx.modes, v_pair, ctx.statistics, cfg["scattering"]["eps"])
     t_norm = frob(t_on)
     v_norm = frob(v_pair)

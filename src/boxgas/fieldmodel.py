@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ def mode_parities(modes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # potentials
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(NamedTuple):
     def __call__(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
 
@@ -157,8 +157,7 @@ class SoftLennardJones:
         return 4.0 * self.epsilon * (s6 * s6 - s6)
 
 
-@dataclass(frozen=True)
-class Contact:
+class Contact(NamedTuple):
     """1D delta interaction; only enters through analytic mode overlaps."""
 
     g: float
@@ -284,9 +283,22 @@ def cell_overlaps(modes, grid: CellGrid, cell: int):
 
 @functools.cache
 def _legendre_rule(order: int):
-    """Gauss-Legendre nodes and weights of `order` points on [-1, 1], read-only;
-    numpy refines them by Newton steps on every call, so each order is formed once."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights of `order` points on [-1, 1], read-only.
+
+    Golub & Welsch (Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues
+    of the symmetric tridiagonal Jacobi matrix of the Legendre recurrence,
+    whose off-diagonal entries are k / sqrt(4 k^2 - 1), and each weight is 2
+    times the squared first component of its unit eigenvector.  Both are then
+    mirror-symmetrized and the weights scaled to sum to 2, as numpy's
+    `leggauss` does.
+    """
+    k = np.arange(1.0, order)
+    jacobi = np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1)  # eigh reads the lower triangle
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = 2.0 * vectors[0] ** 2
+    base_x = 0.5 * (nodes - nodes[::-1])
+    base_w = 0.5 * (weights + weights[::-1])
+    base_w *= 2.0 / base_w.sum()
     base_x.flags.writeable = base_w.flags.writeable = False
     return base_x, base_w
 
@@ -310,8 +322,12 @@ def _axis_mode_values(numbers_axis: np.ndarray, pts: np.ndarray, length: float) 
 
 
 def _symmetrize_tensor(t: np.ndarray) -> np.ndarray:
-    t = 0.5 * (t + t.transpose(1, 0, 3, 2))
-    return 0.5 * (t + t.conj().transpose(3, 2, 1, 0))
+    # each sum is halved in place: no n^4 temporary beyond the sums themselves
+    t = t + t.transpose(1, 0, 3, 2)
+    t *= 0.5
+    out = t + t.conj().transpose(3, 2, 1, 0)
+    out *= 0.5
+    return out
 
 
 # entries per block of rows: kernel values V(|x - y|) on x rows in

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ def basis_dimension(n_modes: int, n_max: int, statistics: Statistics) -> int:
     return sum(sector_dimension(n_modes, n, statistics) for n in range(min(n_max, n_modes) + 1))
 
 
-@dataclass(frozen=True)
-class PairFormat:
+class PairFormat(NamedTuple):
     """The normalized pair states |q> = n_q adag_{q1} adag_{q2} |0> that index the
     two-particle sector: every two-body operator is a P x P matrix over them.
 
@@ -109,7 +109,7 @@ def pair_one_body(kernel: np.ndarray, statistics: Statistics) -> np.ndarray:
     return fmt.norm_outer * m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation-number basis, graded by total number then lexicographic.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def default_delta(modes, statistics: Statistics) -> float:
     return float(np.mean(gaps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorCoefficients:
     """Effective interaction, jump amplitudes, and the smearing width behind them.
 
@@ -272,8 +273,7 @@ def _adjoint_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conjugate(y, out=y)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     n_samples: int
     tau_max: float
     min_real: float
@@ -323,8 +323,7 @@ def positivity_check(lp: Lprime, n_samples: int = 1000, tau_max: float = 1e-3,
                             worst_sample, worst_tau)
 
 
-@dataclass(frozen=True)
-class NegativeTauWitness:
+class NegativeTauWitness(NamedTuple):
     tau: float
     q_value: float
     gain_form: float
@@ -425,8 +424,7 @@ def negative_tau_witness(lp: Lprime, tau: float = -1e-3,
     )
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     delta: float
     mass_residual: float
     energy_residual: float

@@ -16,6 +16,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class FitError(ValueError):
     """A maximum-entropy fit failed to meet its targets; a closer start may succeed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangeFields:
     """Per-cell inverse temperature and chemical potential."""
 
@@ -65,7 +66,7 @@ class LagrangeFields:
         return self.beta.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Per-cell energy and mass targets."""
 
@@ -87,7 +88,7 @@ class ConstraintSet:
         return self.energy.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellObservables:
     """Cell energy and mass operators as the block constraint family.
 
@@ -138,7 +139,7 @@ class CellObservables:
         return chi_matrix(state, self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellKernels:
     """Cell energy and mass as one-body kernels: the mode constraint family.
 
@@ -242,8 +243,7 @@ class CellKernels:
 ConstraintFamily = CellObservables | CellKernels
 
 
-@dataclass(frozen=True)
-class _TotalLevels:
+class _TotalLevels(NamedTuple):
     """The box totals sum_c E_c and sum_c M_c as a constraint family on fixed levels.
 
     Every operator conserves number and the cell masses sum to MASS N, so the
@@ -332,8 +332,7 @@ def multipliers_to_fields(y: np.ndarray) -> LagrangeFields:
     return LagrangeFields(beta=alpha, mu=-y[n:] / alpha)
 
 
-@dataclass(frozen=True)
-class SectorSpectrum:
+class SectorSpectrum(NamedTuple):
     """Eigenvector blocks of a block-diagonal exponent, one eigh per block."""
 
     exponent: BlockDiagonal
@@ -344,7 +343,7 @@ class SectorSpectrum:
         return self.exponent.slices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSpectrum:
     """Eigenpairs of the exponent dGamma(k), read off k = U diag(energies) U^dagger.
 
@@ -372,7 +371,7 @@ class ModeSpectrum:
         return self.rotated.diagonal(0, 1, 2).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsState:
     """exp(-K)/Z kept per diagonal block of K (the number sectors).
 
@@ -535,8 +534,7 @@ def chi_matrix(state: GibbsState, ops: BlockDiagonal) -> np.ndarray:
     return chi.real
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     fields: LagrangeFields
     state: GibbsState
     iterations: int

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class ClosureSystem:
         return gibbs_state(self.basis, self.family, fields)
 
 
-@dataclass(frozen=True)
-class RhsReport:
+class RhsReport(NamedTuple):
     moment_rates: np.ndarray
     condition: float
     chi: np.ndarray
@@ -104,7 +104,7 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
     return RhsReport(b, float(top / evals[0]), chi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrajectory:
     times: np.ndarray
     fields: tuple

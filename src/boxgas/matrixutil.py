@@ -35,7 +35,7 @@ def trace_product(a: np.ndarray, b: np.ndarray):
     return np.einsum("...ij,...ji->...", a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDiagonal:
     """Block-diagonal matrix over contiguous index slices, or a stack of them.
 

@@ -10,6 +10,7 @@ particle reduces to plain matrix algebra on a Q_dim x Q_dim state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ def micro_vacuum_weight(macro_weight: np.ndarray, mset: MicroModeSet) -> np.ndar
     return np.kron(np.asarray(macro_weight), proj)
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(NamedTuple):
     mset: MicroModeSet
     macro_weight: np.ndarray
     micro_matrix: np.ndarray

@@ -8,7 +8,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +145,7 @@ def collision_time_estimate(t_onshell: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # coarse-grained window
 
-@dataclass(frozen=True)
-class CoarseWindow:
+class CoarseWindow(NamedTuple):
     tau0: float
     t_max: float
     times: np.ndarray
@@ -175,8 +174,7 @@ def coarse_window(tau0: float, w_h: float, w_k: float) -> CoarseWindow:
     return CoarseWindow(tau0, t_max, times)
 
 
-@dataclass(frozen=True)
-class CoarseReport:
+class CoarseReport(NamedTuple):
     h: int
     k: int
     window: CoarseWindow

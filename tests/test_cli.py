@@ -302,7 +302,7 @@ def test_tmatrix_builds_no_generator_coefficients(tmp_path, monkeypatch, workloa
     overrides = () if workload == "default" else WORKLOADS.WORKLOADS[workload].overrides
     cfg = load_config(None, overrides)
     ctx = cli._build_context(cfg)
-    want = coefficients_from_potential(ctx.modes, ctx.v_pair, ctx.statistics,
+    want = coefficients_from_potential(ctx.modes, cli._pair_matrix(ctx), ctx.statistics,
                                        eps=cfg["scattering"]["eps"],
                                        delta=cfg["generator"]["delta"]).t_onshell
 
@@ -446,6 +446,18 @@ def load_workloads():
 WORKLOADS = load_workloads()
 
 
+def loaded_after_calls(calls, module):
+    """Whether `module` is in sys.modules after the CLI calls, in a fresh process."""
+    probe = ("import json, sys; from boxgas.cli import main\n"
+             "for args in json.loads(sys.argv[1]):\n"
+             "    main.main(args, standalone_mode=False)\n"
+             "print(sys.argv[2] in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe, json.dumps(calls), module], env=env,
+                            check=True, capture_output=True, text=True).stdout.split()
+    return loaded[-1] == "True"
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_workload_commands_do_not_load_numpy_ma(name, tmp_path):
     # numpy.ma is imported lazily by calls such as np.unique; loading it adds
@@ -453,14 +465,15 @@ def test_workload_commands_do_not_load_numpy_ma(name, tmp_path):
     workload = WORKLOADS.WORKLOADS[name]
     calls = [WORKLOADS.cli_args(workload, command, str(REPO), str(tmp_path / command), 0)
              for command in workload.commands]
-    probe = ("import json, sys; from boxgas.cli import main\n"
-             "for args in json.loads(sys.argv[1]):\n"
-             "    main.main(args, standalone_mode=False)\n"
-             "print('numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    loaded = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)], env=env,
-                            check=True, capture_output=True, text=True).stdout.split()
-    assert loaded[-1] == "False"
+    assert not loaded_after_calls(calls, "numpy.ma")
+
+
+def test_gaussian_build_does_not_load_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule is one eigh (`fieldmodel._legendre_rule`);
+    # numpy.polynomial's modules would add to the set-up of every call
+    args = WORKLOADS.cli_args(WORKLOADS.WORKLOADS["pair3d"], "build", str(REPO),
+                              str(tmp_path), 0)
+    assert not loaded_after_calls([args], "numpy.polynomial")
 
 
 def test_report_versions_omit_scipy(tmp_path):

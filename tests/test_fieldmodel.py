@@ -515,6 +515,21 @@ def test_quadrature_gram_matrix_is_identity():
     assert quadrature_gram_defect(modes3, GEOM_3D, order=16) < 1e-12
 
 
+def test_legendre_rule_matches_leggauss():
+    # against 40-digit values, leggauss's weights are off by up to about 18 eps
+    # by order 40 and the Golub-Welsch ones by about 3 eps, so the weight bound
+    # grows with the order
+    eps = np.finfo(float).eps
+    for order in range(1, 41):
+        x, w = fieldmodel._legendre_rule(order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(x - ref_x)) <= 4 * eps, order
+        assert np.max(np.abs(w - ref_w)) <= order * eps, order
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), order
+        assert abs(w.sum() - 2.0) <= 4 * eps, order
+        assert not (x.flags.writeable or w.flags.writeable)
+
+
 def test_3d_tensor_small_case_runs_and_is_symmetric():
     modes = box_modes(GEOM_3D, 2)
     pot = Gaussian(g=0.5, sigma=0.4)

@@ -26,6 +26,7 @@ from boxgas.fieldmodel import (
     whole_box_grid,
 )
 from boxgas.fock import Statistics, build_basis, one_body_operator, pair_basis, two_body_operator
+from boxgas.generator import PositivityReport
 from boxgas.gibbs import (
     MAX_ITER,
     _km_kernel,
@@ -103,6 +104,20 @@ def test_field_validation():
         LagrangeFields(np.array([1.0]), np.zeros(2))
     f = uniform_fields(3, beta=2.0, mu=-0.5)
     assert f.n_cells == 3
+
+
+def test_array_holders_compare_by_identity_and_records_keep_their_fields():
+    # field-wise == and hash() of array fields would raise ("truth value ...
+    # ambiguous", "unhashable type"), so states and operators compare as objects
+    _, basis, _, obs = make_system()
+    fields = uniform_fields(1, beta=0.7, mu=0.1)
+    first, second = (gibbs_state(basis, obs, fields) for _ in range(2))
+    for a, b in ((first, second), (first.weight_blocks, second.weight_blocks)):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+    assert FitResult._fields == ("fields", "state", "iterations", "residual_norms")
+    assert PositivityReport._fields == ("n_samples", "tau_max", "min_real", "max_imag",
+                                        "passed", "worst_sample", "worst_tau")
 
 
 def test_constraint_set_validation():
