@@ -35,7 +35,7 @@ from .fieldmodel import (
 from .fock import Statistics, build_basis, pair_matrix_from_tensor
 from .generator import (
     Lprime,
-    coefficients_from_potential,
+    build_coefficients,
     conservation_report,
     negative_tau_witness,
     positivity_check,
@@ -58,7 +58,6 @@ from .microsystem import (
     reduce_expectation,
 )
 from .scattering import (
-    collision_time_estimate,
     onshell_tmatrix,
     pair_basis,
     pair_energies,
@@ -112,14 +111,13 @@ def _pair_matrix(ctx: RunContext) -> np.ndarray:
 
 
 def _coefficients(ctx: RunContext):
-    cfg = ctx.cfg
-    return coefficients_from_potential(ctx.modes, _pair_matrix(ctx), ctx.statistics,
-                                       eps=cfg["scattering"]["eps"],
-                                       delta=cfg["generator"]["delta"])
+    t_on = onshell_tmatrix(ctx.modes, _pair_matrix(ctx), ctx.statistics,
+                           ctx.cfg["scattering"]["eps"])
+    return build_coefficients(ctx.modes, t_on, ctx.statistics, ctx.cfg["generator"]["delta"])
 
 
 def _observables(ctx: RunContext):
-    return cell_observables(ctx.basis, ctx.modes, ctx.grid, ctx.potential, ctx.geom,
+    return cell_observables(ctx.basis, ctx.modes, ctx.grid, ctx.potential,
                             order=ctx.cfg["potential"]["order"])
 
 
@@ -367,7 +365,6 @@ def _payload_generator_check(cfg):
                                       pos.min_real > -1e-10),
         "positivity_max_imag": _max_check(pos.max_imag, 1e-10),
     }
-    tau0 = collision_time_estimate(coeffs.t_onshell)
     values = {
         "delta": coeffs.delta,
         "energy_residual": cons.energy_residual,
@@ -375,7 +372,7 @@ def _payload_generator_check(cfg):
         "energy_collision": cons.energy_collision,
         "n_samples": pos.n_samples,
         "tau_max": pos.tau_max,
-        "collision_time": tau0 if math.isfinite(tau0) else None,
+        "collision_time": coeffs.tau0 if math.isfinite(coeffs.tau0) else None,
     }
     # with no two-particle sector every channel vanishes, as at zero coupling
     if ctx.basis.n_max >= 2 and frob(coeffs.jump) > 0.0:

@@ -534,8 +534,7 @@ def _gaussian_tensor(modes, potential: Gaussian, grid: CellGrid, order: int,
     return out.reshape(nf, nf, nf, nf).transpose(0, 2, 3, 1)
 
 
-def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int | None,
-                 order: int) -> np.ndarray:
+def _pair_tensor(modes, potential, grid: CellGrid, cell: int | None, order: int) -> np.ndarray:
     """Pair tensor V[l1, l2, f2, f1] over the whole box (cell None) or with one
     interaction coordinate restricted to one cell of `grid`.
 
@@ -547,7 +546,7 @@ def _pair_tensor(modes, potential, geom: BoxGeometry, grid: CellGrid, cell: int 
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     if isinstance(potential, Contact):
-        return contact_tensor(modes, potential, geom if cell is None else (grid, cell))
+        return contact_tensor(modes, potential, grid.geom if cell is None else (grid, cell))
     if isinstance(potential, Zero):
         return np.zeros((len(modes),) * 4)
     quad = _gaussian_tensor if isinstance(potential, Gaussian) else _quad_tensor
@@ -569,7 +568,7 @@ def potential_tensor(modes, potential, geom: BoxGeometry, order: int = 8) -> np.
     analytic contact tensor.  A tensor with one coordinate restricted to a
     cell obeys no such rule.
     """
-    return _pair_tensor(modes, potential, geom, whole_box_grid(geom), None, order)
+    return _pair_tensor(modes, potential, whole_box_grid(geom), None, order)
 
 
 def potential_tensor_error(modes, potential, geom: BoxGeometry, order: int = 8) -> float:
@@ -645,7 +644,6 @@ def energy_density_op(
     grid: CellGrid,
     cell: int,
     potential,
-    geom: BoxGeometry,
     order: int = 8,
 ) -> BlockDiagonal:
     """Cell energy.
@@ -657,7 +655,7 @@ def energy_density_op(
     """
     kernel, _ = cell_kernels(modes, grid, cell)
     out = one_body_operator(basis, kernel)
-    tensor = _pair_tensor(modes, potential, geom, grid, cell, order)
+    tensor = _pair_tensor(modes, potential, grid, cell, order)
     if not tensor.any():
         return out
     return out + two_body_operator(basis, pair_matrix_from_tensor(tensor, basis.statistics))

@@ -50,24 +50,15 @@ class PairFormat(NamedTuple):
     two-particle sector: every two-body operator is a P x P matrix over them.
 
     `q1` and `q2` hold the modes of the P pairs, q1 <= q2 (q1 < q2 for Fermi),
-    and `p1`, `p2` the same as (P, 1) columns, for the row index of a P x P
-    matrix.  `norms` holds n_q (1/sqrt 2 on a doubly occupied Bose mode, 1
-    otherwise) and `norm_outer` n_p n_q; `sign` is the exchange sign, -1 for
-    Fermi and +1 for Bose.  Every array is read-only.
+    `norms` holds n_q (1/sqrt 2 on a doubly occupied Bose mode, 1 otherwise),
+    and `sign` is the exchange sign, -1 for Fermi and +1 for Bose.  Every
+    array is read-only.
     """
 
     q1: np.ndarray
     q2: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
     norms: np.ndarray
-    norm_outer: np.ndarray
     sign: float
-
-    def project(self, tensor: np.ndarray) -> np.ndarray:
-        """`pair_matrix_from_tensor` of an (n, n, n, n) tensor over these pairs."""
-        return self.norm_outer * (tensor[self.p1, self.p2, self.q2, self.q1]
-                                  + self.sign * tensor[self.p1, self.p2, self.q1, self.q2])
 
 
 @cache
@@ -75,10 +66,9 @@ def pair_format(n_modes: int, statistics: Statistics) -> PairFormat:
     """The one `PairFormat` of each mode count and statistics, built on first use."""
     q1, q2 = np.triu_indices(n_modes, 0 if statistics is Statistics.BOSE else 1)
     norms = np.where(q1 == q2, 1.0 / np.sqrt(2.0), 1.0)
-    arrays = (q1, q2, q1[:, None], q2[:, None], norms, np.outer(norms, norms))
-    for array in arrays:
+    for array in (q1, q2, norms):
         array.setflags(write=False)
-    return PairFormat(*arrays, -1.0 if statistics is Statistics.FERMI else 1.0)
+    return PairFormat(q1, q2, norms, -1.0 if statistics is Statistics.FERMI else 1.0)
 
 
 def pair_basis(n_modes: int, statistics: Statistics) -> list[tuple[int, int]]:
@@ -89,13 +79,17 @@ def pair_basis(n_modes: int, statistics: Statistics) -> list[tuple[int, int]]:
 
 def pair_matrix_from_tensor(tensor: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Matrix elements <p| (1/2) sum tensor[l1,l2,f2,f1] adag_l1 adag_l2 a_f2 a_f1 |q>
-    between the normalized pair states of `pair_format`.
+    between the normalized pair states of `pair_format`:
+    n_p n_q (tensor[p1,p2,q2,q1] + s tensor[p1,p2,q1,q2]), s the exchange sign.
 
     Requires the exchange-symmetrized tensor, tensor[l1,l2,f2,f1] ==
     tensor[l2,l1,f1,f2]; the result is hermitian when the tensor is, and
     real when it is.
     """
-    return pair_format(len(tensor), statistics).project(tensor)
+    fmt = pair_format(len(tensor), statistics)
+    p1, p2, q1, q2 = fmt.q1[:, None], fmt.q2[:, None], fmt.q1, fmt.q2
+    return fmt.norms[:, None] * fmt.norms * (tensor[p1, p2, q2, q1]
+                                             + fmt.sign * tensor[p1, p2, q1, q2])
 
 
 def pair_one_body(kernel: np.ndarray, statistics: Statistics) -> np.ndarray:
@@ -103,10 +97,10 @@ def pair_one_body(kernel: np.ndarray, statistics: Statistics) -> np.ndarray:
     n_p n_q (K[p1,q1] d[p2,q2] + K[p2,q2] d[p1,q1] + s K[p2,q1] d[p1,q2]
     + s K[p1,q2] d[p2,q1]), with s the exchange sign."""
     fmt = pair_format(len(kernel), statistics)
-    p1, p2, q1, q2 = fmt.p1, fmt.p2, fmt.q1, fmt.q2
+    p1, p2, q1, q2 = fmt.q1[:, None], fmt.q2[:, None], fmt.q1, fmt.q2
     m = ((p2 == q2) * kernel[p1, q1] + (p1 == q1) * kernel[p2, q2]
          + fmt.sign * ((p1 == q2) * kernel[p2, q1] + (p2 == q1) * kernel[p1, q2]))
-    return fmt.norm_outer * m
+    return fmt.norms[:, None] * fmt.norms * m
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from .fock import (FockBasis, Statistics, _scatter, one_body_operator, pair_basi
                    pair_one_body)
 from .fock import ladder_ops  # noqa: F401  (unused: perfbench/selftest.py patches it by this name)
 from .matrixutil import BlockDiagonal
-from .scattering import onshell_tmatrix, pair_energies
+from .scattering import collision_time_estimate, pair_energies
 
 SUPPORT_FACTOR = 4.0
 MASS_TOL = 1e-10
@@ -64,9 +64,10 @@ class GeneratorCoefficients:
     Every array is P x P over `pair_format`: `veff` = (T + T^dagger)/2 is the
     pair matrix of the effective interaction, and `jump` =
     sqrt(2 pi/hbar S(E_p - E_q)) o T, whose row p gives the channel operator
-    R_p = sum_q jump[p, q] A_q of the outgoing pair p.  `t_onshell` is a
-    read-only view of the on-shell matrix T that the caller passed, not a copy.
-    `gamma2` is the loss matrix Gamma2 = J^dagger J / 2, formed on first use.
+    R_p = sum_q jump[p, q] A_q of the outgoing pair p.  Of the on-shell matrix
+    T itself only the collision time `tau0` = `collision_time_estimate`(T) is
+    kept.  `gamma2` is the loss matrix Gamma2 = J^dagger J / 2, formed on
+    first use.
     """
 
     modes: tuple
@@ -74,7 +75,7 @@ class GeneratorCoefficients:
     veff: np.ndarray
     jump: np.ndarray
     delta: float
-    t_onshell: np.ndarray
+    tau0: float
 
     @property
     def n_modes(self) -> int:
@@ -101,18 +102,9 @@ def build_coefficients(modes, t_onshell: np.ndarray, statistics: Statistics,
         )
     energies = pair_energies(modes, pairs)
     window = smearing_kernel(energies[:, None] - energies[None, :], delta)
-    stored = t_onshell.view()  # read-only without a copy; the caller's flags stay
-    stored.setflags(write=False)
     return GeneratorCoefficients(modes, statistics, 0.5 * (t_onshell + t_onshell.conj().T),
                                  np.sqrt((2.0 * np.pi / HBAR) * window) * t_onshell,
-                                 float(delta), stored)
-
-
-def coefficients_from_potential(modes, v_pair, statistics: Statistics, eps: float,
-                                delta: float) -> GeneratorCoefficients:
-    """On-shell solve of V over `pair_basis`, followed by coefficient assembly."""
-    t_on = onshell_tmatrix(modes, v_pair, statistics, eps)
-    return build_coefficients(modes, t_on, statistics, delta)
+                                 float(delta), collision_time_estimate(t_onshell))
 
 
 def _ordered_jumps(coeffs: GeneratorCoefficients) -> np.ndarray:

@@ -22,13 +22,12 @@ import numpy as np
 
 from .fieldmodel import (
     MASS,
-    BoxGeometry,
     CellGrid,
     cell_kernels,
     energy_density_op,
     mass_density_op,
 )
-from .fock import FockBasis, Statistics, pair_format
+from .fock import FockBasis, Statistics, pair_matrix_from_tensor
 from .matrixutil import BlockDiagonal, require_hermitian
 
 FIT_TOL = 1e-8
@@ -277,15 +276,14 @@ class TwoBodyKernels:
     conj(U[l, a]) U[f, a], operator i has the value k1 . X nbar
     + 1/2 sum_pq k2[p, q] F2[p, q]: F = X (2G - diag G) X^T, laid out as
     [l1, l2, f2, f1], is the two-body tensor of the pair correlations, and F2
-    its `pair_matrix_from_tensor` projection, read through the `PairFormat`
-    held here.
+    its `pair_matrix_from_tensor` projection.
     """
 
     def __init__(self, one_body: np.ndarray, two_body: np.ndarray, statistics: Statistics):
         m, n = one_body.shape[:2]
         self.one_body = one_body.reshape(m, n * n)
         self.two_body = two_body.reshape(m, two_body.shape[1] * two_body.shape[2])
-        self.pairs = pair_format(n, statistics)
+        self.statistics = statistics
 
     def values(self, state: GibbsState) -> np.ndarray:
         u = state.spectrum.vectors
@@ -296,16 +294,16 @@ class TwoBodyKernels:
         folded = 2.0 * corr
         np.fill_diagonal(folded, corr.diagonal() - nbar)
         tensor = ((x @ folded) @ x.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)
-        f2 = self.pairs.project(tensor)
+        f2 = pair_matrix_from_tensor(tensor, self.statistics)
         values = self.one_body @ (x @ nbar) + 0.5 * (self.two_body @ f2.ravel())
         return real_values(values, "two-body kernel value")
 
 
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
-                     geom: BoxGeometry, order: int = 8) -> CellObservables:
+                     order: int = 8) -> CellObservables:
     cells = range(grid.n_cells)
     return CellObservables(BlockDiagonal.stack(
-        [energy_density_op(basis, modes, grid, c, potential, geom, order=order) for c in cells]
+        [energy_density_op(basis, modes, grid, c, potential, order=order) for c in cells]
         + [mass_density_op(basis, modes, grid, c) for c in cells]))
 
 

@@ -32,7 +32,6 @@ from .gibbs import (
     maxent_fit,
 )
 from .generator import GeneratorCoefficients, reduced_images
-from .scattering import collision_time_estimate
 
 SINGULAR_RATIO = 1e-13
 MAX_HALVINGS = 10
@@ -64,7 +63,7 @@ class ClosureSystem:
         self.kernels = self.family.kernels
         self.labels = tuple(f"energy[{c}]" for c in range(grid.n_cells)) + tuple(
             f"mass[{c}]" for c in range(grid.n_cells))
-        self.tau0 = collision_time_estimate(coeffs.t_onshell)
+        self.tau0 = coeffs.tau0
         self.rate_kernels = TwoBodyKernels(*reduced_images(coeffs, self.kernels),
                                            coeffs.statistics)
 

@@ -131,7 +131,9 @@ def onshell_tmatrix(modes, v_pair: np.ndarray, statistics: Statistics, eps: floa
     half, full = _spectral_tmatrix(v_pair, energies,
                                    [energies + 0.5j * eps, energies + 1j * eps],
                                    pair_classes(modes, pairs))
-    return 2.0 * half - full
+    half *= 2.0  # in place: no third P x P array
+    half -= full
+    return half
 
 
 def collision_time_estimate(t_onshell: np.ndarray) -> float:

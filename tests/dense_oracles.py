@@ -304,13 +304,14 @@ def tensor_from_pair_matrix(m, pairs, statistics, n_modes):
     return tensor
 
 
-def tensor_coefficients(coeffs):
-    """The coefficient tensors (veff, jump): the hermitian part of T and
+def tensor_coefficients(coeffs, t_on):
+    """The coefficient tensors (veff, jump) of the on-shell matrix t_on that
+    `coeffs` was built from: the hermitian part of T and
     sqrt(2 pi/hbar S(w_k + w_l - w_f2 - w_f1)) times T, each spread onto n^4
-    entries by `tensor_from_pair_matrix`."""
+    entries by `tensor_from_pair_matrix`.  Only the modes, statistics and
+    delta are read off `coeffs`, not its pair matrices."""
     n, statistics = coeffs.n_modes, coeffs.statistics
     pairs = pair_basis(n, statistics)
-    t_on = coeffs.t_onshell
     veff = tensor_from_pair_matrix(0.5 * (t_on + t_on.conj().T), pairs, statistics, n)
     w = mode_energies(coeffs.modes)
     mismatch = (w[:, None, None, None] + w[None, :, None, None]
@@ -320,9 +321,9 @@ def tensor_coefficients(coeffs):
         t_on, pairs, statistics, n)
 
 
-def dense_channel_ops(basis, coeffs):
+def dense_channel_ops(basis, coeffs, t_on):
     """R[k, l] = sum jump[k, l, f2, f1] a_f2 a_f1 over the dense pair stack."""
-    _, jump = tensor_coefficients(coeffs)
+    _, jump = tensor_coefficients(coeffs, t_on)
     return np.einsum("klfg,fgac->klac", jump, einsum_pair_stack(basis), optimize=True)
 
 
@@ -330,14 +331,14 @@ def dense_gamma(channels):
     return 0.25 * dagger_sum(channels, channels)
 
 
-def dense_parts(basis, coeffs, kernel):
+def dense_parts(basis, coeffs, t_on, kernel):
     """Streaming, loss and gain images of sum_hk kernel[h, k] a†_h a_k, all dense,
-    from the coefficient tensors."""
+    from the coefficient tensors of t_on."""
     a = loop_ladders(basis)
-    veff, _ = tensor_coefficients(coeffs)
+    veff, _ = tensor_coefficients(coeffs, t_on)
     h_eff = (dense_one_body(basis, np.diag(mode_energies(coeffs.modes)))
              + dense_two_body(basis, veff))
-    channels = dense_channel_ops(basis, coeffs)
+    channels = dense_channel_ops(basis, coeffs, t_on)
     gamma = dense_gamma(channels)
     ka = np.tensordot(kernel, a, axes=1)
     x = dagger_sum(a, ka)
@@ -347,7 +348,7 @@ def dense_parts(basis, coeffs, kernel):
     return stream, loss, gain
 
 
-def dense_reduced_images(coeffs, kernels):
+def dense_reduced_images(coeffs, t_on, kernels):
     """k1 and the tensor k2 with L'(dGamma(K)) = dGamma(k1) + dGamma2(k2), read off
     the dense images of `dense_parts` on an n_max 2 basis of the same modes
     (n_max 1 where the statistics leave no pair sector; k2 is then zero).
@@ -360,7 +361,7 @@ def dense_reduced_images(coeffs, kernels):
     """
     n, statistics = coeffs.n_modes, coeffs.statistics
     basis = build_basis(n, 2 if sector_dimension(n, 2, statistics) else 1, statistics)
-    images = np.array([sum(dense_parts(basis, coeffs, kernel)) for kernel in kernels])
+    images = np.array([sum(dense_parts(basis, coeffs, t_on, kernel)) for kernel in kernels])
     one = basis.sectors[1]
     singles = loop_ladders(basis)[:, 0, one]  # a_f on the one-particle rows: a permutation
     k1 = singles @ images[:, one, one] @ singles.T

@@ -38,7 +38,6 @@ from boxgas.fock import (
 from boxgas.generator import (
     Lprime,
     build_coefficients,
-    coefficients_from_potential,
     conservation_report,
     negative_tau_witness,
     positivity_check,
@@ -68,7 +67,6 @@ from boxgas.scattering import (
     WindowError,
     coarse_grained_check,
     coarse_window,
-    collision_time_estimate,
     onshell_tmatrix,
     scaling_exponent,
 )
@@ -116,9 +114,9 @@ def test_acceptance_1_algebra(capsys):
     grid2 = CellGrid(GEOM, (2,))
     energy_defect = 0.0
     for pot in (Gaussian(0.6, 0.3), Contact(0.5), Zero()):
-        tensor = _pair_tensor(modes, pot, GEOM, grid2, None, 8)
+        tensor = _pair_tensor(modes, pot, grid2, None, 8)
         h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, Statistics.BOSE)).dense()
-        tiled = sum(energy_density_op(basis, modes, grid2, c, pot, GEOM, order=8).dense()
+        tiled = sum(energy_density_op(basis, modes, grid2, c, pot, order=8).dense()
                     for c in range(grid2.n_cells))
         energy_defect = max(energy_defect, np.max(np.abs(tiled - h)))
 
@@ -170,11 +168,11 @@ def test_acceptance_3_coarse_grained_scaling(capsys):
     for g in couplings:
         vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(g, 0.25), GEOM, order=32),
                                      Statistics.BOSE)
-        coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
-                                             eps=5.0, delta=5.0)
+        coeffs = build_coefficients(modes, onshell_tmatrix(modes, vt, Statistics.BOSE, 5.0),
+                                    Statistics.BOSE, 5.0)
         lp = Lprime(basis, coeffs)
         ham = hamiltonian(basis, modes, vt)
-        runs.append((g, lp, ham, collision_time_estimate(coeffs.t_onshell)))
+        runs.append((g, lp, ham, coeffs.tau0))
 
     # off-diagonal bilinears have no coarse window here: the phase time
     # hbar/|W_h - W_k| sits far below 5*tau0, so diagonals are the tested set
@@ -218,8 +216,8 @@ def test_acceptance_4_positivity(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
     vt = pair_matrix_from_tensor(contact_tensor(modes, Contact(1.0), GEOM), Statistics.BOSE)
-    coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
-                                         eps=10.0, delta=2.0)
+    coeffs = build_coefficients(modes, onshell_tmatrix(modes, vt, Statistics.BOSE, 10.0),
+                                Statistics.BOSE, 2.0)
     lp = Lprime(basis, coeffs)
     report = positivity_check(lp, n_samples=1000, tau_max=1e-3, seed=11)
     witness = negative_tau_witness(lp)
@@ -241,8 +239,8 @@ def test_acceptance_5_conservation(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
     vt = pair_matrix_from_tensor(contact_tensor(modes, Contact(1.0), GEOM), Statistics.BOSE)
-    coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
-                                         eps=10.0, delta=2.0)
+    coeffs = build_coefficients(modes, onshell_tmatrix(modes, vt, Statistics.BOSE, 10.0),
+                                Statistics.BOSE, 2.0)
     mass_residual = conservation_report(Lprime(basis, coeffs)).mass_residual
 
     numbers = (1, 4, 7, 8)
@@ -270,7 +268,7 @@ def test_acceptance_6_maxent_round_trip(capsys):
     modes = modes_from_numbers(GEOM, [(1,), (2,), (3,)])
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = CellGrid(GEOM, (2,))
-    obs = cell_observables(basis, modes, grid, Contact(0.8), GEOM)
+    obs = cell_observables(basis, modes, grid, Contact(0.8))
     true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
     energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
     targets = ConstraintSet(energy, mass_vals)

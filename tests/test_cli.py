@@ -21,7 +21,6 @@ from boxgas.cli import main
 from boxgas.config import ConfigError, load_config
 from boxgas.fieldmodel import BoxGeometry, Contact, modes_from_numbers, potential_tensor
 from boxgas.fock import Statistics, pair_basis, pair_matrix_from_tensor
-from boxgas.generator import coefficients_from_potential
 from boxgas.scattering import onshell_tmatrix
 from dense_oracles import tmatrix_table_text
 
@@ -302,15 +301,14 @@ def test_tmatrix_builds_no_generator_coefficients(tmp_path, monkeypatch, workloa
     overrides = () if workload == "default" else WORKLOADS.WORKLOADS[workload].overrides
     cfg = load_config(None, overrides)
     ctx = cli._build_context(cfg)
-    want = coefficients_from_potential(ctx.modes, cli._pair_matrix(ctx), ctx.statistics,
-                                       eps=cfg["scattering"]["eps"],
-                                       delta=cfg["generator"]["delta"]).t_onshell
+    want = onshell_tmatrix(ctx.modes, cli._pair_matrix(ctx), ctx.statistics,
+                           cfg["scattering"]["eps"])
 
     def refuse(*args, **kwargs):
         raise AssertionError("tmatrix built the generator coefficients")
 
     monkeypatch.setattr(generator, "build_coefficients", refuse)
-    monkeypatch.setattr(cli, "coefficients_from_potential", refuse)
+    monkeypatch.setattr(cli, "build_coefficients", refuse)
     args = ["tmatrix", "--out", str(tmp_path), "--quiet"]
     for item in overrides:
         args += ["--set", item]

@@ -217,7 +217,7 @@ def test_contact_energy_density_in_3d_box_is_rejected():
     basis = build_basis(2, 2, Statistics.BOSE)
     grid = CellGrid(geom, (2, 1, 1))
     with pytest.raises(ValueError, match="contact potential is 1D only"):
-        energy_density_op(basis, modes, grid, 0, Contact(g=0.5), geom)
+        energy_density_op(basis, modes, grid, 0, Contact(g=0.5))
 
 
 def test_zero_potential_tensor():
@@ -305,9 +305,9 @@ def test_energy_density_whole_box_equals_hamiltonian():
     basis = build_basis(3, 2, Statistics.BOSE)
     pot = Gaussian(g=0.6, sigma=0.3)
     grid = whole_box_grid(GEOM_1D)
-    tensor = fieldmodel._pair_tensor(modes, pot, GEOM_1D, grid, None, 8)
+    tensor = fieldmodel._pair_tensor(modes, pot, grid, None, 8)
     h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
-    e = energy_density_op(basis, modes, grid, 0, pot, GEOM_1D, order=8).dense()
+    e = energy_density_op(basis, modes, grid, 0, pot, order=8).dense()
     assert np.max(np.abs(e - h)) < 1e-11
 
 
@@ -316,15 +316,15 @@ def test_energy_density_cells_tile_hamiltonian():
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = CellGrid(GEOM_1D, (2,))
     for pot in [Gaussian(g=0.6, sigma=0.3), Contact(g=0.5), Zero()]:
-        tensor = fieldmodel._pair_tensor(modes, pot, GEOM_1D, grid, None, 8)
+        tensor = fieldmodel._pair_tensor(modes, pot, grid, None, 8)
         h = hamiltonian(basis, modes, pair_matrix_from_tensor(tensor, basis.statistics)).dense()
         total = sum(
-            energy_density_op(basis, modes, grid, c, pot, GEOM_1D, order=8).dense()
+            energy_density_op(basis, modes, grid, c, pot, order=8).dense()
             for c in range(grid.n_cells)
         )
         assert np.max(np.abs(total - h)) < 1e-11
     free_total = sum(
-        energy_density_op(basis, modes, grid, c, Zero(), GEOM_1D).dense()
+        energy_density_op(basis, modes, grid, c, Zero()).dense()
         for c in range(grid.n_cells)
     )
     assert np.max(np.abs(free_total - free_hamiltonian(basis, modes).dense())) < 1e-11
@@ -338,7 +338,7 @@ def test_energy_density_kinetic_kernel_matches_quadrature():
     cell = 0
     lo, hi = grid.bounds(cell)[0]
     singles = [state_index(basis, tuple(np.eye(3, dtype=int)[k])) for k in range(3)]
-    built = energy_density_op(basis, modes, grid, cell, Zero(), GEOM_1D).dense()
+    built = energy_density_op(basis, modes, grid, cell, Zero()).dense()
     for i, h_idx in enumerate(singles):
         for j, k_idx in enumerate(singles):
             def integrand(x, fi=i + 1, fj=j + 1):
@@ -584,7 +584,7 @@ def test_quadrature_tensors_equal_difference_array_oracle(monkeypatch, case, pot
             assert np.max(np.abs(raw - sweep)) <= bound
             if cell is None:
                 assert np.all(raw[parity_forbidden(modes)] == 0.0)
-        assert np.array_equal(fieldmodel._pair_tensor(modes, potential, geom, grid, cell, order),
+        assert np.array_equal(fieldmodel._pair_tensor(modes, potential, grid, cell, order),
                               fieldmodel._symmetrize_tensor(raw))
 
 
@@ -608,8 +608,8 @@ def test_cell_pair_tensors_sum_to_whole_box_tensor(case):
     modes = box_modes(geom, n_modes)
     grid = CellGrid(geom, cells)
     potential = Gaussian(0.8, 0.25)
-    whole = fieldmodel._pair_tensor(modes, potential, geom, grid, None, order)
-    tiled = sum(fieldmodel._pair_tensor(modes, potential, geom, grid, c, order)
+    whole = fieldmodel._pair_tensor(modes, potential, grid, None, order)
+    tiled = sum(fieldmodel._pair_tensor(modes, potential, grid, c, order)
                 for c in range(grid.n_cells))
     assert np.max(np.abs(tiled - whole)) <= 1e-13 * np.max(np.abs(whole))
 
@@ -632,7 +632,7 @@ def test_quadrature_rejects_panels_that_do_not_mirror(monkeypatch, defect):
         potential_tensor(modes, Gaussian(0.8, 0.25), GEOM_1D, 8)
     with pytest.raises(ValueError, match="must mirror about the centre of each axis"):
         energy_density_op(build_basis(3, 2, Statistics.BOSE), modes, CellGrid(GEOM_1D, (2,)),
-                          0, Gaussian(0.8, 0.25), GEOM_1D, 8)
+                          0, Gaussian(0.8, 0.25), 8)
 
 
 def test_cell_grid_bounds_cover_box():

@@ -146,7 +146,8 @@ def test_dimension_cap_raises_without_summing_the_shells():
     (4, Statistics.BOSE, 10), (4, Statistics.FERMI, 6), (1, Statistics.FERMI, 0)])
 def test_pair_format_is_built_once_and_read_only(n_modes, statistics, n_pairs):
     fmt = pair_format(n_modes, statistics)
-    names = ("q1", "q2", "p1", "p2", "norms", "norm_outer")
+    names = ("q1", "q2", "norms")
+    assert fmt._fields == names + ("sign",)
     again = pair_format(n_modes, statistics)
     for name in names:
         array = getattr(fmt, name)
@@ -158,7 +159,7 @@ def test_pair_format_is_built_once_and_read_only(n_modes, statistics, n_pairs):
     pairs = [(f1, f2) for f1 in range(n_modes) for f2 in range(f1 + fermi, n_modes)]
     assert len(pairs) == n_pairs and pair_basis(n_modes, statistics) == pairs
     norms = [1.0 / np.sqrt(2.0) if f1 == f2 else 1.0 for f1, f2 in pairs]
-    assert np.array_equal(fmt.norm_outer, np.outer(norms, norms))
+    assert np.array_equal(fmt.norms, norms)
     assert fmt.sign == (-1.0 if fermi else 1.0)
 
 

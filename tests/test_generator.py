@@ -34,7 +34,6 @@ from boxgas.generator import (
     Lprime,
     _ordered_jumps,
     build_coefficients,
-    coefficients_from_potential,
     conservation_report,
     default_delta,
     negative_tau_witness,
@@ -43,7 +42,7 @@ from boxgas.generator import (
     smearing_kernel,
 )
 from boxgas.matrixutil import BlockDiagonal, frob
-from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
+from boxgas.scattering import collision_time_estimate, onshell_tmatrix, pair_basis, pair_energies
 from dense_oracles import (
     annihilator_kernel,
     comm,
@@ -123,7 +122,7 @@ def loss_coefficients(statistics):
     # a contact tensor vanishes for spinless fermions; give them a range
     modes = modes_1d((1, 2, 3))
     vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.5, 0.25), GEOM), statistics)
-    return coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
+    return build_coefficients(modes, onshell_tmatrix(modes, vt, statistics, 10.0), statistics, 5.0)
 
 
 def test_smearing_kernel_matches_scalar_formula():
@@ -172,15 +171,15 @@ def test_build_coefficients_entries_and_cutoff():
         build_coefficients(modes, t_on[:2, :2], Statistics.BOSE, 1.0)
 
 
-def test_build_coefficients_stores_a_read_only_view_of_t():
+def test_build_coefficients_keeps_tau0_and_no_view_of_t():
     modes = modes_1d([1, 2])
     t_on = np.eye(3) + 0.1j * np.ones((3, 3))
     coeffs = build_coefficients(modes, t_on, Statistics.BOSE, 2.0 * U)
-    assert not coeffs.t_onshell.flags.writeable
-    assert np.shares_memory(coeffs.t_onshell, t_on)
+    assert coeffs.tau0 == collision_time_estimate(t_on)
+    for array in (coeffs.veff, coeffs.jump, coeffs.gamma2):
+        assert not np.shares_memory(array, t_on)
     assert t_on.flags.writeable
-    with pytest.raises(ValueError):
-        coeffs.t_onshell[0, 0] = 0.0
+    assert build_coefficients(modes, np.zeros((3, 3)), Statistics.BOSE, 1.0).tau0 == math.inf
 
 
 def test_veff_hermitian_exchange_symmetric_and_born():
@@ -188,11 +187,11 @@ def test_veff_hermitian_exchange_symmetric_and_born():
     g, eps = 1e-3, 0.1
     vt = potential_tensor(modes, Contact(g), GEOM)
     v_pair = pair_matrix_from_tensor(vt, Statistics.BOSE)
-    coeffs = coefficients_from_potential(modes, v_pair, Statistics.BOSE,
-                                         eps, delta=5.0)
+    t_on = onshell_tmatrix(modes, v_pair, Statistics.BOSE, eps)
+    coeffs = build_coefficients(modes, t_on, Statistics.BOSE, 5.0)
     assert frob(coeffs.veff - coeffs.veff.conj().T) == 0.0
     # its tensor form is hermitian and exchange-symmetric
-    v, _ = tensor_coefficients(coeffs)
+    v, _ = tensor_coefficients(coeffs, t_on)
     assert frob(v - v.transpose(3, 2, 1, 0).conj()) < 1e-12 * max(1.0, frob(v))
     assert frob(v - v.transpose(1, 0, 3, 2)) < 1e-12 * max(1.0, frob(v))
     # weak coupling at finite eps: effective kernel reduces to the bare one
@@ -367,7 +366,8 @@ def test_conservation_split_matches_free_hamiltonian_commutator(inputs):
         modes = modes_1d((1, 2, 3, 5))
         vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.2, 0.3), GEOM),
                                      Statistics.FERMI)
-        coeffs = coefficients_from_potential(modes, vt, Statistics.FERMI, 10.0, delta=5.0)
+        coeffs = build_coefficients(modes, onshell_tmatrix(modes, vt, Statistics.FERMI, 10.0),
+                                    Statistics.FERMI, 5.0)
         basis = build_basis(4, 3, Statistics.FERMI)
     lp = Lprime(basis, coeffs)
     free = free_hamiltonian(basis, modes)
@@ -567,7 +567,7 @@ def test_negative_tau_witness_flips_sign():
 
 
 def test_apply_expands_over_bilinears():
-    modes, _, coeffs = contact_coefficients(g=1.2)
+    modes, t_on, coeffs = contact_coefficients(g=1.2)
     basis = build_basis(3, 2, Statistics.BOSE)
     lp = Lprime(basis, coeffs)
     w = np.array([m.w for m in modes])
@@ -581,7 +581,7 @@ def test_apply_expands_over_bilinears():
     assert (stacked[1] - lp.apply(c)).norm() == 0.0
     # against the loop-built oracle, for a kernel with no symmetry, at n_max 3
     deep = build_basis(3, 3, Statistics.BOSE)
-    oracle = sum(c[h, k] * oracle_bilinear_image(deep, modes, coeffs, h, k)
+    oracle = sum(c[h, k] * oracle_bilinear_image(deep, modes, coeffs, t_on, h, k)
                  for h in range(3) for k in range(3))
     got = Lprime(deep, coeffs).apply(c).dense()
     assert frob(got - oracle) < 1e-10 * max(1.0, frob(oracle))
@@ -599,13 +599,14 @@ def test_apply_on_unit_kernels_matches_the_dense_parts(statistics, n_modes, n_ma
     # sector, and one Fermi mode has no pair state at all (P = 0)
     modes = modes_1d(range(1, n_modes + 1))
     vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.5, 0.25), GEOM), statistics)
-    coeffs = coefficients_from_potential(modes, vt, statistics, 10.0, delta=5.0)
+    t_on = onshell_tmatrix(modes, vt, statistics, 10.0)
+    coeffs = build_coefficients(modes, t_on, statistics, 5.0)
     lp = Lprime(build_basis(n_modes, n_max, statistics), coeffs)
     for h in range(n_modes):
         for k in range(n_modes):
             unit = np.zeros((n_modes, n_modes))
             unit[h, k] = 1.0
-            want = dense_parts(lp.basis, coeffs, unit)
+            want = dense_parts(lp.basis, coeffs, t_on, unit)
             scale = max(1.0, float(np.max(np.abs(sum(want)))))
             assert np.max(np.abs(lp.apply(unit).dense() - sum(want))) <= 1e-12 * scale
             # streaming, and collision = loss + gain
@@ -633,9 +634,10 @@ def test_every_two_body_array_is_a_pair_matrix(statistics, lengths, n_modes):
     modes = box_modes(geom, n_modes)
     v_pair = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.0, 0.25), geom),
                                      statistics)
-    coeffs = coefficients_from_potential(modes, v_pair, statistics, 10.0, delta=5.0)
+    t_on = onshell_tmatrix(modes, v_pair, statistics, 10.0)
+    coeffs = build_coefficients(modes, t_on, statistics, 5.0)
     n_pairs = len(pair_basis(n_modes, statistics))
-    for array in (coeffs.veff, coeffs.jump, coeffs.t_onshell):
+    for array in (coeffs.veff, coeffs.jump, t_on):
         assert array.shape == (n_pairs, n_pairs)
     kernels = np.eye(n_modes)[None].repeat(3, axis=0)
     k1, k2 = reduced_images(coeffs, kernels)

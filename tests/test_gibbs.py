@@ -68,7 +68,7 @@ def make_system(numbers=(1, 2, 3), n_max=2, cells=1, potential=None,
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     basis = build_basis(len(numbers), n_max, statistics)
     grid = whole_box_grid(GEOM) if cells == 1 else CellGrid(GEOM, (cells,))
-    obs = cell_observables(basis, modes, grid, potential, GEOM)
+    obs = cell_observables(basis, modes, grid, potential)
     return modes, basis, grid, obs
 
 
@@ -133,7 +133,7 @@ def test_boosted_operators_match_field_builders():
     # the constraint stack is the direct cell energies, then the cell masses,
     # and the Gibbs exponent is sum_c beta_c E_c - beta_c mu_c N_c on them
     modes, basis, grid, obs = make_system(cells=2, potential=Contact(0.8))
-    direct = np.array([energy_density_op(basis, modes, grid, c, Contact(0.8), GEOM).dense()
+    direct = np.array([energy_density_op(basis, modes, grid, c, Contact(0.8)).dense()
                        for c in range(2)]
                       + [mass_density_op(basis, modes, grid, c).dense() for c in range(2)])
     scale = max(frob(direct), 1.0)
@@ -231,7 +231,7 @@ def test_momentum_vanishes_at_zero_velocity():
         grid = CellGrid(geom, cells)
         for statistics in (Statistics.BOSE, Statistics.FERMI):
             basis = build_basis(len(numbers), 2, statistics)
-            obs = cell_observables(basis, modes, grid, potential, geom)
+            obs = cell_observables(basis, modes, grid, potential)
             targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, true_fields), obs))
             state = maxent_fit(basis, obs, targets).state
             for c in range(grid.n_cells):
@@ -396,7 +396,7 @@ def test_maxent_free_gas_scalar_inversion():
     modes = modes_from_numbers(GEOM, [(1,)])
     basis = build_basis(1, 3, Statistics.BOSE)
     grid = whole_box_grid(GEOM)
-    obs = cell_observables(basis, modes, grid, Zero(), GEOM)
+    obs = cell_observables(basis, modes, grid, Zero())
     w1 = UNIT
     beta_true, mu_true = 0.7, -0.3
     c_true = beta_true * (w1 - mu_true * MASS)
@@ -429,7 +429,7 @@ def test_maxent_inconsistent_targets_error():
     # degenerate observables with conflicting targets cannot converge
     modes = modes_from_numbers(GEOM, [(1,)])
     basis = build_basis(1, 3, Statistics.BOSE)
-    obs = cell_observables(basis, modes, whole_box_grid(GEOM), Zero(), GEOM)
+    obs = cell_observables(basis, modes, whole_box_grid(GEOM), Zero())
     bad = ConstraintSet(np.array([UNIT * 1.8]), np.array([MASS * 1.2]))
     with pytest.raises(ValueError, match="did not converge|unbounded dual step"):
         maxent_fit(basis, obs, bad, max_iter=40)
@@ -520,7 +520,7 @@ def test_totals_start_matches_the_sector_oracle(box, statistics, cells):
     # the fit on the fixed levels of the commuting totals lands where Newton
     # over the summed family lands, which diagonalises y0 H + y1 M each step
     basis, modes, grid, potential, geom, fields = cold_start_system(box, statistics, cells)
-    for obs in (cell_observables(basis, modes, grid, potential, geom),
+    for obs in (cell_observables(basis, modes, grid, potential),
                 cell_kernel_family(basis, modes, grid)):
         targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, fields), obs))
         got = _totals_start(basis, obs, targets, MAX_ITER)
@@ -535,7 +535,7 @@ def test_cell_masses_sum_to_mass_times_number(box, statistics, cells):
     # the identity that lets the cold start give each level of sum_c E_c the
     # mass MASS N of its sector
     basis, modes, grid, potential, geom, _ = cold_start_system(box, statistics, cells)
-    obs = cell_observables(basis, modes, grid, potential, geom)
+    obs = cell_observables(basis, modes, grid, potential)
     for number, block in enumerate(obs.blocks.blocks):
         total = block[obs.n_cells:].sum(axis=0)
         assert np.max(np.abs(total - MASS * number * np.eye(len(total)))) <= 1e-12 * max(1, number)

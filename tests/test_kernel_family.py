@@ -44,7 +44,7 @@ from boxgas.fock import (
     pair_matrix_from_tensor,
     two_body_operator,
 )
-from boxgas.generator import Lprime, coefficients_from_potential, reduced_images
+from boxgas.generator import Lprime, build_coefficients, reduced_images
 from boxgas.gibbs import (
     _kernel_gibbs,
     CellKernels,
@@ -60,6 +60,7 @@ from boxgas.gibbs import (
     multipliers_to_fields,
 )
 from boxgas.matrixutil import BlockDiagonal
+from boxgas.scattering import onshell_tmatrix
 from dense_oracles import (
     dense_mode_rotation,
     dense_parts,
@@ -206,26 +207,26 @@ def generator_cases(draw):
 
 
 def generator_setup(case):
-    """Coefficients, the basis (Fermi n_max capped at the mode count) and a rng."""
+    """Coefficients, the on-shell T they were built from, the basis (Fermi
+    n_max capped at the mode count) and a rng."""
     statistics, numbers, coupling, n_max, seed = case
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     if coupling == "contact":
         vt = contact_tensor(modes, Contact(0.7), GEOM)
     else:
         vt = potential_tensor(modes, Gaussian(1.0, 0.25), GEOM)
-    v_pair = pair_matrix_from_tensor(vt, statistics)
-    coeffs = coefficients_from_potential(modes, v_pair, statistics,
-                                         eps=5.0, delta=8.0)
+    t_on = onshell_tmatrix(modes, pair_matrix_from_tensor(vt, statistics), statistics, 5.0)
     if statistics is Statistics.FERMI:
         n_max = min(n_max, len(numbers))
-    return coeffs, build_basis(len(numbers), n_max, statistics), np.random.default_rng(seed)
+    return (build_coefficients(modes, t_on, statistics, 8.0), t_on,
+            build_basis(len(numbers), n_max, statistics), np.random.default_rng(seed))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=generator_cases())
 @example(case=ONE_FERMI)
 def test_reduced_images_match_lprime_on_every_sector(case):
-    coeffs, basis, rng = generator_setup(case)
+    coeffs, t_on, basis, rng = generator_setup(case)
     n = basis.n_modes
     kernels = np.array([random_kernel(rng, n, "complex") for _ in range(2)])
     k1, k2 = reduced_images(coeffs, kernels)
@@ -233,7 +234,7 @@ def test_reduced_images_match_lprime_on_every_sector(case):
     assert k1.shape == (2, n, n) and k2.shape == (2, n_pairs, n_pairs)
     lp = Lprime(basis, coeffs)
     for kernel, one, two in zip(kernels, k1, k2):
-        want = sum(dense_parts(basis, coeffs, kernel))
+        want = sum(dense_parts(basis, coeffs, t_on, kernel))
         scale = max(1.0, float(np.max(np.abs(want))))
         for got in (one_body_operator(basis, one) + two_body_operator(basis, two),
                     lp.apply(kernel)):
@@ -244,13 +245,13 @@ def test_reduced_images_match_lprime_on_every_sector(case):
 @given(case=generator_cases(), kind=st.sampled_from(KINDS))
 @example(case=ONE_FERMI, kind="complex")
 def test_kernel_rates_match_the_fock_space_trace(case, kind):
-    coeffs, basis, rng = generator_setup(case)
+    coeffs, t_on, basis, rng = generator_setup(case)
     n = basis.n_modes
     kernels = np.array([random_kernel(rng, n, "complex") for _ in range(3)])
     rates = TwoBodyKernels(*reduced_images(coeffs, kernels), basis.statistics)
     k = random_kernel(rng, n, kind, complex_=kind != "real")
     weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
-    images = np.array([sum(dense_parts(basis, coeffs, kernel)) for kernel in kernels])
+    images = np.array([sum(dense_parts(basis, coeffs, t_on, kernel)) for kernel in kernels])
     want = np.einsum("ij,mji->m", weight.dense(), images)
     assert_close(rates.values(_kernel_gibbs(basis, k, None)), want.real)
 
@@ -263,8 +264,8 @@ def test_folded_kernel_values_match_the_two_layout_formula(statistics, lengths):
     modes = box_modes(geom, 5)
     vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=8)
     v_pair = pair_matrix_from_tensor(vt, statistics)
-    coeffs = coefficients_from_potential(modes, v_pair, statistics,
-                                         eps=5.0, delta=8.0)
+    coeffs = build_coefficients(modes, onshell_tmatrix(modes, v_pair, statistics, 5.0),
+                                statistics, 8.0)
     basis = build_basis(5, 3, statistics)
     rng = np.random.default_rng(len(lengths))
     k1, k2 = reduced_images(coeffs, np.array([random_kernel(rng, 5, "complex") for _ in range(3)]))
@@ -289,13 +290,12 @@ def test_pair_space_images_match_the_auxiliary_basis_oracle(statistics, coupling
         vt = contact_tensor(modes, Contact(0.7), geom)
     else:
         vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom)
-    v_pair = pair_matrix_from_tensor(vt, statistics)
-    coeffs = coefficients_from_potential(modes, v_pair, statistics,
-                                         eps=5.0, delta=8.0)
+    t_on = onshell_tmatrix(modes, pair_matrix_from_tensor(vt, statistics), statistics, 5.0)
+    coeffs = build_coefficients(modes, t_on, statistics, 8.0)
     rng = np.random.default_rng(0)
     kernels = np.array([random_kernel(rng, 12, "complex") for _ in range(3)])
     k1, k2 = reduced_images(coeffs, kernels)
-    want1, want2 = dense_reduced_images(coeffs, kernels)
+    want1, want2 = dense_reduced_images(coeffs, t_on, kernels)
     want2 = np.array([pair_matrix_from_tensor(t, statistics) for t in want2])
     assert_close(k1, want1)
     scale = max(1.0, float(np.max(np.abs(want2))))

@@ -35,7 +35,6 @@ from boxgas.fock import (
 from boxgas.generator import (
     Lprime,
     build_coefficients,
-    coefficients_from_potential,
     conservation_report,
     negative_tau_witness,
     positivity_check,
@@ -61,7 +60,7 @@ from boxgas.kinetics import (
     trajectory_table,
 )
 from boxgas.matrixutil import frob
-from boxgas.scattering import pair_basis, pair_energies
+from boxgas.scattering import onshell_tmatrix, pair_basis, pair_energies
 from dense_oracles import (
     dense_parts,
     dense_two_body,
@@ -85,10 +84,16 @@ def load_workloads():
     return module.WORKLOADS
 
 
-def make_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
-                beta=(0.22, 0.18), mu=None, eps=10.0, n_max=2,
-                statistics=Statistics.BOSE, sigma=None):
-    """Closure on 1D modes; contact coupling g, or a gaussian of range sigma."""
+def make_system(**kwargs):
+    """The closure of `solved_system`, without its T."""
+    return solved_system(**kwargs)[0]
+
+
+def solved_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
+                  beta=(0.22, 0.18), mu=None, eps=10.0, n_max=2,
+                  statistics=Statistics.BOSE, sigma=None):
+    """Closure on 1D modes, contact coupling g or a gaussian of range sigma,
+    and the on-shell T that its coefficients were built from."""
     modes = modes_from_numbers(GEOM, [(k,) for k in numbers])
     basis = build_basis(len(numbers), n_max, statistics)
     grid = whole_box_grid(GEOM) if cells == 1 else CellGrid(GEOM, (cells,))
@@ -96,12 +101,11 @@ def make_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
         vt = contact_tensor(modes, Contact(g), GEOM)
     else:
         vt = potential_tensor(modes, Gaussian(g, sigma), GEOM)
-    v_pair = pair_matrix_from_tensor(vt, statistics)
-    coeffs = coefficients_from_potential(modes, v_pair, statistics,
-                                         eps=eps, delta=delta)
+    t_on = onshell_tmatrix(modes, pair_matrix_from_tensor(vt, statistics), statistics, eps)
+    coeffs = build_coefficients(modes, t_on, statistics, delta)
     mu = np.zeros(cells) if mu is None else np.asarray(mu, float)
     fields = LagrangeFields(np.asarray(beta, float), mu)
-    return ClosureSystem(basis, modes, grid, coeffs, fields)
+    return ClosureSystem(basis, modes, grid, coeffs, fields), t_on
 
 
 def free_system(cells=1, beta=(0.3,), numbers=(1, 2, 3), n_max=2):
@@ -115,14 +119,14 @@ def free_system(cells=1, beta=(0.3,), numbers=(1, 2, 3), n_max=2):
     return ClosureSystem(basis, modes, grid, coeffs, fields)
 
 
-def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
+def oracle_bilinear_image(basis, modes, coeffs, t_on, h, k, hbar=HBAR):
     """L' on a_h^dag a_k assembled from scratch with explicit ladder loops,
-    from the coefficient tensors."""
+    from the coefficient tensors of the on-shell T."""
     n = basis.n_modes
     ann = list(ladder_ops(basis))
     cre = [a.conj().T for a in ann]
     x = cre[h] @ ann[k]
-    veff, jump = tensor_coefficients(coeffs)
+    veff, jump = tensor_coefficients(coeffs, t_on)
     heff = free_hamiltonian(basis, modes).dense() + dense_two_body(basis, veff)
     stream = (1j / hbar) * (heff @ x - x @ heff)
     jumps = {}
@@ -141,15 +145,15 @@ def oracle_bilinear_image(basis, modes, coeffs, h, k, hbar=HBAR):
     return stream + loss + gain
 
 
-def gain_loss_report(sys, weight=None, kernels=None):
+def gain_loss_report(sys, t_on, weight=None, kernels=None):
     """Streaming, loss and gain rates of one-body kernels (default: the moment
     set), read against a weight over the number sectors (default: the state of
     `sys.fields`): the Fock-space cross-check of the kernel rates of `closure_rhs`,
-    from the dense images of `dense_parts` on the system's basis."""
+    from the dense images of `dense_parts` of the on-shell T on the system's basis."""
     if weight is None:
         k = np.tensordot(fields_to_multipliers(sys.fields), sys.kernels, axes=1)
         weight = gibbs_from_operator(one_body_operator(sys.basis, k)).weight_blocks
-    images = np.array([dense_parts(sys.basis, sys.coeffs, kernel)
+    images = np.array([dense_parts(sys.basis, sys.coeffs, t_on, kernel)
                        for kernel in (sys.kernels if kernels is None else kernels)])
     traces = np.einsum("ij,mpji->pm", weight.dense(), images)
     streaming, loss, gain = (real_values(rates, f"{key} rate")
@@ -191,18 +195,18 @@ def test_rhs_matches_independent_trace_oracle(statistics):
     # a contact tensor vanishes for spinless fermions, so they get a range;
     # n_max 3 keeps the loss term a†_h Gamma a_k, which vanishes at n_max 2
     if statistics is Statistics.BOSE:
-        sys = make_system()
+        sys, t_on = solved_system()
     else:
-        sys = make_system(statistics=statistics, g=1.0, sigma=0.25, delta=5.0,
-                          n_max=3)
+        sys, t_on = solved_system(statistics=statistics, g=1.0, sigma=0.25, delta=5.0,
+                                  n_max=3)
         assert frob(sys.coeffs.jump) > 0.0
-    blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero(), GEOM)
+    blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero())
     w = gibbs_state(sys.basis, blocks, sys.fields).weight
     images = {}
     n = sys.basis.n_modes
     for h in range(n):
         for k in range(n):
-            images[h, k] = oracle_bilinear_image(sys.basis, sys.modes, sys.coeffs, h, k)
+            images[h, k] = oracle_bilinear_image(sys.basis, sys.modes, sys.coeffs, t_on, h, k)
     want = []
     for cell in range(2):
         s_cell, g_cell, _ = cell_overlaps(sys.modes, sys.grid, cell)
@@ -330,7 +334,7 @@ def test_interacting_equilibrium_stays_fixed():
 
 
 def test_two_cell_relaxation_canonical():
-    sys = make_system(g=0.1, delta=2.0, beta=(0.22, 0.18))
+    sys, t_on = solved_system(g=0.1, delta=2.0, beta=(0.22, 0.18))
     dt = 5.05 * sys.tau0
     traj = integrate(sys, t_span=10.0 * dt, dt=dt)
     assert traj.n_steps == 10
@@ -343,7 +347,7 @@ def test_two_cell_relaxation_canonical():
     assert mass_drift <= 1e-8
     # collisions conserve kinetic energy on resonant-only smearing; what
     # drifts is the mean-field exchange carried by the streaming term
-    rep = gain_loss_report(sys)
+    rep = gain_loss_report(sys, t_on)
     n = sys.n_cells
     coll_sum = (rep.loss[:n] + rep.gain[:n]).sum()
     assert abs(coll_sum) <= 1e-12 * max(np.max(np.abs(rep.loss)), 1.0)
@@ -381,10 +385,10 @@ def pair3d_two_cell_system():
     geom = BoxGeometry((1.0, 1.07, 1.13))
     modes = box_modes(geom, 6)
     basis = build_basis(len(modes), 2, Statistics.BOSE)
-    coeffs = coefficients_from_potential(
-        modes, pair_matrix_from_tensor(potential_tensor(modes, Gaussian(0.8, 0.25), geom, order=8),
-                         Statistics.BOSE),
-        Statistics.BOSE, eps=10.0, delta=2.0)
+    v_pair = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(0.8, 0.25), geom, order=8),
+                                     Statistics.BOSE)
+    coeffs = build_coefficients(modes, onshell_tmatrix(modes, v_pair, Statistics.BOSE, 10.0),
+                                Statistics.BOSE, 2.0)
     fields = LagrangeFields(np.array([0.22, 0.18]), np.zeros(2))
     return ClosureSystem(basis, modes, CellGrid(geom, (2, 1, 1)), coeffs, fields)
 
@@ -457,8 +461,8 @@ def test_energy_rate_scales_down_with_delta():
     fields = LagrangeFields(np.array([0.005]), np.zeros(1))
     rates = []
     for delta in (48.0, 24.0, 12.0):
-        coeffs = coefficients_from_potential(modes, vt, Statistics.BOSE,
-                                             eps=5.0, delta=delta)
+        coeffs = build_coefficients(modes, onshell_tmatrix(modes, vt, Statistics.BOSE, 5.0),
+                                    Statistics.BOSE, delta)
         sys = ClosureSystem(basis, modes, whole_box_grid(GEOM), coeffs, fields)
         rep = closure_rhs(sys)
         assert abs(rep.moment_rates[1]) <= 1e-14  # mass rate stays exact
@@ -473,15 +477,15 @@ def test_energy_rate_scales_down_with_delta():
 
 def test_gain_loss_free_gas_collisionless():
     sys = free_system()
-    rep = gain_loss_report(sys)
+    rep = gain_loss_report(sys, np.zeros_like(sys.coeffs.jump))
     assert np.max(np.abs(rep.loss)) == 0.0
     assert np.max(np.abs(rep.gain)) == 0.0
     assert np.allclose(rep.total, rep.streaming)
 
 
 def test_gain_loss_mass_structure():
-    sys = make_system(g=0.4)
-    rep = gain_loss_report(sys)
+    sys, t_on = solved_system(g=0.4)
+    rep = gain_loss_report(sys, t_on)
     n = sys.n_cells
     scale = max(np.max(np.abs(rep.loss)), np.max(np.abs(rep.streaming)), 1e-30)
     # streaming and collisions both shuttle mass between cells but create
@@ -491,13 +495,13 @@ def test_gain_loss_mass_structure():
     want = closure_rhs(sys).moment_rates
     assert np.max(np.abs(rep.total - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
-    total = gain_loss_report(sys, kernels=[MASS * np.eye(3)])
+    total = gain_loss_report(sys, t_on, kernels=[MASS * np.eye(3)])
     assert abs(total.loss[0] + total.gain[0]) <= 1e-12 * max(abs(total.loss[0]), 1.0)
     assert abs(total.streaming[0]) <= 1e-12 * scale
 
 
 def test_gain_loss_overpopulated_channel():
-    sys = make_system(cells=1, beta=(0.2,), g=1.0, delta=12.0)
+    sys, t_on = solved_system(cells=1, beta=(0.2,), g=1.0, delta=12.0)
     basis = sys.basis
     vac = np.zeros(basis.dim)
     vac[state_index(basis, (0, 0, 0))] = 1.0
@@ -507,18 +511,18 @@ def test_gain_loss_overpopulated_channel():
     # the two-particle pure state, as a weight over the number sectors
     w = split_blocks(np.outer(psi, psi.conj()), basis.sectors, ["w"])
     number_0 = np.diag([1.0, 0.0, 0.0])
-    rep = gain_loss_report(sys, weight=w, kernels=[number_0])
+    rep = gain_loss_report(sys, t_on, weight=w, kernels=[number_0])
     assert rep.loss[0] < 0.0
     assert abs(rep.loss[0]) > abs(rep.gain[0])
 
-    mass_rep = gain_loss_report(sys, weight=w, kernels=[MASS * np.eye(3)])
+    mass_rep = gain_loss_report(sys, t_on, weight=w, kernels=[MASS * np.eye(3)])
     pairs = pair_basis(3, Statistics.BOSE)
     energies = pair_energies(sys.modes, pairs)
     q = pairs.index((0, 1))
     kappa = np.sqrt((2.0 * math.pi / HBAR)
                     * smearing_kernel(energies - energies[q], sys.coeffs.delta))
     want_loss = -(2.0 * MASS / HBAR) * float(
-        np.sum(np.abs(kappa * sys.coeffs.t_onshell[:, q]) ** 2))
+        np.sum(np.abs(kappa * t_on[:, q]) ** 2))
     assert mass_rep.loss[0] == pytest.approx(want_loss, rel=1e-8)
     assert mass_rep.gain[0] == pytest.approx(-want_loss, rel=1e-8)
 
@@ -581,7 +585,7 @@ def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
                           g=1.0, sigma=0.25, delta=5.0)
     dim = sys.basis.dim
     assert dim >= 84
-    blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero(), GEOM)
+    blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero())
     fields = LagrangeFields(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
     targets = ConstraintSet(*constraint_values(gibbs_state(sys.basis, blocks, fields), blocks))
     by_blocks = maxent_fit(sys.basis, blocks, targets).fields

@@ -6,7 +6,10 @@ in process through the `Runner` of `perfbench/worker.py`, once per command and
 once per CLI seed of the seeded ones (all eight for `generator-check`), and
 checks every report with the worker's own `check_report`.  A reference key
 that moves then fails the suite before the benchmark runs.  Nothing under
-`perfbench/` is written: the reports go to a temporary directory.
+`perfbench/` is written: the reports go to a temporary directory.  The worker
+also calls `boxgas` directly, outside the CLI, in its set-up probe and in the
+workload facts it records; both run here for every workload, so a `boxgas`
+name that the worker imports cannot go without failing the suite.
 """
 import importlib.util
 import sys
@@ -50,3 +53,12 @@ def test_workload_reports_match_the_references(name, tmp_path):
             failures += runner.failures
     assert calls == sum(wl.CLI_SEEDS if c in wl.SEEDED_COMMANDS else 1 for c in workload.commands)
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_worker_calls_into_boxgas_run_on_every_workload(name):
+    workload = WORKLOADS[name]
+    assert WORKER.setup_probe(workload) > 0.0
+    props = WORKER.workload_properties(workload, {})
+    assert props["dim"] > 0 and props["n_modes"] > 0
+    assert 0 < props["distinct_pair_energies"] <= props["n_pairs"]

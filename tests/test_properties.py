@@ -30,9 +30,10 @@ from boxgas.fieldmodel import (
     potential_tensor,
 )
 from boxgas.fock import Statistics, build_basis, ladder_ops, pair_matrix_from_tensor
-from boxgas.generator import Lprime, coefficients_from_potential
+from boxgas.generator import Lprime, build_coefficients
 from boxgas.gibbs import cell_observables
 from boxgas.matrixutil import hermiticity_defect
+from boxgas.scattering import onshell_tmatrix
 from dense_oracles import (
     dense_one_body,
     dense_two_body,
@@ -86,7 +87,7 @@ def test_structure_of_random_systems(system):
     vtensor = potential_tensor(modes, potential, geom, order=4)
     v_pair = pair_matrix_from_tensor(vtensor, statistics)
     h = hamiltonian(basis, modes, v_pair)
-    obs = cell_observables(basis, modes, grid, potential, geom, order=4)
+    obs = cell_observables(basis, modes, grid, potential, order=4)
     momentum = [p for c in range(grid.n_cells) for p in momentum_density_op(basis, modes, grid, c)]
     for op in [h, *obs.blocks, *momentum]:
         dense = op.dense()
@@ -100,7 +101,8 @@ def test_structure_of_random_systems(system):
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(h.dense() - oracle)) <= 1e-12 * scale
 
-    coeffs = coefficients_from_potential(modes, v_pair, statistics, eps=10.0, delta=2.0)
+    coeffs = build_coefficients(modes, onshell_tmatrix(modes, v_pair, statistics, 10.0),
+                                statistics, 2.0)
     assert Lprime(basis, coeffs).apply(np.eye(len(modes))).norm() <= 1e-10
 
     assert ladder_algebra_defect(basis) <= 1e-12
@@ -153,7 +155,7 @@ def test_parity_forbidden_entries_vanish_on_uniform_panels(setup):
     assert floor < np.finfo(float).smallest_normal
     bound = max(1e-13 * scale, 4 * np.spacing(scale), floor)
     assert np.max(np.abs(oracle[forbidden]), initial=0.0) <= bound
-    tensor = _pair_tensor(modes, potential, geom, grid, None, order)
+    tensor = _pair_tensor(modes, potential, grid, None, order)
     assert np.all(tensor[forbidden] == 0.0)
     assert np.max(np.abs(tensor - oracle)) <= bound
 
@@ -164,7 +166,7 @@ def test_parity_mask_spares_cell_restricted_and_keeps_contact_tensors():
     geom = BoxGeometry((1.0,))
     modes = modes_from_numbers(geom, [(n,) for n in range(1, 6)])
     forbidden = parity_forbidden(modes)
-    cell = _pair_tensor(modes, Gaussian(1.0, 0.25), geom, CellGrid(geom, (2,)), 0, 8)
+    cell = _pair_tensor(modes, Gaussian(1.0, 0.25), CellGrid(geom, (2,)), 0, 8)
     assert np.max(np.abs(cell[forbidden])) > 1e-2 * np.max(np.abs(cell))
     contact = Contact(0.7)
     whole = contact_tensor(modes, contact, geom)

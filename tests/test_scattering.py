@@ -23,7 +23,7 @@ from boxgas.fock import (
     one_body_operator,
     pair_matrix_from_tensor,
 )
-from boxgas.generator import Lprime, coefficients_from_potential
+from boxgas.generator import Lprime, build_coefficients
 from boxgas.matrixutil import BlockDiagonal
 from boxgas.scattering import (
     _spectral_tmatrix,
@@ -383,7 +383,7 @@ def test_onshell_tmatrix_condition_guard():
 def one_d_case(n_modes, potential, cells=1):
     modes = box_modes(GEOM, n_modes)
     grid = CellGrid(GEOM, (cells,))
-    return modes, _pair_tensor(modes, potential, GEOM, grid, None, 16)
+    return modes, _pair_tensor(modes, potential, grid, None, 16)
 
 
 @pytest.mark.parametrize("case, stats", [
@@ -413,7 +413,7 @@ def test_onshell_tmatrix_rejects_a_potential_that_couples_classes():
     # one interaction coordinate restricted to a cell breaks the reflection
     modes = box_modes(GEOM, 4)
     grid = CellGrid(GEOM, (2,))
-    tensor = _pair_tensor(modes, Gaussian(1.0, 0.25), GEOM, grid, 0, 8)
+    tensor = _pair_tensor(modes, Gaussian(1.0, 0.25), grid, 0, 8)
     with pytest.raises(ValueError, match="reflection-parity classes"):
         onshell_tmatrix(modes, pair_matrix_from_tensor(tensor, Statistics.BOSE), Statistics.BOSE,
                         eps=10.0)
@@ -562,7 +562,8 @@ def coarse_case(statistics, coupling, n_max):
     else:
         vt = potential_tensor(modes, Gaussian(1.0, 0.25), geom, order=8)
     vt = pair_matrix_from_tensor(vt, statistics)
-    coeffs = coefficients_from_potential(modes, vt, statistics, eps=5.0, delta=8.0)
+    t_on = onshell_tmatrix(modes, vt, statistics, 5.0)
+    coeffs = build_coefficients(modes, t_on, statistics, 8.0)
     basis = build_basis(4, n_max, statistics)
     return basis, hamiltonian(basis, modes, vt), Lprime(basis, coeffs), coeffs
 

@@ -106,12 +106,12 @@ def check_against_oracles(n_modes, n_max, statistics, seed):
     coeffs = build_coefficients(modes, t_on, statistics, delta=5.0)
     # the ordered channels R_kl of the family maps are the channels
     # sum jump[k, l, f2, f1] a_f2 a_f1 of the coefficient tensors
-    channels = dense_channel_ops(basis, coeffs)
+    channels = dense_channel_ops(basis, coeffs, t_on)
     lp = Lprime(basis, coeffs)
     for n, block in enumerate(ordered_channels(lp)):
         assert_close(block, sector_view(basis, channels, n, 2))
     assert_close(lp.gamma.dense(), dense_gamma(channels))
-    parts = dense_parts(basis, coeffs, kernel)
+    parts = dense_parts(basis, coeffs, t_on, kernel)
     for built, oracle in zip(lp.parts(kernel), (parts[0], parts[1] + parts[2])):
         assert_close(built.dense(), oracle)
     assert_close(lp.apply(kernel).dense(), sum(parts))
@@ -184,9 +184,9 @@ def test_pair_matrix_two_body_matches_the_canonical_tensor(statistics, coupling,
     potential = Contact(0.7) if coupling == "1d contact" else Gaussian(1.0, 0.25)
     grid = CellGrid(geom, (2,) + (1,) * (geom.dimension - 1))
     if region == "whole box":
-        tensor = _pair_tensor(modes, potential, geom, grid, None, 8)
+        tensor = _pair_tensor(modes, potential, grid, None, 8)
     else:
-        tensor = _pair_tensor(modes, potential, geom, grid, 0, 8)
+        tensor = _pair_tensor(modes, potential, grid, 0, 8)
     pairs = pair_basis(5, statistics)
     m = pair_matrix_from_tensor(tensor, statistics)
     basis = build_basis(5, 3, statistics)
