@@ -97,8 +97,7 @@ def _build_context(cfg: dict) -> RunContext:
     basis = build_basis(len(modes), cfg["basis"]["n_max"], statistics)
     grid = CellGrid(geom, tuple(cfg["grid"]["cells"]))
     potential = _potential_from_config(cfg["potential"])
-    fields = LagrangeFields(beta=np.asarray(cfg["fields"]["beta"], dtype=float),
-                            mu=np.asarray(cfg["fields"]["mu"], dtype=float))
+    fields = LagrangeFields.from_beta_mu(cfg["fields"]["beta"], cfg["fields"]["mu"])
     return RunContext(cfg, geom, modes, statistics, basis, grid, potential, fields)
 
 

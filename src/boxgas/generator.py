@@ -47,16 +47,6 @@ def smearing_kernel(mismatch, delta: float):
     return np.where(np.abs(x) <= SUPPORT_FACTOR * delta, dense, 0.0)
 
 
-def default_delta(modes, statistics: Statistics) -> float:
-    """Mean spacing of the distinct two-particle energies."""
-    energies = np.sort(pair_energies(modes, pair_basis(len(modes), statistics)))
-    gaps = np.diff(energies)
-    gaps = gaps[gaps > 1e-9 * max(1.0, float(energies[-1]))]
-    if gaps.size == 0:
-        raise ValueError("pair spectrum is fully degenerate; provide delta explicitly")
-    return float(np.mean(gaps))
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorCoefficients:
     """Effective interaction, jump amplitudes, and the smearing width behind them.
@@ -140,17 +130,17 @@ class Lprime:
         self.gamma = _scatter(basis, coeffs.gamma2, 2)
 
     def parts(self, kernel: np.ndarray):
-        """Streaming and collision images of sum_hk kernel[h, k] a†_h a_k: over
-        the kernel's pair matrix K2, dGamma(k1) plus the scatter of
-        (i/hbar)[V_eff, K2], and the scatter of the loss and gain
-        -(1/hbar){Gamma2, K2} + J^dagger K2 J / hbar, summed in pair space."""
+        """Streaming and collision images of sum_hk kernel[h, k] a†_h a_k: the
+        two halves of `reduced_images`' pair form over the kernel's pair
+        matrix K2, dGamma(k1) plus the scatter of its drift M = i V_eff / hbar
+        alone, and the scatter of its drift M = -Gamma2 / hbar with the jump J."""
         kernel, w = np.asarray(kernel), mode_energies(self.coeffs.modes)
         k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernel
         pair = pair_one_body(kernel, self.basis.statistics)
-        veff, jump, gamma = self.coeffs.veff, self.coeffs.jump, self.coeffs.gamma2
-        stream, collision = (_scatter(self.basis, m, 2) for m in (
-            (1j / HBAR) * (veff @ pair - pair @ veff),
-            (-1.0 / HBAR) * (gamma @ pair + pair @ gamma) + _adjoint_times(jump, pair @ jump) / HBAR))
+        stream, collision = (
+            _scatter(self.basis, _lindblad_pair(pair, drift, drift.conj().T, jump), 2)
+            for drift, jump in (((1j / HBAR) * self.coeffs.veff, None),
+                                ((-1.0 / HBAR) * self.coeffs.gamma2, self.coeffs.jump)))
         return one_body_operator(self.basis, k1) + stream, collision
 
     def apply(self, kernel: np.ndarray) -> BlockDiagonal:
@@ -236,20 +226,32 @@ def reduced_images(coeffs: GeneratorCoefficients, kernels) -> tuple[np.ndarray, 
     matrix K2 of dGamma(K) (`pair_one_body`); its diag(E) part is the pair
     matrix of dGamma(k1), so
     k2 = (i/hbar)[V_eff, K2] + (1/hbar)(J^dagger K2 J - 1/2 {J^dagger J, K2}),
-    all P x P.  Returns arrays of shape (m, n, n) and (m, P, P) for m kernels.
+    all P x P: `_lindblad_pair` with the drift M = (i V_eff - Gamma2) / hbar.
+    Returns arrays of shape (m, n, n) and (m, P, P) for m kernels.
     """
     kernels = np.asarray(kernels)
     w = mode_energies(coeffs.modes)
     k1 = (1j / HBAR) * (w[:, None] - w[None, :]) * kernels
     jump = coeffs.jump
-    # k2 = M K2 + K2 M^dagger + J^dagger K2 J / hbar, M = (i V_eff - Gamma2) / hbar
     drift = (1j * coeffs.veff - coeffs.gamma2) / HBAR
     drift_h = drift.conj().T
     k2 = np.empty((len(kernels),) + jump.shape, dtype=complex)
     for out, kernel in zip(k2, kernels):
         pair = pair_one_body(kernel, coeffs.statistics)
-        out[:] = drift @ pair + pair @ drift_h + _adjoint_times(jump, pair @ jump) / HBAR
+        out[:] = _lindblad_pair(pair, drift, drift_h, jump)
     return k1, k2
+
+
+def _lindblad_pair(pair: np.ndarray, drift: np.ndarray, drift_h: np.ndarray,
+                   jump: np.ndarray | None) -> np.ndarray:
+    """M K2 + K2 M^dagger, plus J^dagger K2 J / hbar when `jump` is given: the
+    adjoint Lindblad generator on the pair matrix K2, with drift M, its
+    adjoint `drift_h` (formed once by a caller that loops over kernels) and
+    jump matrix J.  Four P x P products with a jump, two without."""
+    image = drift @ pair + pair @ drift_h
+    if jump is not None:
+        image += _adjoint_times(jump, pair @ jump) / HBAR
+    return image
 
 
 def _adjoint_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Generalized Gibbs states on cell observables and maximum-entropy fitting.
 
 States have the form exp(-K)/Z with K = sum_c beta_c (E_c - mu_c N_c), a
-weighted sum of cell energy and mass operators: (beta, mu) per cell is the
-whole field set.  A constraint family supplies the states, values and
+weighted sum of cell energy and mass operators: the multipliers
+(beta_c, -beta_c mu_c) of those operators are the whole field set.  A constraint family supplies the states, values and
 susceptibilities of one stack of constraints: `CellObservables` holds the
 operators in number-sector blocks and diagonalises each block of K;
 `CellKernels` holds one-body n x n kernels, so K = dGamma(k) and every
@@ -43,26 +43,45 @@ class FitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LagrangeFields:
-    """Per-cell inverse temperature and chemical potential."""
+    """The Lagrange multipliers y = (beta_c, -beta_c mu_c) of the exponent
+    K = sum_c beta_c (E_c - mu_c N_c) over (energy, mass), one pair per cell.
 
-    beta: np.ndarray
-    mu: np.ndarray
+    The fit and the closure work on y itself, so y is the data; the inverse
+    temperature beta and the chemical potential mu = -y_mass/beta are read
+    from it.
+    """
+
+    multipliers: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
+        y = np.asarray(self.multipliers, dtype=float)
+        if y.ndim != 1 or y.size % 2:
+            raise ValueError("multipliers must hold one (beta, -beta mu) pair per cell")
+        if not np.isfinite(y).all():
+            raise ValueError("fields must be finite")
+        if (y[:y.size // 2] <= 0.0).any():
+            raise ValueError("beta must be positive in every cell")
+        object.__setattr__(self, "multipliers", y)
+
+    @classmethod
+    def from_beta_mu(cls, beta, mu) -> LagrangeFields:
+        beta = np.asarray(beta, dtype=float)
+        mu = np.asarray(mu, dtype=float)
         if beta.ndim != 1 or mu.shape != beta.shape:
             raise ValueError("field arrays must share one entry per cell")
-        if not (np.isfinite(beta).all() and np.isfinite(mu).all()):
-            raise ValueError("fields must be finite")
-        if (beta <= 0.0).any():
-            raise ValueError("beta must be positive in every cell")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "mu", mu)
+        return cls(np.concatenate([beta, -beta * mu]))
 
     @property
     def n_cells(self) -> int:
-        return self.beta.size
+        return self.multipliers.size // 2
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.multipliers[:self.n_cells]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return -self.multipliers[self.n_cells:] / self.beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +111,8 @@ class CellObservables:
     """Cell energy and mass operators as the block constraint family.
 
     `blocks` holds the operators in number-sector blocks, stacked as
-    energy[c], then mass[c]: the operators conjugate to the multipliers of
-    `fields_to_multipliers`.  Every block is checked hermitian here, once, so
+    energy[c], then mass[c]: the operators conjugate to
+    `LagrangeFields.multipliers`.  Every block is checked hermitian here, once, so
     the real combinations that a fit diagonalises need no check of their own.
     """
 
@@ -317,19 +336,6 @@ def targets_vector(targets: ConstraintSet) -> np.ndarray:
     return np.concatenate([targets.energy, targets.mass])
 
 
-def fields_to_multipliers(fields: LagrangeFields) -> np.ndarray:
-    """(beta_c, -beta_c mu_c): the linear coefficients of K over (energy, mass)."""
-    return np.concatenate([fields.beta, -fields.beta * fields.mu])
-
-
-def multipliers_to_fields(y: np.ndarray) -> LagrangeFields:
-    n = y.size // 2
-    alpha = y[:n]
-    if (alpha <= 0.0).any():
-        raise FitError("fit landed at a non-positive inverse temperature")
-    return LagrangeFields(beta=alpha, mu=-y[n:] / alpha)
-
-
 class SectorSpectrum(NamedTuple):
     """Eigenvector blocks of a block-diagonal exponent, one eigh per block."""
 
@@ -471,7 +477,7 @@ def gibbs_state(basis: FockBasis, obs: ConstraintFamily, fields: LagrangeFields)
     _check_basis(basis, obs)
     if fields.n_cells != obs.n_cells:
         raise ValueError("field cell count does not match the observables")
-    return obs.state(fields_to_multipliers(fields), fields)
+    return obs.state(fields.multipliers, fields)
 
 
 def real_values(values, name: str = "expectation") -> np.ndarray:
@@ -576,14 +582,19 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
             return y_best, state_best, iteration - 1, trace
         if chi is None:
             chi = family.chi(state)
-        # each bound below is negative, so a check whose left side is not
-        # negative passes without forming it
-        low = float(np.linalg.eigvalsh(chi).min())
+        # one eigh of chi serves the PSD check and the step.  Each bound
+        # below is negative, so a check whose left side is not negative
+        # passes without forming it
+        evals, vecs = np.linalg.eigh(chi)
+        low = float(evals[0])
         if low < 0.0 and low < -CHI_PSD_TOL * max(1.0, float(np.abs(chi).max())):
             raise FitError(f"susceptibility matrix not positive semidefinite ({low:.3e})")
-        # lstsq keeps consistent-but-degenerate constraint sets workable
-        # (proportional observables); inconsistent ones fail to converge.
-        step, *_ = np.linalg.lstsq(chi, residual, rcond=1e-12)
+        # the pseudo-inverse over |lambda| > 1e-12 max|lambda| keeps
+        # consistent-but-degenerate constraint sets workable (proportional
+        # observables); inconsistent ones fail to converge.
+        keep = np.abs(evals) > 1e-12 * max(-low, float(evals[-1]))
+        kept = vecs[:, keep]
+        step = kept @ ((residual @ kept) / evals[keep])
         slope = float(residual @ step)
         if slope < 0.0 and slope < -1e-12 * float(np.abs(residual) @ np.abs(step) + 1e-300):
             raise FitError("Newton direction failed the descent check")
@@ -669,8 +680,10 @@ def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
     else:
         if init.n_cells != n:
             raise ValueError("initial fields cell count does not match")
-        y = fields_to_multipliers(init)
+        y = init.multipliers
     y, state, iterations, trace = _newton_fit(obs, targets_vector(targets), y,
                                               tol, max_iter, warm, chi)
-    fields = multipliers_to_fields(y)
+    if (y[:n] <= 0.0).any():
+        raise FitError("fit landed at a non-positive inverse temperature")
+    fields = LagrangeFields(y)
     return FitResult(fields, state.with_fields(fields), iterations, trace)

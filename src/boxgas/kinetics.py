@@ -27,7 +27,6 @@ from .gibbs import (
     TwoBodyKernels,
     cell_kernel_family,
     entropy,
-    fields_to_multipliers,
     gibbs_state,
     maxent_fit,
 )
@@ -107,7 +106,6 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
 class StateTrajectory:
     times: np.ndarray
     fields: tuple
-    multipliers: np.ndarray
     moments: np.ndarray
     entropies: np.ndarray
     mass_total: np.ndarray
@@ -210,7 +208,7 @@ def _trajectory_row(sys: ClosureSystem, t: float, fields: LagrangeFields, moment
                     state: GibbsState, rep: RhsReport, residual: float) -> tuple:
     """One time of a `StateTrajectory`: its fields, but `labels`, in the order they are declared."""
     n = sys.n_cells
-    return (t, fields, fields_to_multipliers(fields), moments, entropy(state),
+    return (t, fields, moments, entropy(state),
             float(moments[n:].sum()), float(moments[:n].sum()),
             float(rep.moment_rates[:n].sum()), rep.condition, residual)
 
@@ -225,7 +223,7 @@ def trajectory_table(traj: StateTrajectory):
     rows = []
     for i in range(traj.times.size):
         row = [float(traj.times[i])]
-        row.extend(float(x) for x in traj.multipliers[i])
+        row.extend(float(x) for x in traj.fields[i].multipliers)
         row.extend(float(x) for x in traj.moments[i])
         row.extend([float(traj.entropies[i]), float(traj.mass_total[i]),
                     float(traj.energy_total[i]), float(traj.energy_rates[i]),

@@ -1,29 +1,19 @@
-"""The two-body T-matrix, the collision time, and the coarse-grained window.
+"""The two-body T-matrix and the collision time.
 
-The pair T matrix and the coarse-grained check both act through the exact
-eigendecomposition of a Hamiltonian, one block at a time, so identities that
-are usually asymptotic statements become finite-dimensional linear algebra
-here.
+The pair T matrix acts through the exact eigendecomposition of the pair
+Hamiltonian, one reflection-parity class at a time, so identities that are
+usually asymptotic statements become finite-dimensional linear algebra here.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .fieldmodel import HBAR, mode_energies, mode_parities
-from .fock import Statistics, one_body_operator, pair_basis
-from .matrixutil import BlockDiagonal, require_hermitian
+from .fock import Statistics, pair_basis
+from .matrixutil import require_hermitian
 
 RECONSTRUCT_TOL = 1e-10
-WINDOW_FACTOR = 5.0
-WINDOW_CAP = 50.0
-WINDOW_SAMPLES = 5
-
-
-class WindowError(ValueError):
-    """No time window between the collision scale and the phase scale."""
 
 
 def _require_reconstructed(residual: float, peak: float) -> None:
@@ -142,98 +132,3 @@ def collision_time_estimate(t_onshell: np.ndarray) -> float:
     if peak == 0.0:
         return float("inf")
     return HBAR / peak
-
-
-# ---------------------------------------------------------------------------
-# coarse-grained window
-
-class CoarseWindow(NamedTuple):
-    tau0: float
-    t_max: float
-    times: np.ndarray
-
-
-def coarse_window(tau0: float, w_h: float, w_k: float) -> CoarseWindow:
-    """WINDOW_SAMPLES times with WINDOW_FACTOR*tau0 <= t <= t_max/WINDOW_FACTOR,
-    t_max = hbar/|W_h - W_k|.
-
-    Degenerate bilinears have no phase scale; their window is capped at
-    WINDOW_CAP*tau0.  An empty window raises WindowError.
-    """
-    if not np.isfinite(tau0) or tau0 <= 0:
-        raise WindowError("no coarse-grained regime at these parameters: no collision scale")
-    gap = abs(w_h - w_k)
-    t_max = float("inf") if gap == 0.0 else HBAR / gap
-    lo = WINDOW_FACTOR * tau0
-    hi = min(t_max / WINDOW_FACTOR, WINDOW_CAP * tau0)
-    if lo >= hi:
-        raise WindowError(
-            "no coarse-grained regime at these parameters: "
-            f"{WINDOW_FACTOR}*tau0 = {lo:.3e} is not below "
-            f"t_max/{WINDOW_FACTOR} = {t_max / WINDOW_FACTOR:.3e}"
-        )
-    times = np.exp(np.linspace(np.log(lo), np.log(hi), WINDOW_SAMPLES))
-    return CoarseWindow(tau0, t_max, times)
-
-
-class CoarseReport(NamedTuple):
-    h: int
-    k: int
-    window: CoarseWindow
-    times: np.ndarray
-    deltas: np.ndarray
-
-
-def coarse_grained_check(
-    basis,
-    ham: BlockDiagonal,
-    h: int,
-    k: int,
-    window: CoarseWindow,
-    lprime_image: BlockDiagonal,
-) -> CoarseReport:
-    """Compare exact Heisenberg motion of X = adag_h a_k against its generator image.
-
-    delta(t) = ||U'(t)X - X - t L'(X)||_F / ||t L'(X)||_F for each window time.
-    H, X and L'(X) conserve number and the Frobenius norm is unitarily
-    invariant, so each number sector s is read in its own eigenbasis
-    H_s = V_s E_s V_s^dagger: with X~_s and L~_s rotated by V_s once, the
-    squared numerator is sum_s ||Phi_s o X~_s - X~_s - t L~_s||^2, where
-    Phi_ij = exp(i (E_i - E_j) t / hbar).  Every block of H must be
-    hermitian, and the reconstruction residuals, summed in quadrature over
-    the sectors, must stay below RECONSTRUCT_TOL times the largest |E|.
-    """
-    scale = lprime_image.norm()
-    if scale == 0.0:
-        raise ValueError("generator image vanishes; discrepancy is undefined")
-    unit = np.zeros((basis.n_modes,) * 2)
-    unit[h, k] = 1.0
-    x = one_body_operator(basis, unit)
-    sectors, residual2, peak = [], 0.0, 0.0
-    for (hs, xs), (_, ls) in zip(ham.pairs(x), ham.pairs(lprime_image)):
-        require_hermitian(hs, name="hamiltonian")
-        energies, vectors = np.linalg.eigh(hs)
-        miss = (vectors * energies) @ vectors.conj().T - hs
-        residual2 += np.vdot(miss, miss).real
-        peak = max(peak, float(np.max(np.abs(energies), initial=0.0)))
-        vh = vectors.conj().T
-        sectors.append((energies, vh @ xs @ vectors, vh @ ls @ vectors))
-    _require_reconstructed(float(np.sqrt(residual2)), peak)
-    deltas = []
-    for t in window.times:
-        drift2 = 0.0
-        for energies, xt, lt in sectors:
-            phase = np.exp(1j * energies * t / HBAR)
-            drift = np.outer(phase, phase.conj()) * xt - xt - t * lt
-            drift2 += np.vdot(drift, drift).real
-        deltas.append(float(np.sqrt(drift2) / (t * scale)))
-    return CoarseReport(h, k, window, window.times, np.array(deltas))
-
-
-def scaling_exponent(couplings, deltas) -> float:
-    """Least-squares slope of log delta against log coupling."""
-    g = np.log(np.asarray(couplings, dtype=float))
-    d = np.log(np.asarray(deltas, dtype=float))
-    if len(g) < 2:
-        raise ValueError("need at least two couplings")
-    return float(np.polyfit(g, d, 1)[0])

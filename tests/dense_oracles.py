@@ -64,8 +64,13 @@ each stack once.
 `spectral_decomposition` and `heisenberg_evolve` are the exact motion
 exp(iHt/hbar) X exp(-iHt/hbar) from one eigendecomposition of a dense H, and
 `dense_coarse_deltas` the coarse-grained check on them over the whole Fock
-space, where `scattering.coarse_grained_check` works one number sector at a
-time in H's eigenbasis.  `state_index` finds the row of an occupation tuple.
+space, where `coarse_grained_check` works one number sector at a time in H's
+eigenbasis.  `coarse_window` lays the check's times between the collision
+scale and the phase scale, `scaling_exponent` fits the coupling law of its
+discrepancies, and `default_delta` is the mean pair-energy gap: with
+`coarse_grained_check` they are the oracle of the dense-spectrum scan (the
+acceptance scaling test), and no subcommand runs them.  `state_index` finds
+the row of an occupation tuple.
 
 The Gibbs layer takes operators in number-sector blocks only; `one_block`
 wraps a dense matrix as a `BlockDiagonal` of one block, so a dense exponent
@@ -81,6 +86,7 @@ import csv
 import io
 from dataclasses import dataclass
 from math import factorial, inf, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +96,7 @@ from boxgas.fock import (
     Statistics,
     build_basis,
     ladder_ops,
+    one_body_operator,
     pair_basis,
     sector_dimension,
 )
@@ -109,7 +116,6 @@ from boxgas.gibbs import (
     _newton_fit,
     chi_matrix,
     entropy,
-    fields_to_multipliers,
     gibbs_from_operator,
     maxent_fit,
 )
@@ -503,6 +509,120 @@ def dense_coarse_deltas(basis, ham, h, k, times, image):
                      / (t * scale) for t in times])
 
 
+# ---------------------------------------------------------------------------
+# the coarse-grained window and check, kept for the dense-spectrum scan
+
+WINDOW_FACTOR = 5.0
+WINDOW_CAP = 50.0
+WINDOW_SAMPLES = 5
+
+
+class WindowError(ValueError):
+    """No time window between the collision scale and the phase scale."""
+
+
+class CoarseWindow(NamedTuple):
+    tau0: float
+    t_max: float
+    times: np.ndarray
+
+
+def coarse_window(tau0: float, w_h: float, w_k: float) -> CoarseWindow:
+    """WINDOW_SAMPLES times with WINDOW_FACTOR*tau0 <= t <= t_max/WINDOW_FACTOR,
+    t_max = hbar/|W_h - W_k|.
+
+    Degenerate bilinears have no phase scale; their window is capped at
+    WINDOW_CAP*tau0.  An empty window raises WindowError.
+    """
+    if not np.isfinite(tau0) or tau0 <= 0:
+        raise WindowError("no coarse-grained regime at these parameters: no collision scale")
+    gap = abs(w_h - w_k)
+    t_max = float("inf") if gap == 0.0 else HBAR / gap
+    lo = WINDOW_FACTOR * tau0
+    hi = min(t_max / WINDOW_FACTOR, WINDOW_CAP * tau0)
+    if lo >= hi:
+        raise WindowError(
+            "no coarse-grained regime at these parameters: "
+            f"{WINDOW_FACTOR}*tau0 = {lo:.3e} is not below "
+            f"t_max/{WINDOW_FACTOR} = {t_max / WINDOW_FACTOR:.3e}"
+        )
+    times = np.exp(np.linspace(np.log(lo), np.log(hi), WINDOW_SAMPLES))
+    return CoarseWindow(tau0, t_max, times)
+
+
+class CoarseReport(NamedTuple):
+    h: int
+    k: int
+    window: CoarseWindow
+    times: np.ndarray
+    deltas: np.ndarray
+
+
+def coarse_grained_check(
+    basis,
+    ham: BlockDiagonal,
+    h: int,
+    k: int,
+    window: CoarseWindow,
+    lprime_image: BlockDiagonal,
+) -> CoarseReport:
+    """Compare exact Heisenberg motion of X = adag_h a_k against its generator image.
+
+    delta(t) = ||U'(t)X - X - t L'(X)||_F / ||t L'(X)||_F for each window time.
+    H, X and L'(X) conserve number and the Frobenius norm is unitarily
+    invariant, so each number sector s is read in its own eigenbasis
+    H_s = V_s E_s V_s^dagger: with X~_s and L~_s rotated by V_s once, the
+    squared numerator is sum_s ||Phi_s o X~_s - X~_s - t L~_s||^2, where
+    Phi_ij = exp(i (E_i - E_j) t / hbar).  Every block of H must be
+    hermitian, and the reconstruction residuals, summed in quadrature over
+    the sectors, must stay below RECONSTRUCT_TOL times the largest |E|.
+    """
+    scale = lprime_image.norm()
+    if scale == 0.0:
+        raise ValueError("generator image vanishes; discrepancy is undefined")
+    unit = np.zeros((basis.n_modes,) * 2)
+    unit[h, k] = 1.0
+    x = one_body_operator(basis, unit)
+    sectors, residual2, peak = [], 0.0, 0.0
+    for (hs, xs), (_, ls) in zip(ham.pairs(x), ham.pairs(lprime_image)):
+        require_hermitian(hs, name="hamiltonian")
+        energies, vectors = np.linalg.eigh(hs)
+        miss = (vectors * energies) @ vectors.conj().T - hs
+        residual2 += np.vdot(miss, miss).real
+        peak = max(peak, float(np.max(np.abs(energies), initial=0.0)))
+        vh = vectors.conj().T
+        sectors.append((energies, vh @ xs @ vectors, vh @ ls @ vectors))
+    _require_reconstructed(float(np.sqrt(residual2)), peak)
+    deltas = []
+    for t in window.times:
+        drift2 = 0.0
+        for energies, xt, lt in sectors:
+            phase = np.exp(1j * energies * t / HBAR)
+            drift = np.outer(phase, phase.conj()) * xt - xt - t * lt
+            drift2 += np.vdot(drift, drift).real
+        deltas.append(float(np.sqrt(drift2) / (t * scale)))
+    return CoarseReport(h, k, window, window.times, np.array(deltas))
+
+
+def scaling_exponent(couplings, deltas) -> float:
+    """Least-squares slope of log delta against log coupling."""
+    g = np.log(np.asarray(couplings, dtype=float))
+    d = np.log(np.asarray(deltas, dtype=float))
+    if len(g) < 2:
+        raise ValueError("need at least two couplings")
+    return float(np.polyfit(g, d, 1)[0])
+
+
+def default_delta(modes, statistics: Statistics) -> float:
+    """Mean spacing of the distinct two-particle energies."""
+    energies = np.sort(pair_energies(modes, pair_basis(len(modes), statistics)))
+    gaps = np.diff(energies)
+    gaps = gaps[gaps > 1e-9 * max(1.0, float(energies[-1]))]
+    if gaps.size == 0:
+        raise ValueError("pair spectrum is fully degenerate; provide delta explicitly")
+    return float(np.mean(gaps))
+
+
 def whole_space_tmatrix(v_pair, energies, zs):
     """T(z) = V + V (z - H_pair)^{-1} V with H_pair = diag(E) + V, for each z in zs,
     from one eigendecomposition of the whole H_pair; a z may be one value per
@@ -599,7 +719,6 @@ def refit_integrate(sys, t_span, dt):
     return StateTrajectory(
         times=np.array(times),
         fields=tuple(field_rows),
-        multipliers=np.array([fields_to_multipliers(f) for f in field_rows]),
         moments=moments,
         entropies=np.array([entropy(s) for s in states]),
         mass_total=np.array([float(m[n:].sum()) for m in moments]),

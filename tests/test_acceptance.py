@@ -49,7 +49,6 @@ from boxgas.gibbs import (
     constraint_values,
     entropy,
     expectation,
-    fields_to_multipliers,
     gibbs_state,
     maxent_fit,
     targets_vector,
@@ -62,15 +61,16 @@ from boxgas.microsystem import (
     one_body_micro,
     reduce_expectation,
 )
-from boxgas.scattering import (
+from boxgas.scattering import onshell_tmatrix
+from dense_oracles import (
     CoarseWindow,
     WindowError,
     coarse_grained_check,
     coarse_window,
-    onshell_tmatrix,
+    constrained_perturbation,
     scaling_exponent,
+    weight_entropy,
 )
-from dense_oracles import constrained_perturbation, weight_entropy
 from test_kinetics import make_system
 from test_scattering import resolvent_apply, scattering_map_apply
 
@@ -269,13 +269,13 @@ def test_acceptance_6_maxent_round_trip(capsys):
     basis = build_basis(3, 2, Statistics.BOSE)
     grid = CellGrid(GEOM, (2,))
     obs = cell_observables(basis, modes, grid, Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
+    true_fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
     energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
     targets = ConstraintSet(energy, mass_vals)
     result = maxent_fit(basis, obs, targets)
 
-    y_true = fields_to_multipliers(true_fields)
-    y_fit = fields_to_multipliers(result.fields)
+    y_true = true_fields.multipliers
+    y_fit = result.fields.multipliers
     recovery = float(np.max(np.abs(y_fit - y_true)) / np.max(np.abs(y_true)))
     t_vec = targets_vector(targets)
     ops = obs.blocks.dense()

@@ -35,7 +35,6 @@ from boxgas.generator import (
     _ordered_jumps,
     build_coefficients,
     conservation_report,
-    default_delta,
     negative_tau_witness,
     positivity_check,
     reduced_images,
@@ -47,6 +46,7 @@ from dense_oracles import (
     annihilator_kernel,
     comm,
     complex_stack_witness,
+    default_delta,
     dense_parts,
     per_sample_positivity,
     state_index,

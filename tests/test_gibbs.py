@@ -73,7 +73,7 @@ def make_system(numbers=(1, 2, 3), n_max=2, cells=1, potential=None,
 
 
 def uniform_fields(n_cells, beta, mu):
-    return LagrangeFields(beta=np.full(n_cells, float(beta)), mu=np.full(n_cells, float(mu)))
+    return LagrangeFields.from_beta_mu(beta=np.full(n_cells, float(beta)), mu=np.full(n_cells, float(mu)))
 
 
 def random_hermitian(rng, dim):
@@ -97,13 +97,52 @@ def diagonal_oracle(basis, beta, mu, mass=MASS):
 # fields, targets, observables
 
 
-def test_field_validation():
-    with pytest.raises(ValueError, match="positive"):
-        LagrangeFields(np.array([1.0, 0.0]), np.zeros(2))
-    with pytest.raises(ValueError, match="cell"):
-        LagrangeFields(np.array([1.0]), np.zeros(2))
-    f = uniform_fields(3, beta=2.0, mu=-0.5)
-    assert f.n_cells == 3
+def test_fields_hold_the_multipliers_bit_for_bit():
+    assert uniform_fields(3, beta=2.0, mu=-0.5).n_cells == 3
+    y = np.array([0.7, 1.3, -0.1 / 3.0, 0.29])
+    fields = LagrangeFields(y)
+    assert np.array_equal(fields.multipliers, y)
+    assert fields.n_cells == 2
+    assert np.array_equal(fields.beta, y[:2])
+    assert np.array_equal(fields.mu, -y[2:] / y[:2])
+    assert np.array_equal(LagrangeFields(fields.multipliers).multipliers, y)
+    built = LagrangeFields.from_beta_mu([0.7, 1.3], [0.2, -0.1])
+    assert np.array_equal(built.multipliers, [0.7, 1.3, -0.7 * 0.2, 1.3 * 0.1])
+
+
+@pytest.mark.parametrize("beta, mu, match", [
+    ([1.0, 0.0], [0.0, 0.0], "positive"),
+    ([1.0, -0.5], [0.0, 0.0], "positive"),
+    ([1.0, np.inf], [0.0, 1.0], "finite"),
+    ([1.0, 1.0], [0.0, np.nan], "finite"),
+    ([1.0], [0.0, 0.0], "cell"),
+    ([[1.0]], [[0.0]], "cell"),
+])
+def test_field_validation(beta, mu, match):
+    with pytest.raises(ValueError, match=match):
+        LagrangeFields.from_beta_mu(beta, mu)
+
+
+@pytest.mark.parametrize("y, match", [
+    ([1.0, 0.0, 0.0], "pair per cell"),
+    ([[1.0, 0.0]], "pair per cell"),
+    ([1.0, np.nan], "finite"),
+    ([0.0, 0.0], "positive"),
+])
+def test_fields_reject_bad_multipliers(y, match):
+    with pytest.raises(ValueError, match=match):
+        LagrangeFields(np.array(y))
+
+
+def test_fit_above_the_infinite_temperature_energy_raises_fit_error():
+    # at fixed mass the cell energy falls as beta grows, so an energy above
+    # its beta -> 0 mean is met only at beta < 0: Newton lands there and the
+    # fit raises FitError, the error that makes `integrate` halve its step
+    _, basis, _, obs = make_system()
+    energy, mass = obs.values(obs.state(np.array([0.0, 0.0])))
+    with pytest.raises(FitError, match="non-positive inverse temperature") as info:
+        maxent_fit(basis, obs, ConstraintSet(np.array([1.2 * energy]), np.array([mass])))
+    assert info.type is FitError
 
 
 def test_array_holders_compare_by_identity_and_records_keep_their_fields():
@@ -138,7 +177,7 @@ def test_boosted_operators_match_field_builders():
                       + [mass_density_op(basis, modes, grid, c).dense() for c in range(2)])
     scale = max(frob(direct), 1.0)
     assert frob(obs.blocks.dense() - direct) <= 1e-12 * scale
-    fields = LagrangeFields(np.array([0.7, 1.2]), np.array([0.1, -0.2]))
+    fields = LagrangeFields.from_beta_mu(np.array([0.7, 1.2]), np.array([0.1, -0.2]))
     want = sum(fields.beta[c] * direct[c] - fields.beta[c] * fields.mu[c] * direct[2 + c]
                for c in range(2))
     k = gibbs_state(basis, obs, fields).spectrum.exponent.dense()
@@ -225,7 +264,7 @@ def test_momentum_vanishes_at_zero_velocity():
     cases = [(GEOM, [(1,), (2,), (3,)], (2,), Contact(0.9)),
              (geom_3d, [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)], (2, 1, 1),
               Gaussian(0.8, 0.25))]
-    true_fields = LagrangeFields(np.array([0.3, 0.2]), np.array([0.2, -0.1]))
+    true_fields = LagrangeFields.from_beta_mu(np.array([0.3, 0.2]), np.array([0.2, -0.1]))
     for geom, numbers, cells, potential in cases:
         modes = modes_from_numbers(geom, numbers)
         grid = CellGrid(geom, cells)
@@ -326,7 +365,7 @@ def test_chi_matches_integral_definition():
 
 def test_chi_matrix_symmetric_psd():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    fields = LagrangeFields(np.array([1.0, 0.8]), np.array([0.1, 0.0]))
+    fields = LagrangeFields.from_beta_mu(np.array([1.0, 0.8]), np.array([0.1, 0.0]))
     state = gibbs_state(basis, obs, fields)
     chi = chi_matrix(state, obs.blocks)
     assert np.allclose(chi, chi.T, atol=1e-12 * (1 + np.max(np.abs(chi))))
@@ -339,7 +378,7 @@ def test_chi_matrix_symmetric_psd():
 
 def test_maxent_round_trip_two_cells():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
+    true_fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
     true_state = gibbs_state(basis, obs, true_fields)
     energy, mass_vals = constraint_values(true_state, obs)
     targets = ConstraintSet(energy, mass_vals)
@@ -359,9 +398,9 @@ def test_maxent_round_trip_two_cells():
 
 def test_maxent_warm_start_round_trip():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.3, 0.7]), np.array([0.0, 0.1]))
+    true_fields = LagrangeFields.from_beta_mu(np.array([1.3, 0.7]), np.array([0.0, 0.1]))
     energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
-    init = LagrangeFields(np.array([1.2, 0.8]), np.array([0.05, 0.05]))
+    init = LagrangeFields.from_beta_mu(np.array([1.2, 0.8]), np.array([0.05, 0.05]))
     result = maxent_fit(basis, obs, ConstraintSet(energy, mass_vals), init=init)
     assert np.max(np.abs(result.fields.beta - true_fields.beta)) <= 1e-6 * 1.3
     assert result.iterations <= 50
@@ -374,10 +413,10 @@ def test_maxent_warm_state_and_chi_change_no_bit(statistics):
     modes, basis, grid, _ = make_system(numbers=(1, 2, 3, 4), n_max=3, cells=2,
                                         statistics=statistics)
     family = cell_kernel_family(basis, modes, grid)
-    true_fields = LagrangeFields(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
+    true_fields = LagrangeFields.from_beta_mu(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
     targets = ConstraintSet(*constraint_values(gibbs_state(basis, family, true_fields),
                                                family))
-    init = LagrangeFields(np.array([0.23, 0.21]), np.array([0.05, -0.1]))
+    init = LagrangeFields.from_beta_mu(np.array([0.23, 0.21]), np.array([0.05, -0.1]))
     warm = gibbs_state(basis, family, init)
     plain = maxent_fit(basis, family, targets, init=init)
     assert plain.iterations >= 2
@@ -444,7 +483,7 @@ def test_maxent_unattainable_energy_target():
 
 def test_maximality_against_constrained_perturbations():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
-    true_fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
+    true_fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
     energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
     targets = ConstraintSet(energy, mass_vals)
     result = maxent_fit(basis, obs, targets)
@@ -509,7 +548,7 @@ def cold_start_system(box, statistics, cells):
     modes = box_modes(geom, 4) if numbers is None else modes_from_numbers(geom, numbers)
     basis = build_basis(len(modes), 2, statistics)
     grid = CellGrid(geom, (cells,) + (1,) * (geom.dimension - 1))
-    fields = LagrangeFields(beta * np.array([1.0, 0.8])[:cells], np.array([0.3, -0.2])[:cells])
+    fields = LagrangeFields.from_beta_mu(beta * np.array([1.0, 0.8])[:cells], np.array([0.3, -0.2])[:cells])
     return basis, modes, grid, potential, geom, fields
 
 
@@ -553,7 +592,7 @@ def test_cold_start_diagonalises_each_sector_block_of_the_total_energy_once(stat
     _, basis, _, obs = make_system(numbers=numbers, cells=2, potential=Contact(0.8),
                                    statistics=statistics)
     assert 2 not in [s.stop - s.start for s in basis.sectors]
-    fields = LagrangeFields(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
+    fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
     targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, fields), obs))
     assert obs.mass_bounds.shape == (2, 2)  # the feasibility check's spectra, read beforehand
     seen, cell_fit_from = [], []

@@ -51,13 +51,13 @@ from boxgas.gibbs import (
     CellObservables,
     ConstraintSet,
     GibbsState,
+    LagrangeFields,
     ModeSpectrum,
     TwoBodyKernels,
     chi_matrix,
     entropy,
     gibbs_from_operator,
     maxent_fit,
-    multipliers_to_fields,
 )
 from boxgas.matrixutil import BlockDiagonal
 from boxgas.scattering import onshell_tmatrix
@@ -171,7 +171,7 @@ def test_kernel_family_state_and_shared_rotation(statistics):
         assert np.array_equal(state.spectrum.vectors, want.spectrum.vectors)
     ys[:, :2] = np.abs(ys[:, :2])  # positive beta, so the fits' fields exist
     targets = [ConstraintSet(*family.values(family.state(y)).reshape(2, 2)) for y in ys]
-    fits = [maxent_fit(basis, family, targets[0], init=multipliers_to_fields(ys[0] + 0.01))]
+    fits = [maxent_fit(basis, family, targets[0], init=LagrangeFields(ys[0] + 0.01))]
     fits.append(maxent_fit(basis, family, targets[1], init=fits[0].state))
     assert all("mode_occupations" in vars(fit.state) for fit in fits)
     n_pairs = len(pair_basis(4, statistics))

@@ -46,7 +46,6 @@ from boxgas.gibbs import (
     LagrangeFields,
     cell_observables,
     constraint_values,
-    fields_to_multipliers,
     gibbs_from_operator,
     gibbs_state,
     maxent_fit,
@@ -104,7 +103,7 @@ def solved_system(numbers=(1, 2, 3), cells=2, g=0.1, delta=2.0,
     t_on = onshell_tmatrix(modes, pair_matrix_from_tensor(vt, statistics), statistics, eps)
     coeffs = build_coefficients(modes, t_on, statistics, delta)
     mu = np.zeros(cells) if mu is None else np.asarray(mu, float)
-    fields = LagrangeFields(np.asarray(beta, float), mu)
+    fields = LagrangeFields.from_beta_mu(np.asarray(beta, float), mu)
     return ClosureSystem(basis, modes, grid, coeffs, fields), t_on
 
 
@@ -115,7 +114,7 @@ def free_system(cells=1, beta=(0.3,), numbers=(1, 2, 3), n_max=2):
     n_pairs = len(pair_basis(len(numbers), Statistics.BOSE))
     coeffs = build_coefficients(modes, np.zeros((n_pairs, n_pairs)),
                                 Statistics.BOSE, delta=1.0)
-    fields = LagrangeFields(np.asarray(beta, float), np.zeros(cells))
+    fields = LagrangeFields.from_beta_mu(np.asarray(beta, float), np.zeros(cells))
     return ClosureSystem(basis, modes, grid, coeffs, fields)
 
 
@@ -151,7 +150,7 @@ def gain_loss_report(sys, t_on, weight=None, kernels=None):
     `sys.fields`): the Fock-space cross-check of the kernel rates of `closure_rhs`,
     from the dense images of `dense_parts` of the on-shell T on the system's basis."""
     if weight is None:
-        k = np.tensordot(fields_to_multipliers(sys.fields), sys.kernels, axes=1)
+        k = np.tensordot(sys.fields.multipliers, sys.kernels, axes=1)
         weight = gibbs_from_operator(one_body_operator(sys.basis, k)).weight_blocks
     images = np.array([dense_parts(sys.basis, sys.coeffs, t_on, kernel)
                        for kernel in (sys.kernels if kernels is None else kernels)])
@@ -172,7 +171,7 @@ def test_system_validation():
     modes = sys_ok.modes
     with pytest.raises(ValueError, match="cell count"):
         ClosureSystem(sys_ok.basis, modes, sys_ok.grid, sys_ok.coeffs,
-                      LagrangeFields(np.array([0.2]), np.zeros(1)))
+                      LagrangeFields.from_beta_mu(np.array([0.2]), np.zeros(1)))
     other = build_basis(3, 2, Statistics.FERMI)
     with pytest.raises(ValueError, match="does not match"):
         ClosureSystem(other, modes, sys_ok.grid, sys_ok.coeffs, sys_ok.fields)
@@ -185,7 +184,8 @@ def test_free_gas_single_cell_exactly_stationary():
     # the multiplier rates -chi^-1 b that the report's chi and b fix
     assert np.max(np.abs(np.linalg.solve(rep.chi, -rep.moment_rates))) <= 1e-12
     traj = integrate(sys, t_span=2.0, dt=0.5)
-    drift = np.max(np.abs(traj.multipliers - traj.multipliers[0]))
+    multipliers = np.array([f.multipliers for f in traj.fields])
+    drift = np.max(np.abs(multipliers - multipliers[0]))
     assert drift <= 1e-10
     assert np.max(np.abs(traj.mass_total - traj.mass_total[0])) <= 1e-12
 
@@ -260,7 +260,7 @@ def test_singular_response_names_combination():
     modes = modes_from_numbers(GEOM, [(1,)])
     basis = build_basis(1, 3, Statistics.BOSE)
     coeffs = build_coefficients(modes, np.zeros((1, 1)), Statistics.BOSE, delta=1.0)
-    fields = LagrangeFields(np.array([0.4]), np.zeros(1))
+    fields = LagrangeFields.from_beta_mu(np.array([0.4]), np.zeros(1))
     sys = ClosureSystem(basis, modes, whole_box_grid(GEOM), coeffs, fields)
     with pytest.raises(ValueError, match=r"singular response matrix.*energy\[0\]"):
         closure_rhs(sys)
@@ -330,7 +330,8 @@ def test_interacting_equilibrium_stays_fixed():
     assert np.max(np.abs(rep.moment_rates)) <= 1e-14
     dt = 5.05 * sys.tau0
     traj = integrate(sys, t_span=4.2 * dt, dt=dt)
-    assert np.max(np.abs(traj.multipliers - traj.multipliers[0])) <= 1e-6
+    multipliers = np.array([f.multipliers for f in traj.fields])
+    assert np.max(np.abs(multipliers - multipliers[0])) <= 1e-6
 
 
 def test_two_cell_relaxation_canonical():
@@ -389,7 +390,7 @@ def pair3d_two_cell_system():
                                      Statistics.BOSE)
     coeffs = build_coefficients(modes, onshell_tmatrix(modes, v_pair, Statistics.BOSE, 10.0),
                                 Statistics.BOSE, 2.0)
-    fields = LagrangeFields(np.array([0.22, 0.18]), np.zeros(2))
+    fields = LagrangeFields.from_beta_mu(np.array([0.22, 0.18]), np.zeros(2))
     return ClosureSystem(basis, modes, CellGrid(geom, (2, 1, 1)), coeffs, fields)
 
 
@@ -458,7 +459,7 @@ def test_energy_rate_scales_down_with_delta():
     basis = build_basis(4, 2, Statistics.BOSE)
     vt = pair_matrix_from_tensor(potential_tensor(modes, Gaussian(1.0, 0.25), GEOM, order=32),
                                  Statistics.BOSE)
-    fields = LagrangeFields(np.array([0.005]), np.zeros(1))
+    fields = LagrangeFields.from_beta_mu(np.array([0.005]), np.zeros(1))
     rates = []
     for delta in (48.0, 24.0, 12.0):
         coeffs = build_coefficients(modes, onshell_tmatrix(modes, vt, Statistics.BOSE, 5.0),
@@ -586,7 +587,7 @@ def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
     dim = sys.basis.dim
     assert dim >= 84
     blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero())
-    fields = LagrangeFields(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
+    fields = LagrangeFields.from_beta_mu(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
     targets = ConstraintSet(*constraint_values(gibbs_state(sys.basis, blocks, fields), blocks))
     by_blocks = maxent_fit(sys.basis, blocks, targets).fields
 

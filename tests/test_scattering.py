@@ -27,22 +27,22 @@ from boxgas.generator import Lprime, build_coefficients
 from boxgas.matrixutil import BlockDiagonal
 from boxgas.scattering import (
     _spectral_tmatrix,
-    CoarseWindow,
-    WindowError,
-    coarse_grained_check,
-    coarse_window,
     collision_time_estimate,
     onshell_tmatrix,
     pair_basis,
     pair_classes,
     pair_energies,
-    scaling_exponent,
 )
 from dense_oracles import (
+    CoarseWindow,
+    WindowError,
+    coarse_grained_check,
+    coarse_window,
     comm,
     dense_coarse_deltas,
     dense_two_body,
     heisenberg_evolve,
+    scaling_exponent,
     spectral_decomposition,
     state_index,
     tensor_from_pair_matrix,

@@ -35,13 +35,6 @@ USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 # name -> the ROADMAP item that will use it
 ALLOWED = {
-    "coarse_window": "item 5: the dense-spectrum scan in bench/",
-    "coarse_grained_check": "item 5: the dense-spectrum scan in bench/",
-    "CoarseWindow": "item 5: the window that coarse_window returns",
-    "CoarseReport": "item 5: the result of coarse_grained_check",
-    "WindowError": "item 5: raised by coarse_window",
-    "scaling_exponent": "item 5: the dense-spectrum scan in bench/",
-    "default_delta": "item 5: the scan lays its times in units of hbar/delta",
     "potential_tensor_error": "item 1: the quadrature error estimate in the trace side file",
     "quadrature_gram_defect": "item 1: the quadrature error estimate in the trace side file",
 }
@@ -72,22 +65,22 @@ def public_methods(node):
             and not item.name.startswith("_")]
 
 
-def scan():
-    """Public top-level defs and classes of src/boxgas ({name: module}), the
-    public methods of its classes ({"Class.method": (class, method)}), the
-    names each top-level definition and each such method uses, and the names
-    that module-level statements which bind nothing (command registrations,
-    `__main__` blocks) use."""
+def scan(modules):
+    """Public top-level defs and classes of the `src` modules ({name: module}),
+    the public methods of their classes ({"Class.method": (class, method)}),
+    the names each top-level definition and each such method uses, and the
+    names that module-level statements which bind nothing (command
+    registrations, `__main__` blocks) use.  `modules` holds (name, source
+    text, whether it is a `src` module) per file."""
     public, methods, uses, roots = {}, {}, {}, set()
-    for path in USERS:
-        for node in ast.parse(path.read_text()).body:
+    for stem, text, in_src in modules:
+        for node in ast.parse(text).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             names = defined_names(node)
             if not names:
                 roots |= used_names(node)
-            split = public_methods(node) if (path in SOURCES
-                                             and isinstance(node, ast.ClassDef)) else []
+            split = public_methods(node) if in_src and isinstance(node, ast.ClassDef) else []
             own = used_names(node)
             if split:
                 own = set().union(*(used_names(item) for item in
@@ -98,9 +91,9 @@ def scan():
                 methods[f"{node.name}.{item.name}"] = (node.name, item.name)
             for name in names:
                 uses.setdefault(name, set()).update(own)
-                if (path in SOURCES and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                if (in_src and isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and not name.startswith("_")):
-                    public[name] = path.stem
+                    public[name] = stem
     return public, methods, uses, roots
 
 
@@ -115,7 +108,8 @@ def reached(uses, roots):
     return seen
 
 
-PUBLIC, METHODS, USES, ENTRY = scan()
+PUBLIC, METHODS, USES, ENTRY = scan((path.stem, path.read_text(), path in SOURCES)
+                                    for path in USERS)
 TRACED = {name for target in load_tracer().TARGETS for name in target.split(".")[1:]}
 REACHED = reached(USES, ENTRY | TRACED)
 
@@ -138,10 +132,39 @@ def test_allowed_names_exist_and_have_no_other_user():
     assert not used, f"now reached, so take them off ALLOWED: {used}"
 
 
+# a module in which `planned` waits for a later user, as an ALLOWED name does
+PLANNED = """
+class PlannedError(ValueError):
+    pass
+
+
+def planned(x):
+    if x < 0:
+        raise PlannedError(x)
+    return shared(x)
+
+
+def shared(x):
+    return x
+
+
+def run(x):
+    return shared(x)
+
+
+run(1)
+"""
+
+
 def test_the_walk_skips_code_that_only_an_allowed_name_uses():
-    # coarse_window is not a root, so the error type only it raises is unreached
-    assert "coarse_window" in USES and "WindowError" in USES["coarse_window"]
-    assert "WindowError" not in REACHED
+    # planned is not a root, so the error type only it raises is unreached,
+    # while the helper that a root shares with it is reached
+    public, _, uses, roots = scan([("planned", PLANNED, True)])
+    seen = reached(uses, roots)
+    assert set(public) == {"PlannedError", "planned", "shared", "run"}
+    assert "PlannedError" in uses["planned"] and "shared" in uses["planned"]
+    assert {"run", "shared"} <= seen
+    assert "planned" not in seen and "PlannedError" not in seen
     assert "onshell_tmatrix" in REACHED
     # a method is walked as its own definition, apart from its class
     assert METHODS["FockBasis.creators"] == ("FockBasis", "creators")
