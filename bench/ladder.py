@@ -3,9 +3,10 @@
     python3 bench/ladder.py --out BENCH_<n>.json
 
 Each 1D rung runs its commands (`build`, `generator-check` and `evolve`, and
-`maxent` at (6, 4) and (8, 4); `generator-check` and `evolve` at (10, 4) and
-(12, 4); `generator-check` alone at (14, 4), dim 3060; or `evolve` alone) on
-the default config with 1D modes 1..n, the given n_max, 2 cells and
+`maxent` and `micro-demo` at (6, 4) and (8, 4); `generator-check`, `evolve`
+and `micro-demo` at (10, 4); `generator-check` and `evolve` at (12, 4);
+`generator-check` alone at (14, 4), dim 3060; or `evolve` alone) on the
+default config with 1D modes 1..n, the given n_max, 2 cells and
 `evolve.steps=4`.  Each 3D rung runs on the box of
 the `pair3d` benchmark workload (lengths 1.0, 1.07, 1.13, Gaussian of
 strength 0.8 and range 0.25, Bose n_max 2) with its n lowest modes: `build`
@@ -16,13 +17,16 @@ generator's energy residual, its sampled positivity and the negative-time
 witness are, `evolve` on two cells [2, 1, 1] with `evolve.steps=4`, where
 the generator images of the moment kernels and the closure's fits are, or
 `maxent` on eight cells [2, 2, 2], where the eight per-cell pair tensors
-and the max-ent fit over the 16 cell constraints are.  One `boxgas --version`
-call after the rungs records the start-up floor that every call includes
+and the max-ent fit over the 16 cell constraints are.  `boxgas --version`
+after the rungs records the start-up floor that every call includes
 (`startup`: the interpreter, numpy and the package imports, no payload).
 Every call is a fresh `python -m boxgas.cli` process with the BLAS and
 OpenMP thread variables pinned to 1, importing `boxgas` from `src/` of this
 checkout (as does this script, for the 3D mode list); its wall time and the
 peak RSS the kernel reports for that process (`os.wait4`) are recorded.
+Each command runs REPEATS times in a row: `wall_s` and `peak_rss_mb` are the
+medians, and `wall_s_runs` and `peak_rss_mb_runs` keep every reading, since
+single readings of either move by 10% or more on a shared VM.
 This is a plain script, not a test and not a benchmark gate.
 """
 from __future__ import annotations
@@ -31,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,8 +50,10 @@ from boxgas.fieldmodel import BoxGeometry, box_modes  # noqa: E402
 from boxgas.fock import Statistics, basis_dimension  # noqa: E402
 
 COMMANDS = ("build", "generator-check", "evolve")
-RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS + ("maxent",)), ((8, 4), COMMANDS + ("maxent",)),
-         ((10, 4), ("generator-check", "evolve")), ((12, 4), ("generator-check", "evolve")),
+RUNGS = (((6, 3), COMMANDS), ((6, 4), COMMANDS + ("maxent", "micro-demo")),
+         ((8, 4), COMMANDS + ("maxent", "micro-demo")),
+         ((10, 4), ("generator-check", "evolve", "micro-demo")),
+         ((12, 4), ("generator-check", "evolve")),
          ((14, 4), ("generator-check",)), ((20, 4), ("evolve",)))  # Bose
 PAIR3D_LENGTHS = (1.0, 1.07, 1.13)
 PAIR3D_SETS = ["geometry.lengths=" + json.dumps(PAIR3D_LENGTHS).replace(" ", ""),
@@ -63,6 +70,7 @@ PAIR3D_RUNGS = ((20, "build"), (40, "build"), (20, "tmatrix"), (40, "tmatrix"),
                 (60, "tmatrix"), (20, "generator-check"), (30, "generator-check"),
                 (40, "generator-check"), (20, "evolve"), (30, "evolve"), (40, "evolve"),
                 (50, "evolve"), (60, "evolve"), (20, "maxent"), (40, "maxent"))  # lowest modes
+REPEATS = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -91,6 +99,7 @@ def timed_process(args: list[str], env: dict, err) -> dict:
 
 
 def run_call(command: str, sets: list[str], env: dict) -> dict:
+    """One fresh process: its exit code, report verdict, wall time and peak RSS."""
     with tempfile.TemporaryDirectory() as out:
         args = [command, "--out", out, "--quiet"]
         for item in sets:
@@ -100,11 +109,21 @@ def run_call(command: str, sets: list[str], env: dict) -> dict:
             err.seek(0)
             stderr = err.read().decode(errors="replace")
         report = Path(out) / "report.json"
-        passed = json.loads(report.read_text())["passed"] if report.exists() else None
-    row = {"command": command, "exit_code": timed["exit_code"], "passed": passed,
-           "wall_s": timed["wall_s"], "peak_rss_mb": timed["peak_rss_mb"]}
-    if row["exit_code"] != 0:
-        row["stderr_tail"] = stderr.strip().splitlines()[-3:]
+        timed["passed"] = json.loads(report.read_text())["passed"] if report.exists() else None
+    if timed["exit_code"] != 0:
+        timed["stderr_tail"] = stderr.strip().splitlines()[-3:]
+    return timed
+
+
+def repeated(call, *args) -> dict:
+    """`call(*args)` REPEATS times: the first call's outcome, the median wall
+    time and peak RSS, and every reading."""
+    runs = [call(*args) for _ in range(REPEATS)]
+    row = {key: value for key, value in runs[0].items() if key not in ("wall_s", "peak_rss_mb")}
+    for key in ("wall_s", "peak_rss_mb"):
+        readings = [run[key] for run in runs]
+        row[key] = statistics.median(readings)
+        row[key + "_runs"] = readings
     return row
 
 
@@ -121,14 +140,14 @@ def main() -> None:
     rungs = []
     for box, modes, n_max, commands, sets in plan:
         dim = basis_dimension(modes, n_max, Statistics.BOSE)
-        calls = [run_call(c, sets, env) for c in commands]
+        calls = [{"command": c, **repeated(run_call, c, sets, env)} for c in commands]
         rungs.append({"box": box, "modes": modes, "n_max": n_max, "dim": dim, "calls": calls})
         for call in calls:
             print(f"{box:6s} modes {modes} n_max {n_max} dim {dim:5d} "
                   f"{call['command']:16s} {call['wall_s']:8.2f} s "
                   f"{call['peak_rss_mb']:8.1f} MB exit {call['exit_code']}", flush=True)
     # last, so that the bytecode is compiled as it is for every rung but the first
-    startup = timed_process(["--version"], env, subprocess.DEVNULL)
+    startup = repeated(timed_process, ["--version"], env, subprocess.DEVNULL)
     print(f"start-up (boxgas --version) {startup['wall_s']:8.2f} s "
           f"{startup['peak_rss_mb']:8.1f} MB exit {startup['exit_code']}", flush=True)
     result = {
@@ -144,6 +163,7 @@ def main() -> None:
             "nproc": os.cpu_count(),
             "threads": {var: env[var] for var in THREAD_VARS},
         },
+        "repeats": REPEATS,
         "startup": startup,
         "rungs": rungs,
     }

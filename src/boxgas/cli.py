@@ -49,11 +49,10 @@ from .gibbs import (
     maxent_fit,
 )
 from .kinetics import ClosureSystem, integrate, trajectory_table
-from .matrixutil import frob, hermiticity_defect, trace_product
+from .matrixutil import frob, hermiticity_defect
 from .microsystem import (
     MicroModeSet,
     embed_joint,
-    micro_vacuum_weight,
     one_body_micro,
     reduce_expectation,
 )
@@ -373,8 +372,13 @@ def _payload_generator_check(cfg):
         "tau_max": pos.tau_max,
         "collision_time": coeffs.tau0 if math.isfinite(coeffs.tau0) else None,
     }
-    # with no two-particle sector every channel vanishes, as at zero coupling
-    if ctx.basis.n_max >= 2 and frob(coeffs.jump) > 0.0:
+    # with no two-particle sector every channel vanishes, as at zero coupling.
+    # The witness's families satisfy sum_k a_k psi_k = 0, and no jump acts on
+    # them on one Bose mode (a psi = 0 leaves the vacuum) or on two Fermi modes
+    # (c_0 psi_0 = -c_1 psi_1 gives c_1 c_0 psi_0 = c_1 c_0 psi_1 = 0).
+    fewest_modes = 2 if ctx.statistics is Statistics.BOSE else 3
+    if (ctx.basis.n_max >= 2 and len(ctx.modes) >= fewest_modes
+            and frob(coeffs.jump) > 0.0):
         wit = negative_tau_witness(lp, seed=cfg["run"]["seed"])
         values["witness_tau"] = wit.tau
         values["witness_q"] = wit.q_value
@@ -468,13 +472,12 @@ def _payload_micro_demo(cfg):
     obs = _observables(ctx)
     state = gibbs_state(ctx.basis, obs, ctx.fields)
     mset = MicroModeSet(cfg["micro"]["q_dim"])
-    w_m = micro_vacuum_weight(state.weight, mset)
     rng = np.random.default_rng(cfg["run"]["seed"])
     q = mset.q_dim
     m = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    joint = embed_joint(w_m, rho, mset)
+    joint = embed_joint(state.weight, rho, mset)
 
     herm = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
     herm = 0.5 * (herm + herm.conj().T)
@@ -484,9 +487,7 @@ def _payload_micro_demo(cfg):
     rows = []
     worst = 0.0
     for label, a in observables:
-        ahat = one_body_micro(a, mset, joint.macro_dim)
-        full = complex(trace_product(ahat, joint.weight))
-        reduced = reduce_expectation(a, joint)
+        reduced, full = reduce_expectation(a, joint)
         diff = abs(full - reduced)
         worst = max(worst, diff)
         rows.append([label, full.real, full.imag, reduced.real, reduced.imag,

@@ -9,10 +9,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 

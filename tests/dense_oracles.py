@@ -81,6 +81,13 @@ is the von Neumann entropy of a dense weight from its spectrum,
 Gibbs state, and `constrained_perturbation` a random dense weight near a
 Gibbs state that keeps its constraint values to first order: the
 perturbations against which the maximum-entropy state is tested.
+
+`micro_annihilator` and `joint_annihilator` are the tracked particle's
+ladder b_q = 1 x |0><q+1| as dense matrices, and `ladder_joint_weight` and
+`ladder_one_body_micro` the joint weight sum_qp rho[q, p] b_q^dag
+(w x |0><0|) b_p and the lift sum_hk A[h, k] b_h^dag b_k as loops of dense
+products of those ladders, where `boxgas.microsystem` forms the Kronecker
+products w x lift(rho) and 1 x lift(A).
 """
 import csv
 import io
@@ -818,3 +825,40 @@ def per_sample_positivity(lp, n_samples, tau_max, seed):
     passed = min_real > -POSITIVITY_TOL and max_imag <= POSITIVITY_TOL
     return PositivityReport(n_samples, tau_max, min_real, max_imag, passed,
                             worst_sample, worst_tau)
+
+
+def micro_annihilator(mset, q):
+    """b_q on the micro space (vacuum, one particle in mode 0 .. q_dim - 1)."""
+    mat = np.zeros((mset.micro_dim, mset.micro_dim))
+    mat[0, q + 1] = 1.0
+    return mat
+
+
+def joint_annihilator(mset, macro_dim, q):
+    return np.kron(np.eye(macro_dim), micro_annihilator(mset, q))
+
+
+def ladder_joint_weight(gas_weight, rho, mset):
+    """sum_qp rho[q, p] b_q^dag (w x |0><0|) b_p from dense joint ladders."""
+    vacuum = np.zeros((mset.micro_dim, mset.micro_dim))
+    vacuum[0, 0] = 1.0
+    w_m = np.asarray(np.kron(gas_weight, vacuum), dtype=complex)
+    lowering = [joint_annihilator(mset, len(gas_weight), q) for q in range(mset.q_dim)]
+    weight = np.zeros_like(w_m)
+    for q, b_q in enumerate(lowering):
+        for p, b_p in enumerate(lowering):
+            if rho[q, p] != 0.0:
+                weight += rho[q, p] * (b_q.conj().T @ w_m @ b_p)
+    return weight
+
+
+def ladder_one_body_micro(a, mset, macro_dim):
+    """sum_hk A[h, k] b_h^dag b_k from dense joint ladders."""
+    a = np.asarray(a, dtype=complex)
+    total = np.zeros((macro_dim * mset.micro_dim,) * 2, dtype=complex)
+    for h in range(mset.q_dim):
+        b_h = joint_annihilator(mset, macro_dim, h)
+        for k in range(mset.q_dim):
+            if a[h, k] != 0.0:
+                total += a[h, k] * (b_h.conj().T @ joint_annihilator(mset, macro_dim, k))
+    return total

@@ -57,7 +57,6 @@ from boxgas.kinetics import closure_rhs, integrate
 from boxgas.microsystem import (
     MicroModeSet,
     embed_joint,
-    micro_vacuum_weight,
     one_body_micro,
     reduce_expectation,
 )
@@ -359,13 +358,13 @@ def test_acceptance_8_microsystem_reduction(capsys):
             + 1j * rng.standard_normal((q_dim, q_dim))
         rho = r @ r.conj().T
         rho /= np.trace(rho).real
-        state = embed_joint(micro_vacuum_weight(macro, mset), rho, mset)
+        state = embed_joint(macro, rho, mset)
         a = rng.standard_normal((q_dim, q_dim)) \
             + 1j * rng.standard_normal((q_dim, q_dim))
         lhs = complex(np.trace(one_body_micro(a, mset, macro_dim) @ state.weight))
         rhs = complex(np.trace(a @ rho))
-        got = reduce_expectation(a, state)
-        worst_trace = max(worst_trace, abs(lhs - rhs), abs(got - rhs))
+        got, joint_trace = reduce_expectation(a, state)
+        worst_trace = max(worst_trace, abs(lhs - rhs), abs(got - rhs), abs(joint_trace - rhs))
         q_op = one_body_micro(np.eye(q_dim), mset, macro_dim)
         worst_charge = max(worst_charge,
                            float(np.max(np.abs(q_op @ state.weight - state.weight))))

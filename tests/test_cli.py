@@ -371,6 +371,38 @@ def test_generator_check_without_pair_sector_skips_witness(tmp_path):
     assert "negative_tau_witness" not in report["checks"]
 
 
+def test_generator_check_on_one_bose_mode_skips_witness(tmp_path):
+    # a psi = 0 leaves only the vacuum, on which the one pair channel a a vanishes
+    result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
+                      "--set", "modes.numbers=[[1]]", "--set", "generator.n_samples=20"])
+    assert result.exit_code == 0
+    report = read_report(tmp_path)
+    assert report["passed"] is True
+    assert "negative_tau_witness" not in report["checks"]
+    assert "witness_q" not in report["values"]
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_witness_runs_where_a_jump_acts_on_the_annihilator_kernel(statistics):
+    # the gain form is a sum of squared norms, so it vanishes on every family
+    # of the kernel exactly when it vanishes on every column of its basis
+    for n_modes in range(1, 5):
+        top = min(3, n_modes) if statistics == "fermi" else 3
+        for n_max in range(1, top + 1):
+            numbers = "[" + ",".join(f"[{k}]" for k in range(1, n_modes + 1)) + "]"
+            cfg = load_config(None, [f"modes.numbers={numbers}", f"basis.n_max={n_max}",
+                                     f"basis.statistics={statistics}", "potential.kind=gaussian",
+                                     "potential.strength=1.0", "potential.range=0.25",
+                                     "generator.n_samples=1"])
+            ctx = cli._build_context(cfg)
+            lp = generator.Lprime(ctx.basis, cli._coefficients(ctx))
+            kernel = generator.AnnihilatorKernel(ctx.basis)
+            columns = (kernel @ np.eye(kernel.shape[1])).T.reshape(-1, n_modes, ctx.basis.dim)
+            gain = float(np.max(lp.family_form(columns)[2]))
+            _, checks, _ = cli._payload_generator_check(cfg)
+            assert ("negative_tau_witness" in checks) == (gain > 1e-12), (n_modes, n_max, gain)
+
+
 def test_generator_check_interacting(tmp_path):
     result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
                       "--set", "generator.n_samples=50"])
