@@ -30,7 +30,6 @@ from .matrixutil import BlockDiagonal
 from .scattering import collision_time_estimate, pair_energies
 
 SUPPORT_FACTOR = 4.0
-MASS_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 WITNESS_TRIES = 64
 # families per `family_form` call in `positivity_check`: bounds the stacked
@@ -429,13 +428,12 @@ class ConservationReport(NamedTuple):
 def conservation_report(lp: Lprime) -> ConservationReport:
     """Residual norms of the generator on total mass and free energy.
 
-    Mass must be conserved structurally; the energy residual is reported,
-    split into the delta-independent streaming part and the collision part
-    that shrinks as the smearing narrows onto resonant channels.
+    Mass is conserved structurally, and its residual is reported for the
+    caller to bound; the energy residual is reported, split into the
+    delta-independent streaming part and the collision part that shrinks as
+    the smearing narrows onto resonant channels.
     """
     mass_residual = MASS * lp.apply(np.eye(lp.basis.n_modes)).norm()
-    if mass_residual > MASS_TOL:
-        raise ValueError(f"mass conservation violated: residual {mass_residual:.3e}")
     stream, collision = lp.parts(np.diag(mode_energies(lp.coeffs.modes)))
     return ConservationReport(
         delta=lp.coeffs.delta,

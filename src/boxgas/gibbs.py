@@ -12,7 +12,6 @@ operators of at most two bodies at such states from the same eigenpairs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,36 +85,47 @@ class LagrangeFields:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Per-cell energy and mass targets."""
+    """The targets t of a fit, in the order of a family's constraints: the
+    cell energies, then the cell masses.
 
-    energy: np.ndarray
-    mass: np.ndarray
+    Newton works on t itself, so t is the data; the per-cell `energy` and
+    `mass` are read from it.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        energy = np.asarray(self.energy, dtype=float)
-        mass = np.asarray(self.mass, dtype=float)
-        if energy.ndim != 1 or mass.shape != energy.shape:
-            raise ValueError("energy and mass targets must share one entry per cell")
-        if not (np.isfinite(energy).all() and np.isfinite(mass).all()):
+        t = np.asarray(self.values, dtype=float)
+        if t.ndim != 1 or t.size % 2:
+            raise ValueError("targets must hold one (energy, mass) pair per cell")
+        if not np.isfinite(t).all():
             raise ValueError("targets must be finite")
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "values", t)
 
     @property
     def n_cells(self) -> int:
-        return self.energy.size
+        return self.values.size // 2
+
+    @property
+    def energy(self) -> np.ndarray:
+        return self.values[:self.n_cells]
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self.values[self.n_cells:]
 
 
 @dataclass(frozen=True, eq=False)
 class CellObservables:
     """Cell energy and mass operators as the block constraint family.
 
-    `blocks` holds the operators in number-sector blocks, stacked as
-    energy[c], then mass[c]: the operators conjugate to
+    `blocks` holds the operators on `basis` in number-sector blocks, stacked
+    as energy[c], then mass[c]: the operators conjugate to
     `LagrangeFields.multipliers`.  Every block is checked hermitian here, once, so
     the real combinations that a fit diagonalises need no check of their own.
     """
 
+    basis: FockBasis
     blocks: BlockDiagonal
 
     def __post_init__(self):
@@ -126,10 +136,6 @@ class CellObservables:
     @property
     def n_cells(self) -> int:
         return len(self.blocks) // 2
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.dim
 
     @cached_property
     def mass_bounds(self) -> np.ndarray:
@@ -147,8 +153,9 @@ class CellObservables:
         return np.concatenate([np.linalg.eigvalsh(b[:self.n_cells].sum(axis=0))
                                for b in self.blocks.blocks])
 
-    def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
-        return _sector_gibbs(self.blocks.combine(y), fields)
+    def state(self, y: np.ndarray) -> GibbsState:
+        y = np.asarray(y, dtype=float)
+        return _sector_gibbs(self.blocks.combine(y), y)
 
     def values(self, state: GibbsState) -> np.ndarray:
         return real_values(self.blocks.trace_with(state.weight_blocks))
@@ -191,10 +198,6 @@ class CellKernels:
     def n_cells(self) -> int:
         return len(self.kernels) // 2
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
     @cached_property
     def mass_bounds(self) -> np.ndarray:
         """(lowest, highest) eigenvalue of each cell mass operator: the extreme
@@ -210,10 +213,10 @@ class CellKernels:
         s . eigvalsh(sum_c k_E), in basis order."""
         return self.basis.occupations @ np.linalg.eigvalsh(self.kernels[:self.n_cells].sum(axis=0))
 
-    def state(self, y: np.ndarray, fields: LagrangeFields | None = None) -> GibbsState:
+    def state(self, y: np.ndarray) -> GibbsState:
         n = self.basis.n_modes
-        return _kernel_gibbs(self.basis, (np.asarray(y, dtype=float) @ self._flat).reshape(n, n),
-                             fields, self.kernels)
+        y = np.asarray(y, dtype=float)
+        return _kernel_gibbs(self.basis, (y @ self._flat).reshape(n, n), y, self.kernels)
 
     def _spectrum(self, state: GibbsState) -> ModeSpectrum:
         """The state's spectrum, carrying this family's kernels: as it is for a
@@ -275,7 +278,7 @@ class _TotalLevels(NamedTuple):
     levels: np.ndarray
 
     def state(self, y: np.ndarray) -> GibbsState:
-        return _boltzmann(y @ self.levels, None, None)
+        return _boltzmann(y @ self.levels, y, None)
 
     def values(self, state: GibbsState) -> np.ndarray:
         return self.levels @ state.probabilities
@@ -321,7 +324,7 @@ class TwoBodyKernels:
 def cell_observables(basis: FockBasis, modes, grid: CellGrid, potential,
                      order: int = 8) -> CellObservables:
     cells = range(grid.n_cells)
-    return CellObservables(BlockDiagonal.stack(
+    return CellObservables(basis, BlockDiagonal.stack(
         [energy_density_op(basis, modes, grid, c, potential, order=order) for c in cells]
         + [mass_density_op(basis, modes, grid, c) for c in cells]))
 
@@ -330,10 +333,6 @@ def cell_kernel_family(basis: FockBasis, modes, grid: CellGrid) -> CellKernels:
     """The kinetic cell energies and the cell masses as one-body kernels."""
     per_cell = [cell_kernels(modes, grid, c) for c in range(grid.n_cells)]
     return CellKernels(basis, np.array([e for e, _ in per_cell] + [m for _, m in per_cell]))
-
-
-def targets_vector(targets: ConstraintSet) -> np.ndarray:
-    return np.concatenate([targets.energy, targets.mass])
 
 
 class SectorSpectrum(NamedTuple):
@@ -386,9 +385,11 @@ class GibbsState:
     `weight` is assembled from the blocks on first use.  A `ModeSpectrum`
     state holds no Fock-space matrix: `probabilities` follow its occupation
     rows, and it is read through the mode occupations and their correlations.
+    `multipliers` is the y that a family's `state(y)` built the state at,
+    and None for a state of `gibbs_from_operator`.
     """
 
-    fields: LagrangeFields | None
+    multipliers: np.ndarray | None
     log_z: float
     probabilities: np.ndarray
     spectrum: SectorSpectrum | ModeSpectrum
@@ -408,13 +409,6 @@ class GibbsState:
         s = self.spectrum.basis.occupations
         return (s.T * self.probabilities) @ s
 
-    def with_fields(self, fields: LagrangeFields) -> GibbsState:
-        """This state labelled with `fields`; what it has already read (the
-        mode moments, the weight blocks) stays with it."""
-        labelled = copy.copy(self)
-        object.__setattr__(labelled, "fields", fields)
-        return labelled
-
     @cached_property
     def weight_blocks(self) -> BlockDiagonal:
         slices = self.spectrum.slices
@@ -427,16 +421,17 @@ class GibbsState:
         return self.weight_blocks.dense()
 
 
-def _boltzmann(levels: np.ndarray, fields: LagrangeFields | None, spectrum) -> GibbsState:
+def _boltzmann(levels: np.ndarray, y: np.ndarray | None, spectrum) -> GibbsState:
     """Probabilities exp(-level)/Z, shifted by the lowest level against overflow;
-    ln Z is the log-sum-exp of -level with the same shift."""
+    ln Z is the log-sum-exp of -level with the same shift.  The state keeps
+    the multipliers `y` of its levels."""
     low = levels.min()
     shifted = np.exp(low - levels)
     total = shifted.sum()
-    return GibbsState(fields, float(np.log(total) - low), shifted / total, spectrum)
+    return GibbsState(y, float(np.log(total) - low), shifted / total, spectrum)
 
 
-def gibbs_from_operator(k: BlockDiagonal, fields: LagrangeFields | None = None) -> GibbsState:
+def gibbs_from_operator(k: BlockDiagonal) -> GibbsState:
     """exp(-k)/Z by spectral calculus per block, shift-guarded against overflow.
 
     `k` is a hermitian BlockDiagonal over number sectors.  Probabilities are
@@ -444,16 +439,16 @@ def gibbs_from_operator(k: BlockDiagonal, fields: LagrangeFields | None = None) 
     """
     for block in k.blocks:
         require_hermitian(block, name="exponent")
-    return _sector_gibbs(k, fields)
+    return _sector_gibbs(k, None)
 
 
-def _sector_gibbs(k: BlockDiagonal, fields: LagrangeFields | None = None) -> GibbsState:
+def _sector_gibbs(k: BlockDiagonal, y: np.ndarray | None) -> GibbsState:
     pairs = [np.linalg.eigh(block) for block in k.blocks]
-    return _boltzmann(np.concatenate([e for e, _ in pairs]), fields,
+    return _boltzmann(np.concatenate([e for e, _ in pairs]), y,
                       SectorSpectrum(k, tuple(v for _, v in pairs)))
 
 
-def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None,
+def _kernel_gibbs(basis: FockBasis, k: np.ndarray, y: np.ndarray | None,
                   kernels: np.ndarray | None = None) -> GibbsState:
     """exp(-dGamma(k))/Z from one eigendecomposition k = U diag(eps) U^dagger.
 
@@ -463,21 +458,15 @@ def _kernel_gibbs(basis: FockBasis, k: np.ndarray, fields: LagrangeFields | None
     spectrum (`ModeSpectrum`).
     """
     energies, vectors = np.linalg.eigh(k)
-    return _boltzmann(basis.occupations @ energies, fields,
+    return _boltzmann(basis.occupations @ energies, y,
                       ModeSpectrum(basis, energies, vectors, kernels))
 
 
-def _check_basis(basis: FockBasis, obs: ConstraintFamily) -> None:
-    if obs.dim != basis.dim:
-        raise ValueError("observables were built on a different basis")
-
-
-def gibbs_state(basis: FockBasis, obs: ConstraintFamily, fields: LagrangeFields) -> GibbsState:
+def gibbs_state(obs: ConstraintFamily, fields: LagrangeFields) -> GibbsState:
     """The Gibbs state of `fields` over a constraint family."""
-    _check_basis(basis, obs)
     if fields.n_cells != obs.n_cells:
         raise ValueError("field cell count does not match the observables")
-    return obs.state(fields.multipliers, fields)
+    return obs.state(fields.multipliers)
 
 
 def real_values(values, name: str = "expectation") -> np.ndarray:
@@ -492,12 +481,6 @@ def real_values(values, name: str = "expectation") -> np.ndarray:
 def expectation(state: GibbsState, op: BlockDiagonal) -> float:
     """Tr(w A) for hermitian A in the state's blocks; rejects a non-real trace."""
     return float(real_values(op.trace_with(state.weight_blocks)))
-
-
-def constraint_values(state: GibbsState, obs: ConstraintFamily):
-    """Energy and mass expectations per cell, over a constraint family."""
-    values = obs.values(state)
-    return values[:obs.n_cells], values[obs.n_cells:]
 
 
 def entropy(state: GibbsState) -> float:
@@ -635,55 +618,48 @@ def _feasibility_check(obs: ConstraintFamily, targets: ConstraintSet) -> None:
             )
 
 
-def _totals_start(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
-                  max_iter: int) -> np.ndarray:
+def _totals_start(obs: ConstraintFamily, targets: ConstraintSet, max_iter: int) -> np.ndarray:
     """One (beta, -beta mu) fitted to the box totals, from the cold start (1e-2, 0).
 
     sum_c E_c is diagonalised once (`total_energy_levels`), and each level
     carries the mass MASS N of its sector; Newton then runs on these fixed
     levels (`_TotalLevels`).
     """
-    mass = MASS * basis.occupations.sum(axis=1)
+    mass = MASS * obs.basis.occupations.sum(axis=1)
     totals = _TotalLevels(np.array([obs.total_energy_levels(), mass]))
     y2, _, _, _ = _newton_fit(totals, np.array([targets.energy.sum(), targets.mass.sum()]),
                               np.array([1e-2, 0.0]), tol=1e-6, max_iter=max_iter)
     return y2
 
 
-def maxent_fit(basis: FockBasis, obs: ConstraintFamily, targets: ConstraintSet,
-               init: LagrangeFields | GibbsState | None = None, tol: float = FIT_TOL,
-               max_iter: int = MAX_ITER, chi: np.ndarray | None = None) -> FitResult:
+def maxent_fit(obs: ConstraintFamily, targets: ConstraintSet, warm: GibbsState | None = None,
+               tol: float = FIT_TOL, max_iter: int = MAX_ITER,
+               chi: np.ndarray | None = None) -> FitResult:
     """Fit (beta, mu) per cell so the Gibbs state meets the cell targets.
 
     The type of the constraint family `obs` selects how the states are
     built.  A cold start first fits one (beta, mu) to the box totals on the
-    fixed spectrum of the summed operators (`_totals_start`).  A warm
-    start `init` is a set of fields or a Gibbs state of `obs` that carries
-    its fields; such a state is not rebuilt, and `chi`, given only with a
-    state, must be `obs.chi` at exactly that state.  Newton either meets
-    `tol` or raises FitError.
+    fixed spectrum of the summed operators (`_totals_start`).  A warm start
+    is a Gibbs state of `obs`: Newton starts at its multipliers and does not
+    rebuild it, and `chi`, given only with it, must be `obs.chi` at exactly
+    that state.  Newton either meets `tol` or raises FitError; the fitted
+    state keeps the multipliers it was built at.
     """
-    _check_basis(basis, obs)
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
     _feasibility_check(obs, targets)
     n = obs.n_cells
-    warm = init if isinstance(init, GibbsState) else None
-    if warm is not None:
-        if warm.fields is None:
-            raise ValueError("a warm-start state must carry its fields")
-        init = warm.fields
-    elif chi is not None:
-        raise ValueError("chi seeds a fit only together with its warm-start state")
-    if init is None:
-        y = np.repeat(_totals_start(basis, obs, targets, max_iter), n)
+    if warm is None:
+        if chi is not None:
+            raise ValueError("chi seeds a fit only together with its warm-start state")
+        y = np.repeat(_totals_start(obs, targets, max_iter), n)
     else:
-        if init.n_cells != n:
-            raise ValueError("initial fields cell count does not match")
-        y = init.multipliers
-    y, state, iterations, trace = _newton_fit(obs, targets_vector(targets), y,
-                                              tol, max_iter, warm, chi)
+        y = warm.multipliers
+        if y is None:
+            raise ValueError("a warm-start state must carry its multipliers")
+        if y.size != 2 * n:
+            raise ValueError("warm-start cell count does not match")
+    y, state, iterations, trace = _newton_fit(obs, targets.values, y, tol, max_iter, warm, chi)
     if (y[:n] <= 0.0).any():
         raise FitError("fit landed at a non-positive inverse temperature")
-    fields = LagrangeFields(y)
-    return FitResult(fields, state.with_fields(fields), iterations, trace)
+    return FitResult(LagrangeFields(y), state, iterations, trace)

@@ -71,7 +71,7 @@ class ClosureSystem:
         return self.grid.n_cells
 
     def state_for(self, fields: LagrangeFields) -> GibbsState:
-        return gibbs_state(self.basis, self.family, fields)
+        return gibbs_state(self.family, fields)
 
 
 class RhsReport(NamedTuple):
@@ -125,9 +125,7 @@ class StateTrajectory:
 
 
 def _fit(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState, chi=None):
-    n = sys.n_cells
-    return maxent_fit(sys.basis, sys.family, ConstraintSet(moments[:n], moments[n:]),
-                      init=warm, chi=chi)
+    return maxent_fit(sys.family, ConstraintSet(moments), warm=warm, chi=chi)
 
 
 def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState, chi=None):

@@ -105,6 +105,18 @@ def one_body_micro(a_matrix: np.ndarray, mset: MicroModeSet,
     return np.kron(np.eye(macro_dim), _lift(a, mset))
 
 
+def charge_defect(joint: JointState) -> float:
+    """max |Q W - W| for the tracked-particle number Q = 1 x lift(1).
+
+    Q W = w x lift(1) lift(rho), so the defect is max|w| times
+    max|lift(1) lift(rho) - lift(rho)|, read from the Kronecker factors
+    without a joint-sized product.
+    """
+    lifted = _lift(joint.micro_matrix, joint.mset)
+    micro = np.max(np.abs(_lift(np.eye(joint.mset.q_dim), joint.mset) @ lifted - lifted))
+    return float(np.max(np.abs(joint.gas_weight)) * micro)
+
+
 def reduce_expectation(a_matrix: np.ndarray, joint: JointState) -> tuple[complex, complex]:
     """Expectation of a one-body tracked-particle observable.
 

@@ -674,7 +674,7 @@ def sector_totals_start(obs, targets, max_iter=MAX_ITER):
     the same Newton, on the family of the two summed operators."""
     coeffs = np.kron(np.eye(2), np.ones(obs.n_cells))
     if isinstance(obs, CellObservables):
-        totals = CellObservables(obs.blocks.combine(coeffs))
+        totals = CellObservables(obs.basis, obs.blocks.combine(coeffs))
     else:
         totals = CellKernels(obs.basis, np.tensordot(coeffs, obs.kernels, axes=1))
     y2, _, _, _ = _newton_fit(totals, np.array([targets.energy.sum(), targets.mass.sum()]),
@@ -685,20 +685,21 @@ def sector_totals_start(obs, targets, max_iter=MAX_ITER):
 def refit_integrate(sys, t_span, dt):
     """`kinetics.integrate` with a fit at every RK4 stage, from fields alone.
 
-    Each stage fits its moments warm-started from the fields of the fit
-    before it and reads its rates at that fit; the first stage of a step
-    fits again the moments that ended the step before.  Each step ends with
-    a fit to its new moments, and the rows are read at that fit.  No step is
-    halved and `dt` is not checked: a FitError propagates.
+    Each stage fits its moments warm-started at a fresh state of the fields
+    of the fit before it, built from their multipliers alone, and reads its
+    rates at that fit; the first stage of a step fits again the moments that
+    ended the step before.  Each step ends with a fit to its new moments, and
+    the rows are read at that fit.  No step is halved and `dt` is not
+    checked: a FitError propagates.
     """
     n = sys.n_cells
 
-    def fit(moments, warm):
-        return maxent_fit(sys.basis, sys.family, ConstraintSet(moments[:n], moments[n:]),
-                          init=warm)
+    def fit(moments, fields):
+        warm = sys.family.state(fields.multipliers)
+        return maxent_fit(sys.family, ConstraintSet(moments), warm=warm)
 
-    def fitted_rate(moments, warm):
-        result = fit(moments, warm)
+    def fitted_rate(moments, fields):
+        result = fit(moments, fields)
         return sys.rate_kernels.values(result.state), result
 
     fields = sys.fields

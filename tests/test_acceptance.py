@@ -46,12 +46,10 @@ from boxgas.gibbs import (
     ConstraintSet,
     LagrangeFields,
     cell_observables,
-    constraint_values,
     entropy,
     expectation,
     gibbs_state,
     maxent_fit,
-    targets_vector,
 )
 from boxgas.kinetics import closure_rhs, integrate
 from boxgas.microsystem import (
@@ -269,14 +267,13 @@ def test_acceptance_6_maxent_round_trip(capsys):
     grid = CellGrid(GEOM, (2,))
     obs = cell_observables(basis, modes, grid, Contact(0.8))
     true_fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
-    energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
-    targets = ConstraintSet(energy, mass_vals)
-    result = maxent_fit(basis, obs, targets)
+    targets = ConstraintSet(obs.values(gibbs_state(obs, true_fields)))
+    result = maxent_fit(obs, targets)
 
     y_true = true_fields.multipliers
     y_fit = result.fields.multipliers
     recovery = float(np.max(np.abs(y_fit - y_true)) / np.max(np.abs(y_true)))
-    t_vec = targets_vector(targets)
+    t_vec = targets.values
     ops = obs.blocks.dense()
     values = np.array([expectation(result.state, op) for op in obs.blocks])
     residual = float(np.max(np.abs(values - t_vec) / np.maximum(1.0, np.abs(t_vec))))

@@ -403,6 +403,20 @@ def test_witness_runs_where_a_jump_acts_on_the_annihilator_kernel(statistics):
             assert ("negative_tau_witness" in checks) == (gain > 1e-12), (n_modes, n_max, gain)
 
 
+def test_generator_check_reports_mass_conservation_it_cannot_meet(tmp_path):
+    # at delta 1e-9 the jump amplitudes sqrt(2 pi S / hbar) are so large that
+    # the round-off of L'(M) passes the bound: the check fails, and the
+    # report still holds every check
+    result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
+                      "--set", "generator.delta=1e-9"])
+    assert result.exit_code == 1
+    assert "failed invariant: mass_conservation" in result.output
+    report = read_report(tmp_path)
+    assert "error" not in report
+    check = report["checks"]["mass_conservation"]
+    assert check["bound"] == 1e-10 and check["value"] > 1e-10 and not check["passed"]
+
+
 def test_generator_check_interacting(tmp_path):
     result = run_cli(["generator-check", "--out", str(tmp_path), "--quiet",
                       "--set", "generator.n_samples=50"])
@@ -548,17 +562,38 @@ def test_evolve_on_maxent_roundtrip_fails_contrast_check(tmp_path):
     assert failed == ["beta_contrast_monotone"]
 
 
-@pytest.mark.parametrize("cells, beta, mu", [(1, "[0.2]", "[0.0]"),
-                                             (2, "[0.22, 0.18]", "[0.0, 0.0]")])
-def test_evolve_checks_contrast_only_between_cells(tmp_path, cells, beta, mu):
-    # one cell has no beta contrast to decay: it is 0 at every step
+@pytest.mark.parametrize("cells, beta, mu, checked", [
+    (1, "[0.2]", "[0.0]", False),
+    (2, "[0.22, 0.18]", "[0.0, 0.0]", True),
+    (2, "[0.2, 0.2]", "[0.0, 0.0]", False),
+])
+def test_evolve_checks_contrast_only_between_cells(tmp_path, cells, beta, mu, checked):
+    # one cell, or two mirror cells at one beta, keep a beta contrast of
+    # exactly 0 at every step: there is nothing to decay
     result = run_cli(["evolve", "--out", str(tmp_path), "--quiet",
                       "--set", f"grid.cells=[{cells}]", "--set", f"fields.beta={beta}",
                       "--set", f"fields.mu={mu}"])
     assert result.exit_code == 0
-    checks = read_report(tmp_path)["checks"]
-    assert ("beta_contrast_monotone" in checks) == (cells > 1)
-    assert checks["entropy_non_decreasing"]["passed"]
+    report = read_report(tmp_path)
+    assert ("beta_contrast_monotone" in report["checks"]) == checked
+    assert (report["values"]["contrast_final"] == 0.0) != checked
+    assert report["checks"]["entropy_non_decreasing"]["passed"]
+
+
+def test_evolve_checks_a_contrast_that_rises_from_a_uniform_start(tmp_path):
+    # three cells at one beta are not mirror images: the middle one differs,
+    # so a contrast grows from 0, and a rise fails the check
+    result = run_cli(["evolve", "--out", str(tmp_path), "--quiet",
+                      "--set", "grid.cells=[3]", "--set", "fields.beta=[0.2, 0.2, 0.2]",
+                      "--set", "fields.mu=[0.0, 0.0, 0.0]"])
+    assert result.exit_code == 1
+    assert "failed invariant: beta_contrast_monotone" in result.output
+    report = read_report(tmp_path)
+    assert report["values"]["contrast_initial"] == 0.0
+    assert report["values"]["contrast_final"] == pytest.approx(0.0107, abs=1e-4)
+    check = report["checks"]["beta_contrast_monotone"]
+    assert check["value"] == pytest.approx(3.6e-3, abs=1e-4)
+    assert check["bound"] == 0.0
 
 
 def test_evolve_free_gas_requires_explicit_dt(tmp_path):

@@ -39,13 +39,11 @@ from boxgas.gibbs import (
     cell_kernel_family,
     cell_observables,
     chi_matrix,
-    constraint_values,
     entropy,
     expectation,
     gibbs_from_operator,
     gibbs_state,
     maxent_fit,
-    targets_vector,
 )
 from boxgas.matrixutil import BlockDiagonal, frob
 from dense_oracles import (
@@ -141,7 +139,7 @@ def test_fit_above_the_infinite_temperature_energy_raises_fit_error():
     _, basis, _, obs = make_system()
     energy, mass = obs.values(obs.state(np.array([0.0, 0.0])))
     with pytest.raises(FitError, match="non-positive inverse temperature") as info:
-        maxent_fit(basis, obs, ConstraintSet(np.array([1.2 * energy]), np.array([mass])))
+        maxent_fit(obs, ConstraintSet(np.array([1.2 * energy, mass])))
     assert info.type is FitError
 
 
@@ -150,7 +148,7 @@ def test_array_holders_compare_by_identity_and_records_keep_their_fields():
     # ambiguous", "unhashable type"), so states and operators compare as objects
     _, basis, _, obs = make_system()
     fields = uniform_fields(1, beta=0.7, mu=0.1)
-    first, second = (gibbs_state(basis, obs, fields) for _ in range(2))
+    first, second = (gibbs_state(obs, fields) for _ in range(2))
     for a, b in ((first, second), (first.weight_blocks, second.weight_blocks)):
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
@@ -159,13 +157,24 @@ def test_array_holders_compare_by_identity_and_records_keep_their_fields():
                                         "passed", "worst_sample", "worst_tau")
 
 
-def test_constraint_set_validation():
-    with pytest.raises(ValueError, match="cell"):
-        ConstraintSet(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError, match="finite"):
-        ConstraintSet(np.array([np.inf]), np.array([1.0]))
-    t = ConstraintSet(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-    assert np.allclose(targets_vector(t), [1.0, 2.0, 0.5, 0.5])
+@pytest.mark.parametrize("t, match", [
+    ([1.0, 2.0, 0.5], "pair per cell"),
+    ([[1.0, 0.5]], "pair per cell"),
+    ([np.inf, 1.0], "finite"),
+    ([1.0, np.nan], "finite"),
+])
+def test_constraint_set_validation(t, match):
+    with pytest.raises(ValueError, match=match):
+        ConstraintSet(np.array(t))
+
+
+def test_constraint_set_holds_the_targets_bit_for_bit():
+    t = np.array([1.0, 2.0, 0.5, 0.25])
+    targets = ConstraintSet(t)
+    assert targets.values is t and targets.n_cells == 2
+    assert np.array_equal(targets.energy, [1.0, 2.0])
+    assert np.array_equal(targets.mass, [0.5, 0.25])
+    assert np.array_equal(ConstraintSet([1, 2]).values, [1.0, 2.0])
 
 
 def test_boosted_operators_match_field_builders():
@@ -180,7 +189,7 @@ def test_boosted_operators_match_field_builders():
     fields = LagrangeFields.from_beta_mu(np.array([0.7, 1.2]), np.array([0.1, -0.2]))
     want = sum(fields.beta[c] * direct[c] - fields.beta[c] * fields.mu[c] * direct[2 + c]
                for c in range(2))
-    k = gibbs_state(basis, obs, fields).spectrum.exponent.dense()
+    k = gibbs_state(obs, fields).spectrum.exponent.dense()
     assert frob(k - want) <= 1e-13 * scale
 
 
@@ -191,7 +200,7 @@ def test_boosted_operators_match_field_builders():
 def test_weight_invariants_and_commutation():
     _, basis, _, obs = make_system(potential=Contact(0.7))
     fields = uniform_fields(1, beta=0.8, mu=0.1)
-    state = gibbs_state(basis, obs, fields)
+    state = gibbs_state(obs, fields)
     w, k = state.weight, state.spectrum.exponent.dense()
     assert abs(np.trace(w).real - 1.0) <= 1e-12
     assert frob(w - w.conj().T) <= 1e-12 * frob(w)
@@ -203,7 +212,7 @@ def test_weight_invariants_and_commutation():
 def test_infinite_temperature_limit():
     _, basis, _, obs = make_system()
     fields = uniform_fields(1, beta=1e-9, mu=0.0)
-    state = gibbs_state(basis, obs, fields)
+    state = gibbs_state(obs, fields)
     assert frob(state.weight - np.eye(basis.dim) / basis.dim) <= 1e-6
 
 
@@ -211,7 +220,7 @@ def test_infinite_temperature_limit():
 def test_free_gas_matches_diagonal_oracle(statistics):
     _, basis, _, obs = make_system(statistics=statistics)
     beta, mu = 0.4, -0.2
-    state = gibbs_state(basis, obs, uniform_fields(1, beta, mu))
+    state = gibbs_state(obs, uniform_fields(1, beta, mu))
     probs, energies = diagonal_oracle(basis, beta, mu)
     for f in range(3):
         op = split_blocks(np.diag(basis.states[:, f].astype(complex)), basis.sectors, ["n_f"])
@@ -221,14 +230,11 @@ def test_free_gas_matches_diagonal_oracle(statistics):
     assert abs(expectation(state, e_op) - float(probs @ (basis.states @ energies))) <= 1e-10
 
 
-def test_state_basis_mismatch_errors():
+def test_state_cell_count_mismatch_errors():
     _, basis, _, obs = make_system()
-    other = build_basis(3, 1, Statistics.BOSE)
-    with pytest.raises(ValueError, match="different basis"):
-        gibbs_state(other, obs, uniform_fields(1, 1.0, 0.0))
+    assert obs.basis is basis
     with pytest.raises(ValueError, match="cell count"):
-        gibbs_state(build_basis(3, 2, Statistics.BOSE), obs,
-                    uniform_fields(2, 1.0, 0.0))
+        gibbs_state(obs, uniform_fields(2, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,7 @@ def test_state_basis_mismatch_errors():
 def test_expectation_reality_guard():
     _, basis, _, obs = make_system()
     # one block over the whole space, so a dense operator pairs with the state
-    k = gibbs_state(basis, obs, uniform_fields(1, 0.5, 0.0)).spectrum.exponent.dense()
+    k = gibbs_state(obs, uniform_fields(1, 0.5, 0.0)).spectrum.exponent.dense()
     state = gibbs_from_operator(one_block(k))
     rng = np.random.default_rng(0)
     h = random_hermitian(rng, basis.dim)
@@ -271,8 +277,8 @@ def test_momentum_vanishes_at_zero_velocity():
         for statistics in (Statistics.BOSE, Statistics.FERMI):
             basis = build_basis(len(numbers), 2, statistics)
             obs = cell_observables(basis, modes, grid, potential)
-            targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, true_fields), obs))
-            state = maxent_fit(basis, obs, targets).state
+            targets = ConstraintSet(obs.values(gibbs_state(obs, true_fields)))
+            state = maxent_fit(obs, targets).state
             for c in range(grid.n_cells):
                 for p_op in momentum_density_op(basis, modes, grid, c):
                     assert abs(expectation(state, p_op)) <= 1e-12
@@ -299,7 +305,7 @@ def test_entropy_limits_and_blocks():
 
 def test_entropy_of_gibbs_state_object():
     _, basis, _, obs = make_system()
-    state = gibbs_state(basis, obs, uniform_fields(1, 0.7, 0.0))
+    state = gibbs_state(obs, uniform_fields(1, 0.7, 0.0))
     assert abs(entropy(state) - weight_entropy(state.weight)) <= 1e-10
 
 
@@ -309,7 +315,7 @@ def test_entropy_of_gibbs_state_object():
 
 def test_chi_metric_properties():
     _, basis, _, obs = make_system(potential=Contact(0.5))
-    state = gibbs_state(basis, obs, uniform_fields(1, 0.6, -0.1))
+    state = gibbs_state(obs, uniform_fields(1, 0.6, -0.1))
     rng = np.random.default_rng(11)
     eye = np.eye(basis.dim, dtype=complex)
     for _ in range(5):
@@ -324,7 +330,7 @@ def test_chi_metric_properties():
 
 def test_chi_matches_finite_difference():
     _, basis, _, obs = make_system(potential=Contact(0.5))
-    state = gibbs_state(basis, obs, uniform_fields(1, 0.6, -0.1))
+    state = gibbs_state(obs, uniform_fields(1, 0.6, -0.1))
     rng = np.random.default_rng(21)
     a = random_hermitian(rng, basis.dim)
     b = random_hermitian(rng, basis.dim)
@@ -366,7 +372,7 @@ def test_chi_matches_integral_definition():
 def test_chi_matrix_symmetric_psd():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
     fields = LagrangeFields.from_beta_mu(np.array([1.0, 0.8]), np.array([0.1, 0.0]))
-    state = gibbs_state(basis, obs, fields)
+    state = gibbs_state(obs, fields)
     chi = chi_matrix(state, obs.blocks)
     assert np.allclose(chi, chi.T, atol=1e-12 * (1 + np.max(np.abs(chi))))
     assert np.min(np.linalg.eigvalsh(chi)) >= -1e-10 * max(1.0, np.max(np.abs(chi)))
@@ -379,10 +385,9 @@ def test_chi_matrix_symmetric_psd():
 def test_maxent_round_trip_two_cells():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
     true_fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
-    true_state = gibbs_state(basis, obs, true_fields)
-    energy, mass_vals = constraint_values(true_state, obs)
-    targets = ConstraintSet(energy, mass_vals)
-    result = maxent_fit(basis, obs, targets)
+    true_state = gibbs_state(obs, true_fields)
+    targets = ConstraintSet(obs.values(true_state))
+    result = maxent_fit(obs, targets)
     assert isinstance(result, FitResult)
     assert result.iterations <= 50
     assert result.residual_norms[-1] <= 1e-8
@@ -391,43 +396,67 @@ def test_maxent_round_trip_two_cells():
     assert np.max(np.abs(result.fields.mu - true_fields.mu)) <= 1e-6 * (
         1.0 + np.max(np.abs(true_fields.mu)))
     assert frob(result.state.weight - true_state.weight) <= 1e-8
-    fit_e, fit_m = constraint_values(result.state, obs)
-    assert np.max(np.abs(fit_e - energy)) <= 1e-8 * (1 + np.max(np.abs(energy)))
-    assert np.max(np.abs(fit_m - mass_vals)) <= 1e-8
+    fit = ConstraintSet(obs.values(result.state))
+    energy = targets.energy
+    assert np.max(np.abs(fit.energy - energy)) <= 1e-8 * (1 + np.max(np.abs(energy)))
+    assert np.max(np.abs(fit.mass - targets.mass)) <= 1e-8
 
 
 def test_maxent_warm_start_round_trip():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
     true_fields = LagrangeFields.from_beta_mu(np.array([1.3, 0.7]), np.array([0.0, 0.1]))
-    energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
+    targets = ConstraintSet(obs.values(gibbs_state(obs, true_fields)))
     init = LagrangeFields.from_beta_mu(np.array([1.2, 0.8]), np.array([0.05, 0.05]))
-    result = maxent_fit(basis, obs, ConstraintSet(energy, mass_vals), init=init)
+    result = maxent_fit(obs, targets, warm=gibbs_state(obs, init))
     assert np.max(np.abs(result.fields.beta - true_fields.beta)) <= 1e-6 * 1.3
     assert result.iterations <= 50
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
 def test_maxent_warm_state_and_chi_change_no_bit(statistics):
-    # handing a fit the state of its warm-start fields, and chi at exactly
-    # that state, skips their recomputation and nothing else
+    # handing a fit a warm state that has already been read, and chi at
+    # exactly that state, skips their recomputation and nothing else
     modes, basis, grid, _ = make_system(numbers=(1, 2, 3, 4), n_max=3, cells=2,
                                         statistics=statistics)
     family = cell_kernel_family(basis, modes, grid)
     true_fields = LagrangeFields.from_beta_mu(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
-    targets = ConstraintSet(*constraint_values(gibbs_state(basis, family, true_fields),
-                                               family))
+    targets = ConstraintSet(family.values(gibbs_state(family, true_fields)))
     init = LagrangeFields.from_beta_mu(np.array([0.23, 0.21]), np.array([0.05, -0.1]))
-    warm = gibbs_state(basis, family, init)
-    plain = maxent_fit(basis, family, targets, init=init)
+    warm = gibbs_state(family, init)
+    plain = maxent_fit(family, targets, warm=gibbs_state(family, init))
     assert plain.iterations >= 2
-    for seeded in (maxent_fit(basis, family, targets, init=warm),
-                   maxent_fit(basis, family, targets, init=warm, chi=family.chi(warm))):
+    assert family.values(warm).shape == (4,)  # the warm state has read its moments
+    for seeded in (maxent_fit(family, targets, warm=warm),
+                   maxent_fit(family, targets, warm=warm, chi=family.chi(warm))):
         assert np.array_equal(seeded.fields.beta, plain.fields.beta)
         assert np.array_equal(seeded.fields.mu, plain.fields.mu)
         assert seeded.iterations == plain.iterations
         assert np.array_equal(seeded.residual_norms, plain.residual_norms)
     with pytest.raises(ValueError, match="warm-start state"):
-        maxent_fit(basis, family, targets, init=init, chi=family.chi(warm))
+        maxent_fit(family, targets, chi=family.chi(warm))
+
+
+def test_states_keep_the_multipliers_they_were_built_at():
+    modes, basis, grid, obs = make_system(cells=2, potential=Contact(0.8))
+    y = np.array([1.1, 0.9, -0.22, 0.09])
+    for family in (obs, cell_kernel_family(basis, modes, grid)):
+        state = family.state(y)
+        assert np.array_equal(state.multipliers, y)
+        targets = ConstraintSet(family.values(state))
+        for fit in (maxent_fit(family, targets), maxent_fit(family, targets, warm=state)):
+            assert np.array_equal(fit.state.multipliers, fit.fields.multipliers)
+    assert gibbs_from_operator(obs.state(y).spectrum.exponent).multipliers is None
+
+
+def test_maxent_rejects_a_warm_state_it_cannot_start_from():
+    _, _, _, obs = make_system(cells=2, potential=Contact(0.8))
+    targets = ConstraintSet(obs.values(obs.state(np.array([1.1, 0.9, -0.22, 0.09]))))
+    bare = gibbs_from_operator(obs.state(np.array([1.0, 1.0, 0.0, 0.0])).spectrum.exponent)
+    with pytest.raises(ValueError, match="must carry its multipliers"):
+        maxent_fit(obs, targets, warm=bare)
+    one_cell = make_system(potential=Contact(0.8))[3]
+    with pytest.raises(ValueError, match="warm-start cell count"):
+        maxent_fit(obs, targets, warm=one_cell.state(np.array([1.0, 0.0])))
 
 
 def test_maxent_free_gas_scalar_inversion():
@@ -446,10 +475,10 @@ def test_maxent_free_gas_scalar_inversion():
         return float((ns * p).sum() / p.sum())
 
     n_target = mean_number(c_true)
-    targets = ConstraintSet(np.array([w1 * n_target]), np.array([MASS * n_target]))
+    targets = ConstraintSet(np.array([w1 * n_target, MASS * n_target]))
     c_root = brentq(lambda c: mean_number(c) - n_target, 1e-8, 60.0, xtol=1e-14)
     assert abs(c_root - c_true) <= 1e-10
-    result = maxent_fit(basis, obs, targets)
+    result = maxent_fit(obs, targets)
     fitted = result.fields
     c_fit = fitted.beta[0] * (w1 - fitted.mu[0] * MASS)
     assert abs(c_fit - c_root) <= 1e-6 * c_root
@@ -461,7 +490,7 @@ def test_maxent_free_gas_scalar_inversion():
 def test_maxent_infeasible_mass_target():
     _, basis, _, obs = make_system()
     with pytest.raises(ValueError, match="infeasible mass target"):
-        maxent_fit(basis, obs, ConstraintSet(np.array([1.0]), np.array([100.0])))
+        maxent_fit(obs, ConstraintSet(np.array([1.0, 100.0])))
 
 
 def test_maxent_inconsistent_targets_error():
@@ -469,27 +498,26 @@ def test_maxent_inconsistent_targets_error():
     modes = modes_from_numbers(GEOM, [(1,)])
     basis = build_basis(1, 3, Statistics.BOSE)
     obs = cell_observables(basis, modes, whole_box_grid(GEOM), Zero())
-    bad = ConstraintSet(np.array([UNIT * 1.8]), np.array([MASS * 1.2]))
+    bad = ConstraintSet(np.array([UNIT * 1.8, MASS * 1.2]))
     with pytest.raises(ValueError, match="did not converge|unbounded dual step"):
-        maxent_fit(basis, obs, bad, max_iter=40)
+        maxent_fit(obs, bad, max_iter=40)
 
 
 def test_maxent_unattainable_energy_target():
     _, basis, _, obs = make_system()
-    feasible_mass = np.array([1.0])
+    feasible_mass = 1.0
     with pytest.raises(ValueError, match="unbounded dual step|did not converge"):
-        maxent_fit(basis, obs, ConstraintSet(np.array([1e4]), feasible_mass))
+        maxent_fit(obs, ConstraintSet(np.array([1e4, feasible_mass])))
 
 
 def test_maximality_against_constrained_perturbations():
     _, basis, _, obs = make_system(cells=2, potential=Contact(0.8))
     true_fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
-    energy, mass_vals = constraint_values(gibbs_state(basis, obs, true_fields), obs)
-    targets = ConstraintSet(energy, mass_vals)
-    result = maxent_fit(basis, obs, targets)
+    targets = ConstraintSet(obs.values(gibbs_state(obs, true_fields)))
+    result = maxent_fit(obs, targets)
     state = result.state
     ops = obs.blocks.dense()
-    t_vec = targets_vector(targets)
+    t_vec = targets.values
     s_star = entropy(state)
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -503,9 +531,9 @@ def test_maximality_against_constrained_perturbations():
 def test_fit_failures_raise_fit_error():
     _, basis, _, obs = make_system()
     with pytest.raises(FitError, match="infeasible mass target"):
-        maxent_fit(basis, obs, ConstraintSet(np.array([1.0]), np.array([100.0])))
+        maxent_fit(obs, ConstraintSet(np.array([1.0, 100.0])))
     with pytest.raises(FitError, match="unbounded dual step|did not converge"):
-        maxent_fit(basis, obs, ConstraintSet(np.array([1e4]), np.array([1.0])))
+        maxent_fit(obs, ConstraintSet(np.array([1e4, 1.0])))
 
 
 class RisingFamily:
@@ -561,8 +589,8 @@ def test_totals_start_matches_the_sector_oracle(box, statistics, cells):
     basis, modes, grid, potential, geom, fields = cold_start_system(box, statistics, cells)
     for obs in (cell_observables(basis, modes, grid, potential),
                 cell_kernel_family(basis, modes, grid)):
-        targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, fields), obs))
-        got = _totals_start(basis, obs, targets, MAX_ITER)
+        targets = ConstraintSet(obs.values(gibbs_state(obs, fields)))
+        got = _totals_start(obs, targets, MAX_ITER)
         want = sector_totals_start(obs, targets)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -593,7 +621,7 @@ def test_cold_start_diagonalises_each_sector_block_of_the_total_energy_once(stat
                                    statistics=statistics)
     assert 2 not in [s.stop - s.start for s in basis.sectors]
     fields = LagrangeFields.from_beta_mu(np.array([1.1, 0.9]), np.array([0.2, -0.1]))
-    targets = ConstraintSet(*constraint_values(gibbs_state(basis, obs, fields), obs))
+    targets = ConstraintSet(obs.values(gibbs_state(obs, fields)))
     assert obs.mass_bounds.shape == (2, 2)  # the feasibility check's spectra, read beforehand
     seen, cell_fit_from = [], []
 
@@ -613,7 +641,7 @@ def test_cold_start_diagonalises_each_sector_block_of_the_total_energy_once(stat
         return real_newton(family, *args, **kwargs)
 
     monkeypatch.setattr(gibbs, "_newton_fit", newton)
-    fit = maxent_fit(basis, obs, targets)
+    fit = maxent_fit(obs, targets)
     assert len(cell_fit_from) == 1
     cold = [a for a in seen[:cell_fit_from[0]] if a.shape != (2, 2)]
     total_energy = [b[:obs.n_cells].sum(axis=0) for b in obs.blocks.blocks]

@@ -51,7 +51,6 @@ from boxgas.gibbs import (
     CellObservables,
     ConstraintSet,
     GibbsState,
-    LagrangeFields,
     ModeSpectrum,
     TwoBodyKernels,
     chi_matrix,
@@ -124,7 +123,7 @@ def test_mode_spectrum_matches_sector_blocks(case):
     blocks = BlockDiagonal.stack(one_body_operator(basis, kc) for kc in kernels)
     assert_close(family.values(state), blocks.trace_with(oracle.weight_blocks).real)
     assert_close(family.chi(state), chi_matrix(oracle, blocks))
-    obs = CellObservables(blocks)
+    obs = CellObservables(basis, blocks)
     assert_close(family.mass_bounds, obs.mass_bounds)
 
     # Gamma(U) is unitary and carries the occupation rows to the eigenvectors
@@ -170,9 +169,9 @@ def test_kernel_family_state_and_shared_rotation(statistics):
         assert np.array_equal(state.probabilities, want.probabilities)
         assert np.array_equal(state.spectrum.vectors, want.spectrum.vectors)
     ys[:, :2] = np.abs(ys[:, :2])  # positive beta, so the fits' fields exist
-    targets = [ConstraintSet(*family.values(family.state(y)).reshape(2, 2)) for y in ys]
-    fits = [maxent_fit(basis, family, targets[0], init=LagrangeFields(ys[0] + 0.01))]
-    fits.append(maxent_fit(basis, family, targets[1], init=fits[0].state))
+    targets = [ConstraintSet(family.values(family.state(y))) for y in ys]
+    fits = [maxent_fit(family, targets[0], warm=family.state(ys[0] + 0.01))]
+    fits.append(maxent_fit(family, targets[1], warm=fits[0].state))
     assert all("mode_occupations" in vars(fit.state) for fit in fits)
     n_pairs = len(pair_basis(4, statistics))
     rates = TwoBodyKernels(np.array([random_kernel(rng, 4, "complex") for _ in range(2)]),
@@ -182,7 +181,7 @@ def test_kernel_family_state_and_shared_rotation(statistics):
         values, chi = family.values(state), family.chi(state)
         fresh = CellKernels(basis, kernels.copy())
         spectrum = state.spectrum
-        again = GibbsState(state.fields, state.log_z, state.probabilities.copy(),
+        again = GibbsState(state.multipliers, state.log_z, state.probabilities.copy(),
                            ModeSpectrum(basis, spectrum.energies.copy(), spectrum.vectors.copy()))
         for got, want in [(state.mode_occupations, again.mode_occupations),
                           (state.mode_correlations, again.mode_correlations),

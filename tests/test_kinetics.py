@@ -45,7 +45,6 @@ from boxgas.gibbs import (
     FitError,
     LagrangeFields,
     cell_observables,
-    constraint_values,
     gibbs_from_operator,
     gibbs_state,
     maxent_fit,
@@ -201,7 +200,7 @@ def test_rhs_matches_independent_trace_oracle(statistics):
                                   n_max=3)
         assert frob(sys.coeffs.jump) > 0.0
     blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero())
-    w = gibbs_state(sys.basis, blocks, sys.fields).weight
+    w = gibbs_state(blocks, sys.fields).weight
     images = {}
     n = sys.basis.n_modes
     for h in range(n):
@@ -323,6 +322,45 @@ def test_integrate_propagates_non_fit_errors(monkeypatch):
     assert not isinstance(info.value, FitError)
 
 
+def always_failing_step(calls):
+    """An `_rk4_step` whose fit always fails; past 50 calls it raises a plain
+    error, so a retry loop without its abort fails a test instead of hanging it."""
+    def step(sys_, start, moments, size):
+        calls.append(size)
+        if len(calls) > 50:
+            raise RuntimeError("integrate kept halving past every abort")
+        raise FitError("synthetic fit failure")
+    return step
+
+
+def test_integrate_aborts_where_a_halving_would_cross_the_floor(monkeypatch):
+    # 20.2 tau0 halves to 10.1 and 5.05 tau0; the third attempt's half is
+    # below 5 tau0
+    sys = make_system()
+    dt = 20.2 * sys.tau0
+    calls = []
+    monkeypatch.setattr(kinetics, "_rk4_step", always_failing_step(calls))
+    with pytest.raises(ValueError, match=r"^step rejection at t = 0 cannot halve below the "
+                       r"coarse-grained floor .*: synthetic fit failure$") as info:
+        integrate(sys, t_span=4.0 * dt, dt=dt)
+    assert type(info.value) is ValueError and isinstance(info.value.__cause__, FitError)
+    assert calls == [dt, 0.5 * dt, 0.25 * dt]
+
+
+def test_integrate_aborts_a_rejection_cascade(monkeypatch):
+    # at zero coupling tau0 is infinite and the floor is 0, so only the
+    # halving count stops the retries: the 11th attempt is the last
+    sys = free_system()
+    assert not math.isfinite(sys.tau0)
+    calls = []
+    monkeypatch.setattr(kinetics, "_rk4_step", always_failing_step(calls))
+    with pytest.raises(ValueError, match=r"^step rejection cascade at t = 0 \(more than 10 "
+                       r"halvings\): synthetic fit failure$") as info:
+        integrate(sys, t_span=2.0, dt=0.5)
+    assert type(info.value) is ValueError and isinstance(info.value.__cause__, FitError)
+    assert calls == [0.5 / 2 ** i for i in range(11)]
+
+
 def test_interacting_equilibrium_stays_fixed():
     # single cell, resonant-only smearing: collision residual vanishes exactly
     sys = make_system(cells=1, beta=(0.2,), g=0.1, delta=2.0)
@@ -421,7 +459,7 @@ def test_each_accepted_step_makes_four_fits(monkeypatch):
     real_fit, real_step = kinetics.maxent_fit, kinetics._rk4_step
 
     def counted_fit(*args, **kwargs):
-        fits.append(kwargs["init"])
+        fits.append(kwargs["warm"])
         return real_fit(*args, **kwargs)
 
     def flaky_step(sys_, start, moments, step):
@@ -588,8 +626,8 @@ def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
     assert dim >= 84
     blocks = cell_observables(sys.basis, sys.modes, sys.grid, Zero())
     fields = LagrangeFields.from_beta_mu(np.array([0.25, 0.2]), np.array([0.1, -0.2]))
-    targets = ConstraintSet(*constraint_values(gibbs_state(sys.basis, blocks, fields), blocks))
-    by_blocks = maxent_fit(sys.basis, blocks, targets).fields
+    targets = ConstraintSet(blocks.values(gibbs_state(blocks, fields)))
+    by_blocks = maxent_fit(blocks, targets).fields
 
     def boom(*args, **kwargs):
         raise AssertionError("a sector block was diagonalised")
@@ -611,6 +649,6 @@ def test_closure_never_diagonalises_a_sector_block(statistics, monkeypatch):
     closure = ClosureSystem(sys.basis, sys.modes, sys.grid, sys.coeffs, sys.fields)
     dt = 5.05 * closure.tau0
     assert integrate(closure, t_span=4.0 * dt, dt=dt).n_steps == 4
-    by_kernels = maxent_fit(sys.basis, sys.family, targets).fields
+    by_kernels = maxent_fit(sys.family, targets).fields
     for got, want in ((by_kernels.beta, by_blocks.beta), (by_kernels.mu, by_blocks.mu)):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10

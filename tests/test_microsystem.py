@@ -5,6 +5,7 @@ from boxgas.gibbs import gibbs_from_operator
 from boxgas.microsystem import (
     JointState,
     MicroModeSet,
+    charge_defect,
     embed_joint,
     one_body_micro,
     reduce_expectation,
@@ -184,6 +185,19 @@ def test_reduce_matches_full_trace_oracle():
         assert joint_trace == pytest.approx(full, abs=1e-12)
         assert got == pytest.approx(full, abs=1e-12)
         assert got == pytest.approx(complex(np.trace(a @ rho)), abs=1e-12)
+
+
+def test_charge_defect_matches_the_dense_product():
+    # the charge fixes every joint weight exactly: the factors and the dense
+    # joint product give the same defect, bit for bit
+    rng = np.random.default_rng(67)
+    for q_dim, macro_dim in [(1, 4), (2, 6), (3, 5), (4, 3)]:
+        mset = MicroModeSet(q_dim)
+        gas = gibbs_from_operator(one_block(random_hermitian(rng, macro_dim))).weight
+        joint = embed_joint(gas, random_state_matrix(rng, q_dim), mset)
+        charge = one_body_micro(np.eye(q_dim), mset, macro_dim)
+        dense = float(np.max(np.abs(charge @ joint.weight - joint.weight)))
+        assert charge_defect(joint) == dense
 
 
 def test_one_body_micro_shape_guard():
