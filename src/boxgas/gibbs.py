@@ -6,7 +6,8 @@ weighted sum of cell energy and mass operators: the multipliers
 susceptibilities of one stack of constraints: `CellObservables` holds the
 operators in number-sector blocks and diagonalises each block of K;
 `CellKernels` holds one-body n x n kernels, so K = dGamma(k) and every
-quantity follows from one eigendecomposition of k.  `TwoBodyKernels` reads
+quantity follows from one eigendecomposition of k.  A state records the
+family that built it, and only that family reads it.  `TwoBodyKernels` reads
 operators of at most two bodies at such states from the same eigenpairs.
 """
 
@@ -154,13 +155,16 @@ class CellObservables:
                                for b in self.blocks.blocks])
 
     def state(self, y: np.ndarray) -> GibbsState:
-        y = np.asarray(y, dtype=float)
-        return _sector_gibbs(self.blocks.combine(y), y)
+        y = np.array(y, dtype=float)  # the state keeps its own copy
+        return _sector_gibbs(self, self.blocks.combine(y), y)
 
     def values(self, state: GibbsState) -> np.ndarray:
-        return real_values(self.blocks.trace_with(state.weight_blocks))
+        return real_values(self.blocks.trace_with(_own(self, state).weight_blocks))
 
     def chi(self, state: GibbsState) -> np.ndarray:
+        return _own(self, state).chi
+
+    def _chi(self, state: GibbsState) -> np.ndarray:
         return chi_matrix(state, self.blocks)
 
 
@@ -171,16 +175,14 @@ class CellKernels:
     `kernels[i]` is the n x n kernel of constraint i, stacked like
     `CellObservables.blocks`, so every exponent is K = dGamma(k) with
     k = sum_i y_i kernels[i], and each state comes from one eigendecomposition
-    k = U diag(eps) U^dagger (`_kernel_gibbs`).  With s the occupation
-    rows of the basis, p their probabilities, nbar = p s and a_i =
-    U^dagger kernels[i] U, constraint i has the value sum_j a_i[j, j] nbar[j];
-    `chi` reads the susceptibility off nbar and C = s^T diag(p) s, which the
-    state holds (`GibbsState.mode_occupations`, `.mode_correlations`).  No
-    sector block is diagonalised.  Every kernel is checked hermitian here,
-    once, so the real combinations that a fit diagonalises need no check of
-    their own.  The spectrum of a state built here carries `kernels`, and
-    keeps the rotated stack a_i once it is formed (`ModeSpectrum.rotated`),
-    so `values` and `chi` at one state rotate the stack once between them.
+    k = U diag(eps) U^dagger (`_kernel_gibbs`), which also forms everything
+    this family reads there (`ModeSpectrum`): with s the occupation rows of
+    the basis and p their probabilities, nbar = p s, C = s^T diag(p) s and
+    the rotated stack a_i = U^dagger kernels[i] U.  Constraint i has the
+    value sum_j a_i[j, j] nbar[j], and `chi` reads the susceptibility off
+    nbar, C and a.  No sector block is diagonalised.  Every kernel is checked
+    hermitian here, once, so the real combinations that a fit diagonalises
+    need no check of their own.
     """
 
     basis: FockBasis
@@ -215,21 +217,17 @@ class CellKernels:
 
     def state(self, y: np.ndarray) -> GibbsState:
         n = self.basis.n_modes
-        y = np.asarray(y, dtype=float)
-        return _kernel_gibbs(self.basis, (y @ self._flat).reshape(n, n), y, self.kernels)
-
-    def _spectrum(self, state: GibbsState) -> ModeSpectrum:
-        """The state's spectrum, carrying this family's kernels: as it is for a
-        state built here, else a copy that rotates them afresh."""
-        spectrum = state.spectrum
-        if spectrum.kernels is self.kernels:
-            return spectrum
-        return ModeSpectrum(spectrum.basis, spectrum.energies, spectrum.vectors, self.kernels)
+        y = np.array(y, dtype=float)  # the state keeps its own copy
+        return _kernel_gibbs(self, (y @ self._flat).reshape(n, n), y)
 
     def values(self, state: GibbsState) -> np.ndarray:
-        return self._spectrum(state).rotated_diagonal @ state.mode_occupations
+        spectrum = _own(self, state).spectrum
+        return spectrum.diagonal @ spectrum.occupations
 
     def chi(self, state: GibbsState) -> np.ndarray:
+        return _own(self, state).chi
+
+    def _chi(self, state: GibbsState) -> np.ndarray:
         """Kubo-Mori susceptibility over the kernels, from the occupation moments.
 
         The diagonal parts give sum_jk a_c[j, j] a_d[k, k] (C_jk - nbar_j nbar_k),
@@ -240,9 +238,9 @@ class CellKernels:
         makes this equal to phi(eps_j - eps_i) (nbar_i +- C_ij), and each pair
         is read on the side where the gap is >= 0, so phi stays in (0, 1].
         """
-        nbar, corr = state.mode_occupations, state.mode_correlations
-        spectrum = self._spectrum(state)
-        a, diag = spectrum.rotated, spectrum.rotated_diagonal
+        spectrum = state.spectrum
+        nbar, corr = spectrum.occupations, spectrum.correlations
+        a, diag = spectrum.rotated, spectrum.diagonal
         chi = diag @ (corr - nbar[:, None] * nbar) @ diag.T
         eps = spectrum.energies
         gap = eps[:, None] - eps
@@ -264,6 +262,13 @@ class CellKernels:
 ConstraintFamily = CellObservables | CellKernels
 
 
+def _own(family: ConstraintFamily, state: GibbsState) -> GibbsState:
+    """`state`, when `family` built it: a family reads only its own states."""
+    if state.family is not family:
+        raise ValueError("a constraint family reads only the states it built")
+    return state
+
+
 class _TotalLevels(NamedTuple):
     """The box totals sum_c E_c and sum_c M_c as a constraint family on fixed levels.
 
@@ -278,12 +283,12 @@ class _TotalLevels(NamedTuple):
     levels: np.ndarray
 
     def state(self, y: np.ndarray) -> GibbsState:
-        return _boltzmann(y @ self.levels, y, None)
+        return GibbsState(self, y, *_boltzmann(y @ self.levels), None)
 
     def values(self, state: GibbsState) -> np.ndarray:
         return self.levels @ state.probabilities
 
-    def chi(self, state: GibbsState) -> np.ndarray:
+    def _chi(self, state: GibbsState) -> np.ndarray:
         centred = self.levels - self.values(state)[:, None]
         return (centred * state.probabilities) @ centred.T
 
@@ -308,10 +313,10 @@ class TwoBodyKernels:
         self.statistics = statistics
 
     def values(self, state: GibbsState) -> np.ndarray:
-        u = state.spectrum.vectors
+        spectrum = state.spectrum
+        u, nbar, corr = spectrum.vectors, spectrum.occupations, spectrum.correlations
         n = u.shape[0]
         x = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
-        nbar, corr = state.mode_occupations, state.mode_correlations
         # 2G - diag G with G = C - diag(nbar): 2C off the diagonal, C - nbar on it
         folded = 2.0 * corr
         np.fill_diagonal(folded, corr.diagonal() - nbar)
@@ -346,68 +351,58 @@ class SectorSpectrum(NamedTuple):
         return self.exponent.slices
 
 
-@dataclass(frozen=True, eq=False)
-class ModeSpectrum:
-    """Eigenpairs of the exponent dGamma(k), read off k = U diag(energies) U^dagger.
+class ModeSpectrum(NamedTuple):
+    """Eigenpairs of the exponent dGamma(k), k = U diag(energies) U^dagger, and
+    what a `CellKernels` family reads at its state there.
 
     U is `vectors`.  Row m of the basis stands for the eigenvector of
-    dGamma(k) that has occupations states[m] in the eigenmodes of k, with
-    eigenvalue states[m] . energies.  No Fock-space vector is built.
-    `kernels`, when given, is the stack of a `CellKernels` family that built
-    the state; the spectrum then keeps that stack in its eigenmodes.
+    dGamma(k) that has occupations s = states[m] in the eigenmodes of k, with
+    eigenvalue s . energies; no Fock-space vector is built.  With p the
+    probabilities of the rows, `occupations` is nbar = p s and `correlations`
+    is C = s^T diag(p) s, the <n_a n_b>.  `rotated` is the family's kernel
+    stack in the eigenmodes, a_i = U^dagger k_i U, and `diagonal` holds its
+    real diagonals, one row per kernel.
     """
 
-    basis: FockBasis
     energies: np.ndarray
     vectors: np.ndarray
-    kernels: np.ndarray | None = None
-
-    @cached_property
-    def rotated(self) -> np.ndarray:
-        """The kernels in the eigenmodes, U^dagger k_i U."""
-        u = self.vectors
-        return u.conj().T @ self.kernels @ u
-
-    @cached_property
-    def rotated_diagonal(self) -> np.ndarray:
-        """The real diagonals of `rotated`, one row per kernel."""
-        return self.rotated.diagonal(0, 1, 2).real
+    occupations: np.ndarray
+    correlations: np.ndarray
+    rotated: np.ndarray
+    diagonal: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsState:
     """exp(-K)/Z kept per diagonal block of K (the number sectors).
 
-    `spectrum` is a `SectorSpectrum` or a `ModeSpectrum`.  Over a
-    `SectorSpectrum`, `probabilities[s]` and `vector_blocks[i]` are the
-    eigenpairs of K on the block `s = spectrum.slices[i]`, grouped by block;
-    `weight_blocks` holds the weight over the same blocks, and the dense
-    `weight` is assembled from the blocks on first use.  A `ModeSpectrum`
-    state holds no Fock-space matrix: `probabilities` follow its occupation
-    rows, and it is read through the mode occupations and their correlations.
-    `multipliers` is the y that a family's `state(y)` built the state at,
-    and None for a state of `gibbs_from_operator`.
+    `family` is the constraint family whose `state(y)` built the state, and
+    the only one that reads its values and chi; `multipliers` is that y.
+    Both are None for a state of `gibbs_from_operator`.  `spectrum` is a
+    `SectorSpectrum` or a `ModeSpectrum`.  Over a `SectorSpectrum`,
+    `probabilities[s]` and `vector_blocks[i]` are the eigenpairs of K on the
+    block `s = spectrum.slices[i]`, grouped by block; `weight_blocks` holds
+    the weight over the same blocks, and the dense `weight` is assembled from
+    the blocks on first use.  A `ModeSpectrum` state holds no Fock-space
+    matrix: `probabilities` follow its occupation rows, and the spectrum
+    holds every mode-family read.  `chi` is the family's susceptibility here,
+    formed on first use and kept, so a fit and the closure that meet at one
+    state form it once between them.
     """
 
+    family: ConstraintFamily | _TotalLevels | None
     multipliers: np.ndarray | None
     log_z: float
     probabilities: np.ndarray
-    spectrum: SectorSpectrum | ModeSpectrum
+    spectrum: SectorSpectrum | ModeSpectrum | None
 
     @property
     def vector_blocks(self) -> tuple:
         return self.spectrum.vector_blocks
 
     @cached_property
-    def mode_occupations(self) -> np.ndarray:
-        """nbar = p s over the occupation rows s of a `ModeSpectrum` state."""
-        return self.probabilities @ self.spectrum.basis.occupations
-
-    @cached_property
-    def mode_correlations(self) -> np.ndarray:
-        """C = s^T diag(p) s, the <n_a n_b> of a `ModeSpectrum` state."""
-        s = self.spectrum.basis.occupations
-        return (s.T * self.probabilities) @ s
+    def chi(self) -> np.ndarray:
+        return self.family._chi(self)
 
     @cached_property
     def weight_blocks(self) -> BlockDiagonal:
@@ -421,14 +416,13 @@ class GibbsState:
         return self.weight_blocks.dense()
 
 
-def _boltzmann(levels: np.ndarray, y: np.ndarray | None, spectrum) -> GibbsState:
-    """Probabilities exp(-level)/Z, shifted by the lowest level against overflow;
-    ln Z is the log-sum-exp of -level with the same shift.  The state keeps
-    the multipliers `y` of its levels."""
+def _boltzmann(levels: np.ndarray) -> tuple[float, np.ndarray]:
+    """ln Z and the probabilities exp(-level)/Z, shifted by the lowest level
+    against overflow; ln Z is the log-sum-exp of -level with the same shift."""
     low = levels.min()
     shifted = np.exp(low - levels)
     total = shifted.sum()
-    return GibbsState(y, float(np.log(total) - low), shifted / total, spectrum)
+    return float(np.log(total) - low), shifted / total
 
 
 def gibbs_from_operator(k: BlockDiagonal) -> GibbsState:
@@ -439,27 +433,30 @@ def gibbs_from_operator(k: BlockDiagonal) -> GibbsState:
     """
     for block in k.blocks:
         require_hermitian(block, name="exponent")
-    return _sector_gibbs(k, None)
+    return _sector_gibbs(None, k, None)
 
 
-def _sector_gibbs(k: BlockDiagonal, y: np.ndarray | None) -> GibbsState:
+def _sector_gibbs(family: CellObservables | None, k: BlockDiagonal,
+                  y: np.ndarray | None) -> GibbsState:
     pairs = [np.linalg.eigh(block) for block in k.blocks]
-    return _boltzmann(np.concatenate([e for e, _ in pairs]), y,
+    return GibbsState(family, y, *_boltzmann(np.concatenate([e for e, _ in pairs])),
                       SectorSpectrum(k, tuple(v for _, v in pairs)))
 
 
-def _kernel_gibbs(basis: FockBasis, k: np.ndarray, y: np.ndarray | None,
-                  kernels: np.ndarray | None = None) -> GibbsState:
-    """exp(-dGamma(k))/Z from one eigendecomposition k = U diag(eps) U^dagger.
+def _kernel_gibbs(family: CellKernels, k: np.ndarray, y: np.ndarray | None) -> GibbsState:
+    """exp(-dGamma(k))/Z from one eigendecomposition k = U diag(eps) U^dagger,
+    with every read of `family` there (`ModeSpectrum`).
 
     The basis truncates only the total number, so the mode rotation Gamma(U)
     maps it onto itself: row m of `basis.states` stands for an eigenvector of
-    dGamma(k) with eigenvalue states[m] . eps.  `kernels` goes to the
-    spectrum (`ModeSpectrum`).
+    dGamma(k) with eigenvalue states[m] . eps.
     """
+    s = family.basis.occupations
     energies, vectors = np.linalg.eigh(k)
-    return _boltzmann(basis.occupations @ energies, y,
-                      ModeSpectrum(basis, energies, vectors, kernels))
+    log_z, p = _boltzmann(s @ energies)
+    rotated = vectors.conj().T @ family.kernels @ vectors
+    return GibbsState(family, y, log_z, p, ModeSpectrum(
+        energies, vectors, p @ s, (s.T * p) @ s, rotated, rotated.diagonal(0, 1, 2).real))
 
 
 def gibbs_state(obs: ConstraintFamily, fields: LagrangeFields) -> GibbsState:
@@ -533,14 +530,14 @@ def _dual_value(log_z: float, y: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, tol: float,
-                max_iter: int, state: GibbsState | None = None,
-                chi: np.ndarray | None = None) -> tuple[np.ndarray, GibbsState, int, list]:
+                max_iter: int, state: GibbsState | None = None
+                ) -> tuple[np.ndarray, GibbsState, int, list]:
     """Damped Newton on the dual potential ln Z + y . targets over a constraint family.
 
-    `state` is the state at `y0` and `chi` its susceptibility, when the
-    caller already holds them; neither is recomputed.  Each Newton step is
-    halved until the dual does not rise, at most 40 times; FitError is
-    raised when none of those trials keeps it from rising.
+    `state` is the family's state at `y0`, when the caller already holds
+    it; it is not rebuilt, and a chi it already holds is not formed again.
+    Each Newton step is halved until the dual does not rise, at most 40
+    times; FitError is raised when none of those trials keeps it from rising.
     """
     scales = np.maximum(1.0, np.abs(targets))
     y = np.asarray(y0, dtype=float).copy()
@@ -563,8 +560,7 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
             y_best, state_best, res_best = best
             trace.append(res_best)
             return y_best, state_best, iteration - 1, trace
-        if chi is None:
-            chi = family.chi(state)
+        chi = state.chi  # the family's, formed once per state
         # one eigh of chi serves the PSD check and the step.  Each bound
         # below is negative, so a check whose left side is not negative
         # passes without forming it
@@ -601,7 +597,7 @@ def _newton_fit(family: ConstraintFamily, targets: np.ndarray, y0: np.ndarray, t
                 f"line search failed: 40 halvings of the Newton step did not lower "
                 f"the dual potential {dual:.6e}"
             )
-        y, state, dual, chi = y_trial, state_trial, dual_trial, None
+        y, state, dual = y_trial, state_trial, dual_trial
     raise FitError(
         f"maximum-entropy fit did not converge in {max_iter} iterations; "
         f"last scaled residual {trace[-1]:.3e}"
@@ -633,25 +629,22 @@ def _totals_start(obs: ConstraintFamily, targets: ConstraintSet, max_iter: int) 
 
 
 def maxent_fit(obs: ConstraintFamily, targets: ConstraintSet, warm: GibbsState | None = None,
-               tol: float = FIT_TOL, max_iter: int = MAX_ITER,
-               chi: np.ndarray | None = None) -> FitResult:
+               tol: float = FIT_TOL, max_iter: int = MAX_ITER) -> FitResult:
     """Fit (beta, mu) per cell so the Gibbs state meets the cell targets.
 
     The type of the constraint family `obs` selects how the states are
     built.  A cold start first fits one (beta, mu) to the box totals on the
     fixed spectrum of the summed operators (`_totals_start`).  A warm start
-    is a Gibbs state of `obs`: Newton starts at its multipliers and does not
-    rebuild it, and `chi`, given only with it, must be `obs.chi` at exactly
-    that state.  Newton either meets `tol` or raises FitError; the fitted
-    state keeps the multipliers it was built at.
+    is a Gibbs state that `obs` built: Newton starts at its multipliers and
+    does not rebuild it, nor form again the chi it holds.  Newton either
+    meets `tol` or raises FitError; the fitted state keeps the multipliers it
+    was built at.
     """
     if targets.n_cells != obs.n_cells:
         raise ValueError("target cell count does not match the observables")
     _feasibility_check(obs, targets)
     n = obs.n_cells
     if warm is None:
-        if chi is not None:
-            raise ValueError("chi seeds a fit only together with its warm-start state")
         y = np.repeat(_totals_start(obs, targets, max_iter), n)
     else:
         y = warm.multipliers
@@ -659,7 +652,7 @@ def maxent_fit(obs: ConstraintFamily, targets: ConstraintSet, warm: GibbsState |
             raise ValueError("a warm-start state must carry its multipliers")
         if y.size != 2 * n:
             raise ValueError("warm-start cell count does not match")
-    y, state, iterations, trace = _newton_fit(obs, targets.values, y, tol, max_iter, warm, chi)
+    y, state, iterations, trace = _newton_fit(obs, targets.values, y, tol, max_iter, warm)
     if (y[:n] <= 0.0).any():
         raise FitError("fit landed at a non-positive inverse temperature")
     return FitResult(LagrangeFields(y), state, iterations, trace)

@@ -75,16 +75,19 @@ class ClosureSystem:
 
 
 class RhsReport(NamedTuple):
+    """The moment rates b at a state and the condition number of its chi."""
+
     moment_rates: np.ndarray
     condition: float
-    chi: np.ndarray
 
 
 def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsReport:
-    """Moment rates b and the response matrix chi at a Gibbs state of the
-    system (default: the state of `sys.fields`); chi must be regular, so
-    that (-chi) dlambda/dt = b fixes the multiplier rates.  The condition
-    number of chi is reported."""
+    """Moment rates b at a Gibbs state of the system (default: the state of
+    `sys.fields`), and the condition number of its response matrix chi.
+
+    chi must be regular, so that (-chi) dlambda/dt = b fixes the multiplier
+    rates.  The state keeps it (`GibbsState.chi`), so a fit warm-started
+    there does not form it again."""
     state = sys.state_for(sys.fields) if state is None else state
     b = sys.rate_kernels.values(state)
     chi = sys.family.chi(state)
@@ -99,7 +102,7 @@ def closure_rhs(sys: ClosureSystem, state: GibbsState | None = None) -> RhsRepor
         raise ValueError(
             f"singular response matrix; null-space combination {terms}"
         )
-    return RhsReport(b, float(top / evals[0]), chi)
+    return RhsReport(b, float(top / evals[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,22 +127,23 @@ class StateTrajectory:
         return self.times.size - 1
 
 
-def _fit(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState, chi=None):
-    return maxent_fit(sys.family, ConstraintSet(moments), warm=warm, chi=chi)
+def _fit(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState):
+    return maxent_fit(sys.family, ConstraintSet(moments), warm=warm)
 
 
-def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState, chi=None):
-    fit = _fit(sys, moments, warm, chi)
+def _fitted_rate(sys: ClosureSystem, moments: np.ndarray, warm: GibbsState):
+    fit = _fit(sys, moments, warm)
     return sys.rate_kernels.values(fit.state), fit
 
 
 def _rk4_step(sys: ClosureSystem, start: tuple[GibbsState, RhsReport], moments: np.ndarray,
               step: float):
     """One RK4 step from `start`, a state that meets `moments` and its `closure_rhs`
-    report: the report's moment rates are k1, and its chi seeds the stage-2 fit."""
+    report: the report's moment rates are k1, and the stage-2 fit starts at
+    the state, which holds the chi that `closure_rhs` formed there."""
     state, rep = start
     k1 = rep.moment_rates
-    k2, f2 = _fitted_rate(sys, moments + 0.5 * step * k1, state, rep.chi)
+    k2, f2 = _fitted_rate(sys, moments + 0.5 * step * k1, state)
     k3, f3 = _fitted_rate(sys, moments + 0.5 * step * k2, f2.state)
     k4, f4 = _fitted_rate(sys, moments + step * k3, f3.state)
     new_moments = moments + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

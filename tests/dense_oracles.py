@@ -410,7 +410,7 @@ def dense_mode_rotation(basis, u):
 
 def mode_weight(state):
     """Gamma(U) diag(p) Gamma(U)†: the dense weight of a mode-space Gibbs state."""
-    gamma = dense_mode_rotation(state.spectrum.basis, state.spectrum.vectors)
+    gamma = dense_mode_rotation(state.family.basis, state.spectrum.vectors)
     return (gamma * state.probabilities) @ gamma.conj().T
 
 
@@ -748,8 +748,8 @@ def two_layout_kernel_values(statistics, one_body, two_body, state):
     exchange = two_body.transpose(0, 1, 3, 2, 4).reshape(m, -1)
     u = state.spectrum.vectors
     x = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
-    nbar = state.mode_occupations
-    g = state.mode_correlations - np.diag(nbar)
+    nbar = state.spectrum.occupations
+    g = state.spectrum.correlations - np.diag(nbar)
     hop = g - np.diag(np.diag(g))
     return (one_body.reshape(m, n * n) @ (x @ nbar)
             + 0.5 * (direct @ ((x @ g) @ x.T).ravel()

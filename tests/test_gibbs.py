@@ -31,6 +31,7 @@ from boxgas.gibbs import (
     MAX_ITER,
     _km_kernel,
     _totals_start,
+    CellKernels,
     CellObservables,
     ConstraintSet,
     FitError,
@@ -414,8 +415,8 @@ def test_maxent_warm_start_round_trip():
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
 def test_maxent_warm_state_and_chi_change_no_bit(statistics):
-    # handing a fit a warm state that has already been read, and chi at
-    # exactly that state, skips their recomputation and nothing else
+    # a fit from a warm state whose values, and then whose chi, have already
+    # been read is the fit from a fresh state at the same multipliers
     modes, basis, grid, _ = make_system(numbers=(1, 2, 3, 4), n_max=3, cells=2,
                                         statistics=statistics)
     family = cell_kernel_family(basis, modes, grid)
@@ -426,14 +427,40 @@ def test_maxent_warm_state_and_chi_change_no_bit(statistics):
     plain = maxent_fit(family, targets, warm=gibbs_state(family, init))
     assert plain.iterations >= 2
     assert family.values(warm).shape == (4,)  # the warm state has read its moments
-    for seeded in (maxent_fit(family, targets, warm=warm),
-                   maxent_fit(family, targets, warm=warm, chi=family.chi(warm))):
+    read = maxent_fit(family, targets, warm=warm)
+    assert "chi" in vars(warm)  # the fit formed chi there, and the state keeps it
+    for seeded in (read, maxent_fit(family, targets, warm=warm)):
         assert np.array_equal(seeded.fields.beta, plain.fields.beta)
         assert np.array_equal(seeded.fields.mu, plain.fields.mu)
         assert seeded.iterations == plain.iterations
         assert np.array_equal(seeded.residual_norms, plain.residual_norms)
-    with pytest.raises(ValueError, match="warm-start state"):
-        maxent_fit(family, targets, chi=family.chi(warm))
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_a_family_reads_only_the_states_it_built(statistics):
+    # two kernel families over equal but distinct arrays are two families: a
+    # state one of them built is not re-rotated for the other, it is refused
+    modes, basis, grid, obs = make_system(numbers=(1, 2, 3), n_max=2, cells=2,
+                                          statistics=statistics)
+    kernels = cell_kernel_family(basis, modes, grid)
+    twin = CellKernels(basis, kernels.kernels.copy())
+    y = np.array([0.3, 0.2, -0.05, 0.04])
+    bare = gibbs_from_operator(obs.state(y).spectrum.exponent)
+    for family in (obs, kernels, twin):
+        state = family.state(y)
+        assert state.family is family
+        targets = ConstraintSet(family.values(state))
+        assert family.chi(state) is family.chi(state)  # formed once, kept on the state
+        for other in (obs, kernels, twin):
+            if other is not family:
+                for read in (other.values, other.chi):
+                    with pytest.raises(ValueError, match="only the states it built"):
+                        read(state)
+                with pytest.raises(ValueError, match="only the states it built"):
+                    maxent_fit(other, targets, warm=state)
+        for read in (family.values, family.chi):
+            with pytest.raises(ValueError, match="only the states it built"):
+                read(bare)
 
 
 def test_states_keep_the_multipliers_they_were_built_at():
@@ -442,6 +469,7 @@ def test_states_keep_the_multipliers_they_were_built_at():
     for family in (obs, cell_kernel_family(basis, modes, grid)):
         state = family.state(y)
         assert np.array_equal(state.multipliers, y)
+        assert not np.shares_memory(state.multipliers, y)  # the caller's y stays theirs
         targets = ConstraintSet(family.values(state))
         for fit in (maxent_fit(family, targets), maxent_fit(family, targets, warm=state)):
             assert np.array_equal(fit.state.multipliers, fit.fields.multipliers)
@@ -538,21 +566,18 @@ def test_fit_failures_raise_fit_error():
 
 class RisingFamily:
     """A constraint family whose ln Z rises at every state it builds, with a
-    fixed residual and a positive definite chi: every Newton step passes the
-    descent check, and no halving of it lowers the dual."""
+    fixed residual and a positive definite chi, which its states carry: every
+    Newton step passes the descent check, and no halving of it lowers the dual."""
 
     def __init__(self):
         self.built = 0
 
     def state(self, y):
         self.built += 1
-        return SimpleNamespace(log_z=float(self.built))
+        return SimpleNamespace(log_z=float(self.built), chi=np.array([[2.0, 0.5], [0.5, 1.0]]))
 
     def values(self, state):
         return np.array([1.0, -0.5])
-
-    def chi(self, state):
-        return np.array([[2.0, 0.5], [0.5, 1.0]])
 
 
 def test_exhausted_line_search_raises_fit_error():

@@ -50,8 +50,6 @@ from boxgas.gibbs import (
     CellKernels,
     CellObservables,
     ConstraintSet,
-    GibbsState,
-    ModeSpectrum,
     TwoBodyKernels,
     chi_matrix,
     entropy,
@@ -108,18 +106,18 @@ def test_mode_spectrum_matches_sector_blocks(case):
     basis = build_basis(n_modes, n_max, statistics)
     rng = np.random.default_rng(seed)
     k = random_kernel(rng, n_modes, kind, complex_=kind != "real")
+    # a family of four constraint kernels, two of them "masses", reads the state of k
+    kernels = np.array([random_kernel(rng, n_modes, kind, complex_=kind != "real")
+                        for _ in range(4)])
+    family = CellKernels(basis, kernels)
 
-    state = _kernel_gibbs(basis, k, None)
+    state = _kernel_gibbs(family, k, None)
     oracle = gibbs_from_operator(one_body_operator(basis, k))
     assert_close(state.log_z, oracle.log_z)
     assert_close(np.sort(state.probabilities), np.sort(oracle.probabilities))
     assert_close(mode_weight(state), oracle.weight)
     assert_close(entropy(state), entropy(oracle))
 
-    # a family of four constraint kernels, two of them "masses"
-    kernels = np.array([random_kernel(rng, n_modes, kind, complex_=kind != "real")
-                        for _ in range(4)])
-    family = CellKernels(basis, kernels)
     blocks = BlockDiagonal.stack(one_body_operator(basis, kc) for kc in kernels)
     assert_close(family.values(state), blocks.trace_with(oracle.weight_blocks).real)
     assert_close(family.chi(state), chi_matrix(oracle, blocks))
@@ -151,12 +149,11 @@ def test_kernel_family_rejects_a_non_hermitian_kernel():
 
 @pytest.mark.parametrize("statistics", tuple(Statistics))
 def test_kernel_family_state_and_shared_rotation(statistics):
-    # a family state is the mode-space state of the combined kernel, bit
-    # for bit; values and chi read at alternating states, sharing the rotation
-    # each state keeps, equal those of a fresh family, which rotates afresh.
-    # Warm maxent fits are states too: the moments their state carries, the
-    # values, chi and two-body values there equal those read by a fresh
-    # family at a fresh state of the same probabilities and eigenvectors
+    # a family state is the mode-space state of the combined kernel, bit for
+    # bit.  Values and chi read at alternating states, and at the states of
+    # warm maxent fits, whose chi a fit may have formed already, equal those
+    # read at a fresh state of the family at the same y, as do every read the
+    # state holds and the two-body values there
     basis = build_basis(4, 3, statistics)
     rng = np.random.default_rng(4)
     kernels = np.array([random_kernel(rng, 4, "complex") for _ in range(4)])
@@ -164,7 +161,7 @@ def test_kernel_family_state_and_shared_rotation(statistics):
     ys = rng.standard_normal((2, 4))
     states = [family.state(y) for y in ys]
     for y, state in zip(ys, states):
-        want = _kernel_gibbs(basis, np.tensordot(y, kernels, axes=1), None)
+        want = _kernel_gibbs(family, np.tensordot(y, kernels, axes=1), None)
         assert state.log_z == want.log_z
         assert np.array_equal(state.probabilities, want.probabilities)
         assert np.array_equal(state.spectrum.vectors, want.spectrum.vectors)
@@ -172,21 +169,18 @@ def test_kernel_family_state_and_shared_rotation(statistics):
     targets = [ConstraintSet(family.values(family.state(y))) for y in ys]
     fits = [maxent_fit(family, targets[0], warm=family.state(ys[0] + 0.01))]
     fits.append(maxent_fit(family, targets[1], warm=fits[0].state))
-    assert all("mode_occupations" in vars(fit.state) for fit in fits)
     n_pairs = len(pair_basis(4, statistics))
     rates = TwoBodyKernels(np.array([random_kernel(rng, 4, "complex") for _ in range(2)]),
                            np.array([random_kernel(rng, n_pairs, "complex") for _ in range(2)]),
                            statistics)
     for state in states + states[::-1] + [fit.state for fit in fits]:
         values, chi = family.values(state), family.chi(state)
-        fresh = CellKernels(basis, kernels.copy())
-        spectrum = state.spectrum
-        again = GibbsState(state.multipliers, state.log_z, state.probabilities.copy(),
-                           ModeSpectrum(basis, spectrum.energies.copy(), spectrum.vectors.copy()))
-        for got, want in [(state.mode_occupations, again.mode_occupations),
-                          (state.mode_correlations, again.mode_correlations),
-                          (values, fresh.values(again)), (chi, fresh.chi(again)),
-                          (rates.values(state), rates.values(again))]:
+        fresh = family.state(state.multipliers)
+        assert fresh.log_z == state.log_z
+        for got, want in [*zip(state.spectrum, fresh.spectrum),
+                          (state.probabilities, fresh.probabilities),
+                          (values, family.values(fresh)), (chi, family.chi(fresh)),
+                          (rates.values(state), rates.values(fresh))]:
             assert np.array_equal(got, want)
 
 
@@ -252,7 +246,8 @@ def test_kernel_rates_match_the_fock_space_trace(case, kind):
     weight = gibbs_from_operator(one_body_operator(basis, k)).weight_blocks
     images = np.array([sum(dense_parts(basis, coeffs, t_on, kernel)) for kernel in kernels])
     want = np.einsum("ij,mji->m", weight.dense(), images)
-    assert_close(rates.values(_kernel_gibbs(basis, k, None)), want.real)
+    state = _kernel_gibbs(CellKernels(basis, kernels), k, None)
+    assert_close(rates.values(state), want.real)
 
 
 @pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.07, 1.13)])
@@ -267,13 +262,15 @@ def test_folded_kernel_values_match_the_two_layout_formula(statistics, lengths):
                                 statistics, 8.0)
     basis = build_basis(5, 3, statistics)
     rng = np.random.default_rng(len(lengths))
-    k1, k2 = reduced_images(coeffs, np.array([random_kernel(rng, 5, "complex") for _ in range(3)]))
+    kernels = np.array([random_kernel(rng, 5, "complex") for _ in range(3)])
+    k1, k2 = reduced_images(coeffs, kernels)
     rates = TwoBodyKernels(k1, k2, statistics)
+    family = CellKernels(basis, kernels)
     # k2 as the canonical (anti)symmetric tensor
     pairs = pair_basis(5, statistics)
     tensors = np.array([tensor_from_pair_matrix(m, pairs, statistics, 5) for m in k2])
     for kind in KINDS:
-        state = _kernel_gibbs(basis, random_kernel(rng, 5, kind, complex_=kind != "real"), None)
+        state = _kernel_gibbs(family, random_kernel(rng, 5, kind, complex_=kind != "real"), None)
         assert_close(rates.values(state), two_layout_kernel_values(statistics, k1, tensors, state))
 
 

@@ -178,10 +178,12 @@ def test_system_validation():
 
 def test_free_gas_single_cell_exactly_stationary():
     sys = free_system()
-    rep = closure_rhs(sys)
+    state = sys.state_for(sys.fields)
+    rep = closure_rhs(sys, state)
     assert np.max(np.abs(rep.moment_rates)) <= 1e-14
-    # the multiplier rates -chi^-1 b that the report's chi and b fix
-    assert np.max(np.abs(np.linalg.solve(rep.chi, -rep.moment_rates))) <= 1e-12
+    # the multiplier rates -chi^-1 b that the family's chi and the report's b fix
+    chi = sys.family.chi(state)
+    assert np.max(np.abs(np.linalg.solve(chi, -rep.moment_rates))) <= 1e-12
     traj = integrate(sys, t_span=2.0, dt=0.5)
     multipliers = np.array([f.multipliers for f in traj.fields])
     drift = np.max(np.abs(multipliers - multipliers[0]))
@@ -475,6 +477,58 @@ def test_each_accepted_step_makes_four_fits(monkeypatch):
     assert len(fits) == 4 * traj.n_steps
     # every fit is warm-started from a state, never from bare fields
     assert all(isinstance(init, gibbs.GibbsState) for init in fits)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+def test_chi_is_formed_once_per_state(statistics, monkeypatch):
+    # closure_rhs reads chi at each step's state and every Newton step reads
+    # it at the state it steps from; each read forms chi only at a state that
+    # does not hold it yet, so the stage-2 fit, which starts at the state
+    # closure_rhs read, forms none there
+    if statistics is Statistics.BOSE:
+        sys = make_system()
+    else:
+        sys = make_system(statistics=statistics, g=1.0, sigma=0.25, delta=5.0, n_max=3)
+    formed, rhs_reads, fits = [], [], []
+    real_chi, real_rhs, real_fit = gibbs.CellKernels._chi, kinetics.closure_rhs, kinetics.maxent_fit
+
+    def counted_chi(family, state):
+        formed.append(state)
+        return real_chi(family, state)
+
+    def counted_rhs(sys_, state):
+        held, before = "chi" in vars(state), len(formed)
+        rhs_reads.append((state, held))
+        report = real_rhs(sys_, state)
+        assert len(formed) - before == 1 - held
+        return report
+
+    def counted_fit(*args, **kwargs):
+        warm, before = kwargs["warm"], len(formed)
+        held = "chi" in vars(warm)
+        fit = real_fit(*args, **kwargs)
+        fits.append((warm, held, fit, formed[before:]))
+        return fit
+
+    monkeypatch.setattr(gibbs.CellKernels, "_chi", counted_chi)
+    monkeypatch.setattr(kinetics, "closure_rhs", counted_rhs)
+    monkeypatch.setattr(kinetics, "maxent_fit", counted_fit)
+    dt = 20.2 * sys.tau0
+    traj = integrate(sys, t_span=4.0 * dt, dt=dt)
+    assert len(rhs_reads) == traj.n_steps + 1 and len(fits) == 4 * traj.n_steps
+    assert len({id(state) for state in formed}) == len(formed)
+    steps = 0
+    for warm, held, fit, new in fits:
+        assert fit.iterations >= 1
+        assert len(new) == fit.iterations - held
+        steps += fit.iterations
+    assert len(formed) == len(rhs_reads) + steps - sum(held for _, held in rhs_reads) - sum(
+        held for _, held, _, _ in fits)
+    rhs_states = [state for state, _ in rhs_reads]
+    stage2 = [(warm, held, new) for warm, held, _, new in fits[::4]]
+    for (warm, held, new), state in zip(stage2, rhs_states):
+        assert warm is state and held
+        assert all(s is not warm for s in new)
 
 
 def test_rk4_endpoint_convergence():
